@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Field, Matrix, PresentationError, QQ
-from .report import CheckError
+from .exactlin import Field, Matrix, PresentationError, QQ, permute
+from .report import require
 from .structures import (
     StructurePresentation,
     dualize_structure,
@@ -133,19 +133,10 @@ def free_flip_module(a: StructurePresentation, c: StructurePresentation) -> Entw
 
 def translation_module_algebra(h: StructurePresentation):
     """H* as a right H-module algebra via (f . h)(k) = f(h k)."""
-    field = h.field
     dual = dualize_structure("hopf" if h.kind == "hopf" else h.kind, h)
     n = h.dim
-    z = field.zero()
-    # (delta_u . h_j) = sum_k mul-transport: (delta_u . h_j)(h_k) = delta_u(h_j h_k)
-    act = [z] * (n * n * n)
-    for u in range(n):
-        for j in range(n):
-            for s in range(n):
-                # coefficient of delta_s: value at h_s of delta_u . h_j = mul[u, (j, s)]
-                act[s * (n * n) + (u * n + j)] = h.mul[u, j * n + s]
-    action = Matrix(field, n, n * n, act)
-    return dual, action
+    # the delta_s-coefficient of delta_u . h_j is (delta_u . h_j)(h_s) = delta_u(h_j h_s) = mul[u, (j, s)]
+    return dual, permute(h.mul, (n, n, n), (2, 0, 1), 1)
 
 
 def grading_comodule_coalgebra(h: StructurePresentation):
@@ -281,38 +272,4 @@ def _verify_entry(name: str, value):
         return  # verified by their constructors
     else:
         raise PresentationError(f"catalog entry {name!r} has unknown type {type(value)!r}")
-    if not rep.passed:
-        raise CheckError(rep)
-
-
-def structure_names() -> tuple[str, ...]:
-    """Catalog entries that are plain structures."""
-    out = []
-    for name in catalog_names():
-        if isinstance(catalog_get(name), StructurePresentation):
-            out.append(name)
-    return tuple(out)
-
-
-def entwining_names() -> tuple[str, ...]:
-    out = []
-    for name in catalog_names():
-        if isinstance(catalog_get(name), EntwiningPresentation):
-            out.append(name)
-    return tuple(out)
-
-
-def entwined_module_names() -> tuple[str, ...]:
-    out = []
-    for name in catalog_names():
-        if isinstance(catalog_get(name), EntwinedModulePresentation):
-            out.append(name)
-    return tuple(out)
-
-
-def dk_names() -> tuple[str, ...]:
-    out = []
-    for name in catalog_names():
-        if isinstance(catalog_get(name), DKStructure):
-            out.append(name)
-    return tuple(out)
+    require(rep)

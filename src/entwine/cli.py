@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .exactlin import Matrix, PresentationError
+from .exactlin import PresentationError
 from .report import CheckError, Report
 from .structures import (
     ModulePresentation,
@@ -250,7 +250,7 @@ def cmd_dk(args, out: _Out) -> None:
         return
     koppinen_smash(s)
     out.note(f"{args.name}: twisted ring agrees with the entwining smash ring, table and unit")
-    dual, rep = dual_dk(s)
+    _, rep = dual_dk(s)
     out.report(f"{args.name}_dual", rep)
 
 
@@ -279,7 +279,7 @@ def cmd_cocleft(args, out: _Out) -> None:
     if not rep.passed:
         out.failed = True
         return
-    ext, drep = dualize_coextension(coext)
+    _, drep = dualize_coextension(coext)
     out.report(f"{args.name}_dual", drep)
 
 

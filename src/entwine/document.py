@@ -23,6 +23,7 @@ from .structures import (
     comul_from_triples,
     make_structure,
     mul_from_triples,
+    quads_from_matrix,
 )
 from .entwining import EntwinedModulePresentation, EntwiningPresentation
 from .doikoppinen import DKStructure, HCoextension, HExtension, coextension_quotient, h_extension
@@ -95,54 +96,8 @@ def _parse_quads(field: Field, quads, dims: tuple[int, int, int], path: str):
     return out
 
 
-def _emit_quads_from_mul(field: Field, mul: Matrix, dim: int):
-    out = []
-    zero = field.zero()
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                v = mul[k, i * dim + j]
-                if v != zero:
-                    out.append([i, j, k, _emit_scalar(field, v)])
-    return out
-
-
-def _emit_quads_from_comul(field: Field, comul: Matrix, dim: int):
-    out = []
-    zero = field.zero()
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                v = comul[j * dim + k, i]
-                if v != zero:
-                    out.append([i, j, k, _emit_scalar(field, v)])
-    return out
-
-
-def _emit_action_quads(field: Field, action: Matrix, mdim: int, adim: int, side: str):
-    out = []
-    zero = field.zero()
-    for m in range(mdim):
-        for a in range(adim):
-            for m2 in range(mdim):
-                col = (m * adim + a) if side == "right" else (a * mdim + m)
-                v = action[m2, col]
-                if v != zero:
-                    out.append([m, a, m2, _emit_scalar(field, v)])
-    return out
-
-
-def _emit_coaction_quads(field: Field, coaction: Matrix, mdim: int, cdim: int, side: str):
-    out = []
-    zero = field.zero()
-    for m in range(mdim):
-        for m2 in range(mdim):
-            for ci in range(cdim):
-                row = (m2 * cdim + ci) if side == "right" else (ci * mdim + m2)
-                v = coaction[row, m]
-                if v != zero:
-                    out.append([m, m2, ci, _emit_scalar(field, v)])
-    return out
+def _emit_quads(field: Field, m: Matrix, layout: str, dims):
+    return [[i, j, k, _emit_scalar(field, v)] for i, j, k, v in quads_from_matrix(m, layout, dims)]
 
 
 def _parse_field(raw, path: str) -> Field:
@@ -215,10 +170,10 @@ def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentati
 def _emit_structure(field: Field, s: StructurePresentation) -> dict:
     body: dict = {"type": "structure", "kind": s.kind, "dim": s.dim, "labels": list(s.labels)}
     if s.mul is not None:
-        body["mul"] = _emit_quads_from_mul(field, s.mul, s.dim)
+        body["mul"] = _emit_quads(field, s.mul, "mul", (s.dim,) * 3)
         body["unit"] = [_emit_scalar(field, x) for x in s.unit.col(0)]
     if s.comul is not None:
-        body["comul"] = _emit_quads_from_comul(field, s.comul, s.dim)
+        body["comul"] = _emit_quads(field, s.comul, "comul", (s.dim,) * 3)
         body["counit"] = [_emit_scalar(field, x) for x in s.counit.row(0)]
     if s.antipode is not None:
         body["antipode"] = _emit_matrix(field, s.antipode)
@@ -261,7 +216,11 @@ def _parse_objects(field: Field, raw_objects: dict) -> dict:
     # structures first, then everything that references them, then dk-level data
     order = {"structure": 0, "pairing": 1, "module": 1, "entwining": 1, "morphism": 1,
              "entwined_module": 2, "dk": 1, "extension": 1, "coextension": 1}
-    names.sort(key=lambda n: (order.get(raw_objects[n].get("type") if isinstance(raw_objects[n], dict) else None, 9), n))
+    def stage(name):
+        otype = raw_objects[name].get("type") if isinstance(raw_objects[name], dict) else None
+        return order.get(otype, 9) if isinstance(otype, str) else 9
+
+    names.sort(key=lambda n: (stage(n), n))
     for name in names:
         body = raw_objects[name]
         path = f"objects.{name}"
@@ -438,8 +397,10 @@ def document_from_objects(field: Field, objects: dict) -> Document:
                 "type": "entwined_module",
                 "entwining": ent_name,
                 "dim": obj.dim,
-                "action": _emit_action_quads(field, obj.action, obj.dim, obj.entwining.algebra.dim, "right"),
-                "coaction": _emit_coaction_quads(field, obj.coaction, obj.dim, obj.entwining.coalgebra.dim, "right"),
+                "action": _emit_quads(field, obj.action, "right-action",
+                                      (obj.dim, obj.entwining.algebra.dim, obj.dim)),
+                "coaction": _emit_quads(field, obj.coaction, "right-coaction",
+                                        (obj.dim, obj.dim, obj.entwining.coalgebra.dim)),
             }
         elif isinstance(obj, DKStructure):
             raw_objects[name] = {
@@ -447,15 +408,17 @@ def document_from_objects(field: Field, objects: dict) -> Document:
                 "bialgebra": ensure_structure(obj.h, "bialgebra_"),
                 "algebra": ensure_structure(obj.alg, "algebra_"),
                 "coalgebra": ensure_structure(obj.coalg, "coalgebra_"),
-                "coaction": _emit_coaction_quads(field, obj.alg_coaction, obj.alg.dim, obj.h.dim, "right"),
-                "action": _emit_action_quads(field, obj.coalg_action, obj.coalg.dim, obj.h.dim, "right"),
+                "coaction": _emit_quads(field, obj.alg_coaction, "right-coaction",
+                                        (obj.alg.dim, obj.alg.dim, obj.h.dim)),
+                "action": _emit_quads(field, obj.coalg_action, "right-action",
+                                      (obj.coalg.dim, obj.h.dim, obj.coalg.dim)),
             }
         elif isinstance(obj, HExtension):
             raw_objects[name] = {
                 "type": "extension",
                 "bialgebra": ensure_structure(obj.h, "bialgebra_"),
                 "algebra": ensure_structure(obj.b, "algebra_"),
-                "coaction": _emit_coaction_quads(field, obj.coaction, obj.b.dim, obj.h.dim, "right"),
+                "coaction": _emit_quads(field, obj.coaction, "right-coaction", (obj.b.dim, obj.b.dim, obj.h.dim)),
             }
             if obj.integral is not None:
                 raw_objects[name]["integral"] = _emit_matrix(field, obj.integral)
@@ -464,7 +427,7 @@ def document_from_objects(field: Field, objects: dict) -> Document:
                 "type": "coextension",
                 "bialgebra": ensure_structure(obj.h, "bialgebra_"),
                 "coalgebra": ensure_structure(obj.d, "coalgebra_"),
-                "action": _emit_action_quads(field, obj.action, obj.d.dim, obj.h.dim, "right"),
+                "action": _emit_quads(field, obj.action, "right-action", (obj.d.dim, obj.h.dim, obj.d.dim)),
             }
             if obj.cointegral is not None:
                 raw_objects[name]["cointegral"] = _emit_matrix(field, obj.cointegral)
@@ -474,13 +437,15 @@ def document_from_objects(field: Field, objects: dict) -> Document:
                 body["action"] = {
                     "structure": ensure_structure(obj.algebra, "algebra_"),
                     "side": obj.action_side,
-                    "triples": _emit_action_quads(field, obj.action, obj.dim, obj.algebra.dim, obj.action_side),
+                    "triples": _emit_quads(field, obj.action, f"{obj.action_side}-action",
+                                          (obj.dim, obj.algebra.dim, obj.dim)),
                 }
             if obj.coaction is not None:
                 body["coaction"] = {
                     "structure": ensure_structure(obj.coalgebra, "coalgebra_"),
                     "side": obj.coaction_side,
-                    "triples": _emit_coaction_quads(field, obj.coaction, obj.dim, obj.coalgebra.dim, obj.coaction_side),
+                    "triples": _emit_quads(field, obj.coaction, f"{obj.coaction_side}-coaction",
+                                          (obj.dim, obj.dim, obj.coalgebra.dim)),
                 }
             raw_objects[name] = body
         else:

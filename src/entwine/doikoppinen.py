@@ -21,7 +21,7 @@ from .exactlin import (
     kernel,
     kron,
     perm_tensor,
-    rank,
+    permute,
     swap_matrix,
 )
 from . import report
@@ -34,14 +34,12 @@ from .structures import (
     bialgebra_morphism_report,
     coalgebra_morphism_report,
     coaction_to_dual_action,
-    convolution,
     convolution_inverse,
     convolution_unit,
     dual_action_on_dual,
     dualize_structure,
     make_structure,
     rational_submodule,
-    verify_measuring_pairing,
     verify_structure,
 )
 from .entwining import (
@@ -51,7 +49,6 @@ from .entwining import (
     build_smash,
     verify_entwined_module,
     verify_entwining,
-    verify_entwining_morphism,
 )
 from .duality import DualDatum, DualModule, dual_entwining, dual_module_r, dual_module_upper_r
 
@@ -95,47 +92,46 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
     checks = []
     if kind == "module-algebra":
         if side == "right":
-            rhs = x.mul @ kron(m, m) @ perm_tensor(f, (nx, nx, nh, nh), (0, 2, 1, 3)) \
-                @ kron(kron(idx, idx), h.comul)
+            rhs = x.mul @ kron(m, m) @ _swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh))
             checks = [("action-multiplicative", m @ kron(x.mul, idh), rhs, (nx, nx, nh)),
                       ("action-on-unit", m @ kron(x.unit, idh), x.unit @ h.counit, (nh,))]
         else:
-            rhs = x.mul @ kron(m, m) @ perm_tensor(f, (nh, nh, nx, nx), (0, 2, 1, 3)) \
-                @ kron(h.comul, kron(idx, idx))
+            rhs = x.mul @ kron(m, m) @ _swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx))
             checks = [("action-multiplicative", m @ kron(idh, x.mul), rhs, (nh, nx, nx)),
                       ("action-on-unit", m @ kron(idh, x.unit), x.unit @ h.counit, (nh,))]
     elif kind == "module-coalgebra":
         if side == "right":
-            rhs = kron(m, m) @ perm_tensor(f, (nx, nx, nh, nh), (0, 2, 1, 3)) \
-                @ kron(x.comul, h.comul)
+            rhs = kron(m, m) @ _swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh))
             checks = [("action-comultiplicative", x.comul @ m, rhs, (nx, nh)),
                       ("action-counital", x.counit @ m, kron(x.counit, h.counit), (nx, nh))]
         else:
-            rhs = kron(m, m) @ perm_tensor(f, (nh, nh, nx, nx), (0, 2, 1, 3)) \
-                @ kron(h.comul, x.comul)
+            rhs = kron(m, m) @ _swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx))
             checks = [("action-comultiplicative", x.comul @ m, rhs, (nh, nx)),
                       ("action-counital", x.counit @ m, kron(h.counit, x.counit), (nh, nx))]
     elif kind == "comodule-algebra":
         if side == "right":
-            rhs = kron(x.mul, h.mul) @ perm_tensor(f, (nx, nh, nx, nh), (0, 2, 1, 3)) @ kron(m, m)
+            rhs = kron(x.mul, h.mul) @ _swap_middle(kron(m, m), (nx, nh, nx, nh))
             checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
                       ("coaction-on-unit", m @ x.unit, kron(x.unit, h.unit), (1,))]
         else:
-            rhs = kron(h.mul, x.mul) @ perm_tensor(f, (nh, nx, nh, nx), (0, 2, 1, 3)) @ kron(m, m)
+            rhs = kron(h.mul, x.mul) @ _swap_middle(kron(m, m), (nh, nx, nh, nx))
             checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
                       ("coaction-on-unit", m @ x.unit, kron(h.unit, x.unit), (1,))]
     elif kind == "comodule-coalgebra":
         if side == "right":
-            rhs = kron(kron(idx, idx), h.mul) @ perm_tensor(f, (nx, nh, nx, nh), (0, 2, 1, 3)) \
-                @ kron(m, m) @ x.comul
+            rhs = kron(kron(idx, idx), h.mul) @ _swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul
             checks = [("coaction-comultiplicative", kron(x.comul, idh) @ m, rhs, (nx,)),
                       ("coaction-counital", kron(x.counit, idh) @ m, h.unit @ x.counit, (nx,))]
         else:
-            rhs = kron(h.mul, kron(idx, idx)) @ perm_tensor(f, (nh, nx, nh, nx), (0, 2, 1, 3)) \
-                @ kron(m, m) @ x.comul
+            rhs = kron(h.mul, kron(idx, idx)) @ _swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul
             checks = [("coaction-comultiplicative", kron(idh, x.comul) @ m, rhs, (nx,)),
                       ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))]
     return report.first_failure(op, checks)
+
+
+def _swap_middle(k: Matrix, dims) -> Matrix:
+    """perm_tensor(dims, (0, 2, 1, 3)) @ k: swap the middle two tensor factors of k's rows."""
+    return permute(k, (*dims, k.cols), (0, 2, 1, 3, 4), 4)
 
 
 @dataclass(frozen=True)
@@ -190,26 +186,20 @@ def dk_entwining(s: DKStructure) -> EntwiningPresentation:
         @ kron(swap_matrix(f, nc, na), Matrix.identity(f, nh)) \
         @ kron(Matrix.identity(f, nc), s.alg_coaction)
     e = EntwiningPresentation(s.alg, s.coalg, psi)
-    rep = verify_entwining(e)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_entwining(e))
     return e
 
 
 def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
     """psi(c (x) a) = sum a.c_1 (x) c_0 for the alternative structures."""
-    rep = s.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(s.verify())
     f = s.h.field
     na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
     psi = kron(s.alg_action, Matrix.identity(f, nc)) \
         @ perm_tensor(f, (nc, nh, na), (2, 1, 0)) \
         @ kron(s.coalg_coaction, Matrix.identity(f, na))
     e = EntwiningPresentation(s.alg, s.coalg, psi)
-    rep = verify_entwining(e)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_entwining(e))
     return e
 
 
@@ -226,12 +216,11 @@ def koppinen_smash(s: DKStructure) -> SmashRing:
     idc = Matrix.identity(f, nc)
     n = na * nc
     units = [Matrix(f, na, nc, [f.one() if t == u else f.zero() for t in range(n)]) for u in range(n)]
+    # c (x) a -> a_0 (x) c.a_1 does not depend on the basis pair
+    twist = kron(ida, s.coalg_action) @ perm_tensor(f, (nc, na, nh), (1, 0, 2)) @ kron(idc, s.alg_coaction)
 
     def product(fm: Matrix, gm: Matrix) -> Matrix:
-        inner = kron(ida, s.coalg_action) \
-            @ perm_tensor(f, (nc, na, nh), (1, 0, 2)) \
-            @ kron(idc, s.alg_coaction) \
-            @ kron(idc, fm) @ s.coalg.comul
+        inner = twist @ kron(idc, fm) @ s.coalg.comul
         return s.alg.mul @ kron(ida, gm) @ inner
 
     mul_cols = []
@@ -268,6 +257,13 @@ class DKIngredient:
         return verify_dk_compat(self.kind, self.h, self.structure, self.matrix, self.side)
 
 
+def _verified(kind: str, side: str, h: StructurePresentation, structure: StructurePresentation,
+              matrix: Matrix, subspace: Subspace | None = None) -> DKIngredient:
+    out = DKIngredient(kind, side, h, structure, matrix, subspace)
+    report.require(out.verify())
+    return out
+
+
 def _dual_bialgebra(h: StructurePresentation) -> StructurePresentation:
     return dualize_structure("hopf" if h.kind == "hopf" else "bialgebra", h)
 
@@ -280,33 +276,15 @@ def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingP
 def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePresentation,
                                        coaction: Matrix) -> DKIngredient:
     """f -> a = sum a_0 f(a_1): a right H-comodule algebra is a left U-module algebra."""
-    u = _dual_bialgebra(h)
-    action = coaction_to_dual_action(coaction, a.dim, h.dim, "right")
-    out = DKIngredient("module-algebra", "left", u, a, action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-algebra", "left", _dual_bialgebra(h), a,
+                     coaction_to_dual_action(coaction, a.dim, h.dim, "right"))
 
 
 def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
     """A* is a right U-module coalgebra via (f . u)(a) = sum f(a_0) u(a_1)."""
-    u = _dual_bialgebra(h)
-    astar = dualize_structure("algebra", a)
-    f = h.field
-    na, nh = a.dim, h.dim
-    data = [f.zero()] * (na * na * nh)
-    for r in range(na):       # input functional index
-        for j in range(nh):   # acting dual-basis functional
-            for sidx in range(na):
-                data[sidx * (na * nh) + (r * nh + j)] = coaction[r * nh + j, sidx]
-    action = Matrix(f, na, na * nh, data)
-    out = DKIngredient("module-coalgebra", "right", u, astar, action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-coalgebra", "right", _dual_bialgebra(h), dualize_structure("algebra", a),
+                     coaction.transpose())
 
 
 def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePresentation,
@@ -341,11 +319,7 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
     sub = make_structure("algebra", f, k, tuple(f"r{i}" for i in range(k)),
                          mul=Matrix.from_rows(f, mul_cols).transpose(), unit=unit_coords)
     coact_side = "right" if side == "left" else "left"
-    out = DKIngredient("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
 
 
 def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
@@ -353,12 +327,7 @@ def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Structu
     """C* is a module algebra on the other side via (h . f)(c) = f(c . h)."""
     cstar = dualize_structure("coalgebra", c)
     dual_side = "left" if side == "right" else "right"
-    dual_action = dual_action_on_dual(action, c.dim, h.dim, side)
-    out = DKIngredient("module-algebra", dual_side, h, cstar, dual_action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-algebra", dual_side, h, cstar, dual_action_on_dual(action, c.dim, h.dim, side))
 
 
 def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructurePresentation,
@@ -371,13 +340,8 @@ def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructureP
 def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: StructurePresentation,
                                            coaction: Matrix) -> DKIngredient:
     """f -> c = sum c_0 f(c_1): a right H-comodule coalgebra is a left U-module coalgebra."""
-    u = _dual_bialgebra(h)
-    action = coaction_to_dual_action(coaction, c.dim, h.dim, "right")
-    out = DKIngredient("module-coalgebra", "left", u, c, action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-coalgebra", "left", _dual_bialgebra(h), c,
+                     coaction_to_dual_action(coaction, c.dim, h.dim, "right"))
 
 
 def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
@@ -386,12 +350,7 @@ def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Struc
     u = _dual_bialgebra(h)
     inner = comodule_coalgebra_to_module_coalgebra(h, c, coaction)
     cstar = dualize_structure("coalgebra", c)
-    dual_action = dual_action_on_dual(inner.matrix, c.dim, u.dim, "left")
-    out = DKIngredient("module-algebra", "right", u, cstar, dual_action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-algebra", "right", u, cstar, dual_action_on_dual(inner.matrix, c.dim, u.dim, "left"))
 
 
 def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresentation,
@@ -399,50 +358,38 @@ def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresenta
     """A* as an H-module coalgebra on the other side; the dual of a module algebra."""
     dual_side = "left" if side == "right" else "right"
     astar = dualize_structure("algebra", a)
-    dual_action = dual_action_on_dual(action, a.dim, h.dim, side)
-    out = DKIngredient("module-coalgebra", dual_side, h, astar, dual_action)
-    rep = out.verify()
-    if not rep.passed:
-        raise report.CheckError(rep)
-    return out
+    return _verified("module-coalgebra", dual_side, h, astar, dual_action_on_dual(action, a.dim, h.dim, side))
 
 
-# (input kind, target) -> (constructor, input side it consumes)
+# (input kind, target) -> (constructor, input side it consumes, whether it takes that side)
 _DUAL_ARROWS = {
-    ("comodule-algebra", "module-algebra"): (comodule_algebra_to_module_algebra, "right"),
-    ("comodule-algebra", "dual-module-coalgebra"): (comodule_algebra_to_dual_module_coalgebra, "right"),
-    ("module-algebra", "comodule-algebra"): (module_algebra_to_comodule_algebra, "left"),
-    ("module-coalgebra", "dual-module-algebra"): (module_coalgebra_to_dual_module_algebra, "right"),
-    ("module-coalgebra", "comodule-algebra"): (module_coalgebra_to_comodule_algebra, "right"),
-    ("comodule-coalgebra", "module-coalgebra"): (comodule_coalgebra_to_module_coalgebra, "right"),
-    ("comodule-coalgebra", "dual-module-algebra"): (comodule_coalgebra_to_dual_module_algebra, "right"),
-    ("module-algebra", "dual-module"): (module_algebra_to_dual_module, "right"),
+    ("comodule-algebra", "module-algebra"): (comodule_algebra_to_module_algebra, "right", False),
+    ("comodule-algebra", "dual-module-coalgebra"): (comodule_algebra_to_dual_module_coalgebra, "right", False),
+    ("module-algebra", "comodule-algebra"): (module_algebra_to_comodule_algebra, "left", True),
+    ("module-coalgebra", "dual-module-algebra"): (module_coalgebra_to_dual_module_algebra, "right", True),
+    ("module-coalgebra", "comodule-algebra"): (module_coalgebra_to_comodule_algebra, "right", False),
+    ("comodule-coalgebra", "module-coalgebra"): (comodule_coalgebra_to_module_coalgebra, "right", False),
+    ("comodule-coalgebra", "dual-module-algebra"): (comodule_coalgebra_to_dual_module_algebra, "right", False),
+    ("module-algebra", "dual-module"): (module_algebra_to_dual_module, "right", True),
 }
 
 
 def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePresentation,
                           m: Matrix, direction: str) -> tuple[DKIngredient, Report]:
-    """Dualize one (co)module (co)algebra; the output is re-verified.
+    """Dualize one (co)module (co)algebra, with the passing report of its output.
 
     direction names the target structure; the supported arrows are the
     keys of the dualization table, each consuming its canonical side.
-    Every constructor re-runs verify_dk_compat on its output and raises
+    Every constructor runs verify_dk_compat on its output and raises
     CheckError on failure, so a returned ingredient is always verified.
     """
     entry = _DUAL_ARROWS.get((kind, direction))
     if entry is None:
         raise UnsupportedDualization(f"no dualization {kind!r} -> {direction!r}")
-    arrow, side = entry
-    rep = verify_dk_compat(kind, h, x, m, side)
-    if not rep.passed:
-        raise report.CheckError(rep)
-    if (kind, direction) in (("module-algebra", "comodule-algebra"),
-                             ("module-coalgebra", "dual-module-algebra"),
-                             ("module-algebra", "dual-module")):
-        out = arrow(h, x, m, side)
-    else:
-        out = arrow(h, x, m)
-    return out, out.verify()
+    arrow, side, takes_side = entry
+    report.require(verify_dk_compat(kind, h, x, m, side))
+    out = arrow(h, x, m, side) if takes_side else arrow(h, x, m)
+    return out, report.ok(f"verify_dk_compat[{out.kind}]")
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +404,7 @@ def dual_dk(s: DKStructure) -> tuple[DKStructure, Report]:
     dual of the original entwining under the evaluation bases, and that
     equality is part of the returned report.
     """
-    rep = verify_dk(s)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_dk(s))
     hdual = _dual_bialgebra(s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
@@ -468,9 +413,7 @@ def dual_dk(s: DKStructure) -> tuple[DKStructure, Report]:
         raise report.CheckError(report.fail("dual_dk", "rational-part-proper",
                                             dim=c0.subspace.dim))
     dual = DKStructure(hdual, c0.structure, c0.matrix, astar.structure, astar.matrix)
-    rep = verify_dk(dual)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_dk(dual))
     coherence = report.compare(
         "dual_dk", "entwining-coherence",
         dk_entwining(dual).psi, dual_entwining(dk_entwining(s)).dual.psi,
@@ -485,11 +428,6 @@ def dual_alt_dk(s: AltDKStructure):
     raise UnsupportedDualization(
         "not supported: the dual of an alternative structure need not be an "
         "alternative structure, so no dualization is attempted")
-
-
-def dk_module(s: DKStructure, dim: int, action: Matrix, coaction: Matrix) -> EntwinedModulePresentation:
-    """A Doi-Koppinen module, presented as an entwined module over the induced psi."""
-    return EntwinedModulePresentation(dk_entwining(s), dim, action, coaction)
 
 
 def dk_dual_module(s: DKStructure, m: EntwinedModulePresentation,
@@ -545,9 +483,7 @@ class HExtension:
 def h_extension(h: StructurePresentation, b: StructurePresentation, coaction: Matrix,
                 integral: Matrix | None = None) -> HExtension:
     """Verify the comodule algebra and compute its coinvariant subalgebra."""
-    rep = verify_dk_compat("comodule-algebra", h, b, coaction, "right")
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_dk_compat("comodule-algebra", h, b, coaction, "right"))
     return HExtension(h, b, coaction, coinvariants(h, b, coaction), integral)
 
 
@@ -605,9 +541,7 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     deterministic.  The coideal and stability properties, the quotient
     laws, and the projection's equivariance are all verified.
     """
-    rep = verify_dk_compat("module-coalgebra", h, d, action, "right")
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_dk_compat("module-coalgebra", h, d, action, "right"))
     f = h.field
     nd, nh = d.dim, h.dim
     hplus = kernel(h.counit)
@@ -669,8 +603,7 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
                     ("projection-equivariant", proj @ action,
                      action_q @ kron(proj, Matrix.identity(f, nh)), (nd, nh)),
                 ])):
-        if not rep.passed:
-            raise report.CheckError(rep)
+        report.require(rep)
     return HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
 
 
@@ -727,18 +660,10 @@ def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
         raise PresentationError("dualize_coextension needs a Hopf algebra")
     if invert(h.antipode) is None:
         raise PresentationError("antipode is not bijective")
-    f = h.field
     hdual = _dual_bialgebra(h)
     ddual = dualize_structure("coalgebra", coext.d)
-    nd, nh = coext.d.dim, h.dim
     # coaction on D*: coefficient of g_s (x) delta_u in rho(g_r) is action[r, s*nh + u]
-    data = [f.zero()] * (nd * nh * nd)
-    for r in range(nd):
-        for sidx in range(nd):
-            for u in range(nh):
-                data[(sidx * nh + u) * nd + r] = coext.action[r, sidx * nh + u]
-    coaction = Matrix(f, nd * nh, nd, data)
-    ext = h_extension(hdual, ddual, coaction)
+    ext = h_extension(hdual, ddual, coext.action.transpose())
     expected = Subspace.from_matrix_rows(coext.projection)
     if ext.coinv != expected:
         return ext, report.fail("dualize_coextension", "coinvariants-mismatch",

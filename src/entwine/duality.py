@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, Subspace, kron, solve_linear
+from .exactlin import Matrix, PresentationError, Subspace, kron, permute, solve_linear
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
@@ -26,6 +26,7 @@ from .structures import (
     coaction_to_dual_action,
     dual_action_on_dual,
     make_structure,
+    module_from_coaction,
     rational_submodule,
     require_alpha,
     verify_measuring_pairing,
@@ -151,8 +152,7 @@ def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
                 verify_measuring_pairing(PairingPresentation(a, ctil, ctil_basis.transpose())),
                 verify_measuring_pairing(PairingPresentation(atil, c, atil_basis)),
                 verify_entwining(dual)):
-        if not rep.passed:
-            raise report.CheckError(rep)
+        report.require(rep)
     return DualDatum(e, atil_basis, ctil_basis, atil, ctil, phi, dual)
 
 
@@ -188,37 +188,19 @@ class DualModule:
         return self.basis.rows
 
 
-def _functional_action(cstar_action: Matrix, basis: Matrix, mdim: int) -> Matrix:
-    """Restrict a left C*-action to the span of the given functionals."""
-    f = basis.field
-    k = basis.rows
-    cols = []
-    for j in range(k):
-        gj = basis.row_matrix(j).transpose()
-        for i in range(mdim):
-            cols.append((cstar_action @ kron(gj, Matrix.basis_column(f, mdim, i))).col(0))
-    return Matrix.from_rows(f, cols).transpose()
-
-
 def _restrict_right_action(action: Matrix, w: Subspace, adim: int, op: str) -> Matrix:
     """Rewrite a right action on the ambient space in subspace coordinates."""
     f = action.field
     k = w.dim
-    cols = [[] for _ in range(k * adim)]
-    out = []
+    coords = []  # [t, j, s]: w_s-coordinate of w_t acted on by a_j
     for t in range(k):
         wt = w.basis.row_matrix(t).transpose()
         for j in range(adim):
-            v = action @ kron(wt, Matrix.basis_column(f, adim, j))
-            coords = w.coordinates(v)
-            if coords is None:
+            cc = w.coordinates(action @ kron(wt, Matrix.basis_column(f, adim, j)))
+            if cc is None:
                 raise report.CheckError(report.fail(op, "action-leaves-subspace", witness=(t, j)))
-            out.append((t, j, coords))
-    data = [f.zero()] * (k * k * adim)
-    for t, j, coords in out:
-        for s in range(k):
-            data[s * (k * adim) + (t * adim + j)] = coords[s, 0]
-    return Matrix(f, k, k * adim, data)
+            coords.extend(cc.col(0))
+    return permute(Matrix(f, k * adim, k, coords), (k, adim, k), (2, 0, 1), 1)
 
 
 def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
@@ -237,14 +219,13 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
     na, nc = e.algebra.dim, e.coalgebra.dim
     lact = dual_action_on_dual(m.action, m.dim, na, "right")
     cstar_on_m = coaction_to_dual_action(m.coaction, m.dim, nc, "right")
-    atil_on_m = _functional_action(cstar_on_m, d.atil_basis, m.dim)
+    # the C*-action restricted to A~, the span of the atil_basis functionals
+    atil_on_m = cstar_on_m @ kron(d.atil_basis.transpose(), Matrix.identity(e.field, m.dim))
     ract_mstar = dual_action_on_dual(atil_on_m, m.dim, d.atil.dim, "left")
     rat = rational_submodule(pairing, ModulePresentation(m.dim, e.algebra, lact, "left"))
     ract = _restrict_right_action(ract_mstar, rat.subspace, d.atil.dim, "dual_module_r")
     out = EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction)
-    rep = verify_entwined_module(d.dual, out)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_entwined_module(d.dual, out))
     return DualModule(m.dim, rat.subspace.basis, out)
 
 
@@ -259,26 +240,12 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
     katil = d.atil.dim
     lact = dual_action_on_dual(k.action, k.dim, katil, "right")
     # left A-action on K through the dual-coalgebra coaction
-    f = e.field
-    cols = []
-    for j in range(na):
-        for i in range(k.dim):
-            col = [f.zero()] * k.dim
-            for s in range(k.dim):
-                acc = f.zero()
-                for t in range(d.ctil.dim):
-                    acc = f.add(acc, f.mul(k.coaction[s * d.ctil.dim + t, i],
-                                           d.ctil_basis[t, j]))
-                col[s] = acc
-            cols.append(col)
-    a_on_k = Matrix.from_rows(f, cols).transpose()
+    a_on_k = module_from_coaction(d.pairing_a_ctil(), k.coaction, k.dim)
     ract_kstar = dual_action_on_dual(a_on_k, k.dim, na, "left")
     rat = rational_submodule(pairing, ModulePresentation(k.dim, d.atil, lact, "left"))
     ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
     out = EntwinedModulePresentation(e, rat.dim, ract, rat.coaction)
-    rep = verify_entwined_module(e, out)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_entwined_module(e, out))
     return DualModule(k.dim, rat.subspace.basis, out)
 
 

@@ -20,9 +20,8 @@ from .exactlin import (
     columns_of,
     kernel,
     kron,
+    permute,
     solve_linear,
-    sparse_equal,
-    sparse_render,
 )
 from . import report
 from .report import Report
@@ -145,9 +144,7 @@ def build_coring(e: EntwiningPresentation) -> CoringPresentation:
     comul = kron(idv, kron(a.unit, idc)) @ kron(ida, c.comul)
     counit = kron(ida, c.counit)
     coring = CoringPresentation(e, n, left, right, comul, counit)
-    rep = verify_coring(coring)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_coring(coring))
     return coring
 
 
@@ -166,13 +163,6 @@ def _combine(cols, vec: dict, field) -> dict:
     return out
 
 
-def _expect_sparse(op, axiom, witness, lhs: dict, rhs: dict, field):
-    if not sparse_equal(lhs, rhs, field):
-        raise report.CheckError(report.fail(
-            op, axiom, witness=witness,
-            lhs=sparse_render(lhs, field), rhs=sparse_render(rhs, field)))
-
-
 def verify_coring(coring: CoringPresentation) -> Report:
     """Bimodule laws, coassociativity, counit laws and balanced bilinearity.
 
@@ -182,11 +172,15 @@ def verify_coring(coring: CoringPresentation) -> Report:
     balancing relations (x.a) (x) y - x (x) (a.y); it is certified by
     exhibiting the explicit combination of relations that closes the gap.
     """
+    return report.first_sparse_failure("verify_coring", _coring_laws(coring), coring.field)
+
+
+def _coring_laws(coring: CoringPresentation):
+    """The laws of verify_coring as lazy (axiom, witness, lhs, rhs) sparse vectors."""
     e = coring.entwining
     a = e.algebra
     f = coring.field
     n, na, nc = coring.dim, a.dim, e.coalgebra.dim
-    op = "verify_coring"
     la = columns_of(coring.left_action)     # column (j, t) = j * n + t
     ra = columns_of(coring.right_action)    # column (t, j) = t * na + j
     dl = columns_of(coring.comul)
@@ -195,121 +189,105 @@ def verify_coring(coring: CoringPresentation) -> Report:
     aunit = {i: v for i, v in enumerate(a.unit.col(0)) if not f.is_zero(v)}
     comul_c = columns_of(e.coalgebra.comul)
     psi = columns_of(e.psi)
-    unit_vec = aunit
-    try:
-        for j1 in range(na):
+    for j1 in range(na):
+        for j2 in range(na):
+            prod = amul[j1 * na + j2]
+            for t in range(n):
+                lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
+                rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
+                yield "left-action-associativity", (j1, j2, t), lhs, rhs
+                lhs = _combine(ra, {x * na + j2: v for x, v in ra[t * na + j1].items()}, f)
+                rhs = _combine([ra[t * na + x] for x in range(na)], prod, f)
+                yield "right-action-associativity", (t, j1, j2), lhs, rhs
+    for t in range(n):
+        lhs = _combine([la[j * n + t] for j in range(na)], aunit, f)
+        yield "left-action-unit", (t,), lhs, {t: f.one()}
+        lhs = _combine(ra[t * na:(t + 1) * na], aunit, f)
+        yield "right-action-unit", (t,), lhs, {t: f.one()}
+    for j1 in range(na):
+        for t in range(n):
             for j2 in range(na):
-                prod = amul[j1 * na + j2]
-                for t in range(n):
-                    lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
-                    rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
-                    _expect_sparse(op, "left-action-associativity", (j1, j2, t), lhs, rhs, f)
-                    lhs = {}
-                    for x, v in ra[t * na + j1].items():
-                        for i, w in ra[x * na + j2].items():
-                            s = f.add(lhs.get(i, f.zero()), f.mul(v, w))
-                            if f.is_zero(s):
-                                lhs.pop(i, None)
-                            else:
-                                lhs[i] = s
-                    rhs = _combine([ra[t * na + x] for x in range(na)], prod, f)
-                    _expect_sparse(op, "right-action-associativity", (t, j1, j2), lhs, rhs, f)
+                lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
+                rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
+                yield "bimodule-compatibility", (j1, t, j2), lhs, rhs
+    for t in range(n):
+        base = dl[t]
+        lhs: dict = {}
+        rhs: dict = {}
+        for pq, v in base.items():
+            p, q = divmod(pq, n)
+            for rs, w in dl[p].items():
+                lhs[rs * n + q] = f.add(lhs.get(rs * n + q, f.zero()), f.mul(v, w))
+            for rs, w in dl[q].items():
+                rhs[p * n * n + rs] = f.add(rhs.get(p * n * n + rs, f.zero()), f.mul(v, w))
+        yield "coassociativity", (t,), lhs, rhs
+        lhs = {}
+        for pq, v in base.items():
+            p, q = divmod(pq, n)
+            for aidx, w in eps[p].items():
+                for i, u in la[aidx * n + q].items():
+                    lhs[i] = f.add(lhs.get(i, f.zero()), f.mul(v, f.mul(w, u)))
+        yield "left-counit", (t,), lhs, {t: f.one()}
+        lhs = {}
+        for pq, v in base.items():
+            p, q = divmod(pq, n)
+            for aidx, w in eps[q].items():
+                for i, u in ra[p * na + aidx].items():
+                    lhs[i] = f.add(lhs.get(i, f.zero()), f.mul(v, f.mul(w, u)))
+        yield "right-counit", (t,), lhs, {t: f.one()}
+    for j in range(na):
         for t in range(n):
-            lhs = _combine([la[j * n + t] for j in range(na)], aunit, f)
-            _expect_sparse(op, "left-action-unit", (t,), lhs, {t: f.one()}, f)
-            lhs = _combine(ra[t * na:(t + 1) * na], aunit, f)
-            _expect_sparse(op, "right-action-unit", (t,), lhs, {t: f.one()}, f)
-        for j1 in range(na):
-            for t in range(n):
-                for j2 in range(na):
-                    lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
-                    rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
-                    _expect_sparse(op, "bimodule-compatibility", (j1, t, j2), lhs, rhs, f)
-        for t in range(n):
-            base = dl[t]
-            lhs: dict = {}
+            lhs = _combine(dl, la[j * n + t], f)
             rhs: dict = {}
-            for pq, v in base.items():
+            for pq, v in dl[t].items():
                 p, q = divmod(pq, n)
-                for rs, w in dl[p].items():
-                    lhs[rs * n + q] = f.add(lhs.get(rs * n + q, f.zero()), f.mul(v, w))
-                for rs, w in dl[q].items():
-                    rhs[p * n * n + rs] = f.add(rhs.get(p * n * n + rs, f.zero()), f.mul(v, w))
-            _expect_sparse(op, "coassociativity", (t,), lhs, rhs, f)
-            lhs = {}
-            for pq, v in base.items():
-                p, q = divmod(pq, n)
-                for aidx, w in eps[p].items():
-                    for i, u in la[aidx * n + q].items():
-                        key = i
-                        lhs[key] = f.add(lhs.get(key, f.zero()), f.mul(v, f.mul(w, u)))
-            _expect_sparse(op, "left-counit", (t,), {k: v for k, v in lhs.items() if not f.is_zero(v)},
-                           {t: f.one()}, f)
-            lhs = {}
-            for pq, v in base.items():
-                p, q = divmod(pq, n)
-                for aidx, w in eps[q].items():
-                    for i, u in ra[p * na + aidx].items():
-                        lhs[i] = f.add(lhs.get(i, f.zero()), f.mul(v, f.mul(w, u)))
-            _expect_sparse(op, "right-counit", (t,), {k: v for k, v in lhs.items() if not f.is_zero(v)},
-                           {t: f.one()}, f)
+                for y, w in la[j * n + p].items():
+                    key = y * n + q
+                    rhs[key] = f.add(rhs.get(key, f.zero()), f.mul(v, w))
+            yield "comul-left-linear", (j, t), lhs, rhs
+            lhs = _combine(eps, la[j * n + t], f)
+            rhs = _combine([amul[j * na + x] for x in range(na)], eps[t], f)
+            yield "counit-left-linear", (j, t), lhs, rhs
+            lhs = _combine(eps, ra[t * na + j], f)
+            rhs = _combine([amul[x * na + j] for x in range(na)], eps[t], f)
+            yield "counit-right-linear", (t, j), lhs, rhs
+    # comul(x.b) - comul(x).b must be a combination of balancing relations
+    # (y.a) (x) z - y (x) (a.z); the combination is written down explicitly.
+    for t in range(n):
+        ia, ic = divmod(t, nc)
         for j in range(na):
-            for t in range(n):
-                lhs = _combine(dl, la[j * n + t], f)
-                rhs: dict = {}
-                for pq, v in dl[t].items():
-                    p, q = divmod(pq, n)
-                    for y, w in la[j * n + p].items():
-                        key = y * n + q
-                        rhs[key] = f.add(rhs.get(key, f.zero()), f.mul(v, w))
-                _expect_sparse(op, "comul-left-linear", (j, t),
-                               lhs, {k: v for k, v in rhs.items() if not f.is_zero(v)}, f)
-                lhs = _combine(eps, la[j * n + t], f)
-                rhs = _combine([amul[j * na + x] for x in range(na)], eps[t], f)
-                _expect_sparse(op, "counit-left-linear", (j, t), lhs, rhs, f)
-                lhs = _combine(eps, ra[t * na + j], f)
-                rhs = _combine([amul[x * na + j] for x in range(na)], eps[t], f)
-                _expect_sparse(op, "counit-right-linear", (t, j), lhs, rhs, f)
-        # comul(x.b) - comul(x).b must be a combination of balancing relations
-        # (y.a) (x) z - y (x) (a.z); the combination is written down explicitly.
-        for t in range(n):
-            ia, ic = divmod(t, nc)
-            for j in range(na):
-                diff = _combine(dl, ra[t * na + j], f)
-                for pq, v in dl[t].items():
-                    p, q = divmod(pq, n)
-                    for y, w in ra[q * na + j].items():
-                        key = p * n + y
-                        s = f.sub(diff.get(key, f.zero()), f.mul(v, w))
-                        if f.is_zero(s):
-                            diff.pop(key, None)
-                        else:
-                            diff[key] = s
-                cert: dict = {}
-
-                def _acc(key, val):
-                    s = f.add(cert.get(key, f.zero()), val)
+            diff = _combine(dl, ra[t * na + j], f)
+            for pq, v in dl[t].items():
+                p, q = divmod(pq, n)
+                for y, w in ra[q * na + j].items():
+                    key = p * n + y
+                    s = f.sub(diff.get(key, f.zero()), f.mul(v, w))
                     if f.is_zero(s):
-                        cert.pop(key, None)
+                        diff.pop(key, None)
                     else:
-                        cert[key] = s
+                        diff[key] = s
+            cert: dict = {}
 
-                for c1c2, v in comul_c[ic].items():
-                    c1, c2 = divmod(c1c2, nc)
-                    y = ia * nc + c1
-                    for bc, w in psi[c2 * na + j].items():
-                        bprime, c2prime = divmod(bc, nc)
-                        coeff = f.mul(v, w)
-                        for u, uv in unit_vec.items():
-                            z = u * nc + c2prime
-                            for y2, w2 in ra[y * na + bprime].items():
-                                _acc(y2 * n + z, f.mul(coeff, f.mul(uv, w2)))
-                            for z2, w3 in la[bprime * n + z].items():
-                                _acc(y * n + z2, f.neg(f.mul(coeff, f.mul(uv, w3))))
-                _expect_sparse(op, "comul-right-linear-mod-balancing", (t, j), diff, cert, f)
-    except report.CheckError as exc:
-        return exc.report
-    return report.ok(op)
+            def _acc(key, val):
+                s = f.add(cert.get(key, f.zero()), val)
+                if f.is_zero(s):
+                    cert.pop(key, None)
+                else:
+                    cert[key] = s
+
+            for c1c2, v in comul_c[ic].items():
+                c1, c2 = divmod(c1c2, nc)
+                y = ia * nc + c1
+                for bc, w in psi[c2 * na + j].items():
+                    bprime, c2prime = divmod(bc, nc)
+                    coeff = f.mul(v, w)
+                    for u, uv in aunit.items():
+                        z = u * nc + c2prime
+                        for y2, w2 in ra[y * na + bprime].items():
+                            _acc(y2 * n + z, f.mul(coeff, f.mul(uv, w2)))
+                        for z2, w3 in la[bprime * n + z].items():
+                            _acc(y * n + z2, f.neg(f.mul(coeff, f.mul(uv, w3))))
+            yield "comul-right-linear-mod-balancing", (t, j), diff, cert
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +373,21 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
             ract_cols.append((a.mul @ kron(ida, aj) @ units[s]).vec())
     ract = Matrix.from_rows(f, ract_cols).transpose()
     smash = SmashRing(e, n, mul, unit, lact, ract)
-    rep = verify_smash(smash)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    report.require(verify_smash(smash))
     return smash
 
 
 def verify_smash(s: SmashRing) -> Report:
     """Associativity, unit laws, and the A-ring axioms, on all basis tuples."""
+    return report.first_sparse_failure("verify_smash", _smash_laws(s), s.field)
+
+
+def _smash_laws(s: SmashRing):
+    """The laws of verify_smash as lazy (axiom, witness, lhs, rhs) sparse vectors."""
     f = s.field
     n = s.dim
     a = s.entwining.algebra
     na = a.dim
-    op = "verify_smash"
     mul = columns_of(s.mul)        # column (r, t) = r * n + t
     la = columns_of(s.left_action)   # column (j, t) = j * n + t
     ra = columns_of(s.right_action)  # column (t, j) = t * na + j
@@ -421,55 +401,45 @@ def verify_smash(s: SmashRing) -> Report:
     def smul_right(r, vec):
         return _combine(mul[r * n:(r + 1) * n], vec, f)
 
-    try:
+    for r in range(n):
+        for t in range(n):
+            prod = mul[r * n + t]
+            for u in range(n):
+                yield "associativity", (r, t, u), smul(prod, u), smul_right(r, mul[t * n + u])
+    for t in range(n):
+        yield "left-unit", (t,), smul(unit, t), {t: f.one()}
+        yield "right-unit", (t,), smul_right(t, unit), {t: f.one()}
+        yield "left-action-unit", (t,), _combine([la[j * n + t] for j in range(na)], aunit, f), {t: f.one()}
+        yield "right-action-unit", (t,), _combine(ra[t * na:(t + 1) * na], aunit, f), {t: f.one()}
+    for j1 in range(na):
+        for j2 in range(na):
+            prod = amul[j1 * na + j2]
+            for t in range(n):
+                lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
+                rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
+                yield "left-action-module", (j1, j2, t), lhs, rhs
+                lhs = _combine(ra, {x * na + j2: v for x, v in ra[t * na + j1].items()}, f)
+                rhs = _combine(ra[t * na:(t + 1) * na], prod, f)
+                yield "right-action-module", (t, j1, j2), lhs, rhs
+    for j1 in range(na):
+        for t in range(n):
+            for j2 in range(na):
+                lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
+                rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
+                yield "bimodule-compatibility", (j1, t, j2), lhs, rhs
+    for j in range(na):
         for r in range(n):
             for t in range(n):
-                prod = mul[r * n + t]
-                for u in range(n):
-                    _expect_sparse(op, "associativity", (r, t, u),
-                                   smul(prod, u), smul_right(r, mul[t * n + u]), f)
-        for t in range(n):
-            _expect_sparse(op, "left-unit", (t,), smul(unit, t), {t: f.one()}, f)
-            _expect_sparse(op, "right-unit", (t,), smul_right(t, unit), {t: f.one()}, f)
-            _expect_sparse(op, "left-action-unit", (t,),
-                           _combine([la[j * n + t] for j in range(na)], aunit, f), {t: f.one()}, f)
-            _expect_sparse(op, "right-action-unit", (t,),
-                           _combine(ra[t * na:(t + 1) * na], aunit, f), {t: f.one()}, f)
-        for j1 in range(na):
-            for j2 in range(na):
-                prod = amul[j1 * na + j2]
-                for t in range(n):
-                    lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
-                    rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
-                    _expect_sparse(op, "left-action-module", (j1, j2, t), lhs, rhs, f)
-                    lhs = _combine(ra, {x * na + j2: v for x, v in ra[t * na + j1].items()}, f)
-                    rhs = _combine(ra[t * na:(t + 1) * na], prod, f)
-                    _expect_sparse(op, "right-action-module", (t, j1, j2), lhs, rhs, f)
-        for j1 in range(na):
-            for t in range(n):
-                for j2 in range(na):
-                    lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
-                    rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
-                    _expect_sparse(op, "bimodule-compatibility", (j1, t, j2), lhs, rhs, f)
-        for j in range(na):
-            for r in range(n):
-                for t in range(n):
-                    lhs = smul(la[j * n + r], t)
-                    rhs = _combine(la[j * n:(j + 1) * n], mul[r * n + t], f)
-                    _expect_sparse(op, "mul-left-linear", (j, r, t), lhs, rhs, f)
-                    lhs = _combine(ra, {x * na + j: v for x, v in mul[r * n + t].items()}, f)
-                    rhs = smul_right(r, ra[t * na + j])
-                    _expect_sparse(op, "mul-right-linear", (r, t, j), lhs, rhs, f)
-                    lhs = smul(ra[r * na + j], t)
-                    rhs = smul_right(r, la[j * n + t])
-                    _expect_sparse(op, "mul-balanced", (r, j, t), lhs, rhs, f)
-        for j in range(na):
-            lhs = _combine(la[j * n:(j + 1) * n], unit, f)
-            rhs = _combine(ra, {x * na + j: v for x, v in unit.items()}, f)
-            _expect_sparse(op, "unit-central", (j,), lhs, rhs, f)
-    except report.CheckError as exc:
-        return exc.report
-    return report.ok(op)
+                yield "mul-left-linear", (j, r, t), smul(la[j * n + r], t), \
+                    _combine(la[j * n:(j + 1) * n], mul[r * n + t], f)
+                yield "mul-right-linear", (r, t, j), \
+                    _combine(ra, {x * na + j: v for x, v in mul[r * n + t].items()}, f), \
+                    smul_right(r, ra[t * na + j])
+                yield "mul-balanced", (r, j, t), smul(ra[r * na + j], t), smul_right(r, la[j * n + t])
+    for j in range(na):
+        lhs = _combine(la[j * n:(j + 1) * n], unit, f)
+        rhs = _combine(ra, {x * na + j: v for x, v in unit.items()}, f)
+        yield "unit-central", (j,), lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +610,6 @@ def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresenta
     """m . f = sum m_0 f(m_1), the smash-ring action carried by an entwined module."""
     smash = smash or build_smash(e)
     f = e.field
-    nc = e.coalgebra.dim
     idm = Matrix.identity(f, m.dim)
     cols = []
     for i in range(m.dim):
@@ -655,13 +624,7 @@ def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresenta
 
 def smash_unit_embedding(e: EntwiningPresentation, smash: SmashRing) -> Matrix:
     """The ring map A -> S, a -> a . 1_S (equal to 1_S . a)."""
-    f = e.field
-    na = e.algebra.dim
-    cols = []
-    for j in range(na):
-        aj = Matrix.basis_column(f, na, j)
-        cols.append((smash.left_action @ kron(aj, smash.unit)).col(0))
-    return Matrix.from_rows(f, cols).transpose()
+    return smash.left_action @ kron(Matrix.identity(e.field, e.algebra.dim), smash.unit)
 
 
 def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation,
@@ -678,47 +641,19 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation,
     f = e.field
     na, nc = e.algebra.dim, e.coalgebra.dim
     n, ns = m.dim, smash.dim
-    emb = smash_unit_embedding(e, smash)
-    # restricted A-action
-    act_cols = []
-    for i in range(n):
-        mi = Matrix.basis_column(f, n, i)
-        for j in range(na):
-            s_img = emb @ Matrix.basis_column(f, na, j)
-            act_cols.append((m.action @ kron(mi, s_img)).col(0))
-    action = Matrix.from_rows(f, act_cols).transpose()
-    # alpha : M (x) C -> Hom(S, M), m (x) c -> (f -> m f(c)), coordinates (r, s)
-    zero = f.zero()
-    cols = []
-    for k in range(n):
-        for u in range(nc):
-            col = [zero] * (n * ns)
-            for s in range(ns):
-                x, su = divmod(s, nc)
-                if su != u:
-                    continue
-                for r in range(n):
-                    col[r * ns + s] = action[r, k * na + x]
-            cols.append(col)
-    alpha_m = Matrix.from_rows(f, cols).transpose()
+    # restricted A-action m . a = m . (a . 1_S)
+    action = m.action @ kron(Matrix.identity(f, n), smash_unit_embedding(e, smash))
+    # alpha : M (x) C -> Hom(S, M), m_k (x) c_u -> (E_{x,u'} -> delta(u, u') m_k . a_x),
+    # coordinates (r, (x, u')) of Hom(S, M)
+    alpha_m = permute(kron(action, Matrix.identity(f, nc)), (n, nc, n, na, nc), (0, 3, 1, 2, 4), 3)
     if kernel(alpha_m).dim != 0:
         raise PresentationError("alpha map is not injective; cannot recover a coaction")
-    rho_cols = []
-    for k in range(n):
-        col = [zero] * (n * ns)
-        for s in range(ns):
-            for r in range(n):
-                col[r * ns + s] = m.action[r, k * ns + s]
-        rho_cols.append(col)
-    rho = Matrix.from_rows(f, rho_cols).transpose()
+    rho = permute(m.action, (n, n, ns), (0, 2, 1), 2)  # rho(m_k)[(r, s)] = m.action[r, (k, s)]
     sol = solve_linear(alpha_m, rho)
     if sol is None:
         raise PresentationError("module is not rational over the smash ring")
-    coaction = sol.particular
-    out = EntwinedModulePresentation(e, n, action, coaction)
-    rep = verify_entwined_module(e, out)
-    if not rep.passed:
-        raise report.CheckError(rep)
+    out = EntwinedModulePresentation(e, n, action, sol.particular)
+    report.require(verify_entwined_module(e, out))
     return out
 
 

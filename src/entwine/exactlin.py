@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import prod
 
 
 class PresentationError(ValueError):
@@ -122,14 +124,6 @@ class Field:
 
 
 QQ = Field()
-
-
-def flat(indices, dims) -> int:
-    """Flatten a tensor multi-index: idx(i, j) = i * dim2 + j, iterated."""
-    i = 0
-    for t, d in zip(indices, dims):
-        i = i * d + t
-    return i
 
 
 def unflat(i: int, dims) -> tuple[int, ...]:
@@ -323,38 +317,39 @@ def kron(m1: Matrix, m2: Matrix) -> Matrix:
     return m1.kron(m2)
 
 
-def kron_all(*ms: Matrix) -> Matrix:
-    out = ms[0]
-    for m in ms[1:]:
-        out = out.kron(m)
-    return out
+def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
+    """Re-index the entries of m as a tensor.
+
+    The row-major entries of m form a tensor with axes `dims`, the row axes
+    first and then the column axes.  Output axis k is input axis perm[k],
+    and the first `nrows` output axes index the rows of the result.
+    """
+    dims, perm = tuple(dims), tuple(perm)
+    if sorted(perm) != list(range(len(dims))) or prod(dims) != len(m.data):
+        raise DimensionMismatch(f"cannot permute {m.rows}x{m.cols} with axes {dims} by {perm}")
+    strides = [prod(dims[a + 1:]) for a in range(len(dims))]
+    offsets = [0]
+    for a in perm[:-1]:
+        s = strides[a]
+        offsets = [o + i * s for o in offsets for i in range(dims[a])]
+    # the last output axis is copied as one strided slice per offset
+    step = strides[perm[-1]]
+    span = dims[perm[-1]] * step
+    data = m.data
+    return Matrix(m.field, prod(dims[a] for a in perm[:nrows]), prod(dims[a] for a in perm[nrows:]),
+                  chain.from_iterable(data[o:o + span:step] for o in offsets))
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Matrix of V (x) W -> W (x) V, e_i (x) e_j -> e_j (x) e_i, dim V = m, dim W = n."""
-    z, o = field.zero(), field.one()
-    data = [z] * (m * n * m * n)
-    for i in range(m):
-        for j in range(n):
-            data[(j * m + i) * (m * n) + (i * n + j)] = o
-    return Matrix(field, m * n, m * n, data)
+    return perm_tensor(field, (m, n), (1, 0))
 
 
 def perm_tensor(field: Field, dims, perm) -> Matrix:
     """Matrix permuting tensor factors: output factor k is input factor perm[k]."""
-    dims = tuple(dims)
-    perm = tuple(perm)
-    total = 1
-    for d in dims:
-        total *= d
-    out_dims = tuple(dims[p] for p in perm)
-    z, o = field.zero(), field.one()
-    data = [z] * (total * total)
-    for src in range(total):
-        t = unflat(src, dims)
-        dst = flat(tuple(t[p] for p in perm), out_dims)
-        data[dst * total + src] = o
-    return Matrix(field, total, total, data)
+    dims, perm = tuple(dims), tuple(perm)
+    total = prod(dims)
+    return permute(Matrix.identity(field, total), dims + (total,), perm + (len(dims),), len(dims))
 
 
 def _eliminate(rows: list[list], field: Field, width: int | None = None) -> list[int]:
@@ -468,12 +463,6 @@ class Subspace:
         is_zero = self.field.is_zero
         _, residue = self._reduce(v.col(0))
         return all(is_zero(x) for x in residue)
-
-    def contains_columns(self, m: Matrix) -> bool:
-        return all(self.contains(m.col_matrix(j)) for j in range(m.cols))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row_matrix(i).transpose()) for i in range(other.dim))
 
     def coordinates(self, v: Matrix) -> Matrix | None:
         """Column of coefficients x with basis^T x = v, or None if v is outside."""
@@ -610,20 +599,6 @@ def columns_of(m: Matrix) -> list[dict]:
             if not is_zero(v):
                 cols[j][i] = v
     return cols
-
-
-def apply_columns(cols: list[dict], vec: dict, field: Field) -> dict:
-    """Apply the linear map with the given sparse columns to a sparse vector."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    out: dict = {}
-    for j, v in vec.items():
-        for i, w in cols[j].items():
-            s = add(out.get(i, field.zero()), mul(v, w))
-            if is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
-    return out
 
 
 def sparse_equal(a: dict, b: dict, field: Field) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, unflat
+from .exactlin import Matrix, sparse_equal, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,12 @@ class CheckError(Exception):
         self.report = report
 
 
+def require(rep: Report) -> None:
+    """Raise CheckError unless the report passed, for checks a constructor guarantees."""
+    if not rep.passed:
+        raise CheckError(rep)
+
+
 class ClosureViolation(CheckError):
     """A chosen pair of dual subobjects does not close under the dual map."""
 
@@ -98,4 +104,16 @@ def first_failure(op: str, checks) -> Report:
         bad = compare(op, axiom, lhs, rhs, col_dims)
         if bad is not None:
             return bad
+    return ok(op)
+
+
+def first_sparse_failure(op: str, laws, field) -> Report:
+    """Check (axiom, witness, lhs, rhs) sparse vectors in order; first failure wins.
+
+    laws may be a lazy generator: nothing after the first failure is evaluated.
+    """
+    for axiom, witness, lhs, rhs in laws:
+        if not sparse_equal(lhs, rhs, field):
+            return fail(op, axiom, witness=witness,
+                        lhs=sparse_render(lhs, field), rhs=sparse_render(rhs, field))
     return ok(op)

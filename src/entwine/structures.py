@@ -20,10 +20,12 @@ from .exactlin import (
     Subspace,
     image,
     kron,
+    permute,
     preimage,
     rank,
     solve_linear,
     swap_matrix,
+    unflat,
 )
 from . import report
 from .report import Report
@@ -64,57 +66,60 @@ def default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(dim))
 
 
+# Sparse quadruples (i, j, k, c) add c to the entry Q[i, j, k] of a 3-axis
+# tensor; each layout is the permute() carrying Q to a structure map's matrix:
+# the matrix's axes, named by the axes of Q, and how many of them are row axes.
+QUAD_LAYOUTS = {
+    "mul": ((2, 0, 1), 1),             # e_i e_j gains c e_k: mul[k, (i, j)]
+    "comul": ((1, 2, 0), 2),           # Delta(e_i) gains c e_j (x) e_k: comul[(j, k), i]
+    "right-action": ((2, 0, 1), 1),    # m_i . a_j gains c m_k: action[k, (i, j)]
+    "left-action": ((2, 1, 0), 1),     # a_j . m_i gains c m_k: action[k, (j, i)]
+    "right-coaction": ((1, 2, 0), 2),  # rho(m_i) gains c m_j (x) c_k: coaction[(j, k), i]
+    "left-coaction": ((2, 1, 0), 2),   # rho(m_i) gains c c_k (x) m_j: coaction[(k, j), i]
+}
+
+
+def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
+    """Sum the quadruples into Q (axes dims) and permute Q into the layout's matrix."""
+    d0, d1, d2 = dims
+    data = [field.zero()] * (d0 * d1 * d2)
+    for i, j, k, c in quads:
+        if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
+            raise PresentationError(f"{layout} index out of range: {(i, j, k)}")
+        idx = (i * d1 + j) * d2 + k
+        data[idx] = field.add(data[idx], _scalar(field, c))
+    perm, nrows = QUAD_LAYOUTS[layout]
+    return permute(Matrix(field, d0 * d1, d2, data), dims, perm, nrows)
+
+
+def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
+    """The nonzero entries of m as quadruples (i, j, k, c), in lexicographic order."""
+    perm, _ = QUAD_LAYOUTS[layout]
+    q = permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 1)
+    zero = m.field.zero()
+    return [(*unflat(t, dims), v) for t, v in enumerate(q.data) if v != zero]
+
+
 def mul_from_triples(field: Field, dim: int, triples) -> Matrix:
     """Sparse (i, j, k, c): e_i * e_j gains c * e_k."""
-    data = [field.zero()] * (dim * dim * dim)
-    for i, j, k, c in triples:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise PresentationError(f"multiplication index out of range: {(i, j, k)}")
-        idx = k * dim * dim + (i * dim + j)
-        data[idx] = field.add(data[idx], _scalar(field, c))
-    return Matrix(field, dim, dim * dim, data)
+    return matrix_from_quads(field, "mul", (dim, dim, dim), triples)
 
 
 def comul_from_triples(field: Field, dim: int, triples) -> Matrix:
     """Sparse (i, j, k, c): Delta(e_i) gains c * e_j (x) e_k."""
-    data = [field.zero()] * (dim * dim * dim)
-    for i, j, k, c in triples:
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise PresentationError(f"comultiplication index out of range: {(i, j, k)}")
-        idx = (j * dim + k) * dim + i
-        data[idx] = field.add(data[idx], _scalar(field, c))
-    return Matrix(field, dim * dim, dim, data)
+    return matrix_from_quads(field, "comul", (dim, dim, dim), triples)
 
 
 def action_from_triples(field: Field, mdim: int, adim: int, triples, side: str = "right") -> Matrix:
     """Sparse (m, a, m2, c): m_m . a_a gains c * m_m2 (a_a . m_m when side is left)."""
-    if side == "right":
-        out = [field.zero()] * (mdim * mdim * adim)
-        for m, a, m2, c in triples:
-            _check_idx(m, mdim, "module"), _check_idx(a, adim, "algebra"), _check_idx(m2, mdim, "module")
-            idx = m2 * (mdim * adim) + (m * adim + a)
-            out[idx] = field.add(out[idx], _scalar(field, c))
-        return Matrix(field, mdim, mdim * adim, out)
-    if side == "left":
-        out = [field.zero()] * (mdim * adim * mdim)
-        for m, a, m2, c in triples:
-            _check_idx(m, mdim, "module"), _check_idx(a, adim, "algebra"), _check_idx(m2, mdim, "module")
-            idx = m2 * (adim * mdim) + (a * mdim + m)
-            out[idx] = field.add(out[idx], _scalar(field, c))
-        return Matrix(field, mdim, adim * mdim, out)
-    raise PresentationError(f"unknown side {side!r}")
+    _check_side(side)
+    return matrix_from_quads(field, f"{side}-action", (mdim, adim, mdim), triples)
 
 
 def coaction_from_triples(field: Field, mdim: int, cdim: int, triples, side: str = "right") -> Matrix:
     """Sparse (m, m2, c_idx, c): rho(m_m) gains c * m_m2 (x) c_{c_idx} (flipped when left)."""
-    out = [field.zero()] * (mdim * cdim * mdim)
-    for m, m2, ci, c in triples:
-        _check_idx(m, mdim, "module"), _check_idx(m2, mdim, "module"), _check_idx(ci, cdim, "coalgebra")
-        row = (m2 * cdim + ci) if side == "right" else (ci * mdim + m2)
-        out[row * mdim + m] = field.add(out[row * mdim + m], _scalar(field, c))
-    if side not in ("left", "right"):
-        raise PresentationError(f"unknown side {side!r}")
-    return Matrix(field, mdim * cdim, mdim, out)
+    _check_side(side)
+    return matrix_from_quads(field, f"{side}-coaction", (mdim, mdim, cdim), triples)
 
 
 def _scalar(field: Field, c):
@@ -123,9 +128,9 @@ def _scalar(field: Field, c):
     return c
 
 
-def _check_idx(i: int, dim: int, what: str):
-    if not 0 <= i < dim:
-        raise PresentationError(f"{what} index {i} out of range [0, {dim})")
+def _check_side(side: str):
+    if side not in ("left", "right"):
+        raise PresentationError(f"unknown side {side!r}")
 
 
 def make_structure(kind: str, field: Field, dim: int, labels=None, *, mul=None, unit=None,
@@ -407,7 +412,7 @@ def dualize_structure(kind: str | None, pres):
         kind = pres.kind
     field, n = pres.field, pres.dim
     labels = tuple(f"{name}*" for name in pres.labels)
-    mul = comul = unit = counit = antipode = None
+    mul = comul = unit = counit = None
     if pres.has_coalgebra:
         mul, unit = pres.comul.transpose(), pres.counit.transpose()
     if pres.has_algebra:
@@ -430,41 +435,17 @@ def dualize_structure(kind: str | None, pres):
 def dual_action_on_dual(action: Matrix, mdim: int, adim: int, side: str) -> Matrix:
     """Action induced on M*: a right action gives (a.h)(m) = h(m.a) on the left,
     a left action gives (h.a)(m) = h(a.m) on the right."""
-    f = action.field
-    z = f.zero()
-    if side == "right":
-        out = [z] * (mdim * adim * mdim)  # left action A (x) M* -> M*
-        for r in range(mdim):
-            for j in range(adim):
-                for s in range(mdim):
-                    out[s * (adim * mdim) + (j * mdim + r)] = action[r, s * adim + j]
-        return Matrix(f, mdim, adim * mdim, out)
-    out = [z] * (mdim * mdim * adim)  # right action M* (x) A -> M*
-    for r in range(mdim):
-        for j in range(adim):
-            for s in range(mdim):
-                out[s * (mdim * adim) + (r * adim + j)] = action[r, j * mdim + s]
-    return Matrix(f, mdim, mdim * adim, out)
+    if side == "right":  # action[r, (s, j)] -> out[s, (j, r)]
+        return permute(action, (mdim, mdim, adim), (1, 2, 0), 1)
+    return permute(action, (mdim, adim, mdim), (2, 0, 1), 1)  # action[r, (j, s)] -> out[s, (r, j)]
 
 
 def coaction_to_dual_action(coaction: Matrix, mdim: int, cdim: int, side: str = "right") -> Matrix:
     """The C*-action carried by a coaction: f . m = sum m_0 f(m_1) for a right
     coaction (a left C*-action), mirrored for a left coaction."""
-    f = coaction.field
-    z = f.zero()
-    if side == "right":
-        out = [z] * (mdim * cdim * mdim)
-        for k in range(mdim):
-            for j in range(cdim):
-                for i in range(mdim):
-                    out[k * (cdim * mdim) + (j * mdim + i)] = coaction[k * cdim + j, i]
-        return Matrix(f, mdim, cdim * mdim, out)
-    out = [z] * (mdim * mdim * cdim)
-    for k in range(mdim):
-        for j in range(cdim):
-            for i in range(mdim):
-                out[k * (mdim * cdim) + (i * cdim + j)] = coaction[j * mdim + k, i]
-    return Matrix(f, mdim, mdim * cdim, out)
+    if side == "right":  # coaction[(k, j), i] -> out[k, (j, i)]
+        return permute(coaction, (mdim, cdim, mdim), (0, 1, 2), 1)
+    return permute(coaction, (cdim, mdim, mdim), (1, 2, 0), 1)  # coaction[(j, k), i] -> out[k, (i, j)]
 
 
 def _dualize_module(m: ModulePresentation) -> ModulePresentation:
@@ -636,27 +617,16 @@ class RationalSubmodule:
 def _rho_matrix(action: Matrix, mdim: int, adim: int, side: str) -> Matrix:
     """rho : M -> Hom(A, M), m -> (a -> a.m) (or m.a); coordinates (i, j) mean
     the m_i-coefficient at argument a_j."""
-    f = action.field
-    out = [f.zero()] * (mdim * adim * mdim)
-    for i in range(mdim):
-        for j in range(adim):
-            for k in range(mdim):
-                v = action[i, j * mdim + k] if side == "left" else action[i, k * adim + j]
-                out[(i * adim + j) * mdim + k] = v
-    return Matrix(f, mdim * adim, mdim, out)
+    if side == "left":  # action[i, (j, k)] -> rho[(i, j), k]
+        return permute(action, (mdim, adim, mdim), (0, 1, 2), 2)
+    return permute(action, (mdim, mdim, adim), (0, 2, 1), 2)  # action[i, (k, j)] -> rho[(i, j), k]
 
 
 def _alpha_matrix(p: PairingPresentation, mdim: int, side: str) -> Matrix:
     """alpha : M (x) C -> Hom(A, M) (or C (x) M for right modules)."""
-    f = p.matrix.field
     na, nc = p.algebra.dim, p.coalgebra.dim
-    out = [f.zero()] * (mdim * na * nc * mdim)
-    for i in range(mdim):
-        for j in range(na):
-            for k in range(nc):
-                col = (i * nc + k) if side == "left" else (k * mdim + i)
-                out[(i * na + j) * (mdim * nc) + col] = p.matrix[j, k]
-    return Matrix(f, mdim * na, mdim * nc, out)
+    alpha = kron(Matrix.identity(p.matrix.field, mdim), p.matrix)  # [(i, j), (i, k)] = <a_j, c_k>
+    return permute(alpha, (mdim, na, mdim, nc), (0, 1, 2, 3) if side == "left" else (0, 1, 3, 2), 2)
 
 
 def rational_submodule(p: PairingPresentation, m: ModulePresentation, side: str | None = None) -> RationalSubmodule:
@@ -673,61 +643,43 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation, side: str 
         raise PresentationError("rational_submodule needs an action")
     if side != m.action_side:
         raise PresentationError("side flag must match the module's action side")
+    if m.algebra.dim != p.algebra.dim or m.algebra.field != p.algebra.field:
+        raise DimensionMismatch(
+            f"the module's algebra (dim {m.algebra.dim} over {m.algebra.field}) does not match "
+            f"the pairing's (dim {p.algebra.dim} over {p.algebra.field})")
     f = p.matrix.field
     mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
     rho = _rho_matrix(m.action, mdim, na, side)
     alpha = _alpha_matrix(p, mdim, side)
     w = preimage(rho, image(alpha))
     k = w.dim
-    coact_cols = []
-    act_cols = []
+    coact = []  # [t, c, s]: w_s-coordinate of the c_c leg of rho(w_t)
+    act = []    # [t, j, s]: w_s-coordinate of a_j acting on w_t
     for t in range(k):
         wt = w.basis.row_matrix(t).transpose()
         sol = solve_linear(alpha, rho @ wt)
         if sol is None:
             raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (t,)))
-        x = sol.particular  # element of M (x) C (or C (x) M)
-        coords = []
+        x = sol.particular  # element of M (x) C (or C (x) M); column c of legs is its c_c leg
+        legs = Matrix(f, mdim, nc, x.data) if side == "left" else Matrix(f, nc, mdim, x.data).transpose()
         for c in range(nc):
-            if side == "left":
-                vec = Matrix.column(f, [x[(i * nc + c), 0] for i in range(mdim)])
-            else:
-                vec = Matrix.column(f, [x[(c * mdim + i), 0] for i in range(mdim)])
-            cc = w.coordinates(vec)
+            cc = w.coordinates(legs.col_matrix(c))
             if cc is None:
                 raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", (t, c)))
-            coords.append(cc.col(0))
-        if side == "left":
-            coact_cols.append([coords[c][s] for s in range(k) for c in range(nc)])
-        else:
-            coact_cols.append([coords[c][s] for c in range(nc) for s in range(k)])
-        # restricted action on the subspace
-        row_acts = []
+            coact.extend(cc.col(0))
         for j in range(na):
             col = kron(Matrix.basis_column(f, na, j), wt) if side == "left" else kron(wt, Matrix.basis_column(f, na, j))
-            av = m.action @ col
-            cc = w.coordinates(av)
+            cc = w.coordinates(m.action @ col)
             if cc is None:
                 raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", (t, j)))
-            row_acts.append(cc.col(0))
-        act_cols.append(row_acts)
-    coaction = Matrix.from_rows(f, coact_cols).transpose() if k else Matrix(f, nc * k, k, [])
-    if side == "left":
-        act = Matrix.zeros(f, k, na * k)
-        data = list(act.data)
-        for t in range(k):
-            for j in range(na):
-                for s in range(k):
-                    data[s * (na * k) + (j * k + t)] = act_cols[t][j][s]
-        act = Matrix(f, k, na * k, data)
-    else:
-        data = [f.zero()] * (k * k * na)
-        for t in range(k):
-            for j in range(na):
-                for s in range(k):
-                    data[s * (k * na) + (t * na + j)] = act_cols[t][j][s]
-        act = Matrix(f, k, k * na, data)
-    return RationalSubmodule(w, act, coaction, side)
+            act.extend(cc.col(0))
+    if side == "left":  # coaction[(s, c), t], action[s, (j, t)]
+        coaction = permute(Matrix(f, k * nc, k, coact), (k, nc, k), (2, 1, 0), 2)
+        action = permute(Matrix(f, k * na, k, act), (k, na, k), (2, 1, 0), 1)
+    else:  # coaction[(c, s), t], action[s, (t, j)]
+        coaction = permute(Matrix(f, k * nc, k, coact), (k, nc, k), (1, 2, 0), 2)
+        action = permute(Matrix(f, k * na, k, act), (k, na, k), (2, 0, 1), 1)
+    return RationalSubmodule(w, action, coaction, side)
 
 
 def birational_subspace(p: PairingPresentation, m: ModulePresentation,
@@ -743,27 +695,12 @@ def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,
                          side: str = "right") -> Matrix:
     """Action induced by a coaction through the pairing: a.m = sum m_0 <a, m_1>
     for a right coaction (left action); mirrored for a left coaction."""
-    f = p.matrix.field
-    na, nc = p.algebra.dim, p.coalgebra.dim
-    if side == "right":
-        out = [f.zero()] * (mdim * na * mdim)
-        for i in range(mdim):
-            for j in range(na):
-                for k in range(mdim):
-                    s = f.zero()
-                    for c in range(nc):
-                        s = f.add(s, f.mul(coaction[i * nc + c, k], p.matrix[j, c]))
-                    out[i * (na * mdim) + (j * mdim + k)] = s
-        return Matrix(f, mdim, na * mdim, out)
-    out = [f.zero()] * (mdim * mdim * na)
-    for i in range(mdim):
-        for j in range(na):
-            for k in range(mdim):
-                s = f.zero()
-                for c in range(nc):
-                    s = f.add(s, f.mul(coaction[c * mdim + i, k], p.matrix[j, c]))
-                out[i * (mdim * na) + (k * na + j)] = s
-    return Matrix(f, mdim, mdim * na, out)
+    na = p.algebra.dim
+    idm = Matrix.identity(p.matrix.field, mdim)
+    if side == "right":  # [(i, j), k] = sum_c <a_j, c_c> coaction[(i, c), k] -> out[i, (j, k)]
+        return permute(kron(idm, p.matrix) @ coaction, (mdim, na, mdim), (0, 1, 2), 1)
+    # [(j, i), k] = sum_c <a_j, c_c> coaction[(c, i), k] -> out[i, (k, j)]
+    return permute(kron(p.matrix, idm) @ coaction, (na, mdim, mdim), (1, 2, 0), 1)
 
 
 def coaction_from_module(p: PairingPresentation, m: ModulePresentation) -> Matrix:

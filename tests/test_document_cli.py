@@ -264,6 +264,28 @@ class TestCommands:
         doc = parse_document(emitted)
         assert any(k.endswith("_dual") for k in doc.resolved)
 
+    def test_rat_pairing_and_module_over_different_algebras(self, tmp_path):
+        # the pairing's algebra is qc3* (dim 3), the module's is qc2 (dim 2)
+        from entwine.structures import ModulePresentation, canonical_pairing
+
+        qc2 = catalog_get("qc2")
+        doc = document_from_objects(QQ, {
+            "p": canonical_pairing(catalog_get("qc3")),
+            "m": ModulePresentation(2, qc2, qc2.mul, "left"),
+        })
+        path = write(tmp_path, "rat.ent", emit_document(doc))
+        code, text = run_command(["rat", path, "--pairing", "p", "--module", "m"])
+        assert code == 2
+        assert "input error" in text and "does not match the pairing" in text
+
+    def test_unhashable_object_type_is_input_error(self, tmp_path):
+        body = json.loads(catalog_doc("qc2"))
+        body["objects"]["qc2"]["type"] = ["structure"]
+        path = write(tmp_path, "bad.ent", json.dumps(body))
+        code, text = run_command(["check", path])
+        assert code == 2
+        assert "objects.qc2.type: unknown object type" in text
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

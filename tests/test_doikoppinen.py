@@ -237,6 +237,23 @@ class TestDualizeIngredient:
                                          alt.coalg_coaction, "dual-module-algebra")
         assert rep.passed
 
+    def test_every_arrow_returns_its_output_report(self, qc2):
+        from entwine.catalog import translation_module_algebra
+        from entwine.doikoppinen import _DUAL_ARROWS
+
+        left = dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")[0]
+        alt = catalog_get("alt_qc2")
+        inputs = {
+            ("comodule-algebra", "right"): (qc2, qc2, qc2.comul),
+            ("module-algebra", "left"): (left.h, left.structure, left.matrix),
+            ("module-algebra", "right"): (qc2, *translation_module_algebra(qc2)),
+            ("module-coalgebra", "right"): (qc2, qc2, qc2.mul),
+            ("comodule-coalgebra", "right"): (alt.h, alt.coalg, alt.coalg_coaction),
+        }
+        for (kind, direction), (_, side, _) in _DUAL_ARROWS.items():
+            out, rep = dualize_dk_ingredient(kind, *inputs[kind, side], direction)
+            assert rep.passed and rep == out.verify(), (kind, direction)
+
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
             dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "nonsense")

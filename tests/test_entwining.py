@@ -127,6 +127,17 @@ class TestCoring:
         bad = replace(coring, comul=corrupt(coring.comul, 0, 0))
         assert not verify_coring(bad).passed
 
+    def test_laws_stop_at_the_first_failure(self):
+        from entwine.report import first_sparse_failure
+
+        def laws():
+            yield "holds", (0,), {0: QQ.one()}, {0: QQ.one()}
+            yield "broken", (1,), {0: QQ.one()}, {}
+            raise AssertionError("evaluated past the first failure")
+
+        rep = first_sparse_failure("op", laws(), QQ)
+        assert (rep.axiom, rep.witness, rep.lhs, rep.rhs) == ("broken", (1,), "{0: 1}", "{}")
+
 
 class TestSmash:
     def test_flip_smash_is_opposite_convolution(self, qc2):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from entwine.exactlin import (
+    DimensionMismatch,
     Field,
     Matrix,
     PresentationError,
@@ -15,6 +16,7 @@ from entwine.exactlin import (
     kron,
     member,
     perm_tensor,
+    permute,
     preimage,
     rank,
     rref,
@@ -144,6 +146,22 @@ class TestKron:
         w = random_matrix(QQ, rng, 2, 1)
         p = perm_tensor(QQ, (2, 3, 2), (2, 0, 1))
         assert p @ kron(u, kron(v, w)) == kron(w, kron(u, v))
+
+    def test_permute(self, rng):
+        m = random_matrix(QQ, rng, 2, 3)
+        assert permute(m, (2, 3), (1, 0), 1) == m.transpose()
+        assert permute(m, (2, 3), (0, 1), 2) == Matrix.column(QQ, m.data)
+        t = random_matrix(QQ, rng, 2, 12)  # axes (a, b, c, d) of sizes (2, 2, 3, 2)
+        got = permute(t, (2, 2, 3, 2), (3, 0, 2, 1), 2)
+        assert (got.rows, got.cols) == (4, 6)
+        for a in range(2):
+            for b in range(2):
+                for c in range(3):
+                    for d in range(2):
+                        assert got[d * 2 + a, c * 2 + b] == t[a, (b * 3 + c) * 2 + d]
+        for dims, perm in (((2, 3), (0, 0)), ((2, 2), (1, 0)), ((2, 3), (1, 0, 2))):
+            with pytest.raises(DimensionMismatch):
+                permute(m, dims, perm, 1)
 
 
 class TestSubspaces:
