@@ -21,8 +21,8 @@ from .exactlin import (
     kernel,
     kron,
     perm_tensor,
-    permute,
     swap_matrix,
+    swap_middle,
 )
 from . import report
 from .report import Report
@@ -92,46 +92,41 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
     checks = []
     if kind == "module-algebra":
         if side == "right":
-            rhs = x.mul @ kron(m, m) @ _swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh))
+            rhs = x.mul @ kron(m, m) @ swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh))
             checks = [("action-multiplicative", m @ kron(x.mul, idh), rhs, (nx, nx, nh)),
                       ("action-on-unit", m @ kron(x.unit, idh), x.unit @ h.counit, (nh,))]
         else:
-            rhs = x.mul @ kron(m, m) @ _swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx))
+            rhs = x.mul @ kron(m, m) @ swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx))
             checks = [("action-multiplicative", m @ kron(idh, x.mul), rhs, (nh, nx, nx)),
                       ("action-on-unit", m @ kron(idh, x.unit), x.unit @ h.counit, (nh,))]
     elif kind == "module-coalgebra":
         if side == "right":
-            rhs = kron(m, m) @ _swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh))
+            rhs = kron(m, m) @ swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh))
             checks = [("action-comultiplicative", x.comul @ m, rhs, (nx, nh)),
                       ("action-counital", x.counit @ m, kron(x.counit, h.counit), (nx, nh))]
         else:
-            rhs = kron(m, m) @ _swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx))
+            rhs = kron(m, m) @ swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx))
             checks = [("action-comultiplicative", x.comul @ m, rhs, (nh, nx)),
                       ("action-counital", x.counit @ m, kron(h.counit, x.counit), (nh, nx))]
     elif kind == "comodule-algebra":
         if side == "right":
-            rhs = kron(x.mul, h.mul) @ _swap_middle(kron(m, m), (nx, nh, nx, nh))
+            rhs = kron(x.mul, h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh))
             checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
                       ("coaction-on-unit", m @ x.unit, kron(x.unit, h.unit), (1,))]
         else:
-            rhs = kron(h.mul, x.mul) @ _swap_middle(kron(m, m), (nh, nx, nh, nx))
+            rhs = kron(h.mul, x.mul) @ swap_middle(kron(m, m), (nh, nx, nh, nx))
             checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
                       ("coaction-on-unit", m @ x.unit, kron(h.unit, x.unit), (1,))]
     elif kind == "comodule-coalgebra":
         if side == "right":
-            rhs = kron(kron(idx, idx), h.mul) @ _swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul
+            rhs = kron(kron(idx, idx), h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul
             checks = [("coaction-comultiplicative", kron(x.comul, idh) @ m, rhs, (nx,)),
                       ("coaction-counital", kron(x.counit, idh) @ m, h.unit @ x.counit, (nx,))]
         else:
-            rhs = kron(h.mul, kron(idx, idx)) @ _swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul
+            rhs = kron(h.mul, kron(idx, idx)) @ swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul
             checks = [("coaction-comultiplicative", kron(idh, x.comul) @ m, rhs, (nx,)),
                       ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))]
     return report.first_failure(op, checks)
-
-
-def _swap_middle(k: Matrix, dims) -> Matrix:
-    """perm_tensor(dims, (0, 2, 1, 3)) @ k: swap the middle two tensor factors of k's rows."""
-    return permute(k, (*dims, k.cols), (0, 2, 1, 3, 4), 4)
 
 
 @dataclass(frozen=True)

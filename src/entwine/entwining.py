@@ -366,12 +366,9 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
         for s in range(n):
             lact_cols.append((left_parts[s] @ psi_aj).vec())
     lact = Matrix.from_rows(f, lact_cols).transpose()
-    ract_cols = []
-    for s in range(n):
-        for j in range(na):
-            aj = Matrix.basis_column(f, na, j)
-            ract_cols.append((a.mul @ kron(ida, aj) @ units[s]).vec())
-    ract = Matrix.from_rows(f, ract_cols).transpose()
+    # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
+    # column (x, j) of mul, placed at c_u
+    ract = permute(kron(a.mul, idc), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
     smash = SmashRing(e, n, mul, unit, lact, ract)
     report.require(verify_smash(smash))
     return smash
@@ -474,8 +471,8 @@ def nu_inv_map(e: EntwiningPresentation, h: Matrix) -> Matrix:
     return h @ kron(a.unit, Matrix.identity(e.field, c.dim))
 
 
-def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matrix:
-    """(f *_l g)(x) = sum g(x_1 f(x_2)) on the left dual of the coring.
+def left_star_factor(coring: CoringPresentation, f: Matrix) -> Matrix:
+    """The map x -> sum x_1 f(x_2) on the coring, so that f *_l g = g . factor.
 
     The comultiplication's second leg always has the form 1 (x) c_2, so
     (id (x) f) . comul factors through f(1 (x) -); that keeps the
@@ -488,7 +485,12 @@ def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matri
     idc = Matrix.identity(fld, c.dim)
     f_res = f @ kron(a.unit, idc)           # c -> f(1 (x) c)
     spread = kron(ida, kron(idc, f_res) @ c.comul)   # x -> sum x_1 (x) f(x_2)
-    return g @ coring.right_action @ spread
+    return coring.right_action @ spread
+
+
+def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matrix:
+    """(f *_l g)(x) = sum g(x_1 f(x_2)) on the left dual of the coring."""
+    return g @ left_star_factor(coring, f)
 
 
 def nu_iso(e: EntwiningPresentation) -> NuIso:
@@ -509,11 +511,8 @@ def nu_iso(e: EntwiningPresentation) -> NuIso:
     ida = Matrix.identity(f, na)
     nu_images = [nu_map(e, smash.as_map(Matrix.basis_column(f, n, s))) for s in range(n)]
     nu = Matrix.from_rows(f, [h.vec() for h in nu_images]).transpose()
-    nu_inv_cols = []
-    for t in range(na * n):
-        h = Matrix(f, na, n, [f.one() if i == t else f.zero() for i in range(na * n)])
-        nu_inv_cols.append(nu_inv_map(e, h).vec())
-    nu_inv = Matrix.from_rows(f, nu_inv_cols).transpose()
+    # column (x, w) of nu_inv is nu_inv_map(E_{x,w}): row x holds row w of kron(unit, id_C)
+    nu_inv = kron(ida, kron(a.unit, Matrix.identity(f, e.coalgebra.dim)).transpose())
     idn = Matrix.identity(f, n)
     bad = report.compare("nu_iso", "nu-inv-nu", nu_inv @ nu, idn, (n,))
     if bad is not None:
@@ -528,6 +527,7 @@ def nu_iso(e: EntwiningPresentation) -> NuIso:
     # multiplicativity into *_l and unit preservation
     mul_cols = columns_of(smash.mul)
     for s1 in range(n):
+        star = left_star_factor(coring, nu_images[s1])
         for s2 in range(n):
             prod_vec = mul_cols[s1 * n + s2]
             lhs = None
@@ -536,22 +536,22 @@ def nu_iso(e: EntwiningPresentation) -> NuIso:
                 lhs = term if lhs is None else lhs + term
             if lhs is None:
                 lhs = Matrix.zeros(f, na, na * e.coalgebra.dim)
-            rhs = left_star_product(coring, nu_images[s1], nu_images[s2])
-            if lhs != rhs:
+            if lhs != nu_images[s2] @ star:
                 raise report.CheckError(report.fail("nu_iso", "nu-multiplicative", witness=(s1, s2)))
     if nu_map(e, smash.as_map(smash.unit)) != coring.counit:
         raise report.CheckError(report.fail("nu_iso", "nu-unit"))
     # A-bilinearity: nu(a f) = a nu(f) and nu(f a) = nu(f) a on the left dual
+    # a_j (x) f_s and f_s (x) a_j are basis vectors, so each action is one column
     for j in range(na):
         aj = Matrix.basis_column(f, na, j)
+        ract_j = coring.right_action @ kron(idn, aj)
         for s in range(n):
-            fs = Matrix.basis_column(f, n, s)
-            af = smash.as_map(smash.left_action @ kron(aj, fs))
+            af = smash.as_map(smash.left_action.col_matrix(j * n + s))
             lhs = nu_map(e, af)
-            rhs = nu_images[s] @ coring.right_action @ kron(idn, aj)
+            rhs = nu_images[s] @ ract_j
             if lhs != rhs:
                 raise report.CheckError(report.fail("nu_iso", "nu-left-linear", witness=(j, s)))
-            fa = smash.as_map(smash.right_action @ kron(fs, aj))
+            fa = smash.as_map(smash.right_action.col_matrix(s * na + j))
             lhs = nu_map(e, fa)
             rhs = a.mul @ kron(nu_images[s], aj)
             if lhs != rhs:
@@ -611,13 +611,13 @@ def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresenta
     smash = smash or build_smash(e)
     f = e.field
     idm = Matrix.identity(f, m.dim)
+    # id (x) f_s for each basis map f_s; rho(m_i) is column i of the coaction
+    spreads = [kron(idm, smash.as_map(Matrix.basis_column(f, smash.dim, s))) for s in range(smash.dim)]
     cols = []
     for i in range(m.dim):
-        mi = Matrix.basis_column(f, m.dim, i)
-        for s in range(smash.dim):
-            fmat = smash.as_map(Matrix.basis_column(f, smash.dim, s))
-            v = m.action @ kron(idm, fmat) @ m.coaction @ mi
-            cols.append(v.col(0))
+        rho_i = m.coaction.col_matrix(i)
+        for spread in spreads:
+            cols.append((m.action @ (spread @ rho_i)).col(0))
     action = Matrix.from_rows(f, cols).transpose()
     return ModulePresentation(m.dim, smash.as_algebra(), action, "right")
 

@@ -1,7 +1,12 @@
 """Exact linear algebra over Q and prime fields F_p.
 
 Scalars are fractions.Fraction for Q and plain ints reduced mod p for F_p.
-Matrices are dense, immutable and row-major; a linear map V -> W with
+Matrices are immutable and row-major: `data` holds every entry, and the
+nonzero entries of each row are cached beside it, found once per matrix or
+handed over by the product that made it.  `@` and `kron` walk only those
+nonzeros, so the arithmetic of a product grows with its nonzero products
+(pairs of nonzero factors), not with the dense sizes; only laying out the
+dense result touches every entry.  A linear map V -> W with
 dim V = n, dim W = m is an m x n matrix acting on column vectors.  Tensor
 products follow the index convention idx(i, j) = i * dim2 + j, so that
 kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
@@ -135,9 +140,14 @@ def unflat(i: int, dims) -> tuple[int, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable dense matrix with exact entries.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    `data` holds every entry, row-major.  The nonzero entries of each row
+    are cached on first use (see nonzero_rows); the cache is derived from
+    `data` and takes no part in equality or hashing.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_nz")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         data = tuple(data)
@@ -147,6 +157,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._nz = None
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -199,6 +210,20 @@ class Matrix:
     def col_matrix(self, j: int) -> "Matrix":
         return Matrix(self.field, self.rows, 1, self.col(j))
 
+    def nonzero_rows(self) -> tuple:
+        """Per row, (column indices, values) of its nonzero entries, in no set order; cached."""
+        nz = self._nz
+        if nz is None:
+            is_zero = self.field.is_zero
+            data, c = self.data, self.cols
+            rows = []
+            for i in range(self.rows):
+                row = data[i * c:(i + 1) * c]
+                js = tuple(j for j, x in enumerate(row) if not is_zero(x))
+                rows.append((js, tuple(row[j] for j in js)))
+            self._nz = nz = tuple(rows)
+        return nz
+
     def is_zero(self) -> bool:
         is_zero = self.field.is_zero
         return all(is_zero(x) for x in self.data)
@@ -237,25 +262,35 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        zero = f.zero()
-        is_zero = f.is_zero
-        add, mul = f.add, f.mul
-        out = [zero] * (self.rows * other.cols)
+        p = f.p
         oc = other.cols
-        # skip zero entries: structure-constant matrices are mostly zeros
-        for i in range(self.rows):
-            base = i * self.cols
-            obase = i * oc
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if is_zero(a):
-                    continue
-                rk = k * oc
-                for j in range(oc):
-                    b = other.data[rk + j]
-                    if not is_zero(b):
-                        out[obase + j] = add(out[obase + j], mul(a, b))
-        return Matrix(f, self.rows, oc, out)
+        out = [f.zero()] * (self.rows * oc)
+        onz = other.nonzero_rows()
+        nz = []
+        base = 0
+        # one dict per output row, fed only by products of two nonzeros
+        for ks, avs in self.nonzero_rows():
+            acc: dict = {}
+            for k, a in zip(ks, avs):
+                js, bvs = onz[k]
+                for j, b in zip(js, bvs):
+                    if j in acc:
+                        acc[j] += a * b
+                    else:
+                        acc[j] = a * b
+            js, vs = [], []
+            for j, v in acc.items():
+                if p is not None:
+                    v %= p
+                if v:
+                    js.append(j)
+                    vs.append(v)
+                    out[base + j] = v
+            nz.append((tuple(js), tuple(vs)))
+            base += oc
+        m = Matrix(f, self.rows, oc, out)
+        m._nz = tuple(nz)
+        return m
 
     def transpose(self) -> "Matrix":
         data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
@@ -266,25 +301,28 @@ class Matrix:
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
         f = self.field
-        zero = f.zero()
-        is_zero = f.is_zero
-        mul = f.mul
-        r = self.rows * other.rows
-        c = self.cols * other.cols
-        out = [zero] * (r * c)
-        for i1 in range(self.rows):
-            for j1 in range(self.cols):
-                a = self.data[i1 * self.cols + j1]
-                if is_zero(a):
-                    continue
-                for i2 in range(other.rows):
-                    rbase = (i1 * other.rows + i2) * c + j1 * other.cols
-                    obase = i2 * other.cols
-                    for j2 in range(other.cols):
-                        b = other.data[obase + j2]
-                        if not is_zero(b):
-                            out[rbase + j2] = mul(a, b)
-        return Matrix(f, r, c, out)
+        p = f.p
+        oc = other.cols
+        c = self.cols * oc
+        out = [f.zero()] * (self.rows * other.rows * c)
+        onz = other.nonzero_rows()
+        nz = []
+        base = 0
+        # a product of two nonzeros in a field is nonzero: nothing cancels
+        for js1, vs1 in self.nonzero_rows():
+            for js2, vs2 in onz:
+                js = [j1 * oc + j2 for j1 in js1 for j2 in js2]
+                if p is None:
+                    vs = [a * b for a in vs1 for b in vs2]
+                else:
+                    vs = [a * b % p for a in vs1 for b in vs2]
+                for j, v in zip(js, vs):
+                    out[base + j] = v
+                nz.append((tuple(js), tuple(vs)))
+                base += c
+        m = Matrix(f, self.rows * other.rows, c, out)
+        m._nz = tuple(nz)
+        return m
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -338,6 +376,11 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     data = m.data
     return Matrix(m.field, prod(dims[a] for a in perm[:nrows]), prod(dims[a] for a in perm[nrows:]),
                   chain.from_iterable(data[o:o + span:step] for o in offsets))
+
+
+def swap_middle(k: Matrix, dims) -> Matrix:
+    """perm_tensor(dims, (0, 2, 1, 3)) @ k: swap the middle two tensor factors of k's rows."""
+    return permute(k, (*dims, k.cols), (0, 2, 1, 3, 4), 4)
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
@@ -588,16 +631,10 @@ def subspace_ops(kind: str, *args):
 
 def columns_of(m: Matrix) -> list[dict]:
     """Columns as sparse index -> value dicts, for dimension-safe evaluation."""
-    is_zero = m.field.is_zero
     cols: list[dict] = [{} for _ in range(m.cols)]
-    data = m.data
-    nc = m.cols
-    for i in range(m.rows):
-        base = i * nc
-        for j in range(nc):
-            v = data[base + j]
-            if not is_zero(v):
-                cols[j][i] = v
+    for i, (js, vs) in enumerate(m.nonzero_rows()):
+        for j, v in zip(js, vs):
+            cols[j][i] = v
     return cols
 
 

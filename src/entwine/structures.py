@@ -24,7 +24,7 @@ from .exactlin import (
     preimage,
     rank,
     solve_linear,
-    swap_matrix,
+    swap_middle,
     unflat,
 )
 from . import report
@@ -236,13 +236,11 @@ def _coalgebra_checks(p: StructurePresentation, tag: str):
 
 def _bialgebra_checks(p: StructurePresentation):
     n = p.dim
-    idn = Matrix.identity(p.field, n)
-    mid = kron(kron(idn, swap_matrix(p.field, n, n)), idn)
     yield from _algebra_checks(p, "")
     yield from _coalgebra_checks(p, "")
     yield ("comul-multiplicative",
            p.comul @ p.mul,
-           kron(p.mul, p.mul) @ mid @ kron(p.comul, p.comul), (n, n))
+           kron(p.mul, p.mul) @ swap_middle(kron(p.comul, p.comul), (n, n, n, n)), (n, n))
     yield ("comul-unit", p.comul @ p.unit, kron(p.unit, p.unit), (1,))
     yield ("counit-multiplicative", p.counit @ p.mul, kron(p.counit, p.counit), (n, n))
     yield ("counit-unit", p.counit @ p.unit, Matrix(p.field, 1, 1, [p.field.one()]), (1,))

@@ -23,12 +23,52 @@ from entwine.exactlin import (
     solve_linear,
     subspace_ops,
     swap_matrix,
+    swap_middle,
 )
-from conftest import BOTH_FIELDS, random_invertible, random_matrix
+from conftest import BOTH_FIELDS, random_invertible, random_matrix, random_scalar
 
 
 def M(rows, field=QQ):
     return Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows])
+
+
+KERNEL_FIELDS = (QQ, Field(5), Field(7))
+
+
+def sparse_matrix(field, rng, rows, cols, density=0.3):
+    return Matrix(field, rows, cols, [random_scalar(field, rng) if rng.random() < density else field.zero()
+                                      for _ in range(rows * cols)])
+
+
+def naive_matmul(a, b):
+    """Reference product: every entry is a full dot product through Field."""
+    f = a.field
+    data = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = f.zero()
+            for k in range(a.cols):
+                s = f.add(s, f.mul(a[i, k], b[k, j]))
+            data.append(s)
+    return Matrix(f, a.rows, b.cols, data)
+
+
+def naive_kron(a, b):
+    f = a.field
+    return Matrix(f, a.rows * b.rows, a.cols * b.cols,
+                  [f.mul(a[i1, j1], b[i2, j2]) for i1 in range(a.rows) for i2 in range(b.rows)
+                   for j1 in range(a.cols) for j2 in range(b.cols)])
+
+
+def assert_cache_matches_data(m):
+    """The cached nonzero rows hold exactly the nonzero entries of the data."""
+    f = m.field
+    cached = m.nonzero_rows()
+    assert len(cached) == m.rows
+    for i, (js, vs) in enumerate(cached):
+        assert len(js) == len(vs) == len(set(js))
+        assert not any(f.is_zero(v) for v in vs)
+        assert dict(zip(js, vs)) == {j: x for j, x in enumerate(m.row(i)) if not f.is_zero(x)}
 
 
 class TestField:
@@ -162,6 +202,89 @@ class TestKron:
         for dims, perm in (((2, 3), (0, 0)), ((2, 2), (1, 0)), ((2, 3), (1, 0, 2))):
             with pytest.raises(DimensionMismatch):
                 permute(m, dims, perm, 1)
+
+
+class TestSparseKernels:
+    """@ and kron walk only nonzeros; they must agree with the dense definitions."""
+
+    def test_against_naive_reference(self, rng):
+        for field in KERNEL_FIELDS:
+            for _ in range(40):
+                r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+                density = rng.choice((0.1, 0.4, 1.0))
+                a = sparse_matrix(field, rng, r, k, density)
+                b = sparse_matrix(field, rng, k, c, density)
+                got = a @ b
+                assert got == naive_matmul(a, b)
+                assert_cache_matches_data(got)
+                got = kron(a, b)
+                assert got == naive_kron(a, b)
+                assert_cache_matches_data(got)
+
+    def test_empty_shapes(self, rng):
+        for field in KERNEL_FIELDS:
+            for r in (0, 1, 3):
+                for k in (0, 1, 3):
+                    for c in (0, 2):
+                        a = sparse_matrix(field, rng, r, k, 0.7)
+                        b = sparse_matrix(field, rng, k, c, 0.7)
+                        got = a @ b
+                        assert (got.rows, got.cols) == (r, c)
+                        assert got == naive_matmul(a, b)
+                        if k == 0:
+                            assert got == Matrix.zeros(field, r, c)
+                        assert_cache_matches_data(got)
+                        got = kron(a, b)
+                        assert (got.rows, got.cols) == (r * k, k * c)
+                        assert got == naive_kron(a, b)
+                        assert_cache_matches_data(got)
+
+    def test_cancelling_entries_leave_the_cache(self):
+        for field in KERNEL_FIELDS:
+            minus_one = field.neg(field.one())
+            a = M([[1, 1, 0], [1, 0, 1]], field)
+            b = Matrix.from_rows(field, [[field.one(), field.of(2)], [minus_one, field.one()],
+                                         [minus_one, field.zero()]])
+            got = a @ b      # row 0: (0, 3); row 1: (0, 2)
+            assert got == M([[0, 3], [0, 2]], field)
+            assert got.nonzero_rows() == (((1,), (field.of(3),)), ((1,), (field.of(2),)))
+            assert_cache_matches_data(got)
+        f5 = Field(5)
+        got = M([[1, 1]], f5) @ M([[2], [3]], f5)     # 2 + 3 = 0 in F_5
+        assert got == Matrix.zeros(f5, 1, 1)
+        assert got.nonzero_rows() == (((), ()),)
+
+    def test_chains_reuse_product_caches(self, rng):
+        for field in KERNEL_FIELDS:
+            for _ in range(15):
+                n = rng.randint(1, 4)
+                a, b, c, d = (sparse_matrix(field, rng, n, n, 0.4) for _ in range(4))
+                ab = a @ b
+                assert ab @ c == naive_matmul(naive_matmul(a, b), c)
+                assert a @ (b @ c) == ab @ c
+                k = kron(ab, c)
+                assert k @ kron(d, a) == naive_matmul(naive_kron(ab, c), naive_kron(d, a))
+                assert kron(k, d) == kron(ab, kron(c, d))
+                for m in (ab, k, ab @ c, kron(k, d)):
+                    assert_cache_matches_data(m)
+
+    def test_equality_ignores_the_cache(self, rng):
+        for field in KERNEL_FIELDS:
+            a = sparse_matrix(field, rng, 3, 4, 0.5)
+            b = sparse_matrix(field, rng, 4, 2, 0.5)
+            seeded = a @ b                                        # cache set by the product
+            fresh = Matrix(field, 3, 2, seeded.data)              # no cache yet
+            scanned = Matrix(field, 3, 2, naive_matmul(a, b).data)
+            scanned.nonzero_rows()                                # cache computed by scanning
+            assert seeded == fresh == scanned
+            assert hash(seeded) == hash(fresh) == hash(scanned)
+            assert len({seeded, fresh, scanned}) == 1
+            assert kron(a, b) == naive_kron(a, b)
+            assert hash(kron(a, b)) == hash(naive_kron(a, b))
+
+    def test_swap_middle(self, rng):
+        k = sparse_matrix(QQ, rng, 2 * 3 * 2 * 2, 3, 0.5)
+        assert swap_middle(k, (2, 3, 2, 2)) == perm_tensor(QQ, (2, 3, 2, 2), (0, 2, 1, 3)) @ k
 
 
 class TestSubspaces:
