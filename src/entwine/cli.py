@@ -194,11 +194,11 @@ def cmd_coring(args, out: _Out) -> None:
     out.report(args.name, rep)
     if not rep.passed:
         return
-    build_coring(e)
+    coring = build_coring(e)
     out.note(f"{args.name}: coring on a space of dimension "
              f"{e.algebra.dim * e.coalgebra.dim}; bimodule, coassociativity, counit and "
              "balanced-linearity laws verified")
-    iso = nu_iso(e)
+    iso = nu_iso(coring)
     out.note(f"{args.name}: smash ring is isomorphic to the left dual "
              f"(dimension {len(iso.left_dual_basis)})")
 
@@ -372,11 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every command
+_PARSER = build_parser()
+
+
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, report text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0, "")
     out = _Out()

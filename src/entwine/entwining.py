@@ -22,6 +22,7 @@ from .exactlin import (
     kron,
     permute,
     solve_linear,
+    sparse_combine,
 )
 from . import report
 from .report import Report
@@ -148,27 +149,34 @@ def build_coring(e: EntwiningPresentation) -> CoringPresentation:
     return coring
 
 
-def _combine(cols, vec: dict, field) -> dict:
-    """Linear combination sum vec[j] * cols[j], all sparse."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    out: dict = {}
-    zero = field.zero()
-    for j, v in vec.items():
-        for i, w in cols[j].items():
-            s = add(out.get(i, zero), mul(v, w))
-            if is_zero(s):
-                out.pop(i, None)
-            else:
-                out[i] = s
-    return out
+class _Columns(dict):
+    """Sparse columns of a map, each made by make(j) when first asked for and kept.
+
+    The tensor maps the coring laws apply (comul (x) id and the like) have
+    far more columns than a sparse comultiplication ever reaches, so they
+    are never laid out in full.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, j):
+        col = self[j] = self.make(j)
+        return col
 
 
 def verify_coring(coring: CoringPresentation) -> Report:
     """Bimodule laws, coassociativity, counit laws and balanced bilinearity.
 
-    Everything is evaluated on basis elements with sparse columns, so the
-    check scales past the point where the iterated tensor matrices would.
-    Right linearity of the comultiplication only holds modulo the
+    Everything is evaluated on basis elements as canonical sparse vectors
+    (exactlin.sparse_combine over the sparse columns of the structure maps),
+    so the check scales past the point where the iterated tensor matrices
+    would, and the two sides of a law compare as plain dicts.  Columns of
+    the tensor maps, such as comul (x) id, are made only when a law reaches
+    them.  Right linearity of the comultiplication only holds modulo the
     balancing relations (x.a) (x) y - x (x) (a.y); it is certified by
     exhibiting the explicit combination of relations that closes the gap.
     """
@@ -181,113 +189,90 @@ def _coring_laws(coring: CoringPresentation):
     a = e.algebra
     f = coring.field
     n, na, nc = coring.dim, a.dim, e.coalgebra.dim
+    one = f.one()
+    difference = {0: one, 1: f.neg(one)}   # sparse_combine((x, y), difference, f) = x - y
     la = columns_of(coring.left_action)     # column (j, t) = j * n + t
     ra = columns_of(coring.right_action)    # column (t, j) = t * na + j
-    dl = columns_of(coring.comul)
+    dl = columns_of(coring.comul)           # keys (p, q) = p * n + q
     eps = columns_of(coring.counit)         # dicts over A
     amul = columns_of(a.mul)
-    aunit = {i: v for i, v in enumerate(a.unit.col(0)) if not f.is_zero(v)}
+    aunit = columns_of(a.unit)[0]
     comul_c = columns_of(e.coalgebra.comul)
-    psi = columns_of(e.psi)
+    la_by = [la[j * n:(j + 1) * n] for j in range(na)]        # x -> a_j . x
+    ra_by = [ra[j::na] for j in range(na)]                    # x -> x . a_j
+    la_on = [la[t::n] for t in range(n)]                      # a_x -> a_x . t
+    ra_on = [ra[t * na:(t + 1) * na] for t in range(n)]       # a_x -> t . a_x
+    amul_by = [amul[j * na:(j + 1) * na] for j in range(na)]  # x -> a_j a_x
+    amul_on = [amul[j::na] for j in range(na)]                # x -> a_x a_j
     for j1 in range(na):
         for j2 in range(na):
             prod = amul[j1 * na + j2]
             for t in range(n):
-                lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
-                rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
-                yield "left-action-associativity", (j1, j2, t), lhs, rhs
-                lhs = _combine(ra, {x * na + j2: v for x, v in ra[t * na + j1].items()}, f)
-                rhs = _combine([ra[t * na + x] for x in range(na)], prod, f)
-                yield "right-action-associativity", (t, j1, j2), lhs, rhs
+                yield "left-action-associativity", (j1, j2, t), \
+                    sparse_combine(la_by[j1], la[j2 * n + t], f), sparse_combine(la_on[t], prod, f)
+                yield "right-action-associativity", (t, j1, j2), \
+                    sparse_combine(ra_by[j2], ra[t * na + j1], f), sparse_combine(ra_on[t], prod, f)
     for t in range(n):
-        lhs = _combine([la[j * n + t] for j in range(na)], aunit, f)
-        yield "left-action-unit", (t,), lhs, {t: f.one()}
-        lhs = _combine(ra[t * na:(t + 1) * na], aunit, f)
-        yield "right-action-unit", (t,), lhs, {t: f.one()}
+        yield "left-action-unit", (t,), sparse_combine(la_on[t], aunit, f), {t: one}
+        yield "right-action-unit", (t,), sparse_combine(ra_on[t], aunit, f), {t: one}
     for j1 in range(na):
         for t in range(n):
             for j2 in range(na):
-                lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
-                rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
-                yield "bimodule-compatibility", (j1, t, j2), lhs, rhs
+                yield "bimodule-compatibility", (j1, t, j2), \
+                    sparse_combine(ra_by[j2], la[j1 * n + t], f), \
+                    sparse_combine(la_by[j1], ra[t * na + j2], f)
+    # columns (p, q) = p * n + q of comul (x) id, id (x) comul, eps (x) id, id (x) eps
+    comul_id = _Columns(lambda pq: {rs * n + pq % n: w for rs, w in dl[pq // n].items()})
+    id_comul = _Columns(lambda pq: {pq // n * n * n + rs: w for rs, w in dl[pq % n].items()})
+    counit_id = _Columns(lambda pq: {x * n + pq % n: w for x, w in eps[pq // n].items()})
+    id_counit = _Columns(lambda pq: {pq // n * na + x: w for x, w in eps[pq % n].items()})
     for t in range(n):
         base = dl[t]
-        lhs: dict = {}
-        rhs: dict = {}
-        for pq, v in base.items():
-            p, q = divmod(pq, n)
-            for rs, w in dl[p].items():
-                lhs[rs * n + q] = f.add(lhs.get(rs * n + q, f.zero()), f.mul(v, w))
-            for rs, w in dl[q].items():
-                rhs[p * n * n + rs] = f.add(rhs.get(p * n * n + rs, f.zero()), f.mul(v, w))
-        yield "coassociativity", (t,), lhs, rhs
-        lhs = {}
-        for pq, v in base.items():
-            p, q = divmod(pq, n)
-            for aidx, w in eps[p].items():
-                for i, u in la[aidx * n + q].items():
-                    lhs[i] = f.add(lhs.get(i, f.zero()), f.mul(v, f.mul(w, u)))
-        yield "left-counit", (t,), lhs, {t: f.one()}
-        lhs = {}
-        for pq, v in base.items():
-            p, q = divmod(pq, n)
-            for aidx, w in eps[q].items():
-                for i, u in ra[p * na + aidx].items():
-                    lhs[i] = f.add(lhs.get(i, f.zero()), f.mul(v, f.mul(w, u)))
-        yield "right-counit", (t,), lhs, {t: f.one()}
+        yield "coassociativity", (t,), sparse_combine(comul_id, base, f), sparse_combine(id_comul, base, f)
+        yield "left-counit", (t,), sparse_combine(la, sparse_combine(counit_id, base, f), f), {t: one}
+        yield "right-counit", (t,), sparse_combine(ra, sparse_combine(id_counit, base, f), f), {t: one}
+    # drop each section's columns once it is done: on dense corings they set the peak memory
+    del comul_id, id_comul, counit_id, id_counit
+    # left action (x) id, column (j, p, q) = (j * n + p) * n + q
+    la_id = _Columns(lambda k: {y * n + k % n: w for y, w in la[k // n].items()})
     for j in range(na):
         for t in range(n):
-            lhs = _combine(dl, la[j * n + t], f)
-            rhs: dict = {}
-            for pq, v in dl[t].items():
-                p, q = divmod(pq, n)
-                for y, w in la[j * n + p].items():
-                    key = y * n + q
-                    rhs[key] = f.add(rhs.get(key, f.zero()), f.mul(v, w))
-            yield "comul-left-linear", (j, t), lhs, rhs
-            lhs = _combine(eps, la[j * n + t], f)
-            rhs = _combine([amul[j * na + x] for x in range(na)], eps[t], f)
-            yield "counit-left-linear", (j, t), lhs, rhs
-            lhs = _combine(eps, ra[t * na + j], f)
-            rhs = _combine([amul[x * na + j] for x in range(na)], eps[t], f)
-            yield "counit-right-linear", (t, j), lhs, rhs
+            yield "comul-left-linear", (j, t), sparse_combine(dl, la[j * n + t], f), \
+                sparse_combine(la_id, {j * n * n + pq: v for pq, v in dl[t].items()}, f)
+            yield "counit-left-linear", (j, t), sparse_combine(eps, la[j * n + t], f), \
+                sparse_combine(amul_by[j], eps[t], f)
+            yield "counit-right-linear", (t, j), sparse_combine(eps, ra[t * na + j], f), \
+                sparse_combine(amul_on[j], eps[t], f)
+    del la_id
     # comul(x.b) - comul(x).b must be a combination of balancing relations
-    # (y.a) (x) z - y (x) (a.z); the combination is written down explicitly.
+    # (y.b') (x) z - y (x) (b'.z); the combination is written down explicitly.
+    # For x = a (x) c it is the relation at y = a (x) c_1 and z = 1 (x) c',
+    # summed over comul(c) = c_1 (x) c_2 and psi(c_2 (x) b) = b' (x) c'.
+    # id (x) right action, column (p, q, j) = (p * n + q) * na + j
+    id_ra = _Columns(lambda k: {k // (n * na) * n + y: w for y, w in ra[k % (n * na)].items()})
+    # c (x) b -> b' (x) (1 (x) c'), column (c, j) = c * na + j, keys (b', z) = b' * n + z
+    lift = columns_of(kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc))) @ e.psi)
+    # id (x) lift, column (y, c, j) = (y * nc + c) * na + j, keys (y, b', z) = (y * na + b') * n + z
+    id_lift = _Columns(lambda k: {k // (nc * na) * na * n + i: w for i, w in lift[k % (nc * na)].items()})
+
+    def relation(k):
+        """(y.b) (x) z - y (x) (b.z) at k = (y * na + b) * n + z."""
+        yb, z = divmod(k, n)
+        y, b = divmod(yb, na)
+        return sparse_combine(({y2 * n + z: w for y2, w in ra[yb].items()},
+                               {y * n + z2: w for z2, w in la[b * n + z].items()}), difference, f)
+
+    relations = _Columns(relation)
     for t in range(n):
         ia, ic = divmod(t, nc)
         for j in range(na):
-            diff = _combine(dl, ra[t * na + j], f)
-            for pq, v in dl[t].items():
-                p, q = divmod(pq, n)
-                for y, w in ra[q * na + j].items():
-                    key = p * n + y
-                    s = f.sub(diff.get(key, f.zero()), f.mul(v, w))
-                    if f.is_zero(s):
-                        diff.pop(key, None)
-                    else:
-                        diff[key] = s
-            cert: dict = {}
-
-            def _acc(key, val):
-                s = f.add(cert.get(key, f.zero()), val)
-                if f.is_zero(s):
-                    cert.pop(key, None)
-                else:
-                    cert[key] = s
-
-            for c1c2, v in comul_c[ic].items():
-                c1, c2 = divmod(c1c2, nc)
-                y = ia * nc + c1
-                for bc, w in psi[c2 * na + j].items():
-                    bprime, c2prime = divmod(bc, nc)
-                    coeff = f.mul(v, w)
-                    for u, uv in aunit.items():
-                        z = u * nc + c2prime
-                        for y2, w2 in ra[y * na + bprime].items():
-                            _acc(y2 * n + z, f.mul(coeff, f.mul(uv, w2)))
-                        for z2, w3 in la[bprime * n + z].items():
-                            _acc(y * n + z2, f.neg(f.mul(coeff, f.mul(uv, w3))))
-            yield "comul-right-linear-mod-balancing", (t, j), diff, cert
+            diff = sparse_combine((sparse_combine(dl, ra[t * na + j], f),
+                                   sparse_combine(id_ra, {pq * na + j: v for pq, v in dl[t].items()}, f)),
+                                  difference, f)
+            # (id (x) lift)((a (x) comul(c)) (x) b): the coefficient of each relation
+            coeffs = sparse_combine(id_lift, {(ia * nc * nc + cc) * na + j: v
+                                              for cc, v in comul_c[ic].items()}, f)
+            yield "comul-right-linear-mod-balancing", (t, j), diff, sparse_combine(relations, coeffs, f)
 
 
 # ---------------------------------------------------------------------------
@@ -385,58 +370,55 @@ def _smash_laws(s: SmashRing):
     n = s.dim
     a = s.entwining.algebra
     na = a.dim
+    one = f.one()
     mul = columns_of(s.mul)        # column (r, t) = r * n + t
     la = columns_of(s.left_action)   # column (j, t) = j * n + t
     ra = columns_of(s.right_action)  # column (t, j) = t * na + j
     amul = columns_of(a.mul)
-    unit = {i: v for i, v in enumerate(s.unit.col(0)) if not f.is_zero(v)}
-    aunit = {i: v for i, v in enumerate(a.unit.col(0)) if not f.is_zero(v)}
-
-    def smul(vec, t):
-        return _combine([mul[x * n + t] for x in range(n)], vec, f)
-
-    def smul_right(r, vec):
-        return _combine(mul[r * n:(r + 1) * n], vec, f)
-
+    unit = columns_of(s.unit)[0]
+    aunit = columns_of(a.unit)[0]
+    mul_by = [mul[r * n:(r + 1) * n] for r in range(n)]    # x -> E_r E_x
+    mul_on = [mul[t::n] for t in range(n)]                 # x -> E_x E_t
+    la_by = [la[j * n:(j + 1) * n] for j in range(na)]     # x -> a_j . x
+    ra_by = [ra[j::na] for j in range(na)]                 # x -> x . a_j
+    la_on = [la[t::n] for t in range(n)]                   # a_x -> a_x . t
+    ra_on = [ra[t * na:(t + 1) * na] for t in range(n)]    # a_x -> t . a_x
     for r in range(n):
         for t in range(n):
             prod = mul[r * n + t]
             for u in range(n):
-                yield "associativity", (r, t, u), smul(prod, u), smul_right(r, mul[t * n + u])
+                yield "associativity", (r, t, u), sparse_combine(mul_on[u], prod, f), \
+                    sparse_combine(mul_by[r], mul[t * n + u], f)
     for t in range(n):
-        yield "left-unit", (t,), smul(unit, t), {t: f.one()}
-        yield "right-unit", (t,), smul_right(t, unit), {t: f.one()}
-        yield "left-action-unit", (t,), _combine([la[j * n + t] for j in range(na)], aunit, f), {t: f.one()}
-        yield "right-action-unit", (t,), _combine(ra[t * na:(t + 1) * na], aunit, f), {t: f.one()}
+        yield "left-unit", (t,), sparse_combine(mul_on[t], unit, f), {t: one}
+        yield "right-unit", (t,), sparse_combine(mul_by[t], unit, f), {t: one}
+        yield "left-action-unit", (t,), sparse_combine(la_on[t], aunit, f), {t: one}
+        yield "right-action-unit", (t,), sparse_combine(ra_on[t], aunit, f), {t: one}
     for j1 in range(na):
         for j2 in range(na):
             prod = amul[j1 * na + j2]
             for t in range(n):
-                lhs = _combine(la[j1 * n:(j1 + 1) * n], la[j2 * n + t], f)
-                rhs = _combine([la[x * n + t] for x in range(na)], prod, f)
-                yield "left-action-module", (j1, j2, t), lhs, rhs
-                lhs = _combine(ra, {x * na + j2: v for x, v in ra[t * na + j1].items()}, f)
-                rhs = _combine(ra[t * na:(t + 1) * na], prod, f)
-                yield "right-action-module", (t, j1, j2), lhs, rhs
+                yield "left-action-module", (j1, j2, t), \
+                    sparse_combine(la_by[j1], la[j2 * n + t], f), sparse_combine(la_on[t], prod, f)
+                yield "right-action-module", (t, j1, j2), \
+                    sparse_combine(ra_by[j2], ra[t * na + j1], f), sparse_combine(ra_on[t], prod, f)
     for j1 in range(na):
         for t in range(n):
             for j2 in range(na):
-                lhs = _combine(ra, {x * na + j2: v for x, v in la[j1 * n + t].items()}, f)
-                rhs = _combine(la[j1 * n:(j1 + 1) * n], ra[t * na + j2], f)
-                yield "bimodule-compatibility", (j1, t, j2), lhs, rhs
+                yield "bimodule-compatibility", (j1, t, j2), \
+                    sparse_combine(ra_by[j2], la[j1 * n + t], f), \
+                    sparse_combine(la_by[j1], ra[t * na + j2], f)
     for j in range(na):
         for r in range(n):
             for t in range(n):
-                yield "mul-left-linear", (j, r, t), smul(la[j * n + r], t), \
-                    _combine(la[j * n:(j + 1) * n], mul[r * n + t], f)
-                yield "mul-right-linear", (r, t, j), \
-                    _combine(ra, {x * na + j: v for x, v in mul[r * n + t].items()}, f), \
-                    smul_right(r, ra[t * na + j])
-                yield "mul-balanced", (r, j, t), smul(ra[r * na + j], t), smul_right(r, la[j * n + t])
+                yield "mul-left-linear", (j, r, t), sparse_combine(mul_on[t], la[j * n + r], f), \
+                    sparse_combine(la_by[j], mul[r * n + t], f)
+                yield "mul-right-linear", (r, t, j), sparse_combine(ra_by[j], mul[r * n + t], f), \
+                    sparse_combine(mul_by[r], ra[t * na + j], f)
+                yield "mul-balanced", (r, j, t), sparse_combine(mul_on[t], ra[r * na + j], f), \
+                    sparse_combine(mul_by[r], la[j * n + t], f)
     for j in range(na):
-        lhs = _combine(la[j * n:(j + 1) * n], unit, f)
-        rhs = _combine(ra, {x * na + j: v for x, v in unit.items()}, f)
-        yield "unit-central", (j,), lhs, rhs
+        yield "unit-central", (j,), sparse_combine(la_by[j], unit, f), sparse_combine(ra_by[j], unit, f)
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +475,18 @@ def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matri
     return g @ left_star_factor(coring, f)
 
 
-def nu_iso(e: EntwiningPresentation) -> NuIso:
-    """Build nu and its inverse and verify every claimed identity.
+def nu_iso(coring: CoringPresentation) -> NuIso:
+    """Build nu and its inverse for a built coring and verify every claimed identity.
 
+    The smash ring of the coring's entwining is built (and verified) here.
     Checks: nu inverts on both sides, its image consists of left A-linear
     maps (any left A-linear h equals nu(nu_inv(h)) pointwise, since
     h(a (x) c) = a.h(1 (x) c), so the image is the whole left dual), it
     takes the smash multiplication to the *_l product, preserves units,
     and is A-bilinear.  Raises CheckError if anything fails.
     """
+    e = coring.entwining
     smash = build_smash(e)
-    coring = build_coring(e)
     a = e.algebra
     na = a.dim
     f = e.field

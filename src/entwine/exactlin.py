@@ -6,10 +6,14 @@ nonzero entries of each row are cached beside it, found once per matrix or
 handed over by the product that made it.  `@` and `kron` walk only those
 nonzeros, so the arithmetic of a product grows with its nonzero products
 (pairs of nonzero factors), not with the dense sizes; only laying out the
-dense result touches every entry.  A linear map V -> W with
-dim V = n, dim W = m is an m x n matrix acting on column vectors.  Tensor
-products follow the index convention idx(i, j) = i * dim2 + j, so that
-kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
+dense result touches every entry.  The law checks work on sparse vectors,
+index -> value dicts: sparse_combine sums their plain products without a
+Field call per term and returns them canonical (reduced, no zero values),
+so two vectors are equal exactly when their dicts are.  A linear map
+V -> W with dim V = n, dim W = m is an m x n matrix acting on column
+vectors.  Tensor products follow the index convention
+idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied to v (x) w equals
+M1 v (x) M2 w.
 
 Everything here is a pure function of immutable values; results are in
 canonical form (reduced fractions, RREF bases) so they are reproducible
@@ -638,20 +642,30 @@ def columns_of(m: Matrix) -> list[dict]:
     return cols
 
 
-def sparse_equal(a: dict, b: dict, field: Field) -> bool:
-    is_zero = field.is_zero
-    for k, v in a.items():
-        if not is_zero(field.sub(v, b.get(k, field.zero()))):
-            return False
-    for k, v in b.items():
-        if k not in a and not is_zero(v):
-            return False
-    return True
+def sparse_combine(cols, vec: dict, field: Field) -> dict:
+    """sum vec[j] * cols[j] over sparse index -> value dicts, in canonical form.
+
+    cols is anything indexable by the keys of vec.  Plain products are summed
+    per entry and reduced once (mod p over F_p, Fraction sums over Q), and
+    entries that cancel are dropped, so the result is reduced and holds no
+    zero: two results are equal exactly when they are equal as dicts.
+    """
+    acc: dict = {}
+    for j, v in vec.items():
+        for i, w in cols[j].items():
+            if i in acc:
+                acc[i] += v * w
+            else:
+                acc[i] = v * w
+    p = field.p
+    if p is None:
+        return {i: s for i, s in acc.items() if s}
+    return {i: r for i, s in acc.items() if (r := s % p)}
 
 
 def sparse_render(vec: dict, field: Field) -> str:
-    items = sorted((k, v) for k, v in vec.items() if not field.is_zero(v))
-    return "{" + ", ".join(f"{k}: {field.fmt(v)}" for k, v in items) + "}"
+    """A canonical sparse vector as '{index: scalar, ...}' in index order."""
+    return "{" + ", ".join(f"{k}: {field.fmt(v)}" for k, v in sorted(vec.items())) + "}"
 
 
 def invert(m: Matrix) -> Matrix | None:

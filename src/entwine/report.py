@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, sparse_equal, sparse_render, unflat
+from .exactlin import Matrix, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,12 @@ def first_failure(op: str, checks) -> Report:
 def first_sparse_failure(op: str, laws, field) -> Report:
     """Check (axiom, witness, lhs, rhs) sparse vectors in order; first failure wins.
 
-    laws may be a lazy generator: nothing after the first failure is evaluated.
+    Both sides must be canonical (see exactlin.sparse_combine), so they are
+    compared as plain dicts.  laws may be a lazy generator: nothing after
+    the first failure is evaluated.
     """
     for axiom, witness, lhs, rhs in laws:
-        if not sparse_equal(lhs, rhs, field):
+        if lhs != rhs:
             return fail(op, axiom, witness=witness,
                         lhs=sparse_render(lhs, field), rhs=sparse_render(rhs, field))
     return ok(op)

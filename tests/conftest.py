@@ -32,6 +32,14 @@ def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def assert_canonical_vector(vec: dict, field: Field):
+    """Reduced and free of zeros: the form exactlin.sparse_combine returns."""
+    for v in vec.values():
+        assert not field.is_zero(v)
+        if field.p is not None:
+            assert isinstance(v, int) and 0 < v < field.p
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

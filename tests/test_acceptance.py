@@ -27,6 +27,7 @@ from entwine.structures import (
     verify_structure,
 )
 from entwine.entwining import (
+    build_coring,
     build_smash,
     entwined_smash_roundtrip,
     left_star_product,
@@ -105,7 +106,7 @@ def test_criterion_02_smash_rings():
 def test_criterion_03_nu_isomorphism():
     ok = True
     for name, e in _entwinings():
-        iso = nu_iso(e)  # verifies bijectivity, multiplicativity, unit, bilinearity
+        iso = nu_iso(build_coring(e))  # verifies bijectivity, multiplicativity, unit, bilinearity
         ok = ok and len(iso.left_dual_basis) == iso.smash.dim
     _report("3 nu isomorphism on all catalog entwinings", ok)
 

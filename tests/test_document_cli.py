@@ -309,3 +309,30 @@ class TestDeterminism:
             first = run_command(list(argv))
             second = run_command(list(argv))
             assert first == second, argv
+
+    def test_one_parser_serves_every_command(self, tmp_path, monkeypatch):
+        """Commands run in a row through the shared parser answer as fresh parsers do."""
+        from entwine import cli
+
+        qc2 = write(tmp_path, "qc2.ent", catalog_doc("qc2"))
+        ent = write(tmp_path, "e.ent", catalog_doc("hopfmod_qc2_entwining"))
+        name = ["--name", "hopfmod_qc2_entwining"]
+        commands = [
+            ["--json", "check", qc2],
+            ["check", qc2],
+            ["smash", ent],                     # argparse error: --name is required
+            ["smash", ent, *name, "--table"],
+            ["smash", ent, *name],
+            ["--json", "coring", ent, *name],
+            ["no-such-command"],                # argparse error
+            ["coring", ent, *name],
+            ["catalog"],
+        ]
+        shared = [cli.run_command(list(argv)) for argv in commands]
+        fresh = []
+        for argv in commands:
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(cli.run_command(list(argv)))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 0]
+        assert "row 0:" in shared[3][1] and "row 0:" not in shared[4][1]

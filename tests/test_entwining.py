@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from entwine.exactlin import Matrix, QQ, kron
@@ -27,8 +30,11 @@ from entwine.entwining import (
     verify_entwining,
     verify_entwining_morphism,
     verify_smash,
+    _coring_laws,
+    _smash_laws,
 )
-from entwine.catalog import catalog_get, cyclic_group_algebra, free_flip_module
+from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
+from conftest import assert_canonical_vector
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +56,11 @@ def grouplike_dim1():
     return make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
 
 
-def corrupt(matrix: Matrix, i: int, j: int) -> Matrix:
+def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
+    """Add c (default 1) to entry (i, j)."""
     data = list(matrix.data)
     f = matrix.field
-    data[i * matrix.cols + j] = f.add(data[i * matrix.cols + j], f.one())
+    data[i * matrix.cols + j] = f.add(data[i * matrix.cols + j], f.one() if c is None else c)
     return Matrix(f, matrix.rows, matrix.cols, data)
 
 
@@ -186,15 +193,56 @@ class TestSmash:
         assert not rep.passed
 
 
+class TestLawVectors:
+    def test_law_vectors_are_canonical(self):
+        """Every side of every law, passing or failing, is reduced and free of zeros."""
+        for name in catalog_names():
+            e = catalog_get(name)
+            if not isinstance(e, EntwiningPresentation):
+                continue
+            smash, coring = build_smash(e), build_coring(e)
+            bad_smash = replace(smash, mul=corrupt(smash.mul, 0, 0))
+            bad_coring = replace(coring, comul=corrupt(coring.comul, 0, 0))
+            for laws in (_smash_laws(smash), _smash_laws(bad_smash),
+                         _coring_laws(coring), _coring_laws(bad_coring)):
+                for _, _, lhs, rhs in laws:
+                    assert_canonical_vector(lhs, e.field)
+                    assert_canonical_vector(rhs, e.field)
+
+    @pytest.mark.parametrize("name, part, i, j, c, summary", [
+        ("hopfmod_sweedler4_entwining", "smash", 9, 130, Fraction(3),
+         "verify_smash: FAIL associativity at basis (0, 8, 2) lhs={4: 1, 9: 3, 10: 1} rhs={4: 1, 10: 1}"),
+        ("hopfmod_sweedler4_entwining", "coring", 250, 11, Fraction(2, 3),
+         "verify_coring: FAIL coassociativity at basis (11,) "
+         "lhs={2051: 1, 2097: 1, 2833: 1, 3130: 2/3, 3866: 2/3, 4001: 2/3} "
+         "rhs={2051: 1, 2097: 1, 2833: 1, 3986: 2/3, 4000: 2/3}"),
+        ("hopfmod_f5c5_entwining", "smash", 0, 255, 3,
+         "verify_smash: FAIL associativity at basis (5, 6, 5) lhs={0: 3} rhs={}"),
+        ("hopfmod_f5c5_entwining", "coring", 17, 2, 4,
+         "verify_coring: FAIL coassociativity at basis (2,) "
+         "lhs={17: 4, 427: 4, 1302: 1} rhs={427: 4, 1267: 4, 1302: 1}"),
+    ], ids=["sweedler4-smash", "sweedler4-coring", "f5c5-smash", "f5c5-coring"])
+    def test_perturbed_constant_failure_report(self, name, part, i, j, c, summary):
+        """A perturbed smash mul or coring comul keeps its first failure, witness and sides."""
+        e = catalog_get(name)
+        if part == "smash":
+            smash = build_smash(e)
+            rep = verify_smash(replace(smash, mul=corrupt(smash.mul, i, j, c)))
+        else:
+            coring = build_coring(e)
+            rep = verify_coring(replace(coring, comul=corrupt(coring.comul, i, j, c)))
+        assert rep.summary() == summary
+
+
 class TestNuIso:
     def test_identities(self, ent_qc2):
-        iso = nu_iso(ent_qc2)
+        iso = nu_iso(build_coring(ent_qc2))
         assert len(iso.left_dual_basis) == iso.smash.dim
         # nu of the unit is the counit of the coring
         assert nu_map(ent_qc2, iso.smash.as_map(iso.smash.unit)) == iso.coring.counit
 
     def test_multiplicativity_exhaustive(self, ent_qc2):
-        iso = nu_iso(ent_qc2)
+        iso = nu_iso(build_coring(ent_qc2))
         smash, coring = iso.smash, iso.coring
         n = smash.dim
         for s1 in range(n):
@@ -207,7 +255,7 @@ class TestNuIso:
                     coring, nu_map(ent_qc2, f1), nu_map(ent_qc2, f2))
 
     def test_inverse_matrices(self, ent_h4):
-        iso = nu_iso(ent_h4)
+        iso = nu_iso(build_coring(ent_h4))
         n = iso.smash.dim
         assert iso.nu_inv @ iso.nu == Matrix.identity(QQ, n)
 

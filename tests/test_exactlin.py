@@ -21,11 +21,12 @@ from entwine.exactlin import (
     rank,
     rref,
     solve_linear,
+    sparse_combine,
     subspace_ops,
     swap_matrix,
     swap_middle,
 )
-from conftest import BOTH_FIELDS, random_invertible, random_matrix, random_scalar
+from conftest import BOTH_FIELDS, assert_canonical_vector, random_invertible, random_matrix, random_scalar
 
 
 def M(rows, field=QQ):
@@ -58,6 +59,20 @@ def naive_kron(a, b):
     return Matrix(f, a.rows * b.rows, a.cols * b.cols,
                   [f.mul(a[i1, j1], b[i2, j2]) for i1 in range(a.rows) for i2 in range(b.rows)
                    for j1 in range(a.cols) for j2 in range(b.cols)])
+
+
+def naive_combine(cols, vec, field):
+    """Reference sum vec[j] * cols[j]: every term through Field, zeros dropped at the end."""
+    out = {}
+    for j, v in vec.items():
+        for i, w in cols[j].items():
+            out[i] = field.add(out.get(i, field.zero()), field.mul(v, w))
+    return {i: x for i, x in out.items() if not field.is_zero(x)}
+
+
+def sparse_vector(field, rng, dim, density):
+    entries = {i: random_scalar(field, rng) for i in range(dim) if rng.random() < density}
+    return {i: x for i, x in entries.items() if not field.is_zero(x)}
 
 
 def assert_cache_matches_data(m):
@@ -285,6 +300,48 @@ class TestSparseKernels:
     def test_swap_middle(self, rng):
         k = sparse_matrix(QQ, rng, 2 * 3 * 2 * 2, 3, 0.5)
         assert swap_middle(k, (2, 3, 2, 2)) == perm_tensor(QQ, (2, 3, 2, 2), (0, 2, 1, 3)) @ k
+
+
+class TestSparseCombine:
+    """The law kernel sums plain products and must agree with per-term Field arithmetic."""
+
+    def test_against_naive_reference(self, rng):
+        for field in KERNEL_FIELDS:
+            for _ in range(60):
+                dim, k = rng.randint(1, 6), rng.randint(1, 6)
+                density = rng.choice((0.2, 0.5, 1.0))
+                cols = [sparse_vector(field, rng, dim, density) for _ in range(k)]
+                vec = sparse_vector(field, rng, k, density)
+                got = sparse_combine(cols, vec, field)
+                assert got == naive_combine(cols, vec, field)
+                assert_canonical_vector(got, field)
+
+    def test_empty_vector(self):
+        for field in KERNEL_FIELDS:
+            one = field.one()
+            assert sparse_combine([{0: one}], {}, field) == {}
+            assert sparse_combine([], {}, field) == {}
+            assert sparse_combine([{}], {0: one}, field) == {}
+
+    def test_cancelling_terms_leave_no_key(self):
+        for field in KERNEL_FIELDS:
+            one, minus_one = field.one(), field.neg(field.one())
+            cols = [{0: one, 1: field.of(2)}, {0: one, 2: one}]
+            got = sparse_combine(cols, {0: one, 1: minus_one}, field)
+            assert got == {1: field.of(2), 2: minus_one} == naive_combine(cols, {0: one, 1: minus_one}, field)
+            assert_canonical_vector(got, field)
+        f5 = Field(5)
+        assert sparse_combine([{0: 2}, {0: 3, 1: 1}], {0: 1, 1: 1}, f5) == {1: 1}   # 2 + 3 = 0
+
+    def test_unreduced_intermediate_sums(self):
+        for p in (5, 7):
+            f = Field(p)
+            # every product (p - 1)^2 and every partial sum is at least p before the one reduction
+            cols = [{0: p - 1, 1: p - 1}] * (p + 1)
+            vec = {j: p - 1 for j in range(p + 1)}
+            assert sparse_combine(cols, vec, f) == naive_combine(cols, vec, f) == {0: 1, 1: 1}
+            # p such terms sum to p, which is zero
+            assert sparse_combine(cols[:p], {j: p - 1 for j in range(p)}, f) == {}
 
 
 class TestSubspaces:
