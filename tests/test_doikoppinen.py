@@ -341,6 +341,22 @@ class TestCoinvariants:
         w = coinvariants(triv, qc2, Matrix.identity(QQ, 2))
         assert w.dim == 2
 
+    @staticmethod
+    def _perturbed_trivial_coaction(qc2, col):
+        # x -> x (x) 1, plus e_0 (x) 1 added at basis vector col: the kernel misses only col
+        data = list(kron(Matrix.identity(QQ, 4), qc2.unit).data)
+        data[col] += QQ.one()
+        return Matrix(QQ, 8, 4, data)
+
+    def test_coinvariants_missing_unit(self, qc2, h4):
+        with pytest.raises(CheckError, match=r"^coinvariants: FAIL missing-unit$"):
+            coinvariants(qc2, h4, self._perturbed_trivial_coaction(qc2, 0))
+
+    def test_coinvariants_not_a_subalgebra_at_asymmetric_pair(self, qc2, h4):
+        # coinvariants span{1, g, x}: g.x = gx is the first product outside, at (1, 2)
+        with pytest.raises(CheckError, match=r"^coinvariants: FAIL not-a-subalgebra at basis \(1, 2\)$"):
+            coinvariants(qc2, h4, self._perturbed_trivial_coaction(qc2, 3))
+
 
 class TestIntegrals:
     def test_identity_integral_qc2(self, qc2):

@@ -19,6 +19,8 @@ from entwine.duality import (
     dual_module_r,
     dual_module_upper_r,
     dual_morphism_r,
+    restrict_dual_algebra,
+    restrict_dual_coalgebra,
 )
 from entwine.catalog import catalog_get
 
@@ -238,3 +240,62 @@ class TestDualEntwiningMorphism:
         # the antipode of qc2 is a Hopf automorphism (commutative, cocommutative)
         s = catalog_get("qc2").antipode
         assert dual_entwining_morphism(d, d, s, s).passed
+
+
+def _rows(field, rows):
+    return Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows])
+
+
+class TestFailurePaths:
+    """Each closure failure names the first basis element (or pair) outside the span."""
+
+    def test_dual_algebra_not_closed(self):
+        with pytest.raises(PresentationError,
+                           match=r"^not closed under convolution at basis pair \(1, 1\)$"):
+            restrict_dual_algebra(catalog_get("qc3"), _rows(QQ, [[1, 1, 1], [1, 2, 0]]))
+
+    def test_dual_algebra_not_closed_at_asymmetric_pair(self):
+        # convolution on sweedler4* is not commutative; (0, 1) fails before (1, 0)
+        with pytest.raises(PresentationError,
+                           match=r"^not closed under convolution at basis pair \(0, 1\)$"):
+            restrict_dual_algebra(catalog_get("sweedler4"),
+                                  _rows(QQ, [[1, 0, -1, -1], [0, -1, 0, 0], [1, 1, 0, 0]]))
+
+    def test_dual_algebra_missing_counit(self, ent_qc2):
+        with pytest.raises(PresentationError, match=r"^subalgebra of C\* must contain the counit$"):
+            dual_entwining(ent_qc2, atil_basis=_rows(QQ, [[0, 1]]))
+
+    def test_dual_coalgebra_not_closed(self):
+        with pytest.raises(PresentationError,
+                           match=r"^not a subcoalgebra of the dual at basis row 0$"):
+            restrict_dual_coalgebra(catalog_get("qc3"), _rows(QQ, [[1, 2, 0]]))
+
+    def test_dual_entwining_closure_witness(self, ent_qc2):
+        with pytest.raises(ClosureViolation) as exc:
+            dual_entwining(ent_qc2, ctil_basis=_rows(QQ, [[1, 1]]))
+        assert exc.value.report.summary() == (
+            "dual_entwining: FAIL closure-violated at basis (0, 0) lhs=[1, 0, 0, 1] "
+            "rhs=span(A~ (x) C~)")
+
+    def test_dual_entwining_closure_witness_asymmetric(self):
+        # C~ has one basis row and A~ two, so the witness (0, 1) is column 1
+        with pytest.raises(ClosureViolation) as exc:
+            dual_entwining(catalog_get("alt_qc2_entwining"), ctil_basis=_rows(QQ, [[0, -1]]))
+        assert exc.value.report.summary() == (
+            "dual_entwining: FAIL closure-violated at basis (0, 1) lhs=[0, 0, -1, 0] "
+            "rhs=span(A~ (x) C~)")
+
+    def test_delta_transpose_inclusion(self):
+        e = catalog_get("flip_qc3")
+        i3 = Matrix.identity(QQ, 3)
+        small = dual_entwining(e, atil_basis=_rows(QQ, [[1, 1, 1], [1, 0, 0]]))
+        rep = dual_entwining_morphism(small, dual_entwining(e), i3, i3)
+        assert rep.summary() == "dual_entwining_morphism: FAIL delta-transpose-inclusion at basis (1,)"
+
+    def test_gamma_transpose_inclusion(self):
+        e = catalog_get("flip_qc3")
+        i3 = Matrix.identity(QQ, 3)
+        small = dual_entwining(e, ctil_basis=_rows(QQ, [[1, 1, 1]]))
+        full = dual_entwining(e, ctil_basis=_rows(QQ, [[1, 1, 1], [1, -1, 0], [0, 1, -1]]))
+        rep = dual_entwining_morphism(small, full, i3, i3)
+        assert rep.summary() == "dual_entwining_morphism: FAIL gamma-transpose-inclusion at basis (1,)"
