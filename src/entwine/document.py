@@ -357,6 +357,14 @@ def document_from_objects(field: Field, objects: dict) -> Document:
         resolved[name] = s
         return name
 
+    def emit_entwining(e: EntwiningPresentation) -> dict:
+        return {
+            "type": "entwining",
+            "algebra": ensure_structure(e.algebra, "algebra_"),
+            "coalgebra": ensure_structure(e.coalgebra, "coalgebra_"),
+            "psi": _emit_matrix(field, e.psi),
+        }
+
     for name, obj in objects.items():
         if isinstance(obj, StructurePresentation):
             raw_objects[name] = _emit_structure(field, obj)
@@ -365,12 +373,7 @@ def document_from_objects(field: Field, objects: dict) -> Document:
         if isinstance(obj, StructurePresentation):
             continue
         if isinstance(obj, EntwiningPresentation):
-            raw_objects[name] = {
-                "type": "entwining",
-                "algebra": ensure_structure(obj.algebra, "algebra_"),
-                "coalgebra": ensure_structure(obj.coalgebra, "coalgebra_"),
-                "psi": _emit_matrix(field, obj.psi),
-            }
+            raw_objects[name] = emit_entwining(obj)
         elif isinstance(obj, PairingPresentation):
             raw_objects[name] = {
                 "type": "pairing",
@@ -386,12 +389,7 @@ def document_from_objects(field: Field, objects: dict) -> Document:
             if ent_name is None:
                 counter[0] += 1
                 ent_name = f"entwining_{counter[0]}"
-                raw_objects[ent_name] = {
-                    "type": "entwining",
-                    "algebra": ensure_structure(obj.entwining.algebra, "algebra_"),
-                    "coalgebra": ensure_structure(obj.entwining.coalgebra, "coalgebra_"),
-                    "psi": _emit_matrix(field, obj.entwining.psi),
-                }
+                raw_objects[ent_name] = emit_entwining(obj.entwining)
                 resolved[ent_name] = obj.entwining
             raw_objects[name] = {
                 "type": "entwined_module",

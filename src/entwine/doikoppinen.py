@@ -17,6 +17,8 @@ from .exactlin import (
     Matrix,
     PresentationError,
     Subspace,
+    express,
+    image,
     invert,
     kernel,
     kron,
@@ -298,21 +300,13 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
     unit_coords = w.coordinates(a.unit)
     if unit_coords is None:
         raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-missing-unit"))
-    f = h.field
     k = w.dim
-    mul_cols = []
-    for i in range(k):
-        wi = w.basis.row_matrix(i).transpose()
-        for j in range(k):
-            wj = w.basis.row_matrix(j).transpose()
-            prod = a.mul @ kron(wi, wj)
-            coords = w.coordinates(prod)
-            if coords is None:
-                raise report.CheckError(report.fail("dualize_dk_ingredient",
-                                                    "rational-part-not-subalgebra", witness=(i, j)))
-            mul_cols.append(coords.col(0))
-    sub = make_structure("algebra", f, k, tuple(f"r{i}" for i in range(k)),
-                         mul=Matrix.from_rows(f, mul_cols).transpose(), unit=unit_coords)
+    wt = w.basis.transpose()
+    mul, bad = express(w.basis, a.mul @ kron(wt, wt))
+    if mul is None:
+        raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-not-subalgebra",
+                                            witness=divmod(bad, k)))
+    sub = make_structure("algebra", h.field, k, tuple(f"r{i}" for i in range(k)), mul=mul, unit=unit_coords)
     coact_side = "right" if side == "left" else "left"
     return _verified("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
 
@@ -454,13 +448,10 @@ def coinvariants(h: StructurePresentation, b: StructurePresentation, coaction: M
     w = kernel(diff)
     if not w.contains(b.unit):
         raise report.CheckError(report.fail("coinvariants", "missing-unit"))
-    for i in range(w.dim):
-        for j in range(w.dim):
-            prod = b.mul @ kron(w.basis.row_matrix(i).transpose(),
-                                w.basis.row_matrix(j).transpose())
-            if not w.contains(prod):
-                raise report.CheckError(report.fail("coinvariants", "not-a-subalgebra",
-                                                    witness=(i, j)))
+    wt = w.basis.transpose()
+    _, bad = express(w.basis, b.mul @ kron(wt, wt))
+    if bad is not None:
+        raise report.CheckError(report.fail("coinvariants", "not-a-subalgebra", witness=divmod(bad, w.dim)))
     return w
 
 
@@ -539,64 +530,41 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     report.require(verify_dk_compat("module-coalgebra", h, d, action, "right"))
     f = h.field
     nd, nh = d.dim, h.dim
-    hplus = kernel(h.counit)
-    spanning = []
-    for i in range(nd):
-        ei = Matrix.basis_column(f, nd, i)
-        for t in range(hplus.dim):
-            v = hplus.basis.row_matrix(t).transpose()
-            spanning.append((action @ kron(ei, v)).col(0))
-    w = Subspace.from_spanning(f, nd, spanning)
+    idd, idh = Matrix.identity(f, nd), Matrix.identity(f, nh)
+    # D.H+ is spanned by the columns (i, t): d_i acted on by the t-th basis vector of H+
+    w = image(action @ kron(idd, kernel(h.counit).basis.transpose()))
+    wt = w.basis.transpose()
     # coideal: counit vanishes, comul lands in W (x) D + D (x) W
-    for t in range(w.dim):
-        wt = w.basis.row_matrix(t).transpose()
-        if not (d.counit @ wt).is_zero():
-            raise report.CheckError(report.fail("coextension_quotient", "counit-not-vanishing", (t,)))
-    idd = Matrix.identity(f, nd)
-    mixed = Subspace.from_matrix_rows(kron(w.basis, idd)).add(
-        Subspace.from_matrix_rows(kron(idd, w.basis)))
-    for t in range(w.dim):
-        wt = w.basis.row_matrix(t).transpose()
-        if not mixed.contains(d.comul @ wt):
-            raise report.CheckError(report.fail("coextension_quotient", "not-a-coideal", (t,)))
-    for t in range(w.dim):
-        wt = w.basis.row_matrix(t).transpose()
-        for j in range(nh):
-            if not w.contains(action @ kron(wt, Matrix.basis_column(f, nh, j))):
-                raise report.CheckError(report.fail("coextension_quotient", "not-h-stable", (t, j)))
-    # deterministic complement: standard vectors at the non-pivot columns
-    pivots = []
-    zero = f.zero()
-    for r in range(w.dim):
-        row = w.basis.row(r)
-        pivots.append(next(c for c in range(nd) if row[c] != zero))
-    free = [c for c in range(nd) if c not in pivots]
+    js, _ = (d.counit @ wt).nonzero_rows()[0]
+    if js:
+        raise report.CheckError(report.fail("coextension_quotient", "counit-not-vanishing", (min(js),)))
+    mixed = Subspace.from_matrix_rows(kron(w.basis, idd)).add(Subspace.from_matrix_rows(kron(idd, w.basis)))
+    _, bad = express(mixed.basis, d.comul @ wt)
+    if bad is not None:
+        raise report.CheckError(report.fail("coextension_quotient", "not-a-coideal", (bad,)))
+    _, bad = express(w.basis, action @ kron(wt, idh))
+    if bad is not None:
+        raise report.CheckError(report.fail("coextension_quotient", "not-h-stable", divmod(bad, nh)))
+    # deterministic complement: standard vectors at the non-pivot columns;
+    # 1 - W^T pick kills W and fixes those vectors, since W is in RREF
+    free = [c for c in range(nd) if c not in w.pivots]
     nq = len(free)
-    proj = Matrix.zeros(f, nq, nd)
-    data = list(proj.data)
-    for qj, fc in enumerate(free):
-        data[qj * nd + fc] = f.one()
-    for r, pc in enumerate(pivots):
-        for qj, fc in enumerate(free):
-            data[qj * nd + pc] = f.neg(w.basis[r, fc])
-    proj = Matrix(f, nq, nd, data)
-    sect = Matrix.zeros(f, nd, nq)
-    data = list(sect.data)
-    for qj, fc in enumerate(free):
-        data[fc * nq + qj] = f.one()
-    sect = Matrix(f, nd, nq, data)
+    lift = Matrix(f, nq, nd, [x for c in free for x in idd.row(c)])
+    pick = Matrix(f, w.dim, nd, [x for c in w.pivots for x in idd.row(c)])
+    proj = lift @ (idd - wt @ pick)
+    sect = lift.transpose()
     comul_q = kron(proj, proj) @ d.comul @ sect
     counit_q = d.counit @ sect
     quotient = make_structure("coalgebra", f, nq, tuple(d.labels[fc] + "~" for fc in free),
                               comul=comul_q, counit=counit_q)
-    action_q = proj @ action @ kron(sect, Matrix.identity(f, nh))
+    action_q = proj @ action @ kron(sect, idh)
     for rep in (verify_structure("coalgebra", quotient),
                 verify_dk_compat("module-coalgebra", h, quotient, action_q, "right"),
                 report.first_failure("coextension_quotient", [
                     ("projection-comultiplicative", quotient.comul @ proj, kron(proj, proj) @ d.comul, (nd,)),
                     ("projection-counital", quotient.counit @ proj, d.counit, (nd,)),
                     ("projection-equivariant", proj @ action,
-                     action_q @ kron(proj, Matrix.identity(f, nh)), (nd, nh)),
+                     action_q @ kron(proj, idh), (nd, nh)),
                 ])):
         report.require(rep)
     return HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)

@@ -5,7 +5,11 @@ counit and a subcoalgebra of A* that psi* maps into each other induce a
 dual entwining on the chosen subobjects.  In finite dimension the full
 duals always work; proper subobjects are accepted but must pass the
 closure check, and a failure is reported with the witness pair rather
-than silently patched.
+than silently patched.  Each construction decides closure with one
+solve: it builds the images of all its basis elements (or pairs) as one
+matrix and writes them in the target basis with exactlin.express, which
+names the first image outside the span; the witness pair is decoded from
+that column index.
 
 The module-level functors send an entwined module M to the rational part
 of M* over the dual data and back; the two directions are mutually
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, Subspace, kron, permute, solve_linear
+from .exactlin import Matrix, PresentationError, Subspace, express, kron
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
@@ -43,13 +47,6 @@ from .entwining import (
 )
 
 
-def _coords_in_rows(basis: Matrix, row: tuple) -> Matrix | None:
-    """Coefficients over the given basis rows, or None if outside their span."""
-    target = Matrix.column(basis.field, row)
-    sol = solve_linear(basis.transpose(), target)
-    return None if sol is None else sol.particular
-
-
 def restrict_dual_algebra(c: StructurePresentation, basis: Matrix) -> StructurePresentation:
     """The subalgebra of the convolution algebra C* spanned by the given rows.
 
@@ -60,18 +57,13 @@ def restrict_dual_algebra(c: StructurePresentation, basis: Matrix) -> StructureP
     f = basis.field
     if basis.cols != c.dim:
         raise PresentationError("basis rows must be functionals on C")
-    unit_coords = _coords_in_rows(basis, c.counit.row(0))
+    unit_coords, _ = express(basis, c.counit.transpose())
     if unit_coords is None:
         raise PresentationError("subalgebra of C* must contain the counit")
-    mul_cols = []
-    for i in range(k):
-        for j in range(k):
-            prod = kron(basis.row_matrix(i), basis.row_matrix(j)) @ c.comul
-            coords = _coords_in_rows(basis, prod.row(0))
-            if coords is None:
-                raise PresentationError(f"not closed under convolution at basis pair ({i}, {j})")
-            mul_cols.append(coords.col(0))
-    mul = Matrix.from_rows(f, mul_cols).transpose()
+    # row (i, j) of the products is the convolution of basis rows i and j
+    mul, bad = express(basis, (kron(basis, basis) @ c.comul).transpose())
+    if mul is None:
+        raise PresentationError(f"not closed under convolution at basis pair {divmod(bad, k)}")
     return make_structure("algebra", f, k, tuple(f"u{i}" for i in range(k)),
                           mul=mul, unit=unit_coords)
 
@@ -82,16 +74,10 @@ def restrict_dual_coalgebra(a: StructurePresentation, basis: Matrix) -> Structur
     f = basis.field
     if basis.cols != a.dim:
         raise PresentationError("basis rows must be functionals on A")
-    pair_basis = kron(basis, basis)
-    comul_cols = []
-    for i in range(k):
-        cop = basis.row_matrix(i) @ a.mul
-        coords = _coords_in_rows(pair_basis, cop.row(0))
-        if coords is None:
-            raise PresentationError(f"not a subcoalgebra of the dual at basis row {i}")
-        comul_cols.append(coords.col(0))
-    comul = Matrix.from_rows(f, comul_cols).transpose()
-    counit = Matrix(f, 1, k, [ (basis.row_matrix(i) @ a.unit)[0, 0] for i in range(k) ])
+    comul, bad = express(kron(basis, basis), (basis @ a.mul).transpose())
+    if comul is None:
+        raise PresentationError(f"not a subcoalgebra of the dual at basis row {bad}")
+    counit = (basis @ a.unit).transpose()
     return make_structure("coalgebra", f, k, tuple(f"v{i}" for i in range(k)),
                           comul=comul, counit=counit)
 
@@ -135,18 +121,13 @@ def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
         ctil_basis = Matrix.identity(f, a.dim)
     atil = restrict_dual_algebra(c, atil_basis)
     ctil = restrict_dual_coalgebra(a, ctil_basis)
-    target = kron(atil_basis, ctil_basis)
-    phi_cols = []
-    for i in range(ctil.dim):
-        for j in range(atil.dim):
-            row = kron(ctil_basis.row_matrix(i), atil_basis.row_matrix(j)) @ psi
-            coords = _coords_in_rows(target, row.row(0))
-            if coords is None:
-                raise ClosureViolation(report.fail(
-                    "dual_entwining", "closure-violated", witness=(i, j),
-                    lhs=row.render(), rhs="span(A~ (x) C~)"))
-            phi_cols.append(coords.col(0))
-    phi = Matrix.from_rows(f, phi_cols).transpose()
+    # row (i, j) of the images is psi* of the i-th C~ and j-th A~ basis functionals
+    images = kron(ctil_basis, atil_basis) @ psi
+    phi, bad = express(kron(atil_basis, ctil_basis), images.transpose())
+    if phi is None:
+        raise ClosureViolation(report.fail(
+            "dual_entwining", "closure-violated", witness=divmod(bad, atil.dim),
+            lhs=images.row_matrix(bad).render(), rhs="span(A~ (x) C~)"))
     dual = EntwiningPresentation(atil, ctil, phi)
     for rep in (verify_structure(None, atil), verify_structure(None, ctil),
                 verify_measuring_pairing(PairingPresentation(a, ctil, ctil_basis.transpose())),
@@ -190,17 +171,12 @@ class DualModule:
 
 def _restrict_right_action(action: Matrix, w: Subspace, adim: int, op: str) -> Matrix:
     """Rewrite a right action on the ambient space in subspace coordinates."""
-    f = action.field
-    k = w.dim
-    coords = []  # [t, j, s]: w_s-coordinate of w_t acted on by a_j
-    for t in range(k):
-        wt = w.basis.row_matrix(t).transpose()
-        for j in range(adim):
-            cc = w.coordinates(action @ kron(wt, Matrix.basis_column(f, adim, j)))
-            if cc is None:
-                raise report.CheckError(report.fail(op, "action-leaves-subspace", witness=(t, j)))
-            coords.extend(cc.col(0))
-    return permute(Matrix(f, k * adim, k, coords), (k, adim, k), (2, 0, 1), 1)
+    # column (t, j) of the images is w_t acted on by a_j
+    images = action @ kron(w.basis.transpose(), Matrix.identity(action.field, adim))
+    coords, bad = express(w.basis, images)
+    if coords is None:
+        raise report.CheckError(report.fail(op, "action-leaves-subspace", witness=divmod(bad, adim)))
+    return coords
 
 
 def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
@@ -253,13 +229,6 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
 # the adjunction
 
 
-def _express_in_rows(basis: Matrix, m: Matrix, op: str, what: str) -> Matrix:
-    sol = solve_linear(basis.transpose(), m)
-    if sol is None:
-        raise report.CheckError(report.fail(op, f"{what}-outside-subspace"))
-    return sol.particular
-
-
 def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
                      k: EntwinedModulePresentation) -> Report:
     """Verify the two Hom-space bijections are mutually inverse, exactly.
@@ -281,20 +250,22 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     # evaluation lands in the double duals
     mrr = dual_module_upper_r(d, mr.module)
     krr = dual_module_r(d, kr.module)
-    for j in range(lam_m.cols):
-        if not Subspace.from_matrix_rows(mrr.basis).contains(lam_m.col_matrix(j)):
-            return report.fail("adjunction_check", "lambda_M-outside-double-dual", witness=(j,))
-    for j in range(lam_k.cols):
-        if not Subspace.from_matrix_rows(krr.basis).contains(lam_k.col_matrix(j)):
-            return report.fail("adjunction_check", "lambda_K-outside-double-dual", witness=(j,))
+    for name, rr, lam in (("lambda_M", mrr, lam_m), ("lambda_K", krr, lam_k)):
+        _, bad = express(rr.basis, lam)
+        if bad is not None:
+            return report.fail("adjunction_check", f"{name}-outside-double-dual", witness=(bad,))
 
     def fwd(fmat: Matrix) -> Matrix:
-        raw = fmat.transpose() @ lam_k
-        return _express_in_rows(mr.basis, raw, "adjunction_check", "Lambda-image")
+        g, _ = express(mr.basis, fmat.transpose() @ lam_k)
+        if g is None:
+            raise report.CheckError(report.fail("adjunction_check", "Lambda-image-outside-subspace"))
+        return g
 
     def bwd(gmat: Matrix) -> Matrix:
-        raw = gmat.transpose() @ lam_m
-        return _express_in_rows(kr.basis, raw, "adjunction_check", "Gamma-image")
+        f, _ = express(kr.basis, gmat.transpose() @ lam_m)
+        if f is None:
+            raise report.CheckError(report.fail("adjunction_check", "Gamma-image-outside-subspace"))
+        return f
 
     for idx, fmat in enumerate(hom_mkr):
         g = fwd(fmat)
@@ -322,7 +293,10 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
 def dual_morphism_r(d: DualDatum, f: Matrix, source: DualModule, target: DualModule) -> Matrix:
     """The dual of a morphism f : M -> N, as a map N_r -> M_r in basis coordinates."""
     raw = target.basis @ f  # rows: the functionals h . f on M
-    return _express_in_rows(source.basis, raw.transpose(), "dual_morphism_r", "image")
+    f_r, _ = express(source.basis, raw.transpose())
+    if f_r is None:
+        raise report.CheckError(report.fail("dual_morphism_r", "image-outside-subspace"))
+    return f_r
 
 
 def dual_entwining_morphism(d_e: DualDatum, d_f: DualDatum,
@@ -336,22 +310,11 @@ def dual_entwining_morphism(d_e: DualDatum, d_f: DualDatum,
     rep = verify_entwining_morphism(d_e.source, d_f.source, gamma, delta)
     if not rep.passed:
         return rep
-    f = d_e.source.field
-    # delta* : B~ -> A~ on the chosen bases
-    cols = []
-    for i in range(d_f.atil.dim):
-        row = d_f.atil_basis.row_matrix(i) @ delta
-        coords = _coords_in_rows(d_e.atil_basis, row.row(0))
-        if coords is None:
-            return report.fail("dual_entwining_morphism", "delta-transpose-inclusion", witness=(i,))
-        cols.append(coords.col(0))
-    delta_star = Matrix.from_rows(f, cols).transpose()
-    cols = []
-    for i in range(d_f.ctil.dim):
-        row = d_f.ctil_basis.row_matrix(i) @ gamma
-        coords = _coords_in_rows(d_e.ctil_basis, row.row(0))
-        if coords is None:
-            return report.fail("dual_entwining_morphism", "gamma-transpose-inclusion", witness=(i,))
-        cols.append(coords.col(0))
-    gamma_star = Matrix.from_rows(f, cols).transpose()
+    # delta* : B~ -> A~ and gamma* : D~ -> C~ on the chosen bases
+    delta_star, bad = express(d_e.atil_basis, (d_f.atil_basis @ delta).transpose())
+    if delta_star is None:
+        return report.fail("dual_entwining_morphism", "delta-transpose-inclusion", witness=(bad,))
+    gamma_star, bad = express(d_e.ctil_basis, (d_f.ctil_basis @ gamma).transpose())
+    if gamma_star is None:
+        return report.fail("dual_entwining_morphism", "gamma-transpose-inclusion", witness=(bad,))
     return verify_entwining_morphism(d_f.dual, d_e.dual, delta_star, gamma_star)

@@ -15,6 +15,11 @@ vectors.  Tensor products follow the index convention
 idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied to v (x) w equals
 M1 v (x) M2 w.
 
+express(basis, vectors) writes every column of `vectors` in the rows of
+`basis` with one solve, or returns the index of the first column outside
+their span; the constructions that must land in a chosen subspace build
+all their images as one matrix and decide closure with one call.
+
 Everything here is a pure function of immutable values; results are in
 canonical form (reduced fractions, RREF bases) so they are reproducible
 byte for byte.
@@ -489,37 +494,15 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def _reduce(self, entries) -> tuple[list, list]:
-        """Subtract the pivot multiples of the RREF basis; (coords, residue)."""
-        f = self.field
-        sub, mul, is_zero = f.sub, f.mul, f.is_zero
-        residue = list(entries)
-        coords = []
-        for r, p in enumerate(self.pivots):
-            x = residue[p]
-            coords.append(x)
-            if not is_zero(x):
-                row = self.basis.row(r)
-                residue = [sub(a, mul(x, b)) for a, b in zip(residue, row)]
-        return coords, residue
-
     def contains(self, v: Matrix) -> bool:
         """Exact membership of a column vector."""
-        if v.rows != self.ambient or v.cols != 1:
-            raise DimensionMismatch("vector has wrong shape")
-        is_zero = self.field.is_zero
-        _, residue = self._reduce(v.col(0))
-        return all(is_zero(x) for x in residue)
+        return self.coordinates(v) is not None
 
     def coordinates(self, v: Matrix) -> Matrix | None:
         """Column of coefficients x with basis^T x = v, or None if v is outside."""
         if v.rows != self.ambient or v.cols != 1:
             raise DimensionMismatch("vector has wrong shape")
-        is_zero = self.field.is_zero
-        coords, residue = self._reduce(v.col(0))
-        if not all(is_zero(x) for x in residue):
-            return None
-        return Matrix.column(self.field, coords)
+        return express(self.basis, v)[0]
 
     def annihilator_matrix(self) -> Matrix:
         """A matrix N with {v : N v = 0} equal to this subspace."""
@@ -578,6 +561,19 @@ def solve_linear(a: Matrix, b: Matrix) -> LinearSolution | None:
         part[c] = list(rows[r][a.cols:])
     particular = Matrix.from_rows(field, part) if a.cols else Matrix(field, 0, b.cols, [])
     return LinearSolution(particular, _kernel_from_rref(field, a.cols, rows[:len(pivots)], pivots))
+
+
+def express(basis: Matrix, vectors: Matrix) -> tuple[Matrix, None] | tuple[None, int]:
+    """Write every column of `vectors` in the rows of `basis`, with one solve.
+
+    Returns (X, None) with basis^T X = vectors, free coefficients zero, or
+    (None, j) with j the first column outside the row span of basis.
+    """
+    a = basis.transpose()
+    sol = solve_linear(a, vectors)
+    if sol is not None:
+        return sol.particular, None
+    return None, next(j for j in range(vectors.cols) if solve_linear(a, vectors.col_matrix(j)) is None)
 
 
 def _kernel_from_rref(field: Field, ncols: int, rows: list[list], pivots: list[int]) -> Subspace:

@@ -18,6 +18,7 @@ from .exactlin import (
     Matrix,
     PresentationError,
     Subspace,
+    express,
     image,
     kron,
     permute,
@@ -651,32 +652,30 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation, side: str 
     alpha = _alpha_matrix(p, mdim, side)
     w = preimage(rho, image(alpha))
     k = w.dim
-    coact = []  # [t, c, s]: w_s-coordinate of the c_c leg of rho(w_t)
-    act = []    # [t, j, s]: w_s-coordinate of a_j acting on w_t
-    for t in range(k):
-        wt = w.basis.row_matrix(t).transpose()
-        sol = solve_linear(alpha, rho @ wt)
-        if sol is None:
-            raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (t,)))
-        x = sol.particular  # element of M (x) C (or C (x) M); column c of legs is its c_c leg
-        legs = Matrix(f, mdim, nc, x.data) if side == "left" else Matrix(f, nc, mdim, x.data).transpose()
-        for c in range(nc):
-            cc = w.coordinates(legs.col_matrix(c))
-            if cc is None:
-                raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", (t, c)))
-            coact.extend(cc.col(0))
-        for j in range(na):
-            col = kron(Matrix.basis_column(f, na, j), wt) if side == "left" else kron(wt, Matrix.basis_column(f, na, j))
-            cc = w.coordinates(m.action @ col)
-            if cc is None:
-                raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", (t, j)))
-            act.extend(cc.col(0))
+    wt = w.basis.transpose()
+    # column t of x is an element of M (x) C (or C (x) M) that alpha sends to rho(w_t)
+    x, bad = express(alpha.transpose(), rho @ wt)
+    if x is None:
+        raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (bad,)))
+    # column (t, c) of legs is the c_c leg of rho(w_t); column (t, j) of images is a_j acting on w_t
+    if side == "left":
+        legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
+        images = permute(m.action @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
+    else:
+        legs = permute(x, (nc, mdim, k), (1, 2, 0), 1)
+        images = m.action @ kron(wt, Matrix.identity(f, na))
+    coact, bad = express(w.basis, legs)  # [s, (t, c)]
+    if coact is None:
+        raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", divmod(bad, nc)))
+    act, bad = express(w.basis, images)  # [s, (t, j)]
+    if act is None:
+        raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", divmod(bad, na)))
     if side == "left":  # coaction[(s, c), t], action[s, (j, t)]
-        coaction = permute(Matrix(f, k * nc, k, coact), (k, nc, k), (2, 1, 0), 2)
-        action = permute(Matrix(f, k * na, k, act), (k, na, k), (2, 1, 0), 1)
+        coaction = permute(coact, (k, k, nc), (0, 2, 1), 2)
+        action = permute(act, (k, k, na), (0, 2, 1), 1)
     else:  # coaction[(c, s), t], action[s, (t, j)]
-        coaction = permute(Matrix(f, k * nc, k, coact), (k, nc, k), (1, 2, 0), 2)
-        action = permute(Matrix(f, k * na, k, act), (k, na, k), (2, 0, 1), 1)
+        coaction = permute(coact, (k, k, nc), (2, 0, 1), 2)
+        action = act
     return RationalSubmodule(w, action, coaction, side)
 
 

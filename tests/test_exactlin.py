@@ -10,6 +10,7 @@ from entwine.exactlin import (
     PresentationError,
     QQ,
     Subspace,
+    express,
     image,
     invert,
     kernel,
@@ -150,6 +151,84 @@ class TestSolve:
                 for i in range(sol.kernel.dim):
                     v = sol.kernel.basis.row_matrix(i).transpose()
                     assert (a @ v).is_zero()
+
+
+def _per_column_express(basis, vectors):
+    """Reference for express: one solve_linear per column, as the callers once did."""
+    a = basis.transpose()
+    cols = []
+    for j in range(vectors.cols):
+        sol = solve_linear(a, vectors.col_matrix(j))
+        if sol is None:
+            return None, j
+        cols.append(sol.particular.col(0))
+    return Matrix(basis.field, basis.rows, vectors.cols,
+                  [cols[j][i] for i in range(basis.rows) for j in range(vectors.cols)]), None
+
+
+class TestExpress:
+    @staticmethod
+    def _basis(field, rng):
+        """Random rows, some of them combinations of the others."""
+        n = rng.randint(1, 5)
+        rows = [random_matrix(field, rng, 1, n) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2) if rows else 0):
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(a.scale(random_scalar(field, rng)) + b)
+        rng.shuffle(rows)
+        return Matrix(field, len(rows), n, [x for r in rows for x in r.data])
+
+    @staticmethod
+    def _outside(basis):
+        """A standard basis vector outside the row span of basis (by rank, not by solving), or None."""
+        for i in range(basis.cols):
+            e = Matrix.basis_column(basis.field, basis.cols, i)
+            if rank(basis.vstack(e.transpose())) > rank(basis):
+                return e
+        return None
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_agrees_with_per_column_solves(self, field, rng):
+        for _ in range(60):
+            basis = self._basis(field, rng)
+            m = rng.randint(0, 5)
+            coeffs = random_matrix(field, rng, basis.rows, m)
+            vectors = basis.transpose() @ coeffs if basis.rows else Matrix.zeros(field, basis.cols, m)
+            cols = [vectors.col(j) for j in range(m)]
+            for j in range(m):
+                if rng.random() < 0.2:
+                    cols[j] = (field.zero(),) * basis.cols
+            vectors = Matrix(field, basis.cols, m, [c[i] for i in range(basis.cols) for c in cols])
+            x, bad = express(basis, vectors)
+            assert bad is None
+            assert (x, bad) == _per_column_express(basis, vectors)
+            assert basis.transpose() @ x == vectors
+            outside = self._outside(basis)
+            if outside is None or m == 0:
+                continue
+            # one to three columns outside the span, at random positions: the first comes back
+            at = sorted(rng.sample(range(m), rng.randint(1, min(3, m))))
+            for j in at:
+                cols[j] = (outside.scale(random_scalar(field, rng) or field.one()) + vectors.col_matrix(j)).col(0)
+            vectors = Matrix(field, basis.cols, m, [c[i] for i in range(basis.cols) for c in cols])
+            assert express(basis, vectors) == (None, at[0]) == _per_column_express(basis, vectors)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+    def test_basis_with_no_rows(self, field):
+        empty = Matrix(field, 0, 3, [])
+        x, bad = express(empty, Matrix.zeros(field, 3, 2))
+        assert bad is None and x == Matrix(field, 0, 2, [])
+        v = Matrix.zeros(field, 3, 1).hstack(Matrix.basis_column(field, 3, 1))
+        assert express(empty, v) == (None, 1)
+
+    def test_no_vectors(self):
+        x, bad = express(M([[1, 2], [2, 4]]), Matrix(QQ, 2, 0, []))
+        assert bad is None and x == Matrix(QQ, 2, 0, [])
+
+    def test_free_coefficients_are_zero(self):
+        # rows 0 and 1 are equal: the solve puts the whole coefficient on row 0
+        x, bad = express(M([[1, 1, 0], [1, 1, 0], [0, 0, 1]]), M([[2, 0], [2, 0], [3, 0]]))
+        assert bad is None and x == M([[2, 0], [0, 0], [3, 0]])
 
 
 class TestRref:
