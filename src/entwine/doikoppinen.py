@@ -85,8 +85,7 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
     rep = verify_structure("module" if kind.startswith("module") else "comodule",
                            _as_module(h, x, m, kind, side))
     if not rep.passed:
-        return report.fail(f"verify_dk_compat[{kind}]", f"structure[{rep.axiom}]",
-                           witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+        return report.within(f"verify_dk_compat[{kind}]", "structure", rep)
     nh, nx = h.dim, x.dim
     idh = Matrix.identity(f, nh)
     idx = Matrix.identity(f, nx)
@@ -169,6 +168,11 @@ class AltDKStructure:
     coalg_coaction: Matrix  # C -> C (x) H
 
     def verify(self) -> Report:
+        """H, A and C first (a failure is bialgebra[axiom] and so on), then both compatibilities."""
+        for part, pres in (("bialgebra", self.h), ("algebra", self.alg), ("coalgebra", self.coalg)):
+            rep = verify_structure(part, pres)
+            if not rep.passed:
+                return report.within("verify_alt_dk", part, rep)
         rep = verify_dk_compat("module-algebra", self.h, self.alg, self.alg_action, "right")
         if not rep.passed:
             return rep
@@ -220,12 +224,8 @@ def koppinen_smash(s: DKStructure) -> SmashRing:
         inner = twist @ kron(idc, fm) @ s.coalg.comul
         return s.alg.mul @ kron(ida, gm) @ inner
 
-    mul_cols = []
-    for s1 in range(n):
-        for s2 in range(n):
-            mul_cols.append(product(units[s1], units[s2]).vec())
-    mul = Matrix.from_rows(f, mul_cols).transpose()
-    unit = Matrix.column(f, convolution_unit(s.coalg, s.alg).vec())
+    mul = Matrix.from_columns(f, n, [product(u1, u2) for u1 in units for u2 in units])
+    unit = Matrix.from_columns(f, n, [convolution_unit(s.coalg, s.alg)])
     via_entwining = build_smash(dk_entwining(s))
     bad = report.compare("koppinen_smash", "table-equality", mul, via_entwining.mul, (n, n))
     if bad is not None:
@@ -535,9 +535,9 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     w = image(action @ kron(idd, kernel(h.counit).basis.transpose()))
     wt = w.basis.transpose()
     # coideal: counit vanishes, comul lands in W (x) D + D (x) W
-    js, _ = (d.counit @ wt).nonzero_rows()[0]
-    if js:
-        raise report.CheckError(report.fail("coextension_quotient", "counit-not-vanishing", (min(js),)))
+    bad = next((j for j, x in enumerate((d.counit @ wt).row(0)) if not f.is_zero(x)), None)
+    if bad is not None:
+        raise report.CheckError(report.fail("coextension_quotient", "counit-not-vanishing", (bad,)))
     mixed = Subspace.from_matrix_rows(kron(w.basis, idd)).add(Subspace.from_matrix_rows(kron(idd, w.basis)))
     _, bad = express(mixed.basis, d.comul @ wt)
     if bad is not None:

@@ -64,12 +64,17 @@ def flip_entwining(a: StructurePresentation, c: StructurePresentation) -> Entwin
 
 
 def verify_entwining(e: EntwiningPresentation) -> Report:
-    """The four entwining laws, exhaustively on basis pairs.
+    """A as an algebra, C as a coalgebra, then the four entwining laws on basis pairs.
 
-    Components must already be verified; this checks only the interaction
-    of psi with multiplication, unit, comultiplication and counit.
+    A failure of A or C is reported as algebra[axiom] or coalgebra[axiom];
+    the entwining laws check the interaction of psi with multiplication,
+    unit, comultiplication and counit.
     """
     a, c, psi = e.algebra, e.coalgebra, e.psi
+    for part, pres in (("algebra", a), ("coalgebra", c)):
+        rep = verify_structure(part, pres)
+        if not rep.passed:
+            return report.within("verify_entwining", part, rep)
     na, nc = a.dim, c.dim
     ida = Matrix.identity(e.field, na)
     idc = Matrix.identity(e.field, nc)
@@ -93,12 +98,10 @@ def verify_entwining_morphism(e: EntwiningPresentation, f: EntwiningPresentation
     """(gamma, delta) intertwines psi with Psi; component morphisms checked first."""
     rep = algebra_morphism_report(e.algebra, f.algebra, gamma)
     if not rep.passed:
-        return report.fail("verify_entwining_morphism", f"gamma[{rep.axiom}]",
-                           witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_entwining_morphism", "gamma", rep)
     rep = coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
     if not rep.passed:
-        return report.fail("verify_entwining_morphism", f"delta[{rep.axiom}]",
-                           witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_entwining_morphism", "delta", rep)
     lhs = kron(gamma, delta) @ e.psi
     rhs = f.psi @ kron(delta, gamma)
     bad = report.compare("verify_entwining_morphism", "intertwining", lhs, rhs,
@@ -308,7 +311,7 @@ class SmashRing:
         a, c = self.entwining.algebra, self.entwining.coalgebra
         if (m.rows, m.cols) != (a.dim, c.dim):
             raise DimensionMismatch(f"expected {a.dim}x{c.dim} map")
-        return Matrix.column(self.field, m.data)
+        return Matrix.from_columns(self.field, self.dim, [m])
 
     def as_algebra(self) -> StructurePresentation:
         labels = tuple(f"E{x}_{u}" for x in range(self.entwining.algebra.dim)
@@ -338,19 +341,10 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     # depends on f alone, so it is hoisted out of the pair loop
     right_parts = [e.psi @ kron(idc, units[s]) @ c.comul for s in range(n)]
     left_parts = [a.mul @ kron(ida, units[s]) for s in range(n)]
-    mul_cols = []
-    for s1 in range(n):
-        rp = right_parts[s1]
-        for s2 in range(n):
-            mul_cols.append((left_parts[s2] @ rp).vec())
-    mul = Matrix.from_rows(f, mul_cols).transpose()
-    unit = Matrix.column(f, (a.unit @ c.counit).vec())
-    lact_cols = []
-    for j in range(na):
-        psi_aj = e.psi @ kron(idc, Matrix.basis_column(f, na, j))
-        for s in range(n):
-            lact_cols.append((left_parts[s] @ psi_aj).vec())
-    lact = Matrix.from_rows(f, lact_cols).transpose()
+    mul = Matrix.from_columns(f, n, [left_parts[s2] @ rp for rp in right_parts for s2 in range(n)])
+    unit = Matrix.from_columns(f, n, [a.unit @ c.counit])
+    psi_a = [e.psi @ kron(idc, Matrix.basis_column(f, na, j)) for j in range(na)]
+    lact = Matrix.from_columns(f, n, [left_parts[s] @ psi_aj for psi_aj in psi_a for s in range(n)])
     # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
     # column (x, j) of mul, placed at c_u
     ract = permute(kron(a.mul, idc), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
@@ -479,11 +473,15 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     """Build nu and its inverse for a built coring and verify every claimed identity.
 
     The smash ring of the coring's entwining is built (and verified) here.
-    Checks: nu inverts on both sides, its image consists of left A-linear
-    maps (any left A-linear h equals nu(nu_inv(h)) pointwise, since
-    h(a (x) c) = a.h(1 (x) c), so the image is the whole left dual), it
-    takes the smash multiplication to the *_l product, preserves units,
+    Checks: nu_inv nu = id, the image of nu consists of left A-linear maps,
+    nu takes the smash multiplication to the *_l product, preserves units,
     and is A-bilinear.  Raises CheckError if anything fails.
+
+    nu nu_inv = id on the left dual needs no check of its own.  The matrix
+    nu_inv is the matrix of nu_inv_map, so once nu_inv nu = id holds,
+    nu_map(nu_inv_map(nu(E_s))) = nu(E_s) for every basis map E_s; and any
+    left A-linear h equals nu(nu_inv(h)) pointwise, since
+    h(a (x) c) = a.h(1 (x) c), so the image of nu is the whole left dual.
     """
     e = coring.entwining
     smash = build_smash(e)
@@ -493,7 +491,7 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     n = smash.dim
     ida = Matrix.identity(f, na)
     nu_images = [nu_map(e, smash.as_map(Matrix.basis_column(f, n, s))) for s in range(n)]
-    nu = Matrix.from_rows(f, [h.vec() for h in nu_images]).transpose()
+    nu = Matrix.from_columns(f, na * n, nu_images)
     # column (x, w) of nu_inv is nu_inv_map(E_{x,w}): row x holds row w of kron(unit, id_C)
     nu_inv = kron(ida, kron(a.unit, Matrix.identity(f, e.coalgebra.dim)).transpose())
     idn = Matrix.identity(f, n)
@@ -501,25 +499,14 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     if bad is not None:
         raise report.CheckError(bad)
     for s, img in enumerate(nu_images):
-        diff = img @ coring.left_action - a.mul @ kron(ida, img)
-        if not diff.is_zero():
+        if img @ coring.left_action != a.mul @ kron(ida, img):
             raise report.CheckError(report.fail("nu_iso", "nu-image-left-linear", witness=(s,)))
-        back = nu_map(e, nu_inv_map(e, img))
-        if back != img:
-            raise report.CheckError(report.fail("nu_iso", "nu-nu-inv", witness=(s,)))
-    # multiplicativity into *_l and unit preservation
-    mul_cols = columns_of(smash.mul)
+    # multiplicativity into *_l, on flattened left-dual elements, and unit preservation
     for s1 in range(n):
         star = left_star_factor(coring, nu_images[s1])
         for s2 in range(n):
-            prod_vec = mul_cols[s1 * n + s2]
-            lhs = None
-            for x, v in sorted(prod_vec.items()):
-                term = nu_images[x].scale(v)
-                lhs = term if lhs is None else lhs + term
-            if lhs is None:
-                lhs = Matrix.zeros(f, na, na * e.coalgebra.dim)
-            if lhs != nu_images[s2] @ star:
+            lhs = nu @ smash.mul.col_matrix(s1 * n + s2)
+            if lhs != Matrix.from_columns(f, na * n, [nu_images[s2] @ star]):
                 raise report.CheckError(report.fail("nu_iso", "nu-multiplicative", witness=(s1, s2)))
     if nu_map(e, smash.as_map(smash.unit)) != coring.counit:
         raise report.CheckError(report.fail("nu_iso", "nu-unit"))
@@ -571,12 +558,10 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
     """Module and comodule laws, then the psi-compatibility on basis pairs."""
     rep = verify_structure("module", m.as_module())
     if not rep.passed:
-        return report.fail("verify_entwined_module", f"action[{rep.axiom}]",
-                           witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_entwined_module", "action", rep)
     rep = verify_structure("comodule", m.as_module())
     if not rep.passed:
-        return report.fail("verify_entwined_module", f"coaction[{rep.axiom}]",
-                           witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_entwined_module", "coaction", rep)
     na, nc = e.algebra.dim, e.coalgebra.dim
     f = e.field
     idm = Matrix.identity(f, m.dim)
@@ -596,12 +581,8 @@ def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresenta
     idm = Matrix.identity(f, m.dim)
     # id (x) f_s for each basis map f_s; rho(m_i) is column i of the coaction
     spreads = [kron(idm, smash.as_map(Matrix.basis_column(f, smash.dim, s))) for s in range(smash.dim)]
-    cols = []
-    for i in range(m.dim):
-        rho_i = m.coaction.col_matrix(i)
-        for spread in spreads:
-            cols.append((m.action @ (spread @ rho_i)).col(0))
-    action = Matrix.from_rows(f, cols).transpose()
+    rhos = [m.coaction.col_matrix(i) for i in range(m.dim)]
+    action = Matrix.from_columns(f, m.dim, [m.action @ (spread @ rho) for rho in rhos for spread in spreads])
     return ModulePresentation(m.dim, smash.as_algebra(), action, "right")
 
 
@@ -675,12 +656,10 @@ def hom_entwined_basis(e: EntwiningPresentation, m: EntwinedModulePresentation,
     f = e.field
     ida = Matrix.identity(f, na)
     idc = Matrix.identity(f, nc)
-    cols = []
-    for t in range(n.dim * m.dim):
-        unit = Matrix(f, n.dim, m.dim, [f.one() if i == t else f.zero() for i in range(n.dim * m.dim)])
-        lin = unit @ m.action - n.action @ kron(unit, ida)
-        colin = n.coaction @ unit - kron(unit, idc) @ m.coaction
-        cols.append(lin.vec() + colin.vec())
-    system = Matrix.from_rows(f, cols).transpose()
-    sols = kernel(system)
+    units = [Matrix(f, n.dim, m.dim, [f.one() if i == t else f.zero() for i in range(n.dim * m.dim)])
+             for t in range(n.dim * m.dim)]
+    lin = Matrix.from_columns(f, n.dim * m.dim * na, [u @ m.action - n.action @ kron(u, ida) for u in units])
+    colin = Matrix.from_columns(f, n.dim * nc * m.dim,
+                                [n.coaction @ u - kron(u, idc) @ m.coaction for u in units])
+    sols = kernel(lin.vstack(colin))
     return tuple(Matrix(f, n.dim, m.dim, sols.basis.row(i)) for i in range(sols.dim))

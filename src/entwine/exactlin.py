@@ -1,12 +1,12 @@
 """Exact linear algebra over Q and prime fields F_p.
 
 Scalars are fractions.Fraction for Q and plain ints reduced mod p for F_p.
-Matrices are immutable and row-major: `data` holds every entry, and the
-nonzero entries of each row are cached beside it, found once per matrix or
-handed over by the product that made it.  `@` and `kron` walk only those
-nonzeros, so the arithmetic of a product grows with its nonzero products
-(pairs of nonzero factors), not with the dense sizes; only laying out the
-dense result touches every entry.  The law checks work on sparse vectors,
+Matrices are immutable and hold only their nonzeros: one dict per row,
+from column index to value.  Every operation reads and writes that form,
+so the work and the memory of a product, a Kronecker product, a transpose
+or a re-indexing grow with the nonzeros (and the number of rows), not
+with the dense sizes.  Only elimination works on dense rows: its results
+are canonical RREF bases.  The law checks work on sparse vectors,
 index -> value dicts: sparse_combine sums their plain products without a
 Field call per term and returns them canonical (reduced, no zero values),
 so two vectors are equal exactly when their dicts are.  A linear map
@@ -149,37 +149,43 @@ def unflat(i: int, dims) -> tuple[int, ...]:
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries.
+    """Immutable matrix with exact entries, held as its nonzeros only.
 
-    `data` holds every entry, row-major.  The nonzero entries of each row
-    are cached on first use (see nonzero_rows); the cache is derived from
-    `data` and takes no part in equality or hashing.
+    Each row is a dict from column index to the nonzero entry there; a zero
+    is never stored, so two matrices are equal exactly when their row dicts
+    are.  Row dicts are shared between matrices and never written after the
+    matrix that made them is built.  `data` is a read-only row-major tuple of
+    every entry, for readers outside the package; it is laid out on first
+    read and kept.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_nz")
+    __slots__ = ("field", "rows", "cols", "_rows", "_data")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
+        """The matrix with the given row-major entries, zeros included."""
         data = tuple(data)
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self._nz = None
+        is_zero = field.is_zero
+        self.field, self.rows, self.cols, self._data = field, rows, cols, None
+        self._rows = tuple({j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if not is_zero(x)}
+                           for i in range(rows))
+
+    @classmethod
+    def _of_rows(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
+        """The matrix whose rows are the given dicts: nonzero values only, never written again."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m._rows, m._data = field, rows, cols, tuple(entries), None
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
+        return cls._of_rows(field, rows, cols, ({} for _ in range(rows)))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        data = [z] * (n * n)
-        for i in range(n):
-            data[i * n + i] = o
-        return cls(field, n, n, data)
+        one = field.one()
+        return cls._of_rows(field, n, n, ({i: one} for i in range(n)))
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
@@ -191,6 +197,24 @@ class Matrix:
         return cls(field, n, m, [x for r in rows for x in r])
 
     @classmethod
+    def from_columns(cls, field: Field, rows: int, columns) -> "Matrix":
+        """The matrix whose j-th column holds the entries of columns[j], read row-major.
+
+        A column vector gives itself; a matrix gives its flattening in the
+        tensor index convention.
+        """
+        columns = list(columns)
+        out = [{} for _ in range(rows)]
+        for j, c in enumerate(columns):
+            if c.field != field or c.rows * c.cols != rows:
+                raise DimensionMismatch(f"column {j} is {c.rows}x{c.cols} over {c.field}, expected {rows} entries")
+            for i, r in enumerate(c._rows):
+                base = i * c.cols
+                for k, v in r.items():
+                    out[base + k][j] = v
+        return cls._of_rows(field, rows, len(columns), out)
+
+    @classmethod
     def column(cls, field: Field, entries) -> "Matrix":
         entries = list(entries)
         return cls(field, len(entries), 1, entries)
@@ -199,154 +223,139 @@ class Matrix:
     def basis_column(cls, field: Field, n: int, i: int) -> "Matrix":
         if not 0 <= i < n:
             raise PresentationError(f"basis index {i} out of range [0, {n})")
-        data = [field.zero()] * n
-        data[i] = field.one()
-        return cls(field, n, 1, data)
+        one = field.one()
+        return cls._of_rows(field, n, 1, ({0: one} if k == i else {} for k in range(n)))
+
+    @property
+    def data(self) -> tuple:
+        if self._data is None:
+            self._data = tuple(chain.from_iterable(self.row(i) for i in range(self.rows)))
+        return self._data
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i * self.cols + j]
+        return self._rows[i].get(j, self.field.zero())
 
     def row(self, i: int) -> tuple:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        r, z = self._rows[i], self.field.zero()
+        return tuple(r.get(j, z) for j in range(self.cols))
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        z = self.field.zero()
+        return tuple(r.get(j, z) for r in self._rows)
 
     def row_matrix(self, i: int) -> "Matrix":
-        return Matrix(self.field, 1, self.cols, self.row(i))
+        return Matrix._of_rows(self.field, 1, self.cols, (self._rows[i],))
 
     def col_matrix(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, self.col(j))
-
-    def nonzero_rows(self) -> tuple:
-        """Per row, (column indices, values) of its nonzero entries, in no set order; cached."""
-        nz = self._nz
-        if nz is None:
-            is_zero = self.field.is_zero
-            data, c = self.data, self.cols
-            rows = []
-            for i in range(self.rows):
-                row = data[i * c:(i + 1) * c]
-                js = tuple(j for j, x in enumerate(row) if not is_zero(x))
-                rows.append((js, tuple(row[j] for j in js)))
-            self._nz = nz = tuple(rows)
-        return nz
+        return Matrix._of_rows(self.field, self.rows, 1, ({0: r[j]} if j in r else {} for r in self._rows))
 
     def is_zero(self) -> bool:
-        is_zero = self.field.is_zero
-        return all(is_zero(x) for x in self.data)
+        return not any(self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.data))
+        return hash((self.field, self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(self.field, self.rows, self.cols,
-                      [add(a, b) for a, b in zip(self.data, other.data)])
+        return self._merge(other, self.field.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, self.field.sub)
+
+    def _merge(self, other: "Matrix", op) -> "Matrix":
+        """Entrywise op(self, other) for op in (add, sub), which fix x when the second argument is 0."""
         self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(self.field, self.rows, self.cols,
-                      [sub(a, b) for a, b in zip(self.data, other.data)])
+        is_zero, zero = self.field.is_zero, self.field.zero()
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, b in r2.items():
+                v = op(row.get(j, zero), b)
+                if is_zero(v):
+                    row.pop(j, None)
+                else:
+                    row[j] = v
+            out.append(row)
+        return Matrix._of_rows(self.field, self.rows, self.cols, out)
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.data])
+        return Matrix._of_rows(self.field, self.rows, self.cols,
+                               ({j: neg(v) for j, v in r.items()} for r in self._rows))
 
     def scale(self, c) -> "Matrix":
+        if self.field.is_zero(c):
+            return Matrix.zeros(self.field, self.rows, self.cols)
         mul = self.field.mul
-        return Matrix(self.field, self.rows, self.cols, [mul(c, a) for a in self.data])
+        # a product of two nonzeros in a field is nonzero
+        return Matrix._of_rows(self.field, self.rows, self.cols,
+                               ({j: mul(c, v) for j, v in r.items()} for r in self._rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        f = self.field
-        p = f.p
-        oc = other.cols
-        out = [f.zero()] * (self.rows * oc)
-        onz = other.nonzero_rows()
-        nz = []
-        base = 0
+        p = self.field.p
+        orows = other._rows
+        out = []
         # one dict per output row, fed only by products of two nonzeros
-        for ks, avs in self.nonzero_rows():
+        for row in self._rows:
             acc: dict = {}
-            for k, a in zip(ks, avs):
-                js, bvs = onz[k]
-                for j, b in zip(js, bvs):
+            for k, a in row.items():
+                for j, b in orows[k].items():
                     if j in acc:
                         acc[j] += a * b
                     else:
                         acc[j] = a * b
-            js, vs = [], []
-            for j, v in acc.items():
-                if p is not None:
-                    v %= p
-                if v:
-                    js.append(j)
-                    vs.append(v)
-                    out[base + j] = v
-            nz.append((tuple(js), tuple(vs)))
-            base += oc
-        m = Matrix(f, self.rows, oc, out)
-        m._nz = tuple(nz)
-        return m
+            if p is None:
+                out.append({j: v for j, v in acc.items() if v})
+            else:
+                out.append({j: r for j, v in acc.items() if (r := v % p)})
+        return Matrix._of_rows(self.field, self.rows, other.cols, out)
 
     def transpose(self) -> "Matrix":
-        data = [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.field, self.cols, self.rows, data)
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                out[j][i] = v
+        return Matrix._of_rows(self.field, self.cols, self.rows, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; (M1 (x) M2)(v (x) w) = M1 v (x) M2 w."""
         if self.field != other.field:
             raise DimensionMismatch("field mismatch")
-        f = self.field
-        p = f.p
+        p = self.field.p
         oc = other.cols
-        c = self.cols * oc
-        out = [f.zero()] * (self.rows * other.rows * c)
-        onz = other.nonzero_rows()
-        nz = []
-        base = 0
+        orows = other._rows
+        out = []
         # a product of two nonzeros in a field is nonzero: nothing cancels
-        for js1, vs1 in self.nonzero_rows():
-            for js2, vs2 in onz:
-                js = [j1 * oc + j2 for j1 in js1 for j2 in js2]
+        for r1 in self._rows:
+            shifted = [(j1 * oc, a) for j1, a in r1.items()]
+            for r2 in orows:
                 if p is None:
-                    vs = [a * b for a in vs1 for b in vs2]
+                    out.append({base + j2: a * b for base, a in shifted for j2, b in r2.items()})
                 else:
-                    vs = [a * b % p for a in vs1 for b in vs2]
-                for j, v in zip(js, vs):
-                    out[base + j] = v
-                nz.append((tuple(js), tuple(vs)))
-                base += c
-        m = Matrix(f, self.rows * other.rows, c, out)
-        m._nz = tuple(nz)
-        return m
+                    out.append({base + j2: a * b % p for base, a in shifted for j2, b in r2.items()})
+        return Matrix._of_rows(self.field, self.rows * other.rows, self.cols * oc, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("row count mismatch in hstack")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return Matrix.from_rows(self.field, rows) if rows else Matrix(self.field, 0, self.cols + other.cols, [])
+        c = self.cols
+        return Matrix._of_rows(self.field, self.rows, c + other.cols,
+                               (r1 | {j + c: v for j, v in r2.items()}
+                                for r1, r2 in zip(self._rows, other._rows)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionMismatch("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
-
-    def vec(self) -> tuple:
-        """Row-major flattening (the tensor index convention applied to entries)."""
-        return self.data
+        return Matrix._of_rows(self.field, self.rows + other.rows, self.cols, self._rows + other._rows)
 
     def render(self) -> str:
         fmt = self.field.fmt
@@ -368,23 +377,36 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     """Re-index the entries of m as a tensor.
 
     The row-major entries of m form a tensor with axes `dims`, the row axes
-    first and then the column axes.  Output axis k is input axis perm[k],
-    and the first `nrows` output axes index the rows of the result.
+    first and then the column axes, so a prefix of dims multiplies to
+    m.rows.  Output axis k is input axis perm[k], and the first `nrows`
+    output axes index the rows of the result.
     """
     dims, perm = tuple(dims), tuple(perm)
-    if sorted(perm) != list(range(len(dims))) or prod(dims) != len(m.data):
+    split = next((k for k in range(len(dims) + 1) if prod(dims[:k]) == m.rows), None)
+    if sorted(perm) != list(range(len(dims))) or prod(dims) != m.rows * m.cols or split is None:
         raise DimensionMismatch(f"cannot permute {m.rows}x{m.cols} with axes {dims} by {perm}")
-    strides = [prod(dims[a + 1:]) for a in range(len(dims))]
-    offsets = [0]
-    for a in perm[:-1]:
-        s = strides[a]
-        offsets = [o + i * s for o in offsets for i in range(dims[a])]
-    # the last output axis is copied as one strided slice per offset
-    step = strides[perm[-1]]
-    span = dims[perm[-1]] * step
-    data = m.data
-    return Matrix(m.field, prod(dims[a] for a in perm[:nrows]), prod(dims[a] for a in perm[nrows:]),
-                  chain.from_iterable(data[o:o + span:step] for o in offsets))
+    # stride of each input axis in the row-major entries of the output
+    strides = [0] * len(dims)
+    step = 1
+    for a in reversed(perm):
+        strides[a] = step
+        step *= dims[a]
+
+    def offsets(axes):   # output offset of every index over these input axes, row-major
+        out = [0]
+        for a in axes:
+            out = [o + i * strides[a] for o in out for i in range(dims[a])]
+        return out
+
+    row_at, col_at = offsets(range(split)), offsets(range(split, len(dims)))
+    cols = prod(dims[a] for a in perm[nrows:])
+    out = [{} for _ in range(prod(dims[a] for a in perm[:nrows]))]
+    for i, r in enumerate(m._rows):
+        base = row_at[i]
+        for j, v in r.items():
+            oi, oj = divmod(base + col_at[j], cols)
+            out[oi][oj] = v
+    return Matrix._of_rows(m.field, len(out), cols, out)
 
 
 def swap_middle(k: Matrix, dims) -> Matrix:
@@ -461,10 +483,7 @@ class Subspace:
         self.field = field
         self.ambient = ambient
         self.basis = basis
-        is_zero = field.is_zero
-        self.pivots = tuple(
-            next(c for c in range(ambient) if not is_zero(basis[r, c]))
-            for r in range(basis.rows))
+        self.pivots = tuple(min(r) for r in basis._rows)
 
     @classmethod
     def from_spanning(cls, field: Field, ambient: int, vectors) -> "Subspace":
@@ -629,13 +648,9 @@ def subspace_ops(kind: str, *args):
     return table[kind](*args)
 
 
-def columns_of(m: Matrix) -> list[dict]:
-    """Columns as sparse index -> value dicts, for dimension-safe evaluation."""
-    cols: list[dict] = [{} for _ in range(m.cols)]
-    for i, (js, vs) in enumerate(m.nonzero_rows()):
-        for j, v in zip(js, vs):
-            cols[j][i] = v
-    return cols
+def columns_of(m: Matrix) -> tuple[dict, ...]:
+    """Columns as sparse index -> value dicts (the rows of the transpose); read-only."""
+    return m.transpose()._rows
 
 
 def sparse_combine(cols, vec: dict, field: Field) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, sparse_render, unflat
+from .exactlin import Matrix, columns_of, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,11 @@ def require(rep: Report) -> None:
         raise CheckError(rep)
 
 
+def within(op: str, part: str, rep: Report) -> Report:
+    """A failed report of a component, reported again by op under the axiom part[axiom]."""
+    return fail(op, f"{part}[{rep.axiom}]", witness=rep.witness, lhs=rep.lhs, rhs=rep.rhs)
+
+
 class ClosureViolation(CheckError):
     """A chosen pair of dual subobjects does not close under the dual map."""
 
@@ -88,10 +93,10 @@ def compare(op: str, axiom: str, lhs: Matrix, rhs: Matrix, col_dims=None) -> Rep
     """
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         raise AssertionError(f"{op}/{axiom}: comparing {lhs.rows}x{lhs.cols} with {rhs.rows}x{rhs.cols}")
-    if lhs.data == rhs.data:
+    if lhs == rhs:
         return None
-    for j in range(lhs.cols):
-        if lhs.col(j) != rhs.col(j):
+    for j, (x, y) in enumerate(zip(columns_of(lhs), columns_of(rhs))):
+        if x != y:
             witness = unflat(j, col_dims) if col_dims else (j,)
             return fail(op, axiom, witness=witness,
                         lhs=render_column(lhs, j), rhs=render_column(rhs, j))

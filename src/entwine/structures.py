@@ -2,10 +2,11 @@
 with modules, comodules, convolution, duals, measuring pairings and rational
 submodules.
 
-All structure maps are stored as dense matrices in the tensor index
-convention of exactlin: multiplication is dim x dim^2, comultiplication is
-dim^2 x dim, a right action M (x) A -> M is dim_M x (dim_M * dim_A), a right
-coaction M -> M (x) C is (dim_M * dim_C) x dim_M.
+All structure maps are exactlin matrices, which hold only their nonzeros,
+in the tensor index convention of exactlin: multiplication is dim x dim^2,
+comultiplication is dim^2 x dim, a right action M (x) A -> M is
+dim_M x (dim_M * dim_A), a right coaction M -> M (x) C is
+(dim_M * dim_C) x dim_M.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .exactlin import (
     Matrix,
     PresentationError,
     Subspace,
+    columns_of,
     express,
     image,
     kron,
@@ -96,9 +98,8 @@ def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
 def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
     """The nonzero entries of m as quadruples (i, j, k, c), in lexicographic order."""
     perm, _ = QUAD_LAYOUTS[layout]
-    q = permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 1)
-    zero = m.field.zero()
-    return [(*unflat(t, dims), v) for t, v in enumerate(q.data) if v != zero]
+    q = columns_of(permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 3))[0]
+    return [(*unflat(t, dims), q[t]) for t in sorted(q)]
 
 
 def mul_from_triples(field: Field, dim: int, triples) -> Matrix:
@@ -356,14 +357,14 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
         raise DimensionMismatch(f"expected {a.dim}x{c.dim} map from C to A")
     e = convolution_unit(c, a)
     n = a.dim * c.dim
-    cols = [convolution(c, a, f, _unvec(a, c, s)).vec() for s in range(n)]
-    t = Matrix.from_rows(a.field, cols).transpose()
-    sol = solve_linear(t, Matrix.column(a.field, e.vec()))
+    target = Matrix.from_columns(a.field, n, [e])
+    units = [_reshape(Matrix.basis_column(a.field, n, s), a.dim, c.dim) for s in range(n)]
+    t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
+    sol = solve_linear(t, target)
     if sol is None:
         # no right inverse; try the left side for the one-sided report
-        cols = [convolution(c, a, _unvec(a, c, s), f).vec() for s in range(n)]
-        t = Matrix.from_rows(a.field, cols).transpose()
-        sol = solve_linear(t, Matrix.column(a.field, e.vec()))
+        t = Matrix.from_columns(a.field, n, [convolution(c, a, u, f) for u in units])
+        sol = solve_linear(t, target)
         if sol is None:
             return None
         return ("left", _reshape(sol.particular, a.dim, c.dim))
@@ -371,12 +372,6 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
     if convolution(c, a, g, f) == e:
         return g
     return ("right", g)
-
-
-def _unvec(a: StructurePresentation, c: StructurePresentation, s: int) -> Matrix:
-    data = [a.field.zero()] * (a.dim * c.dim)
-    data[s] = a.field.one()
-    return Matrix(a.field, a.dim, c.dim, data)
 
 
 def _reshape(column: Matrix, rows: int, cols: int) -> Matrix:
@@ -566,8 +561,7 @@ def harpoon_action_matrix(p: PairingPresentation, side: str = "left-harpoon") ->
         pairs = [(i, j) for i in range(na) for j in range(nc)]
     else:
         pairs = [(i, j) for j in range(nc) for i in range(na)]
-    cols = [pairing_action(p, side, i, j).col(0) for i, j in pairs]
-    return Matrix.from_rows(f, cols).transpose()
+    return Matrix.from_columns(f, nc, [pairing_action(p, side, i, j) for i, j in pairs])
 
 
 def check_alpha_condition(p: PairingPresentation) -> Report:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from entwine.exactlin import Matrix, QQ, PresentationError, Subspace, kron, swap_matrix
@@ -166,6 +168,26 @@ class TestAltDK:
         assert verify_entwining(e).passed
         # the instance is genuinely twisted
         assert e.psi != swap_matrix(QQ, 2, 2)
+
+    def test_components_are_verified_first(self):
+        alt = catalog_get("alt_qc2")
+        # each perturbation breaks only a component; the report names it and keeps its witness
+        cases = (
+            ("h", "mul", "verify_alt_dk: FAIL bialgebra[associativity] at basis (0, 0, 1) "
+                         "lhs=(0, 2) rhs=(0, 1)"),
+            ("alg", "mul", "verify_alt_dk: FAIL algebra[left-unit] at basis (0,) lhs=(2, 0) rhs=(1, 0)"),
+            ("coalg", "comul", "verify_alt_dk: FAIL coalgebra[coassociativity] at basis (0,) "
+                               "lhs=(4, 0, 0, 1, 0, 1, 2, 0) rhs=(4, 0, 0, 2, 0, 1, 1, 0)"),
+        )
+        for part, constants, summary in cases:
+            pres = getattr(alt, part)
+            m = getattr(pres, constants)
+            data = list(m.data)
+            data[0] = QQ.add(data[0], QQ.one())
+            bad = replace(alt, **{part: replace(pres, **{constants: Matrix(QQ, m.rows, m.cols, data)})})
+            assert bad.verify().summary() == summary
+            with pytest.raises(CheckError):
+                alt_dk_entwining(bad)
 
     def test_corrupted_coaction_fails(self):
         alt = catalog_get("alt_qc2")

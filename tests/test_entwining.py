@@ -22,6 +22,7 @@ from entwine.entwining import (
     hom_entwined,
     hom_entwined_basis,
     left_star_product,
+    nu_inv_map,
     nu_iso,
     nu_map,
     smash_product_map,
@@ -69,6 +70,17 @@ class TestVerifyEntwining:
         for name in ("qc2", "qc3", "sweedler4", "monoid2"):
             s = catalog_get(name)
             assert verify_entwining(flip_entwining(s, s)).passed
+
+    def test_components_are_verified_first(self):
+        e = catalog_get("flip_qc3")
+        bad_a = replace(e.algebra, mul=corrupt(e.algebra.mul, 0, 0))
+        assert verify_structure("algebra", bad_a).summary() == \
+            "verify_structure[algebra]: FAIL associativity at basis (0, 0, 1) lhs=(0, 2, 0) rhs=(0, 1, 0)"
+        assert verify_entwining(replace(e, algebra=bad_a)).summary() == \
+            "verify_entwining: FAIL algebra[associativity] at basis (0, 0, 1) lhs=(0, 2, 0) rhs=(0, 1, 0)"
+        bad_c = replace(e.coalgebra, comul=corrupt(e.coalgebra.comul, 0, 0))
+        assert verify_entwining(replace(e, coalgebra=bad_c)).summary() == \
+            "verify_entwining: FAIL coalgebra[left-counit] at basis (0,) lhs=(2, 0, 0) rhs=(1, 0, 0)"
 
     def test_hopf_module_entwining(self, ent_qc2):
         assert verify_entwining(ent_qc2).passed
@@ -254,6 +266,18 @@ class TestNuIso:
                 assert nu_map(ent_qc2, prod) == left_star_product(
                     coring, nu_map(ent_qc2, f1), nu_map(ent_qc2, f2))
 
+    def test_nu_inv_is_the_matrix_of_nu_inv_map(self):
+        # with nu_inv nu = id this makes nu nu_inv = id on the image of nu, which nu_iso does not check
+        entwinings = [e for e in map(catalog_get, catalog_names()) if isinstance(e, EntwiningPresentation)]
+        assert len(entwinings) == 11
+        for e in entwinings:
+            iso = nu_iso(build_coring(e))
+            f = e.field
+            na, n = e.algebra.dim, iso.smash.dim
+            units = [Matrix(f, na, n, [f.one() if i == t else f.zero() for i in range(na * n)])
+                     for t in range(na * n)]
+            assert iso.nu_inv == Matrix.from_columns(f, n, [nu_inv_map(e, u) for u in units])
+
     def test_inverse_matrices(self, ent_h4):
         iso = nu_iso(build_coring(ent_h4))
         n = iso.smash.dim
@@ -377,13 +401,13 @@ class TestHom:
         for name, e in (("hopfmod_qc2", ent_qc2), ("hopfmod_sweedler4", ent_h4)):
             m = catalog_get(name)
             basis = hom_entwined_basis(e, m, m)
-            span_rows = [Matrix.column(QQ, f.vec()).col(0) for f in basis]
+            span_rows = [f.data for f in basis]
             from entwine.exactlin import Subspace
 
             span = Subspace.from_spanning(QQ, m.dim * m.dim, span_rows)
             for f in basis:
                 for g in basis:
-                    assert span.contains(Matrix.column(QQ, (f @ g).vec()))
+                    assert span.contains(Matrix.column(QQ, (f @ g).data))
 
     def test_non_morphism_detected(self, ent_qc2):
         m = catalog_get("hopfmod_qc2")

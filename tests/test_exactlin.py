@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -37,29 +39,72 @@ def M(rows, field=QQ):
 KERNEL_FIELDS = (QQ, Field(5), Field(7))
 
 
+def random_rows(field, rng, rows, cols, density=0.3):
+    """A dense reference matrix: a list of rows of scalars, zeros included."""
+    return [[random_scalar(field, rng) if rng.random() < density else field.zero() for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def build(field, ref, cols):
+    """The Matrix of a dense reference; cols is given so that 0-row shapes keep their width."""
+    return Matrix(field, len(ref), cols, [x for r in ref for x in r])
+
+
 def sparse_matrix(field, rng, rows, cols, density=0.3):
-    return Matrix(field, rows, cols, [random_scalar(field, rng) if rng.random() < density else field.zero()
-                                      for _ in range(rows * cols)])
+    return build(field, random_rows(field, rng, rows, cols, density), cols)
 
 
-def naive_matmul(a, b):
-    """Reference product: every entry is a full dot product through Field."""
-    f = a.field
-    data = []
-    for i in range(a.rows):
-        for j in range(b.cols):
+def ref_matmul(f, a, b, cols):
+    """Reference product: every entry a full dot product through Field."""
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
             s = f.zero()
-            for k in range(a.cols):
-                s = f.add(s, f.mul(a[i, k], b[k, j]))
-            data.append(s)
-    return Matrix(f, a.rows, b.cols, data)
+            for k, x in enumerate(row):
+                s = f.add(s, f.mul(x, b[k][j]))
+            out[-1].append(s)
+    return out
 
 
-def naive_kron(a, b):
-    f = a.field
-    return Matrix(f, a.rows * b.rows, a.cols * b.cols,
-                  [f.mul(a[i1, j1], b[i2, j2]) for i1 in range(a.rows) for i2 in range(b.rows)
-                   for j1 in range(a.cols) for j2 in range(b.cols)])
+def ref_kron(f, a, b):
+    return [[f.mul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_transpose(a, cols):
+    return [[r[j] for r in a] for j in range(cols)]
+
+
+def ref_permute(a, dims, perm, nrows):
+    """Reference re-indexing: move every entry to its permuted multi-index, one at a time."""
+    entries = [x for r in a for x in r]
+    out_dims = [dims[k] for k in perm]
+    out = [None] * len(entries)
+    for t, index in enumerate(product(*(range(d) for d in dims))):
+        pos = 0
+        for k, d in enumerate(out_dims):
+            pos = pos * d + index[perm[k]]
+        out[pos] = entries[t]
+    rows, cols = prod(out_dims[:nrows]), prod(out_dims[nrows:])
+    return [out[i * cols:(i + 1) * cols] for i in range(rows)], cols
+
+
+def ref_entrywise(op, *refs):
+    return [[op(*xs) for xs in zip(*rows)] for rows in zip(*refs)]
+
+
+def ref_render(f, a):
+    return "[" + "; ".join(", ".join(f.fmt(x) for x in r) for r in a) + "]"
+
+
+def assert_matches(got, field, ref, cols):
+    """got is the reference matrix entry for entry, and stores exactly its nonzeros, reduced."""
+    assert (got.field, got.rows, got.cols) == (field, len(ref), cols)
+    assert got.data == tuple(x for r in ref for x in r)
+    assert len(got._rows) == len(ref)
+    for stored, r in zip(got._rows, ref):
+        assert stored == {j: x for j, x in enumerate(r) if not field.is_zero(x)}
+        assert_canonical_vector(stored, field)
 
 
 def naive_combine(cols, vec, field):
@@ -74,17 +119,6 @@ def naive_combine(cols, vec, field):
 def sparse_vector(field, rng, dim, density):
     entries = {i: random_scalar(field, rng) for i in range(dim) if rng.random() < density}
     return {i: x for i, x in entries.items() if not field.is_zero(x)}
-
-
-def assert_cache_matches_data(m):
-    """The cached nonzero rows hold exactly the nonzero entries of the data."""
-    f = m.field
-    cached = m.nonzero_rows()
-    assert len(cached) == m.rows
-    for i, (js, vs) in enumerate(cached):
-        assert len(js) == len(vs) == len(set(js))
-        assert not any(f.is_zero(v) for v in vs)
-        assert dict(zip(js, vs)) == {j: x for j, x in enumerate(m.row(i)) if not f.is_zero(x)}
 
 
 class TestField:
@@ -299,82 +333,145 @@ class TestKron:
 
 
 class TestSparseKernels:
-    """@ and kron walk only nonzeros; they must agree with the dense definitions."""
+    """Every Matrix operation against a naive dense reference on lists of rows."""
+
+    @staticmethod
+    def _check_all(field, rng, r, k, c, density):
+        """Each operation on random r x k and k x c operands, entry for entry."""
+        f = field
+        a_ref = random_rows(f, rng, r, k, density)
+        b_ref = random_rows(f, rng, k, c, density)
+        a2_ref = random_rows(f, rng, r, k, density)
+        h_ref = random_rows(f, rng, r, c, density)
+        v_ref = random_rows(f, rng, c, k, density)
+        a, b, a2 = build(f, a_ref, k), build(f, b_ref, c), build(f, a2_ref, k)
+        assert_matches(a, f, a_ref, k)
+        assert_matches(a @ b, f, ref_matmul(f, a_ref, b_ref, c), c)
+        assert_matches(kron(a, b), f, ref_kron(f, a_ref, b_ref), k * c)
+        assert_matches(a.transpose(), f, ref_transpose(a_ref, k), r)
+        assert_matches(a + a2, f, ref_entrywise(f.add, a_ref, a2_ref), k)
+        assert_matches(a - a2, f, ref_entrywise(f.sub, a_ref, a2_ref), k)
+        assert_matches(-a, f, ref_entrywise(f.neg, a_ref), k)
+        s = random_scalar(f, rng)
+        assert_matches(a.scale(s), f, ref_entrywise(lambda x: f.mul(s, x), a_ref), k)
+        assert_matches(a.hstack(build(f, h_ref, c)), f, [x + y for x, y in zip(a_ref, h_ref)], k + c)
+        assert_matches(a.vstack(build(f, v_ref, k)), f, a_ref + v_ref, k)
+        for i in range(r):
+            assert a.row(i) == tuple(a_ref[i])
+            for j in range(k):
+                assert a[i, j] == a_ref[i][j]
+        for j in range(k):
+            assert a.col(j) == tuple(row[j] for row in a_ref)
+        assert a.render() == ref_render(f, a_ref)
+        assert (a == a2) == (a_ref == a2_ref)
 
     def test_against_naive_reference(self, rng):
         for field in KERNEL_FIELDS:
             for _ in range(40):
                 r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-                density = rng.choice((0.1, 0.4, 1.0))
-                a = sparse_matrix(field, rng, r, k, density)
-                b = sparse_matrix(field, rng, k, c, density)
-                got = a @ b
-                assert got == naive_matmul(a, b)
-                assert_cache_matches_data(got)
-                got = kron(a, b)
-                assert got == naive_kron(a, b)
-                assert_cache_matches_data(got)
+                self._check_all(field, rng, r, k, c, rng.choice((0.1, 0.4, 1.0)))
 
     def test_empty_shapes(self, rng):
         for field in KERNEL_FIELDS:
             for r in (0, 1, 3):
                 for k in (0, 1, 3):
                     for c in (0, 2):
-                        a = sparse_matrix(field, rng, r, k, 0.7)
-                        b = sparse_matrix(field, rng, k, c, 0.7)
-                        got = a @ b
-                        assert (got.rows, got.cols) == (r, c)
-                        assert got == naive_matmul(a, b)
+                        self._check_all(field, rng, r, k, c, 0.7)
                         if k == 0:
-                            assert got == Matrix.zeros(field, r, c)
-                        assert_cache_matches_data(got)
-                        got = kron(a, b)
-                        assert (got.rows, got.cols) == (r * k, k * c)
-                        assert got == naive_kron(a, b)
-                        assert_cache_matches_data(got)
+                            assert sparse_matrix(field, rng, r, k) @ sparse_matrix(field, rng, k, c) \
+                                == Matrix.zeros(field, r, c)
+        assert Matrix(QQ, 0, 3, []).render() == "[]"
+        assert Matrix(QQ, 2, 0, []).render() == "[; ]"
 
-    def test_cancelling_entries_leave_the_cache(self):
+    def test_permute_against_reference(self, rng):
         for field in KERNEL_FIELDS:
-            minus_one = field.neg(field.one())
+            for _ in range(40):
+                dims = [rng.randint(0 if rng.random() < 0.1 else 1, 3) for _ in range(rng.randint(1, 4))]
+                split = rng.randint(0, len(dims))
+                perm = list(range(len(dims)))
+                rng.shuffle(perm)
+                nrows = rng.randint(0, len(dims))
+                rows, cols = prod(dims[:split]), prod(dims[split:])
+                ref = random_rows(field, rng, rows, cols, rng.choice((0.2, 1.0)))
+                want, want_cols = ref_permute(ref, dims, perm, nrows)
+                assert_matches(permute(build(field, ref, cols), dims, perm, nrows), field, want, want_cols)
+
+    def test_cancelling_entries_are_not_stored(self, rng):
+        for field in KERNEL_FIELDS:
+            one, minus_one = field.one(), field.neg(field.one())
             a = M([[1, 1, 0], [1, 0, 1]], field)
-            b = Matrix.from_rows(field, [[field.one(), field.of(2)], [minus_one, field.one()],
-                                         [minus_one, field.zero()]])
+            b = Matrix.from_rows(field, [[one, field.of(2)], [minus_one, one], [minus_one, field.zero()]])
             got = a @ b      # row 0: (0, 3); row 1: (0, 2)
-            assert got == M([[0, 3], [0, 2]], field)
-            assert got.nonzero_rows() == (((1,), (field.of(3),)), ((1,), (field.of(2),)))
-            assert_cache_matches_data(got)
+            assert_matches(got, field, [[field.zero(), field.of(3)], [field.zero(), field.of(2)]], 2)
+            m = sparse_matrix(field, rng, 3, 4, 0.8)
+            zero_rows = [[field.zero()] * 4 for _ in range(3)]
+            for cancelled in (m - m, m + -m, -m + m, m.scale(field.zero())):
+                assert_matches(cancelled, field, zero_rows, 4)
+                assert cancelled.is_zero()
+            assert_matches(Matrix(field, 1, 3, [field.zero(), one, field.zero()]), field,
+                           [[field.zero(), one, field.zero()]], 3)
         f5 = Field(5)
         got = M([[1, 1]], f5) @ M([[2], [3]], f5)     # 2 + 3 = 0 in F_5
-        assert got == Matrix.zeros(f5, 1, 1)
-        assert got.nonzero_rows() == (((), ()),)
+        assert_matches(got, f5, [[0]], 1)
+        assert_matches(M([[1, 4]], f5) + M([[4, 1]], f5), f5, [[0, 0]], 2)
 
-    def test_chains_reuse_product_caches(self, rng):
+    def test_chains_of_products(self, rng):
         for field in KERNEL_FIELDS:
             for _ in range(15):
                 n = rng.randint(1, 4)
-                a, b, c, d = (sparse_matrix(field, rng, n, n, 0.4) for _ in range(4))
+                refs = [random_rows(field, rng, n, n, 0.4) for _ in range(4)]
+                a, b, c, d = (build(field, x, n) for x in refs)
+                ab_ref = ref_matmul(field, refs[0], refs[1], n)
                 ab = a @ b
-                assert ab @ c == naive_matmul(naive_matmul(a, b), c)
+                assert_matches(ab @ c, field, ref_matmul(field, ab_ref, refs[2], n), n)
                 assert a @ (b @ c) == ab @ c
                 k = kron(ab, c)
-                assert k @ kron(d, a) == naive_matmul(naive_kron(ab, c), naive_kron(d, a))
+                k_ref = ref_kron(field, ab_ref, refs[2])
+                assert_matches(k @ kron(d, a), field,
+                               ref_matmul(field, k_ref, ref_kron(field, refs[3], refs[0]), n * n), n * n)
                 assert kron(k, d) == kron(ab, kron(c, d))
-                for m in (ab, k, ab @ c, kron(k, d)):
-                    assert_cache_matches_data(m)
 
-    def test_equality_ignores_the_cache(self, rng):
+    def test_equal_however_built(self, rng):
         for field in KERNEL_FIELDS:
-            a = sparse_matrix(field, rng, 3, 4, 0.5)
-            b = sparse_matrix(field, rng, 4, 2, 0.5)
-            seeded = a @ b                                        # cache set by the product
-            fresh = Matrix(field, 3, 2, seeded.data)              # no cache yet
-            scanned = Matrix(field, 3, 2, naive_matmul(a, b).data)
-            scanned.nonzero_rows()                                # cache computed by scanning
-            assert seeded == fresh == scanned
-            assert hash(seeded) == hash(fresh) == hash(scanned)
-            assert len({seeded, fresh, scanned}) == 1
-            assert kron(a, b) == naive_kron(a, b)
-            assert hash(kron(a, b)) == hash(naive_kron(a, b))
+            for r, c in ((3, 2), (1, 4), (0, 3), (2, 0)):
+                ref = random_rows(field, rng, r, c, 0.5)
+                m = build(field, ref, c)
+                other = sparse_matrix(field, rng, r, c, 0.5)
+                ways = [
+                    m,
+                    Matrix.identity(field, r) @ m,
+                    m @ Matrix.identity(field, c),
+                    m.transpose().transpose(),
+                    permute(m.transpose(), (c, r), (1, 0), 1),
+                    permute(permute(m, (r, c), (0, 1), 2), (r, c, 1), (0, 1, 2), 1),
+                    Matrix.from_columns(field, r, [m.col_matrix(j) for j in range(c)]),
+                    (m + other) - other,
+                    -(-m),
+                    m.scale(field.one()),
+                    m + Matrix.zeros(field, r, c),
+                ]
+                if r:
+                    ways.append(Matrix.from_rows(field, [m.row(i) for i in range(r)]))
+                    ways.append(m.row_matrix(0).vstack(Matrix(field, r - 1, c, m.data[c:])))
+                for w in ways:
+                    assert w == m
+                    assert hash(w) == hash(m)
+                    assert_matches(w, field, ref, c)
+                assert len(set(ways)) == 1
+            # the same nonzeros listed in another order within a row
+            m, other = M([[1, 0, 2]], field), M([[0, 0, 1]], field)
+            reordered = (other + m) - other
+            assert list(reordered._rows[0]) != list(m._rows[0])
+            assert reordered == m and hash(reordered) == hash(m)
+            a, b = sparse_matrix(field, rng, 3, 4, 0.5), sparse_matrix(field, rng, 4, 2, 0.5)
+            a_ref = [list(a.row(i)) for i in range(3)]
+            b_ref = [list(b.row(i)) for i in range(4)]
+            dense = build(field, ref_kron(field, a_ref, b_ref), 8)
+            assert kron(a, b) == dense and hash(kron(a, b)) == hash(dense)
+
+    def test_data_view_is_kept(self, rng):
+        m = sparse_matrix(QQ, rng, 3, 4, 0.5)
+        assert m.data is m.data
 
     def test_swap_middle(self, rng):
         k = sparse_matrix(QQ, rng, 2 * 3 * 2 * 2, 3, 0.5)

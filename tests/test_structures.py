@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from entwine.structures import (
     verify_structure,
 )
 from entwine.catalog import catalog_get, cyclic_group_algebra, sweedler4, trivial_bialgebra
+from entwine.document import document_from_objects, emit_document
 from entwine.exactlin import PresentationError
 from conftest import BOTH_FIELDS, random_invertible, random_matrix
 
@@ -470,7 +476,7 @@ def _random_module_map(a, m, l, rng):
         unit = Matrix(field, l.dim, m.dim,
                       [field.one() if i == t else field.zero() for i in range(l.dim * m.dim)])
         diff = unit @ m.action - l.action @ kron(Matrix.identity(field, na), unit)
-        cols.append(diff.vec())
+        cols.append(diff.data)
     system = Matrix.from_rows(field, cols).transpose()
     sols = kernel(system)
     if sols.dim == 0:
@@ -559,3 +565,43 @@ class TestAdjointPairs:
         theta = qq_mat([[1, 0], [1, 1]])
         rep = check_adjoint_pair(p, p, Matrix.identity(QQ, 2), theta)
         assert not rep.passed
+
+
+class TestSparseScale:
+    """A sparse algebra costs what its nonzero constants cost, not its dense tensor sizes.
+
+    At dim 40, kron(mul, id) is 1600 x 64000: 10^8 entries, about 800 MB as
+    a dense tuple of pointers.  The dense layout already passed 1 MB of
+    traced peak at dim 10.
+    """
+
+    @staticmethod
+    def one_constant_algebra(n):
+        return make_structure("algebra", QQ, n, mul=[(0, 0, 0, 1)], unit=[1] + [0] * (n - 1))
+
+    def test_verify_peak_memory(self):
+        a = self.one_constant_algebra(40)
+        tracemalloc.start()
+        try:
+            rep = verify_structure("algebra", a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.summary().startswith("verify_structure[algebra]: FAIL left-unit at basis (1,) ")
+        assert peak < 1_000_000
+
+    def test_check_command_peak_rss(self, tmp_path):
+        pytest.importorskip("resource")
+        path = tmp_path / "alg40.ent"
+        path.write_text(emit_document(document_from_objects(QQ, {"big": self.one_constant_algebra(40)})))
+        child = ("import resource, sys\n"
+                 "from entwine.cli import run_command\n"
+                 "code, _ = run_command(['check', sys.argv[1]])\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        code, maxrss = map(int, done.stdout.split())
+        peak_mb = maxrss / (1024 * 1024 if sys.platform == "darwin" else 1024)
+        assert code == 1 and peak_mb < 100
