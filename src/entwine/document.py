@@ -57,6 +57,17 @@ def _expect(cond: bool, path: str, message: str):
         raise ParseError(path, message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are ints to Python but not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_dim(body: dict, path: str) -> int:
+    dim = body.get("dim")
+    _expect(_is_int(dim) and dim >= 0, f"{path}.dim", "dim must be a nonnegative integer")
+    return dim
+
+
 def _parse_scalar(field: Field, value, path: str):
     try:
         return field.parse(value)
@@ -90,7 +101,7 @@ def _parse_quads(field: Field, quads, dims: tuple[int, int, int], path: str):
         _expect(isinstance(quad, list) and len(quad) == 4, qpath, "expected [i, j, k, scalar]")
         i, j, k, c = quad
         for value, bound, name in ((i, dims[0], "first"), (j, dims[1], "second"), (k, dims[2], "third")):
-            _expect(isinstance(value, int) and 0 <= value < bound, qpath,
+            _expect(_is_int(value) and 0 <= value < bound, qpath,
                     f"{name} index {value!r} out of range [0, {bound})")
         out.append((i, j, k, _parse_scalar(field, c, qpath)))
     return out
@@ -103,7 +114,7 @@ def _emit_quads(field: Field, m: Matrix, layout: str, dims):
 def _parse_field(raw, path: str) -> Field:
     if raw == "Q":
         return Field()
-    if isinstance(raw, dict) and set(raw) == {"p"} and isinstance(raw["p"], int):
+    if isinstance(raw, dict) and set(raw) == {"p"} and _is_int(raw["p"]):
         try:
             return Field(raw["p"])
         except PresentationError as exc:
@@ -134,8 +145,7 @@ def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentati
     kind = body.get("kind")
     _expect(kind in ("algebra", "coalgebra", "bialgebra", "hopf"), f"{path}.kind",
             f"unknown structure kind {kind!r}")
-    dim = body.get("dim")
-    _expect(isinstance(dim, int) and dim >= 0, f"{path}.dim", "dim must be a nonnegative integer")
+    dim = _parse_dim(body, path)
     labels = body.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and len(labels) == dim
@@ -190,8 +200,7 @@ def _parse_action_block(field: Field, body, resolved: dict, bounds_of, path: str
 
 
 def _parse_module(field: Field, body: dict, resolved: dict, path: str) -> ModulePresentation:
-    dim = body.get("dim")
-    _expect(isinstance(dim, int) and dim >= 0, f"{path}.dim", "dim must be a nonnegative integer")
+    dim = _parse_dim(body, path)
     algebra = action = None
     action_side = "right"
     coalgebra = coaction = None
@@ -247,8 +256,7 @@ def _parse_objects(field: Field, raw_objects: dict) -> dict:
             resolved[name] = EntwiningPresentation(alg, coalg, psi)
         elif otype == "entwined_module":
             ent = _ref(resolved, body.get("entwining"), EntwiningPresentation, f"{path}.entwining")
-            dim = body.get("dim")
-            _expect(isinstance(dim, int) and dim >= 0, f"{path}.dim", "dim must be a nonnegative integer")
+            dim = _parse_dim(body, path)
             aq = _parse_quads(field, body.get("action"), (dim, ent.algebra.dim, dim), f"{path}.action")
             cq = _parse_quads(field, body.get("coaction"), (dim, dim, ent.coalgebra.dim), f"{path}.coaction")
             resolved[name] = EntwinedModulePresentation(
@@ -321,7 +329,7 @@ def parse_document(text: str | bytes) -> Document:
     _expect(isinstance(raw, dict), "$", "document must be an object")
     for key in raw:
         _expect(key in ("version", "field", "objects"), key, "unknown top-level key")
-    _expect(raw.get("version") == FORMAT_VERSION, "version",
+    _expect(_is_int(raw.get("version")) and raw["version"] == FORMAT_VERSION, "version",
             f"unsupported version {raw.get('version')!r}")
     field = _parse_field(raw.get("field"), "field")
     objects = raw.get("objects")

@@ -216,7 +216,7 @@ def koppinen_smash(s: DKStructure) -> SmashRing:
     ida = Matrix.identity(f, na)
     idc = Matrix.identity(f, nc)
     n = na * nc
-    units = [Matrix(f, na, nc, [f.one() if t == u else f.zero() for t in range(n)]) for u in range(n)]
+    units = [Matrix.basis_column(f, n, u).reshape(na, nc) for u in range(n)]
     # c (x) a -> a_0 (x) c.a_1 does not depend on the basis pair
     twist = kron(ida, s.coalg_action) @ perm_tensor(f, (nc, na, nh), (1, 0, 2)) @ kron(idc, s.alg_coaction)
 
@@ -535,7 +535,7 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     w = image(action @ kron(idd, kernel(h.counit).basis.transpose()))
     wt = w.basis.transpose()
     # coideal: counit vanishes, comul lands in W (x) D + D (x) W
-    bad = next((j for j, x in enumerate((d.counit @ wt).row(0)) if not f.is_zero(x)), None)
+    _, bad = express(kernel(d.counit).basis, wt)
     if bad is not None:
         raise report.CheckError(report.fail("coextension_quotient", "counit-not-vanishing", (bad,)))
     mixed = Subspace.from_matrix_rows(kron(w.basis, idd)).add(Subspace.from_matrix_rows(kron(idd, w.basis)))
@@ -546,13 +546,12 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     if bad is not None:
         raise report.CheckError(report.fail("coextension_quotient", "not-h-stable", divmod(bad, nh)))
     # deterministic complement: standard vectors at the non-pivot columns;
-    # 1 - W^T pick kills W and fixes those vectors, since W is in RREF
+    # 1 - W^T pick^T kills W and fixes those vectors, since W is in RREF
     free = [c for c in range(nd) if c not in w.pivots]
     nq = len(free)
-    lift = Matrix(f, nq, nd, [x for c in free for x in idd.row(c)])
-    pick = Matrix(f, w.dim, nd, [x for c in w.pivots for x in idd.row(c)])
-    proj = lift @ (idd - wt @ pick)
-    sect = lift.transpose()
+    sect = Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in free])
+    pick = Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in w.pivots])
+    proj = sect.transpose() @ (idd - wt @ pick.transpose())
     comul_q = kron(proj, proj) @ d.comul @ sect
     counit_q = d.counit @ sect
     quotient = make_structure("coalgebra", f, nq, tuple(d.labels[fc] + "~" for fc in free),
@@ -696,16 +695,13 @@ def verify_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
     """Component morphisms plus the mixed compatibility on basis pairs."""
     rep = bialgebra_morphism_report(s.h, t.h, beta)
     if not rep.passed:
-        return report.fail("verify_dk_morphism", f"beta[{rep.axiom}]", witness=rep.witness,
-                           lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_dk_morphism", "beta", rep)
     rep = algebra_morphism_report(s.alg, t.alg, gamma)
     if not rep.passed:
-        return report.fail("verify_dk_morphism", f"gamma[{rep.axiom}]", witness=rep.witness,
-                           lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_dk_morphism", "gamma", rep)
     rep = coalgebra_morphism_report(s.coalg, t.coalg, delta)
     if not rep.passed:
-        return report.fail("verify_dk_morphism", f"delta[{rep.axiom}]", witness=rep.witness,
-                           lhs=rep.lhs, rhs=rep.rhs)
+        return report.within("verify_dk_morphism", "delta", rep)
     lhs = kron(gamma, delta) @ dk_entwining(s).psi
     rhs = dk_entwining(t).psi @ kron(delta, gamma)
     bad = report.compare("verify_dk_morphism", "mixed-compatibility", lhs, rhs,

@@ -304,8 +304,7 @@ class SmashRing:
 
     def as_map(self, v: Matrix) -> Matrix:
         """S-coordinates column -> matrix C -> A."""
-        a, c = self.entwining.algebra, self.entwining.coalgebra
-        return Matrix(self.field, a.dim, c.dim, v.col(0))
+        return v.reshape(self.entwining.algebra.dim, self.entwining.coalgebra.dim)
 
     def from_map(self, m: Matrix) -> Matrix:
         a, c = self.entwining.algebra, self.entwining.coalgebra
@@ -336,7 +335,7 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     n = na * nc
     ida = Matrix.identity(f, na)
     idc = Matrix.identity(f, nc)
-    units = [Matrix(f, na, nc, [f.one() if t == s else f.zero() for t in range(n)]) for s in range(n)]
+    units = [Matrix.basis_column(f, n, s).reshape(na, nc) for s in range(n)]
     # (f.g) = mul . (id (x) g) . psi . (id (x) f) . comul; the part up to g
     # depends on f alone, so it is hoisted out of the pair loop
     right_parts = [e.psi @ kron(idc, units[s]) @ c.comul for s in range(n)]
@@ -656,10 +655,9 @@ def hom_entwined_basis(e: EntwiningPresentation, m: EntwinedModulePresentation,
     f = e.field
     ida = Matrix.identity(f, na)
     idc = Matrix.identity(f, nc)
-    units = [Matrix(f, n.dim, m.dim, [f.one() if i == t else f.zero() for i in range(n.dim * m.dim)])
-             for t in range(n.dim * m.dim)]
+    units = [Matrix.basis_column(f, n.dim * m.dim, t).reshape(n.dim, m.dim) for t in range(n.dim * m.dim)]
     lin = Matrix.from_columns(f, n.dim * m.dim * na, [u @ m.action - n.action @ kron(u, ida) for u in units])
     colin = Matrix.from_columns(f, n.dim * nc * m.dim,
                                 [n.coaction @ u - kron(u, idc) @ m.coaction for u in units])
     sols = kernel(lin.vstack(colin))
-    return tuple(Matrix(f, n.dim, m.dim, sols.basis.row(i)) for i in range(sols.dim))
+    return tuple(sols.basis.row_matrix(i).reshape(n.dim, m.dim) for i in range(sols.dim))

@@ -3,10 +3,10 @@
 Scalars are fractions.Fraction for Q and plain ints reduced mod p for F_p.
 Matrices are immutable and hold only their nonzeros: one dict per row,
 from column index to value.  Every operation reads and writes that form,
-so the work and the memory of a product, a Kronecker product, a transpose
-or a re-indexing grow with the nonzeros (and the number of rows), not
-with the dense sizes.  Only elimination works on dense rows: its results
-are canonical RREF bases.  The law checks work on sparse vectors,
+so the work and the memory of a product, a Kronecker product, a transpose,
+a re-indexing or an elimination grow with the nonzeros (and the number of
+rows), not with the dense sizes; elimination returns canonical RREF
+bases.  The law checks work on sparse vectors,
 index -> value dicts: sparse_combine sums their plain products without a
 Field call per term and returns them canonical (reduced, no zero values),
 so two vectors are equal exactly when their dicts are.  A linear map
@@ -95,9 +95,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         # Fraction.__eq__ is slow; the numerator test is equivalent and cheap
         if self.p is not None:
@@ -114,7 +111,7 @@ class Field:
     def parse(self, s: str):
         """Parse a canonical scalar string; reject non-canonical forms like '2/4'."""
         if self.p is not None:
-            if not isinstance(s, int) or not 0 <= s < self.p:
+            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < self.p:
                 raise PresentationError(f"prime-field scalar must be an integer in [0, {self.p}), got {s!r}")
             return s
         if not isinstance(s, str):
@@ -197,6 +194,14 @@ class Matrix:
         return cls(field, n, m, [x for r in rows for x in r])
 
     @classmethod
+    def from_entries(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
+        """The sum of the (i, j, value) entries, each position in range: repeats add, zero sums drop."""
+        out = [{} for _ in range(rows)]
+        for i, j, v in entries:
+            out[i][j] = field.add(out[i].get(j, field.zero()), v)
+        return cls._of_rows(field, rows, cols, ({j: x for j, x in r.items() if not field.is_zero(x)} for r in out))
+
+    @classmethod
     def from_columns(cls, field: Field, rows: int, columns) -> "Matrix":
         """The matrix whose j-th column holds the entries of columns[j], read row-major.
 
@@ -243,6 +248,10 @@ class Matrix:
     def col(self, j: int) -> tuple:
         z = self.field.zero()
         return tuple(r.get(j, z) for r in self._rows)
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """A row or column vector's entries, read row-major, as a rows x cols matrix."""
+        return permute(self, (rows, cols), (0, 1), 1)
 
     def row_matrix(self, i: int) -> "Matrix":
         return Matrix._of_rows(self.field, 1, self.cols, (self._rows[i],))
@@ -426,48 +435,51 @@ def perm_tensor(field: Field, dims, perm) -> Matrix:
     return permute(Matrix.identity(field, total), dims + (total,), perm + (len(dims),), len(dims))
 
 
-def _eliminate(rows: list[list], field: Field, width: int | None = None) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices.
+def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
+    """Bring row dicts to reduced row echelon form in place; returns the pivot columns.
 
-    Only the first `width` columns are eligible as pivots (used for
-    augmented solving); trailing columns are carried along.
+    The dicts must belong to the caller: they are written.  Each pivot is
+    the leftmost column below `width` holding a nonzero in the rows not yet
+    used, taken from the first such row; trailing columns (the right-hand
+    sides of solve_linear) are carried along.  The pivot rows end up first,
+    in pivot order.  Entries are plain products, reduced mod p over F_p,
+    and an entry that cancels is dropped, so every row stays canonical.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    if width is None:
-        width = ncols
-    is_zero = field.is_zero
-    sub, mul = field.sub, field.mul
+    p = field.p
     pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one():
-            rows[r] = [mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [sub(x, mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    for r in range(len(rows)):
+        # the leftmost column holding a nonzero in the rows left; at or past width, only right-hand sides are
+        live = [(min(row), i) for i, row in enumerate(rows[r:], r) if row]
+        c, i = min(live, default=(width, r))
+        if c >= width:
             break
+        row = rows[i]
+        rows[i] = rows[r]
+        if row[c] != 1:
+            inv = field.inv(row[c])
+            row = {k: v * inv for k, v in row.items()} if p is None else {k: v * inv % p for k, v in row.items()}
+        rows[r] = row
+        for other in rows:
+            if other is row or c not in other:
+                continue
+            factor = other[c]
+            for k, v in row.items():
+                x = other.get(k, 0) - factor * v
+                if p is not None:
+                    x %= p
+                if x:
+                    other[k] = x
+                else:   # a product of two nonzeros is nonzero, so k was in other
+                    del other[k]
+        pivots.append(c)
     return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Canonical reduced row echelon form with zero rows dropped."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = _eliminate(rows, m.field)
-    kept = rows[:len(pivots)]
-    if not kept:
-        return Matrix(m.field, 0, m.cols, []), ()
-    return Matrix.from_rows(m.field, kept), tuple(pivots)
+    rows = [dict(r) for r in m._rows]
+    pivots = _eliminate(rows, m.field, m.cols)
+    return Matrix._of_rows(m.field, len(pivots), m.cols, rows[:len(pivots)]), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -491,19 +503,12 @@ class Subspace:
         rows = [list(v) for v in vectors]
         if any(len(r) != ambient for r in rows):
             raise DimensionMismatch("wrong vector length")
-        if not rows:
-            return cls(field, ambient, Matrix(field, 0, ambient, []))
-        basis, _ = rref(Matrix.from_rows(field, rows))
-        return cls(field, ambient, basis)
+        return cls.from_matrix_rows(Matrix(field, len(rows), ambient, [x for r in rows for x in r]))
 
     @classmethod
     def from_matrix_rows(cls, m: Matrix) -> "Subspace":
         basis, _ = rref(m)
         return cls(m.field, m.cols, basis)
-
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix(field, 0, ambient, []))
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
@@ -525,8 +530,7 @@ class Subspace:
 
     def annihilator_matrix(self) -> Matrix:
         """A matrix N with {v : N v = 0} equal to this subspace."""
-        ker = kernel(self.basis) if self.dim else Subspace.full(self.field, self.ambient)
-        return ker.basis
+        return kernel(self.basis).basis
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -566,20 +570,15 @@ def solve_linear(a: Matrix, b: Matrix) -> LinearSolution | None:
         raise DimensionMismatch("field mismatch")
     if a.rows != b.rows:
         raise DimensionMismatch(f"A has {a.rows} rows but B has {b.rows}")
-    field = a.field
-    zero = field.zero()
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    if not rows:
-        return LinearSolution(Matrix.zeros(field, a.cols, b.cols), kernel(a))
-    pivots = _eliminate(rows, field, width=a.cols)
-    for i in range(len(pivots), len(rows)):
-        if any(x != zero for x in rows[i][a.cols:]):
-            return None
-    part = [[zero] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        part[c] = list(rows[r][a.cols:])
-    particular = Matrix.from_rows(field, part) if a.cols else Matrix(field, 0, b.cols, [])
-    return LinearSolution(particular, _kernel_from_rref(field, a.cols, rows[:len(pivots)], pivots))
+    n = a.cols
+    rows = list(a.hstack(b)._rows)   # fresh dicts, B's columns shifted by n
+    pivots = _eliminate(rows, a.field, n)
+    if any(rows[len(pivots):]):
+        return None
+    part = [{} for _ in range(n)]
+    for row, c in zip(rows, pivots):
+        part[c] = {k - n: v for k, v in row.items() if k >= n}
+    return LinearSolution(Matrix._of_rows(a.field, n, b.cols, part), _kernel_from_rref(a.field, n, rows, pivots))
 
 
 def express(basis: Matrix, vectors: Matrix) -> tuple[Matrix, None] | tuple[None, int]:
@@ -595,24 +594,22 @@ def express(basis: Matrix, vectors: Matrix) -> tuple[Matrix, None] | tuple[None,
     return None, next(j for j in range(vectors.cols) if solve_linear(a, vectors.col_matrix(j)) is None)
 
 
-def _kernel_from_rref(field: Field, ncols: int, rows: list[list], pivots: list[int]) -> Subspace:
-    zero, one = field.zero(), field.one()
-    free = [c for c in range(ncols) if c not in pivots]
-    vectors = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[r][fc])
-        vectors.append(v)
-    return Subspace.from_spanning(field, ncols, vectors)
+def _kernel_from_rref(field: Field, ncols: int, rows: list[dict], pivots: list[int]) -> Subspace:
+    """{v : R v = 0} for R in RREF, given by its pivot rows; entries at columns >= ncols are ignored."""
+    taken = set(pivots)
+    # one vector per free column fc: e_fc minus R's column fc placed at the pivot columns
+    free = {fc: {fc: field.one()} for fc in range(ncols) if fc not in taken}
+    for row, pc in zip(rows, pivots):
+        for k, v in row.items():
+            if k in free:
+                free[k][pc] = field.neg(v)
+    return Subspace.from_matrix_rows(Matrix._of_rows(field, len(free), ncols, free.values()))
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : M v = 0} as a canonical subspace of F^cols."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots = _eliminate(rows, m.field) if rows else []
-    return _kernel_from_rref(m.field, m.cols, rows[:len(pivots)], list(pivots))
+    rows = [dict(r) for r in m._rows]
+    return _kernel_from_rref(m.field, m.cols, rows, _eliminate(rows, m.field, m.cols))
 
 
 def image(m: Matrix) -> Subspace:
@@ -624,10 +621,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     """{v : M v in S} as a subspace of F^cols."""
     if s.ambient != m.rows:
         raise DimensionMismatch("subspace ambient must match M's row count")
-    n = s.annihilator_matrix()
-    if n.rows == 0:
-        return Subspace.full(m.field, m.cols)
-    return kernel(n @ m)
+    return kernel(s.annihilator_matrix() @ m)
 
 
 def member(v: Matrix, s: Subspace) -> bool:

@@ -28,7 +28,6 @@ from .exactlin import (
     rank,
     solve_linear,
     swap_middle,
-    unflat,
 )
 from . import report
 from .report import Report
@@ -85,21 +84,20 @@ QUAD_LAYOUTS = {
 def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
     """Sum the quadruples into Q (axes dims) and permute Q into the layout's matrix."""
     d0, d1, d2 = dims
-    data = [field.zero()] * (d0 * d1 * d2)
+    entries = []
     for i, j, k, c in quads:
         if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
             raise PresentationError(f"{layout} index out of range: {(i, j, k)}")
-        idx = (i * d1 + j) * d2 + k
-        data[idx] = field.add(data[idx], _scalar(field, c))
+        entries.append((i * d1 + j, k, _scalar(field, c)))
     perm, nrows = QUAD_LAYOUTS[layout]
-    return permute(Matrix(field, d0 * d1, d2, data), dims, perm, nrows)
+    return permute(Matrix.from_entries(field, d0 * d1, d2, entries), dims, perm, nrows)
 
 
 def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
     """The nonzero entries of m as quadruples (i, j, k, c), in lexicographic order."""
     perm, _ = QUAD_LAYOUTS[layout]
-    q = columns_of(permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 3))[0]
-    return [(*unflat(t, dims), q[t]) for t in sorted(q)]
+    q = columns_of(permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 2))
+    return sorted((*divmod(t, dims[1]), k, v) for k, column in enumerate(q) for t, v in column.items())
 
 
 def mul_from_triples(field: Field, dim: int, triples) -> Matrix:
@@ -358,7 +356,7 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
     e = convolution_unit(c, a)
     n = a.dim * c.dim
     target = Matrix.from_columns(a.field, n, [e])
-    units = [_reshape(Matrix.basis_column(a.field, n, s), a.dim, c.dim) for s in range(n)]
+    units = [Matrix.basis_column(a.field, n, s).reshape(a.dim, c.dim) for s in range(n)]
     t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
     sol = solve_linear(t, target)
     if sol is None:
@@ -367,15 +365,11 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
         sol = solve_linear(t, target)
         if sol is None:
             return None
-        return ("left", _reshape(sol.particular, a.dim, c.dim))
-    g = _reshape(sol.particular, a.dim, c.dim)
+        return ("left", sol.particular.reshape(a.dim, c.dim))
+    g = sol.particular.reshape(a.dim, c.dim)
     if convolution(c, a, g, f) == e:
         return g
     return ("right", g)
-
-
-def _reshape(column: Matrix, rows: int, cols: int) -> Matrix:
-    return Matrix(column.field, rows, cols, column.col(0))
 
 
 def compute_antipode(h: StructurePresentation) -> Matrix | None:

@@ -92,6 +92,64 @@ class TestParse:
             parse_document(json.dumps({"version": 99, "field": "Q", "objects": {}}))
 
 
+
+def one_dim_document():
+    """F_5 as a bialgebra, with a module, the identity entwining and an entwined module over it."""
+    unit_quad = [[0, 0, 0, 1]]
+    return {"version": 1, "field": {"p": 5}, "objects": {
+        "k": {"type": "structure", "kind": "bialgebra", "dim": 1,
+              "mul": unit_quad, "unit": [1], "comul": unit_quad, "counit": [1]},
+        "m": {"type": "module", "dim": 1, "action": {"structure": "k", "triples": unit_quad}},
+        "e": {"type": "entwining", "algebra": "k", "coalgebra": "k", "psi": [[1]]},
+        "em": {"type": "entwined_module", "entwining": "e", "dim": 1,
+               "action": unit_quad, "coaction": unit_quad},
+    }}
+
+
+class TestJsonBooleans:
+    """true and false are ints to Python; a document that uses one as a number is an input error."""
+
+    @staticmethod
+    def check(tmp_path, body):
+        code, text = run_command(["check", write(tmp_path, "doc.ent", json.dumps(body))])
+        return code, text
+
+    def test_one_dim_document_passes(self, tmp_path):
+        code, text = self.check(tmp_path, one_dim_document())
+        assert code == 0, text
+
+    def test_prime_field_scalar(self, tmp_path):
+        body = json.loads(catalog_doc("f5c5"))
+        body["objects"]["f5c5"]["mul"][0][3] = True
+        code, text = self.check(tmp_path, body)
+        assert code == 2 and "objects.f5c5.mul[0]: prime-field scalar" in text
+
+    def test_quad_index(self, tmp_path):
+        body = json.loads(catalog_doc("f5c5"))
+        body["objects"]["f5c5"]["mul"][0][0] = False
+        code, text = self.check(tmp_path, body)
+        assert code == 2 and "objects.f5c5.mul[0]: first index False" in text
+
+    @pytest.mark.parametrize("name", ["k", "m", "em"])
+    def test_dim(self, tmp_path, name):
+        body = one_dim_document()
+        body["objects"][name]["dim"] = True
+        code, text = self.check(tmp_path, body)
+        assert code == 2 and f"objects.{name}.dim: dim must be a nonnegative integer" in text
+
+    def test_field_modulus(self, tmp_path):
+        body = one_dim_document()
+        body["field"] = {"p": True}
+        code, text = self.check(tmp_path, body)
+        assert code == 2 and "field: field must be" in text
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version(self, tmp_path, version):
+        body = one_dim_document()
+        body["version"] = version
+        code, text = self.check(tmp_path, body)
+        assert code == 2 and f"version: unsupported version {version!r}" in text
+
 class TestCheckCommand:
     def test_catalog_exports_pass(self, tmp_path):
         for name in ("qc2", "dk_qc2", "hopfmod_qc2", "ext_qc2", "coext_qc2"):

@@ -27,13 +27,14 @@ from entwine.structures import (
     harpoon_action_matrix,
     make_structure,
     module_from_coaction,
+    mul_from_triples,
     pairing_action,
     rational_submodule,
     verify_measuring_pairing,
     verify_structure,
 )
 from entwine.catalog import catalog_get, cyclic_group_algebra, sweedler4, trivial_bialgebra
-from entwine.document import document_from_objects, emit_document
+from entwine.document import document_from_objects, emit_document, parse_document
 from entwine.exactlin import PresentationError
 from conftest import BOTH_FIELDS, random_invertible, random_matrix
 
@@ -589,6 +590,30 @@ class TestSparseScale:
             tracemalloc.stop()
         assert rep.summary().startswith("verify_structure[algebra]: FAIL left-unit at basis (1,) ")
         assert peak < 1_000_000
+
+    def test_emit_and_parse_peak_memory(self):
+        # the dense quadruple tensor of dim 80 alone is 512,000 entries, about 4 MB of pointers
+        big = self.one_constant_algebra(80)
+        tracemalloc.start()
+        try:
+            text = emit_document(document_from_objects(QQ, {"big": big}))
+            emit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            doc = parse_document(text)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc.resolved["big"].mul == big.mul
+        assert emit_peak < 2_000_000 and parse_peak < 2_000_000
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=repr)
+    def test_repeated_quads_add_and_cancel(self, field):
+        one = field.one()
+        summed = mul_from_triples(field, 2, [(0, 1, 1, one), (0, 1, 1, one), (1, 0, 0, one), (1, 0, 0, -one),
+                                             (1, 1, 0, one)])
+        assert summed == mul_from_triples(field, 2, [(0, 1, 1, one + one), (1, 1, 0, one)])
+        with pytest.raises(PresentationError, match=r"mul index out of range: \(0, 2, 0\)"):
+            mul_from_triples(field, 2, [(0, 2, 0, one)])
 
     def test_check_command_peak_rss(self, tmp_path):
         pytest.importorskip("resource")
