@@ -232,12 +232,8 @@ def cmd_adjunction(args, out: _Out) -> None:
     e = _get(doc, args.entwining, EntwiningPresentation, "entwining")
     m = _get(doc, args.module, EntwinedModulePresentation, "entwined module")
     datum = dual_entwining(e)
-    if args.dual_module:
-        k = _get(doc, args.dual_module, EntwinedModulePresentation, "entwined module")
-    else:
-        from .duality import dual_module_r
-
-        k = dual_module_r(datum, m).module
+    k = (_get(doc, args.dual_module, EntwinedModulePresentation, "entwined module")
+         if args.dual_module else None)
     out.report(args.module, adjunction_check(datum, m, k))
 
 

@@ -230,15 +230,22 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
 
 
 def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
-                     k: EntwinedModulePresentation) -> Report:
+                     k: EntwinedModulePresentation | None = None) -> Report:
     """Verify the two Hom-space bijections are mutually inverse, exactly.
 
-    Hom(M, K^r) and Hom(K, M_r) are computed as joint kernels; the maps
-    f -> f* . lambda_K and g -> g* . lambda_M are applied to every basis
-    element, checked to land in the opposite Hom space, and composed both
-    ways back to the identity.
+    M is verified over d.source and K over d.dual first, and a failure is
+    reported as module[...] or dual-module[...]; K defaults to M_r, built
+    from M.  Hom(M, K^r) and Hom(K, M_r) are computed as joint kernels; the
+    maps f -> f* . lambda_K and g -> g* . lambda_M are applied to every
+    basis element, checked to land in the opposite Hom space, and composed
+    both ways back to the identity.
     """
+    for part, e, module in (("module", d.source, m), ("dual-module", d.dual, k)):
+        rep = verify_entwined_module(e, module) if module is not None else None
+        if rep is not None and not rep.passed:
+            return report.within("adjunction_check", part, rep)
     mr = dual_module_r(d, m)
+    k = mr.module if k is None else k   # dual_module_r verifies the module it builds
     kr = dual_module_upper_r(d, k)
     hom_mkr = hom_entwined_basis(d.source, m, kr.module)
     hom_kmr = hom_entwined_basis(d.dual, k, mr.module)

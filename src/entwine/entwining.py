@@ -6,7 +6,8 @@ verified entwining we build the coring A (x) C, the smash ring on
 Hom(C, A) with the twisted multiplication, the isomorphism between the
 smash ring and the left dual of the coring, and the category equivalence
 between entwined modules and smash-ring modules, all checked exhaustively
-on basis elements.
+on basis elements as rows of report.first_failure, each side of a law a
+composition of structure maps.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from .exactlin import (
     DimensionMismatch,
     Matrix,
     PresentationError,
-    columns_of,
     kernel,
     kron,
     permute,
     solve_linear,
-    sparse_combine,
 )
 from . import report
 from .report import Report
@@ -152,130 +151,48 @@ def build_coring(e: EntwiningPresentation) -> CoringPresentation:
     return coring
 
 
-class _Columns(dict):
-    """Sparse columns of a map, each made by make(j) when first asked for and kept.
-
-    The tensor maps the coring laws apply (comul (x) id and the like) have
-    far more columns than a sparse comultiplication ever reaches, so they
-    are never laid out in full.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, j):
-        col = self[j] = self.make(j)
-        return col
-
-
 def verify_coring(coring: CoringPresentation) -> Report:
     """Bimodule laws, coassociativity, counit laws and balanced bilinearity.
 
-    Everything is evaluated on basis elements as canonical sparse vectors
-    (exactlin.sparse_combine over the sparse columns of the structure maps),
-    so the check scales past the point where the iterated tensor matrices
-    would, and the two sides of a law compare as plain dicts.  Columns of
-    the tensor maps, such as comul (x) id, are made only when a law reaches
-    them.  Right linearity of the comultiplication only holds modulo the
-    balancing relations (x.a) (x) y - x (x) (a.y); it is certified by
-    exhibiting the explicit combination of relations that closes the gap.
+    Each law is a row of report.first_failure whose sides are compositions
+    of the structure maps, checked one basis column at a time; tensor maps
+    such as comul (x) id are pairs that are never laid out.  Right
+    linearity of the comultiplication only holds modulo the balancing
+    relations (x.a) (x) y - x (x) (a.y); it is certified by exhibiting the
+    explicit combination of relations that closes the gap.
     """
-    return report.first_sparse_failure("verify_coring", _coring_laws(coring), coring.field)
+    return report.first_failure("verify_coring", _coring_laws(coring))
 
 
-def _coring_laws(coring: CoringPresentation):
-    """The laws of verify_coring as lazy (axiom, witness, lhs, rhs) sparse vectors."""
+def _coring_laws(coring: CoringPresentation) -> list:
+    """The laws of verify_coring as (axiom, lhs, rhs, basis dims) rows."""
     e = coring.entwining
-    a = e.algebra
+    a, c = e.algebra, e.coalgebra
     f = coring.field
-    n, na, nc = coring.dim, a.dim, e.coalgebra.dim
-    one = f.one()
-    difference = {0: one, 1: f.neg(one)}   # sparse_combine((x, y), difference, f) = x - y
-    la = columns_of(coring.left_action)     # column (j, t) = j * n + t
-    ra = columns_of(coring.right_action)    # column (t, j) = t * na + j
-    dl = columns_of(coring.comul)           # keys (p, q) = p * n + q
-    eps = columns_of(coring.counit)         # dicts over A
-    amul = columns_of(a.mul)
-    aunit = columns_of(a.unit)[0]
-    comul_c = columns_of(e.coalgebra.comul)
-    la_by = [la[j * n:(j + 1) * n] for j in range(na)]        # x -> a_j . x
-    ra_by = [ra[j::na] for j in range(na)]                    # x -> x . a_j
-    la_on = [la[t::n] for t in range(n)]                      # a_x -> a_x . t
-    ra_on = [ra[t * na:(t + 1) * na] for t in range(n)]       # a_x -> t . a_x
-    amul_by = [amul[j * na:(j + 1) * na] for j in range(na)]  # x -> a_j a_x
-    amul_on = [amul[j::na] for j in range(na)]                # x -> a_x a_j
-    for j1 in range(na):
-        for j2 in range(na):
-            prod = amul[j1 * na + j2]
-            for t in range(n):
-                yield "left-action-associativity", (j1, j2, t), \
-                    sparse_combine(la_by[j1], la[j2 * n + t], f), sparse_combine(la_on[t], prod, f)
-                yield "right-action-associativity", (t, j1, j2), \
-                    sparse_combine(ra_by[j2], ra[t * na + j1], f), sparse_combine(ra_on[t], prod, f)
-    for t in range(n):
-        yield "left-action-unit", (t,), sparse_combine(la_on[t], aunit, f), {t: one}
-        yield "right-action-unit", (t,), sparse_combine(ra_on[t], aunit, f), {t: one}
-    for j1 in range(na):
-        for t in range(n):
-            for j2 in range(na):
-                yield "bimodule-compatibility", (j1, t, j2), \
-                    sparse_combine(ra_by[j2], la[j1 * n + t], f), \
-                    sparse_combine(la_by[j1], ra[t * na + j2], f)
-    # columns (p, q) = p * n + q of comul (x) id, id (x) comul, eps (x) id, id (x) eps
-    comul_id = _Columns(lambda pq: {rs * n + pq % n: w for rs, w in dl[pq // n].items()})
-    id_comul = _Columns(lambda pq: {pq // n * n * n + rs: w for rs, w in dl[pq % n].items()})
-    counit_id = _Columns(lambda pq: {x * n + pq % n: w for x, w in eps[pq // n].items()})
-    id_counit = _Columns(lambda pq: {pq // n * na + x: w for x, w in eps[pq % n].items()})
-    for t in range(n):
-        base = dl[t]
-        yield "coassociativity", (t,), sparse_combine(comul_id, base, f), sparse_combine(id_comul, base, f)
-        yield "left-counit", (t,), sparse_combine(la, sparse_combine(counit_id, base, f), f), {t: one}
-        yield "right-counit", (t,), sparse_combine(ra, sparse_combine(id_counit, base, f), f), {t: one}
-    # drop each section's columns once it is done: on dense corings they set the peak memory
-    del comul_id, id_comul, counit_id, id_counit
-    # left action (x) id, column (j, p, q) = (j * n + p) * n + q
-    la_id = _Columns(lambda k: {y * n + k % n: w for y, w in la[k // n].items()})
-    for j in range(na):
-        for t in range(n):
-            yield "comul-left-linear", (j, t), sparse_combine(dl, la[j * n + t], f), \
-                sparse_combine(la_id, {j * n * n + pq: v for pq, v in dl[t].items()}, f)
-            yield "counit-left-linear", (j, t), sparse_combine(eps, la[j * n + t], f), \
-                sparse_combine(amul_by[j], eps[t], f)
-            yield "counit-right-linear", (t, j), sparse_combine(eps, ra[t * na + j], f), \
-                sparse_combine(amul_on[j], eps[t], f)
-    del la_id
-    # comul(x.b) - comul(x).b must be a combination of balancing relations
-    # (y.b') (x) z - y (x) (b'.z); the combination is written down explicitly.
-    # For x = a (x) c it is the relation at y = a (x) c_1 and z = 1 (x) c',
-    # summed over comul(c) = c_1 (x) c_2 and psi(c_2 (x) b) = b' (x) c'.
-    # id (x) right action, column (p, q, j) = (p * n + q) * na + j
-    id_ra = _Columns(lambda k: {k // (n * na) * n + y: w for y, w in ra[k % (n * na)].items()})
-    # c (x) b -> b' (x) (1 (x) c'), column (c, j) = c * na + j, keys (b', z) = b' * n + z
-    lift = columns_of(kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc))) @ e.psi)
-    # id (x) lift, column (y, c, j) = (y * nc + c) * na + j, keys (y, b', z) = (y * na + b') * n + z
-    id_lift = _Columns(lambda k: {k // (nc * na) * na * n + i: w for i, w in lift[k % (nc * na)].items()})
-
-    def relation(k):
-        """(y.b) (x) z - y (x) (b.z) at k = (y * na + b) * n + z."""
-        yb, z = divmod(k, n)
-        y, b = divmod(yb, na)
-        return sparse_combine(({y2 * n + z: w for y2, w in ra[yb].items()},
-                               {y * n + z2: w for z2, w in la[b * n + z].items()}), difference, f)
-
-    relations = _Columns(relation)
-    for t in range(n):
-        ia, ic = divmod(t, nc)
-        for j in range(na):
-            diff = sparse_combine((sparse_combine(dl, ra[t * na + j], f),
-                                   sparse_combine(id_ra, {pq * na + j: v for pq, v in dl[t].items()}, f)),
-                                  difference, f)
-            # (id (x) lift)((a (x) comul(c)) (x) b): the coefficient of each relation
-            coeffs = sparse_combine(id_lift, {(ia * nc * nc + cc) * na + j: v
-                                              for cc, v in comul_c[ic].items()}, f)
-            yield "comul-right-linear-mod-balancing", (t, j), diff, sparse_combine(relations, coeffs, f)
+    n, na = coring.dim, a.dim
+    la, ra, comul, counit = coring.left_action, coring.right_action, coring.comul, coring.counit
+    idv = Matrix.identity(f, n)
+    # comul(x.b) - comul(x).b, x = a (x) c, is the sum of the balancing relations (y.b') (x) z - y (x) (b'.z)
+    # at y = a (x) c_1, z = 1 (x) c' over comul(c) = c_1 (x) c_2, psi(c_2 (x) b) = b' (x) c'; lift is
+    # c (x) b -> b' (x) (1 (x) c'), and coefficients send x (x) b to those y (x) b' (x) z
+    lift = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, c.dim))) @ e.psi
+    coefficients = ((na, kron(c.comul, Matrix.identity(f, na))), (n, lift))
+    return [
+        ("left-action-associativity", ((na, la), la), ((a.mul, n), la), (na, na, n)),
+        ("right-action-associativity", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
+        ("left-action-unit", ((a.unit, n), la), idv, (n,)),
+        ("right-action-unit", ((n, a.unit), ra), idv, (n,)),
+        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
+        ("coassociativity", (comul, (comul, n)), (comul, (n, comul)), (n,)),
+        ("left-counit", (comul, (counit, n), la), idv, (n,)),
+        ("right-counit", (comul, (n, counit), ra), idv, (n,)),
+        ("comul-left-linear", (la, comul), ((na, comul), (la, n)), (na, n)),
+        ("counit-left-linear", (la, counit), ((na, counit), a.mul), (na, n)),
+        ("counit-right-linear", (ra, counit), ((counit, na), a.mul), (n, na)),
+        ("comul-right-linear-mod-balancing",
+         [(1, (ra, comul)), (-1, ((comul, na), (n, ra)))],
+         [(1, (*coefficients, (ra, n))), (-1, (*coefficients, (n, la)))], (n, na)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,64 +271,29 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
 
 def verify_smash(s: SmashRing) -> Report:
     """Associativity, unit laws, and the A-ring axioms, on all basis tuples."""
-    return report.first_sparse_failure("verify_smash", _smash_laws(s), s.field)
+    return report.first_failure("verify_smash", _smash_laws(s))
 
 
-def _smash_laws(s: SmashRing):
-    """The laws of verify_smash as lazy (axiom, witness, lhs, rhs) sparse vectors."""
-    f = s.field
-    n = s.dim
+def _smash_laws(s: SmashRing) -> list:
+    """The laws of verify_smash as (axiom, lhs, rhs, basis dims) rows."""
     a = s.entwining.algebra
-    na = a.dim
-    one = f.one()
-    mul = columns_of(s.mul)        # column (r, t) = r * n + t
-    la = columns_of(s.left_action)   # column (j, t) = j * n + t
-    ra = columns_of(s.right_action)  # column (t, j) = t * na + j
-    amul = columns_of(a.mul)
-    unit = columns_of(s.unit)[0]
-    aunit = columns_of(a.unit)[0]
-    mul_by = [mul[r * n:(r + 1) * n] for r in range(n)]    # x -> E_r E_x
-    mul_on = [mul[t::n] for t in range(n)]                 # x -> E_x E_t
-    la_by = [la[j * n:(j + 1) * n] for j in range(na)]     # x -> a_j . x
-    ra_by = [ra[j::na] for j in range(na)]                 # x -> x . a_j
-    la_on = [la[t::n] for t in range(n)]                   # a_x -> a_x . t
-    ra_on = [ra[t * na:(t + 1) * na] for t in range(n)]    # a_x -> t . a_x
-    for r in range(n):
-        for t in range(n):
-            prod = mul[r * n + t]
-            for u in range(n):
-                yield "associativity", (r, t, u), sparse_combine(mul_on[u], prod, f), \
-                    sparse_combine(mul_by[r], mul[t * n + u], f)
-    for t in range(n):
-        yield "left-unit", (t,), sparse_combine(mul_on[t], unit, f), {t: one}
-        yield "right-unit", (t,), sparse_combine(mul_by[t], unit, f), {t: one}
-        yield "left-action-unit", (t,), sparse_combine(la_on[t], aunit, f), {t: one}
-        yield "right-action-unit", (t,), sparse_combine(ra_on[t], aunit, f), {t: one}
-    for j1 in range(na):
-        for j2 in range(na):
-            prod = amul[j1 * na + j2]
-            for t in range(n):
-                yield "left-action-module", (j1, j2, t), \
-                    sparse_combine(la_by[j1], la[j2 * n + t], f), sparse_combine(la_on[t], prod, f)
-                yield "right-action-module", (t, j1, j2), \
-                    sparse_combine(ra_by[j2], ra[t * na + j1], f), sparse_combine(ra_on[t], prod, f)
-    for j1 in range(na):
-        for t in range(n):
-            for j2 in range(na):
-                yield "bimodule-compatibility", (j1, t, j2), \
-                    sparse_combine(ra_by[j2], la[j1 * n + t], f), \
-                    sparse_combine(la_by[j1], ra[t * na + j2], f)
-    for j in range(na):
-        for r in range(n):
-            for t in range(n):
-                yield "mul-left-linear", (j, r, t), sparse_combine(mul_on[t], la[j * n + r], f), \
-                    sparse_combine(la_by[j], mul[r * n + t], f)
-                yield "mul-right-linear", (r, t, j), sparse_combine(ra_by[j], mul[r * n + t], f), \
-                    sparse_combine(mul_by[r], ra[t * na + j], f)
-                yield "mul-balanced", (r, j, t), sparse_combine(mul_on[t], ra[r * na + j], f), \
-                    sparse_combine(mul_by[r], la[j * n + t], f)
-    for j in range(na):
-        yield "unit-central", (j,), sparse_combine(la_by[j], unit, f), sparse_combine(ra_by[j], unit, f)
+    n, na = s.dim, a.dim
+    mul, unit, la, ra = s.mul, s.unit, s.left_action, s.right_action
+    ids = Matrix.identity(s.field, n)
+    return [
+        ("associativity", ((mul, n), mul), ((n, mul), mul), (n, n, n)),
+        ("left-unit", ((unit, n), mul), ids, (n,)),
+        ("right-unit", ((n, unit), mul), ids, (n,)),
+        ("left-action-unit", ((a.unit, n), la), ids, (n,)),
+        ("right-action-unit", ((n, a.unit), ra), ids, (n,)),
+        ("left-action-module", ((na, la), la), ((a.mul, n), la), (na, na, n)),
+        ("right-action-module", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
+        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
+        ("mul-left-linear", ((la, n), mul), ((na, mul), la), (na, n, n)),
+        ("mul-right-linear", ((mul, na), ra), ((n, ra), mul), (n, n, na)),
+        ("mul-balanced", ((ra, n), mul), ((n, la), mul), (n, na, n)),
+        ("unit-central", ((na, unit), la), ((unit, na), ra), (na,)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ from column index to value.  Every operation reads and writes that form,
 so the work and the memory of a product, a Kronecker product, a transpose,
 a re-indexing or an elimination grow with the nonzeros (and the number of
 rows), not with the dense sizes; elimination returns canonical RREF
-bases.  The law checks work on sparse vectors,
-index -> value dicts: sparse_combine sums their plain products without a
-Field call per term and returns them canonical (reduced, no zero values),
-so two vectors are equal exactly when their dicts are.  A linear map
+bases.  law_columns reads a side of a law, a composition of structure
+maps whose tensor factors kron(X, id) are never laid out, one basis column
+at a time: it sums plain products without a Field call per term and
+returns each column canonical (an index -> value dict, reduced, no zero
+values), so two columns are equal exactly when their dicts are.  A linear map
 V -> W with dim V = n, dim W = m is an m x n matrix acting on column
 vectors.  Tensor products follow the index convention
 idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied to v (x) w equals
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import prod
 
 
@@ -93,7 +94,7 @@ class Field:
             return pow(a, self.p - 2, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1) / a
 
     def is_zero(self, a) -> bool:
         # Fraction.__eq__ is slow; the numerator test is equivalent and cheap
@@ -152,11 +153,11 @@ class Matrix:
     is never stored, so two matrices are equal exactly when their row dicts
     are.  Row dicts are shared between matrices and never written after the
     matrix that made them is built.  `data` is a read-only row-major tuple of
-    every entry, for readers outside the package; it is laid out on first
-    read and kept.
+    every entry, for readers outside the package, and columns_of gives the
+    column dicts; each is laid out on first read and kept.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_data")
+    __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         """The matrix with the given row-major entries, zeros included."""
@@ -164,7 +165,7 @@ class Matrix:
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
         is_zero = field.is_zero
-        self.field, self.rows, self.cols, self._data = field, rows, cols, None
+        self.field, self.rows, self.cols, self._data, self._cols = field, rows, cols, None, None
         self._rows = tuple({j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if not is_zero(x)}
                            for i in range(rows))
 
@@ -172,7 +173,7 @@ class Matrix:
     def _of_rows(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
         """The matrix whose rows are the given dicts: nonzero values only, never written again."""
         m = object.__new__(cls)
-        m.field, m.rows, m.cols, m._rows, m._data = field, rows, cols, tuple(entries), None
+        m.field, m.rows, m.cols, m._rows, m._data, m._cols = field, rows, cols, tuple(entries), None, None
         return m
 
     @classmethod
@@ -643,29 +644,108 @@ def subspace_ops(kind: str, *args):
 
 
 def columns_of(m: Matrix) -> tuple[dict, ...]:
-    """Columns as sparse index -> value dicts (the rows of the transpose); read-only."""
-    return m.transpose()._rows
+    """Columns as sparse index -> value dicts (the rows of the transpose); read-only, kept once made."""
+    if m._cols is None:
+        m._cols = m.transpose()._rows
+    return m._cols
 
 
-def sparse_combine(cols, vec: dict, field: Field) -> dict:
-    """sum vec[j] * cols[j] over sparse index -> value dicts, in canonical form.
+class _Pair:
+    """kron(X, id_k) or kron(id_k, X), then maybe a fused Matrix M, acting on sparse columns.
 
-    cols is anything indexable by the keys of vec.  Plain products are summed
-    per entry and reduced once (mod p over F_p, Fraction sums over Q), and
-    entries that cancel are dropped, so the result is reduced and holds no
-    zero: two results are equal exactly when they are equal as dicts.
+    Input key q * d + r names a column of X and an index of id_k; row i of
+    that column lands at outs[identity index][i], an output key or, once M
+    is fused in, M's column there.  Values are plain products, unreduced.
     """
-    acc: dict = {}
-    for j, v in vec.items():
-        for i, w in cols[j].items():
-            if i in acc:
-                acc[i] += v * w
+
+    def __init__(self, a, b):
+        self.x_first = isinstance(a, Matrix)
+        x, k = (a, b) if self.x_first else (b, a)
+        self.field, self.xcols, self.fused = x.field, columns_of(x), False
+        self.rows, self.cols = x.rows * k, x.cols * k
+        if self.x_first:
+            self.d, self.outs = k, [range(r, self.rows, k) for r in range(k)]
+        else:
+            self.d, self.outs = x.cols, [range(q * x.rows, (q + 1) * x.rows) for q in range(k)]
+
+    def fuse(self, m: Matrix):
+        mcols = columns_of(m)
+        self.outs = [[mcols[t] for t in out] for out in self.outs]
+        self.rows, self.fused = m.rows, True
+
+    def columns(self, rest, p):
+        """Column 0, 1, ... of this stage and then the stages in rest, reduced (mod p if p)."""
+        x_first, fused = self.x_first, self.fused
+        for a, b in product(*((self.xcols, self.outs) if x_first else (self.outs, self.xcols))):
+            xcol, out = (a, b) if x_first else (b, a)
+            if fused:
+                acc: dict = {}
+                for i, w in xcol.items():
+                    for t, z in out[i].items():
+                        acc[t] = acc[t] + w * z if t in acc else w * z
             else:
-                acc[i] = v * w
-    p = field.p
-    if p is None:
-        return {i: s for i, s in acc.items() if s}
-    return {i: r for i, s in acc.items() if (r := s % p)}
+                acc = {out[i]: w for i, w in xcol.items()}
+            for stage in rest:
+                acc = stage.apply(acc)
+            yield {t: r for t, s in acc.items() if (r := s % p if p else s)}
+
+    def apply(self, v: dict) -> dict:
+        d, xcols, outs, x_first, fused = self.d, self.xcols, self.outs, self.x_first, self.fused
+        acc: dict = {}
+        for key, c in v.items():
+            q, r = divmod(key, d)
+            xcol, out = (xcols[q], outs[r]) if x_first else (xcols[r], outs[q])
+            for i, w in xcol.items():
+                if not fused:
+                    t = out[i]
+                    acc[t] = acc[t] + c * w if t in acc else c * w
+                    continue
+                cw = c * w
+                for t, z in out[i].items():
+                    acc[t] = acc[t] + cw * z if t in acc else cw * z
+        return acc
+
+
+def law_columns(side):
+    """Read a law side one basis column at a time: (field, (rows, cols), columns).
+
+    columns yields column 0, 1, ... as canonical sparse dicts (reduced, no
+    zero values), equal exactly when the columns are.  A side is a Matrix;
+    a tuple of factors applied left to right, each a Matrix or a pair
+    (X, k) or (k, X), k an int, that stands for kron(X, id_k) or
+    kron(id_k, X) and is never laid out; or a list of (sign, side) terms,
+    sign 1 or -1, for their sum.  A column is read straight off the first
+    factor, a Matrix after a pair is applied with it (M's columns read with
+    a stride), and products are reduced once, at the end (mod p over F_p).
+    """
+    if isinstance(side, Matrix):
+        return side.field, (side.rows, side.cols), iter(columns_of(side))
+    if isinstance(side, list):
+        terms = [law_columns(t if isinstance(t, tuple) else (t,)) for _, t in side]
+        field, shape, _ = terms[0]
+        if any(t[:2] != (field, shape) for t in terms):
+            raise DimensionMismatch("the terms of a law side differ in shape or field")
+
+        def columns():
+            for parts in zip(*(t[2] for t in terms)):
+                acc: dict = {}
+                for (sign, _), part in zip(side, parts):
+                    for i, v in part.items():
+                        acc[i] = acc.get(i, 0) + v if sign > 0 else acc.get(i, 0) - v
+                yield {i: r for i, s in acc.items() if (r := s % field.p if field.p else s)}
+
+        return field, shape, columns()
+    stages: list[_Pair] = []
+    for f in side:
+        stage = _Pair(*((f, 1) if isinstance(f, Matrix) else f))
+        if stages and (stage.field != stages[-1].field or stage.cols != stages[-1].rows):
+            raise DimensionMismatch(f"cannot apply {stage.rows}x{stage.cols} after {stages[-1].rows} rows")
+        if isinstance(f, Matrix) and stages and not stages[-1].fused:
+            stages[-1].fuse(f)
+        else:
+            stages.append(stage)
+    first = stages[0]
+    return first.field, (stages[-1].rows, first.cols), first.columns(stages[1:], first.field.p)
 
 
 def sparse_render(vec: dict, field: Field) -> str:

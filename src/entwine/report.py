@@ -1,15 +1,17 @@
 """Verification reports: pass, or the first broken law with a witness.
 
-A failed report names the law, the basis indices it was evaluated at, and
-both evaluated sides rendered as canonical scalar vectors, so a failure is
-always reproducible by hand.
+Every law is a row (axiom, lhs, rhs, basis dims), its sides compositions
+of structure maps, and compare is the one checker that reads them.  A
+failed report names the law, the basis indices it was evaluated at, and
+both sides there as canonical sparse vectors {index: scalar}, so a
+failure is always reproducible by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, columns_of, sparse_render, unflat
+from .exactlin import Matrix, law_columns, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -80,47 +82,34 @@ class ClosureViolation(CheckError):
     """A chosen pair of dual subobjects does not close under the dual map."""
 
 
-def render_column(m: Matrix, j: int) -> str:
-    fmt = m.field.fmt
-    return "(" + ", ".join(fmt(x) for x in m.col(j)) + ")"
+def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
+    """None when the two sides of a law agree; otherwise a failure at the first differing column.
 
-
-def compare(op: str, axiom: str, lhs: Matrix, rhs: Matrix, col_dims=None) -> Report | None:
-    """None when lhs = rhs; otherwise a failure at the first differing column.
-
+    Each side is read one basis column at a time (exactlin.law_columns).
     The witness is the input basis multi-index, decoded from the column
     via the tensor index convention using col_dims.
     """
-    if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
-        raise AssertionError(f"{op}/{axiom}: comparing {lhs.rows}x{lhs.cols} with {rhs.rows}x{rhs.cols}")
-    if lhs == rhs:
+    if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no column needs reading
         return None
-    for j, (x, y) in enumerate(zip(columns_of(lhs), columns_of(rhs))):
+    field, shape, left = law_columns(lhs)
+    _, rshape, right = law_columns(rhs)
+    if shape != rshape:
+        raise AssertionError(f"{op}/{axiom}: comparing {shape[0]}x{shape[1]} with {rshape[0]}x{rshape[1]}")
+    for j, (x, y) in enumerate(zip(left, right)):
         if x != y:
             witness = unflat(j, col_dims) if col_dims else (j,)
-            return fail(op, axiom, witness=witness,
-                        lhs=render_column(lhs, j), rhs=render_column(rhs, j))
+            return fail(op, axiom, witness=witness, lhs=sparse_render(x, field), rhs=sparse_render(y, field))
     return None
 
 
 def first_failure(op: str, checks) -> Report:
-    """Run (axiom, lhs, rhs, col_dims) comparisons in order; first failure wins."""
+    """Check (axiom, lhs, rhs, col_dims) laws in order; the first failure wins.
+
+    checks may be a lazy generator: nothing after the first failure is
+    evaluated.
+    """
     for axiom, lhs, rhs, col_dims in checks:
         bad = compare(op, axiom, lhs, rhs, col_dims)
         if bad is not None:
             return bad
-    return ok(op)
-
-
-def first_sparse_failure(op: str, laws, field) -> Report:
-    """Check (axiom, witness, lhs, rhs) sparse vectors in order; first failure wins.
-
-    Both sides must be canonical (see exactlin.sparse_combine), so they are
-    compared as plain dicts.  laws may be a lazy generator: nothing after
-    the first failure is evaluated.
-    """
-    for axiom, witness, lhs, rhs in laws:
-        if lhs != rhs:
-            return fail(op, axiom, witness=witness,
-                        lhs=sparse_render(lhs, field), rhs=sparse_render(rhs, field))
     return ok(op)

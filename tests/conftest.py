@@ -33,7 +33,7 @@ def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
 
 
 def assert_canonical_vector(vec: dict, field: Field):
-    """Reduced and free of zeros: the form exactlin.sparse_combine returns."""
+    """Reduced and free of zeros: the form of every column exactlin.law_columns yields."""
     for v in vec.values():
         assert not field.is_zero(v)
         if field.p is not None:

@@ -248,6 +248,20 @@ class TestCommands:
                                   "--module", "hopfmod_qc2"])
         assert code == 0
 
+    def test_adjunction_blames_the_input_module(self, tmp_path):
+        from dataclasses import replace
+        from entwine.document import document_from_objects, emit_document
+        from entwine.exactlin import Matrix
+
+        m = catalog_get("hopfmod_qc2")
+        data = list(m.action.data)
+        data[0] += 1
+        bad = replace(m, action=Matrix(QQ, m.action.rows, m.action.cols, data))
+        path = write(tmp_path, "adj.ent", emit_document(document_from_objects(QQ, {"e": m.entwining, "m": bad})))
+        code, text = run_command(["adjunction", path, "--entwining", "e", "--module", "m"])
+        assert (code, text) == (1, "m: adjunction_check: FAIL module[action[action-associativity]] "
+                                   "at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}\n")
+
     def test_adjunction_explicit_dual_module(self, tmp_path):
         # supply K explicitly: the dual of the regular module, exported by hand
         from entwine.duality import dual_entwining, dual_module_r

@@ -174,10 +174,10 @@ class TestAltDK:
         # each perturbation breaks only a component; the report names it and keeps its witness
         cases = (
             ("h", "mul", "verify_alt_dk: FAIL bialgebra[associativity] at basis (0, 0, 1) "
-                         "lhs=(0, 2) rhs=(0, 1)"),
-            ("alg", "mul", "verify_alt_dk: FAIL algebra[left-unit] at basis (0,) lhs=(2, 0) rhs=(1, 0)"),
+                         "lhs={1: 2} rhs={1: 1}"),
+            ("alg", "mul", "verify_alt_dk: FAIL algebra[left-unit] at basis (0,) lhs={0: 2} rhs={0: 1}"),
             ("coalg", "comul", "verify_alt_dk: FAIL coalgebra[coassociativity] at basis (0,) "
-                               "lhs=(4, 0, 0, 1, 0, 1, 2, 0) rhs=(4, 0, 0, 2, 0, 1, 1, 0)"),
+                               "lhs={0: 4, 3: 1, 5: 1, 6: 2} rhs={0: 4, 3: 2, 5: 1, 6: 1}"),
         )
         for part, constants, summary in cases:
             pres = getattr(alt, part)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from entwine.exactlin import Matrix, QQ, PresentationError, Subspace
@@ -23,6 +25,13 @@ from entwine.duality import (
     restrict_dual_coalgebra,
 )
 from entwine.catalog import catalog_get
+
+
+def bump_first(m: Matrix) -> Matrix:
+    """m with one added to its first entry."""
+    data = list(m.data)
+    data[0] = m.field.add(data[0], m.field.one())
+    return Matrix(m.field, m.rows, m.cols, data)
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +172,18 @@ class TestAdjunction:
         k = dual_module_r(d, m).module
         rep = adjunction_check(d, m, k)
         assert rep.passed
+
+    def test_bad_inputs_are_blamed_before_duals_are_built(self):
+        m = catalog_get("hopfmod_qc2")
+        d = dual_entwining(m.entwining)
+        bad_m = replace(m, action=bump_first(m.action))
+        assert adjunction_check(d, bad_m).summary() == (
+            "adjunction_check: FAIL module[action[action-associativity]] at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}")
+        k = dual_module_r(d, m).module
+        rep = adjunction_check(d, m, replace(k, action=bump_first(k.action)))
+        assert rep.axiom == "dual-module[action[action-associativity]]"
+        assert adjunction_check(d, m).summary() == adjunction_check(d, m, k).summary() == \
+            "adjunction_check: PASS hom_dim=1"
 
     def test_zero_modules(self, ent_qc2):
         d = dual_entwining(ent_qc2)

@@ -1,9 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from entwine.exactlin import Matrix, QQ, kron
+from entwine.exactlin import Matrix, QQ, columns_of, kron, law_columns
 from entwine.report import CheckError
 from entwine.structures import (
     ModulePresentation,
@@ -57,6 +58,23 @@ def grouplike_dim1():
     return make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
 
 
+def layout(side) -> Matrix:
+    """A law side laid out with @ and kron: the reference for exactlin.law_columns."""
+    if isinstance(side, Matrix):
+        return side
+    if isinstance(side, list):
+        terms = [layout(term) for _, term in side]
+        terms = [t.scale(t.field.of(sign)) for (sign, _), t in zip(side, terms)]
+        return sum(terms[1:], terms[0])
+    out = None
+    for factor in side:
+        if not isinstance(factor, Matrix):
+            f = next(x.field for x in factor if isinstance(x, Matrix))
+            factor = kron(*(Matrix.identity(f, x) if isinstance(x, int) else x for x in factor))
+        out = factor if out is None else factor @ out
+    return out
+
+
 def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
     """Add c (default 1) to entry (i, j)."""
     data = list(matrix.data)
@@ -75,12 +93,12 @@ class TestVerifyEntwining:
         e = catalog_get("flip_qc3")
         bad_a = replace(e.algebra, mul=corrupt(e.algebra.mul, 0, 0))
         assert verify_structure("algebra", bad_a).summary() == \
-            "verify_structure[algebra]: FAIL associativity at basis (0, 0, 1) lhs=(0, 2, 0) rhs=(0, 1, 0)"
+            "verify_structure[algebra]: FAIL associativity at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}"
         assert verify_entwining(replace(e, algebra=bad_a)).summary() == \
-            "verify_entwining: FAIL algebra[associativity] at basis (0, 0, 1) lhs=(0, 2, 0) rhs=(0, 1, 0)"
+            "verify_entwining: FAIL algebra[associativity] at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}"
         bad_c = replace(e.coalgebra, comul=corrupt(e.coalgebra.comul, 0, 0))
         assert verify_entwining(replace(e, coalgebra=bad_c)).summary() == \
-            "verify_entwining: FAIL coalgebra[left-counit] at basis (0,) lhs=(2, 0, 0) rhs=(1, 0, 0)"
+            "verify_entwining: FAIL coalgebra[left-counit] at basis (0,) lhs={0: 2} rhs={0: 1}"
 
     def test_hopf_module_entwining(self, ent_qc2):
         assert verify_entwining(ent_qc2).passed
@@ -147,14 +165,17 @@ class TestCoring:
         assert not verify_coring(bad).passed
 
     def test_laws_stop_at_the_first_failure(self):
-        from entwine.report import first_sparse_failure
+        from entwine.report import first_failure
+
+        one = Matrix.identity(QQ, 1)
+        row = Matrix.from_rows(QQ, [[QQ.one(), QQ.one()]])
 
         def laws():
-            yield "holds", (0,), {0: QQ.one()}, {0: QQ.one()}
-            yield "broken", (1,), {0: QQ.one()}, {}
+            yield "holds", one, (one, one), (1,)
+            yield "broken", row, (Matrix.from_entries(QQ, 2, 2, [(0, 0, QQ.one())]), row), (2,)
             raise AssertionError("evaluated past the first failure")
 
-        rep = first_sparse_failure("op", laws(), QQ)
+        rep = first_failure("op", laws())
         assert (rep.axiom, rep.witness, rep.lhs, rep.rhs) == ("broken", (1,), "{0: 1}", "{}")
 
 
@@ -207,19 +228,26 @@ class TestSmash:
 
 class TestLawVectors:
     def test_law_vectors_are_canonical(self):
-        """Every side of every law, passing or failing, is reduced and free of zeros."""
-        for name in catalog_names():
-            e = catalog_get(name)
-            if not isinstance(e, EntwiningPresentation):
-                continue
-            smash, coring = build_smash(e), build_coring(e)
-            bad_smash = replace(smash, mul=corrupt(smash.mul, 0, 0))
-            bad_coring = replace(coring, comul=corrupt(coring.comul, 0, 0))
-            for laws in (_smash_laws(smash), _smash_laws(bad_smash),
-                         _coring_laws(coring), _coring_laws(bad_coring)):
-                for _, _, lhs, rhs in laws:
-                    assert_canonical_vector(lhs, e.field)
-                    assert_canonical_vector(rhs, e.field)
+        """Every column of every law, passing or failing, is canonical and is the column of its @/kron layout."""
+        entwinings = [e for e in map(catalog_get, catalog_names()) if isinstance(e, EntwiningPresentation)]
+        laws = []
+        for e in entwinings:
+            laws += [(e.field, _smash_laws(build_smash(e))), (e.field, _coring_laws(build_coring(e)))]
+        e = catalog_get("hopfmod_sweedler4_entwining")
+        smash, coring = build_smash(e), build_coring(e)
+        laws += [(e.field, _smash_laws(replace(smash, mul=corrupt(smash.mul, 9, 130, Fraction(3))))),
+                 (e.field, _coring_laws(replace(coring, comul=corrupt(coring.comul, 250, 11, Fraction(2, 3)))))]
+        for field, rows in laws:
+            assert len(rows) == 12
+            for _, lhs, rhs, dims in rows:
+                for side in (lhs, rhs):
+                    laid = layout(side)
+                    got_field, shape, columns = law_columns(side)
+                    assert (got_field, shape) == (field, (laid.rows, laid.cols)) and laid.cols == prod(dims)
+                    got = list(columns)
+                    assert got == list(columns_of(laid))
+                    for column in got:
+                        assert_canonical_vector(column, field)
 
     @pytest.mark.parametrize("name, part, i, j, c, summary", [
         ("hopfmod_sweedler4_entwining", "smash", 9, 130, Fraction(3),
@@ -244,6 +272,60 @@ class TestLawVectors:
             coring = build_coring(e)
             rep = verify_coring(replace(coring, comul=corrupt(coring.comul, i, j, c)))
         assert rep.summary() == summary
+
+
+ROW_MUTATIONS = [
+    # (part, row, map perturbed by +1 at entry (0, 0), witness of that row alone) on hopfmod_qc2_entwining
+    ("smash", "associativity", "mul", (0, 0, 2)),
+    ("smash", "left-unit", "unit", (0,)),
+    ("smash", "right-unit", "unit", (0,)),
+    ("smash", "left-action-unit", "left_action", (0,)),
+    ("smash", "right-action-unit", "right_action", (0,)),
+    ("smash", "left-action-module", "left_action", (0, 0, 0)),
+    ("smash", "right-action-module", "right_action", (0, 0, 0)),
+    ("smash", "bimodule-compatibility", "right_action", (1, 0, 0)),
+    ("smash", "mul-left-linear", "left_action", (0, 0, 2)),
+    ("smash", "mul-right-linear", "right_action", (2, 3, 0)),
+    ("smash", "mul-balanced", "mul", (0, 1, 3)),
+    ("smash", "unit-central", "unit", (1,)),
+    ("coring", "left-action-associativity", "left_action", (0, 0, 0)),
+    ("coring", "right-action-associativity", "right_action", (0, 0, 0)),
+    ("coring", "left-action-unit", "left_action", (0,)),
+    ("coring", "right-action-unit", "right_action", (0,)),
+    ("coring", "bimodule-compatibility", "right_action", (1, 0, 0)),
+    ("coring", "coassociativity", "comul", (2,)),
+    ("coring", "left-counit", "counit", (0,)),
+    ("coring", "right-counit", "counit", (0,)),
+    ("coring", "comul-left-linear", "comul", (1, 0)),
+    ("coring", "counit-left-linear", "counit", (1, 0)),
+    ("coring", "counit-right-linear", "counit", (0, 1)),
+    ("coring", "comul-right-linear-mod-balancing", "comul", (0, 1)),
+]
+
+
+class TestEveryRowBites:
+    """Each smash and coring law, checked on its own, fails under some single-constant perturbation."""
+
+    @staticmethod
+    def rows(part, obj):
+        return _smash_laws(obj) if part == "smash" else _coring_laws(obj)
+
+    def test_every_row_is_listed(self, ent_qc2):
+        for part, build in (("smash", build_smash), ("coring", build_coring)):
+            listed = [axiom for p, axiom, _, _ in ROW_MUTATIONS if p == part]
+            assert listed == [row[0] for row in self.rows(part, build(ent_qc2))]
+
+    @pytest.mark.parametrize("part, axiom, name, witness", ROW_MUTATIONS,
+                             ids=[f"{part}-{axiom}" for part, axiom, _, _ in ROW_MUTATIONS])
+    def test_perturbation_breaks_the_row(self, ent_qc2, part, axiom, name, witness):
+        from entwine.report import compare
+
+        obj = build_smash(ent_qc2) if part == "smash" else build_coring(ent_qc2)
+        row = next(r for r in self.rows(part, obj) if r[0] == axiom)
+        assert compare(part, *row) is None
+        bad = replace(obj, **{name: corrupt(getattr(obj, name), 0, 0)})
+        rep = compare(part, *next(r for r in self.rows(part, bad) if r[0] == axiom))
+        assert rep is not None and rep.witness == witness
 
 
 class TestNuIso:

@@ -17,6 +17,7 @@ from entwine.exactlin import (
     invert,
     kernel,
     kron,
+    law_columns,
     member,
     perm_tensor,
     permute,
@@ -24,7 +25,6 @@ from entwine.exactlin import (
     rank,
     rref,
     solve_linear,
-    sparse_combine,
     subspace_ops,
     swap_matrix,
     swap_middle,
@@ -107,18 +107,42 @@ def assert_matches(got, field, ref, cols):
         assert_canonical_vector(stored, field)
 
 
-def naive_combine(cols, vec, field):
-    """Reference sum vec[j] * cols[j]: every term through Field, zeros dropped at the end."""
-    out = {}
-    for j, v in vec.items():
-        for i, w in cols[j].items():
-            out[i] = field.add(out.get(i, field.zero()), field.mul(v, w))
-    return {i: x for i, x in out.items() if not field.is_zero(x)}
+def ref_layout(f, side):
+    """A law side laid out as dense rows, every entry through Field: (rows, cols)."""
+    if isinstance(side, Matrix):
+        return [list(side.row(i)) for i in range(side.rows)], side.cols
+    if isinstance(side, list):
+        terms = [(f.of(sign), *ref_layout(f, t)) for sign, t in side]
+        total, cols = [[f.zero()] * terms[0][2] for _ in terms[0][1]], terms[0][2]
+        for sign, ref, _ in terms:
+            total = ref_entrywise(lambda x, y: f.add(x, f.mul(sign, y)), total, ref)
+        return total, cols
+    out = None
+    for factor in side:
+        if isinstance(factor, Matrix):
+            ref, cols = ref_layout(f, factor)
+        else:
+            (a, ac), (b, bc) = (ref_layout(f, Matrix.identity(f, x) if isinstance(x, int) else x) for x in factor)
+            ref, cols = ref_kron(f, a, b), ac * bc
+        out = (ref, cols) if out is None else (ref_matmul(f, ref, out[0], out[1]), out[1])
+    return out
 
 
-def sparse_vector(field, rng, dim, density):
-    entries = {i: random_scalar(field, rng) for i in range(dim) if rng.random() < density}
-    return {i: x for i, x in entries.items() if not field.is_zero(x)}
+def read(side):
+    """Every column of a law side, in order."""
+    return list(law_columns(side)[2])
+
+
+def random_side(field, rng, cols, rows, density):
+    """Random factors, some of them pairs with an identity, from F^cols to F^rows."""
+    factors, width = [], cols
+    for _ in range(rng.randint(0, 2)):
+        k = rng.choice([k for k in (1, 2, 3) if width % k == 0])
+        x = sparse_matrix(field, rng, rng.randint(0, 3), width // k, density)
+        factors.append(rng.choice(((x, k), (k, x))))
+        width = x.rows * k
+    factors.append(sparse_matrix(field, rng, rows, width, density))
+    return tuple(factors)
 
 
 class TestField:
@@ -479,45 +503,58 @@ class TestSparseKernels:
 
 
 class TestSparseCombine:
-    """The law kernel sums plain products and must agree with per-term Field arithmetic."""
+    """The law column reader sums plain products and must agree with per-term Field arithmetic."""
 
     def test_against_naive_reference(self, rng):
         for field in KERNEL_FIELDS:
             for _ in range(60):
-                dim, k = rng.randint(1, 6), rng.randint(1, 6)
+                cols, rows = rng.randint(1, 6), rng.randint(0, 4)
                 density = rng.choice((0.2, 0.5, 1.0))
-                cols = [sparse_vector(field, rng, dim, density) for _ in range(k)]
-                vec = sparse_vector(field, rng, k, density)
-                got = sparse_combine(cols, vec, field)
-                assert got == naive_combine(cols, vec, field)
-                assert_canonical_vector(got, field)
+                side = random_side(field, rng, cols, rows, density)
+                if rng.random() < 0.5:
+                    side = [(1, side), (-1, random_side(field, rng, cols, rows, density))]
+                ref, ref_cols = ref_layout(field, side)
+                got_field, shape, columns = law_columns(side)
+                assert (got_field, shape) == (field, (rows, ref_cols)) and ref_cols == cols
+                got = list(columns)
+                assert got == [{i: r[j] for i, r in enumerate(ref) if not field.is_zero(r[j])} for j in range(cols)]
+                for column in got:
+                    assert_canonical_vector(column, field)
 
     def test_empty_vector(self):
         for field in KERNEL_FIELDS:
-            one = field.one()
-            assert sparse_combine([{0: one}], {}, field) == {}
-            assert sparse_combine([], {}, field) == {}
-            assert sparse_combine([{}], {0: one}, field) == {}
+            one = Matrix.identity(field, 1)
+            empty = Matrix.zeros(field, 1, 1)
+            assert read((empty, one))[0] == {}             # nothing to apply the second factor to
+            assert read((one, empty))[0] == {}             # a column with no entries
+            assert read(((2, empty), (one, 2)))[1] == {}
+            no_rows, no_cols = (Matrix.zeros(field, 0, 2), (0, one)), (Matrix.zeros(field, 1, 0), one.vstack(one))
+            assert law_columns(no_rows)[1] == (0, 2) and read(no_rows) == [{}, {}]
+            assert law_columns(no_cols)[1] == (2, 0) and read(no_cols) == []
 
     def test_cancelling_terms_leave_no_key(self):
         for field in KERNEL_FIELDS:
             one, minus_one = field.one(), field.neg(field.one())
-            cols = [{0: one, 1: field.of(2)}, {0: one, 2: one}]
-            got = sparse_combine(cols, {0: one, 1: minus_one}, field)
-            assert got == {1: field.of(2), 2: minus_one} == naive_combine(cols, {0: one, 1: minus_one}, field)
+            cols = Matrix.from_entries(field, 3, 2, [(0, 0, one), (1, 0, field.of(2)), (0, 1, one), (2, 1, one)])
+            got = read((Matrix.column(field, [one, minus_one]), cols))[0]
+            assert got == {1: field.of(2), 2: minus_one}
             assert_canonical_vector(got, field)
+            assert read([(1, (cols, (1, cols.transpose()))), (-1, (cols, (cols.transpose(), 1)))]) == [{}, {}]
         f5 = Field(5)
-        assert sparse_combine([{0: 2}, {0: 3, 1: 1}], {0: 1, 1: 1}, f5) == {1: 1}   # 2 + 3 = 0
+        cols = Matrix.from_entries(f5, 2, 2, [(0, 0, 2), (0, 1, 3), (1, 1, 1)])
+        assert read((Matrix.column(f5, [1, 1]), cols))[0] == {1: 1}   # 2 + 3 = 0
 
     def test_unreduced_intermediate_sums(self):
         for p in (5, 7):
             f = Field(p)
             # every product (p - 1)^2 and every partial sum is at least p before the one reduction
-            cols = [{0: p - 1, 1: p - 1}] * (p + 1)
-            vec = {j: p - 1 for j in range(p + 1)}
-            assert sparse_combine(cols, vec, f) == naive_combine(cols, vec, f) == {0: 1, 1: 1}
+            cols = Matrix(f, 2, p + 1, [p - 1] * (2 * (p + 1)))
+            vec = Matrix.column(f, [p - 1] * (p + 1))
+            assert read((vec, cols))[0] == {0: 1, 1: 1}
+            # through a pair the products stay unreduced: (p - 1)^3 summed 2(p + 1) times is -2
+            assert read((vec, (cols, 1), (1, Matrix(f, 1, 2, [p - 1, p - 1]))))[0] == {0: p - 2}
             # p such terms sum to p, which is zero
-            assert sparse_combine(cols[:p], {j: p - 1 for j in range(p)}, f) == {}
+            assert read((Matrix.column(f, [p - 1] * p), Matrix(f, 2, p, [p - 1] * (2 * p))))[0] == {}
 
 
 class TestSubspaces:
@@ -601,3 +638,9 @@ class TestInvert:
             t = random_invertible(field, rng, 3)
             assert t @ invert(t) == Matrix.identity(field, 3)
         assert invert(M([[1, 1], [1, 1]])) is None
+
+    def test_integer_entries_over_q_invert_exactly(self):
+        # the public constructor keeps int entries as given; their inverses must still be fractions
+        inv = invert(Matrix(QQ, 2, 2, [2, 1, 0, 3]))
+        assert inv.render() == "[1/2, -1/6; 0, 1/3]"
+        assert all(isinstance(x, Fraction) for x in inv.data if x)
