@@ -176,6 +176,12 @@ class TestCheckCommand:
         assert code == 2
         assert "input error" in text
 
+    def test_noncanonical_rational_is_input_error(self, tmp_path):
+        body = json.loads(catalog_doc("qc2"))
+        body["objects"]["qc2"]["mul"][0][3] = "+1"
+        code, text = run_command(["check", write(tmp_path, "bad.ent", json.dumps(body))])
+        assert code == 2 and "objects.qc2.mul[0]: non-canonical rational literal '+1'" in text
+
     def test_json_report(self, tmp_path):
         path = write(tmp_path, "qc2.ent", catalog_doc("qc2"))
         code, text = run_command(["--json", "check", path])
