@@ -14,7 +14,7 @@ import json
 import sys
 
 from .exactlin import PresentationError
-from .report import CheckError, Report
+from .report import CheckError, Report, ok
 from .structures import (
     ModulePresentation,
     PairingPresentation,
@@ -42,6 +42,7 @@ from .doikoppinen import (
     HExtension,
     check_cointegral,
     check_integral,
+    dk_entwining,
     dual_dk,
     dualize_coextension,
     koppinen_smash,
@@ -151,8 +152,8 @@ def cmd_dualize(args, out: _Out) -> None:
         out.report(name, verify_structure(None, dual))
         emitted = document_from_objects(doc.field, {f"{name}_dual": dual})
     elif isinstance(obj, EntwiningPresentation):
-        datum = dual_entwining(obj)
-        out.report(name, verify_entwining(datum.dual))
+        datum = dual_entwining(obj)   # raises CheckError unless the dual passes verify_entwining
+        out.report(name, ok("verify_entwining"))
         emitted = document_from_objects(doc.field, {
             f"{name}_dual_algebra": datum.atil,
             f"{name}_dual_coalgebra": datum.ctil,
@@ -244,9 +245,10 @@ def cmd_dk(args, out: _Out) -> None:
     out.report(args.name, rep)
     if not rep.passed:
         return
-    koppinen_smash(s)
+    e = dk_entwining(s)
+    koppinen_smash(s, e)
     out.note(f"{args.name}: twisted ring agrees with the entwining smash ring, table and unit")
-    _, rep = dual_dk(s)
+    _, rep = dual_dk(s, e)
     out.report(f"{args.name}_dual", rep)
 
 

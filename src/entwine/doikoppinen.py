@@ -204,12 +204,12 @@ def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
     return e
 
 
-def koppinen_smash(s: DKStructure) -> SmashRing:
+def koppinen_smash(s: DKStructure, e: EntwiningPresentation | None = None) -> SmashRing:
     """Koppinen's ring built directly, checked against the entwining smash.
 
     (f . g)(c) = sum f(c_2)_0 g(c_1 . f(c_2)_1); the full multiplication
     table and unit must agree entry by entry with the smash ring of the
-    induced entwining.
+    induced entwining, e = dk_entwining(s) unless the caller has built it.
     """
     f = s.field
     na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
@@ -226,7 +226,7 @@ def koppinen_smash(s: DKStructure) -> SmashRing:
 
     mul = Matrix.from_columns(f, n, [product(u1, u2) for u1 in units for u2 in units])
     unit = Matrix.from_columns(f, n, [convolution_unit(s.coalg, s.alg)])
-    via_entwining = build_smash(dk_entwining(s))
+    via_entwining = build_smash(dk_entwining(s) if e is None else e)
     bad = report.compare("koppinen_smash", "table-equality", mul, via_entwining.mul, (n, n))
     if bad is not None:
         raise report.CheckError(bad)
@@ -385,15 +385,18 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
 # the dual Doi-Koppinen structure
 
 
-def dual_dk(s: DKStructure) -> tuple[DKStructure, Report]:
+def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKStructure, Report]:
     """(H*, C0, A*) with full duals, verified, plus the entwining coherence.
 
     C0 (here all of C*) becomes the comodule algebra and A* the module
     coalgebra of the dual structure; the induced entwining must equal the
     dual of the original entwining under the evaluation bases, and that
-    equality is part of the returned report.
+    equality is part of the returned report.  A caller that has verified s
+    and built e = dk_entwining(s) passes e, and neither is done again.
     """
-    report.require(verify_dk(s))
+    if e is None:
+        report.require(verify_dk(s))
+        e = dk_entwining(s)
     hdual = _dual_bialgebra(s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
@@ -405,7 +408,7 @@ def dual_dk(s: DKStructure) -> tuple[DKStructure, Report]:
     report.require(verify_dk(dual))
     coherence = report.compare(
         "dual_dk", "entwining-coherence",
-        dk_entwining(dual).psi, dual_entwining(dk_entwining(s)).dual.psi,
+        dk_entwining(dual).psi, dual_entwining(e).dual.psi,
         (astar.structure.dim, c0.structure.dim))
     if coherence is not None:
         return dual, coherence

@@ -1,6 +1,8 @@
 """Exact linear algebra over Q and prime fields F_p.
 
-Scalars are fractions.Fraction for Q and plain ints reduced mod p for F_p.
+Scalars over F_p are ints reduced mod p.  Over Q they are ints, and a
+Fraction only where a division leaves a proper fraction; a whole-number
+Fraction from a sum or product equals and hashes as its int.
 Matrices are immutable and hold only their nonzeros: one dict per row,
 from column index to value.  Every operation reads and writes that form,
 so the work and the memory of a product, a Kronecker product, a transpose,
@@ -28,10 +30,11 @@ byte for byte.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import prod
+from math import isqrt, prod
 
 
 class PresentationError(ValueError):
@@ -42,88 +45,28 @@ class DimensionMismatch(PresentationError):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 class Field:
-    """Q (p is None) or the prime field F_p, p prime and below 2**31."""
+    """Q (Field(), p None) or the prime field F_p (Field(p), p prime below 2**31).
+
+    Field(...) makes an instance of the class for its characteristic, so no
+    scalar op tests p.  In both, zero and one are the ints 0 and 1.
+    """
 
     __slots__ = ("p",)
 
+    def __new__(cls, p: int | None = None):
+        return object.__new__(Rationals if p is None else PrimeField)
+
     def __init__(self, p: int | None = None):
-        if p is not None and (p < 2 or p >= 2**31 or not _is_prime(p)):
+        if p is not None and not (2 <= p < 2**31 and all(p % d for d in range(2, isqrt(p) + 1))):
             raise PresentationError(f"modulus must be a prime below 2**31, got {p!r}")
         self.p = p
 
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 % self.p if self.p is not None else Fraction(1)
-
-    def of(self, n: int):
-        """Embed an integer."""
-        return n % self.p if self.p is not None else Fraction(n)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
-
-    def inv(self, a):
-        if self.p is not None:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-
-    def is_zero(self, a) -> bool:
-        # Fraction.__eq__ is slow; the numerator test is equivalent and cheap
-        if self.p is not None:
-            return a % self.p == 0
-        return a.numerator == 0 if isinstance(a, Fraction) else a == 0
-
-    def fmt(self, a) -> str:
-        """Canonical string form: 'n' or 'n/d' over Q, '0 <= n < p' over F_p."""
-        if self.p is not None:
-            return str(a % self.p)
-        f = Fraction(a)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-    def parse(self, s: str):
-        """Parse a canonical scalar string; reject non-canonical forms like '2/4'."""
-        if self.p is not None:
-            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < self.p:
-                raise PresentationError(f"prime-field scalar must be an integer in [0, {self.p}), got {s!r}")
-            return s
-        if not isinstance(s, str):
-            raise PresentationError(f"rational scalar must be a string, got {s!r}")
-        try:
-            value = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PresentationError(f"bad rational literal {s!r}") from exc
-        if self.fmt(value) != s:
-            raise PresentationError(f"non-canonical rational literal {s!r}")
-        return value
+        return 1
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -133,6 +76,84 @@ class Field:
 
     def __repr__(self):
         return "Field(Q)" if self.p is None else f"Field(F_{self.p})"
+
+
+class Rationals(Field):
+    """Q: whole numbers made here are ints, Fractions proper; a sum or product is left as it comes."""
+
+    __slots__ = ()
+    of = staticmethod(operator.index)   # embed an integer
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(operator.not_)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return _whole(Fraction(1) / a)
+
+    def fmt(self, a) -> str:
+        """Canonical string form: 'n' or 'n/d'."""
+        return str(a) if type(a) is int else str(Fraction(a))
+
+    def parse(self, s: str):
+        """Parse a canonical scalar string; reject non-canonical forms like '2/4' or '+1'."""
+        if not isinstance(s, str):
+            raise PresentationError(f"rational scalar must be a string, got {s!r}")
+        try:
+            value = int(s)
+        except ValueError:
+            try:
+                value = Fraction(s)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise PresentationError(f"bad rational literal {s!r}") from exc
+        if str(value) != s:
+            raise PresentationError(f"non-canonical rational literal {s!r}")
+        return value
+
+
+class PrimeField(Field):
+    """F_p: scalars are ints in [0, p)."""
+
+    __slots__ = ()
+
+    def of(self, n: int):
+        return n % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, self.p - 2, self.p)
+
+    def is_zero(self, a) -> bool:
+        return a % self.p == 0
+
+    def fmt(self, a) -> str:
+        return str(a % self.p)
+
+    def parse(self, s):
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < self.p:
+            raise PresentationError(f"prime-field scalar must be an integer in [0, {self.p}), got {s!r}")
+        return s
+
+
+def _whole(x):
+    """A rational scalar as an int when it is a whole number."""
+    return x.numerator if x.denominator == 1 else x
 
 
 QQ = Field()
@@ -182,8 +203,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one = field.one()
-        return cls._of_rows(field, n, n, ({i: one} for i in range(n)))
+        return cls._of_rows(field, n, n, ({i: 1} for i in range(n)))
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
@@ -229,8 +249,7 @@ class Matrix:
     def basis_column(cls, field: Field, n: int, i: int) -> "Matrix":
         if not 0 <= i < n:
             raise PresentationError(f"basis index {i} out of range [0, {n})")
-        one = field.one()
-        return cls._of_rows(field, n, 1, ({0: one} if k == i else {} for k in range(n)))
+        return cls._of_rows(field, n, 1, ({0: 1} if k == i else {} for k in range(n)))
 
     @property
     def data(self) -> tuple:
@@ -239,8 +258,7 @@ class Matrix:
         return self._data
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self._rows[i].get(j, self.field.zero())
+        return self._rows[ij[0]].get(ij[1], 0)
 
     def row(self, i: int) -> tuple:
         r, z = self._rows[i], self.field.zero()
@@ -272,20 +290,13 @@ class Matrix:
         return hash((self.field, self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, self.field.add)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, self.field.sub)
-
-    def _merge(self, other: "Matrix", op) -> "Matrix":
-        """Entrywise op(self, other) for op in (add, sub), which fix x when the second argument is 0."""
         self._same_shape(other)
-        is_zero, zero = self.field.is_zero, self.field.zero()
+        add, is_zero = self.field.add, self.field.is_zero
         out = []
         for r1, r2 in zip(self._rows, other._rows):
             row = dict(r1)
             for j, b in r2.items():
-                v = op(row.get(j, zero), b)
+                v = add(row.get(j, 0), b)
                 if is_zero(v):
                     row.pop(j, None)
                 else:
@@ -297,6 +308,9 @@ class Matrix:
         neg = self.field.neg
         return Matrix._of_rows(self.field, self.rows, self.cols,
                                ({j: neg(v) for j, v in r.items()} for r in self._rows))
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + -other
 
     def scale(self, c) -> "Matrix":
         if self.field.is_zero(c):
@@ -444,7 +458,8 @@ def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
     used, taken from the first such row; trailing columns (the right-hand
     sides of solve_linear) are carried along.  The pivot rows end up first,
     in pivot order.  Entries are plain products, reduced mod p over F_p,
-    and an entry that cancels is dropped, so every row stays canonical.
+    and an entry that cancels is dropped, so every row stays canonical;
+    over Q a pivot row scaled by a fraction keeps its whole entries as int.
     """
     p = field.p
     pivots: list[int] = []
@@ -458,7 +473,7 @@ def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
         rows[i] = rows[r]
         if row[c] != 1:
             inv = field.inv(row[c])
-            row = {k: v * inv for k, v in row.items()} if p is None else {k: v * inv % p for k, v in row.items()}
+            row = {k: v * inv % p for k, v in row.items()} if p else {k: _whole(v * inv) for k, v in row.items()}
         rows[r] = row
         for other in rows:
             if other is row or c not in other:

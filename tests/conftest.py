@@ -1,12 +1,15 @@
 """Shared generators for randomized exact-arithmetic tests.
 
 Everything is seeded, so failures reproduce; scalars stay small to keep
-fraction arithmetic honest about exactness rather than magnitude.
+fraction arithmetic honest about exactness rather than magnitude.  Over Q
+they are ints, as exactlin makes whole numbers; fractions enter through
+elimination.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,11 +36,16 @@ def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
 
 
 def assert_canonical_vector(vec: dict, field: Field):
-    """Reduced and free of zeros: the form of every column exactlin.law_columns yields."""
+    """Reduced and free of zeros: the form of every column exactlin.law_columns yields.
+
+    Over Q a value is an int or a Fraction; over F_p an int in (0, p).
+    """
     for v in vec.values():
         assert not field.is_zero(v)
         if field.p is not None:
             assert isinstance(v, int) and 0 < v < field.p
+        else:
+            assert type(v) in (int, Fraction)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from entwine.exactlin import Matrix, PresentationError, QQ
+from entwine.exactlin import Matrix, PresentationError, QQ, Subspace
 from entwine.catalog import catalog_entry, catalog_get, catalog_names
 from entwine.structures import StructurePresentation, compute_antipode, verify_structure
 from entwine.entwining import EntwinedModulePresentation, EntwiningPresentation, verify_entwining
@@ -13,6 +15,30 @@ def test_every_entry_verifies():
     for name in catalog_names():
         value = catalog_get(name)  # builders verify on construction
         assert value is not None
+
+
+def _matrices(obj, seen):
+    """Every Matrix reachable from a catalog value through dataclass fields and subspace bases."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Matrix):
+        yield obj
+    elif isinstance(obj, Subspace):
+        yield obj.basis
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _matrices(getattr(obj, f.name), seen)
+
+
+def test_rational_structure_constants_are_int():
+    over_q = 0
+    for name in catalog_names():
+        for m in _matrices(catalog_get(name), set()):
+            if m.field == QQ:
+                over_q += 1
+                assert all(type(x) is int for x in m.data), name
+    assert over_q > 100
 
 
 def test_unknown_name():

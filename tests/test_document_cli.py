@@ -305,6 +305,28 @@ class TestCommands:
         assert code == 0
         assert "agrees" in text
 
+    def test_dk_verifies_each_triple_once(self, tmp_path, monkeypatch):
+        import entwine.cli
+        import entwine.doikoppinen as dk
+
+        path = write(tmp_path, "dk.ent", catalog_doc("dk_qc2"))
+        calls = {"verify_dk": 0, "dk_entwining": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            wrapped = counting(name, getattr(dk, name))
+            monkeypatch.setattr(dk, name, wrapped)
+            monkeypatch.setattr(entwine.cli, name, wrapped, raising=False)
+        code, text = run_command(["dk", path, "--name", "dk_qc2"])
+        assert code == 0, text
+        # the triple and its dual, each verified once and each giving one entwining
+        assert calls == {"verify_dk": 2, "dk_entwining": 2}
+
     def test_cleft_cocleft(self, tmp_path):
         path = write(tmp_path, "ext.ent", catalog_doc("ext_qc2"))
         code, text = run_command(["cleft", path, "--name", "ext_qc2"])

@@ -158,6 +158,34 @@ class TestField:
             with pytest.raises(PresentationError):
                 QQ.parse(bad)
 
+    def test_rational_scalars_are_int_unless_proper_fractions(self):
+        for x in (QQ.of(-3), QQ.zero(), QQ.one(), QQ.parse("7"), QQ.parse("-12"), QQ.inv(1), QQ.inv(-1),
+                  QQ.inv(Fraction(1, 3))):
+            assert type(x) is int
+        assert QQ.inv(Fraction(1, 3)) == 3
+        for x in (QQ.parse("1/2"), QQ.parse("-5/3"), QQ.inv(2), QQ.inv(-3)):
+            assert type(x) is Fraction and x.denominator != 1
+
+    def test_int_and_whole_fraction_entries_are_one_matrix(self):
+        ints = Matrix(QQ, 2, 2, [2, 0, -1, 3])
+        fractions = Matrix(QQ, 2, 2, [Fraction(2), Fraction(0), Fraction(-1), Fraction(3)])
+        assert ints == fractions and hash(ints) == hash(fractions)
+        assert ints.render() == fractions.render() == "[2, 0; -1, 3]"
+
+    def test_pivot_scaling_keeps_whole_entries_int(self):
+        basis, _ = rref(Matrix(QQ, 1, 3, [2, 4, 1]))
+        assert basis.render() == "[1, 2, 1/2]"
+        assert [type(x) for x in basis.data] == [int, int, Fraction]
+
+    def test_one_class_per_characteristic(self):
+        f5 = Field(5)
+        assert type(Field()) is type(QQ) is not type(f5)
+        assert isinstance(QQ, Field) and isinstance(f5, Field)
+        assert (QQ.p, f5.p) == (None, 5)
+        assert Field() == QQ and Field(5) == f5 and QQ != f5
+        assert hash(Field()) == hash(QQ) and hash(Field(5)) == hash(f5)
+        assert (repr(QQ), repr(f5)) == ("Field(Q)", "Field(F_5)")
+
     def test_prime_field(self):
         f5 = Field(5)
         assert f5.add(3, 4) == 2
