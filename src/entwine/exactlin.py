@@ -55,7 +55,7 @@ class Field:
     __slots__ = ("p",)
 
     def __new__(cls, p: int | None = None):
-        return object.__new__(Rationals if p is None else PrimeField)
+        return object.__new__((Rationals if p is None else PrimeField) if cls is Field else cls)
 
     def __init__(self, p: int | None = None):
         if p is not None and not (2 <= p < 2**31 and all(p % d for d in range(2, isqrt(p) + 1))):
@@ -79,7 +79,7 @@ class Field:
 
 
 class Rationals(Field):
-    """Q: whole numbers made here are ints, Fractions proper; a sum or product is left as it comes."""
+    """Q: the whole numbers made here are ints and the Fractions proper; sums and products are left as is."""
 
     __slots__ = ()
     of = staticmethod(operator.index)   # embed an integer

@@ -321,7 +321,7 @@ class TestCommands:
         for name in calls:
             wrapped = counting(name, getattr(dk, name))
             monkeypatch.setattr(dk, name, wrapped)
-            monkeypatch.setattr(entwine.cli, name, wrapped, raising=False)
+            monkeypatch.setattr(entwine.cli, name, wrapped)
         code, text = run_command(["dk", path, "--name", "dk_qc2"])
         assert code == 0, text
         # the triple and its dual, each verified once and each giving one entwining
