@@ -331,18 +331,10 @@ def nu_inv_map(e: EntwiningPresentation, h: Matrix) -> Matrix:
 def left_star_factor(coring: CoringPresentation, f: Matrix) -> Matrix:
     """The map x -> sum x_1 f(x_2) on the coring, so that f *_l g = g . factor.
 
-    The comultiplication's second leg always has the form 1 (x) c_2, so
-    (id (x) f) . comul factors through f(1 (x) -); that keeps the
-    intermediate spaces no bigger than V (x) A.
+    It is ra . (id_V (x) f) . comul, read off the coring's own right action
+    and comultiplication rather than rebuilt from its entwining.
     """
-    e = coring.entwining
-    a, c = e.algebra, e.coalgebra
-    fld = coring.field
-    ida = Matrix.identity(fld, a.dim)
-    idc = Matrix.identity(fld, c.dim)
-    f_res = f @ kron(a.unit, idc)           # c -> f(1 (x) c)
-    spread = kron(ida, kron(idc, f_res) @ c.comul)   # x -> sum x_1 (x) f(x_2)
-    return coring.right_action @ spread
+    return coring.right_action @ kron(Matrix.identity(coring.field, coring.dim), f) @ coring.comul
 
 
 def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matrix:
@@ -354,11 +346,15 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     """Build nu and its inverse for a built coring and verify every claimed identity.
 
     The smash ring of the coring's entwining is built (and verified) here.
-    Checks: nu_inv nu = id, the image of nu consists of left A-linear maps,
-    nu takes the smash multiplication to the *_l product, preserves units,
-    and is A-bilinear.  Raises CheckError if anything fails.
+    The claims are the rows of _nu_laws, checked by report.first_failure
+    on all their basis tuples at once: nu_inv nu = id (nu-inv-nu), the
+    image of nu consists of left A-linear maps (nu-image-left-linear), nu
+    takes the smash multiplication to the *_l product
+    (nu-multiplicative), preserves units (nu-unit), and is A-bilinear
+    (nu-left-linear, nu-right-linear).  Raises CheckError if anything
+    fails, with the first differing column of both sides.
 
-    nu nu_inv = id on the left dual needs no check of its own.  The matrix
+    nu nu_inv = id on the left dual needs no row of its own.  The matrix
     nu_inv is the matrix of nu_inv_map, so once nu_inv nu = id holds,
     nu_map(nu_inv_map(nu(E_s))) = nu(E_s) for every basis map E_s; and any
     left A-linear h equals nu(nu_inv(h)) pointwise, since
@@ -366,48 +362,51 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     """
     e = coring.entwining
     smash = build_smash(e)
-    a = e.algebra
-    na = a.dim
-    f = e.field
+    a, c = e.algebra, e.coalgebra
+    na, nc, f = a.dim, c.dim, e.field
     n = smash.dim
-    ida = Matrix.identity(f, na)
-    nu_images = [nu_map(e, smash.as_map(Matrix.basis_column(f, n, s))) for s in range(n)]
-    nu = Matrix.from_columns(f, na * n, nu_images)
+    # nu(E_{x,u})(a_b (x) c_w) = delta(u, w) a_b a_x: entry ((y, b, w), (x, u)) of nu is
+    # entry ((y, w), ((b, x), u)) of mul (x) id_C
+    nu = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 2, 1, 3, 4), 3)
     # column (x, w) of nu_inv is nu_inv_map(E_{x,w}): row x holds row w of kron(unit, id_C)
-    nu_inv = kron(ida, kron(a.unit, Matrix.identity(f, e.coalgebra.dim)).transpose())
-    idn = Matrix.identity(f, n)
-    bad = report.compare("nu_iso", "nu-inv-nu", nu_inv @ nu, idn, (n,))
-    if bad is not None:
-        raise report.CheckError(bad)
-    for s, img in enumerate(nu_images):
-        if img @ coring.left_action != a.mul @ kron(ida, img):
-            raise report.CheckError(report.fail("nu_iso", "nu-image-left-linear", witness=(s,)))
-    # multiplicativity into *_l, on flattened left-dual elements, and unit preservation
-    for s1 in range(n):
-        star = left_star_factor(coring, nu_images[s1])
-        for s2 in range(n):
-            lhs = nu @ smash.mul.col_matrix(s1 * n + s2)
-            if lhs != Matrix.from_columns(f, na * n, [nu_images[s2] @ star]):
-                raise report.CheckError(report.fail("nu_iso", "nu-multiplicative", witness=(s1, s2)))
-    if nu_map(e, smash.as_map(smash.unit)) != coring.counit:
-        raise report.CheckError(report.fail("nu_iso", "nu-unit"))
-    # A-bilinearity: nu(a f) = a nu(f) and nu(f a) = nu(f) a on the left dual
-    # a_j (x) f_s and f_s (x) a_j are basis vectors, so each action is one column
-    for j in range(na):
-        aj = Matrix.basis_column(f, na, j)
-        ract_j = coring.right_action @ kron(idn, aj)
-        for s in range(n):
-            af = smash.as_map(smash.left_action.col_matrix(j * n + s))
-            lhs = nu_map(e, af)
-            rhs = nu_images[s] @ ract_j
-            if lhs != rhs:
-                raise report.CheckError(report.fail("nu_iso", "nu-left-linear", witness=(j, s)))
-            fa = smash.as_map(smash.right_action.col_matrix(s * na + j))
-            lhs = nu_map(e, fa)
-            rhs = a.mul @ kron(nu_images[s], aj)
-            if lhs != rhs:
-                raise report.CheckError(report.fail("nu_iso", "nu-right-linear", witness=(s, j)))
-    return NuIso(smash, coring, nu, nu_inv, tuple(nu_images))
+    nu_inv = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc)).transpose())
+    report.require(report.first_failure("nu_iso", _nu_laws(coring, smash, nu, nu_inv)))
+    return NuIso(smash, coring, nu, nu_inv, tuple(nu.col_matrix(s).reshape(na, n) for s in range(n)))
+
+
+def _nu_laws(coring: CoringPresentation, smash: SmashRing, nu: Matrix, nu_inv: Matrix) -> list:
+    """The claims of nu_iso as (axiom, lhs, rhs, basis dims) rows.
+
+    Column s of nu is nu(E_s) : V -> A flattened with rows (y, v), and nu_t
+    holds the same maps transposed, rows (v, y).  Two claims precompose
+    nu(E_s) with an endomorphism of V: nu-multiplicative with the factor
+    x -> x_1 f(x_2) of f = nu(E_s1), since f *_l g = g . ra . (id_V (x) f)
+    . comul, and nu-left-linear with x -> x a_j, since (a.h)(x) = h(x a).
+    With endomorphism T_k stored as column k of a matrix, at row (w, v) for
+    T_k[v, w], the pairs (that matrix, n) then (n, nu_cols) send k (x) s to
+    (nu(E_s) . T_k)^T, where nu_cols is nu with rows y and columns (v, s).
+    The factors of every s1 (stars) take two products, and they read the
+    coring's own right action and comultiplication.
+    """
+    a = coring.entwining.algebra
+    n, na = coring.dim, a.dim
+    ra = coring.right_action
+    nu_t = permute(nu, (na, n, n), (1, 0, 2), 2)
+    nu_cols = permute(nu, (na, n, n), (0, 1, 2), 1)
+    # star_s[v, w] = sum ra[v, (v', b)] nu(E_s)[b, v''] comul[(v', v''), w], at row (w, v) and column s
+    images = permute(nu, (na, n, n), (2, 0, 1), 2)                      # rows (s, b), columns v''
+    spread = images @ permute(coring.comul, (n, n, n), (1, 0, 2), 1)    # rows (s, b), columns (v', w)
+    stars = permute(ra @ permute(spread, (n, na, n, n), (2, 1, 0, 3), 2), (n, n, n), (2, 0, 1), 2)
+    right_by = permute(ra, (n, n, na), (1, 0, 2), 2)                     # column j: ra(- (x) a_j), rows (w, v)
+    return [
+        ("nu-inv-nu", (nu, nu_inv), Matrix.identity(coring.field, n), (n,)),
+        ("nu-image-left-linear", (nu, (na, coring.left_action.transpose())),
+         (nu, (permute(a.mul, (na, na, na), (0, 1, 2), 2), n)), (n,)),
+        ("nu-multiplicative", (smash.mul, nu_t), ((stars, n), (n, nu_cols)), (n, n)),
+        ("nu-unit", (smash.unit, nu), Matrix.from_columns(coring.field, na * n, [coring.counit]), ()),
+        ("nu-left-linear", (smash.left_action, nu_t), ((right_by, n), (n, nu_cols)), (na, n)),
+        ("nu-right-linear", (smash.right_action, nu_t), ((nu_t, na), (n, a.mul)), (n, na)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,8 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
 
     Each side is read one basis column at a time (exactlin.law_columns).
     The witness is the input basis multi-index, decoded from the column
-    via the tensor index convention using col_dims.
+    via the tensor index convention using col_dims; a law on no basis
+    inputs, col_dims (), has one column and no witness.
     """
     if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no column needs reading
         return None
@@ -97,7 +98,7 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
         raise AssertionError(f"{op}/{axiom}: comparing {shape[0]}x{shape[1]} with {rshape[0]}x{rshape[1]}")
     for j, (x, y) in enumerate(zip(left, right)):
         if x != y:
-            witness = unflat(j, col_dims) if col_dims else (j,)
+            witness = (j,) if col_dims is None else unflat(j, col_dims) or None
             return fail(op, axiom, witness=witness, lhs=sparse_render(x, field), rhs=sparse_render(y, field))
     return None
 

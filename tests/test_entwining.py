@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import prod
@@ -5,7 +6,7 @@ from math import prod
 import pytest
 
 from entwine.exactlin import Matrix, QQ, columns_of, kron, law_columns
-from entwine.report import CheckError
+from entwine.report import CheckError, compare, first_failure
 from entwine.structures import (
     ModulePresentation,
     convolution,
@@ -33,6 +34,7 @@ from entwine.entwining import (
     verify_entwining_morphism,
     verify_smash,
     _coring_laws,
+    _nu_laws,
     _smash_laws,
 )
 from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
@@ -364,6 +366,162 @@ class TestNuIso:
         iso = nu_iso(build_coring(ent_h4))
         n = iso.smash.dim
         assert iso.nu_inv @ iso.nu == Matrix.identity(QQ, n)
+
+
+def nu_reference(coring, smash):
+    """The claims of nu_iso checked one basis tuple at a time, from the definitions.
+
+    nu(f)(a (x) c) = a f(c), nu^{-1}(h)(c) = h(1 (x) c), and
+    (f *_l g)(x) = g(x_1 f(x_2)) with x_1 (x) x_2 read off coring.comul.
+    Returns (axiom, witness) of the first failure in nu_iso's order, or None.
+    """
+    e = coring.entwining
+    a, c = e.algebra, e.coalgebra
+    f = e.field
+    na, nc, n = a.dim, c.dim, coring.dim
+
+    def basis(dim, i):
+        return Matrix.basis_column(f, dim, i)
+
+    def nu_of(fm):
+        return Matrix.from_columns(f, na, [a.mul @ kron(basis(na, b), fm @ basis(nc, w))
+                                           for b in range(na) for w in range(nc)])
+
+    def nu_at(vector):   # nu of the smash element with these coordinates, by linearity
+        return sum((h.scale(k) for k, h in zip(vector, images) if k), Matrix.zeros(f, na, n))
+
+    images = [nu_of(smash.as_map(basis(n, s))) for s in range(n)]
+    for s, h in enumerate(images):
+        back = Matrix.from_columns(f, nc, [h @ kron(a.unit, basis(nc, w)) for w in range(nc)])
+        if back != smash.as_map(basis(n, s)):
+            return "nu-inv-nu", (s,)
+    for s, h in enumerate(images):
+        if h @ coring.left_action != a.mul @ kron(Matrix.identity(f, na), h):
+            return "nu-image-left-linear", (s,)
+    for s1, h1 in enumerate(images):
+        spread = Matrix.from_columns(f, n, [
+            sum((coring.right_action.scale(k) @ kron(basis(n, v1), h1 @ basis(n, v2))
+                 for (v1, v2), k in ((divmod(i, n), k) for i, k in enumerate(coring.comul.col(x)) if k)),
+                Matrix.zeros(f, n, 1))
+            for x in range(n)])
+        for s2, h2 in enumerate(images):
+            if nu_at(smash.mul.col(s1 * n + s2)) != h2 @ spread:
+                return "nu-multiplicative", (s1, s2)
+    if nu_at(smash.unit.col(0)) != coring.counit:
+        return "nu-unit", None
+    for j in range(na):
+        right_by_j = Matrix.from_columns(f, n, [coring.right_action @ kron(basis(n, x), basis(na, j))
+                                                for x in range(n)])
+        for s, h in enumerate(images):
+            if nu_at(smash.left_action.col(j * n + s)) != h @ right_by_j:
+                return "nu-left-linear", (j, s)
+    for s, h in enumerate(images):
+        for j in range(na):
+            pointwise = Matrix.from_columns(f, na, [a.mul @ kron(h @ basis(n, x), basis(na, j)) for x in range(n)])
+            if nu_at(smash.right_action.col(s * na + j)) != pointwise:
+                return "nu-right-linear", (s, j)
+    return None
+
+
+def nu_verdict(coring):
+    try:
+        nu_iso(coring)
+    except CheckError as exc:
+        return exc.report.axiom, exc.report.witness
+    return None
+
+
+CATALOG_ENTWININGS = [name for name in catalog_names() if isinstance(catalog_get(name), EntwiningPresentation)]
+
+
+class TestNuReference:
+    """The batched nu_iso agrees with the per-basis reference on verdict, axiom and witness."""
+
+    def test_catalog_entwinings_pass(self):
+        assert len(CATALOG_ENTWININGS) == 11
+        for name in CATALOG_ENTWININGS:
+            e = catalog_get(name)
+            coring = build_coring(e)
+            iso = nu_iso(coring)
+            assert nu_reference(coring, iso.smash) is None
+            f, na, n = e.field, e.algebra.dim, iso.smash.dim
+            images = [nu_map(e, iso.smash.as_map(Matrix.basis_column(f, n, s))) for s in range(n)]
+            assert iso.nu == Matrix.from_columns(f, na * n, images)
+            assert iso.left_dual_basis == tuple(images)
+
+    @pytest.mark.parametrize("name", CATALOG_ENTWININGS)
+    def test_perturbations_agree(self, name):
+        """Seeded +1 bumps of the coring through nu_iso, and of the smash table through _nu_laws."""
+        coring = build_coring(catalog_get(name))
+        iso = nu_iso(coring)
+        rng = random.Random(f"nu-reference:{name}")
+        verdicts = []
+        bumps = [("coring", part) for part in ("left_action", "right_action", "counit", "comul") for _ in range(2)]
+        bumps += [("smash", part) for part in ("mul", "unit", "left_action", "right_action")]
+        for which, part in bumps:
+            obj = coring if which == "coring" else iso.smash
+            m = getattr(obj, part)
+            bad = replace(obj, **{part: corrupt(m, rng.randrange(m.rows), rng.randrange(m.cols))})
+            if which == "coring":
+                verdict, want = nu_verdict(bad), nu_reference(bad, iso.smash)
+            else:
+                rep = first_failure("nu_iso", _nu_laws(coring, bad, iso.nu, iso.nu_inv))
+                verdict = None if rep.passed else (rep.axiom, rep.witness)
+                want = nu_reference(coring, bad)
+            assert verdict == want, (which, part, verdict)
+            verdicts.append(verdict)
+        assert any(v is not None for v in verdicts)
+
+
+NU_ROW_MUTATIONS = [
+    # (row, object, map perturbed by +1 at entry (0, 0), witness of that row alone) on hopfmod_qc2_entwining
+    ("nu-inv-nu", "iso", "nu_inv", (0,)),
+    ("nu-image-left-linear", "coring", "left_action", (0,)),
+    ("nu-multiplicative", "coring", "comul", (0, 0)),
+    ("nu-unit", "coring", "counit", None),
+    ("nu-left-linear", "smash", "left_action", (0, 0)),
+    ("nu-right-linear", "smash", "right_action", (0, 0)),
+]
+
+
+class TestEveryNuRowBites:
+    """Each claim of nu_iso, checked on its own, fails under some single-constant perturbation."""
+
+    def test_every_row_is_listed(self, ent_qc2):
+        iso = nu_iso(build_coring(ent_qc2))
+        assert [axiom for axiom, _, _, _ in NU_ROW_MUTATIONS] == \
+            [row[0] for row in _nu_laws(iso.coring, iso.smash, iso.nu, iso.nu_inv)]
+
+    @pytest.mark.parametrize("axiom, part, name, witness", NU_ROW_MUTATIONS,
+                             ids=[axiom for axiom, _, _, _ in NU_ROW_MUTATIONS])
+    def test_perturbation_breaks_the_row(self, ent_qc2, axiom, part, name, witness):
+        def row(coring, smash, iso):
+            return next(r for r in _nu_laws(coring, smash, iso.nu, iso.nu_inv) if r[0] == axiom)
+
+        iso = nu_iso(build_coring(ent_qc2))
+        objects = {"coring": iso.coring, "smash": iso.smash, "iso": iso}
+        assert compare("nu_iso", *row(**objects)) is None
+        objects[part] = replace(objects[part], **{name: corrupt(getattr(objects[part], name), 0, 0)})
+        rep = compare("nu_iso", *row(**objects))
+        assert rep is not None and rep.witness == witness
+        assert rep.lhs is not None and rep.rhs is not None
+
+    @pytest.mark.parametrize("name", ["hopfmod_qc2_entwining", "flip_qc2"])
+    def test_multiplicativity_reads_the_coring_comul(self, name):
+        """Here every +1 on the coring's comul changes the *_l product, so nu_iso fails."""
+        coring = build_coring(catalog_get(name))
+        m = coring.comul
+        for i in range(m.rows):
+            for j in range(m.cols):
+                assert nu_verdict(replace(coring, comul=corrupt(m, i, j)))[0] == "nu-multiplicative"
+
+    def test_only_nu_ties_the_smash_table_to_psi(self):
+        """A smash table off the psi-twisted product can still be an A-ring; nu-multiplicative catches it."""
+        iso = nu_iso(build_coring(catalog_get("flip_qc2_dual")))
+        bad = replace(iso.smash, mul=corrupt(iso.smash.mul, 3, 15))
+        assert iso.smash.mul[3, 15] == 0 and verify_smash(bad).passed
+        rep = first_failure("nu_iso", _nu_laws(iso.coring, bad, iso.nu, iso.nu_inv))
+        assert (rep.axiom, rep.witness) == ("nu-multiplicative", (3, 3))
 
 
 class TestEntwinedModules:
