@@ -11,7 +11,7 @@ from entwine.document import (
 )
 from entwine.cli import run_command
 from entwine.catalog import catalog_get
-from entwine.exactlin import QQ
+from entwine.exactlin import Matrix, QQ
 from entwine.structures import StructurePresentation
 
 
@@ -149,6 +149,260 @@ class TestJsonBooleans:
         body["version"] = version
         code, text = self.check(tmp_path, body)
         assert code == 2 and f"version: unsupported version {version!r}" in text
+
+def reference_document():
+    """Every referencing type once, over structures of dims 1, 2 and 3, so each shape reads distinct dims.
+
+    h = qc2 (dim 2) and k = qc3 (dim 3) are Hopf algebras, one the dim-1 bialgebra, alg and coalg
+    dim-1 structures with only one part.  aut sorts before every other stage-1 object, so a
+    stage-1 reference to it resolves and names the wrong class.
+    """
+    def structure(name):
+        return json.loads(catalog_doc(name))["objects"][name]
+
+    trivial_action = [[0, j, 0, "1"] for j in range(2)]        # over h, on a dim-1 space
+    body = {"version": 1, "field": "Q", "objects": {
+        "h": structure("qc2"), "k": structure("qc3"), "one": structure("trivial"),
+        "alg": {"type": "structure", "kind": "algebra", "dim": 1, "mul": [[0, 0, 0, "1"]], "unit": ["1"]},
+        "coalg": {"type": "structure", "kind": "coalgebra", "dim": 1,
+                  "comul": [[0, 0, 0, "1"]], "counit": ["1"]},
+        "aut": {"type": "morphism", "role": "hopf", "source": "h", "target": "h",
+                "matrix": [["1", "0"], ["0", "1"]]},
+        "hom": {"type": "morphism", "role": "hopf", "source": "k", "target": "h",
+                "matrix": [["1", "1", "1"], ["0", "0", "0"]]},
+        "pair": {"type": "pairing", "algebra": "h", "coalgebra": "k", "matrix": [["1"] * 3] * 2},
+        "mod": {"type": "module", "dim": 1,
+                "action": {"structure": "h", "triples": trivial_action},
+                "coaction": {"structure": "k", "side": "left", "triples": [[0, 0, 0, "1"]]}},
+        "ent": {"type": "entwining", "algebra": "h", "coalgebra": "k",
+                "psi": [["1" if (r // 3, r % 3) == (c % 2, c // 2) else "0" for c in range(6)]
+                        for r in range(6)]},
+        "emod": {"type": "entwined_module", "entwining": "ent", "dim": 1,
+                 "action": trivial_action, "coaction": [[0, 0, 0, "1"]]},
+        "dk": {"type": "dk", "bialgebra": "h", "algebra": "k", "coalgebra": "one",
+               "coaction": [[i, i, 0, "1"] for i in range(3)], "action": trivial_action},
+        "ext": {"type": "extension", "bialgebra": "h", "algebra": "k",
+                "coaction": [[i, i, 0, "1"] for i in range(3)], "integral": [["0"] * 2] * 3},
+        "coext": {"type": "coextension", "bialgebra": "h", "coalgebra": "k",
+                  "action": [[i, j, i, "1"] for i in range(3) for j in range(2)],
+                  "cointegral": [["0"] * 3] * 2},
+    }}
+    return json.loads(json.dumps(body))    # no list shared between objects
+
+
+def _set(path, value):
+    """A mutation of reference_document: set objects.<path> (dotted) to value."""
+    def mutate(objects):
+        *head, last = path.split(".")
+        target = objects
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return mutate
+
+
+def _quad(path, position, value):
+    def mutate(objects):
+        obj, *keys = path.split(".")
+        quads = objects[obj]
+        for key in keys:
+            quads = quads[key]
+        quads[0][position] = value
+    return mutate
+
+
+def _drop_row(path):
+    def mutate(objects):
+        obj, key = path.split(".")
+        objects[obj][key] = objects[obj][key][1:]
+    return mutate
+
+
+def _drop_entry(path):
+    def mutate(objects):
+        obj, key = path.split(".")
+        objects[obj][key] = [objects[obj][key][0][1:]] + objects[obj][key][1:]
+    return mutate
+
+
+REFERENCE_ERRORS = [
+    # dangling references
+    ("pair.algebra", _set("pair.algebra", "nowhere"), "objects.pair.algebra: dangling reference to 'nowhere'"),
+    ("pair.coalgebra", _set("pair.coalgebra", "nowhere"),
+     "objects.pair.coalgebra: dangling reference to 'nowhere'"),
+    ("mod.action", _set("mod.action.structure", "nowhere"),
+     "objects.mod.action.structure: dangling reference to 'nowhere'"),
+    ("mod.coaction", _set("mod.coaction.structure", "nowhere"),
+     "objects.mod.coaction.structure: dangling reference to 'nowhere'"),
+    ("ent.algebra", _set("ent.algebra", "nowhere"), "objects.ent.algebra: dangling reference to 'nowhere'"),
+    ("ent.coalgebra", _set("ent.coalgebra", "nowhere"), "objects.ent.coalgebra: dangling reference to 'nowhere'"),
+    ("emod.entwining", _set("emod.entwining", "nowhere"),
+     "objects.emod.entwining: dangling reference to 'nowhere'"),
+    ("dk.bialgebra", _set("dk.bialgebra", "nowhere"), "objects.dk.bialgebra: dangling reference to 'nowhere'"),
+    ("dk.algebra", _set("dk.algebra", "nowhere"), "objects.dk.algebra: dangling reference to 'nowhere'"),
+    ("dk.coalgebra", _set("dk.coalgebra", "nowhere"), "objects.dk.coalgebra: dangling reference to 'nowhere'"),
+    ("ext.bialgebra", _set("ext.bialgebra", "nowhere"), "objects.ext.bialgebra: dangling reference to 'nowhere'"),
+    ("ext.algebra", _set("ext.algebra", "nowhere"), "objects.ext.algebra: dangling reference to 'nowhere'"),
+    ("coext.bialgebra", _set("coext.bialgebra", "nowhere"),
+     "objects.coext.bialgebra: dangling reference to 'nowhere'"),
+    ("coext.coalgebra", _set("coext.coalgebra", "nowhere"),
+     "objects.coext.coalgebra: dangling reference to 'nowhere'"),
+    ("hom.source", _set("hom.source", "nowhere"), "objects.hom.source: dangling reference to 'nowhere'"),
+    ("hom.target", _set("hom.target", "nowhere"), "objects.hom.target: dangling reference to 'nowhere'"),
+    ("mod.action-unnamed", _set("mod.action", {"triples": []}),
+     "objects.mod.action.structure: expected an object name"),
+    ("dk.bialgebra-unnamed", _set("dk.bialgebra", 3), "objects.dk.bialgebra: expected an object name"),
+    # a reference to an object of the wrong class
+    ("pair.algebra-class", _set("pair.algebra", "aut"), "objects.pair.algebra: 'aut' is not a StructurePresentation"),
+    ("mod.coaction-class", _set("mod.coaction.structure", "aut"),
+     "objects.mod.coaction.structure: 'aut' is not a StructurePresentation"),
+    ("ent.coalgebra-class", _set("ent.coalgebra", "aut"),
+     "objects.ent.coalgebra: 'aut' is not a StructurePresentation"),
+    ("emod.entwining-class", _set("emod.entwining", "h"),
+     "objects.emod.entwining: 'h' is not a EntwiningPresentation"),
+    ("dk.algebra-class", _set("dk.algebra", "aut"), "objects.dk.algebra: 'aut' is not a StructurePresentation"),
+    ("ext.bialgebra-class", _set("ext.bialgebra", "aut"),
+     "objects.ext.bialgebra: 'aut' is not a StructurePresentation"),
+    ("coext.coalgebra-class", _set("coext.coalgebra", "aut"),
+     "objects.coext.coalgebra: 'aut' is not a StructurePresentation"),
+    ("hom.target-class", _set("hom.target", "aut"), "objects.hom.target: 'aut' is not a StructurePresentation"),
+    # a structure without the algebra or coalgebra part the reference needs
+    ("pair.algebra-part", _set("pair.algebra", "coalg"),
+     "objects.pair.algebra: referenced object has no algebra structure"),
+    ("pair.coalgebra-part", _set("pair.coalgebra", "alg"),
+     "objects.pair.coalgebra: referenced object has no coalgebra structure"),
+    ("mod.action-part", _set("mod.action", {"structure": "coalg", "triples": [[0, 0, 0, "1"]]}),
+     "objects.mod.action.structure: referenced object has no algebra structure"),
+    ("mod.coaction-part", _set("mod.coaction", {"structure": "alg", "triples": [[0, 0, 0, "1"]]}),
+     "objects.mod.coaction.structure: referenced object has no coalgebra structure"),
+    ("ent.algebra-part", _set("ent.algebra", "coalg"),
+     "objects.ent.algebra: referenced object has no algebra structure"),
+    ("ent.coalgebra-part", _set("ent.coalgebra", "alg"),
+     "objects.ent.coalgebra: referenced object has no coalgebra structure"),
+    ("dk.bialgebra-algebra-part", _set("dk.bialgebra", "coalg"),
+     "objects.dk.bialgebra: referenced object has no algebra structure"),
+    ("dk.bialgebra-coalgebra-part", _set("dk.bialgebra", "alg"),
+     "objects.dk.bialgebra: referenced object has no coalgebra structure"),
+    ("dk.algebra-part", _set("dk.algebra", "coalg"),
+     "objects.dk.algebra: referenced object has no algebra structure"),
+    ("dk.coalgebra-part", _set("dk.coalgebra", "alg"),
+     "objects.dk.coalgebra: referenced object has no coalgebra structure"),
+    ("ext.bialgebra-part", _set("ext.bialgebra", "alg"),
+     "objects.ext.bialgebra: referenced object has no coalgebra structure"),
+    ("ext.algebra-part", _set("ext.algebra", "coalg"),
+     "objects.ext.algebra: referenced object has no algebra structure"),
+    ("coext.bialgebra-part", _set("coext.bialgebra", "coalg"),
+     "objects.coext.bialgebra: referenced object has no algebra structure"),
+    ("coext.coalgebra-part", _set("coext.coalgebra", "alg"),
+     "objects.coext.coalgebra: referenced object has no coalgebra structure"),
+    # every index of every quadruple block, set to its bound
+    *[(f"{path}[{pos}]", _quad(path, pos, bound), f"objects.{shown}[0]: {name} index {bound} out of range [0, {bound})")
+      for path, shown, bounds in (
+          ("mod.action.triples", "mod.action.triples", (1, 2, 1)),
+          ("mod.coaction.triples", "mod.coaction.triples", (1, 1, 3)),
+          ("emod.action", "emod.action", (1, 2, 1)),
+          ("emod.coaction", "emod.coaction", (1, 1, 3)),
+          ("dk.coaction", "dk.coaction", (3, 3, 2)),
+          ("dk.action", "dk.action", (1, 2, 1)),
+          ("ext.coaction", "ext.coaction", (3, 3, 2)),
+          ("coext.action", "coext.action", (3, 2, 3)))
+      for pos, (name, bound) in enumerate(zip(("first", "second", "third"), bounds))],
+    # wrong matrix shapes, required and optional
+    *[(f"{path}-{what}", mutate(path), f"objects.{path}{where}: expected {count}")
+      for path, rows, cols in (("pair.matrix", 2, 3), ("ent.psi", 6, 6), ("hom.matrix", 2, 3),
+                               ("ext.integral", 3, 2), ("coext.cointegral", 2, 3))
+      for what, mutate, where, count in (("rows", _drop_row, "", f"{rows} rows"),
+                                         ("entries", _drop_entry, "[0]", f"{cols} entries"))],
+]
+
+
+class TestReferenceErrors:
+    """Each referencing type reports a broken reference, part, index or shape at its JSON path."""
+
+    def test_reference_document_parses(self):
+        doc = parse_document(json.dumps(reference_document()))
+        assert sorted(doc.resolved) == sorted(reference_document()["objects"])
+        assert sorted(type(doc.resolved[name]).__name__ for name in ("pair", "mod", "ent", "emod", "dk",
+                                                                    "ext", "coext", "hom")) == [
+            "DKStructure", "EntwinedModulePresentation", "EntwiningPresentation", "HCoextension",
+            "HExtension", "ModulePresentation", "Morphism", "PairingPresentation"]
+
+    @pytest.mark.parametrize("case, mutate, line", REFERENCE_ERRORS, ids=[c for c, _, _ in REFERENCE_ERRORS])
+    def test_input_error_line(self, tmp_path, case, mutate, line):
+        body = reference_document()
+        mutate(body["objects"])
+        code, text = run_command(["check", write(tmp_path, "doc.ent", json.dumps(body))])
+        assert (code, text) == (2, f"input error: {line}\n")
+
+
+class TestEmittedNames:
+    """document_from_objects names an object the caller did not: <key>_<n>, from one counter."""
+
+    @staticmethod
+    def pinned(objects: dict) -> str:
+        return json.dumps({"version": 1, "field": "Q", "objects": objects}, sort_keys=True, indent=2) + "\n"
+
+    @staticmethod
+    def structure(name: str) -> dict:
+        return json.loads(catalog_doc(name))["objects"][name]
+
+    def test_entwined_module_without_its_entwining(self):
+        text = emit_document(document_from_objects(QQ, {"hopfmod_qc2": catalog_get("hopfmod_qc2")}))
+        assert text == self.pinned({
+            "algebra_2": self.structure("qc2"),
+            "entwining_1": {"type": "entwining", "algebra": "algebra_2", "coalgebra": "algebra_2",
+                            "psi": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                                    ["0", "0", "0", "1"], ["0", "1", "0", "0"]]},
+            "hopfmod_qc2": {"type": "entwined_module", "entwining": "entwining_1", "dim": 2,
+                            "action": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]],
+                            "coaction": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
+        })
+
+    def test_given_algebra_keeps_its_name(self):
+        from entwine.entwining import EntwinedModulePresentation, flip_entwining
+        from entwine.structures import action_from_triples, coaction_from_triples
+
+        qc2, trivial = catalog_get("qc2"), catalog_get("trivial")
+        m = EntwinedModulePresentation(flip_entwining(qc2, trivial), 1,
+                                       action_from_triples(QQ, 1, 2, [(0, 0, 0, 1), (0, 1, 0, 1)]),
+                                       coaction_from_triples(QQ, 1, 1, [(0, 0, 0, 1)]))
+        text = emit_document(document_from_objects(QQ, {"A": qc2, "M": m}))
+        assert text == self.pinned({
+            "A": self.structure("qc2"),
+            "M": {"type": "entwined_module", "entwining": "entwining_1", "dim": 1,
+                  "action": [[0, 0, 0, "1"], [0, 1, 0, "1"]], "coaction": [[0, 0, 0, "1"]]},
+            "coalgebra_2": self.structure("trivial"),
+            "entwining_1": {"type": "entwining", "algebra": "A", "coalgebra": "coalgebra_2",
+                            "psi": [["1", "0"], ["0", "1"]]},
+        })
+
+    def test_module_and_pairing_parts(self):
+        from entwine.structures import ModulePresentation, canonical_pairing
+
+        qc2, trivial = catalog_get("qc2"), catalog_get("trivial")
+        m = ModulePresentation(1, qc2, Matrix.from_rows(QQ, [[1, 1]]), "left",
+                               trivial, Matrix.from_rows(QQ, [[1]]), "left")
+        p = canonical_pairing(trivial)
+        text = emit_document(document_from_objects(QQ, {"m": m, "p": p}))
+        assert text == self.pinned({
+            "algebra_1": self.structure("qc2"),
+            "coalgebra_2": self.structure("trivial"),
+            "m": {"type": "module", "dim": 1,
+                  "action": {"structure": "algebra_1", "side": "left", "triples": [[0, 0, 0, "1"], [0, 1, 0, "1"]]},
+                  "coaction": {"structure": "coalgebra_2", "side": "left", "triples": [[0, 0, 0, "1"]]}},
+            "p": {"type": "pairing", "algebra": "algebra_3", "coalgebra": "coalgebra_2", "matrix": [["1"]]},
+            "algebra_3": {"type": "structure", "kind": "algebra", "dim": 1, "labels": ["1*"],
+                          "mul": [[0, 0, 0, "1"]], "unit": ["1"]},
+        })
+
+    def test_morphism_is_not_emitted(self):
+        from entwine.exactlin import PresentationError
+
+        doc = parse_document(json.dumps(reference_document()))
+        with pytest.raises(PresentationError) as exc:
+            document_from_objects(QQ, {"aut": doc.resolved["aut"]})
+        assert str(exc.value) == "cannot emit object 'aut' of type Morphism"
+
 
 class TestCheckCommand:
     def test_catalog_exports_pass(self, tmp_path):

@@ -122,6 +122,79 @@ class TestCompat:
         assert not rep.passed
 
 
+def compat_base(kind: str, side: str):
+    """A passing (h, x, m) for each kind and side: sweedler4 regular, translation and coaction
+    bases, and the grading comodule coalgebra of qc2."""
+    from entwine.catalog import grading_comodule_coalgebra, translation_module_algebra
+    from entwine.structures import coaction_to_dual_action
+
+    h4, qc2 = catalog_get("sweedler4"), catalog_get("qc2")
+    if kind == "module-coalgebra":
+        return h4, h4, h4.mul
+    if kind == "comodule-algebra":
+        return h4, h4, h4.comul
+    if kind == "module-algebra" and side == "right":
+        return (h4, *translation_module_algebra(h4))
+    if kind == "module-algebra":
+        return dualize_structure(None, h4), h4, coaction_to_dual_action(h4.comul, 4, 4, "right")
+    dual, coact = grading_comodule_coalgebra(qc2)
+    return qc2, dual, coact if side == "right" else swap_matrix(QQ, 2, 2) @ coact
+
+
+# (kind, side, map of x, entry bumped by +1, the first failure it gives)
+COMPAT_BITES = [
+    ("module-algebra", "right", "mul", (0, 0), "action-multiplicative at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}"),
+    ("module-algebra", "right", "unit", (0, 0),
+     "action-on-unit at basis (1,) lhs={0: 1, 1: 2} rhs={0: 2, 1: 1}"),
+    ("module-algebra", "left", "mul", (0, 0), "action-multiplicative at basis (3, 0, 3) lhs={0: 1} rhs={0: 2}"),
+    ("module-algebra", "left", "unit", (1, 0), "action-on-unit at basis (0,) lhs={0: 1} rhs={0: 1, 1: 1}"),
+    ("module-coalgebra", "right", "comul", (0, 0),
+     "action-comultiplicative at basis (0, 1) lhs={5: 1} rhs={5: 2}"),
+    ("module-coalgebra", "right", "counit", (0, 0), "action-counital at basis (0, 1) lhs={0: 1} rhs={0: 2}"),
+    ("module-coalgebra", "left", "comul", (0, 0),
+     "action-comultiplicative at basis (1, 0) lhs={5: 1} rhs={5: 2}"),
+    ("module-coalgebra", "left", "counit", (0, 0), "action-counital at basis (1, 0) lhs={0: 1} rhs={0: 2}"),
+    ("comodule-algebra", "right", "mul", (0, 0),
+     "coaction-multiplicative at basis (0, 3) lhs={3: 1, 13: 1} rhs={3: 2, 13: 1}"),
+    ("comodule-algebra", "right", "unit", (1, 0),
+     "coaction-on-unit at basis (0,) lhs={0: 1, 5: 1} rhs={0: 1, 4: 1}"),
+    ("comodule-algebra", "left", "mul", (0, 0),
+     "coaction-multiplicative at basis (0, 2) lhs={6: 1, 8: 1} rhs={6: 1, 8: 2}"),
+    ("comodule-algebra", "left", "unit", (1, 0),
+     "coaction-on-unit at basis (0,) lhs={0: 1, 5: 1} rhs={0: 1, 1: 1}"),
+    ("comodule-coalgebra", "right", "comul", (0, 1),
+     "coaction-comultiplicative at basis (1,) lhs={1: 1, 3: 1, 5: 1} rhs={0: 1, 3: 1, 5: 1}"),
+    ("comodule-coalgebra", "right", "counit", (0, 1), "coaction-counital at basis (1,) lhs={1: 1} rhs={0: 1}"),
+    ("comodule-coalgebra", "left", "comul", (0, 1),
+     "coaction-comultiplicative at basis (1,) lhs={4: 1, 5: 1, 6: 1} rhs={0: 1, 5: 1, 6: 1}"),
+    ("comodule-coalgebra", "left", "counit", (0, 1), "coaction-counital at basis (1,) lhs={1: 1} rhs={0: 1}"),
+]
+
+
+class TestEveryCompatRowBites:
+    """A +1 on one structure constant of x makes each verify_dk_compat row the first failure."""
+
+    def test_every_row_is_listed(self):
+        from entwine.doikoppinen import COMPAT_KINDS
+
+        rows = {(kind, side, failure.split(" at ")[0]) for kind, side, _, _, failure in COMPAT_BITES}
+        assert len(rows) == len(COMPAT_BITES) == 4 * len(COMPAT_KINDS)
+        assert {kind for kind, _, _ in rows} == set(COMPAT_KINDS)
+
+    @pytest.mark.parametrize("kind, side, name, entry, failure", COMPAT_BITES,
+                             ids=[f"{k}-{s}-{f.split(' at ')[0]}" for k, s, _, _, f in COMPAT_BITES])
+    def test_bump_fails_the_row(self, kind, side, name, entry, failure):
+        h, x, m = compat_base(kind, side)
+        assert verify_dk_compat(kind, h, x, m, side).passed
+        old = getattr(x, name)
+        data = list(old.data)
+        i, j = entry
+        data[i * old.cols + j] = QQ.add(data[i * old.cols + j], QQ.one())
+        bad = replace(x, **{name: Matrix(QQ, old.rows, old.cols, data)})
+        rep = verify_dk_compat(kind, h, bad, m, side)
+        assert rep.summary() == f"verify_dk_compat[{kind}]: FAIL {failure}"
+
+
 class TestDKEntwining:
     def test_trivial_h_gives_flip(self, qc2):
         s = long_dk(qc2, qc2)
