@@ -6,32 +6,34 @@ denominator, reduced); scalars over F_p are plain integers in [0, p).
 Sparse structure constants are integer-index quadruples with a trailing
 scalar; dense matrices are row lists.  Emission sorts every key, so
 parse and emit are mutually inverse and byte-stable.
+
+TYPES has one row per object type: its name, class, constructor, parse
+stage and fields in document order.  The parser and the emitter both read
+it, so a new object type is one row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .exactlin import Field, Matrix, PresentationError
 from .structures import (
+    STRUCTURE_KINDS,
     ModulePresentation,
     PairingPresentation,
     StructurePresentation,
-    action_from_triples,
-    coaction_from_triples,
-    comul_from_triples,
     make_structure,
-    mul_from_triples,
+    matrix_from_quads,
     quads_from_matrix,
 )
 from .entwining import EntwinedModulePresentation, EntwiningPresentation
 from .doikoppinen import DKStructure, HCoextension, HExtension, coextension_quotient, h_extension
 
 FORMAT_VERSION = 1
-
-OBJECT_TYPES = ("structure", "pairing", "module", "entwining", "entwined_module",
-                "dk", "extension", "coextension", "morphism")
 
 
 class ParseError(PresentationError):
@@ -62,12 +64,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_dim(body: dict, path: str) -> int:
-    dim = body.get("dim")
-    _expect(_is_int(dim) and dim >= 0, f"{path}.dim", "dim must be a nonnegative integer")
-    return dim
-
-
 def _parse_scalar(field: Field, value, path: str):
     try:
         return field.parse(value)
@@ -93,7 +89,8 @@ def _emit_matrix(field: Field, m: Matrix):
     return [[_emit_scalar(field, x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _parse_quads(field: Field, quads, dims: tuple[int, int, int], path: str):
+def _parse_quads(field: Field, quads, layout: str, dims: tuple[int, int, int], path: str) -> Matrix:
+    """[i, j, k, scalar] rows, each index below its bound in dims, summed into QUAD_LAYOUTS[layout]."""
     _expect(isinstance(quads, list), path, "expected a list of quadruples")
     out = []
     for t, quad in enumerate(quads):
@@ -104,7 +101,7 @@ def _parse_quads(field: Field, quads, dims: tuple[int, int, int], path: str):
             _expect(_is_int(value) and 0 <= value < bound, qpath,
                     f"{name} index {value!r} out of range [0, {bound})")
         out.append((i, j, k, _parse_scalar(field, c, qpath)))
-    return out
+    return matrix_from_quads(field, layout, dims, out)
 
 
 def _emit_quads(field: Field, m: Matrix, layout: str, dims):
@@ -126,49 +123,25 @@ def _emit_field(field: Field):
     return "Q" if field.p is None else {"p": field.p}
 
 
-def _ref(resolved: dict, name, want, path: str):
-    _expect(isinstance(name, str), path, "expected an object name")
-    _expect(name in resolved, path, f"dangling reference to {name!r}")
-    obj = resolved[name]
-    _expect(isinstance(obj, want), path, f"{name!r} is not a {want.__name__}")
-    return obj
-
-
-def _need_parts(obj: StructurePresentation, alg: bool, coalg: bool, path: str):
-    if alg:
-        _expect(obj.has_algebra, path, "referenced object has no algebra structure")
-    if coalg:
-        _expect(obj.has_coalgebra, path, "referenced object has no coalgebra structure")
-
-
 def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentation:
-    kind = body.get("kind")
-    _expect(kind in ("algebra", "coalgebra", "bialgebra", "hopf"), f"{path}.kind",
-            f"unknown structure kind {kind!r}")
-    dim = _parse_dim(body, path)
+    kind, dim = _KIND.read(body, path), _DIM.read(body, path)
     labels = body.get("labels")
     if labels is not None:
         _expect(isinstance(labels, list) and len(labels) == dim
                 and all(isinstance(x, str) for x in labels), f"{path}.labels",
                 f"labels must be {dim} strings")
-    allowed = {"kind", "dim", "labels", "mul", "unit", "comul", "counit", "antipode"}
+    allowed = {"type", "kind", "dim", "labels", "mul", "unit", "comul", "counit", "antipode"}
     for key in body:
         _expect(key in allowed, f"{path}.{key}", "unknown field")
     kwargs = {}
-    if "mul" in body:
-        kwargs["mul"] = mul_from_triples(field, dim, _parse_quads(field, body["mul"], (dim, dim, dim), f"{path}.mul"))
-    if "comul" in body:
-        kwargs["comul"] = comul_from_triples(field, dim, _parse_quads(field, body["comul"], (dim, dim, dim), f"{path}.comul"))
-    if "unit" in body:
-        _expect(isinstance(body["unit"], list) and len(body["unit"]) == dim, f"{path}.unit",
-                f"unit must have {dim} coefficients")
-        kwargs["unit"] = Matrix.column(field, [
-            _parse_scalar(field, x, f"{path}.unit[{i}]") for i, x in enumerate(body["unit"])])
-    if "counit" in body:
-        _expect(isinstance(body["counit"], list) and len(body["counit"]) == dim, f"{path}.counit",
-                f"counit must have {dim} coefficients")
-        kwargs["counit"] = Matrix(field, 1, dim, [
-            _parse_scalar(field, x, f"{path}.counit[{i}]") for i, x in enumerate(body["counit"])])
+    for key in ("mul", "comul"):
+        if key in body:
+            kwargs[key] = _parse_quads(field, body[key], key, (dim, dim, dim), f"{path}.{key}")
+    for key in ("unit", "counit"):
+        if key in body:
+            _expect(isinstance(body[key], list) and len(body[key]) == dim, f"{path}.{key}",
+                    f"{key} must have {dim} coefficients")
+            kwargs[key] = [_parse_scalar(field, x, f"{path}.{key}[{i}]") for i, x in enumerate(body[key])]
     if "antipode" in body:
         kwargs["antipode"] = _parse_matrix(field, body["antipode"], dim, dim, f"{path}.antipode")
     try:
@@ -178,7 +151,7 @@ def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentati
 
 
 def _emit_structure(field: Field, s: StructurePresentation) -> dict:
-    body: dict = {"type": "structure", "kind": s.kind, "dim": s.dim, "labels": list(s.labels)}
+    body: dict = {"kind": s.kind, "dim": s.dim, "labels": list(s.labels)}
     if s.mul is not None:
         body["mul"] = _emit_quads(field, s.mul, "mul", (s.dim,) * 3)
         body["unit"] = [_emit_scalar(field, x) for x in s.unit.col(0)]
@@ -190,132 +163,182 @@ def _emit_structure(field: Field, s: StructurePresentation) -> dict:
     return body
 
 
-def _parse_action_block(field: Field, body, resolved: dict, bounds_of, path: str):
-    _expect(isinstance(body, dict), path, "expected an object")
-    over = _ref(resolved, body.get("structure"), StructurePresentation, f"{path}.structure")
-    side = body.get("side", "right")
-    _expect(side in ("left", "right"), f"{path}.side", f"bad side {side!r}")
-    quads = _parse_quads(field, body.get("triples"), bounds_of(over), f"{path}.triples")
-    return over, side, quads
+class Plain(NamedTuple):
+    """A JSON value kept as it is once ok accepts it; message is formatted with the value."""
+
+    key: str
+    ok: Callable
+    message: str
+
+    def read(self, body: dict, path: str):
+        value = body.get(self.key)
+        _expect(self.ok(value), f"{path}.{self.key}", self.message.format(value))
+        return value
 
 
-def _parse_module(field: Field, body: dict, resolved: dict, path: str) -> ModulePresentation:
-    dim = _parse_dim(body, path)
-    algebra = action = None
-    action_side = "right"
-    coalgebra = coaction = None
-    coaction_side = "right"
-    if "action" in body:
-        algebra, action_side, quads = _parse_action_block(
-            field, body["action"], resolved, lambda s: (dim, s.dim, dim), f"{path}.action")
-        _need_parts(algebra, True, False, f"{path}.action.structure")
-        action = action_from_triples(field, dim, algebra.dim, quads, action_side)
-    if "coaction" in body:
-        coalgebra, coaction_side, quads = _parse_action_block(
-            field, body["coaction"], resolved, lambda s: (dim, dim, s.dim), f"{path}.coaction")
-        _need_parts(coalgebra, False, True, f"{path}.coaction.structure")
-        coaction = coaction_from_triples(field, dim, coalgebra.dim, quads, coaction_side)
-    return ModulePresentation(dim, algebra, action, action_side, coalgebra, coaction, coaction_side)
+_DIM = Plain("dim", lambda v: _is_int(v) and v >= 0, "dim must be a nonnegative integer")
+_KIND = Plain("kind", STRUCTURE_KINDS.__contains__, "unknown structure kind {!r}")
 
 
-def _parse_objects(field: Field, raw_objects: dict) -> dict:
-    resolved: dict = {}
-    names = list(raw_objects)
-    _expect(all(isinstance(n, str) for n in names), "objects", "object names must be strings")
-    # structures first, then everything that references them, then dk-level data
-    order = {"structure": 0, "pairing": 1, "module": 1, "entwining": 1, "morphism": 1,
-             "entwined_module": 2, "dk": 1, "extension": 1, "coextension": 1}
-    def stage(name):
-        otype = raw_objects[name].get("type") if isinstance(raw_objects[name], dict) else None
-        return order.get(otype, 9) if isinstance(otype, str) else 9
+class Ref(NamedTuple):
+    """The name of an earlier object of class cls.  needs ("algebra", "coalgebra" or "bialgebra")
+    names the parts a structure must have, and the prefix of a name that emission makes up."""
 
-    names.sort(key=lambda n: (stage(n), n))
-    for name in names:
-        body = raw_objects[name]
-        path = f"objects.{name}"
-        _expect(isinstance(body, dict), path, "expected an object")
-        otype = body.get("type")
-        _expect(otype in OBJECT_TYPES, f"{path}.type", f"unknown object type {otype!r}")
-        if otype == "structure":
-            resolved[name] = _parse_structure(field, {k: v for k, v in body.items() if k != "type"}, path)
-        elif otype == "pairing":
-            alg = _ref(resolved, body.get("algebra"), StructurePresentation, f"{path}.algebra")
-            coalg = _ref(resolved, body.get("coalgebra"), StructurePresentation, f"{path}.coalgebra")
-            _need_parts(alg, True, False, f"{path}.algebra")
-            _need_parts(coalg, False, True, f"{path}.coalgebra")
-            matrix = _parse_matrix(field, body.get("matrix"), alg.dim, coalg.dim, f"{path}.matrix")
-            resolved[name] = PairingPresentation(alg, coalg, matrix)
-        elif otype == "module":
-            resolved[name] = _parse_module(field, body, resolved, path)
-        elif otype == "entwining":
-            alg = _ref(resolved, body.get("algebra"), StructurePresentation, f"{path}.algebra")
-            coalg = _ref(resolved, body.get("coalgebra"), StructurePresentation, f"{path}.coalgebra")
-            _need_parts(alg, True, False, f"{path}.algebra")
-            _need_parts(coalg, False, True, f"{path}.coalgebra")
-            psi = _parse_matrix(field, body.get("psi"), alg.dim * coalg.dim, coalg.dim * alg.dim, f"{path}.psi")
-            resolved[name] = EntwiningPresentation(alg, coalg, psi)
-        elif otype == "entwined_module":
-            ent = _ref(resolved, body.get("entwining"), EntwiningPresentation, f"{path}.entwining")
-            dim = _parse_dim(body, path)
-            aq = _parse_quads(field, body.get("action"), (dim, ent.algebra.dim, dim), f"{path}.action")
-            cq = _parse_quads(field, body.get("coaction"), (dim, dim, ent.coalgebra.dim), f"{path}.coaction")
-            resolved[name] = EntwinedModulePresentation(
-                ent, dim,
-                action_from_triples(field, dim, ent.algebra.dim, aq, "right"),
-                coaction_from_triples(field, dim, ent.coalgebra.dim, cq, "right"))
-        elif otype == "dk":
-            h = _ref(resolved, body.get("bialgebra"), StructurePresentation, f"{path}.bialgebra")
-            alg = _ref(resolved, body.get("algebra"), StructurePresentation, f"{path}.algebra")
-            coalg = _ref(resolved, body.get("coalgebra"), StructurePresentation, f"{path}.coalgebra")
-            _need_parts(h, True, True, f"{path}.bialgebra")
-            _need_parts(alg, True, False, f"{path}.algebra")
-            _need_parts(coalg, False, True, f"{path}.coalgebra")
-            cq = _parse_quads(field, body.get("coaction"), (alg.dim, alg.dim, h.dim), f"{path}.coaction")
-            aq = _parse_quads(field, body.get("action"), (coalg.dim, h.dim, coalg.dim), f"{path}.action")
-            resolved[name] = DKStructure(
-                h, alg, coaction_from_triples(field, alg.dim, h.dim, cq, "right"),
-                coalg, action_from_triples(field, coalg.dim, h.dim, aq, "right"))
-        elif otype == "extension":
-            h = _ref(resolved, body.get("bialgebra"), StructurePresentation, f"{path}.bialgebra")
-            b = _ref(resolved, body.get("algebra"), StructurePresentation, f"{path}.algebra")
-            _need_parts(h, True, True, f"{path}.bialgebra")
-            _need_parts(b, True, False, f"{path}.algebra")
-            cq = _parse_quads(field, body.get("coaction"), (b.dim, b.dim, h.dim), f"{path}.coaction")
-            integral = None
-            if "integral" in body:
-                integral = _parse_matrix(field, body["integral"], b.dim, h.dim, f"{path}.integral")
-            resolved[name] = h_extension(
-                h, b, coaction_from_triples(field, b.dim, h.dim, cq, "right"), integral)
-        elif otype == "coextension":
-            h = _ref(resolved, body.get("bialgebra"), StructurePresentation, f"{path}.bialgebra")
-            d = _ref(resolved, body.get("coalgebra"), StructurePresentation, f"{path}.coalgebra")
-            _need_parts(h, True, True, f"{path}.bialgebra")
-            _need_parts(d, False, True, f"{path}.coalgebra")
-            aq = _parse_quads(field, body.get("action"), (d.dim, h.dim, d.dim), f"{path}.action")
-            cointegral = None
-            if "cointegral" in body:
-                cointegral = _parse_matrix(field, body["cointegral"], h.dim, d.dim, f"{path}.cointegral")
-            resolved[name] = coextension_quotient(
-                h, d, action_from_triples(field, d.dim, h.dim, aq, "right"), cointegral)
-        elif otype == "morphism":
-            src = _ref(resolved, body.get("source"), StructurePresentation, f"{path}.source")
-            dst = _ref(resolved, body.get("target"), StructurePresentation, f"{path}.target")
-            role = body.get("role")
-            _expect(role in ("algebra", "coalgebra", "bialgebra", "hopf"), f"{path}.role",
-                    f"unknown morphism role {role!r}")
-            matrix = _parse_matrix(field, body.get("matrix"), dst.dim, src.dim, f"{path}.matrix")
-            resolved[name] = Morphism(role, body["source"], body["target"], src, dst, matrix)
-    return resolved
+    key: str
+    attr: str
+    needs: str = ""
+    cls: type = StructurePresentation
+
+
+class Quads(NamedTuple):
+    """Structure constants as [i, j, k, scalar] rows placed by QUAD_LAYOUTS[layout]."""
+
+    key: str
+    attr: str
+    layout: str
+    shape: Callable     # the bounds of i, j and k, from the fields before
+
+
+class Dense(NamedTuple):
+    """A matrix as a list of rows; an optional one may be left out."""
+
+    key: str
+    shape: Callable     # (rows, columns), from the fields before
+    optional: bool = False
+
+
+class Block(NamedTuple):
+    """A module's optional action or coaction {"structure", "side": "right", "triples"}: it sets
+    the module's <needs>, <key> and <key>_side, and checks the parts of its structure last."""
+
+    key: str            # "action" or "coaction"
+    needs: str          # "algebra" or "coalgebra"
+    shape: Callable     # the bounds of the triples, from the module and the structure
 
 
 @dataclass(frozen=True)
 class Morphism:
     role: str
-    source_name: str
-    target_name: str
     source: StructurePresentation
     target: StructurePresentation
     matrix: Matrix
+
+
+class ObjectType(NamedTuple):
+    """How the objects of one document type are read and written."""
+
+    name: str
+    cls: type
+    stage: int          # parsed after every object of a lower stage, so references resolve
+    make: Callable      # called with the parsed fields by attribute
+    fields: tuple       # in document order; a structure has its own code instead
+
+
+TYPES = {row.name: row for row in (
+    ObjectType("structure", StructurePresentation, 0, make_structure, ()),
+    ObjectType("pairing", PairingPresentation, 1, PairingPresentation, (
+        Ref("algebra", "algebra", "algebra"), Ref("coalgebra", "coalgebra", "coalgebra"),
+        Dense("matrix", lambda o: (o.algebra.dim, o.coalgebra.dim)))),
+    ObjectType("module", ModulePresentation, 1, ModulePresentation, (
+        _DIM, Block("action", "algebra", lambda o, s: (o.dim, s.dim, o.dim)),
+        Block("coaction", "coalgebra", lambda o, s: (o.dim, o.dim, s.dim)))),
+    ObjectType("entwining", EntwiningPresentation, 1, EntwiningPresentation, (
+        Ref("algebra", "algebra", "algebra"), Ref("coalgebra", "coalgebra", "coalgebra"),
+        Dense("psi", lambda o: (o.algebra.dim * o.coalgebra.dim, o.coalgebra.dim * o.algebra.dim)))),
+    ObjectType("entwined_module", EntwinedModulePresentation, 2, EntwinedModulePresentation, (
+        Ref("entwining", "entwining", cls=EntwiningPresentation), _DIM,
+        Quads("action", "action", "right-action", lambda o: (o.dim, o.entwining.algebra.dim, o.dim)),
+        Quads("coaction", "coaction", "right-coaction", lambda o: (o.dim, o.dim, o.entwining.coalgebra.dim)))),
+    ObjectType("dk", DKStructure, 1, DKStructure, (
+        Ref("bialgebra", "h", "bialgebra"), Ref("algebra", "alg", "algebra"),
+        Ref("coalgebra", "coalg", "coalgebra"),
+        Quads("coaction", "alg_coaction", "right-coaction", lambda o: (o.alg.dim, o.alg.dim, o.h.dim)),
+        Quads("action", "coalg_action", "right-action", lambda o: (o.coalg.dim, o.h.dim, o.coalg.dim)))),
+    ObjectType("extension", HExtension, 1, h_extension, (
+        Ref("bialgebra", "h", "bialgebra"), Ref("algebra", "b", "algebra"),
+        Quads("coaction", "coaction", "right-coaction", lambda o: (o.b.dim, o.b.dim, o.h.dim)),
+        Dense("integral", lambda o: (o.b.dim, o.h.dim), optional=True))),
+    ObjectType("coextension", HCoextension, 1, coextension_quotient, (
+        Ref("bialgebra", "h", "bialgebra"), Ref("coalgebra", "d", "coalgebra"),
+        Quads("action", "action", "right-action", lambda o: (o.d.dim, o.h.dim, o.d.dim)),
+        Dense("cointegral", lambda o: (o.h.dim, o.d.dim), optional=True))),
+    ObjectType("morphism", Morphism, 1, Morphism, (
+        Ref("source", "source"), Ref("target", "target"),
+        Plain("role", STRUCTURE_KINDS.__contains__, "unknown morphism role {!r}"),
+        Dense("matrix", lambda o: (o.target.dim, o.source.dim)))),
+)}
+
+
+def _resolve(ref: Ref, resolved: dict, name, path: str):
+    _expect(isinstance(name, str), path, "expected an object name")
+    _expect(name in resolved, path, f"dangling reference to {name!r}")
+    obj = resolved[name]
+    _expect(isinstance(obj, ref.cls), path, f"{name!r} is not a {ref.cls.__name__}")
+    return obj
+
+
+def _check_parts(ref: Ref, obj, path: str):
+    if ref.needs in ("algebra", "bialgebra"):
+        _expect(obj.has_algebra, path, "referenced object has no algebra structure")
+    if ref.needs in ("coalgebra", "bialgebra"):
+        _expect(obj.has_coalgebra, path, "referenced object has no coalgebra structure")
+
+
+def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, path: str):
+    """All references, then their parts, then the other fields in document order; then row.make."""
+    if not row.fields:
+        return _parse_structure(field, body, path)
+    refs = [f for f in row.fields if isinstance(f, Ref)]
+    got = SimpleNamespace(**{f.attr: _resolve(f, resolved, body.get(f.key), f"{path}.{f.key}") for f in refs})
+    for f in refs:
+        _check_parts(f, getattr(got, f.attr), f"{path}.{f.key}")
+    for f in row.fields:
+        at = f"{path}.{f.key}"
+        if isinstance(f, Plain):
+            setattr(got, f.key, f.read(body, path))
+        elif isinstance(f, Dense) and (f.key in body or not f.optional):
+            setattr(got, f.key, _parse_matrix(field, body.get(f.key), *f.shape(got), at))
+        elif isinstance(f, Quads):
+            setattr(got, f.attr, _parse_quads(field, body.get(f.key), f.layout, f.shape(got), at))
+        elif isinstance(f, Block) and f.key in body:
+            block, ref = body[f.key], Ref("structure", f.needs, f.needs)
+            _expect(isinstance(block, dict), at, "expected an object")
+            over = _resolve(ref, resolved, block.get("structure"), f"{at}.structure")
+            side = block.get("side", "right")
+            _expect(side in ("left", "right"), f"{at}.side", f"bad side {side!r}")
+            m = _parse_quads(field, block.get("triples"), f"{side}-{f.key}", f.shape(got, over), f"{at}.triples")
+            _check_parts(ref, over, f"{at}.structure")
+            vars(got).update({f.needs: over, f.key: m, f"{f.key}_side": side})
+    return row.make(**vars(got))
+
+
+def _emit_field_value(f, field: Field, obj, name_of):
+    """The document value of one field of obj, or None to leave it out."""
+    if isinstance(f, Ref):
+        return name_of(getattr(obj, f.attr), f.needs or f.key)
+    if isinstance(f, Plain):
+        return getattr(obj, f.key)
+    if isinstance(f, Quads):
+        return _emit_quads(field, getattr(obj, f.attr), f.layout, f.shape(obj))
+    m = getattr(obj, f.key)
+    if m is None or isinstance(f, Dense):
+        return None if m is None else _emit_matrix(field, m)
+    over, side = getattr(obj, f.needs), getattr(obj, f"{f.key}_side")
+    return {"structure": name_of(over, f.needs), "side": side,
+            "triples": _emit_quads(field, m, f"{side}-{f.key}", f.shape(obj, over))}
+
+
+def _parse_objects(field: Field, raw_objects: dict) -> dict:
+    _expect(all(isinstance(n, str) for n in raw_objects), "objects", "object names must be strings")
+    rows = {name: TYPES.get(body.get("type")) if isinstance(body, dict) and isinstance(body.get("type"), str)
+            else None for name, body in raw_objects.items()}
+    resolved: dict = {}
+    for name in sorted(raw_objects, key=lambda n: (rows[n].stage if rows[n] else 9, n)):
+        body, path = raw_objects[name], f"objects.{name}"
+        _expect(isinstance(body, dict), path, "expected an object")
+        _expect(rows[name] is not None, f"{path}.type", f"unknown object type {body.get('type')!r}")
+        resolved[name] = _parse_object(rows[name], field, body, resolved, path)
+    return resolved
 
 
 def parse_document(text: str | bytes) -> Document:
@@ -334,8 +357,7 @@ def parse_document(text: str | bytes) -> Document:
     field = _parse_field(raw.get("field"), "field")
     objects = raw.get("objects")
     _expect(isinstance(objects, dict), "objects", "objects must be a name -> object map")
-    resolved = _parse_objects(field, objects)
-    return Document(FORMAT_VERSION, field, raw, resolved)
+    return Document(FORMAT_VERSION, field, raw, _parse_objects(field, objects))
 
 
 def emit_document(doc: Document) -> str:
@@ -345,117 +367,32 @@ def emit_document(doc: Document) -> str:
 
 
 def document_from_objects(field: Field, objects: dict) -> Document:
-    """Build a Document from named in-memory objects (structures and friends)."""
-    raw_objects: dict = {}
-    resolved: dict = {}
-    names: dict = {}
-    for name, obj in objects.items():
-        names[id(obj)] = name
-    counter = [0]
+    """Build a Document from named in-memory objects (structures and friends).
 
-    def ensure_structure(s: StructurePresentation, hint: str) -> str:
-        key = id(s)
-        if key in names and names[key] in raw_objects:
-            return names[key]
-        if key not in names:
-            counter[0] += 1
-            names[key] = f"{hint}{counter[0]}"
-        name = names[key]
-        raw_objects[name] = _emit_structure(field, s)
-        resolved[name] = s
-        return name
+    An object referenced but not given is written too, named <needs or key>_<n> (see Ref), n
+    counting up from 1 across the document.  Morphisms are read, never written.
+    """
+    names = {id(obj): name for name, obj in objects.items()}
+    raw_objects, resolved, invented = {}, {}, count(1)
 
-    def emit_entwining(e: EntwiningPresentation) -> dict:
-        return {
-            "type": "entwining",
-            "algebra": ensure_structure(e.algebra, "algebra_"),
-            "coalgebra": ensure_structure(e.coalgebra, "coalgebra_"),
-            "psi": _emit_matrix(field, e.psi),
-        }
+    def name_of(obj, prefix: str) -> str:
+        if id(obj) not in names:
+            names[id(obj)] = f"{prefix}_{next(invented)}"
+            emit(names[id(obj)], obj)
+        return names[id(obj)]
 
-    for name, obj in objects.items():
-        if isinstance(obj, StructurePresentation):
-            raw_objects[name] = _emit_structure(field, obj)
-            resolved[name] = obj
-    for name, obj in objects.items():
-        if isinstance(obj, StructurePresentation):
-            continue
-        if isinstance(obj, EntwiningPresentation):
-            raw_objects[name] = emit_entwining(obj)
-        elif isinstance(obj, PairingPresentation):
-            raw_objects[name] = {
-                "type": "pairing",
-                "algebra": ensure_structure(obj.algebra, "algebra_"),
-                "coalgebra": ensure_structure(obj.coalgebra, "coalgebra_"),
-                "matrix": _emit_matrix(field, obj.matrix),
-            }
-        elif isinstance(obj, EntwinedModulePresentation):
-            ent_name = None
-            for other, cand in objects.items():
-                if cand is obj.entwining:
-                    ent_name = other
-            if ent_name is None:
-                counter[0] += 1
-                ent_name = f"entwining_{counter[0]}"
-                raw_objects[ent_name] = emit_entwining(obj.entwining)
-                resolved[ent_name] = obj.entwining
-            raw_objects[name] = {
-                "type": "entwined_module",
-                "entwining": ent_name,
-                "dim": obj.dim,
-                "action": _emit_quads(field, obj.action, "right-action",
-                                      (obj.dim, obj.entwining.algebra.dim, obj.dim)),
-                "coaction": _emit_quads(field, obj.coaction, "right-coaction",
-                                        (obj.dim, obj.dim, obj.entwining.coalgebra.dim)),
-            }
-        elif isinstance(obj, DKStructure):
-            raw_objects[name] = {
-                "type": "dk",
-                "bialgebra": ensure_structure(obj.h, "bialgebra_"),
-                "algebra": ensure_structure(obj.alg, "algebra_"),
-                "coalgebra": ensure_structure(obj.coalg, "coalgebra_"),
-                "coaction": _emit_quads(field, obj.alg_coaction, "right-coaction",
-                                        (obj.alg.dim, obj.alg.dim, obj.h.dim)),
-                "action": _emit_quads(field, obj.coalg_action, "right-action",
-                                      (obj.coalg.dim, obj.h.dim, obj.coalg.dim)),
-            }
-        elif isinstance(obj, HExtension):
-            raw_objects[name] = {
-                "type": "extension",
-                "bialgebra": ensure_structure(obj.h, "bialgebra_"),
-                "algebra": ensure_structure(obj.b, "algebra_"),
-                "coaction": _emit_quads(field, obj.coaction, "right-coaction", (obj.b.dim, obj.b.dim, obj.h.dim)),
-            }
-            if obj.integral is not None:
-                raw_objects[name]["integral"] = _emit_matrix(field, obj.integral)
-        elif isinstance(obj, HCoextension):
-            raw_objects[name] = {
-                "type": "coextension",
-                "bialgebra": ensure_structure(obj.h, "bialgebra_"),
-                "coalgebra": ensure_structure(obj.d, "coalgebra_"),
-                "action": _emit_quads(field, obj.action, "right-action", (obj.d.dim, obj.h.dim, obj.d.dim)),
-            }
-            if obj.cointegral is not None:
-                raw_objects[name]["cointegral"] = _emit_matrix(field, obj.cointegral)
-        elif isinstance(obj, ModulePresentation):
-            body: dict = {"type": "module", "dim": obj.dim}
-            if obj.action is not None:
-                body["action"] = {
-                    "structure": ensure_structure(obj.algebra, "algebra_"),
-                    "side": obj.action_side,
-                    "triples": _emit_quads(field, obj.action, f"{obj.action_side}-action",
-                                          (obj.dim, obj.algebra.dim, obj.dim)),
-                }
-            if obj.coaction is not None:
-                body["coaction"] = {
-                    "structure": ensure_structure(obj.coalgebra, "coalgebra_"),
-                    "side": obj.coaction_side,
-                    "triples": _emit_quads(field, obj.coaction, f"{obj.coaction_side}-coaction",
-                                          (obj.dim, obj.dim, obj.coalgebra.dim)),
-                }
-            raw_objects[name] = body
-        else:
+    def emit(name: str, obj):
+        row = next((r for r in TYPES.values() if isinstance(obj, r.cls) and r.cls is not Morphism), None)
+        if row is None:
             raise PresentationError(f"cannot emit object {name!r} of type {type(obj).__name__}")
-        resolved[name] = obj
+        body = {"type": row.name, **(_emit_structure(field, obj) if not row.fields else {})}
+        for f in row.fields:
+            value = _emit_field_value(f, field, obj, name_of)
+            if value is not None:
+                body[f.key] = value
+        raw_objects[name], resolved[name] = body, obj
+
+    for name, obj in objects.items():
+        emit(name, obj)
     return Document(FORMAT_VERSION, field, {"version": FORMAT_VERSION, "field": _emit_field(field),
                                             "objects": raw_objects}, resolved)
