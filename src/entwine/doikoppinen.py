@@ -81,53 +81,53 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
         raise PresentationError(f"unknown compatibility kind {kind!r}")
     if side not in ("left", "right"):
         raise PresentationError(f"unknown side {side!r}")
-    f = h.field
     rep = verify_structure("module" if kind.startswith("module") else "comodule",
                            _as_module(h, x, m, kind, side))
     if not rep.passed:
         return report.within(f"verify_dk_compat[{kind}]", "structure", rep)
+    return report.first_failure(f"verify_dk_compat[{kind}]", _compat_laws(kind, side, h, x, m))
+
+
+def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePresentation,
+                 m: Matrix) -> list:
+    """The interaction laws of verify_dk_compat as (axiom, lhs, rhs, basis dims) rows."""
     nh, nx = h.dim, x.dim
-    idh = Matrix.identity(f, nh)
-    idx = Matrix.identity(f, nx)
-    op = f"verify_dk_compat[{kind}]"
-    checks = []
-    if kind == "module-algebra":
-        if side == "right":
-            rhs = x.mul @ kron(m, m) @ swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh))
-            checks = [("action-multiplicative", m @ kron(x.mul, idh), rhs, (nx, nx, nh)),
-                      ("action-on-unit", m @ kron(x.unit, idh), x.unit @ h.counit, (nh,))]
-        else:
-            rhs = x.mul @ kron(m, m) @ swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx))
-            checks = [("action-multiplicative", m @ kron(idh, x.mul), rhs, (nh, nx, nx)),
-                      ("action-on-unit", m @ kron(idh, x.unit), x.unit @ h.counit, (nh,))]
-    elif kind == "module-coalgebra":
-        if side == "right":
-            rhs = kron(m, m) @ swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh))
-            checks = [("action-comultiplicative", x.comul @ m, rhs, (nx, nh)),
-                      ("action-counital", x.counit @ m, kron(x.counit, h.counit), (nx, nh))]
-        else:
-            rhs = kron(m, m) @ swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx))
-            checks = [("action-comultiplicative", x.comul @ m, rhs, (nh, nx)),
-                      ("action-counital", x.counit @ m, kron(h.counit, x.counit), (nh, nx))]
-    elif kind == "comodule-algebra":
-        if side == "right":
-            rhs = kron(x.mul, h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh))
-            checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
-                      ("coaction-on-unit", m @ x.unit, kron(x.unit, h.unit), (1,))]
-        else:
-            rhs = kron(h.mul, x.mul) @ swap_middle(kron(m, m), (nh, nx, nh, nx))
-            checks = [("coaction-multiplicative", m @ x.mul, rhs, (nx, nx)),
-                      ("coaction-on-unit", m @ x.unit, kron(h.unit, x.unit), (1,))]
-    elif kind == "comodule-coalgebra":
-        if side == "right":
-            rhs = kron(kron(idx, idx), h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul
-            checks = [("coaction-comultiplicative", kron(x.comul, idh) @ m, rhs, (nx,)),
-                      ("coaction-counital", kron(x.counit, idh) @ m, h.unit @ x.counit, (nx,))]
-        else:
-            rhs = kron(h.mul, kron(idx, idx)) @ swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul
-            checks = [("coaction-comultiplicative", kron(idh, x.comul) @ m, rhs, (nx,)),
-                      ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))]
-    return report.first_failure(op, checks)
+    idh, idx = Matrix.identity(h.field, nh), Matrix.identity(h.field, nx)
+    laws = {
+        ("module-algebra", "right"): lambda: [
+            ("action-multiplicative", m @ kron(x.mul, idh),
+             x.mul @ kron(m, m) @ swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh)), (nx, nx, nh)),
+            ("action-on-unit", m @ kron(x.unit, idh), x.unit @ h.counit, (nh,))],
+        ("module-algebra", "left"): lambda: [
+            ("action-multiplicative", m @ kron(idh, x.mul),
+             x.mul @ kron(m, m) @ swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx)), (nh, nx, nx)),
+            ("action-on-unit", m @ kron(idh, x.unit), x.unit @ h.counit, (nh,))],
+        ("module-coalgebra", "right"): lambda: [
+            ("action-comultiplicative", x.comul @ m,
+             kron(m, m) @ swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh)), (nx, nh)),
+            ("action-counital", x.counit @ m, kron(x.counit, h.counit), (nx, nh))],
+        ("module-coalgebra", "left"): lambda: [
+            ("action-comultiplicative", x.comul @ m,
+             kron(m, m) @ swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx)), (nh, nx)),
+            ("action-counital", x.counit @ m, kron(h.counit, x.counit), (nh, nx))],
+        ("comodule-algebra", "right"): lambda: [
+            ("coaction-multiplicative", m @ x.mul,
+             kron(x.mul, h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)), (nx, nx)),
+            ("coaction-on-unit", m @ x.unit, kron(x.unit, h.unit), (1,))],
+        ("comodule-algebra", "left"): lambda: [
+            ("coaction-multiplicative", m @ x.mul,
+             kron(h.mul, x.mul) @ swap_middle(kron(m, m), (nh, nx, nh, nx)), (nx, nx)),
+            ("coaction-on-unit", m @ x.unit, kron(h.unit, x.unit), (1,))],
+        ("comodule-coalgebra", "right"): lambda: [
+            ("coaction-comultiplicative", kron(x.comul, idh) @ m,
+             kron(kron(idx, idx), h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul, (nx,)),
+            ("coaction-counital", kron(x.counit, idh) @ m, h.unit @ x.counit, (nx,))],
+        ("comodule-coalgebra", "left"): lambda: [
+            ("coaction-comultiplicative", kron(idh, x.comul) @ m,
+             kron(h.mul, kron(idx, idx)) @ swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul, (nx,)),
+            ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))],
+    }
+    return laws[(kind, side)]()
 
 
 @dataclass(frozen=True)
