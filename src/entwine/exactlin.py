@@ -640,24 +640,6 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     return kernel(s.annihilator_matrix() @ m)
 
 
-def member(v: Matrix, s: Subspace) -> bool:
-    return s.contains(v)
-
-
-def subspace_ops(kind: str, *args):
-    """Dispatch for subspace operations: kernel, image, intersect, preimage, membership."""
-    table = {
-        "kernel": kernel,
-        "image": image,
-        "intersect": lambda s1, s2: s1.intersect(s2),
-        "preimage": preimage,
-        "membership": member,
-    }
-    if kind not in table:
-        raise PresentationError(f"unknown subspace operation {kind!r}")
-    return table[kind](*args)
-
-
 def columns_of(m: Matrix) -> tuple[dict, ...]:
     """Columns as sparse index -> value dicts (the rows of the transpose); read-only, kept once made."""
     if m._cols is None:
