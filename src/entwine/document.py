@@ -182,7 +182,7 @@ _KIND = Plain("kind", STRUCTURE_KINDS.__contains__, "unknown structure kind {!r}
 
 class Ref(NamedTuple):
     """The name of an earlier object of class cls.  needs ("algebra", "coalgebra" or "bialgebra")
-    names the parts a structure must have, and the prefix of a name that emission makes up."""
+    names the parts a structure must have and prefixes any name that emission makes up for it."""
 
     key: str
     attr: str
@@ -231,7 +231,7 @@ class ObjectType(NamedTuple):
     cls: type
     stage: int          # parsed after every object of a lower stage, so references resolve
     make: Callable      # called with the parsed fields by attribute
-    fields: tuple       # in document order; a structure has its own code instead
+    fields: tuple       # in document order; none for a structure, read by _parse_structure instead
 
 
 TYPES = {row.name: row for row in (
