@@ -121,6 +121,12 @@ class TestCompat:
         rep = verify_dk_compat("module-coalgebra", qc2, qc2, bad, "right")
         assert not rep.passed
 
+    def test_structure_failure_summary(self, qc2):
+        bad = Matrix(QQ, 2, 4, [QQ.add(qc2.mul.data[0], QQ.one()), *qc2.mul.data[1:]])
+        assert verify_dk_compat("module-coalgebra", qc2, qc2, bad, "right").summary() == (
+            "verify_dk_compat[module-coalgebra]: FAIL structure[action-associativity] at basis (0, 0, 0) "
+            "lhs={0: 4} rhs={0: 2}")
+
 
 def compat_base(kind: str, side: str):
     """A passing (h, x, m) for each kind and side: sweedler4 regular, translation and coaction
@@ -605,3 +611,18 @@ class TestDKMorphisms:
         rep = verify_dk_morphism(dk_qc2, dk_qc2, i2, bad, i2)
         assert not rep.passed
         assert rep.axiom.startswith("gamma[")
+
+    def test_failure_summaries(self, dk_qc2):
+        """beta, gamma, delta, then the mixed compatibility; eps sends both basis elements to e."""
+        i2 = Matrix.identity(QQ, 2)
+        shear = Matrix.from_rows(QQ, [[QQ.one(), QQ.one()], [QQ.zero(), QQ.one()]])
+        eps = Matrix.from_rows(QQ, [[QQ.one(), QQ.one()], [QQ.zero(), QQ.zero()]])
+        cases = (
+            ((shear, i2, i2), "beta[multiplicative] at basis (1, 1) lhs={0: 1} rhs={0: 2, 1: 2}"),
+            ((i2, shear, i2), "gamma[multiplicative] at basis (1, 1) lhs={0: 1} rhs={0: 2, 1: 2}"),
+            ((i2, i2, shear), "delta[comultiplicative] at basis (1,) lhs={0: 1, 3: 1} rhs={0: 1, 1: 1, 2: 1, 3: 1}"),
+            ((i2, i2, eps), "mixed-compatibility at basis (0, 1) lhs={2: 1} rhs={3: 1}"),
+        )
+        for maps, failure in cases:
+            rep = verify_dk_morphism(dk_qc2, dk_qc2, *maps)
+            assert rep.summary() == f"verify_dk_morphism: FAIL {failure}"

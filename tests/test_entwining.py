@@ -112,6 +112,39 @@ class TestVerifyEntwining:
         assert not rep.passed
         assert rep.witness is not None
         assert rep.lhs is not None and rep.rhs is not None
+        assert rep.summary() == \
+            "verify_entwining: FAIL psi-multiplicativity at basis (1, 1, 1) lhs={1: 1} rhs={1: 1, 2: 2}"
+
+
+# (catalog entwining, part bumped, its map, entry given +1, the whole first failure)
+ENTWINING_BITES = [
+    ("alt_qc2_entwining", "psi", None, (0, 1),
+     "verify_entwining: FAIL psi-multiplicativity at basis (0, 0, 1) lhs={} rhs={0: 1}"),
+    ("hopfmod_qc2_entwining", "algebra", "mul", (1, 3),
+     "verify_entwining: FAIL psi-multiplicativity at basis (0, 1, 1) lhs={0: 1, 3: 1} rhs={0: 1, 2: 1}"),
+    ("flip_sweedler4", "psi", None, (8, 1),
+     "verify_entwining: FAIL psi-comultiplicativity at basis (0, 1) lhs={16: 1, 32: 1} rhs={16: 1, 32: 2}"),
+    ("alt_qc2_entwining", "coalgebra", "comul", (3, 1),
+     "verify_entwining: FAIL psi-comultiplicativity at basis (1, 0) lhs={5: 1, 6: 1, 7: 1} rhs={3: 1, 5: 1, 6: 1}"),
+]
+
+
+class TestEveryEntwiningLawBites:
+    """A +1 on psi or on one map of A or C makes an entwining law the first failure of verify_entwining.
+
+    No single bump of a catalog entwining reaches psi-unitality or psi-counitality first.
+    """
+
+    @pytest.mark.parametrize("name, part, attr, entry, summary", ENTWINING_BITES,
+                             ids=[f"{n}-{p}-{s.split()[2]}" for n, p, _, _, s in ENTWINING_BITES])
+    def test_bump_fails_the_law(self, name, part, attr, entry, summary):
+        e = catalog_get(name)
+        if part == "psi":
+            bad = replace(e, psi=corrupt(e.psi, *entry))
+        else:
+            pres = getattr(e, part)
+            bad = replace(e, **{part: replace(pres, **{attr: corrupt(getattr(pres, attr), *entry)})})
+        assert verify_entwining(bad).summary() == summary
 
 
 class TestEntwiningMorphism:
@@ -132,6 +165,20 @@ class TestEntwiningMorphism:
         rep = verify_entwining_morphism(e, e, gamma, Matrix.identity(QQ, 2))
         assert not rep.passed
         assert rep.axiom.startswith("gamma[")
+
+    def test_failure_summaries(self, ent_qc2):
+        """gamma, then delta, then the intertwining law; eps sends both basis elements to e."""
+        i2 = Matrix.identity(QQ, 2)
+        shear = Matrix.from_rows(QQ, [[QQ.one(), QQ.one()], [QQ.zero(), QQ.one()]])
+        eps = Matrix.from_rows(QQ, [[QQ.one(), QQ.one()], [QQ.zero(), QQ.zero()]])
+        cases = (
+            (shear, i2, "gamma[multiplicative] at basis (1, 1) lhs={0: 1} rhs={0: 2, 1: 2}"),
+            (i2, shear, "delta[comultiplicative] at basis (1,) lhs={0: 1, 3: 1} rhs={0: 1, 1: 1, 2: 1, 3: 1}"),
+            (i2, eps, "intertwining at basis (0, 1) lhs={2: 1} rhs={3: 1}"),
+        )
+        for gamma, delta, failure in cases:
+            rep = verify_entwining_morphism(ent_qc2, ent_qc2, gamma, delta)
+            assert rep.summary() == f"verify_entwining_morphism: FAIL {failure}"
 
 
 class TestCoring:
@@ -541,6 +588,21 @@ class TestEntwinedModules:
         rep = verify_entwined_module(ent_qc2, bad)
         assert not rep.passed
         assert rep.witness is not None
+
+    def test_failure_summaries(self, ent_qc2):
+        """The action, then the coaction, then psi-compatibility, which the flip entwining breaks."""
+        m = catalog_get("hopfmod_qc2")
+        flip = catalog_get("flip_qc2")
+        cases = (
+            (ent_qc2, corrupt(m.action, 0, 0), m.coaction,
+             "action[action-associativity] at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}"),
+            (ent_qc2, m.action, corrupt(m.coaction, 0, 0),
+             "coaction[coaction-coassociativity] at basis (0,) lhs={0: 4} rhs={0: 2}"),
+            (flip, m.action, m.coaction, "psi-compatibility at basis (0, 1) lhs={3: 1} rhs={2: 1}"),
+        )
+        for e, action, coaction, failure in cases:
+            rep = verify_entwined_module(e, EntwinedModulePresentation(e, m.dim, action, coaction))
+            assert rep.summary() == f"verify_entwined_module: FAIL {failure}"
 
 
 class TestRoundtrip:

@@ -41,3 +41,21 @@ def test_every_top_level_definition_is_referenced():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not refs[node.name]:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"defined but never referenced: {unused}"
+
+
+def test_every_module_level_import_is_referenced():
+    """Each name a package module imports at top level is read somewhere in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in names:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, f"imported but never referenced: {unused}"

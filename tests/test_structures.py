@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,32 @@ class TestVerifyStructure:
         coact = coaction_from_triples(QQ, 2, 2, [(0, 0, 0, 1), (1, 1, 1, 1)])
         m = ModulePresentation(2, None, None, "right", qc2, coact, "right")
         assert verify_structure("comodule", m).passed
+
+
+# (catalog Hopf algebra, map given +1 at entry, the whole first failure)
+HOPF_BITES = [
+    ("sweedler4", "antipode", (0, 2), "antipode-left at basis (2,) lhs={0: 1} rhs={}"),
+    ("qc2", "mul", (0, 3), "comul-multiplicative at basis (1, 1) lhs={0: 2} rhs={0: 4}"),
+    ("qc2_dual", "comul", (3, 1), "comul-multiplicative at basis (0, 1) lhs={} rhs={3: 1}"),
+]
+
+
+class TestEveryHopfLawBites:
+    """A +1 on one map of a catalog Hopf algebra makes a bialgebra or Hopf law the first failure.
+
+    No single bump of a catalog Hopf algebra reaches antipode-right first.
+    """
+
+    @pytest.mark.parametrize("name, attr, entry, failure", HOPF_BITES,
+                             ids=[f"{n}-{a}-{f.split()[0]}" for n, a, _, f in HOPF_BITES])
+    def test_bump_fails_the_law(self, name, attr, entry, failure):
+        h = catalog_get(name)
+        m = getattr(h, attr)
+        i, j = entry
+        data = list(m.data)
+        data[i * m.cols + j] = h.field.add(data[i * m.cols + j], h.field.one())
+        bad = replace(h, **{attr: Matrix(h.field, m.rows, m.cols, data)})
+        assert verify_structure(None, bad).summary() == f"verify_structure[hopf]: FAIL {failure}"
 
 
 class TestConvolution:
