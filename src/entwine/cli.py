@@ -23,7 +23,6 @@ from .structures import (
     compute_antipode,
     dualize_structure,
     rational_submodule,
-    verify_measuring_pairing,
     verify_structure,
 )
 from .entwining import (
@@ -32,7 +31,6 @@ from .entwining import (
     build_coring,
     build_smash,
     nu_iso,
-    verify_entwined_module,
     verify_entwining,
 )
 from .duality import adjunction_check, dual_entwining
@@ -48,7 +46,7 @@ from .doikoppinen import (
     koppinen_smash,
     verify_dk,
 )
-from .document import Document, Morphism, document_from_objects, emit_document, parse_document
+from .document import Document, document_from_objects, emit_document, parse_document
 from . import catalog
 
 
@@ -97,18 +95,8 @@ def _get(doc: Document, name: str, want, what: str):
 
 
 def _check_object(out: _Out, name: str, obj) -> None:
-    if isinstance(obj, StructurePresentation):
-        out.report(name, verify_structure(None, obj))
-    elif isinstance(obj, PairingPresentation):
-        out.report(name, verify_measuring_pairing(obj))
-    elif isinstance(obj, ModulePresentation):
-        out.report(name, verify_structure(None, obj))
-    elif isinstance(obj, EntwiningPresentation):
-        out.report(name, verify_entwining(obj))
-    elif isinstance(obj, EntwinedModulePresentation):
-        out.report(name, verify_entwined_module(obj.entwining, obj))
-    elif isinstance(obj, DKStructure):
-        out.report(name, verify_dk(obj))
+    if type(obj) in catalog.VERIFIERS:
+        out.report(name, catalog.VERIFIERS[type(obj)](obj))
     elif isinstance(obj, HExtension):
         out.note(f"{name}: extension verified at parse time; coinvariants dim {obj.coinv.dim}")
         if obj.integral is not None:
@@ -125,12 +113,6 @@ def _check_object(out: _Out, name: str, obj) -> None:
                      f"cocleft={rep.cocleft} inverse_twist={twist}")
             if not rep.passed:
                 out.failed = True
-    elif isinstance(obj, Morphism):
-        from .structures import (algebra_morphism_report, bialgebra_morphism_report,
-                                 coalgebra_morphism_report)
-        table = {"algebra": algebra_morphism_report, "coalgebra": coalgebra_morphism_report,
-                 "bialgebra": bialgebra_morphism_report, "hopf": bialgebra_morphism_report}
-        out.report(name, table[obj.role](obj.source, obj.target, obj.matrix))
     else:
         out.note(f"{name}: nothing to check")
 
@@ -388,6 +370,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 1, out.render(args.json)
     except (PresentationError, OSError) as exc:
         out.note(f"input error: {exc}")
+        out.failed = True
         return 2, out.render(args.json)
     return (1 if out.failed else 0), out.render(args.json)
 

@@ -81,16 +81,13 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
         raise PresentationError(f"unknown compatibility kind {kind!r}")
     if side not in ("left", "right"):
         raise PresentationError(f"unknown side {side!r}")
-    rep = verify_structure("module" if kind.startswith("module") else "comodule",
-                           _as_module(h, x, m, kind, side))
-    if not rep.passed:
-        return report.within(f"verify_dk_compat[{kind}]", "structure", rep)
     return report.first_failure(f"verify_dk_compat[{kind}]", _compat_laws(kind, side, h, x, m))
 
 
-def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePresentation,
-                 m: Matrix) -> list:
-    """The interaction laws of verify_dk_compat as (axiom, lhs, rhs, basis dims) rows."""
+def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePresentation, m: Matrix):
+    """The (co)module laws as the structure component, then the interaction laws for (kind, side)."""
+    yield "structure", verify_structure("module" if kind.startswith("module") else "comodule",
+                                        _as_module(h, x, m, kind, side))
     nh, nx = h.dim, x.dim
     idh, idx = Matrix.identity(h.field, nh), Matrix.identity(h.field, nx)
     laws = {
@@ -127,7 +124,7 @@ def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePre
              kron(h.mul, kron(idx, idx)) @ swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul, (nx,)),
             ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))],
     }
-    return laws[(kind, side)]()
+    yield from laws[(kind, side)]()
 
 
 @dataclass(frozen=True)
@@ -146,15 +143,18 @@ class DKStructure:
 
 
 def verify_dk(s: DKStructure) -> Report:
-    """Verify all three components and both compatibilities."""
-    for rep in (verify_structure("bialgebra", s.h),
-                verify_structure("algebra", s.alg),
-                verify_structure("coalgebra", s.coalg),
-                verify_dk_compat("comodule-algebra", s.h, s.alg, s.alg_coaction, "right"),
-                verify_dk_compat("module-coalgebra", s.h, s.coalg, s.coalg_action, "right")):
-        if not rep.passed:
-            return rep
-    return report.ok("verify_dk")
+    """H, A and C, then both compatibilities; a failure names its part, as in bialgebra[associativity]."""
+    return report.first_failure("verify_dk", _dk_rows(s.h, (s.alg, "comodule-algebra", s.alg_coaction),
+                                                      (s.coalg, "module-coalgebra", s.coalg_action)))
+
+
+def _dk_rows(h: StructurePresentation, alg: tuple, coalg: tuple):
+    """H, A and C, then the compatibility with H of each of A and C, given as (structure, kind, map)."""
+    yield "bialgebra", verify_structure("bialgebra", h)
+    yield "algebra", verify_structure("algebra", alg[0])
+    yield "coalgebra", verify_structure("coalgebra", coalg[0])
+    for x, kind, m in (alg, coalg):
+        yield kind, verify_dk_compat(kind, h, x, m, "right")
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,10 @@ class AltDKStructure:
     coalg_coaction: Matrix  # C -> C (x) H
 
     def verify(self) -> Report:
-        """H, A and C first (a failure is bialgebra[axiom] and so on), then both compatibilities."""
-        for part, pres in (("bialgebra", self.h), ("algebra", self.alg), ("coalgebra", self.coalg)):
-            rep = verify_structure(part, pres)
-            if not rep.passed:
-                return report.within("verify_alt_dk", part, rep)
-        rep = verify_dk_compat("module-algebra", self.h, self.alg, self.alg_action, "right")
-        if not rep.passed:
-            return rep
-        return verify_dk_compat("comodule-coalgebra", self.h, self.coalg, self.coalg_coaction, "right")
+        """H, A and C, then both compatibilities; a failure names its part, as in module-algebra[...]."""
+        return report.first_failure("verify_alt_dk", _dk_rows(
+            self.h, (self.alg, "module-algebra", self.alg_action),
+            (self.coalg, "comodule-coalgebra", self.coalg_coaction)))
 
 
 def dk_entwining(s: DKStructure) -> EntwiningPresentation:
@@ -261,10 +256,6 @@ def _verified(kind: str, side: str, h: StructurePresentation, structure: Structu
     return out
 
 
-def _dual_bialgebra(h: StructurePresentation) -> StructurePresentation:
-    return dualize_structure("hopf" if h.kind == "hopf" else "bialgebra", h)
-
-
 def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingPresentation:
     """<h, u> = u(h) for U the full dual of H."""
     return PairingPresentation(h, u, Matrix.identity(h.field, h.dim))
@@ -273,14 +264,14 @@ def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingP
 def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePresentation,
                                        coaction: Matrix) -> DKIngredient:
     """f -> a = sum a_0 f(a_1): a right H-comodule algebra is a left U-module algebra."""
-    return _verified("module-algebra", "left", _dual_bialgebra(h), a,
+    return _verified("module-algebra", "left", dualize_structure(None, h), a,
                      coaction_to_dual_action(coaction, a.dim, h.dim, "right"))
 
 
 def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
     """A* is a right U-module coalgebra via (f . u)(a) = sum f(a_0) u(a_1)."""
-    return _verified("module-coalgebra", "right", _dual_bialgebra(h), dualize_structure("algebra", a),
+    return _verified("module-coalgebra", "right", dualize_structure(None, h), dualize_structure("algebra", a),
                      coaction.transpose())
 
 
@@ -292,7 +283,7 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
     dimension; the result carries the transported multiplication on the
     rational subspace, which is checked to be a unital subalgebra.
     """
-    u = _dual_bialgebra(h)
+    u = dualize_structure(None, h)
     pairing = _pairing_h_u(h, u)
     rat = rational_submodule(pairing, ModulePresentation(a.dim, h, action, side))
     w = rat.subspace
@@ -329,14 +320,14 @@ def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructureP
 def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: StructurePresentation,
                                            coaction: Matrix) -> DKIngredient:
     """f -> c = sum c_0 f(c_1): a right H-comodule coalgebra is a left U-module coalgebra."""
-    return _verified("module-coalgebra", "left", _dual_bialgebra(h), c,
+    return _verified("module-coalgebra", "left", dualize_structure(None, h), c,
                      coaction_to_dual_action(coaction, c.dim, h.dim, "right"))
 
 
 def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
     """C* is a right U-module algebra via (f . u)(c) = f(u -> c)."""
-    u = _dual_bialgebra(h)
+    u = dualize_structure(None, h)
     inner = comodule_coalgebra_to_module_coalgebra(h, c, coaction)
     cstar = dualize_structure("coalgebra", c)
     return _verified("module-algebra", "right", u, cstar, dual_action_on_dual(inner.matrix, c.dim, u.dim, "left"))
@@ -397,7 +388,7 @@ def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKS
     if e is None:
         report.require(verify_dk(s))
         e = dk_entwining(s)
-    hdual = _dual_bialgebra(s.h)
+    hdual = dualize_structure(None, s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
     # rewrite the C0 coaction on the nose when the rational part is everything
@@ -625,7 +616,7 @@ def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
         raise PresentationError("dualize_coextension needs a Hopf algebra")
     if invert(h.antipode) is None:
         raise PresentationError("antipode is not bijective")
-    hdual = _dual_bialgebra(h)
+    hdual = dualize_structure(None, h)
     ddual = dualize_structure("coalgebra", coext.d)
     # coaction on D*: coefficient of g_s (x) delta_u in rho(g_r) is action[r, s*nh + u]
     ext = h_extension(hdual, ddual, coext.action.transpose())
@@ -696,20 +687,13 @@ def long_dimodule_check(a: StructurePresentation, c: StructurePresentation,
 def verify_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
                        gamma: Matrix, delta: Matrix) -> Report:
     """Component morphisms plus the mixed compatibility on basis pairs."""
-    rep = bialgebra_morphism_report(s.h, t.h, beta)
-    if not rep.passed:
-        return report.within("verify_dk_morphism", "beta", rep)
-    rep = algebra_morphism_report(s.alg, t.alg, gamma)
-    if not rep.passed:
-        return report.within("verify_dk_morphism", "gamma", rep)
-    rep = coalgebra_morphism_report(s.coalg, t.coalg, delta)
-    if not rep.passed:
-        return report.within("verify_dk_morphism", "delta", rep)
-    lhs = kron(gamma, delta) @ dk_entwining(s).psi
-    rhs = dk_entwining(t).psi @ kron(delta, gamma)
-    bad = report.compare("verify_dk_morphism", "mixed-compatibility", lhs, rhs,
-                         (s.coalg.dim, s.alg.dim))
-    return bad if bad is not None else report.ok("verify_dk_morphism")
+    def rows():
+        yield "beta", bialgebra_morphism_report(s.h, t.h, beta)
+        yield "gamma", algebra_morphism_report(s.alg, t.alg, gamma)
+        yield "delta", coalgebra_morphism_report(s.coalg, t.coalg, delta)
+        yield ("mixed-compatibility", kron(gamma, delta) @ dk_entwining(s).psi,
+               dk_entwining(t).psi @ kron(delta, gamma), (s.coalg.dim, s.alg.dim))
+    return report.first_failure("verify_dk_morphism", rows())
 
 
 def dual_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,

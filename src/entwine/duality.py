@@ -160,7 +160,6 @@ class DualModule:
     the module structure is written in those basis coordinates.
     """
 
-    source_dim: int
     basis: Matrix
     module: EntwinedModulePresentation
 
@@ -202,7 +201,7 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
     ract = _restrict_right_action(ract_mstar, rat.subspace, d.atil.dim, "dual_module_r")
     out = EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction)
     report.require(verify_entwined_module(d.dual, out))
-    return DualModule(m.dim, rat.subspace.basis, out)
+    return DualModule(rat.subspace.basis, out)
 
 
 def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModule:
@@ -222,7 +221,7 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
     ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
     out = EntwinedModulePresentation(e, rat.dim, ract, rat.coaction)
     report.require(verify_entwined_module(e, out))
-    return DualModule(k.dim, rat.subspace.basis, out)
+    return DualModule(rat.subspace.basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +239,11 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     basis element, checked to land in the opposite Hom space, and composed
     both ways back to the identity.
     """
-    for part, e, module in (("module", d.source, m), ("dual-module", d.dual, k)):
-        rep = verify_entwined_module(e, module) if module is not None else None
-        if rep is not None and not rep.passed:
-            return report.within("adjunction_check", part, rep)
+    parts = report.first_failure("adjunction_check", (
+        (part, verify_entwined_module(e, module))
+        for part, e, module in (("module", d.source, m), ("dual-module", d.dual, k)) if module is not None))
+    if not parts.passed:
+        return parts
     mr = dual_module_r(d, m)
     k = mr.module if k is None else k   # dual_module_r verifies the module it builds
     kr = dual_module_upper_r(d, k)

@@ -70,42 +70,37 @@ def verify_entwining(e: EntwiningPresentation) -> Report:
     unit, comultiplication and counit.
     """
     a, c, psi = e.algebra, e.coalgebra, e.psi
-    for part, pres in (("algebra", a), ("coalgebra", c)):
-        rep = verify_structure(part, pres)
-        if not rep.passed:
-            return report.within("verify_entwining", part, rep)
-    na, nc = a.dim, c.dim
-    ida = Matrix.identity(e.field, na)
-    idc = Matrix.identity(e.field, nc)
-    checks = [
-        ("psi-multiplicativity",
-         psi @ kron(idc, a.mul),
-         kron(a.mul, idc) @ kron(ida, psi) @ kron(psi, ida),
-         (nc, na, na)),
-        ("psi-unitality", psi @ kron(idc, a.unit), kron(a.unit, idc), (nc,)),
-        ("psi-comultiplicativity",
-         kron(ida, c.comul) @ psi,
-         kron(psi, idc) @ kron(idc, psi) @ kron(c.comul, ida),
-         (nc, na)),
-        ("psi-counitality", kron(ida, c.counit) @ psi, kron(c.counit, ida), (nc, na)),
-    ]
-    return report.first_failure("verify_entwining", checks)
+
+    def rows():
+        yield "algebra", verify_structure("algebra", a)
+        yield "coalgebra", verify_structure("coalgebra", c)
+        na, nc = a.dim, c.dim
+        ida = Matrix.identity(e.field, na)
+        idc = Matrix.identity(e.field, nc)
+        yield from [   # the four laws are laid out together, then compared in order
+            ("psi-multiplicativity",
+             psi @ kron(idc, a.mul),
+             kron(a.mul, idc) @ kron(ida, psi) @ kron(psi, ida),
+             (nc, na, na)),
+            ("psi-unitality", psi @ kron(idc, a.unit), kron(a.unit, idc), (nc,)),
+            ("psi-comultiplicativity",
+             kron(ida, c.comul) @ psi,
+             kron(psi, idc) @ kron(idc, psi) @ kron(c.comul, ida),
+             (nc, na)),
+            ("psi-counitality", kron(ida, c.counit) @ psi, kron(c.counit, ida), (nc, na)),
+        ]
+    return report.first_failure("verify_entwining", rows())
 
 
 def verify_entwining_morphism(e: EntwiningPresentation, f: EntwiningPresentation,
                               gamma: Matrix, delta: Matrix) -> Report:
     """(gamma, delta) intertwines psi with Psi; component morphisms checked first."""
-    rep = algebra_morphism_report(e.algebra, f.algebra, gamma)
-    if not rep.passed:
-        return report.within("verify_entwining_morphism", "gamma", rep)
-    rep = coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
-    if not rep.passed:
-        return report.within("verify_entwining_morphism", "delta", rep)
-    lhs = kron(gamma, delta) @ e.psi
-    rhs = f.psi @ kron(delta, gamma)
-    bad = report.compare("verify_entwining_morphism", "intertwining", lhs, rhs,
-                         (e.coalgebra.dim, e.algebra.dim))
-    return bad if bad is not None else report.ok("verify_entwining_morphism")
+    def rows():
+        yield "gamma", algebra_morphism_report(e.algebra, f.algebra, gamma)
+        yield "delta", coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
+        yield ("intertwining", kron(gamma, delta) @ e.psi, f.psi @ kron(delta, gamma),
+               (e.coalgebra.dim, e.algebra.dim))
+    return report.first_failure("verify_entwining_morphism", rows())
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +217,6 @@ class SmashRing:
     def as_map(self, v: Matrix) -> Matrix:
         """S-coordinates column -> matrix C -> A."""
         return v.reshape(self.entwining.algebra.dim, self.entwining.coalgebra.dim)
-
-    def from_map(self, m: Matrix) -> Matrix:
-        a, c = self.entwining.algebra, self.entwining.coalgebra
-        if (m.rows, m.cols) != (a.dim, c.dim):
-            raise DimensionMismatch(f"expected {a.dim}x{c.dim} map")
-        return Matrix.from_columns(self.field, self.dim, [m])
 
     def as_algebra(self) -> StructurePresentation:
         labels = tuple(f"E{x}_{u}" for x in range(self.entwining.algebra.dim)
@@ -436,21 +425,16 @@ class EntwinedModulePresentation:
 
 def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentation) -> Report:
     """Module and comodule laws, then the psi-compatibility on basis pairs."""
-    rep = verify_structure("module", m.as_module())
-    if not rep.passed:
-        return report.within("verify_entwined_module", "action", rep)
-    rep = verify_structure("comodule", m.as_module())
-    if not rep.passed:
-        return report.within("verify_entwined_module", "coaction", rep)
-    na, nc = e.algebra.dim, e.coalgebra.dim
-    f = e.field
-    idm = Matrix.identity(f, m.dim)
-    ida = Matrix.identity(f, na)
-    idc = Matrix.identity(f, nc)
-    lhs = m.coaction @ m.action
-    rhs = kron(m.action, idc) @ kron(idm, e.psi) @ kron(m.coaction, ida)
-    bad = report.compare("verify_entwined_module", "psi-compatibility", lhs, rhs, (m.dim, na))
-    return bad if bad is not None else report.ok("verify_entwined_module")
+    def rows():
+        yield "action", verify_structure("module", m.as_module())
+        yield "coaction", verify_structure("comodule", m.as_module())
+        f = e.field
+        idm = Matrix.identity(f, m.dim)
+        ida = Matrix.identity(f, e.algebra.dim)
+        idc = Matrix.identity(f, e.coalgebra.dim)
+        yield ("psi-compatibility", m.coaction @ m.action,
+               kron(m.action, idc) @ kron(idm, e.psi) @ kron(m.coaction, ida), (m.dim, e.algebra.dim))
+    return report.first_failure("verify_entwined_module", rows())
 
 
 def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation,

@@ -1,10 +1,11 @@
 """Verification reports: pass, or the first broken law with a witness.
 
-Every law is a row (axiom, lhs, rhs, basis dims), its sides compositions
-of structure maps, and compare is the one checker that reads them.  A
-failed report names the law, the basis indices it was evaluated at, and
-both sides there as canonical sparse vectors {index: scalar}, so a
-failure is always reproducible by hand.
+A verifier is rows that first_failure reads in order: its components
+(part, report) first, then its laws (axiom, lhs, rhs, basis dims), whose
+sides are compositions of structure maps read by compare.  A failed
+report names the law, as part[axiom] for a component's, the basis indices
+it was evaluated at, and both sides there as canonical sparse vectors
+{index: scalar}, so a failure is always reproducible by hand.
 """
 
 from __future__ import annotations
@@ -103,14 +104,20 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     return None
 
 
-def first_failure(op: str, checks) -> Report:
-    """Check (axiom, lhs, rhs, col_dims) laws in order; the first failure wins.
+def first_failure(op: str, rows) -> Report:
+    """Check rows in order; the first failure wins.
 
-    checks may be a lazy generator: nothing after the first failure is
-    evaluated.
+    A row is a component (part, report), failing as part[axiom] with the
+    component's witness and sides, or a law (axiom, lhs, rhs, col_dims)
+    read by compare.  rows may be a lazy generator: nothing after the
+    first failure is evaluated.
     """
-    for axiom, lhs, rhs, col_dims in checks:
-        bad = compare(op, axiom, lhs, rhs, col_dims)
+    for row in rows:
+        if len(row) == 2:
+            part, rep = row
+            bad = None if rep.passed else within(op, part, rep)
+        else:
+            bad = compare(op, *row)
         if bad is not None:
             return bad
     return ok(op)

@@ -12,6 +12,7 @@ dim_M x (dim_M * dim_A), a right coaction M -> M (x) C is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .exactlin import (
     DimensionMismatch,
@@ -216,28 +217,26 @@ class ModulePresentation:
 # verification
 
 
-def _algebra_checks(p: StructurePresentation, tag: str):
+def _algebra_checks(p: StructurePresentation):
     n = p.dim
     idn = Matrix.identity(p.field, n)
-    yield (f"{tag}associativity",
-           p.mul @ kron(p.mul, idn), p.mul @ kron(idn, p.mul), (n, n, n))
-    yield (f"{tag}left-unit", p.mul @ kron(p.unit, idn), idn, (n,))
-    yield (f"{tag}right-unit", p.mul @ kron(idn, p.unit), idn, (n,))
+    yield ("associativity", p.mul @ kron(p.mul, idn), p.mul @ kron(idn, p.mul), (n, n, n))
+    yield ("left-unit", p.mul @ kron(p.unit, idn), idn, (n,))
+    yield ("right-unit", p.mul @ kron(idn, p.unit), idn, (n,))
 
 
-def _coalgebra_checks(p: StructurePresentation, tag: str):
+def _coalgebra_checks(p: StructurePresentation):
     n = p.dim
     idn = Matrix.identity(p.field, n)
-    yield (f"{tag}coassociativity",
-           kron(p.comul, idn) @ p.comul, kron(idn, p.comul) @ p.comul, (n,))
-    yield (f"{tag}left-counit", kron(p.counit, idn) @ p.comul, idn, (n,))
-    yield (f"{tag}right-counit", kron(idn, p.counit) @ p.comul, idn, (n,))
+    yield ("coassociativity", kron(p.comul, idn) @ p.comul, kron(idn, p.comul) @ p.comul, (n,))
+    yield ("left-counit", kron(p.counit, idn) @ p.comul, idn, (n,))
+    yield ("right-counit", kron(idn, p.counit) @ p.comul, idn, (n,))
 
 
 def _bialgebra_checks(p: StructurePresentation):
     n = p.dim
-    yield from _algebra_checks(p, "")
-    yield from _coalgebra_checks(p, "")
+    yield from _algebra_checks(p)
+    yield from _coalgebra_checks(p)
     yield ("comul-multiplicative",
            p.comul @ p.mul,
            kron(p.mul, p.mul) @ swap_middle(kron(p.comul, p.comul), (n, n, n, n)), (n, n))
@@ -255,6 +254,10 @@ def _hopf_checks(p: StructurePresentation):
     yield ("antipode-right", p.mul @ kron(idn, p.antipode) @ p.comul, e, (n,))
 
 
+_KIND_LAWS = {"algebra": _algebra_checks, "coalgebra": _coalgebra_checks,
+              "bialgebra": _bialgebra_checks, "hopf": _hopf_checks}
+
+
 def verify_structure(kind: str | None, pres) -> Report:
     """Exhaustive check of the defining laws on basis elements.
 
@@ -265,22 +268,15 @@ def verify_structure(kind: str | None, pres) -> Report:
         return _verify_module(kind, pres)
     if kind is None:
         kind = pres.kind
-    if kind in ("algebra", "bialgebra", "hopf") and (pres.mul is None or pres.unit is None):
+    if kind not in _KIND_LAWS:
+        raise PresentationError(f"unknown kind {kind!r}")
+    if kind != "coalgebra" and (pres.mul is None or pres.unit is None):
         raise PresentationError(f"{kind} verification needs mul and unit")
-    if kind in ("coalgebra", "bialgebra", "hopf") and (pres.comul is None or pres.counit is None):
+    if kind != "algebra" and (pres.comul is None or pres.counit is None):
         raise PresentationError(f"{kind} verification needs comul and counit")
-    op = f"verify_structure[{kind}]"
-    if kind == "algebra":
-        return report.first_failure(op, _algebra_checks(pres, ""))
-    if kind == "coalgebra":
-        return report.first_failure(op, _coalgebra_checks(pres, ""))
-    if kind == "bialgebra":
-        return report.first_failure(op, _bialgebra_checks(pres))
-    if kind == "hopf":
-        if pres.antipode is None:
-            raise PresentationError("hopf verification needs an antipode")
-        return report.first_failure(op, _hopf_checks(pres))
-    raise PresentationError(f"unknown kind {kind!r}")
+    if kind == "hopf" and pres.antipode is None:
+        raise PresentationError("hopf verification needs an antipode")
+    return report.first_failure(f"verify_structure[{kind}]", _KIND_LAWS[kind](pres))
 
 
 def _module_checks(m: ModulePresentation):
@@ -462,31 +458,32 @@ def _dualize_module(m: ModulePresentation) -> ModulePresentation:
 # morphism predicates (shared by the entwining and dual layers)
 
 
-def algebra_morphism_report(a: StructurePresentation, b: StructurePresentation, g: Matrix) -> Report:
+def _algebra_morphism_laws(a: StructurePresentation, b: StructurePresentation, g: Matrix):
     if (g.rows, g.cols) != (b.dim, a.dim):
         raise DimensionMismatch(f"morphism must be {b.dim}x{a.dim}")
-    checks = [
-        ("multiplicative", g @ a.mul, b.mul @ kron(g, g), (a.dim, a.dim)),
-        ("unital", g @ a.unit, b.unit, (1,)),
-    ]
-    return report.first_failure("algebra_morphism", checks)
+    yield from [("multiplicative", g @ a.mul, b.mul @ kron(g, g), (a.dim, a.dim)),
+                ("unital", g @ a.unit, b.unit, (1,))]
+
+
+def _coalgebra_morphism_laws(c: StructurePresentation, d: StructurePresentation, g: Matrix):
+    if (g.rows, g.cols) != (d.dim, c.dim):
+        raise DimensionMismatch(f"morphism must be {d.dim}x{c.dim}")
+    yield from [("comultiplicative", d.comul @ g, kron(g, g) @ c.comul, (c.dim,)),
+                ("counital", d.counit @ g, c.counit, (c.dim,))]
+
+
+def algebra_morphism_report(a: StructurePresentation, b: StructurePresentation, g: Matrix) -> Report:
+    return report.first_failure("algebra_morphism", _algebra_morphism_laws(a, b, g))
 
 
 def coalgebra_morphism_report(c: StructurePresentation, d: StructurePresentation, g: Matrix) -> Report:
-    if (g.rows, g.cols) != (d.dim, c.dim):
-        raise DimensionMismatch(f"morphism must be {d.dim}x{c.dim}")
-    checks = [
-        ("comultiplicative", d.comul @ g, kron(g, g) @ c.comul, (c.dim,)),
-        ("counital", d.counit @ g, c.counit, (c.dim,)),
-    ]
-    return report.first_failure("coalgebra_morphism", checks)
+    return report.first_failure("coalgebra_morphism", _coalgebra_morphism_laws(c, d, g))
 
 
 def bialgebra_morphism_report(a: StructurePresentation, b: StructurePresentation, g: Matrix) -> Report:
-    rep = algebra_morphism_report(a, b, g)
-    if not rep.passed:
-        return rep
-    return coalgebra_morphism_report(a, b, g)
+    """The algebra morphism laws, then the coalgebra morphism laws."""
+    return report.first_failure("bialgebra_morphism", chain(_algebra_morphism_laws(a, b, g),
+                                                            _coalgebra_morphism_laws(a, b, g)))
 
 
 # ---------------------------------------------------------------------------

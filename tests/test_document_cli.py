@@ -335,6 +335,29 @@ class TestReferenceErrors:
         assert (code, text) == (2, f"input error: {line}\n")
 
 
+    def test_reference_document_check(self, tmp_path):
+        """Each object's verifier, a Hopf morphism's under op bialgebra_morphism."""
+        code, text = run_command(["check", write(tmp_path, "doc.ent", json.dumps(reference_document()))])
+        assert (code, text.splitlines()) == (1, [
+            "alg: verify_structure[algebra]: PASS",
+            "aut: bialgebra_morphism: PASS",
+            "coalg: verify_structure[coalgebra]: PASS",
+            "coext: coextension verified at parse time; quotient dim 3",
+            "coext: cointegral linear=True total=False cocleft=False inverse_twist=None",
+            "dk: verify_dk: PASS",
+            "emod: verify_entwined_module: PASS",
+            "ent: verify_entwining: PASS",
+            "ext: extension verified at parse time; coinvariants dim 3",
+            "ext: integral colinear=True total=False cleft=False",
+            "h: verify_structure[hopf]: PASS",
+            "hom: bialgebra_morphism: PASS",
+            "k: verify_structure[hopf]: PASS",
+            "mod: verify_structure[module+comodule]: PASS",
+            "one: verify_structure[bialgebra]: PASS",
+            "pair: verify_measuring_pairing: PASS",
+        ])
+
+
 class TestEmittedNames:
     """document_from_objects names an object the caller did not: <key>_<n>, from one counter."""
 
@@ -435,6 +458,15 @@ class TestCheckCommand:
         body["objects"]["qc2"]["mul"][0][3] = "+1"
         code, text = run_command(["check", write(tmp_path, "bad.ent", json.dumps(body))])
         assert code == 2 and "objects.qc2.mul[0]: non-canonical rational literal '+1'" in text
+
+    def test_json_input_error_fails_the_run(self, tmp_path):
+        body = json.loads(catalog_doc("qc2"))
+        body["objects"]["x"] = {"type": "frobenius"}
+        for path in ("/nonexistent/doc.ent", write(tmp_path, "bad.ent", json.dumps(body))):
+            code, text = run_command(["--json", "check", path])
+            data = json.loads(text)
+            assert (code, data["passed"]) == (2, False)
+            assert data["records"][0]["note"].startswith("input error: ")
 
     def test_json_report(self, tmp_path):
         path = write(tmp_path, "qc2.ent", catalog_doc("qc2"))

@@ -227,6 +227,18 @@ class TestDKEntwining:
                 assert got == want
 
 
+class TestVerifyDK:
+    def test_components_then_compatibilities(self, qc2):
+        """A failing component or compatibility is reported by verify_dk under its part name."""
+        bad_h = replace(qc2, mul=Matrix(QQ, 2, 4, [QQ.add(qc2.mul.data[0], QQ.one()), *qc2.mul.data[1:]]))
+        assert verify_dk(DKStructure(bad_h, qc2, qc2.comul, qc2, qc2.mul)).summary() == \
+            "verify_dk: FAIL bialgebra[associativity] at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}"
+        # two orthogonal idempotents: qc2's comultiplication coacts on them but does not multiply
+        idem = make_structure("algebra", QQ, 2, mul=[(0, 0, 0, 1), (1, 1, 1, 1)], unit=[1, 1])
+        assert verify_dk(DKStructure(qc2, idem, qc2.comul, qc2, qc2.mul)).summary() == \
+            "verify_dk: FAIL comodule-algebra[coaction-multiplicative] at basis (1, 1) lhs={3: 1} rhs={2: 1}"
+
+
 class TestAltDK:
     def test_trivial_coaction_gives_flip(self, qc2):
         triv_coact = kron(Matrix.identity(QQ, 2), qc2.unit)
@@ -267,6 +279,12 @@ class TestAltDK:
             assert bad.verify().summary() == summary
             with pytest.raises(CheckError):
                 alt_dk_entwining(bad)
+
+    def test_compatibility_failure_names_it(self, qc2):
+        # qc2 acting on itself by right multiplication is a module but not a module algebra
+        bad = replace(catalog_get("alt_qc2"), alg=qc2, alg_action=qc2.mul)
+        assert bad.verify().summary() == \
+            "verify_alt_dk: FAIL module-algebra[action-multiplicative] at basis (0, 0, 1) lhs={1: 1} rhs={0: 1}"
 
     def test_corrupted_coaction_fails(self):
         alt = catalog_get("alt_qc2")

@@ -227,6 +227,17 @@ class TestCoring:
         rep = first_failure("op", laws())
         assert (rep.axiom, rep.witness, rep.lhs, rep.rhs) == ("broken", (1,), "{0: 1}", "{}")
 
+    def test_a_failing_component_stops_the_rows(self):
+        from entwine.report import fail, ok
+
+        def rows():
+            yield "coalgebra", ok("verify_structure[coalgebra]")
+            yield "algebra", fail("verify_structure[algebra]", "associativity", (0, 1, 1), "{0: 1}", "{}")
+            raise AssertionError("evaluated past the failing component")
+
+        assert first_failure("op", rows()).summary() == \
+            "op: FAIL algebra[associativity] at basis (0, 1, 1) lhs={0: 1} rhs={}"
+
 
 class TestSmash:
     def test_flip_smash_is_opposite_convolution(self, qc2):
