@@ -654,30 +654,26 @@ def long_dimodule_check(a: StructurePresentation, c: StructurePresentation,
                         m: ModulePresentation) -> Report:
     """No-interaction compatibility rho(m a) = sum m_0 a (x) m_1.
 
-    Also confirms the definitional identification: the same data read as a
-    module over the flip entwining verifies iff this check passes.
+    Rows: the module, the comodule, the long-compatibility law, then the
+    definitional identification: the same data read as a module over the
+    flip entwining verifies (a failure there reads flip[axiom]).
     """
     if m.action is None or m.coaction is None or m.action_side != "right" or m.coaction_side != "right":
         raise PresentationError("need a right action and a right coaction")
-    f = a.field
-    na, nc, n = a.dim, c.dim, m.dim
-    lhs = m.coaction @ m.action
-    rhs = kron(m.action, Matrix.identity(f, nc)) \
-        @ kron(Matrix.identity(f, n), swap_matrix(f, nc, na)) \
-        @ kron(m.coaction, Matrix.identity(f, na))
-    for rep in (verify_structure("module", m), verify_structure("comodule", m)):
-        if not rep.passed:
-            return rep
-    bad = report.compare("long_dimodule_check", "long-compatibility", lhs, rhs, (n, na))
     from .entwining import flip_entwining
 
-    flip_rep = verify_entwined_module(
-        flip_entwining(a, c), EntwinedModulePresentation(flip_entwining(a, c), n, m.action, m.coaction))
-    if (bad is None) != flip_rep.passed:
-        return report.fail("long_dimodule_check", "flip-identification-mismatch")
-    if bad is not None:
-        return bad
-    return report.ok("long_dimodule_check", flip_equivalent=True)
+    def rows():
+        yield "module", verify_structure("module", m)
+        yield "comodule", verify_structure("comodule", m)
+        f = a.field
+        na, nc, n = a.dim, c.dim, m.dim
+        yield ("long-compatibility", m.coaction @ m.action,
+               kron(m.action, Matrix.identity(f, nc)) @ kron(Matrix.identity(f, n), swap_matrix(f, nc, na))
+               @ kron(m.coaction, Matrix.identity(f, na)), (n, na))
+        flip = flip_entwining(a, c)
+        yield "flip", verify_entwined_module(flip, EntwinedModulePresentation(flip, n, m.action, m.coaction))
+    rep = report.first_failure("long_dimodule_check", rows())
+    return report.ok("long_dimodule_check", flip_equivalent=True) if rep.passed else rep
 
 
 # ---------------------------------------------------------------------------

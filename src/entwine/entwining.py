@@ -77,18 +77,12 @@ def verify_entwining(e: EntwiningPresentation) -> Report:
         na, nc = a.dim, c.dim
         ida = Matrix.identity(e.field, na)
         idc = Matrix.identity(e.field, nc)
-        yield from [   # the four laws are laid out together, then compared in order
-            ("psi-multiplicativity",
-             psi @ kron(idc, a.mul),
-             kron(a.mul, idc) @ kron(ida, psi) @ kron(psi, ida),
-             (nc, na, na)),
-            ("psi-unitality", psi @ kron(idc, a.unit), kron(a.unit, idc), (nc,)),
-            ("psi-comultiplicativity",
-             kron(ida, c.comul) @ psi,
-             kron(psi, idc) @ kron(idc, psi) @ kron(c.comul, ida),
-             (nc, na)),
-            ("psi-counitality", kron(ida, c.counit) @ psi, kron(c.counit, ida), (nc, na)),
-        ]
+        yield ("psi-multiplicativity",
+               psi @ kron(idc, a.mul), kron(a.mul, idc) @ kron(ida, psi) @ kron(psi, ida), (nc, na, na))
+        yield "psi-unitality", psi @ kron(idc, a.unit), kron(a.unit, idc), (nc,)
+        yield ("psi-comultiplicativity",
+               kron(ida, c.comul) @ psi, kron(psi, idc) @ kron(idc, psi) @ kron(c.comul, ida), (nc, na))
+        yield "psi-counitality", kron(ida, c.counit) @ psi, kron(c.counit, ida), (nc, na)
     return report.first_failure("verify_entwining", rows())
 
 
@@ -150,7 +144,7 @@ def verify_coring(coring: CoringPresentation) -> Report:
     """Bimodule laws, coassociativity, counit laws and balanced bilinearity.
 
     Each law is a row of report.first_failure whose sides are compositions
-    of the structure maps, checked one basis column at a time; tensor maps
+    of the structure maps, checked one row or column at a time; tensor maps
     such as comul (x) id are pairs that are never laid out.  Right
     linearity of the comultiplication only holds modulo the balancing
     relations (x.a) (x) y - x (x) (a.y); it is certified by exhibiting the

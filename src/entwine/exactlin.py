@@ -8,11 +8,13 @@ from column index to value.  Every operation reads and writes that form,
 so the work and the memory of a product, a Kronecker product, a transpose,
 a re-indexing or an elimination grow with the nonzeros (and the number of
 rows), not with the dense sizes; elimination returns canonical RREF
-bases.  law_columns reads a side of a law, a composition of structure
-maps whose tensor factors kron(X, id) are never laid out, one basis column
-at a time: it sums plain products without a Field call per term and
-returns each column canonical (an index -> value dict, reduced, no zero
-values), so two columns are equal exactly when their dicts are.  A linear map
+bases.  law_vectors reads a side of a law, a composition of structure
+maps whose tensor factors kron(X, id) are never laid out, one row or one
+column at a time, as a sparse row product (Gustavson): it pushes a basis
+vector through the factors, sums plain products without a Field call per
+term and returns each vector canonical (an index -> value dict, reduced,
+no zero values), so two vectors are equal exactly when their dicts are;
+law_shape gives a side's shape without evaluating it.  A linear map
 V -> W with dim V = n, dim W = m is an m x n matrix acting on column
 vectors.  Tensor products follow the index convention
 idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied to v (x) w equals
@@ -33,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from math import isqrt, prod
 
 
@@ -647,102 +649,84 @@ def columns_of(m: Matrix) -> tuple[dict, ...]:
     return m._cols
 
 
-class _Pair:
-    """kron(X, id_k) or kron(id_k, X), then maybe a fused Matrix M, acting on sparse columns.
-
-    Input key q * d + r names a column of X and an index of id_k; row i of
-    that column lands at outs[identity index][i], an output key or, once M
-    is fused in, M's column there.  Values are plain products, unreduced.
-    """
-
-    def __init__(self, a, b):
-        self.x_first = isinstance(a, Matrix)
-        x, k = (a, b) if self.x_first else (b, a)
-        self.field, self.xcols, self.fused = x.field, columns_of(x), False
-        self.rows, self.cols = x.rows * k, x.cols * k
-        if self.x_first:
-            self.d, self.outs = k, [range(r, self.rows, k) for r in range(k)]
-        else:
-            self.d, self.outs = x.cols, [range(q * x.rows, (q + 1) * x.rows) for q in range(k)]
-
-    def fuse(self, m: Matrix):
-        mcols = columns_of(m)
-        self.outs = [[mcols[t] for t in out] for out in self.outs]
-        self.rows, self.fused = m.rows, True
-
-    def columns(self, rest, p):
-        """Column 0, 1, ... of this stage and then the stages in rest, reduced (mod p if p)."""
-        x_first, fused = self.x_first, self.fused
-        for a, b in product(*((self.xcols, self.outs) if x_first else (self.outs, self.xcols))):
-            xcol, out = (a, b) if x_first else (b, a)
-            if fused:
-                acc: dict = {}
-                for i, w in xcol.items():
-                    for t, z in out[i].items():
-                        acc[t] = acc[t] + w * z if t in acc else w * z
-            else:
-                acc = {out[i]: w for i, w in xcol.items()}
-            for stage in rest:
-                acc = stage.apply(acc)
-            yield {t: r for t, s in acc.items() if (r := s % p if p else s)}
-
-    def apply(self, v: dict) -> dict:
-        d, xcols, outs, x_first, fused = self.d, self.xcols, self.outs, self.x_first, self.fused
-        acc: dict = {}
-        for key, c in v.items():
-            q, r = divmod(key, d)
-            xcol, out = (xcols[q], outs[r]) if x_first else (xcols[r], outs[q])
-            for i, w in xcol.items():
-                if not fused:
-                    t = out[i]
-                    acc[t] = acc[t] + c * w if t in acc else c * w
-                    continue
-                cw = c * w
-                for t, z in out[i].items():
-                    acc[t] = acc[t] + cw * z if t in acc else cw * z
-        return acc
-
-
-def law_columns(side):
-    """Read a law side one basis column at a time: (field, (rows, cols), columns).
-
-    columns yields column 0, 1, ... as canonical sparse dicts (reduced, no
-    zero values), equal exactly when the columns are.  A side is a Matrix;
-    a tuple of factors applied left to right, each a Matrix or a pair
-    (X, k) or (k, X), k an int, that stands for kron(X, id_k) or
-    kron(id_k, X) and is never laid out; or a list of (sign, side) terms,
-    sign 1 or -1, for their sum.  A column is read straight off the first
-    factor, a Matrix after a pair is applied with it (M's columns read with
-    a stride), and products are reduced once, at the end (mod p over F_p).
-    """
-    if isinstance(side, Matrix):
-        return side.field, (side.rows, side.cols), iter(columns_of(side))
+def _terms(side, sign: int = 1) -> list:
+    """sign times a law side as (sign, factors) terms, each factor (X, k, x_first): kron(X, id_k) or kron(id_k, X)."""
     if isinstance(side, list):
-        terms = [law_columns(t if isinstance(t, tuple) else (t,)) for _, t in side]
-        field, shape, _ = terms[0]
-        if any(t[:2] != (field, shape) for t in terms):
-            raise DimensionMismatch("the terms of a law side differ in shape or field")
+        return [term for s, t in side for term in _terms(t, sign * s)]
+    return [(sign, [(f, 1, True) if isinstance(f, Matrix) else
+                    (f[0], f[1], True) if isinstance(f[0], Matrix) else (f[1], f[0], False)
+                    for f in (side if isinstance(side, tuple) else (side,))])]
 
-        def columns():
-            for parts in zip(*(t[2] for t in terms)):
-                acc: dict = {}
-                for (sign, _), part in zip(side, parts):
-                    for i, v in part.items():
-                        acc[i] = acc.get(i, 0) + v if sign > 0 else acc.get(i, 0) - v
-                yield {i: r for i, s in acc.items() if (r := s % field.p if field.p else s)}
 
-        return field, shape, columns()
-    stages: list[_Pair] = []
-    for f in side:
-        stage = _Pair(*((f, 1) if isinstance(f, Matrix) else f))
-        if stages and (stage.field != stages[-1].field or stage.cols != stages[-1].rows):
-            raise DimensionMismatch(f"cannot apply {stage.rows}x{stage.cols} after {stages[-1].rows} rows")
-        if isinstance(f, Matrix) and stages and not stages[-1].fused:
-            stages[-1].fuse(f)
-        else:
-            stages.append(stage)
-    first = stages[0]
-    return first.field, (stages[-1].rows, first.cols), first.columns(stages[1:], first.field.p)
+def law_shape(side) -> tuple[Field, int, int]:
+    """(field, rows, cols) of a law side, read off its factors without evaluating any."""
+    shapes = set()
+    for _, factors in _terms(side):
+        x, k, _ = factors[0]
+        field, rows, cols = x.field, x.rows * k, x.cols * k
+        for x, k, _ in factors[1:]:
+            if x.field != field or x.cols * k != rows:
+                raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
+            rows = x.rows * k
+        shapes.add((field, rows, cols))
+    if len(shapes) != 1:
+        raise DimensionMismatch("the terms of a law side differ in shape or field")
+    return shapes.pop()
+
+
+def law_vectors(side, by_rows: bool):
+    """Read a law side one vector at a time: vector(i) is row i when by_rows, else column i.
+
+    A side is a Matrix; a tuple of factors applied left to right, each a
+    Matrix or a pair (X, k) or (k, X), k an int, that stands for
+    kron(X, id_k) or kron(id_k, X) and is never laid out; or a list of
+    (sign, side) terms, sign 1 or -1, for their sum.  The kernel pushes the
+    basis vector i, times the sign of a term, through the factors' rows,
+    last factor first, or through their columns (the rows of the transposed
+    composition, columns_of), first factor first, summing plain products.
+    It reduces once, at the end (mod p over F_p), so each vector comes back
+    canonical (an index -> value dict, no zero values): two vectors are
+    equal exactly when their dicts are.
+    """
+    p = law_shape(side)[0].p
+    terms = []
+    for sign, factors in _terms(side):
+        stages = []
+        for x, k, x_first in (reversed(factors) if by_rows else factors):
+            lines = x._rows if by_rows else columns_of(x)
+            if x_first:   # key q * k + r: line q of X, its indices t moved to t * k + r
+                if k > 1:
+                    lines = [{t * k: w for t, w in line.items()} for line in lines]
+                stages.append((lines, k, True, 0))
+            else:         # key q * d_in + r: line r of X, in block q of the output
+                d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+                stages.append((lines, d_in, False, d_out))
+        terms.append((sign, stages))
+
+    def vector(i: int) -> dict:
+        acc: dict = {}
+        for sign, stages in terms:
+            v = {i: sign}
+            for stage in stages[:-1]:
+                v = _push(v, {}, *stage)
+            _push(v, acc, *stages[-1])   # every term lands in one sum
+        if p is None:
+            return {t: s for t, s in acc.items() if s}
+        return {t: r for t, s in acc.items() if (r := s % p)}
+
+    return vector
+
+
+def _push(v: dict, acc: dict, lines, div: int, x_first: bool, d_out: int) -> dict:
+    """Add the sparse vector v, through one factor given by its lines, to acc; products unreduced."""
+    get = acc.get
+    for key, c in v.items():
+        q, r = divmod(key, div)
+        line, shift = (lines[q], r) if x_first else (lines[r], q * d_out)
+        for t, w in line.items():
+            t += shift
+            acc[t] = get(t, 0) + c * w
+    return acc
 
 
 def sparse_render(vec: dict, field: Field) -> str:

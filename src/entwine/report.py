@@ -2,17 +2,19 @@
 
 A verifier is rows that first_failure reads in order: its components
 (part, report) first, then its laws (axiom, lhs, rhs, basis dims), whose
-sides are compositions of structure maps read by compare.  A failed
-report names the law, as part[axiom] for a component's, the basis indices
-it was evaluated at, and both sides there as canonical sparse vectors
-{index: scalar}, so a failure is always reproducible by hand.
+sides are compositions of structure maps that compare reads along the
+shorter dimension, by rows or by columns (exactlin.law_vectors).  A
+failed report names the law, as part[axiom] for a component's, the basis
+indices of the least differing column, and both sides there as canonical
+sparse vectors {index: scalar}, so a failure is always reproducible by
+hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, law_columns, sparse_render, unflat
+from .exactlin import Matrix, law_shape, law_vectors, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,32 @@ class ClosureViolation(CheckError):
 def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     """None when the two sides of a law agree; otherwise a failure at the first differing column.
 
-    Each side is read one basis column at a time (exactlin.law_columns).
-    The witness is the input basis multi-index, decoded from the column
-    via the tensor index convention using col_dims; a law on no basis
-    inputs, col_dims (), has one column and no witness.
+    The difference lhs - rhs is read along its shorter dimension, one
+    vector at a time (exactlin.law_vectors): by rows when it is wide (more
+    columns than rows), by columns otherwise, so a passing law holds one
+    vector of the difference at a time.  A wide law that fails is read to
+    its last row for the least differing column; then that column of each
+    side is read for the report.  The witness is the input basis
+    multi-index, decoded from the column via the tensor index convention
+    using col_dims; a law on no basis inputs, col_dims (), has one column
+    and no witness.
     """
-    if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no column needs reading
+    if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no vector needs reading
         return None
-    field, shape, left = law_columns(lhs)
-    _, rshape, right = law_columns(rhs)
-    if shape != rshape:
-        raise AssertionError(f"{op}/{axiom}: comparing {shape[0]}x{shape[1]} with {rshape[0]}x{rshape[1]}")
-    for j, (x, y) in enumerate(zip(left, right)):
-        if x != y:
-            witness = (j,) if col_dims is None else unflat(j, col_dims) or None
-            return fail(op, axiom, witness=witness, lhs=sparse_render(x, field), rhs=sparse_render(y, field))
-    return None
+    field, rows, cols = law_shape(lhs)
+    _, rrows, rcols = law_shape(rhs)
+    if (rrows, rcols) != (rows, cols):
+        raise AssertionError(f"{op}/{axiom}: comparing {rows}x{cols} with {rrows}x{rcols}")
+    diff = law_vectors([(1, lhs), (-1, rhs)], cols > rows)
+    if cols > rows:
+        j = min((min(d) for d in map(diff, range(rows)) if d), default=None)
+    else:
+        j = next((j for j in range(cols) if diff(j)), None)
+    if j is None:
+        return None
+    witness = (j,) if col_dims is None else unflat(j, col_dims) or None
+    return fail(op, axiom, witness=witness, lhs=sparse_render(law_vectors(lhs, False)(j), field),
+                rhs=sparse_render(law_vectors(rhs, False)(j), field))
 
 
 def first_failure(op: str, rows) -> Report:
@@ -109,8 +121,10 @@ def first_failure(op: str, rows) -> Report:
 
     A row is a component (part, report), failing as part[axiom] with the
     component's witness and sides, or a law (axiom, lhs, rhs, col_dims)
-    read by compare.  rows may be a lazy generator: nothing after the
-    first failure is evaluated.
+    read by compare along its shorter dimension.  rows may be a lazy
+    generator, one yield per row: nothing after the first failure is
+    evaluated, so a verifier that lays out a law's sides pays only for the
+    rows up to its first failure.
     """
     for row in rows:
         if len(row) == 2:

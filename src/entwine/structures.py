@@ -461,15 +461,15 @@ def _dualize_module(m: ModulePresentation) -> ModulePresentation:
 def _algebra_morphism_laws(a: StructurePresentation, b: StructurePresentation, g: Matrix):
     if (g.rows, g.cols) != (b.dim, a.dim):
         raise DimensionMismatch(f"morphism must be {b.dim}x{a.dim}")
-    yield from [("multiplicative", g @ a.mul, b.mul @ kron(g, g), (a.dim, a.dim)),
-                ("unital", g @ a.unit, b.unit, (1,))]
+    yield "multiplicative", g @ a.mul, b.mul @ kron(g, g), (a.dim, a.dim)
+    yield "unital", g @ a.unit, b.unit, (1,)
 
 
 def _coalgebra_morphism_laws(c: StructurePresentation, d: StructurePresentation, g: Matrix):
     if (g.rows, g.cols) != (d.dim, c.dim):
         raise DimensionMismatch(f"morphism must be {d.dim}x{c.dim}")
-    yield from [("comultiplicative", d.comul @ g, kron(g, g) @ c.comul, (c.dim,)),
-                ("counital", d.counit @ g, c.counit, (c.dim,))]
+    yield "comultiplicative", d.comul @ g, kron(g, g) @ c.comul, (c.dim,)
+    yield "counital", d.counit @ g, c.counit, (c.dim,)
 
 
 def algebra_morphism_report(a: StructurePresentation, b: StructurePresentation, g: Matrix) -> Report:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from entwine.exactlin import Field, Matrix, QQ
+from entwine.exactlin import Field, Matrix, QQ, kron
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -35,8 +35,25 @@ def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def layout(side) -> Matrix:
+    """A law side laid out with @ and kron: the reference for exactlin.law_vectors and report.compare."""
+    if isinstance(side, Matrix):
+        return side
+    if isinstance(side, list):
+        terms = [layout(term) for _, term in side]
+        terms = [t.scale(t.field.of(sign)) for (sign, _), t in zip(side, terms)]
+        return sum(terms[1:], terms[0])
+    out = None
+    for factor in side:
+        if not isinstance(factor, Matrix):
+            f = next(x.field for x in factor if isinstance(x, Matrix))
+            factor = kron(*(Matrix.identity(f, x) if isinstance(x, int) else x for x in factor))
+        out = factor if out is None else factor @ out
+    return out
+
+
 def assert_canonical_vector(vec: dict, field: Field):
-    """Reduced and free of zeros: the form of every column exactlin.law_columns yields.
+    """Reduced and free of zeros: the form of every vector exactlin.law_vectors returns.
 
     Over Q a value is an int or a Fraction; over F_p an int in (0, p).
     """

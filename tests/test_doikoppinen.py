@@ -610,6 +610,29 @@ class TestLongDimodules:
                                   Matrix(QQ, 8, 4, data), "right")
         rep = long_dimodule_check(qc2, qc2, pres)
         assert not rep.passed
+        assert rep.summary() == ("long_dimodule_check: FAIL comodule[coaction-coassociativity] at basis (0,) "
+                                 "lhs={0: 4} rhs={0: 2}")
+
+    def test_failing_module_is_a_component_row(self, qc2):
+        m = catalog_get("longmod_qc2")
+        data = list(m.action.data)
+        data[0] = QQ.add(data[0], QQ.one())
+        pres = ModulePresentation(m.dim, qc2, Matrix(QQ, m.action.rows, m.action.cols, data), "right", qc2,
+                                  m.coaction, "right")
+        assert long_dimodule_check(qc2, qc2, pres).summary() == (
+            "long_dimodule_check: FAIL module[action-associativity] at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}")
+
+    def test_hopf_module_is_no_long_dimodule(self, qc2):
+        """The regular Hopf module of qc2 is a module and a comodule, but rho(g g) != g g (x) g."""
+        m = catalog_get("hopfmod_qc2")
+        pres = ModulePresentation(m.dim, qc2, m.action, "right", qc2, m.coaction, "right")
+        assert long_dimodule_check(qc2, qc2, pres).summary() == (
+            "long_dimodule_check: FAIL long-compatibility at basis (0, 1) lhs={3: 1} rhs={2: 1}")
+
+    def test_passing_summary(self, qc2):
+        m = catalog_get("longmod_qc2")
+        pres = ModulePresentation(m.dim, qc2, m.action, "right", qc2, m.coaction, "right")
+        assert long_dimodule_check(qc2, qc2, pres).summary() == "long_dimodule_check: PASS flip_equivalent=True"
 
 
 class TestDKMorphisms:

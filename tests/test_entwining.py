@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from entwine.exactlin import Matrix, QQ, columns_of, kron, law_columns
+from entwine.exactlin import Matrix, QQ, columns_of, kron, law_shape, law_vectors
 from entwine.report import CheckError, compare, first_failure
 from entwine.structures import (
     ModulePresentation,
@@ -38,7 +38,7 @@ from entwine.entwining import (
     _smash_laws,
 )
 from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
-from conftest import assert_canonical_vector
+from conftest import assert_canonical_vector, layout
 
 
 @pytest.fixture(scope="module")
@@ -58,23 +58,6 @@ def ent_h4():
 
 def grouplike_dim1():
     return make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
-
-
-def layout(side) -> Matrix:
-    """A law side laid out with @ and kron: the reference for exactlin.law_columns."""
-    if isinstance(side, Matrix):
-        return side
-    if isinstance(side, list):
-        terms = [layout(term) for _, term in side]
-        terms = [t.scale(t.field.of(sign)) for (sign, _), t in zip(side, terms)]
-        return sum(terms[1:], terms[0])
-    out = None
-    for factor in side:
-        if not isinstance(factor, Matrix):
-            f = next(x.field for x in factor if isinstance(x, Matrix))
-            factor = kron(*(Matrix.identity(f, x) if isinstance(x, int) else x for x in factor))
-        out = factor if out is None else factor @ out
-    return out
 
 
 def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
@@ -288,7 +271,7 @@ class TestSmash:
 
 class TestLawVectors:
     def test_law_vectors_are_canonical(self):
-        """Every column of every law, passing or failing, is canonical and is the column of its @/kron layout."""
+        """Every column and row of every law, passing or failing, is canonical and is that of its @/kron layout."""
         entwinings = [e for e in map(catalog_get, catalog_names()) if isinstance(e, EntwiningPresentation)]
         laws = []
         for e in entwinings:
@@ -302,12 +285,12 @@ class TestLawVectors:
             for _, lhs, rhs, dims in rows:
                 for side in (lhs, rhs):
                     laid = layout(side)
-                    got_field, shape, columns = law_columns(side)
-                    assert (got_field, shape) == (field, (laid.rows, laid.cols)) and laid.cols == prod(dims)
-                    got = list(columns)
-                    assert got == list(columns_of(laid))
-                    for column in got:
-                        assert_canonical_vector(column, field)
+                    assert law_shape(side) == (field, laid.rows, laid.cols) and laid.cols == prod(dims)
+                    columns = list(map(law_vectors(side, False), range(laid.cols)))
+                    rows = list(map(law_vectors(side, True), range(laid.rows)))
+                    assert columns == list(columns_of(laid)) and rows == list(laid._rows)
+                    for vector in columns + rows:
+                        assert_canonical_vector(vector, field)
 
     @pytest.mark.parametrize("name, part, i, j, c, summary", [
         ("hopfmod_sweedler4_entwining", "smash", 9, 130, Fraction(3),

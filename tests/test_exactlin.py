@@ -17,7 +17,8 @@ from entwine.exactlin import (
     invert,
     kernel,
     kron,
-    law_columns,
+    law_shape,
+    law_vectors,
     perm_tensor,
     permute,
     preimage,
@@ -126,9 +127,13 @@ def ref_layout(f, side):
     return out
 
 
-def read(side):
-    """Every column of a law side, in order."""
-    return list(law_columns(side)[2])
+def read(side, by_rows=False):
+    """Every column of a law side in order, or every row; each must be canonical."""
+    field, rows, cols = law_shape(side)
+    got = list(map(law_vectors(side, by_rows), range(rows if by_rows else cols)))
+    for vector in got:
+        assert_canonical_vector(vector, field)
+    return got
 
 
 def random_side(field, rng, cols, rows, density):
@@ -531,7 +536,7 @@ class TestSparseKernels:
 
 
 class TestSparseCombine:
-    """The law column reader sums plain products and must agree with per-term Field arithmetic."""
+    """The law vector kernel sums plain products and must agree with per-term Field arithmetic."""
 
     def test_against_naive_reference(self, rng):
         for field in KERNEL_FIELDS:
@@ -542,35 +547,37 @@ class TestSparseCombine:
                 if rng.random() < 0.5:
                     side = [(1, side), (-1, random_side(field, rng, cols, rows, density))]
                 ref, ref_cols = ref_layout(field, side)
-                got_field, shape, columns = law_columns(side)
-                assert (got_field, shape) == (field, (rows, ref_cols)) and ref_cols == cols
-                got = list(columns)
-                assert got == [{i: r[j] for i, r in enumerate(ref) if not field.is_zero(r[j])} for j in range(cols)]
-                for column in got:
-                    assert_canonical_vector(column, field)
+                assert law_shape(side) == (field, rows, ref_cols) and ref_cols == cols
+                assert read(side) == [{i: r[j] for i, r in enumerate(ref) if not field.is_zero(r[j])}
+                                      for j in range(cols)]
+                assert read(side, by_rows=True) == [{j: x for j, x in enumerate(r) if not field.is_zero(x)}
+                                                    for r in ref]
 
     def test_empty_vector(self):
         for field in KERNEL_FIELDS:
             one = Matrix.identity(field, 1)
             empty = Matrix.zeros(field, 1, 1)
-            assert read((empty, one))[0] == {}             # nothing to apply the second factor to
-            assert read((one, empty))[0] == {}             # a column with no entries
-            assert read(((2, empty), (one, 2)))[1] == {}
+            for by_rows in (False, True):
+                assert read((empty, one), by_rows)[0] == {}     # nothing to apply the second factor to
+                assert read((one, empty), by_rows)[0] == {}     # a vector with no entries
+                assert read(((2, empty), (one, 2)), by_rows)[1] == {}
             no_rows, no_cols = (Matrix.zeros(field, 0, 2), (0, one)), (Matrix.zeros(field, 1, 0), one.vstack(one))
-            assert law_columns(no_rows)[1] == (0, 2) and read(no_rows) == [{}, {}]
-            assert law_columns(no_cols)[1] == (2, 0) and read(no_cols) == []
+            assert law_shape(no_rows) == (field, 0, 2) and read(no_rows) == [{}, {}] and read(no_rows, True) == []
+            assert law_shape(no_cols) == (field, 2, 0) and read(no_cols) == [] and read(no_cols, True) == [{}, {}]
 
     def test_cancelling_terms_leave_no_key(self):
         for field in KERNEL_FIELDS:
             one, minus_one = field.one(), field.neg(field.one())
             cols = Matrix.from_entries(field, 3, 2, [(0, 0, one), (1, 0, field.of(2)), (0, 1, one), (2, 1, one)])
-            got = read((Matrix.column(field, [one, minus_one]), cols))[0]
-            assert got == {1: field.of(2), 2: minus_one}
-            assert_canonical_vector(got, field)
-            assert read([(1, (cols, (1, cols.transpose()))), (-1, (cols, (cols.transpose(), 1)))]) == [{}, {}]
+            side = (Matrix.column(field, [one, minus_one]), cols)
+            assert read(side)[0] == {1: field.of(2), 2: minus_one}
+            assert read(side, by_rows=True) == [{}, {0: field.of(2)}, {0: minus_one}]   # row 0 is 1 - 1
+            terms = [(1, (cols, (1, cols.transpose()))), (-1, (cols, (cols.transpose(), 1)))]
+            assert read(terms) == read(terms, by_rows=True) == [{}, {}]
         f5 = Field(5)
         cols = Matrix.from_entries(f5, 2, 2, [(0, 0, 2), (0, 1, 3), (1, 1, 1)])
-        assert read((Matrix.column(f5, [1, 1]), cols))[0] == {1: 1}   # 2 + 3 = 0
+        side = (Matrix.column(f5, [1, 1]), cols)
+        assert read(side)[0] == {1: 1} and read(side, by_rows=True) == [{}, {0: 1}]   # 2 + 3 = 0
 
     def test_unreduced_intermediate_sums(self):
         for p in (5, 7):
@@ -579,10 +586,13 @@ class TestSparseCombine:
             cols = Matrix(f, 2, p + 1, [p - 1] * (2 * (p + 1)))
             vec = Matrix.column(f, [p - 1] * (p + 1))
             assert read((vec, cols))[0] == {0: 1, 1: 1}
+            assert read((vec, cols), by_rows=True) == [{0: 1}, {0: 1}]
             # through a pair the products stay unreduced: (p - 1)^3 summed 2(p + 1) times is -2
-            assert read((vec, (cols, 1), (1, Matrix(f, 1, 2, [p - 1, p - 1]))))[0] == {0: p - 2}
+            side = (vec, (cols, 1), (1, Matrix(f, 1, 2, [p - 1, p - 1])))
+            assert read(side) == read(side, by_rows=True) == [{0: p - 2}]
             # p such terms sum to p, which is zero
-            assert read((Matrix.column(f, [p - 1] * p), Matrix(f, 2, p, [p - 1] * (2 * p))))[0] == {}
+            side = (Matrix.column(f, [p - 1] * p), Matrix(f, 2, p, [p - 1] * (2 * p)))
+            assert read(side) == [{}] and read(side, by_rows=True) == [{}, {}]
 
 
 class TestSubspaces:
