@@ -219,41 +219,44 @@ class SmashRing:
                               mul=self.mul, unit=self.unit)
 
 
-def smash_product_map(e: EntwiningPresentation, f: Matrix, g: Matrix) -> Matrix:
-    """(f . g)(c) = sum f(c_2)_psi g(c_1^psi), for f, g : C -> A."""
+def twisted_product(e: EntwiningPresentation) -> Matrix:
+    """The smash product (f . g)(c) = sum f(c_2)_psi g(c_1^psi) on basis maps, contracted over p, then y:
+
+    mul_S[(z, w), ((x1, u1), (x2, u2))] = sum_{p, y} comul[(p, u1), w] psi[(y, u2), (p, x1)] mul_A[z, (y, x2)].
+    """
     a, c = e.algebra, e.coalgebra
-    ida = Matrix.identity(e.field, a.dim)
-    idc = Matrix.identity(e.field, c.dim)
-    return a.mul @ kron(ida, g) @ e.psi @ kron(idc, f) @ c.comul
+    na, nc = a.dim, c.dim
+    # rows (y, u2, x1), columns (u1, w)
+    inner = permute(e.psi, (na, nc, nc, na), (0, 1, 3, 2), 3) @ permute(c.comul, (nc, nc, nc), (0, 1, 2), 1)
+    # rows (z, x2), columns (u2, x1, u1, w)
+    outer = permute(a.mul, (na, na, na), (0, 2, 1), 2) @ permute(inner, (na, nc, na, nc, nc), (0, 1, 2, 3, 4), 1)
+    return permute(outer, (na, na, nc, na, nc, nc), (0, 5, 3, 4, 1, 2), 2)
+
+
+def twisted_left_action(e: EntwiningPresentation) -> Matrix:
+    """The left A-action on Hom(C, A), lact[(z, w), (j, (x, u))] = sum_y psi[(y, u), (w, j)] mul_A[z, (y, x)]."""
+    na, nc = e.algebra.dim, e.coalgebra.dim
+    # rows (z, x), columns (u, w, j)
+    out = permute(e.algebra.mul, (na, na, na), (0, 2, 1), 2) @ permute(e.psi, (na, nc, nc, na), (0, 1, 2, 3), 1)
+    return permute(out, (na, na, nc, nc, na), (0, 3, 4, 1, 2), 2)
 
 
 def build_smash(e: EntwiningPresentation) -> SmashRing:
-    """Assemble the twisted ring on Hom(C, A) and verify it exhaustively."""
+    """Assemble the twisted ring on Hom(C, A) from contractions of the structure constants and verify it."""
     a, c = e.algebra, e.coalgebra
     na, nc = a.dim, c.dim
     f = e.field
-    n = na * nc
-    ida = Matrix.identity(f, na)
-    idc = Matrix.identity(f, nc)
-    units = [Matrix.basis_column(f, n, s).reshape(na, nc) for s in range(n)]
-    # (f.g) = mul . (id (x) g) . psi . (id (x) f) . comul; the part up to g
-    # depends on f alone, so it is hoisted out of the pair loop
-    right_parts = [e.psi @ kron(idc, units[s]) @ c.comul for s in range(n)]
-    left_parts = [a.mul @ kron(ida, units[s]) for s in range(n)]
-    mul = Matrix.from_columns(f, n, [left_parts[s2] @ rp for rp in right_parts for s2 in range(n)])
-    unit = Matrix.from_columns(f, n, [a.unit @ c.counit])
-    psi_a = [e.psi @ kron(idc, Matrix.basis_column(f, na, j)) for j in range(na)]
-    lact = Matrix.from_columns(f, n, [left_parts[s] @ psi_aj for psi_aj in psi_a for s in range(n)])
+    unit = Matrix.from_columns(f, na * nc, [a.unit @ c.counit])
     # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
     # column (x, j) of mul, placed at c_u
-    ract = permute(kron(a.mul, idc), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
-    smash = SmashRing(e, n, mul, unit, lact, ract)
+    ract = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
+    smash = SmashRing(e, na * nc, twisted_product(e), unit, twisted_left_action(e), ract)
     report.require(verify_smash(smash))
     return smash
 
 
 def verify_smash(s: SmashRing) -> Report:
-    """Associativity, unit laws, and the A-ring axioms, on all basis tuples."""
+    """Associativity, unit laws, the A-ring axioms, then the table against twisted_product, on all basis tuples."""
     return report.first_failure("verify_smash", _smash_laws(s))
 
 
@@ -276,6 +279,7 @@ def _smash_laws(s: SmashRing) -> list:
         ("mul-right-linear", ((mul, na), ra), ((n, ra), mul), (n, n, na)),
         ("mul-balanced", ((ra, n), mul), ((n, la), mul), (n, na, n)),
         ("unit-central", ((na, unit), la), ((unit, na), ra), (na,)),
+        ("twisted-product", mul, twisted_product(s.entwining), (n, n)),
     ]
 
 
@@ -299,32 +303,6 @@ class NuIso:
     left_dual_basis: tuple[Matrix, ...]
 
 
-def nu_map(e: EntwiningPresentation, f: Matrix) -> Matrix:
-    """nu(f) : a (x) c -> a f(c) as a dim_A x (dim_A * dim_C) matrix."""
-    a = e.algebra
-    return a.mul @ kron(Matrix.identity(e.field, a.dim), f)
-
-
-def nu_inv_map(e: EntwiningPresentation, h: Matrix) -> Matrix:
-    """nu^{-1}(h) : c -> h(1_A (x) c)."""
-    a, c = e.algebra, e.coalgebra
-    return h @ kron(a.unit, Matrix.identity(e.field, c.dim))
-
-
-def left_star_factor(coring: CoringPresentation, f: Matrix) -> Matrix:
-    """The map x -> sum x_1 f(x_2) on the coring, so that f *_l g = g . factor.
-
-    It is ra . (id_V (x) f) . comul, read off the coring's own right action
-    and comultiplication rather than rebuilt from its entwining.
-    """
-    return coring.right_action @ kron(Matrix.identity(coring.field, coring.dim), f) @ coring.comul
-
-
-def left_star_product(coring: CoringPresentation, f: Matrix, g: Matrix) -> Matrix:
-    """(f *_l g)(x) = sum g(x_1 f(x_2)) on the left dual of the coring."""
-    return g @ left_star_factor(coring, f)
-
-
 def nu_iso(coring: CoringPresentation) -> NuIso:
     """Build nu and its inverse for a built coring and verify every claimed identity.
 
@@ -338,9 +316,9 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     fails, with the first differing column of both sides.
 
     nu nu_inv = id on the left dual needs no row of its own.  The matrix
-    nu_inv is the matrix of nu_inv_map, so once nu_inv nu = id holds,
-    nu_map(nu_inv_map(nu(E_s))) = nu(E_s) for every basis map E_s; and any
-    left A-linear h equals nu(nu_inv(h)) pointwise, since
+    nu_inv is the matrix of nu^{-1}(h) : c -> h(1_A (x) c), so once
+    nu_inv nu = id holds, nu(nu^{-1}(nu(E_s))) = nu(E_s) for every basis
+    map E_s; and any left A-linear h equals nu(nu_inv(h)) pointwise, since
     h(a (x) c) = a.h(1 (x) c), so the image of nu is the whole left dual.
     """
     e = coring.entwining
@@ -351,7 +329,7 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     # nu(E_{x,u})(a_b (x) c_w) = delta(u, w) a_b a_x: entry ((y, b, w), (x, u)) of nu is
     # entry ((y, w), ((b, x), u)) of mul (x) id_C
     nu = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 2, 1, 3, 4), 3)
-    # column (x, w) of nu_inv is nu_inv_map(E_{x,w}): row x holds row w of kron(unit, id_C)
+    # column (x, w) of nu_inv is nu^{-1}(E_{x,w}): row x holds row w of kron(unit, id_C)
     nu_inv = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc)).transpose())
     report.require(report.first_failure("nu_iso", _nu_laws(coring, smash, nu, nu_inv)))
     return NuIso(smash, coring, nu, nu_inv, tuple(nu.col_matrix(s).reshape(na, n) for s in range(n)))
@@ -433,15 +411,13 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
 
 def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation,
                              smash: SmashRing | None = None) -> ModulePresentation:
-    """m . f = sum m_0 f(m_1), the smash-ring action carried by an entwined module."""
+    """m . f = sum m_0 f(m_1), the smash-ring action carried by an entwined module: one matmul."""
     smash = smash or build_smash(e)
-    f = e.field
-    idm = Matrix.identity(f, m.dim)
-    # id (x) f_s for each basis map f_s; rho(m_i) is column i of the coaction
-    spreads = [kron(idm, smash.as_map(Matrix.basis_column(f, smash.dim, s))) for s in range(smash.dim)]
-    rhos = [m.coaction.col_matrix(i) for i in range(m.dim)]
-    action = Matrix.from_columns(f, m.dim, [m.action @ (spread @ rho) for rho in rhos for spread in spreads])
-    return ModulePresentation(m.dim, smash.as_algebra(), action, "right")
+    nm, na, nc = m.dim, e.algebra.dim, e.coalgebra.dim
+    # action[k', (i, (x, u))] = sum_k m.action[k', (k, x)] coaction[(k, u), i]: rows (k', x), columns (u, i)
+    out = permute(m.action, (nm, nm, na), (0, 2, 1), 2) @ permute(m.coaction, (nm, nc, nm), (0, 1, 2), 1)
+    action = permute(out, (nm, na, nc, nm), (0, 3, 1, 2), 1)
+    return ModulePresentation(nm, smash.as_algebra(), action, "right")
 
 
 def smash_unit_embedding(e: EntwiningPresentation, smash: SmashRing) -> Matrix:
@@ -509,14 +485,23 @@ def hom_entwined(e: EntwiningPresentation, m: EntwinedModulePresentation,
 
 def hom_entwined_basis(e: EntwiningPresentation, m: EntwinedModulePresentation,
                        n: EntwinedModulePresentation) -> tuple[Matrix, ...]:
-    """Canonical basis of Hom_A^C(M, N), by solving the joint linear system."""
-    na, nc = e.algebra.dim, e.coalgebra.dim
-    f = e.field
-    ida = Matrix.identity(f, na)
-    idc = Matrix.identity(f, nc)
-    units = [Matrix.basis_column(f, n.dim * m.dim, t).reshape(n.dim, m.dim) for t in range(n.dim * m.dim)]
-    lin = Matrix.from_columns(f, n.dim * m.dim * na, [u @ m.action - n.action @ kron(u, ida) for u in units])
-    colin = Matrix.from_columns(f, n.dim * nc * m.dim,
-                                [n.coaction @ u - kron(u, idc) @ m.coaction for u in units])
-    sols = kernel(lin.vstack(colin))
+    """Canonical basis of Hom_A^C(M, N), the kernel of hom_entwined_system."""
+    sols = kernel(hom_entwined_system(e, m, n))
     return tuple(sols.basis.row_matrix(i).reshape(n.dim, m.dim) for i in range(sols.dim))
+
+
+def hom_entwined_system(e: EntwiningPresentation, m: EntwinedModulePresentation,
+                        n: EntwinedModulePresentation) -> Matrix:
+    """f m.action - n.action (f (x) id_A) over n.coaction f - (f (x) id_C) m.coaction, linear in f at (i, k).
+
+    Each of the four parts is a kron with an identity, permuted: f m.action at ((i', k', j), (i, k)) is
+    delta(i', i) m.action[k, (k', j)], and (f (x) id_C) m.coaction at ((i', c, k'), (i, k)) is
+    delta(i', i) m.coaction[(k, c), k'].
+    """
+    na, nc = e.algebra.dim, e.coalgebra.dim
+    nm, nn, f = m.dim, n.dim, e.field
+    idm, idn = Matrix.identity(f, nm), Matrix.identity(f, nn)
+    lin = kron(idn, m.action.transpose()) \
+        - permute(kron(n.action, idm), (nn, nm, nn, na, nm), (0, 1, 3, 2, 4), 3)
+    colin = kron(n.coaction, idm) - kron(idn, permute(m.coaction, (nm, nc, nm), (1, 2, 0), 2))
+    return lin.vstack(colin)

@@ -65,6 +65,27 @@ def assert_canonical_vector(vec: dict, field: Field):
             assert type(v) in (int, Fraction)
 
 
+def smash_product_map(e, f: Matrix, g: Matrix) -> Matrix:
+    """(f . g)(c) = sum f(c_2)_psi g(c_1^psi), for f, g : C -> A, the smash product of one pair of maps."""
+    a, c = e.algebra, e.coalgebra
+    return a.mul @ kron(Matrix.identity(e.field, a.dim), g) @ e.psi @ kron(Matrix.identity(e.field, c.dim), f) @ c.comul
+
+
+def nu_map(e, f: Matrix) -> Matrix:
+    """nu(f) : a (x) c -> a f(c) as a dim_A x (dim_A * dim_C) matrix."""
+    return e.algebra.mul @ kron(Matrix.identity(e.field, e.algebra.dim), f)
+
+
+def nu_inv_map(e, h: Matrix) -> Matrix:
+    """nu^{-1}(h) : c -> h(1_A (x) c)."""
+    return h @ kron(e.algebra.unit, Matrix.identity(e.field, e.coalgebra.dim))
+
+
+def left_star_product(coring, f: Matrix, g: Matrix) -> Matrix:
+    """(f *_l g)(x) = sum g(x_1 f(x_2)) on the left dual of the coring, read off its right action and comul."""
+    return g @ coring.right_action @ kron(Matrix.identity(coring.field, coring.dim), f) @ coring.comul
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -30,9 +30,7 @@ from entwine.entwining import (
     build_coring,
     build_smash,
     entwined_smash_roundtrip,
-    left_star_product,
     nu_iso,
-    nu_map,
     verify_entwining,
     verify_smash,
 )

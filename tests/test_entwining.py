@@ -23,11 +23,7 @@ from entwine.entwining import (
     flip_entwining,
     hom_entwined,
     hom_entwined_basis,
-    left_star_product,
-    nu_inv_map,
     nu_iso,
-    nu_map,
-    smash_product_map,
     verify_coring,
     verify_entwined_module,
     verify_entwining,
@@ -38,7 +34,7 @@ from entwine.entwining import (
     _smash_laws,
 )
 from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
-from conftest import assert_canonical_vector, layout
+from conftest import assert_canonical_vector, layout, left_star_product, nu_inv_map, nu_map, smash_product_map
 
 
 @pytest.fixture(scope="module")
@@ -275,13 +271,13 @@ class TestLawVectors:
         entwinings = [e for e in map(catalog_get, catalog_names()) if isinstance(e, EntwiningPresentation)]
         laws = []
         for e in entwinings:
-            laws += [(e.field, _smash_laws(build_smash(e))), (e.field, _coring_laws(build_coring(e)))]
+            laws += [(e.field, _smash_laws(build_smash(e)), 13), (e.field, _coring_laws(build_coring(e)), 12)]
         e = catalog_get("hopfmod_sweedler4_entwining")
         smash, coring = build_smash(e), build_coring(e)
-        laws += [(e.field, _smash_laws(replace(smash, mul=corrupt(smash.mul, 9, 130, Fraction(3))))),
-                 (e.field, _coring_laws(replace(coring, comul=corrupt(coring.comul, 250, 11, Fraction(2, 3)))))]
-        for field, rows in laws:
-            assert len(rows) == 12
+        laws += [(e.field, _smash_laws(replace(smash, mul=corrupt(smash.mul, 9, 130, Fraction(3)))), 13),
+                 (e.field, _coring_laws(replace(coring, comul=corrupt(coring.comul, 250, 11, Fraction(2, 3)))), 12)]
+        for field, rows, count in laws:
+            assert len(rows) == count
             for _, lhs, rhs, dims in rows:
                 for side in (lhs, rhs):
                     laid = layout(side)
@@ -331,6 +327,7 @@ ROW_MUTATIONS = [
     ("smash", "mul-right-linear", "right_action", (2, 3, 0)),
     ("smash", "mul-balanced", "mul", (0, 1, 3)),
     ("smash", "unit-central", "unit", (1,)),
+    ("smash", "twisted-product", "mul", (0, 0)),
     ("coring", "left-action-associativity", "left_action", (0, 0, 0)),
     ("coring", "right-action-associativity", "right_action", (0, 0, 0)),
     ("coring", "left-action-unit", "left_action", (0,)),
@@ -556,11 +553,14 @@ class TestEveryNuRowBites:
             for j in range(m.cols):
                 assert nu_verdict(replace(coring, comul=corrupt(m, i, j)))[0] == "nu-multiplicative"
 
-    def test_only_nu_ties_the_smash_table_to_psi(self):
-        """A smash table off the psi-twisted product can still be an A-ring; nu-multiplicative catches it."""
+    def test_twisted_product_ties_the_smash_table_to_psi(self):
+        """A smash table off the psi-twisted product can still be an A-ring: twisted-product catches it, as does nu."""
         iso = nu_iso(build_coring(catalog_get("flip_qc2_dual")))
         bad = replace(iso.smash, mul=corrupt(iso.smash.mul, 3, 15))
-        assert iso.smash.mul[3, 15] == 0 and verify_smash(bad).passed
+        assert iso.smash.mul[3, 15] == 0
+        assert first_failure("verify_smash", _smash_laws(bad)[:-1]).passed
+        assert verify_smash(bad).summary() == \
+            "verify_smash: FAIL twisted-product at basis (3, 3) lhs={2: 1, 3: 1} rhs={2: 1}"
         rep = first_failure("nu_iso", _nu_laws(iso.coring, bad, iso.nu, iso.nu_inv))
         assert (rep.axiom, rep.witness) == ("nu-multiplicative", (3, 3))
 
