@@ -18,6 +18,7 @@ from .exactlin import (
     DimensionMismatch,
     Matrix,
     PresentationError,
+    columns_of,
     kernel,
     kron,
     permute,
@@ -242,7 +243,11 @@ def twisted_left_action(e: EntwiningPresentation) -> Matrix:
 
 
 def build_smash(e: EntwiningPresentation) -> SmashRing:
-    """Assemble the twisted ring on Hom(C, A) from contractions of the structure constants and verify it."""
+    """Assemble the twisted ring on Hom(C, A) from contractions of the structure constants and verify it.
+
+    The table is twisted_product(e), so verify_smash's twisted-product row
+    is handed it rather than contracting it again.
+    """
     a, c = e.algebra, e.coalgebra
     na, nc = a.dim, c.dim
     f = e.field
@@ -250,8 +255,9 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
     # column (x, j) of mul, placed at c_u
     ract = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
-    smash = SmashRing(e, na * nc, twisted_product(e), unit, twisted_left_action(e), ract)
-    report.require(verify_smash(smash))
+    mul = twisted_product(e)
+    smash = SmashRing(e, na * nc, mul, unit, twisted_left_action(e), ract)
+    report.require(report.first_failure("verify_smash", _smash_laws(smash, mul)))
     return smash
 
 
@@ -260,8 +266,12 @@ def verify_smash(s: SmashRing) -> Report:
     return report.first_failure("verify_smash", _smash_laws(s))
 
 
-def _smash_laws(s: SmashRing) -> list:
-    """The laws of verify_smash as (axiom, lhs, rhs, basis dims) rows."""
+def _smash_laws(s: SmashRing, twisted: Matrix | None = None) -> list:
+    """The laws of verify_smash as (axiom, lhs, rhs, basis dims) rows.
+
+    The last row compares s.mul with twisted, the psi-twisted product of
+    s's entwining, computed here unless the caller already holds it.
+    """
     a = s.entwining.algebra
     n, na = s.dim, a.dim
     mul, unit, la, ra = s.mul, s.unit, s.left_action, s.right_action
@@ -279,7 +289,7 @@ def _smash_laws(s: SmashRing) -> list:
         ("mul-right-linear", ((mul, na), ra), ((n, ra), mul), (n, n, na)),
         ("mul-balanced", ((ra, n), mul), ((n, la), mul), (n, na, n)),
         ("unit-central", ((na, unit), la), ((unit, na), ra), (na,)),
-        ("twisted-product", mul, twisted_product(s.entwining), (n, n)),
+        ("twisted-product", mul, twisted_product(s.entwining) if twisted is None else twisted, (n, n)),
     ]
 
 
@@ -332,7 +342,10 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     # column (x, w) of nu_inv is nu^{-1}(E_{x,w}): row x holds row w of kron(unit, id_C)
     nu_inv = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc)).transpose())
     report.require(report.first_failure("nu_iso", _nu_laws(coring, smash, nu, nu_inv)))
-    return NuIso(smash, coring, nu, nu_inv, tuple(nu.col_matrix(s).reshape(na, n) for s in range(n)))
+    # nu(E_s) is column s of nu, its entry (y, v) at row y * n + v
+    return NuIso(smash, coring, nu, nu_inv,
+                 tuple(Matrix.from_entries(f, na, n, ((*divmod(t, n), w) for t, w in col.items()))
+                       for col in columns_of(nu)))
 
 
 def _nu_laws(coring: CoringPresentation, smash: SmashRing, nu: Matrix, nu_inv: Matrix) -> list:

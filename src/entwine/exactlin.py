@@ -13,12 +13,14 @@ maps whose tensor factors kron(X, id) are never laid out, one row or one
 column at a time, as a sparse row product (Gustavson): it pushes a basis
 vector through the factors, sums plain products without a Field call per
 term and returns each vector canonical (an index -> value dict, reduced,
-no zero values), so two vectors are equal exactly when their dicts are;
-law_shape gives a side's shape without evaluating it.  A linear map
-V -> W with dim V = n, dim W = m is an m x n matrix acting on column
-vectors.  Tensor products follow the index convention
-idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied to v (x) w equals
-M1 v (x) M2 w.
+no zero values), so two vectors are equal exactly when their dicts are.
+A dense factor over F_p is pushed packed instead, each of its lines one
+int with a 64-bit slot per entry (Kronecker substitution), so a line read
+costs one big-int operation, not one Python step per entry; law_shape
+gives a side's shape without evaluating it.  A linear map V -> W with
+dim V = n, dim W = m is an m x n matrix acting on column vectors.
+Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
+that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
 
 express(basis, vectors) writes every column of `vectors` in the rows of
 `basis` with one solve, or returns the index of the first column outside
@@ -33,9 +35,12 @@ byte for byte.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import partial
+from itertools import chain, compress
 from math import isqrt, prod
 
 
@@ -177,10 +182,11 @@ class Matrix:
     are.  Row dicts are shared between matrices and never written after the
     matrix that made them is built.  `data` is a read-only row-major tuple of
     every entry, for readers outside the package, and columns_of gives the
-    column dicts; each is laid out on first read and kept.
+    column dicts; each is laid out on first read and kept, as are the
+    packed lines law_vectors reads of a dense matrix over F_p.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols")
+    __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_packed")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         """The matrix with the given row-major entries, zeros included."""
@@ -188,7 +194,7 @@ class Matrix:
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
         is_zero = field.is_zero
-        self.field, self.rows, self.cols, self._data, self._cols = field, rows, cols, None, None
+        self.field, self.rows, self.cols, self._data, self._cols, self._packed = field, rows, cols, None, None, None
         self._rows = tuple({j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if not is_zero(x)}
                            for i in range(rows))
 
@@ -196,7 +202,8 @@ class Matrix:
     def _of_rows(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
         """The matrix whose rows are the given dicts: nonzero values only, never written again."""
         m = object.__new__(cls)
-        m.field, m.rows, m.cols, m._rows, m._data, m._cols = field, rows, cols, tuple(entries), None, None
+        m.field, m.rows, m.cols, m._rows = field, rows, cols, tuple(entries)
+        m._data, m._cols, m._packed = None, None, None
         return m
 
     @classmethod
@@ -687,37 +694,100 @@ def law_vectors(side, by_rows: bool):
     It reduces once, at the end (mod p over F_p), so each vector comes back
     canonical (an index -> value dict, no zero values): two vectors are
     equal exactly when their dicts are.
+
+    A factor over F_p that is at least half nonzero, whose lines (the rows
+    or columns read) have at least 16 entries, and for which
+    len(lines) * (p - 1)**2 < 2**64, is read as a packed stage (Kronecker
+    substitution) unless a term reads it first, one line per vector: each
+    line is one int with a 64-bit slot per entry, reduced mod p (an
+    unreduced entry such as -1 is stored as p - 1), and pushing a key adds
+    c * line into one int per output block, c the key's coefficient reduced
+    mod p (a sign -1 becomes p - 1).  A block sums at most len(lines)
+    products of two residues, each at most (p - 1)**2, so no slot carries
+    into the next; each block is unpacked once into a dense list, whose
+    zeros the next stage skips.  Every other factor, and every law over Q,
+    is pushed sparsely, one dict update per product.
     """
+    p, terms = _stages(side, by_rows)
+
+    def vector(i: int) -> dict:
+        acc: dict = {}
+        dense = None   # the sum of the terms whose last stage packs
+        for sign, stages, last in terms:
+            v = {i: sign}
+            for push in stages:
+                v = push(v, {})
+                if type(v) is list:   # a packed stage's values: the next stage reads its nonzeros
+                    v = dict(compress(enumerate(v), v))
+            out = last(v, acc)        # every sparse term lands in one sum
+            if out is not acc:
+                dense = out if dense is None else list(map(operator.add, dense, out))
+        if p is None:
+            return {t: s for t, s in acc.items() if s}
+        if dense is None:
+            return {t: r for t, s in acc.items() if (r := s % p)}
+        for t, s in acc.items():
+            dense[t] += s
+        return {t: r for t, s in compress(enumerate(dense), dense) if (r := s % p)}
+
+    return vector
+
+
+def _stages(side, by_rows: bool) -> tuple[int | None, list]:
+    """p and the terms of law_vectors: (sign, push of every stage but the last, push of the last) each."""
     p = law_shape(side)[0].p
     terms = []
     for sign, factors in _terms(side):
         stages = []
         for x, k, x_first in (reversed(factors) if by_rows else factors):
             lines = x._rows if by_rows else columns_of(x)
-            if x_first:   # key q * k + r: line q of X, its indices t moved to t * k + r
+            d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+            if stages and _packs(x, by_rows):   # the first stage reads one line per vector: nothing to pack
+                if x._packed is None:
+                    x._packed = {}
+                if by_rows not in x._packed:
+                    x._packed[by_rows] = _pack(lines, d_out, p)
+                # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
+                div = k if x_first else d_in
+                stages.append(partial(_push_packed, x._packed[by_rows], div, x_first, d_out, k, p))
+            elif x_first:   # key q * k + r: line q of X, its indices t moved to t * k + r
                 if k > 1:
                     lines = [{t * k: w for t, w in line.items()} for line in lines]
-                stages.append((lines, k, True, 0))
-            else:         # key q * d_in + r: line r of X, in block q of the output
-                d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-                stages.append((lines, d_in, False, d_out))
-        terms.append((sign, stages))
-
-    def vector(i: int) -> dict:
-        acc: dict = {}
-        for sign, stages in terms:
-            v = {i: sign}
-            for stage in stages[:-1]:
-                v = _push(v, {}, *stage)
-            _push(v, acc, *stages[-1])   # every term lands in one sum
-        if p is None:
-            return {t: s for t, s in acc.items() if s}
-        return {t: r for t, s in acc.items() if (r := s % p)}
-
-    return vector
+                stages.append(partial(_push, lines, k, True, 0))
+            else:           # key q * d_in + r: line r of X, in block q of the output
+                stages.append(partial(_push, lines, d_in, False, d_out))
+        terms.append((sign, stages[:-1], stages[-1]))
+    return p, terms
 
 
-def _push(v: dict, acc: dict, lines, div: int, x_first: bool, d_out: int) -> dict:
+# a packed line holds one entry per 64-bit slot of an array('Q'), read in native byte order
+_BIG_ENDIAN = sys.byteorder == "big"
+_SLOT_BYTES = array("Q").itemsize
+
+
+def _packs(x: Matrix, by_rows: bool) -> bool:
+    """Whether law_vectors reads x, by rows or by columns, as a packed stage; nonzeros are counted on those lines."""
+    p = x.field.p
+    if p is None or _SLOT_BYTES != 8:
+        return False
+    lines, width = (x._rows, x.cols) if by_rows else (columns_of(x), x.rows)
+    return width >= 16 and len(lines) * (p - 1) ** 2 < 2**64 and 2 * sum(map(len, lines)) >= width * len(lines)
+
+
+def _pack(lines, width: int, p: int) -> list[int]:
+    """Each line as one int, entry t reduced mod p in bits [64 t, 64 t + 64)."""
+    out = []
+    for line in lines:
+        slots = array("Q", bytes(8 * width))
+        for t, w in line.items():
+            slots[t] = w % p
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        out.append(int.from_bytes(slots, "little"))
+    return out
+
+
+def _push(lines, div: int, x_first: bool, d_out: int, v: dict, acc: dict) -> dict:
     """Add the sparse vector v, through one factor given by its lines, to acc; products unreduced."""
     get = acc.get
     for key, c in v.items():
@@ -727,6 +797,26 @@ def _push(v: dict, acc: dict, lines, div: int, x_first: bool, d_out: int) -> dic
             t += shift
             acc[t] = get(t, 0) + c * w
     return acc
+
+
+def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: int, p: int, v: dict, _acc) -> list:
+    """The sparse vector v through one packed factor, as a new dense list of unreduced values below 2**64."""
+    sums = [0] * blocks
+    for key, c in v.items():
+        if c := c % p:
+            q, r = divmod(key, div)
+            if x_first:
+                sums[r] += c * lines[q]
+            else:
+                sums[q] += c * lines[r]
+    out = [0] * (width * blocks)
+    for b, s in enumerate(sums):
+        if s:
+            slots = array("Q", s.to_bytes(8 * width, "little"))
+            if _BIG_ENDIAN:
+                slots.byteswap()
+            out[slice(b, None, blocks) if x_first else slice(b * width, (b + 1) * width)] = slots
+    return out
 
 
 def sparse_render(vec: dict, field: Field) -> str:

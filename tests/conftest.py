@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from entwine.exactlin import Field, Matrix, QQ, kron
+from entwine import report
+from entwine.exactlin import Field, Matrix, QQ, _packs, _terms, invert, kron, law_shape
+from entwine.structures import make_structure
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -27,8 +30,6 @@ def random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> Mat
 
 
 def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
-    from entwine.exactlin import invert
-
     while True:
         m = random_matrix(field, rng, n, n)
         if invert(m) is not None:
@@ -50,6 +51,61 @@ def layout(side) -> Matrix:
             factor = kron(*(Matrix.identity(f, x) if isinstance(x, int) else x for x in factor))
         out = factor if out is None else factor @ out
     return out
+
+
+def compare_reference(op: str, axiom: str, lhs, rhs, col_dims):
+    """report.compare from the laid-out sides: the first column, in index order, where they differ."""
+    left, right = layout(lhs), layout(rhs)
+    field = left.field
+    for j in range(left.cols):
+        x, y = left.col(j), right.col(j)
+        if x != y:
+            if col_dims is None:
+                witness = (j,)
+            else:
+                witness = tuple(j // prod(col_dims[k + 1:]) % col_dims[k] for k in range(len(col_dims))) or None
+
+            def text(column):
+                return "{" + ", ".join(f"{i}: {field.fmt(v)}" for i, v in enumerate(column)
+                                       if not field.is_zero(v)) + "}"
+
+            return report.fail(op, axiom, witness=witness, lhs=text(x), rhs=text(y))
+    return None
+
+
+def packed_stages(lhs, rhs) -> list:
+    """The factors (X, k, x_first) that report.compare reads as packed stages, by exactlin's own predicate.
+
+    compare reads lhs - rhs by rows when it has more columns than rows, last
+    factor first, and by columns otherwise, first factor first; a term's
+    first stage never packs.
+    """
+    _, rows, cols = law_shape(lhs)
+    by_rows = cols > rows
+    return [f for _, factors in _terms([(1, lhs), (-1, rhs)])
+            for f in (factors[-2::-1] if by_rows else factors[1:]) if _packs(f[0], by_rows)]
+
+
+def unimodular(field: Field, n: int, rng: random.Random) -> Matrix:
+    """L U with unit diagonals and every off-diagonal factor entry nonzero, so det = 1."""
+    def triangle(lower: bool) -> Matrix:
+        data = [0] * (n * n)
+        for i in range(n):
+            data[i * n + i] = 1
+            for j in range(i) if lower else range(i + 1, n):
+                data[i * n + j] = rng.randrange(1, field.p)
+        return Matrix(field, n, n, data)
+
+    return triangle(True) @ triangle(False)
+
+
+def rebase(h, p: Matrix):
+    """The Hopf algebra h written in the basis b_j = sum_i p[i, j] e_i."""
+    pinv = invert(p)
+    return make_structure(h.kind, h.field, h.dim,
+                          mul=pinv @ h.mul @ kron(p, p), unit=pinv @ h.unit,
+                          comul=kron(pinv, pinv) @ h.comul @ p, counit=h.counit @ p,
+                          antipode=pinv @ h.antipode @ p)
 
 
 def assert_canonical_vector(vec: dict, field: Field):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from entwine.exactlin import Matrix, QQ, columns_of, kron, law_shape, law_vectors
+from entwine.exactlin import Field, Matrix, QQ, columns_of, kron, law_shape, law_vectors
 from entwine.report import CheckError, compare, first_failure
 from entwine.structures import (
     ModulePresentation,
@@ -24,6 +24,7 @@ from entwine.entwining import (
     hom_entwined,
     hom_entwined_basis,
     nu_iso,
+    twisted_product,
     verify_coring,
     verify_entwined_module,
     verify_entwining,
@@ -34,7 +35,18 @@ from entwine.entwining import (
     _smash_laws,
 )
 from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
-from conftest import assert_canonical_vector, layout, left_star_product, nu_inv_map, nu_map, smash_product_map
+from conftest import (
+    assert_canonical_vector,
+    compare_reference,
+    layout,
+    left_star_product,
+    nu_inv_map,
+    nu_map,
+    packed_stages,
+    rebase,
+    smash_product_map,
+    unimodular,
+)
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +412,13 @@ class TestNuIso:
                      for t in range(na * n)]
             assert iso.nu_inv == Matrix.from_columns(f, n, [nu_inv_map(e, u) for u in units])
 
+    def test_left_dual_basis_is_nu_column_by_column(self):
+        assert len(CATALOG_ENTWININGS) == 11
+        for name in CATALOG_ENTWININGS:
+            iso = nu_iso(build_coring(catalog_get(name)))
+            na, n = iso.smash.entwining.algebra.dim, iso.smash.dim
+            assert iso.left_dual_basis == tuple(iso.nu.col_matrix(s).reshape(na, n) for s in range(n)), name
+
     def test_inverse_matrices(self, ent_h4):
         iso = nu_iso(build_coring(ent_h4))
         n = iso.smash.dim
@@ -553,6 +572,21 @@ class TestEveryNuRowBites:
             for j in range(m.cols):
                 assert nu_verdict(replace(coring, comul=corrupt(m, i, j)))[0] == "nu-multiplicative"
 
+    def test_build_smash_contracts_the_table_once(self, ent_qc2, monkeypatch):
+        """build_smash hands its table to the twisted-product row; verify_smash on its own contracts it again."""
+        from entwine import entwining
+
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return twisted_product(e)
+
+        monkeypatch.setattr(entwining, "twisted_product", counted)
+        smash = build_smash(ent_qc2)
+        assert len(calls) == 1
+        assert verify_smash(smash).passed and len(calls) == 2
+
     def test_twisted_product_ties_the_smash_table_to_psi(self):
         """A smash table off the psi-twisted product can still be an A-ring: twisted-product catches it, as does nu."""
         iso = nu_iso(build_coring(catalog_get("flip_qc2_dual")))
@@ -563,6 +597,60 @@ class TestEveryNuRowBites:
             "verify_smash: FAIL twisted-product at basis (3, 3) lhs={2: 1, 3: 1} rhs={2: 1}"
         rep = first_failure("nu_iso", _nu_laws(iso.coring, bad, iso.nu, iso.nu_inv))
         assert (rep.axiom, rep.witness) == ("nu-multiplicative", (3, 3))
+
+
+def dense_hopf_module_entwining():
+    """The Hopf-module entwining of F_7[C_4] rebased by a fixed unimodular matrix: smash ring of dim 16."""
+    from entwine.catalog import hopf_module_dk
+    from entwine.doikoppinen import dk_entwining
+
+    h = cyclic_group_algebra(Field(7), 4)
+    return dk_entwining(hopf_module_dk(rebase(h, unimodular(h.field, h.dim, random.Random("dense rows")))))
+
+
+# rows that no Hopf-module entwining reads through a packed stage: twisted-product compares two laid-out
+# tables, each a term's first stage; after their first stage the others read only right_action, nu or nu_inv,
+# which carry an identity tensor factor (at most one entry in dim C nonzero), or lines of A's mul, 4 entries
+NEVER_PACKED = {"right-action-unit", "twisted-product", "nu-inv-nu", "nu-unit", "nu-left-linear", "nu-right-linear"}
+
+
+class TestDenseRowsBite:
+    """On a dense entwining over F_7, a +1 in one map fails each smash and nu row as the laid-out reference does."""
+
+    @pytest.fixture(scope="class")
+    def iso(self):
+        return nu_iso(build_coring(dense_hopf_module_entwining()))
+
+    def test_the_entwining_is_dense(self, iso):
+        mul = iso.smash.mul
+        assert 4 * sum(1 for v in mul.data if v) >= 3 * mul.rows * mul.cols
+
+    @pytest.mark.parametrize("axiom, name", [(axiom, name) for part, axiom, name, _ in ROW_MUTATIONS
+                                              if part == "smash"],
+                             ids=[axiom for part, axiom, _, _ in ROW_MUTATIONS if part == "smash"])
+    def test_smash_row(self, iso, axiom, name):
+        row = next(r for r in _smash_laws(iso.smash) if r[0] == axiom)
+        assert compare("verify_smash", *row) is None
+        bad = replace(iso.smash, **{name: corrupt(getattr(iso.smash, name), 0, 0)})
+        row = next(r for r in _smash_laws(bad) if r[0] == axiom)
+        self.check(axiom, row)
+
+    @pytest.mark.parametrize("axiom, part, name", [(axiom, part, name) for axiom, part, name, _ in NU_ROW_MUTATIONS],
+                             ids=[axiom for axiom, _, _, _ in NU_ROW_MUTATIONS])
+    def test_nu_row(self, iso, axiom, part, name):
+        def row(coring, smash, iso):
+            return next(r for r in _nu_laws(coring, smash, iso.nu, iso.nu_inv) if r[0] == axiom)
+
+        objects = {"coring": iso.coring, "smash": iso.smash, "iso": iso}
+        assert compare("nu_iso", *row(**objects)) is None
+        objects[part] = replace(objects[part], **{name: corrupt(getattr(objects[part], name), 0, 0)})
+        self.check(axiom, row(**objects))
+
+    @staticmethod
+    def check(axiom, row):
+        rep = compare("op", *row)
+        assert rep is not None and rep == compare_reference("op", *row)
+        assert bool(packed_stages(row[1], row[2])) == (axiom not in NEVER_PACKED)
 
 
 class TestEntwinedModules:
