@@ -25,7 +25,6 @@ from .exactlin import (
     perm_tensor,
     permute,
     swap_matrix,
-    swap_middle,
 )
 from . import report
 from .report import Report
@@ -90,40 +89,45 @@ def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePre
     yield "structure", verify_structure("module" if kind.startswith("module") else "comodule",
                                         _as_module(h, x, m, kind, side))
     nh, nx = h.dim, x.dim
-    idh, idx = Matrix.identity(h.field, nh), Matrix.identity(h.field, nx)
+    # kron(m, m) as two stages, and the swap of the middle two of four tensor factors
+    mm = ((m.cols, m), (m, m.rows))
+
+    def swap(*dims):
+        return perm_tensor(h.field, dims, (0, 2, 1, 3))
+
     laws = {
         ("module-algebra", "right"): lambda: [
-            ("action-multiplicative", m @ kron(x.mul, idh),
-             x.mul @ kron(m, m) @ swap_middle(kron(kron(idx, idx), h.comul), (nx, nx, nh, nh)), (nx, nx, nh)),
-            ("action-on-unit", m @ kron(x.unit, idh), x.unit @ h.counit, (nh,))],
+            ("action-multiplicative", ((x.mul, nh), m),
+             ((nx * nx, h.comul), swap(nx, nx, nh, nh), *mm, x.mul), (nx, nx, nh)),
+            ("action-on-unit", ((x.unit, nh), m), (h.counit, x.unit), (nh,))],
         ("module-algebra", "left"): lambda: [
-            ("action-multiplicative", m @ kron(idh, x.mul),
-             x.mul @ kron(m, m) @ swap_middle(kron(h.comul, kron(idx, idx)), (nh, nh, nx, nx)), (nh, nx, nx)),
-            ("action-on-unit", m @ kron(idh, x.unit), x.unit @ h.counit, (nh,))],
+            ("action-multiplicative", ((nh, x.mul), m),
+             ((h.comul, nx * nx), swap(nh, nh, nx, nx), *mm, x.mul), (nh, nx, nx)),
+            ("action-on-unit", ((nh, x.unit), m), (h.counit, x.unit), (nh,))],
         ("module-coalgebra", "right"): lambda: [
-            ("action-comultiplicative", x.comul @ m,
-             kron(m, m) @ swap_middle(kron(x.comul, h.comul), (nx, nx, nh, nh)), (nx, nh)),
-            ("action-counital", x.counit @ m, kron(x.counit, h.counit), (nx, nh))],
+            ("action-comultiplicative", (m, x.comul),
+             ((nx, h.comul), (x.comul, nh * nh), swap(nx, nx, nh, nh), *mm), (nx, nh)),
+            ("action-counital", (m, x.counit), ((nx, h.counit), x.counit), (nx, nh))],
         ("module-coalgebra", "left"): lambda: [
-            ("action-comultiplicative", x.comul @ m,
-             kron(m, m) @ swap_middle(kron(h.comul, x.comul), (nh, nh, nx, nx)), (nh, nx)),
-            ("action-counital", x.counit @ m, kron(h.counit, x.counit), (nh, nx))],
+            ("action-comultiplicative", (m, x.comul),
+             ((nh, x.comul), (h.comul, nx * nx), swap(nh, nh, nx, nx), *mm), (nh, nx)),
+            ("action-counital", (m, x.counit), ((nh, x.counit), h.counit), (nh, nx))],
         ("comodule-algebra", "right"): lambda: [
-            ("coaction-multiplicative", m @ x.mul,
-             kron(x.mul, h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)), (nx, nx)),
-            ("coaction-on-unit", m @ x.unit, kron(x.unit, h.unit), (1,))],
+            ("coaction-multiplicative", (x.mul, m),
+             (*mm, swap(nx, nh, nx, nh), (nx * nx, h.mul), (x.mul, nh)), (nx, nx)),
+            ("coaction-on-unit", (x.unit, m), (h.unit, (x.unit, nh)), (1,))],
         ("comodule-algebra", "left"): lambda: [
-            ("coaction-multiplicative", m @ x.mul,
-             kron(h.mul, x.mul) @ swap_middle(kron(m, m), (nh, nx, nh, nx)), (nx, nx)),
-            ("coaction-on-unit", m @ x.unit, kron(h.unit, x.unit), (1,))],
+            ("coaction-multiplicative", (x.mul, m),
+             (*mm, swap(nh, nx, nh, nx), (nh * nh, x.mul), (h.mul, nx)), (nx, nx)),
+            ("coaction-on-unit", (x.unit, m), (x.unit, (h.unit, nx)), (1,))],
         ("comodule-coalgebra", "right"): lambda: [
-            ("coaction-comultiplicative", kron(x.comul, idh) @ m,
-             kron(kron(idx, idx), h.mul) @ swap_middle(kron(m, m), (nx, nh, nx, nh)) @ x.comul, (nx,)),
-            ("coaction-counital", kron(x.counit, idh) @ m, h.unit @ x.counit, (nx,))],
+            ("coaction-comultiplicative", (m, (x.comul, nh)),
+             (x.comul, *mm, swap(nx, nh, nx, nh), (nx * nx, h.mul)), (nx,)),
+            ("coaction-counital", (m, (x.counit, nh)), (x.counit, h.unit), (nx,))],
         ("comodule-coalgebra", "left"): lambda: [
-            ("coaction-comultiplicative", kron(idh, x.comul) @ m,
-             kron(h.mul, kron(idx, idx)) @ swap_middle(kron(m, m), (nh, nx, nh, nx)) @ x.comul, (nx,)),
-            ("coaction-counital", kron(idh, x.counit) @ m, h.unit @ x.counit, (nx,))],
+            ("coaction-comultiplicative", (m, (nh, x.comul)),
+             (x.comul, *mm, swap(nh, nx, nh, nx), (h.mul, nx * nx)), (nx,)),
+            ("coaction-counital", (m, (nh, x.counit)), (x.counit, h.unit), (nx,))],
     }
     yield from laws[(kind, side)]()
 
@@ -485,15 +489,11 @@ class IntegralReport:
 def check_integral(ext: HExtension, gamma: Matrix) -> IntegralReport:
     """Colinearity, totality and convolution invertibility of gamma : H -> B."""
     h, b = ext.h, ext.b
-    f = h.field
-    idh = Matrix.identity(f, h.dim)
     colinear = report.first_failure("check_integral", [
-        ("h-colinearity", ext.coaction @ gamma, kron(gamma, idh) @ h.comul, (h.dim,)),
-    ])
+        ("h-colinearity", (gamma, ext.coaction), (h.comul, (gamma, h.dim)), (h.dim,))])
     total = (gamma @ h.unit) == b.unit
     inv = convolution_inverse(h, b, gamma)
-    cleft = inv is not None and not isinstance(inv, tuple)
-    return IntegralReport(colinear, total, cleft, inv if cleft else None)
+    return IntegralReport(colinear, total, inv is not None, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +554,26 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     quotient = make_structure("coalgebra", f, nq, tuple(d.labels[fc] + "~" for fc in free),
                               comul=comul_q, counit=counit_q)
     action_q = proj @ action @ kron(sect, idh)
+    coext = HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
     for rep in (verify_structure("coalgebra", quotient),
                 verify_dk_compat("module-coalgebra", h, quotient, action_q, "right"),
-                report.first_failure("coextension_quotient", [
-                    ("projection-comultiplicative", quotient.comul @ proj, kron(proj, proj) @ d.comul, (nd,)),
-                    ("projection-counital", quotient.counit @ proj, d.counit, (nd,)),
-                    ("projection-equivariant", proj @ action,
-                     action_q @ kron(proj, idh), (nd, nh)),
-                ])):
+                report.first_failure("coextension_quotient", _projection_laws(coext))):
         report.require(rep)
-    return HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
+    return coext
+
+
+def _projection_laws(coext: HCoextension) -> list:
+    """The projection D -> C as a map of H-module coalgebras, as (axiom, lhs, rhs, basis dims) rows.
+
+    The coideal, counit and H-stability checks of coextension_quotient imply all three.
+    """
+    d, nh, proj = coext.d, coext.h.dim, coext.projection
+    return [
+        ("projection-comultiplicative", (proj, coext.quotient.comul),
+         (d.comul, (d.dim, proj), (proj, proj.rows)), (d.dim,)),
+        ("projection-counital", (proj, coext.quotient.counit), d.counit, (d.dim,)),
+        ("projection-equivariant", (coext.action, proj), ((proj, nh), coext.quotient_action), (d.dim, nh)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -588,21 +598,19 @@ def check_cointegral(coext: HCoextension, omega: Matrix) -> CointegralReport:
     (the antipode must exist for that law to make sense).
     """
     h, d = coext.h, coext.d
-    f = h.field
-    idh = Matrix.identity(f, h.dim)
     linear = report.first_failure("check_cointegral", [
-        ("h-linearity", omega @ coext.action, h.mul @ kron(omega, idh), (d.dim, h.dim)),
-    ])
+        ("h-linearity", (coext.action, omega), ((omega, h.dim), h.mul), (d.dim, h.dim))])
     total = (h.counit @ omega) == d.counit
     inv = convolution_inverse(d, h, omega)
-    cocleft = inv is not None and not isinstance(inv, tuple)
+    cocleft = inv is not None
     twist = None
     if cocleft and h.antipode is not None:
-        lhs = inv @ coext.action
-        rhs = h.mul @ kron(h.antipode, inv) @ swap_matrix(f, d.dim, h.dim)
-        bad = report.compare("check_cointegral", "inverse-twisted-linearity", lhs, rhs, (d.dim, h.dim))
+        # d (x) h -> S(h) omega^{-1}(d): swap, then S (x) omega^{-1} as two stages, then multiply
+        rhs = (swap_matrix(h.field, d.dim, h.dim), (h.dim, inv), (h.antipode, h.dim), h.mul)
+        bad = report.compare("check_cointegral", "inverse-twisted-linearity", (coext.action, inv), rhs,
+                             (d.dim, h.dim))
         twist = bad if bad is not None else report.ok("check_cointegral")
-    return CointegralReport(linear, total, cocleft, inv if cocleft else None, twist)
+    return CointegralReport(linear, total, cocleft, inv, twist)
 
 
 def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
@@ -668,11 +676,9 @@ def long_dimodule_check(a: StructurePresentation, c: StructurePresentation,
     def rows():
         yield "module", verify_structure("module", m)
         yield "comodule", verify_structure("comodule", m)
-        f = a.field
         na, nc, n = a.dim, c.dim, m.dim
-        yield ("long-compatibility", m.coaction @ m.action,
-               kron(m.action, Matrix.identity(f, nc)) @ kron(Matrix.identity(f, n), flip_entwining(a, c).psi)
-               @ kron(m.coaction, Matrix.identity(f, na)), (n, na))
+        yield ("long-compatibility", (m.action, m.coaction),
+               ((m.coaction, na), (n, flip_entwining(a, c).psi), (m.action, nc)), (n, na))
     rep = report.first_failure("long_dimodule_check", rows())
     return report.ok("long_dimodule_check", flip_equivalent=True) if rep.passed else rep
 
@@ -688,8 +694,8 @@ def verify_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
         yield "beta", bialgebra_morphism_report(s.h, t.h, beta)
         yield "gamma", algebra_morphism_report(s.alg, t.alg, gamma)
         yield "delta", coalgebra_morphism_report(s.coalg, t.coalg, delta)
-        yield ("mixed-compatibility", kron(gamma, delta) @ dk_entwining(s).psi,
-               dk_entwining(t).psi @ kron(delta, gamma), (s.coalg.dim, s.alg.dim))
+        yield ("mixed-compatibility", (dk_entwining(s).psi, (s.alg.dim, delta), (gamma, t.coalg.dim)),
+               ((s.coalg.dim, gamma), (delta, t.alg.dim), dk_entwining(t).psi), (s.coalg.dim, s.alg.dim))
     return report.first_failure("verify_dk_morphism", rows())
 
 

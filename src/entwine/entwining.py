@@ -76,14 +76,10 @@ def verify_entwining(e: EntwiningPresentation) -> Report:
         yield "algebra", verify_structure("algebra", a)
         yield "coalgebra", verify_structure("coalgebra", c)
         na, nc = a.dim, c.dim
-        ida = Matrix.identity(e.field, na)
-        idc = Matrix.identity(e.field, nc)
-        yield ("psi-multiplicativity",
-               psi @ kron(idc, a.mul), kron(a.mul, idc) @ kron(ida, psi) @ kron(psi, ida), (nc, na, na))
-        yield "psi-unitality", psi @ kron(idc, a.unit), kron(a.unit, idc), (nc,)
-        yield ("psi-comultiplicativity",
-               kron(ida, c.comul) @ psi, kron(psi, idc) @ kron(idc, psi) @ kron(c.comul, ida), (nc, na))
-        yield "psi-counitality", kron(ida, c.counit) @ psi, kron(c.counit, ida), (nc, na)
+        yield ("psi-multiplicativity", ((nc, a.mul), psi), ((psi, na), (na, psi), (a.mul, nc)), (nc, na, na))
+        yield "psi-unitality", ((nc, a.unit), psi), (a.unit, nc), (nc,)
+        yield ("psi-comultiplicativity", (psi, (na, c.comul)), ((c.comul, na), (nc, psi), (psi, nc)), (nc, na))
+        yield "psi-counitality", (psi, (na, c.counit)), (c.counit, na), (nc, na)
     return report.first_failure("verify_entwining", rows())
 
 
@@ -93,8 +89,9 @@ def verify_entwining_morphism(e: EntwiningPresentation, f: EntwiningPresentation
     def rows():
         yield "gamma", algebra_morphism_report(e.algebra, f.algebra, gamma)
         yield "delta", coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
-        yield ("intertwining", kron(gamma, delta) @ e.psi, f.psi @ kron(delta, gamma),
-               (e.coalgebra.dim, e.algebra.dim))
+        na, nc = e.algebra.dim, e.coalgebra.dim
+        yield ("intertwining", (e.psi, (na, delta), (gamma, f.coalgebra.dim)),
+               ((nc, gamma), (delta, f.algebra.dim), f.psi), (nc, na))
     return report.first_failure("verify_entwining_morphism", rows())
 
 
@@ -413,12 +410,9 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
     def rows():
         yield "action", verify_structure("module", m.as_module())
         yield "coaction", verify_structure("comodule", m.as_module())
-        f = e.field
-        idm = Matrix.identity(f, m.dim)
-        ida = Matrix.identity(f, e.algebra.dim)
-        idc = Matrix.identity(f, e.coalgebra.dim)
-        yield ("psi-compatibility", m.coaction @ m.action,
-               kron(m.action, idc) @ kron(idm, e.psi) @ kron(m.coaction, ida), (m.dim, e.algebra.dim))
+        na = e.algebra.dim
+        yield ("psi-compatibility", (m.action, m.coaction),
+               ((m.coaction, na), (m.dim, e.psi), (m.action, e.coalgebra.dim)), (m.dim, na))
     return report.first_failure("verify_entwined_module", rows())
 
 
@@ -487,13 +481,9 @@ def hom_entwined(e: EntwiningPresentation, m: EntwinedModulePresentation,
     if (f.rows, f.cols) != (n.dim, m.dim):
         raise DimensionMismatch(f"morphism must be {n.dim}x{m.dim}")
     na, nc = e.algebra.dim, e.coalgebra.dim
-    ida = Matrix.identity(e.field, na)
-    idc = Matrix.identity(e.field, nc)
-    checks = [
-        ("a-linearity", f @ m.action, n.action @ kron(f, ida), (m.dim, na)),
-        ("c-colinearity", n.coaction @ f, kron(f, idc) @ m.coaction, (m.dim,)),
-    ]
-    return report.first_failure("hom_entwined", checks)
+    return report.first_failure("hom_entwined", [
+        ("a-linearity", (m.action, f), ((f, na), n.action), (m.dim, na)),
+        ("c-colinearity", (f, n.coaction), (m.coaction, (f, nc)), (m.dim,))])
 
 
 def hom_entwined_basis(e: EntwiningPresentation, m: EntwinedModulePresentation,

@@ -212,7 +212,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of_rows(field, n, n, ({i: 1} for i in range(n)))
+        m = cls._of_rows(field, n, n, ({i: 1} for i in range(n)))
+        m._cols = m._rows   # its own transpose: a law side that reads it by columns transposes nothing
+        return m
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
@@ -418,20 +420,7 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     split = next((k for k in range(len(dims) + 1) if prod(dims[:k]) == m.rows), None)
     if sorted(perm) != list(range(len(dims))) or prod(dims) != m.rows * m.cols or split is None:
         raise DimensionMismatch(f"cannot permute {m.rows}x{m.cols} with axes {dims} by {perm}")
-    # stride of each input axis in the row-major entries of the output
-    strides = [0] * len(dims)
-    step = 1
-    for a in reversed(perm):
-        strides[a] = step
-        step *= dims[a]
-
-    def offsets(axes):   # output offset of every index over these input axes, row-major
-        out = [0]
-        for a in axes:
-            out = [o + i * strides[a] for o in out for i in range(dims[a])]
-        return out
-
-    row_at, col_at = offsets(range(split)), offsets(range(split, len(dims)))
+    row_at, col_at = _offsets(dims, perm, range(split)), _offsets(dims, perm, range(split, len(dims)))
     cols = prod(dims[a] for a in perm[nrows:])
     out = [{} for _ in range(prod(dims[a] for a in perm[:nrows]))]
     for i, r in enumerate(m._rows):
@@ -442,9 +431,15 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     return Matrix._of_rows(m.field, len(out), cols, out)
 
 
-def swap_middle(k: Matrix, dims) -> Matrix:
-    """perm_tensor(dims, (0, 2, 1, 3)) @ k: swap the middle two tensor factors of k's rows."""
-    return permute(k, (*dims, k.cols), (0, 2, 1, 3, 4), 4)
+def _offsets(dims, perm, axes) -> list[int]:
+    """The output offset, row-major, of every index over these input axes of a tensor permuted as in permute."""
+    strides, step = [0] * len(dims), 1   # stride of each input axis in the row-major entries of the output
+    for a in reversed(perm):
+        strides[a], step = step, step * dims[a]
+    out = [0]
+    for a in axes:
+        out = [o + i * strides[a] for o in out for i in range(dims[a])]
+    return out
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
@@ -453,10 +448,14 @@ def swap_matrix(field: Field, m: int, n: int) -> Matrix:
 
 
 def perm_tensor(field: Field, dims, perm) -> Matrix:
-    """Matrix permuting tensor factors: output factor k is input factor perm[k]."""
+    """Matrix permuting tensor factors: output factor k is input factor perm[k]; its columns are laid out too."""
     dims, perm = tuple(dims), tuple(perm)
-    total = prod(dims)
-    return permute(Matrix.identity(field, total), dims + (total,), perm + (len(dims),), len(dims))
+    if sorted(perm) != list(range(len(dims))):
+        raise DimensionMismatch(f"cannot permute axes {dims} by {perm}")
+    at = _offsets(dims, perm, range(len(dims)))   # input index j is output index at[j]
+    m = Matrix._of_rows(field, len(at), len(at), ({j: 1} for j in sorted(range(len(at)), key=at.__getitem__)))
+    m._cols = tuple({i: 1} for i in at)
+    return m
 
 
 def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
@@ -660,25 +659,32 @@ def _terms(side, sign: int = 1) -> list:
     """sign times a law side as (sign, factors) terms, each factor (X, k, x_first): kron(X, id_k) or kron(id_k, X)."""
     if isinstance(side, list):
         return [term for s, t in side for term in _terms(t, sign * s)]
+    if isinstance(side, Matrix) or isinstance(side[0], int) or isinstance(side[-1], int):
+        side = (side,)
     return [(sign, [(f, 1, True) if isinstance(f, Matrix) else
                     (f[0], f[1], True) if isinstance(f[0], Matrix) else (f[1], f[0], False)
-                    for f in (side if isinstance(side, tuple) else (side,))])]
+                    for f in side])]
+
+
+def _shape(terms) -> tuple[Field, int, int]:
+    """(field, rows, cols) of a law side split into its terms, read off the factors without evaluating any."""
+    shape = None
+    for _, factors in terms:
+        x, k, _ = factors[0]
+        field, rows, cols = x.field, x.rows * k, x.cols * k
+        for x, k, _ in factors[1:]:
+            if x.cols * k != rows or x.field != field:
+                raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
+            rows = x.rows * k
+        if shape not in (None, (field, rows, cols)):
+            raise DimensionMismatch("the terms of a law side differ in shape or field")
+        shape = (field, rows, cols)
+    return shape
 
 
 def law_shape(side) -> tuple[Field, int, int]:
     """(field, rows, cols) of a law side, read off its factors without evaluating any."""
-    shapes = set()
-    for _, factors in _terms(side):
-        x, k, _ = factors[0]
-        field, rows, cols = x.field, x.rows * k, x.cols * k
-        for x, k, _ in factors[1:]:
-            if x.field != field or x.cols * k != rows:
-                raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
-            rows = x.rows * k
-        shapes.add((field, rows, cols))
-    if len(shapes) != 1:
-        raise DimensionMismatch("the terms of a law side differ in shape or field")
-    return shapes.pop()
+    return _shape(_terms(side))
 
 
 def law_vectors(side, by_rows: bool):
@@ -686,14 +692,14 @@ def law_vectors(side, by_rows: bool):
 
     A side is a Matrix; a tuple of factors applied left to right, each a
     Matrix or a pair (X, k) or (k, X), k an int, that stands for
-    kron(X, id_k) or kron(id_k, X) and is never laid out; or a list of
-    (sign, side) terms, sign 1 or -1, for their sum.  The kernel pushes the
-    basis vector i, times the sign of a term, through the factors' rows,
-    last factor first, or through their columns (the rows of the transposed
-    composition, columns_of), first factor first, summing plain products.
-    It reduces once, at the end (mod p over F_p), so each vector comes back
-    canonical (an index -> value dict, no zero values): two vectors are
-    equal exactly when their dicts are.
+    kron(X, id_k) or kron(id_k, X) and is never laid out; such a pair on
+    its own; or a list of (sign, side) terms, sign 1 or -1, for their sum.
+    The kernel pushes the basis vector i, times the sign of a term, through
+    the factors' rows, last factor first, or through their columns (the
+    rows of the transposed composition, columns_of), first factor first,
+    summing plain products.  It reduces once, at the end (mod p over F_p),
+    so each vector comes back canonical (an index -> value dict, no zero
+    values): two vectors are equal exactly when their dicts are.
 
     A factor over F_p that is at least half nonzero, whose lines (the rows
     or columns read) have at least 16 entries, and for which
@@ -708,7 +714,14 @@ def law_vectors(side, by_rows: bool):
     zeros the next stage skips.  Every other factor, and every law over Q,
     is pushed sparsely, one dict update per product.
     """
-    p, terms = _stages(side, by_rows)
+    terms = _terms(side)
+    _shape(terms)
+    return _vectors(terms, by_rows)
+
+
+def _vectors(terms, by_rows: bool):
+    """law_vectors on a side already split into terms of one shape and field."""
+    p, terms = _stages(terms, by_rows)
 
     def vector(i: int) -> dict:
         acc: dict = {}
@@ -733,11 +746,11 @@ def law_vectors(side, by_rows: bool):
     return vector
 
 
-def _stages(side, by_rows: bool) -> tuple[int | None, list]:
+def _stages(terms, by_rows: bool) -> tuple[int | None, list]:
     """p and the terms of law_vectors: (sign, push of every stage but the last, push of the last) each."""
-    p = law_shape(side)[0].p
-    terms = []
-    for sign, factors in _terms(side):
+    p = terms[0][1][0][0].field.p
+    out = []
+    for sign, factors in terms:
         stages = []
         for x, k, x_first in (reversed(factors) if by_rows else factors):
             lines = x._rows if by_rows else columns_of(x)
@@ -750,14 +763,15 @@ def _stages(side, by_rows: bool) -> tuple[int | None, list]:
                 # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
                 div = k if x_first else d_in
                 stages.append(partial(_push_packed, x._packed[by_rows], div, x_first, d_out, k, p))
+            elif k == 1:    # key q: line q of X
+                stages.append(partial(_push_plain, lines))
             elif x_first:   # key q * k + r: line q of X, its indices t moved to t * k + r
-                if k > 1:
-                    lines = [{t * k: w for t, w in line.items()} for line in lines]
+                lines = [{t * k: w for t, w in line.items()} for line in lines]
                 stages.append(partial(_push, lines, k, True, 0))
             else:           # key q * d_in + r: line r of X, in block q of the output
                 stages.append(partial(_push, lines, d_in, False, d_out))
-        terms.append((sign, stages[:-1], stages[-1]))
-    return p, terms
+        out.append((sign, stages[:-1], stages[-1]))
+    return p, out
 
 
 # a packed line holds one entry per 64-bit slot of an array('Q'), read in native byte order
@@ -785,6 +799,15 @@ def _pack(lines, width: int, p: int) -> list[int]:
             slots.byteswap()
         out.append(int.from_bytes(slots, "little"))
     return out
+
+
+def _push_plain(lines, v: dict, acc: dict) -> dict:
+    """_push through a factor with no identity tensor factor: key q reads line q."""
+    get = acc.get
+    for key, c in v.items():
+        for t, w in lines[key].items():
+            acc[t] = get(t, 0) + c * w
+    return acc
 
 
 def _push(lines, div: int, x_first: bool, d_out: int, v: dict, acc: dict) -> dict:

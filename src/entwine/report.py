@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Matrix, law_shape, law_vectors, sparse_render, unflat
+from .exactlin import DimensionMismatch, Matrix, _shape, _terms, _vectors, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,14 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     """
     if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no vector needs reading
         return None
-    field, rows, cols = law_shape(lhs)
-    _, rrows, rcols = law_shape(rhs)
+    left, right = _terms(lhs), _terms(rhs)
+    field, rows, cols = _shape(left)
+    rfield, rrows, rcols = _shape(right)
     if (rrows, rcols) != (rows, cols):
         raise AssertionError(f"{op}/{axiom}: comparing {rows}x{cols} with {rrows}x{rcols}")
-    diff = law_vectors([(1, lhs), (-1, rhs)], cols > rows)
+    if rfield != field:
+        raise DimensionMismatch("the terms of a law side differ in shape or field")
+    diff = _vectors(left + [(-sign, factors) for sign, factors in right], cols > rows)
     if cols > rows:
         j = min((min(d) for d in map(diff, range(rows)) if d), default=None)
     else:
@@ -112,8 +115,8 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     if j is None:
         return None
     witness = (j,) if col_dims is None else unflat(j, col_dims) or None
-    return fail(op, axiom, witness=witness, lhs=sparse_render(law_vectors(lhs, False)(j), field),
-                rhs=sparse_render(law_vectors(rhs, False)(j), field))
+    return fail(op, axiom, witness=witness, lhs=sparse_render(_vectors(left, False)(j), field),
+                rhs=sparse_render(_vectors(right, False)(j), field))
 
 
 def first_failure(op: str, rows) -> Report:
@@ -123,8 +126,7 @@ def first_failure(op: str, rows) -> Report:
     component's witness and sides, or a law (axiom, lhs, rhs, col_dims)
     read by compare along its shorter dimension.  rows may be a lazy
     generator, one yield per row: nothing after the first failure is
-    evaluated, so a verifier that lays out a law's sides pays only for the
-    rows up to its first failure.
+    evaluated.
     """
     for row in rows:
         if len(row) == 2:

@@ -36,6 +36,14 @@ def random_invertible(field: Field, rng: random.Random, n: int) -> Matrix:
             return m
 
 
+def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
+    """Add c (default 1) to entry (i, j)."""
+    data = list(matrix.data)
+    f = matrix.field
+    data[i * matrix.cols + j] = f.add(data[i * matrix.cols + j], f.one() if c is None else c)
+    return Matrix(f, matrix.rows, matrix.cols, data)
+
+
 def layout(side) -> Matrix:
     """A law side laid out with @ and kron: the reference for exactlin.law_vectors and report.compare."""
     if isinstance(side, Matrix):

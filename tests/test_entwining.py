@@ -38,6 +38,7 @@ from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, fr
 from conftest import (
     assert_canonical_vector,
     compare_reference,
+    corrupt,
     layout,
     left_star_product,
     nu_inv_map,
@@ -66,14 +67,6 @@ def ent_h4():
 
 def grouplike_dim1():
     return make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
-
-
-def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
-    """Add c (default 1) to entry (i, j)."""
-    data = list(matrix.data)
-    f = matrix.field
-    data[i * matrix.cols + j] = f.add(data[i * matrix.cols + j], f.one() if c is None else c)
-    return Matrix(f, matrix.rows, matrix.cols, data)
 
 
 class TestVerifyEntwining:

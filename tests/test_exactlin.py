@@ -26,7 +26,6 @@ from entwine.exactlin import (
     rref,
     solve_linear,
     swap_matrix,
-    swap_middle,
 )
 from conftest import BOTH_FIELDS, assert_canonical_vector, random_invertible, random_matrix, random_scalar
 
@@ -530,10 +529,6 @@ class TestSparseKernels:
         m = sparse_matrix(QQ, rng, 3, 4, 0.5)
         assert m.data is m.data
 
-    def test_swap_middle(self, rng):
-        k = sparse_matrix(QQ, rng, 2 * 3 * 2 * 2, 3, 0.5)
-        assert swap_middle(k, (2, 3, 2, 2)) == perm_tensor(QQ, (2, 3, 2, 2), (0, 2, 1, 3)) @ k
-
 
 class TestSparseCombine:
     """The law vector kernel sums plain products and must agree with per-term Field arithmetic."""
@@ -564,6 +559,21 @@ class TestSparseCombine:
             no_rows, no_cols = (Matrix.zeros(field, 0, 2), (0, one)), (Matrix.zeros(field, 1, 0), one.vstack(one))
             assert law_shape(no_rows) == (field, 0, 2) and read(no_rows) == [{}, {}] and read(no_rows, True) == []
             assert law_shape(no_cols) == (field, 2, 0) and read(no_cols) == [] and read(no_cols, True) == [{}, {}]
+
+    def test_a_bare_pair_is_a_side_of_one_factor(self, rng):
+        """(X, k) or (k, X) on its own reads as the side ((X, k),), in law_vectors and in compare."""
+        from entwine.report import compare
+
+        for field in KERNEL_FIELDS:
+            x = sparse_matrix(field, rng, 2, 3, 0.5)
+            for pair in ((x, 2), (2, x)):
+                assert law_shape(pair) == law_shape((pair,)) == (field, 4, 6)
+                assert read(pair) == read((pair,)) and read(pair, True) == read((pair,), True)
+                assert read([(1, pair), (-1, (pair,))]) == [{}] * 6
+        unit = Matrix.column(QQ, [1, 0])
+        assert compare("op", "law", (unit, 2), kron(unit, Matrix.identity(QQ, 2)), (2,)) is None
+        assert compare("op", "law", (2, unit), kron(unit, Matrix.identity(QQ, 2)), (2,)).summary() == \
+            "op: FAIL law at basis (1,) lhs={2: 1} rhs={1: 1}"
 
     def test_cancelling_terms_leave_no_key(self):
         for field in KERNEL_FIELDS:

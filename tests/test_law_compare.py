@@ -193,7 +193,7 @@ def dense_laws(draw):
 def packed_count(lhs, rhs) -> int:
     """How many stages the kernel itself packs when compare reads lhs - rhs."""
     _, rows, cols = law_shape(lhs)
-    _, terms = _stages([(1, lhs), (-1, rhs)], cols > rows)
+    _, terms = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
     return sum(push.func is _push_packed for _, stages, last in terms for push in (*stages, last))
 
 

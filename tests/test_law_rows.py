@@ -1,0 +1,165 @@
+"""Every law is a composition of structure maps that only exactlin.law_vectors evaluates.
+
+Two kinds of test: the verifiers pass on every catalog object with Matrix
+products and Kronecker products disabled, so no law side is laid out; and
+the rows that no first failure of a catalog object reaches each fail, at
+row level, under a +1 on one structure constant, with the witness and both
+sides pinned.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from entwine.catalog import VERIFIERS, catalog_get, catalog_names
+from entwine.doikoppinen import check_cointegral, check_integral, _projection_laws
+from entwine.entwining import (
+    EntwinedModulePresentation,
+    EntwiningPresentation,
+    hom_entwined,
+    verify_entwining_morphism,
+)
+from entwine.exactlin import Matrix
+from entwine.report import compare
+from entwine.structures import (
+    StructurePresentation,
+    algebra_morphism_report,
+    bialgebra_morphism_report,
+    canonical_pairing,
+    check_adjoint_pair,
+    coalgebra_morphism_report,
+    verify_measuring_pairing,
+    _bialgebra_checks,
+)
+from conftest import corrupt
+
+
+class TestNoLayout:
+    """With Matrix.__matmul__ and Matrix.kron raising, every law verifier still passes on every catalog object.
+
+    verify_dk_morphism is left out: it builds each psi with dk_entwining, a
+    construction and not a law.
+    """
+
+    @pytest.fixture
+    def objects(self, monkeypatch):
+        objects = {name: catalog_get(name) for name in catalog_names()}
+
+        def refuse(*_):
+            raise AssertionError("a law side was laid out")
+
+        monkeypatch.setattr(Matrix, "__matmul__", refuse)
+        monkeypatch.setattr(Matrix, "kron", refuse)
+        return objects
+
+    def test_verifiers(self, objects):
+        checked = set()
+        for name, obj in objects.items():
+            if type(obj) in VERIFIERS:
+                assert VERIFIERS[type(obj)](obj).passed, name
+                checked.add(type(obj).__name__)
+        assert {"StructurePresentation", "EntwiningPresentation", "EntwinedModulePresentation", "DKStructure",
+                "AltDKStructure"} <= checked
+
+    def test_pairings_and_morphism_reports(self, objects):
+        kinds = set()
+        for name, obj in objects.items():
+            if isinstance(obj, StructurePresentation):
+                ident = obj.identity_matrix()
+                reports = []
+                if obj.has_algebra:
+                    reports.append(algebra_morphism_report(obj, obj, ident))
+                if obj.has_coalgebra:
+                    pairing = canonical_pairing(obj)
+                    reports += [coalgebra_morphism_report(obj, obj, ident), verify_measuring_pairing(pairing),
+                                check_adjoint_pair(pairing, pairing, ident, ident)]
+                if obj.has_algebra and obj.has_coalgebra:
+                    reports.append(bialgebra_morphism_report(obj, obj, ident))
+            elif isinstance(obj, EntwiningPresentation):
+                reports = [verify_entwining_morphism(obj, obj, obj.algebra.identity_matrix(),
+                                                     obj.coalgebra.identity_matrix())]
+            elif isinstance(obj, EntwinedModulePresentation):
+                reports = [hom_entwined(obj.entwining, obj, obj, Matrix.identity(obj.entwining.field, obj.dim))]
+            else:
+                continue
+            for rep in reports:
+                assert rep.passed, (name, rep.summary())
+                kinds.add(rep.op)
+        assert kinds == {"algebra_morphism", "coalgebra_morphism", "bialgebra_morphism", "verify_measuring_pairing",
+                         "check_adjoint_pair", "verify_entwining_morphism", "hom_entwined"}
+
+
+# (catalog bialgebra, map given +1 at entry, the row, its failure)
+BIALGEBRA_ROW_BITES = [
+    ("sweedler4", "unit", (3, 0), "comul-unit",
+     "at basis (0,) lhs={0: 1, 3: 1, 13: 1} rhs={0: 1, 3: 1, 12: 1, 15: 1}"),
+    ("sweedler4", "counit", (0, 3), "counit-multiplicative", "at basis (1, 2) lhs={0: 1} rhs={}"),
+    ("qc2", "counit", (0, 0), "counit-unit", "at basis (0,) lhs={0: 2} rhs={0: 1}"),
+]
+
+# (catalog coextension, row of the projection D -> C given +1 at (0, 0), its failure)
+PROJECTION_ROW_BITES = [
+    ("coext_sweedler4", "projection-comultiplicative", "at basis (0,) lhs={0: 2} rhs={0: 4}"),
+    ("coext_sweedler4", "projection-counital", "at basis (0,) lhs={0: 2} rhs={0: 1}"),
+    ("coext_sweedler4", "projection-equivariant", "at basis (0, 1) lhs={0: 1} rhs={0: 2}"),
+]
+
+
+class TestEveryUnreachedRowBites:
+    """Rows that no first failure of a catalog object names, each failed at row level by a +1.
+
+    A bump of unit or counit breaks an algebra or coalgebra law before the
+    bialgebra rows are read; the coideal and H-stability checks of
+    coextension_quotient imply the projection rows, so they are read from
+    _projection_laws on a bumped projection.
+    """
+
+    @pytest.mark.parametrize("name, attr, entry, axiom, failure", BIALGEBRA_ROW_BITES,
+                             ids=[axiom for _, _, _, axiom, _ in BIALGEBRA_ROW_BITES])
+    def test_bialgebra_row(self, name, attr, entry, axiom, failure):
+        def row(h):
+            return next(r for r in _bialgebra_checks(h) if r[0] == axiom)
+
+        h = catalog_get(name)
+        assert compare("verify_structure[bialgebra]", *row(h)) is None
+        bad = replace(h, **{attr: corrupt(getattr(h, attr), *entry)})
+        rep = compare("verify_structure[bialgebra]", *row(bad))
+        assert rep.summary() == f"verify_structure[bialgebra]: FAIL {axiom} {failure}"
+
+    @pytest.mark.parametrize("attr, failure", [
+        ("action", "a-linearity at basis (0, 0) lhs={0: 1} rhs={0: 2}"),
+        ("coaction", "c-colinearity at basis (0,) lhs={0: 2} rhs={0: 1}"),
+    ], ids=["a-linearity", "c-colinearity"])
+    def test_hom_entwined_row(self, attr, failure):
+        """The identity M -> N fails exactly the law whose structure map of N is bumped."""
+        m = catalog_get("hopfmod_sweedler4")
+        ident = Matrix.identity(m.entwining.field, m.dim)
+        assert hom_entwined(m.entwining, m, m, ident).passed
+        bad = replace(m, **{attr: corrupt(getattr(m, attr), 0, 0)})
+        assert hom_entwined(m.entwining, m, bad, ident).summary() == f"hom_entwined: FAIL {failure}"
+
+    def test_h_colinearity(self):
+        ext = catalog_get("ext_sweedler4")
+        assert check_integral(ext, ext.integral).colinear.passed
+        assert check_integral(ext, corrupt(ext.integral, 0, 0)).colinear.summary() == \
+            "check_integral: FAIL h-colinearity at basis (3,) lhs={3: 1, 13: 1} rhs={3: 2, 13: 1}"
+
+    def test_h_linearity(self):
+        coext = catalog_get("coext_sweedler4")
+        assert check_cointegral(coext, coext.cointegral).linear.passed
+        assert check_cointegral(coext, corrupt(coext.cointegral, 0, 0)).linear.summary() == \
+            "check_cointegral: FAIL h-linearity at basis (0, 1) lhs={1: 1} rhs={1: 2}"
+
+    @pytest.mark.parametrize("name, axiom, failure", PROJECTION_ROW_BITES,
+                             ids=[axiom for _, axiom, _ in PROJECTION_ROW_BITES])
+    def test_projection_row(self, name, axiom, failure):
+        def row(coext):
+            return next(r for r in _projection_laws(coext) if r[0] == axiom)
+
+        coext = catalog_get(name)
+        assert compare("coextension_quotient", *row(coext)) is None
+        bad = replace(coext, projection=corrupt(coext.projection, 0, 0))
+        assert compare("coextension_quotient", *row(bad)).summary() == \
+            f"coextension_quotient: FAIL {axiom} {failure}"

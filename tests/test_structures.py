@@ -37,6 +37,7 @@ from entwine.structures import (
 from entwine.catalog import catalog_get, cyclic_group_algebra, sweedler4, trivial_bialgebra
 from entwine.document import document_from_objects, emit_document, parse_document
 from entwine.exactlin import PresentationError
+from entwine.report import CheckError
 from conftest import BOTH_FIELDS, random_invertible, random_matrix
 
 
@@ -173,6 +174,14 @@ class TestConvolution:
 
     def test_zero_map_not_invertible(self, qc2):
         assert convolution_inverse(qc2, qc2, Matrix.zeros(QQ, 2, 2)) is None
+
+    def test_a_one_sided_inverse_raises(self):
+        """A non-associative A on 1, x, y with x y = 1 and y x = 0: x has right inverses only, so the left check raises."""
+        point = make_structure("coalgebra", QQ, 1, comul=[(0, 0, 0, 1)], counit=[1])   # Hom(point, A) is A
+        a = make_structure("algebra", QQ, 3, mul=[(0, j, j, 1) for j in range(3)] + [(1, 0, 1, 1), (2, 0, 2, 1),
+                                                                                   (1, 2, 0, 1)], unit=[1, 0, 0])
+        with pytest.raises(CheckError, match="convolution_inverse: FAIL left-inverse"):
+            convolution_inverse(point, a, Matrix.column(QQ, [0, 1, 0]))
 
 
 class TestAntipode:
