@@ -180,15 +180,19 @@ class AltDKStructure:
 
 
 def dk_entwining(s: DKStructure) -> EntwiningPresentation:
-    """psi(c (x) a) = sum a_0 (x) c.a_1; the result must pass all four laws."""
-    f = s.field
-    na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
-    psi = kron(Matrix.identity(f, na), s.coalg_action) \
-        @ kron(swap_matrix(f, nc, na), Matrix.identity(f, nh)) \
-        @ kron(Matrix.identity(f, nc), s.alg_coaction)
-    e = EntwiningPresentation(s.alg, s.coalg, psi)
+    """psi(c (x) a) = sum a_0 (x) c.a_1; the result must pass verify_entwining, A and C included."""
+    e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
     report.require(verify_entwining(e))
     return e
+
+
+def _dk_psi(s: DKStructure) -> Matrix:
+    """The map psi of dk_entwining, built and not verified."""
+    f = s.field
+    na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
+    return kron(Matrix.identity(f, na), s.coalg_action) \
+        @ kron(swap_matrix(f, nc, na), Matrix.identity(f, nh)) \
+        @ kron(Matrix.identity(f, nc), s.alg_coaction)
 
 
 def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
@@ -256,13 +260,6 @@ class DKIngredient:
         return verify_dk_compat(self.kind, self.h, self.structure, self.matrix, self.side)
 
 
-def _verified(kind: str, side: str, h: StructurePresentation, structure: StructurePresentation,
-              matrix: Matrix, subspace: Subspace | None = None) -> DKIngredient:
-    out = DKIngredient(kind, side, h, structure, matrix, subspace)
-    report.require(out.verify())
-    return out
-
-
 def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingPresentation:
     """<h, u> = u(h) for U the full dual of H."""
     return PairingPresentation(h, u, Matrix.identity(h.field, h.dim))
@@ -271,15 +268,15 @@ def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingP
 def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePresentation,
                                        coaction: Matrix) -> DKIngredient:
     """f -> a = sum a_0 f(a_1): a right H-comodule algebra is a left U-module algebra."""
-    return _verified("module-algebra", "left", dualize_structure(None, h), a,
-                     coaction_to_dual_action(coaction, a.dim, h.dim, "right"))
+    return DKIngredient("module-algebra", "left", dualize_structure(None, h), a,
+                        coaction_to_dual_action(coaction, a.dim, h.dim, "right"))
 
 
 def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
     """A* is a right U-module coalgebra via (f . u)(a) = sum f(a_0) u(a_1)."""
-    return _verified("module-coalgebra", "right", dualize_structure(None, h), dualize_structure("algebra", a),
-                     coaction.transpose())
+    return DKIngredient("module-coalgebra", "right", dualize_structure(None, h), dualize_structure("algebra", a),
+                        coaction.transpose())
 
 
 def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePresentation,
@@ -306,7 +303,7 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
                                             witness=divmod(bad, k)))
     sub = make_structure("algebra", h.field, k, tuple(f"r{i}" for i in range(k)), mul=mul, unit=unit_coords)
     coact_side = "right" if side == "left" else "left"
-    return _verified("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
+    return DKIngredient("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
 
 
 def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
@@ -314,30 +311,31 @@ def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Structu
     """C* is a module algebra on the other side via (h . f)(c) = f(c . h)."""
     cstar = dualize_structure("coalgebra", c)
     dual_side = "left" if side == "right" else "right"
-    return _verified("module-algebra", dual_side, h, cstar, dual_action_on_dual(action, c.dim, h.dim, side))
+    return DKIngredient("module-algebra", dual_side, h, cstar, dual_action_on_dual(action, c.dim, h.dim, side))
 
 
 def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructurePresentation,
                                          action: Matrix) -> DKIngredient:
-    """The rational dual of a right H-module coalgebra: a right U-comodule algebra."""
+    """The rational dual of a right H-module coalgebra (C*, verified first): a right U-comodule algebra."""
     inner = module_coalgebra_to_dual_module_algebra(h, c, action, "right")
+    report.require(inner.verify())
     return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix, "left")
 
 
 def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: StructurePresentation,
                                            coaction: Matrix) -> DKIngredient:
     """f -> c = sum c_0 f(c_1): a right H-comodule coalgebra is a left U-module coalgebra."""
-    return _verified("module-coalgebra", "left", dualize_structure(None, h), c,
-                     coaction_to_dual_action(coaction, c.dim, h.dim, "right"))
+    return DKIngredient("module-coalgebra", "left", dualize_structure(None, h), c,
+                        coaction_to_dual_action(coaction, c.dim, h.dim, "right"))
 
 
 def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
-    """C* is a right U-module algebra via (f . u)(c) = f(u -> c)."""
-    u = dualize_structure(None, h)
+    """C* is a right U-module algebra via (f . u)(c) = f(u -> c), dualizing the verified U-action on C."""
     inner = comodule_coalgebra_to_module_coalgebra(h, c, coaction)
-    cstar = dualize_structure("coalgebra", c)
-    return _verified("module-algebra", "right", u, cstar, dual_action_on_dual(inner.matrix, c.dim, u.dim, "left"))
+    report.require(inner.verify())
+    return DKIngredient("module-algebra", "right", inner.h, dualize_structure("coalgebra", c),
+                        dual_action_on_dual(inner.matrix, c.dim, inner.h.dim, "left"))
 
 
 def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresentation,
@@ -345,7 +343,7 @@ def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresenta
     """A* as an H-module coalgebra on the other side; the dual of a module algebra."""
     dual_side = "left" if side == "right" else "right"
     astar = dualize_structure("algebra", a)
-    return _verified("module-coalgebra", dual_side, h, astar, dual_action_on_dual(action, a.dim, h.dim, side))
+    return DKIngredient("module-coalgebra", dual_side, h, astar, dual_action_on_dual(action, a.dim, h.dim, side))
 
 
 # (input kind, target) -> (constructor, input side it consumes, whether it takes that side)
@@ -367,8 +365,9 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
 
     direction names the target structure; the supported arrows are the
     keys of the dualization table, each consuming its canonical side.
-    Every constructor runs verify_dk_compat on its output and raises
-    CheckError on failure, so a returned ingredient is always verified.
+    The input is verified, the arrow builds, and the output is verified
+    once, here: a failure raises CheckError, and the report returned is
+    out.verify().
     """
     entry = _DUAL_ARROWS.get((kind, direction))
     if entry is None:
@@ -376,7 +375,8 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
     arrow, side, takes_side = entry
     report.require(verify_dk_compat(kind, h, x, m, side))
     out = arrow(h, x, m, side) if takes_side else arrow(h, x, m)
-    return out, report.ok(f"verify_dk_compat[{out.kind}]")
+    report.require(rep := out.verify())
+    return out, rep
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +387,11 @@ def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKS
     """(H*, C0, A*) with full duals, verified, plus the entwining coherence.
 
     C0 (here all of C*) becomes the comodule algebra and A* the module
-    coalgebra of the dual structure; the induced entwining must equal the
-    dual of the original entwining under the evaluation bases, and that
-    equality is part of the returned report.  A caller that has verified s
-    and built e = dk_entwining(s) passes e, and neither is done again.
+    coalgebra of the dual structure, verified once by verify_dk.  The
+    dual's DK psi is not verified itself: it must equal the verified psi
+    of dual_entwining(e), and that entwining-coherence row is part of the
+    returned report.  A caller that has verified s and built
+    e = dk_entwining(s) passes e, and neither is done again.
     """
     if e is None:
         report.require(verify_dk(s))
@@ -406,7 +407,7 @@ def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKS
     report.require(verify_dk(dual))
     coherence = report.compare(
         "dual_dk", "entwining-coherence",
-        dk_entwining(dual).psi, dual_entwining(e).dual.psi,
+        _dk_psi(dual), dual_entwining(e).dual.psi,
         (astar.structure.dim, c0.structure.dim))
     if coherence is not None:
         return dual, coherence

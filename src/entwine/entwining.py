@@ -67,20 +67,26 @@ def verify_entwining(e: EntwiningPresentation) -> Report:
     """A as an algebra, C as a coalgebra, then the four entwining laws on basis pairs.
 
     A failure of A or C is reported as algebra[axiom] or coalgebra[axiom];
-    the entwining laws check the interaction of psi with multiplication,
-    unit, comultiplication and counit.
+    the entwining laws (entwining_laws) check the interaction of psi with
+    multiplication, unit, comultiplication and counit.
     """
-    a, c, psi = e.algebra, e.coalgebra, e.psi
-
     def rows():
-        yield "algebra", verify_structure("algebra", a)
-        yield "coalgebra", verify_structure("coalgebra", c)
-        na, nc = a.dim, c.dim
-        yield ("psi-multiplicativity", ((nc, a.mul), psi), ((psi, na), (na, psi), (a.mul, nc)), (nc, na, na))
-        yield "psi-unitality", ((nc, a.unit), psi), (a.unit, nc), (nc,)
-        yield ("psi-comultiplicativity", (psi, (na, c.comul)), ((c.comul, na), (nc, psi), (psi, nc)), (nc, na))
-        yield "psi-counitality", (psi, (na, c.counit)), (c.counit, na), (nc, na)
+        yield "algebra", verify_structure("algebra", e.algebra)
+        yield "coalgebra", verify_structure("coalgebra", e.coalgebra)
+        yield from entwining_laws(e)
     return report.first_failure("verify_entwining", rows())
+
+
+def entwining_laws(e: EntwiningPresentation) -> list:
+    """The four psi laws of verify_entwining as (axiom, lhs, rhs, basis dims) rows, without A and C."""
+    a, c, psi = e.algebra, e.coalgebra, e.psi
+    na, nc = a.dim, c.dim
+    return [
+        ("psi-multiplicativity", ((nc, a.mul), psi), ((psi, na), (na, psi), (a.mul, nc)), (nc, na, na)),
+        ("psi-unitality", ((nc, a.unit), psi), (a.unit, nc), (nc,)),
+        ("psi-comultiplicativity", (psi, (na, c.comul)), ((c.comul, na), (nc, psi), (psi, nc)), (nc, na)),
+        ("psi-counitality", (psi, (na, c.counit)), (c.counit, na), (nc, na)),
+    ]
 
 
 def verify_entwining_morphism(e: EntwiningPresentation, f: EntwiningPresentation,

@@ -591,27 +591,39 @@ class TestCommands:
         assert code == 0
         assert "agrees" in text
 
-    def test_dk_verifies_each_triple_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("argv, counts", [
+        # the triple and its dual pass verify_dk once each; only the triple's psi goes through
+        # dk_entwining, since the coherence row ties the dual's psi to the verified dual entwining
+        (["dk", "dk_qc2", "--name", "dk_qc2"], (27, 91, 2, 1)),
+        (["dualize", "dk_qc2", "--name", "dk_qc2"], (26, 77, 2, 1)),
+        (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (5, 14, 0, 0)),
+        (["dualize", "sweedler4", "--name", "sweedler4"], (1, 12, 0, 0)),
+        (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (20, 38, 0, 0)),
+    ], ids=["dk", "dualize-dk", "dualize-entwining", "dualize-structure", "adjunction"])
+    def test_each_object_is_verified_once(self, tmp_path, monkeypatch, argv, counts):
         import entwine.cli
         import entwine.doikoppinen as dk
+        from entwine import report
 
-        path = write(tmp_path, "dk.ent", catalog_doc("dk_qc2"))
-        calls = {"verify_dk": 0, "dk_entwining": 0}
+        cmd, doc, *options = argv
+        path = write(tmp_path, "doc.ent", catalog_doc(doc))   # the catalog's own checks run before counting
+        calls = dict.fromkeys(("first_failure", "compare", "verify_dk", "dk_entwining"), 0)
 
         def counting(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("first_failure", "compare"):
+            monkeypatch.setattr(report, name, counting(name, getattr(report, name)))
+        for name in ("verify_dk", "dk_entwining"):
             wrapped = counting(name, getattr(dk, name))
             monkeypatch.setattr(dk, name, wrapped)
             monkeypatch.setattr(entwine.cli, name, wrapped)
-        code, text = run_command(["dk", path, "--name", "dk_qc2"])
+        code, text = run_command([cmd, path, *options])
         assert code == 0, text
-        # the triple and its dual, each verified once and each giving one entwining
-        assert calls == {"verify_dk": 2, "dk_entwining": 2}
+        assert calls == dict(zip(calls, counts))
 
     def test_cleft_cocleft(self, tmp_path):
         path = write(tmp_path, "ext.ent", catalog_doc("ext_qc2"))

@@ -44,6 +44,8 @@ from entwine.doikoppinen import (
 )
 from entwine.catalog import catalog_get, cyclic_group_algebra, long_dk, trivial_bialgebra
 
+from conftest import corrupt
+
 
 @pytest.fixture(scope="module")
 def qc2():
@@ -373,6 +375,47 @@ class TestDualizeIngredient:
             out, rep = dualize_dk_ingredient(kind, *inputs[kind, side], direction)
             assert rep.passed and rep == out.verify(), (kind, direction)
 
+    def test_a_bad_output_is_refused(self, qc2, monkeypatch):
+        import entwine.doikoppinen as dk
+
+        key = ("comodule-algebra", "module-algebra")
+        arrow, side, takes_side = dk._DUAL_ARROWS[key]
+        monkeypatch.setitem(dk._DUAL_ARROWS, key, (
+            lambda *args: replace(out := arrow(*args), matrix=corrupt(out.matrix, 1, 2)), side, takes_side))
+        with pytest.raises(CheckError) as exc:
+            dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")
+        assert exc.value.report.summary() == (
+            "verify_dk_compat[module-algebra]: FAIL structure[action-associativity] "
+            "at basis (1, 0, 0) lhs={1: 1} rhs={}")
+
+    def test_a_bad_inner_ingredient_is_refused(self, qc2, monkeypatch):
+        # module-coalgebra -> comodule-algebra takes the rational part of C*, so C* is checked first
+        import entwine.doikoppinen as dk
+
+        inner = dk.module_coalgebra_to_dual_module_algebra
+        monkeypatch.setattr(dk, "module_coalgebra_to_dual_module_algebra",
+                            lambda *args: replace(out := inner(*args), matrix=corrupt(out.matrix, 1, 2)))
+        with pytest.raises(CheckError) as exc:
+            dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
+        assert exc.value.report.summary() == (
+            "verify_dk_compat[module-algebra]: FAIL structure[action-associativity] "
+            "at basis (1, 1, 0) lhs={0: 2} rhs={0: 1}")
+
+    def test_the_report_returned_is_the_one_computed(self, qc2, monkeypatch):
+        import entwine.doikoppinen as dk
+
+        computed = []
+        real = dk.DKIngredient.verify
+
+        def verify(self):
+            computed.append(real(self))
+            return computed[-1]
+
+        monkeypatch.setattr(dk.DKIngredient, "verify", verify)
+        out, rep = dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
+        # the inner C* check, then the one check of the output
+        assert len(computed) == 2 and rep is computed[-1] and rep == out.verify()
+
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
             dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "nonsense")
@@ -415,6 +458,23 @@ class TestDualDK:
         lhs = dk_entwining(dual).psi
         rhs = dual_entwining(dk_entwining(dk_qc2)).dual.psi
         assert lhs == rhs
+
+    def test_coherence_row_ties_the_dual_psi_to_the_dual_entwining(self, tmp_path, monkeypatch):
+        # the dual's DK psi is not run through verify_entwining, so +1 on it must fail coherence
+        import entwine.doikoppinen as dk
+        from entwine.cli import run_command
+
+        build = dk._dk_psi
+        monkeypatch.setattr(dk, "_dk_psi", lambda s: corrupt(build(s), 1, 2) if s.h.labels[0].endswith("*")
+                            else build(s))
+        line = ("dual_dk: FAIL entwining-coherence at basis (0, 2) "
+                "lhs={1: 1, 7: 1, 8: 1} rhs={7: 1, 8: 1}")
+        _, rep = dual_dk(catalog_get("dk_sweedler4"))
+        assert rep.summary() == line
+        path = tmp_path / "dk4.ent"
+        path.write_text(run_command(["catalog", "dk_sweedler4"])[1])
+        code, text = run_command(["dk", str(path), "--name", "dk_sweedler4"])
+        assert code == 1 and text.splitlines()[-1] == f"dk_sweedler4_dual: {line}"
 
 
 class TestDKDualModules:
