@@ -38,11 +38,11 @@ from .doikoppinen import (
     DKStructure,
     HCoextension,
     HExtension,
+    _dualize_coextension,
+    _verified_dk_entwining,
     check_cointegral,
     check_integral,
-    dk_entwining,
     dual_dk,
-    dualize_coextension,
     koppinen_smash,
     verify_dk,
 )
@@ -227,7 +227,7 @@ def cmd_dk(args, out: _Out) -> None:
     out.report(args.name, rep)
     if not rep.passed:
         return
-    e = dk_entwining(s)
+    e = _verified_dk_entwining(s)
     koppinen_smash(s, e)
     out.note(f"{args.name}: twisted ring agrees with the entwining smash ring, table and unit")
     _, rep = dual_dk(s, e)
@@ -259,7 +259,7 @@ def cmd_cocleft(args, out: _Out) -> None:
     if not rep.passed:
         out.failed = True
         return
-    _, drep = dualize_coextension(coext)
+    _, drep = _dualize_coextension(coext, rep)
     out.report(f"{args.name}_dual", drep)
 
 

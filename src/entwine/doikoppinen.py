@@ -49,6 +49,7 @@ from .entwining import (
     EntwiningPresentation,
     SmashRing,
     build_smash,
+    entwining_laws,
     verify_entwined_module,
     verify_entwining,
 )
@@ -183,6 +184,13 @@ def dk_entwining(s: DKStructure) -> EntwiningPresentation:
     """psi(c (x) a) = sum a_0 (x) c.a_1; the result must pass verify_entwining, A and C included."""
     e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
     report.require(verify_entwining(e))
+    return e
+
+
+def _verified_dk_entwining(s: DKStructure) -> EntwiningPresentation:
+    """dk_entwining of a triple that has passed verify_dk: A and C are not checked again, only the psi laws."""
+    e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
+    report.require(report.first_failure("verify_entwining", entwining_laws(e)))
     return e
 
 
@@ -390,12 +398,13 @@ def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKS
     coalgebra of the dual structure, verified once by verify_dk.  The
     dual's DK psi is not verified itself: it must equal the verified psi
     of dual_entwining(e), and that entwining-coherence row is part of the
-    returned report.  A caller that has verified s and built
-    e = dk_entwining(s) passes e, and neither is done again.
+    returned report.  A caller that has verified s and built its
+    entwining e passes e, and neither is done again; otherwise s is
+    verified here, and e built from it with only its psi laws checked.
     """
     if e is None:
         report.require(verify_dk(s))
-        e = dk_entwining(s)
+        e = _verified_dk_entwining(s)
     hdual = dualize_structure(None, s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
@@ -623,6 +632,11 @@ def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
     checked to be a total integral whose convolution inverse transposes
     the inverse cointegral.
     """
+    return _dualize_coextension(coext, None)
+
+
+def _dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> tuple[HExtension, Report]:
+    """dualize_coextension, given check_cointegral's report on the cointegral when the caller has it, else None."""
     h = coext.h
     if h.kind != "hopf" or h.antipode is None:
         raise PresentationError("dualize_coextension needs a Hopf algebra")
@@ -645,7 +659,8 @@ def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
             return ext, rep.colinear
         if not rep.total:
             return ext, report.fail("dualize_coextension", "dual-integral-not-total")
-        inner = check_cointegral(coext, coext.cointegral)
+        if inner is None:
+            inner = check_cointegral(coext, coext.cointegral)
         if inner.cocleft:
             if not rep.cleft:
                 return ext, report.fail("dualize_coextension", "dual-integral-not-cleft")

@@ -14,10 +14,12 @@ column at a time, as a sparse row product (Gustavson): it pushes a basis
 vector through the factors, sums plain products without a Field call per
 term and returns each vector canonical (an index -> value dict, reduced,
 no zero values), so two vectors are equal exactly when their dicts are.
-A dense factor over F_p is pushed packed instead, each of its lines one
-int with a 64-bit slot per entry (Kronecker substitution), so a line read
-costs one big-int operation, not one Python step per entry; law_shape
-gives a side's shape without evaluating it.  A linear map V -> W with
+A factor over F_p whose lines are wide and nonzero enough is pushed
+packed instead, each of its lines one int with a 2-, 4- or 8-byte slot per
+entry (Kronecker substitution), so a line read costs one big-int
+operation, not one Python step per entry, and a packed vector is reduced
+mod p by byte tables; law_shape gives a side's shape without evaluating
+it.  A linear map V -> W with
 dim V = n, dim W = m is an m x n matrix acting on column vectors.
 Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
 that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
@@ -39,7 +41,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress
 from math import isqrt, prod
 
@@ -182,11 +184,12 @@ class Matrix:
     are.  Row dicts are shared between matrices and never written after the
     matrix that made them is built.  `data` is a read-only row-major tuple of
     every entry, for readers outside the package, and columns_of gives the
-    column dicts; each is laid out on first read and kept, as are the
-    packed lines law_vectors reads of a dense matrix over F_p.
+    column dicts; each is laid out on first read and kept, as is what
+    law_vectors derives from the matrix (_kernel_data): whether it packs,
+    and its packed lines.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_packed")
+    __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_kernel")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
         """The matrix with the given row-major entries, zeros included."""
@@ -194,7 +197,7 @@ class Matrix:
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
         is_zero = field.is_zero
-        self.field, self.rows, self.cols, self._data, self._cols, self._packed = field, rows, cols, None, None, None
+        self.field, self.rows, self.cols, self._data, self._cols, self._kernel = field, rows, cols, None, None, None
         self._rows = tuple({j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if not is_zero(x)}
                            for i in range(rows))
 
@@ -203,7 +206,7 @@ class Matrix:
         """The matrix whose rows are the given dicts: nonzero values only, never written again."""
         m = object.__new__(cls)
         m.field, m.rows, m.cols, m._rows = field, rows, cols, tuple(entries)
-        m._data, m._cols, m._packed = None, None, None
+        m._data, m._cols, m._kernel = None, None, None
         return m
 
     @classmethod
@@ -701,18 +704,27 @@ def law_vectors(side, by_rows: bool):
     so each vector comes back canonical (an index -> value dict, no zero
     values): two vectors are equal exactly when their dicts are.
 
-    A factor over F_p that is at least half nonzero, whose lines (the rows
-    or columns read) have at least 16 entries, and for which
-    len(lines) * (p - 1)**2 < 2**64, is read as a packed stage (Kronecker
-    substitution) unless a term reads it first, one line per vector: each
-    line is one int with a 64-bit slot per entry, reduced mod p (an
-    unreduced entry such as -1 is stored as p - 1), and pushing a key adds
-    c * line into one int per output block, c the key's coefficient reduced
-    mod p (a sign -1 becomes p - 1).  A block sums at most len(lines)
-    products of two residues, each at most (p - 1)**2, so no slot carries
-    into the next; each block is unpacked once into a dense list, whose
-    zeros the next stage skips.  Every other factor, and every law over Q,
-    is pushed sparsely, one dict update per product.
+    A factor over F_p is read as a packed stage (Kronecker substitution),
+    unless a term reads it first, when its lines (the rows or columns read)
+    pay for it: they have at least 16 entries, at least one in 8 of them
+    nonzero and at least 8 nonzeros each on average, and the block bound
+    len(lines) * (p - 1)**2 is below 2**64.  Each line is then one int with
+    one slot per entry, the narrowest of 2, 4 or 8 bytes that holds the
+    block bound, entries reduced mod p (-1 is stored as p - 1); pushing a
+    key adds c * line into one int per output block, c the key's
+    coefficient reduced mod p, so a block sums at most len(lines) products
+    below (p - 1)**2 and no slot carries into the next.  The blocks are
+    joined into one int with one slot per output index.  The packed last
+    stages of a side's terms are added as ints, in slots that hold the sum
+    of their block bounds; a term's last stage packs only while that sum
+    stays below 2**64.  A packed sum is reduced mod p slot by slot with
+    byte tables: byte j of a B-byte slot maps to its value times 256**j mod
+    p, and the B images of a slot are summed in a single byte, which holds
+    them while B * (p - 1) < 256; a wider slot or a larger prime is
+    reduced one slot at a time instead.  An intermediate packed stage hands
+    its nonzero residues to the next stage; the sparse terms are added
+    after the reduction.  Every other factor, and every law over Q, is
+    pushed sparsely, one dict update per product.
     """
     terms = _terms(side)
     _shape(terms)
@@ -721,84 +733,191 @@ def law_vectors(side, by_rows: bool):
 
 def _vectors(terms, by_rows: bool):
     """law_vectors on a side already split into terms of one shape and field."""
-    p, terms = _stages(terms, by_rows)
+    p, pushes, size = _stages(terms, by_rows)
 
-    def vector(i: int) -> dict:
+    if size is None:     # no last stage packs: every term lands in one sparse sum
+        def vector(i: int) -> dict:
+            acc: dict = {}
+            for sign, stages, last in pushes:
+                v = {i: sign}
+                for push in stages:
+                    v = push(v, {})
+                last(v, acc)
+            if p is None:
+                return {t: s for t, s in acc.items() if s}
+            return {t: r for t, s in acc.items() if (r := s % p)}
+
+        return vector
+
+    x, k, _ = terms[0][1][0] if by_rows else terms[0][1][-1]
+    n = (x.cols if by_rows else x.rows) * k    # the length of a vector
+
+    def packed_vector(i: int) -> dict:
         acc: dict = {}
-        dense = None   # the sum of the terms whose last stage packs
-        for sign, stages, last in terms:
+        total = 0          # the sum of the terms whose last stage packs, in slots of `size` bytes
+        for sign, stages, last in pushes:
             v = {i: sign}
             for push in stages:
                 v = push(v, {})
-                if type(v) is list:   # a packed stage's values: the next stage reads its nonzeros
-                    v = dict(compress(enumerate(v), v))
-            out = last(v, acc)        # every sparse term lands in one sum
+            out = last(v, acc)
             if out is not acc:
-                dense = out if dense is None else list(map(operator.add, dense, out))
-        if p is None:
-            return {t: s for t, s in acc.items() if s}
-        if dense is None:
-            return {t: r for t, s in acc.items() if (r := s % p)}
+                total += out
+        res = _residues(total, n, size, p)
         for t, s in acc.items():
-            dense[t] += s
-        return {t: r for t, s in compress(enumerate(dense), dense) if (r := s % p)}
+            res[t] = (res[t] + s) % p
+        if res.count(0) == len(res):
+            return {}
+        return dict(compress(enumerate(res), res))
 
-    return vector
+    return packed_vector
 
 
-def _stages(terms, by_rows: bool) -> tuple[int | None, list]:
-    """p and the terms of law_vectors: (sign, push of every stage but the last, push of the last) each."""
+def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None]:
+    """p, the terms of law_vectors and the slot bytes their packed last stages share, None when none packs.
+
+    Each term is (sign, push of every stage but the last, push of the last).
+    """
     p = terms[0][1][0][0].field.p
-    out = []
+    out, lasts, bound = [], [], 0
     for sign, factors in terms:
-        stages = []
-        for x, k, x_first in (reversed(factors) if by_rows else factors):
-            lines = x._rows if by_rows else columns_of(x)
-            d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-            if stages and _packs(x, by_rows):   # the first stage reads one line per vector: nothing to pack
-                if x._packed is None:
-                    x._packed = {}
-                if by_rows not in x._packed:
-                    x._packed[by_rows] = _pack(lines, d_out, p)
-                # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
-                div = k if x_first else d_in
-                stages.append(partial(_push_packed, x._packed[by_rows], div, x_first, d_out, k, p))
-            elif k == 1:    # key q: line q of X
-                stages.append(partial(_push_plain, lines))
-            elif x_first:   # key q * k + r: line q of X, its indices t moved to t * k + r
-                lines = [{t * k: w for t, w in line.items()} for line in lines]
-                stages.append(partial(_push, lines, k, True, 0))
-            else:           # key q * d_in + r: line r of X, in block q of the output
-                stages.append(partial(_push, lines, d_in, False, d_out))
-        out.append((sign, stages[:-1], stages[-1]))
-    return p, out
+        stages, last = [], len(factors) - 1
+        for n, (x, k, x_first) in enumerate(reversed(factors) if by_rows else factors):
+            # the first stage reads one line per vector: nothing to pack
+            if not n or p is None or not _packs(x, by_rows):
+                stages.append(_sparse_stage(x, k, x_first, by_rows))
+            elif n < last:
+                stages.append(_packed_stage(x, k, x_first, by_rows, None))
+            elif bound + _block_bound(x, by_rows) < 2**64:   # the packed last stages add up in shared slots
+                bound += _block_bound(x, by_rows)
+                lasts.append((len(out), x, k, x_first))
+                stages.append(None)   # made below, once the shared slots are known
+            else:
+                stages.append(_sparse_stage(x, k, x_first, by_rows))
+        out.append([sign, stages[:-1], stages[-1]])
+    if not lasts:
+        return p, out, None
+    size = _slot_bytes(bound)
+    for t, x, k, x_first in lasts:
+        out[t][2] = _packed_stage(x, k, x_first, by_rows, size)
+    return p, out, size
 
 
-# a packed line holds one entry per 64-bit slot of an array('Q'), read in native byte order
+def _sparse_stage(x: Matrix, k: int, x_first: bool, by_rows: bool):
+    """The push of one factor, one dict update per product."""
+    lines = x._rows if by_rows else columns_of(x)
+    if k == 1:      # key q: line q of X
+        return partial(_push_plain, lines)
+    if x_first:     # key q * k + r: line q of X, its indices t moved to t * k + r
+        return partial(_push, [{t * k: w for t, w in line.items()} for line in lines], k, True, 0)
+    d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+    return partial(_push, lines, d_in, False, d_out)   # key q * d_in + r: line r of X, in block q of the output
+
+
+def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | None):
+    """The push of one packed factor: a last stage's, unreduced in slots of size bytes; else (size None) reduced.
+
+    An intermediate stage's slots are the narrowest that hold its own block bound.
+    """
+    kept = _kernel_data(x)
+    key = ("push", by_rows, k, x_first, size)
+    if key not in kept:
+        d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+        slot = size or _slot_bytes(_block_bound(x, by_rows))
+        packed = ("packed", by_rows, slot)
+        if packed not in kept:
+            kept[packed] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
+        # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
+        kept[key] = partial(_push_packed, kept[packed], k if x_first else d_in, x_first, d_out, k, slot, x.field.p,
+                            size is None)
+    return kept[key]
+
+
+# the array codes of the packed slots by their width in bytes, narrowest first: at least 2, 4 and 8
+_SLOT_CODES = {array(code).itemsize: code for code in "QIH"}
+_SLOT_SIZES = sorted(_SLOT_CODES)
+# array slots are read and written in native byte order; packed ints are little-endian
 _BIG_ENDIAN = sys.byteorder == "big"
-_SLOT_BYTES = array("Q").itemsize
+
+
+def _kernel_data(x: Matrix) -> dict:
+    """What law_vectors derives from x once and keeps: its packing decisions, packed lines and packed pushes.
+
+    The shifted lines of a sparse pair (X, k) are made again on every read:
+    kept, they outlived the laws that read them and cost more in garbage
+    collection than they saved.
+    """
+    if x._kernel is None:
+        x._kernel = {}
+    return x._kernel
 
 
 def _packs(x: Matrix, by_rows: bool) -> bool:
-    """Whether law_vectors reads x, by rows or by columns, as a packed stage; nonzeros are counted on those lines."""
+    """Whether x, read by rows or by columns after a term's first stage, pays for packing (law_vectors).
+
+    Its lines have 16 entries or more, the block bound fits 64 bits, and x
+    has at least one nonzero in 8 entries and 8 nonzeros a line; the count
+    of nonzeros is made once per matrix and side.
+    """
     p = x.field.p
-    if p is None or _SLOT_BYTES != 8:
+    width, count = x.cols if by_rows else x.rows, x.rows if by_rows else x.cols
+    if p is None or width < 16 or count * (p - 1) ** 2 >= 2**64:
         return False
-    lines, width = (x._rows, x.cols) if by_rows else (columns_of(x), x.rows)
-    return width >= 16 and len(lines) * (p - 1) ** 2 < 2**64 and 2 * sum(map(len, lines)) >= width * len(lines)
+    kept = _kernel_data(x)
+    key = ("packs", by_rows)
+    if key not in kept:
+        nonzeros = sum(map(len, x._rows))
+        kept[key] = 8 * nonzeros >= width * count and nonzeros >= 8 * count
+    return kept[key]
 
 
-def _pack(lines, width: int, p: int) -> list[int]:
-    """Each line as one int, entry t reduced mod p in bits [64 t, 64 t + 64)."""
+def _block_bound(x: Matrix, by_rows: bool) -> int:
+    """A bound on every slot of a packed push through x: one product below (p - 1)**2 per line."""
+    return (x.rows if by_rows else x.cols) * (x.field.p - 1) ** 2
+
+
+def _slot_bytes(bound: int) -> int:
+    """The narrowest slot width, in bytes, that holds every value up to bound."""
+    return next(size for size in _SLOT_SIZES if bound < 256**size)
+
+
+def _pack(lines, width: int, size: int, p: int) -> list[int]:
+    """Each line as one int, entry t reduced mod p in bytes [size t, size t + size)."""
     out = []
     for line in lines:
-        slots = array("Q", bytes(8 * width))
+        slots = array(_SLOT_CODES[size], bytes(size * width))
         for t, w in line.items():
             slots[t] = w % p
         if _BIG_ENDIAN:
             slots.byteswap()
         out.append(int.from_bytes(slots, "little"))
     return out
+
+
+@cache
+def _byte_tables(p: int, size: int) -> tuple[tuple[bytes, ...], bytes] | None:
+    """The tables that reduce slots of size bytes mod p: byte j to its value times 256**j mod p, then a byte mod p.
+
+    None when the size images of a slot could sum past a byte.
+    """
+    if size * (p - 1) >= 256:
+        return None
+    return (tuple(bytes(b * pow(256, j, p) % p for b in range(256)) for j in range(size)),
+            bytes(b % p for b in range(256)))
+
+
+def _residues(total: int, n: int, size: int, p: int):
+    """The n slots of size bytes of total, each reduced mod p: a bytearray by byte tables, else a list."""
+    data = total.to_bytes(n * size, "little")
+    tables = _byte_tables(p, size)
+    if tables is None:
+        slots = array(_SLOT_CODES[size], data)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return [s % p for s in slots]
+    spread, fold = tables
+    # the images of one slot's bytes sum below 256, so the ints add bytewise, with no carry
+    folded = sum(int.from_bytes(data[j::size].translate(table), "little") for j, table in enumerate(spread))
+    return bytearray(folded.to_bytes(n, "little")).translate(fold)
 
 
 def _push_plain(lines, v: dict, acc: dict) -> dict:
@@ -822,8 +941,12 @@ def _push(lines, div: int, x_first: bool, d_out: int, v: dict, acc: dict) -> dic
     return acc
 
 
-def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: int, p: int, v: dict, _acc) -> list:
-    """The sparse vector v through one packed factor, as a new dense list of unreduced values below 2**64."""
+def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: int, size: int, p: int,
+                 reduce: bool, v: dict, _acc):
+    """The sparse vector v through one packed factor: one int, a slot of size bytes per output index, unreduced.
+
+    When reduce, its nonzero residues instead, as the sparse vector the next stage reads.
+    """
     sums = [0] * blocks
     for key, c in v.items():
         if c := c % p:
@@ -832,14 +955,22 @@ def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: 
                 sums[r] += c * lines[q]
             else:
                 sums[q] += c * lines[r]
-    out = [0] * (width * blocks)
-    for b, s in enumerate(sums):
-        if s:
-            slots = array("Q", s.to_bytes(8 * width, "little"))
-            if _BIG_ENDIAN:
-                slots.byteswap()
-            out[slice(b, None, blocks) if x_first else slice(b * width, (b + 1) * width)] = slots
-    return out
+    if blocks == 1:
+        total = sums[0]
+    elif x_first:   # block r holds the output indices t * blocks + r: interleave its slots
+        code = _SLOT_CODES[size]
+        joined = bytearray(size * width * blocks)
+        slots = memoryview(joined).cast(code)
+        for r, s in enumerate(sums):
+            if s:
+                slots[r::blocks] = memoryview(s.to_bytes(size * width, "little")).cast(code)
+        total = int.from_bytes(joined, "little")
+    else:           # block q holds the output indices q * width + t
+        total = int.from_bytes(b"".join(s.to_bytes(size * width, "little") for s in sums), "little")
+    if not reduce:
+        return total
+    res = _residues(total, width * blocks, size, p)
+    return dict(compress(enumerate(res), res))
 
 
 def sparse_render(vec: dict, field: Field) -> str:

@@ -86,12 +86,23 @@ def packed_stages(lhs, rhs) -> list:
 
     compare reads lhs - rhs by rows when it has more columns than rows, last
     factor first, and by columns otherwise, first factor first; a term's
-    first stage never packs.
+    first stage never packs, and a term's packed last stage is added to the
+    others in shared slots, so it packs only while the block bounds
+    len(lines) * (p - 1)**2 of the packed last stages so far sum below 2**64.
     """
     _, rows, cols = law_shape(lhs)
     by_rows = cols > rows
-    return [f for _, factors in _terms([(1, lhs), (-1, rhs)])
-            for f in (factors[-2::-1] if by_rows else factors[1:]) if _packs(f[0], by_rows)]
+    out, bound = [], 0
+    for _, factors in _terms([(1, lhs), (-1, rhs)]):
+        read = factors[::-1] if by_rows else factors
+        out += [f for f in read[1:-1] if _packs(f[0], by_rows)]
+        x = read[-1][0]
+        if len(read) > 1 and _packs(x, by_rows):
+            block = (x.rows if by_rows else x.cols) * (x.field.p - 1) ** 2
+            if bound + block < 2**64:
+                bound += block
+                out.append(read[-1])
+    return out
 
 
 def unimodular(field: Field, n: int, rng: random.Random) -> Matrix:

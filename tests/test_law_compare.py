@@ -8,9 +8,13 @@ lhs=/rhs= text on sides drawn by derandomized Hypothesis strategies: wide,
 tall and square, over Q and F_p, with pairs (X, k) and (k, X), signed terms
 that cancel, columns that are zero on one side only, and laws on no basis
 inputs (col_dims ()); and dense sides over F_p whose lines reach the
-packing floor, so that the kernel reads them as packed stages, mixed with
-sparse stages, with unreduced entries, and over p = 2**31 - 1, where the
-64-bit slot bound keeps dense factors sparse.
+packing floor, or stop one nonzero short of it, so that the kernel reads
+them as packed stages, mixed with sparse stages, with unreduced entries.
+The primes put the packed slots on both sides of their edges: p = 127
+packs 4 lines in 16-bit slots that byte tables reduce and 5 lines in
+32-bit slots reduced one slot at a time; p = 131 is past the byte tables
+in any slot; p = 2**31 - 1 packs at most 4 lines, in 64-bit slots, and
+the last stages of two such terms overflow a shared slot.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from entwine import report  # noqa: E402
-from entwine.exactlin import Field, Matrix, QQ, _push_packed, _stages, _terms, law_shape  # noqa: E402
+from entwine import exactlin  # noqa: E402
+from entwine.exactlin import Field, Matrix, QQ, _packs, _push_packed, _stages, _terms, law_shape  # noqa: E402
 from conftest import compare_reference as reference, layout, packed_stages  # noqa: E402
 
 FIELDS = (QQ, Field(5), Field(7))
@@ -130,28 +135,47 @@ def test_the_strategy_reaches_every_case():
 
 
 BIG = Field(2**31 - 1)
-DENSE_FIELDS = (Field(2), Field(5), Field(7), BIG)
+DENSE_FIELDS = (Field(2), Field(5), Field(7), Field(127), Field(131), BIG)
+
+
+def floor(count: int, width: int) -> int:
+    """The fewest nonzeros on count lines of width entries that pack: 8 a line and one entry in 8."""
+    return max(8 * count, -(-width * count // 8))
+
+
+def pays(x: Matrix, by_rows: bool) -> bool:
+    """The packing rule, stated apart from exactlin: wide lines, one in 8 nonzero, 8 a line, a 64-bit block bound."""
+    p = x.field.p
+    count, width = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+    nonzeros = sum(1 for v in x.data if v % p)
+    return width >= 16 and count * (p - 1) ** 2 < 2**64 and nonzeros >= floor(count, width)
 
 
 @st.composite
-def dense_or_sparse(draw, field: Field, rows: int, cols: int) -> Matrix:
-    """Mostly dense, about seven entries in eight nonzero and some unreduced (-1, p + 1); else about one in five."""
+def dense_or_sparse(draw, field: Field, rows: int, cols: int, by_rows: bool) -> Matrix:
+    """Mostly dense, about seven entries in eight nonzero and some unreduced (-1, p + 1); else about one in five;
+    else the packing floor of the lines read by_rows, or one nonzero less."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = field.p
-    if draw(st.integers(0, 3)) == 0:
+    kind = draw(st.sampled_from(("dense", "dense", "sparse", "floor", "below the floor")))
+    if kind == "sparse":
         return Matrix(field, rows, cols, [rng.randrange(1, p) if rng.random() < 0.2 else 0
                                           for _ in range(rows * cols)])
+    if kind != "dense":
+        count, width = (rows, cols) if by_rows else (cols, rows)
+        at = set(rng.sample(range(rows * cols), min(rows * cols, floor(count, width) - (kind != "floor"))))
+        return Matrix(field, rows, cols, [rng.randrange(1, p) if t in at else 0 for t in range(rows * cols)])
     return Matrix(field, rows, cols, [rng.choice((0, -1, p + 1, *(rng.randrange(1, p) for _ in range(5))))
                                       for _ in range(rows * cols)])
 
 
 @st.composite
-def chains(draw, field: Field, dims):
+def chains(draw, field: Field, dims, by_rows: bool):
     """Factors along dims[0] -> ... -> dims[-1]: Matrices, and pairs (X, k) or (k, X) with k dividing both ends."""
     factors = []
     for d_in, d_out in zip(dims, dims[1:]):
         k = draw(st.sampled_from([k for k in (1, 2) if d_in % k == 0 and d_out % k == 0]))
-        x = draw(dense_or_sparse(field, d_out // k, d_in // k))
+        x = draw(dense_or_sparse(field, d_out // k, d_in // k, by_rows))
         factors.append(draw(st.sampled_from((x, (x, k), (k, x)) if k == 1 else ((x, k), (k, x)))))
     return tuple(factors)
 
@@ -161,17 +185,17 @@ def dense_laws(draw):
     """(lhs, rhs, col_dims) over F_p with lines of 16 entries or more in the direction compare reads."""
     field = draw(st.sampled_from(DENSE_FIELDS))
     shape = draw(st.sampled_from(("wide", "tall", "square")))
-    small, big = st.integers(1, 4), st.sampled_from((16, 18, 32))
+    small, big = st.integers(1, 5), st.sampled_from((16, 18, 32, 72))
     if shape == "wide":
         rows, cols = draw(small), draw(big)
     elif shape == "tall":
         rows, cols = draw(big), draw(small)
     else:
-        rows = cols = draw(big)
+        rows = cols = draw(st.sampled_from((16, 18, 32)))
 
     def side():
-        inner = draw(st.lists(st.sampled_from((2, 4, 16, 32)), min_size=1, max_size=2))
-        return draw(chains(field, [cols, *inner, rows]))
+        inner = draw(st.lists(st.sampled_from((2, 4, 5, 16, 32)), min_size=1, max_size=2))
+        return draw(chains(field, [cols, *inner, rows], cols > rows))
 
     lhs, other = side(), side()
     kind = draw(st.sampled_from(("cancelling", "another", "bumped")))
@@ -193,8 +217,8 @@ def dense_laws(draw):
 def packed_count(lhs, rhs) -> int:
     """How many stages the kernel itself packs when compare reads lhs - rhs."""
     _, rows, cols = law_shape(lhs)
-    _, terms = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
-    return sum(push.func is _push_packed for _, stages, last in terms for push in (*stages, last))
+    _, pushes, _ = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
+    return sum(push.func is _push_packed for _, stages, last in pushes for push in (*stages, last))
 
 
 @SETTINGS
@@ -203,6 +227,10 @@ def test_compare_agrees_with_the_laid_out_reference_on_dense_sides(law):
     lhs, rhs, col_dims = law
     assert packed_count(lhs, rhs) == len(packed_stages(lhs, rhs))
     assert report.compare("op", "law", lhs, rhs, col_dims) == reference("op", "law", lhs, rhs, col_dims)
+
+
+def slot_bytes(bound: int) -> int:
+    return next(size for size in (2, 4, 8) if bound < 256**size)
 
 
 def test_the_dense_strategy_packs():
@@ -217,30 +245,117 @@ def test_the_dense_strategy_packs():
         packed = packed_stages(lhs, rhs)
         _, rows, cols = law_shape(lhs)
         by_rows = cols > rows
+        p = law_shape(lhs)[0].p
         drawn += 1
         packing += bool(packed)
+        bad = reference("op", "law", lhs, rhs, col_dims)
         for x, k, x_first in packed:
             seen.add(("packed", "(X, k)" if x_first else "(k, X)"))
-            if any(not isinstance(v, int) or not 0 <= v < x.field.p for v in x.data):
+            if any(not isinstance(v, int) or not 0 <= v < p for v in x.data):
                 seen.add("unreduced entries packed")
         if packed:
-            bad = reference("op", "law", lhs, rhs, col_dims)
             seen.add(("packed", "passes" if bad is None else "fails"))
             if bad is None and any(isinstance(s, list) and len(s) == 3 for s in (lhs, rhs)):
                 seen.add("cancelling terms packed")
+        last_bound, last_kinds = 0, set()
         for _, factors in _terms([(1, lhs), (-1, rhs)]):
-            read = factors[-2::-1] if by_rows else factors[1:]
-            flags = [f in packed for f in read]
-            if any(flags) and not all(flags):
+            read = factors[::-1] if by_rows else factors
+            packs = [n > 0 and pays(x, by_rows) for n, (x, _, _) in enumerate(read)]
+            for n, (x, _, _) in enumerate(read):
+                assert _packs(x, by_rows) == pays(x, by_rows)
+                count, width = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+                nonzeros = sum(1 for v in x.data if v % p)
+                if n and width >= 16 and count * (p - 1) ** 2 < 2**64 and nonzeros in (floor(count, width) - 1,
+                                                                                      floor(count, width)):
+                    seen.add("at the floor" if packs[n] else "below the floor")
+                if packs[n] and n < len(read) - 1:   # an intermediate stage, in slots of its own bound
+                    seen.add((p, slot_bytes(count * (p - 1) ** 2)))
+            if packs[-1]:   # packed last stages share slots that hold the sum of their block bounds
+                x = read[-1][0]
+                block = (x.rows if by_rows else x.cols) * (p - 1) ** 2
+                packs[-1] = last_bound + block < 2**64
+                last_bound += packs[-1] * block
+                if not packs[-1]:
+                    seen.add("a full shared slot keeps a last stage sparse")
+            if len(read) > 1:
+                last_kinds.add("packed" if packs[-1] else "sparse")
+            if any(packs[1:]) and not all(packs[1:]):
                 seen.add("packed and sparse stages in one term")
-            for x, k, x_first in read:
-                dense = 2 * sum(1 for v in x.data if v % x.field.p) >= x.rows * x.cols
-                if x.field == BIG and dense and (x.cols if by_rows else x.rows) >= 16 and (x, k, x_first) not in packed:
-                    seen.add("the slot bound keeps a dense factor sparse")
+        if last_bound:
+            seen.add((p, slot_bytes(last_bound)))
+            if last_kinds == {"packed", "sparse"}:
+                seen.add(("packed and sparse last stages in one law", "passes" if bad is None else "fails"))
 
     collect()
     assert 5 * packing >= 2 * drawn, (packing, drawn)
-    assert {("packed", "(X, k)"), ("packed", "(k, X)"), ("packed", "passes"), ("packed", "fails"),
+    want = {("packed", "(X, k)"), ("packed", "(k, X)"), ("packed", "passes"), ("packed", "fails"),
             "unreduced entries packed", "cancelling terms packed", "packed and sparse stages in one term",
-            "the slot bound keeps a dense factor sparse"} <= seen, seen
+            "at the floor", "below the floor",
+            (127, 2), (127, 4), (131, 2), (BIG.p, 8), "a full shared slot keeps a last stage sparse",
+            ("packed and sparse last stages in one law", "passes"),
+            ("packed and sparse last stages in one law", "fails")}
+    assert want <= seen, want - seen
 
+
+@pytest.mark.parametrize("by_rows", (True, False), ids=("rows", "columns"))
+@pytest.mark.parametrize("width", (16, 72))   # 8 nonzeros a line bind at 16, one entry in 8 at 72
+@pytest.mark.parametrize("short", (0, 1), ids=("at the floor", "one nonzero below"))
+def test_the_packing_floor(by_rows, width, short):
+    """A factor read after a term's first stage packs at the floor and not one nonzero below it."""
+    f, rng = Field(7), random.Random(width)
+    count = 4
+    rows, cols = (count, width) if by_rows else (width, count)
+    at = set(rng.sample(range(rows * cols), floor(count, width) - short))
+    x = Matrix(f, rows, cols, [rng.randrange(1, 7) if t in at else 0 for t in range(rows * cols)])
+    y = Matrix(f, 2, count, [rng.randrange(7) for _ in range(2 * count)]) if by_rows else \
+        Matrix(f, count, 2, [rng.randrange(7) for _ in range(2 * count)])
+    lhs = (x, y) if by_rows else (y, x)   # compare reads y first, then x
+    bump = Matrix.from_entries(f, *law_shape(lhs)[1:], [(1, 1, 1)])
+    rhs = [(1, lhs), (1, bump)]
+    assert _packs(x, by_rows) is not bool(short) and pays(x, by_rows) is not bool(short)
+    assert packed_stages(lhs, rhs) == ([] if short else [(x, 1, True)] * 2)   # in lhs and in rhs
+    assert report.compare("op", "law", lhs, rhs) == reference("op", "law", lhs, rhs, None)
+
+
+def test_the_byte_tables_stop_at_their_bound():
+    """p = 127 reduces 16-bit slots by byte tables, 2 * 126 < 256, and 32-bit slots one slot at a time."""
+    assert exactlin._byte_tables(127, 2) is not None
+    assert exactlin._byte_tables(127, 4) is None and exactlin._byte_tables(131, 2) is None
+    for p, size in ((127, 2), (2, 8), (7, 8), (127, 4), (131, 2), (BIG.p, 8)):
+        rng = random.Random(p)
+        values = [0, 1, p - 1, p, 256**size - 1, *(rng.randrange(256**size) for _ in range(20))]
+        total = sum(v << (8 * size * t) for t, v in enumerate(values))
+        assert list(exactlin._residues(total, len(values), size, p)) == [v % p for v in values]
+
+
+def test_a_second_compare_builds_no_new_lines(monkeypatch):
+    """The packing decisions and the packed lines of a matrix are made once, not once per compare."""
+    f = Field(7)
+    rng = random.Random(3)
+    dense, other = (Matrix(f, 16, 16, [rng.randrange(1, 7) for _ in range(256)]) for _ in range(2))
+    # read by columns: (dense, 4) is a term's first stage, read sparsely; then (4, other) and (dense, 4) pack
+    lhs = ((dense, 4), (4, other), (dense, 4))
+    rhs = [(1, lhs), (1, Matrix.from_entries(f, 64, 64, [(0, 0, 1)]))]
+    lines = []
+    real = exactlin._stages
+
+    def stages(terms, by_rows):
+        p, pushes, size = real(terms, by_rows)
+        lines.append([push.args[0] for _, stages, last in pushes for push in (*stages, last)
+                      if push.func is _push_packed])
+        return p, pushes, size
+
+    monkeypatch.setattr(exactlin, "_stages", stages)
+    first = report.compare("op", "law", lhs, rhs)
+    assert first is not None and len(packed_stages(lhs, rhs)) == 4
+    kept = {id(x): dict(x._kernel) for x in (dense, other)}
+
+    def fails(*args):
+        raise AssertionError("packed again")
+
+    monkeypatch.setattr(exactlin, "_pack", fails)
+    assert report.compare("op", "law", lhs, rhs) == first
+    assert len(lines) == 6 and len(lines[0]) == len(lines[3]) == 4
+    assert all(a is b for a, b in zip(lines[0], lines[3]))   # the same packed lines are read
+    for x in (dense, other):   # nothing was decided or made again
+        assert x._kernel.keys() == kept[id(x)].keys() and all(x._kernel[k] is v for k, v in kept[id(x)].items())
