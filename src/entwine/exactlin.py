@@ -819,17 +819,13 @@ def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | N
     An intermediate stage's slots are the narrowest that hold its own block bound.
     """
     kept = _kernel_data(x)
-    key = ("push", by_rows, k, x_first, size)
+    d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
+    slot = size or _slot_bytes(_block_bound(x, by_rows))
+    key = ("packed", by_rows, slot)
     if key not in kept:
-        d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-        slot = size or _slot_bytes(_block_bound(x, by_rows))
-        packed = ("packed", by_rows, slot)
-        if packed not in kept:
-            kept[packed] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
-        # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
-        kept[key] = partial(_push_packed, kept[packed], k if x_first else d_in, x_first, d_out, k, slot, x.field.p,
-                            size is None)
-    return kept[key]
+        kept[key] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
+    # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
+    return partial(_push_packed, kept[key], k if x_first else d_in, x_first, d_out, k, slot, x.field.p, size is None)
 
 
 # the array codes of the packed slots by their width in bytes, narrowest first: at least 2, 4 and 8
@@ -840,7 +836,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _kernel_data(x: Matrix) -> dict:
-    """What law_vectors derives from x once and keeps: its packing decisions, packed lines and packed pushes.
+    """What law_vectors derives from x once and keeps: its packing decisions and packed lines.
 
     The shifted lines of a sparse pair (X, k) are made again on every read:
     kept, they outlived the laws that read them and cost more in garbage

@@ -268,6 +268,8 @@ def test_the_dense_strategy_packs():
                 if n and width >= 16 and count * (p - 1) ** 2 < 2**64 and nonzeros in (floor(count, width) - 1,
                                                                                       floor(count, width)):
                     seen.add("at the floor" if packs[n] else "below the floor")
+                if n and width >= 16 and nonzeros >= floor(count, width) and count * (p - 1) ** 2 >= 2**64:
+                    seen.add("the block bound keeps a paying factor sparse")
                 if packs[n] and n < len(read) - 1:   # an intermediate stage, in slots of its own bound
                     seen.add((p, slot_bytes(count * (p - 1) ** 2)))
             if packs[-1]:   # packed last stages share slots that hold the sum of their block bounds
@@ -290,7 +292,7 @@ def test_the_dense_strategy_packs():
     assert 5 * packing >= 2 * drawn, (packing, drawn)
     want = {("packed", "(X, k)"), ("packed", "(k, X)"), ("packed", "passes"), ("packed", "fails"),
             "unreduced entries packed", "cancelling terms packed", "packed and sparse stages in one term",
-            "at the floor", "below the floor",
+            "at the floor", "below the floor", "the block bound keeps a paying factor sparse",
             (127, 2), (127, 4), (131, 2), (BIG.p, 8), "a full shared slot keeps a last stage sparse",
             ("packed and sparse last stages in one law", "passes"),
             ("packed and sparse last stages in one law", "fails")}
@@ -328,8 +330,11 @@ def test_the_byte_tables_stop_at_their_bound():
         assert list(exactlin._residues(total, len(values), size, p)) == [v % p for v in values]
 
 
-def test_a_second_compare_builds_no_new_lines(monkeypatch):
-    """The packing decisions and the packed lines of a matrix are made once, not once per compare."""
+def test_a_second_compare_packs_nothing_again(monkeypatch):
+    """The packing decisions and the packed lines of a matrix are made once, not once per compare.
+
+    The shifted lines of a sparse pair (X, k) are made on every compare (_kernel_data).
+    """
     f = Field(7)
     rng = random.Random(3)
     dense, other = (Matrix(f, 16, 16, [rng.randrange(1, 7) for _ in range(256)]) for _ in range(2))
