@@ -119,7 +119,7 @@ def long_dk(a: StructurePresentation, c: StructurePresentation) -> DKStructure:
 
 
 def regular_hopf_module(h: StructurePresentation) -> EntwinedModulePresentation:
-    """H over its own Hopf-module entwining: multiplication action, comul coaction."""
+    """H, a verified bialgebra, over its own Hopf-module entwining: multiplication action, comul coaction."""
     e = dk_entwining(hopf_module_dk(h))
     return EntwinedModulePresentation(e, h.dim, h.mul, h.comul)
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .exactlin import PresentationError
-from .report import CheckError, Report, ok
+from .report import CheckError, Report, ok, require
 from .structures import (
     ModulePresentation,
     PairingPresentation,
@@ -38,11 +38,11 @@ from .doikoppinen import (
     DKStructure,
     HCoextension,
     HExtension,
-    _dualize_coextension,
-    _verified_dk_entwining,
     check_cointegral,
     check_integral,
+    dk_entwining,
     dual_dk,
+    dualize_coextension,
     koppinen_smash,
     verify_dk,
 )
@@ -101,16 +101,14 @@ def _check_object(out: _Out, name: str, obj) -> None:
         out.note(f"{name}: extension verified at parse time; coinvariants dim {obj.coinv.dim}")
         if obj.integral is not None:
             rep = check_integral(obj, obj.integral)
-            out.note(f"{name}: integral colinear={rep.colinear.passed} total={rep.total} cleft={rep.cleft}")
+            out.note(f"{name}: integral {rep.summary()}")
             if not rep.passed:
                 out.failed = True
     elif isinstance(obj, HCoextension):
         out.note(f"{name}: coextension verified at parse time; quotient dim {obj.quotient.dim}")
         if obj.cointegral is not None:
             rep = check_cointegral(obj, obj.cointegral)
-            twist = rep.twist.passed if rep.twist is not None else None
-            out.note(f"{name}: cointegral linear={rep.linear.passed} total={rep.total} "
-                     f"cocleft={rep.cocleft} inverse_twist={twist}")
+            out.note(f"{name}: cointegral {rep.summary()}")
             if not rep.passed:
                 out.failed = True
     else:
@@ -142,7 +140,8 @@ def cmd_dualize(args, out: _Out) -> None:
             f"{name}_dual": datum.dual,
         })
     elif isinstance(obj, DKStructure):
-        dual, rep = dual_dk(obj)
+        require(verify_dk(obj))
+        dual, rep = dual_dk(obj, dk_entwining(obj))
         out.report(name, rep)
         emitted = document_from_objects(doc.field, {f"{name}_dual": dual})
     else:
@@ -227,7 +226,7 @@ def cmd_dk(args, out: _Out) -> None:
     out.report(args.name, rep)
     if not rep.passed:
         return
-    e = _verified_dk_entwining(s)
+    e = dk_entwining(s)
     koppinen_smash(s, e)
     out.note(f"{args.name}: twisted ring agrees with the entwining smash ring, table and unit")
     _, rep = dual_dk(s, e)
@@ -241,7 +240,7 @@ def cmd_cleft(args, out: _Out) -> None:
     if gamma is None:
         raise PresentationError(f"{args.name!r} carries no integral")
     rep = check_integral(ext, gamma)
-    out.note(f"{args.name}: colinear={rep.colinear.passed} total={rep.total} cleft={rep.cleft}")
+    out.note(f"{args.name}: {rep.summary()}")
     if not rep.passed:
         out.failed = True
 
@@ -253,13 +252,11 @@ def cmd_cocleft(args, out: _Out) -> None:
     if omega is None:
         raise PresentationError(f"{args.name!r} carries no cointegral")
     rep = check_cointegral(coext, omega)
-    twist = rep.twist.passed if rep.twist is not None else None
-    out.note(f"{args.name}: linear={rep.linear.passed} total={rep.total} "
-             f"cocleft={rep.cocleft} inverse_twist={twist}")
+    out.note(f"{args.name}: {rep.summary()}")
     if not rep.passed:
         out.failed = True
         return
-    _, drep = _dualize_coextension(coext, rep)
+    _, drep = dualize_coextension(coext, rep)
     out.report(f"{args.name}_dual", drep)
 
 

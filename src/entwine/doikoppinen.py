@@ -6,7 +6,9 @@ psi(c (x) a) = sum a_0 (x) c.a_1 and Koppinen's twisted ring on Hom(C, A).
 Dualizing every ingredient against the dual bialgebra yields a dual
 structure whose entwining agrees with the dual of the original entwining;
 module coalgebras also quotient to coextensions, whose duals are cleft
-extensions when a convolution-invertible cointegral exists.
+extensions when a convolution-invertible cointegral exists.  verify_dk
+judges a triple; a construction takes a verified one and reads only the
+laws of what it builds.
 """
 
 from __future__ import annotations
@@ -50,8 +52,6 @@ from .entwining import (
     SmashRing,
     build_smash,
     entwining_laws,
-    verify_entwined_module,
-    verify_entwining,
 )
 from .duality import DualDatum, DualModule, dual_entwining, dual_module_r, dual_module_upper_r
 
@@ -181,14 +181,11 @@ class AltDKStructure:
 
 
 def dk_entwining(s: DKStructure) -> EntwiningPresentation:
-    """psi(c (x) a) = sum a_0 (x) c.a_1; the result must pass verify_entwining, A and C included."""
-    e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
-    report.require(verify_entwining(e))
-    return e
+    """psi(c (x) a) = sum a_0 (x) c.a_1 of a triple that has passed verify_dk.
 
-
-def _verified_dk_entwining(s: DKStructure) -> EntwiningPresentation:
-    """dk_entwining of a triple that has passed verify_dk: A and C are not checked again, only the psi laws."""
+    A and C are not checked again: only the four psi laws (entwining_laws)
+    are read, reported under the op verify_entwining.
+    """
     e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
     report.require(report.first_failure("verify_entwining", entwining_laws(e)))
     return e
@@ -204,7 +201,7 @@ def _dk_psi(s: DKStructure) -> Matrix:
 
 
 def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
-    """psi(c (x) a) = sum a.c_1 (x) c_0 for the alternative structures."""
+    """psi(c (x) a) = sum a.c_1 (x) c_0 for the alternative structures: s.verify(), then the psi laws alone."""
     report.require(s.verify())
     f = s.h.field
     na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
@@ -212,7 +209,7 @@ def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
         @ perm_tensor(f, (nc, nh, na), (2, 1, 0)) \
         @ kron(s.coalg_coaction, Matrix.identity(f, na))
     e = EntwiningPresentation(s.alg, s.coalg, psi)
-    report.require(verify_entwining(e))
+    report.require(report.first_failure("verify_entwining", entwining_laws(e)))
     return e
 
 
@@ -232,15 +229,15 @@ def koppinen_table(s: DKStructure) -> Matrix:
     return permute(out, (na, na, na, nc, nc, nc), (0, 5, 2, 4, 1, 3), 2)
 
 
-def koppinen_smash(s: DKStructure, e: EntwiningPresentation | None = None) -> SmashRing:
+def koppinen_smash(s: DKStructure, e: EntwiningPresentation) -> SmashRing:
     """Koppinen's ring built directly, checked against the entwining smash.
 
-    The full multiplication table (koppinen_table) and the unit must agree
-    entry by entry with the smash ring of the induced entwining,
-    e = dk_entwining(s) unless the caller has built it.
+    s is a verified triple and e = dk_entwining(s).  The full
+    multiplication table (koppinen_table) and the unit must agree entry by
+    entry with the smash ring of e.
     """
     n = s.alg.dim * s.coalg.dim
-    via_entwining = build_smash(dk_entwining(s) if e is None else e)
+    via_entwining = build_smash(e)
     bad = report.compare("koppinen_smash", "table-equality", koppinen_table(s), via_entwining.mul, (n, n))
     if bad is not None:
         raise report.CheckError(bad)
@@ -368,14 +365,13 @@ _DUAL_ARROWS = {
 
 
 def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePresentation,
-                          m: Matrix, direction: str) -> tuple[DKIngredient, Report]:
-    """Dualize one (co)module (co)algebra, with the passing report of its output.
+                          m: Matrix, direction: str) -> DKIngredient:
+    """Dualize one (co)module (co)algebra.
 
     direction names the target structure; the supported arrows are the
     keys of the dualization table, each consuming its canonical side.
     The input is verified, the arrow builds, and the output is verified
-    once, here: a failure raises CheckError, and the report returned is
-    out.verify().
+    once, here: a failure raises CheckError.
     """
     entry = _DUAL_ARROWS.get((kind, direction))
     if entry is None:
@@ -383,28 +379,23 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
     arrow, side, takes_side = entry
     report.require(verify_dk_compat(kind, h, x, m, side))
     out = arrow(h, x, m, side) if takes_side else arrow(h, x, m)
-    report.require(rep := out.verify())
-    return out, rep
+    report.require(out.verify())
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the dual Doi-Koppinen structure
 
 
-def dual_dk(s: DKStructure, e: EntwiningPresentation | None = None) -> tuple[DKStructure, Report]:
+def dual_dk(s: DKStructure, e: EntwiningPresentation) -> tuple[DKStructure, Report]:
     """(H*, C0, A*) with full duals, verified, plus the entwining coherence.
 
-    C0 (here all of C*) becomes the comodule algebra and A* the module
-    coalgebra of the dual structure, verified once by verify_dk.  The
-    dual's DK psi is not verified itself: it must equal the verified psi
-    of dual_entwining(e), and that entwining-coherence row is part of the
-    returned report.  A caller that has verified s and built its
-    entwining e passes e, and neither is done again; otherwise s is
-    verified here, and e built from it with only its psi laws checked.
+    s is a verified triple and e = dk_entwining(s).  C0 (here all of C*)
+    becomes the comodule algebra and A* the module coalgebra of the dual
+    structure, verified once by verify_dk.  The dual's DK psi is not
+    verified itself: it must equal the verified psi of dual_entwining(e),
+    and that entwining-coherence row is part of the returned report.
     """
-    if e is None:
-        report.require(verify_dk(s))
-        e = _verified_dk_entwining(s)
     hdual = dualize_structure(None, s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
@@ -430,21 +421,18 @@ def dual_alt_dk(s: AltDKStructure):
         "alternative structure, so no dualization is attempted")
 
 
-def dk_dual_module(s: DKStructure, m: EntwinedModulePresentation,
-                   direction: str = "to_dual") -> tuple[DualModule, Report]:
-    """M -> Rat(M*) over the dual structure, or back; delegates to the dual layer."""
+def dk_dual_module(s: DKStructure, m: EntwinedModulePresentation, direction: str = "to_dual") -> DualModule:
+    """M -> Rat(M*) over the dual structure of a verified triple, or back; the dual layer verifies the result."""
     datum = dual_entwining(dk_entwining(s))
     if direction == "to_dual":
-        out = dual_module_r(datum, m)
-    elif direction == "from_dual":
-        out = dual_module_upper_r(datum, m)
-    else:
-        raise PresentationError(f"unknown direction {direction!r}")
-    rep = verify_entwined_module(out.module.entwining, out.module)
-    return out, rep
+        return dual_module_r(datum, m)
+    if direction == "from_dual":
+        return dual_module_upper_r(datum, m)
+    raise PresentationError(f"unknown direction {direction!r}")
 
 
 def dk_adjunction_datum(s: DKStructure) -> DualDatum:
+    """The dual entwining of a verified triple."""
     return dual_entwining(dk_entwining(s))
 
 
@@ -494,6 +482,9 @@ class IntegralReport:
     @property
     def passed(self) -> bool:
         return self.colinear.passed and self.total and self.cleft
+
+    def summary(self) -> str:
+        return f"colinear={self.colinear.passed} total={self.total} cleft={self.cleft}"
 
 
 def check_integral(ext: HExtension, gamma: Matrix) -> IntegralReport:
@@ -599,6 +590,10 @@ class CointegralReport:
         return self.linear.passed and self.total and self.cocleft \
             and (self.twist is None or self.twist.passed)
 
+    def summary(self) -> str:
+        twist = self.twist.passed if self.twist is not None else None
+        return f"linear={self.linear.passed} total={self.total} cocleft={self.cocleft} inverse_twist={twist}"
+
 
 def check_cointegral(coext: HCoextension, omega: Matrix) -> CointegralReport:
     """H-linearity, totality and convolution invertibility of omega : D -> H.
@@ -623,20 +618,16 @@ def check_cointegral(coext: HCoextension, omega: Matrix) -> CointegralReport:
     return CointegralReport(linear, total, cocleft, inv, twist)
 
 
-def dualize_coextension(coext: HCoextension) -> tuple[HExtension, Report]:
+def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> tuple[HExtension, Report]:
     """The dual of a coextension: D* over H* with coinvariants the quotient dual.
 
-    Needs a Hopf algebra with bijective antipode.  The coinvariants of
-    the dual comodule algebra must equal the image of the projection's
-    transpose; when a cocleft cointegral is present its transpose is
-    checked to be a total integral whose convolution inverse transposes
-    the inverse cointegral.
+    inner is check_cointegral(coext, coext.cointegral), None exactly when
+    coext carries no cointegral.  Needs a Hopf algebra with bijective
+    antipode.  The coinvariants of the dual comodule algebra must equal the
+    image of the projection's transpose; when a cocleft cointegral is
+    present its transpose is checked to be a total integral whose
+    convolution inverse transposes the inverse cointegral.
     """
-    return _dualize_coextension(coext, None)
-
-
-def _dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> tuple[HExtension, Report]:
-    """dualize_coextension, given check_cointegral's report on the cointegral when the caller has it, else None."""
     h = coext.h
     if h.kind != "hopf" or h.antipode is None:
         raise PresentationError("dualize_coextension needs a Hopf algebra")
@@ -659,8 +650,6 @@ def _dualize_coextension(coext: HCoextension, inner: CointegralReport | None) ->
             return ext, rep.colinear
         if not rep.total:
             return ext, report.fail("dualize_coextension", "dual-integral-not-total")
-        if inner is None:
-            inner = check_cointegral(coext, coext.cointegral)
         if inner.cocleft:
             if not rep.cleft:
                 return ext, report.fail("dualize_coextension", "dual-integral-not-cleft")
@@ -705,24 +694,26 @@ def long_dimodule_check(a: StructurePresentation, c: StructurePresentation,
 
 def verify_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
                        gamma: Matrix, delta: Matrix) -> Report:
-    """Component morphisms plus the mixed compatibility on basis pairs."""
+    """Component morphisms of verified triples, then the mixed compatibility of their psis on basis pairs."""
     def rows():
         yield "beta", bialgebra_morphism_report(s.h, t.h, beta)
         yield "gamma", algebra_morphism_report(s.alg, t.alg, gamma)
         yield "delta", coalgebra_morphism_report(s.coalg, t.coalg, delta)
-        yield ("mixed-compatibility", (dk_entwining(s).psi, (s.alg.dim, delta), (gamma, t.coalg.dim)),
-               ((s.coalg.dim, gamma), (delta, t.alg.dim), dk_entwining(t).psi), (s.coalg.dim, s.alg.dim))
+        yield ("mixed-compatibility", (_dk_psi(s), (s.alg.dim, delta), (gamma, t.coalg.dim)),
+               ((s.coalg.dim, gamma), (delta, t.alg.dim), _dk_psi(t)), (s.coalg.dim, s.alg.dim))
     return report.first_failure("verify_dk_morphism", rows())
 
 
 def dual_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
                      gamma: Matrix, delta: Matrix) -> Report:
-    """The transposed triple as a morphism between the dual structures."""
+    """The transposed triple as a morphism between the dual structures; s and t are verified here."""
+    for x in (s, t):
+        report.require(verify_dk(x))
     rep = verify_dk_morphism(s, t, beta, gamma, delta)
     if not rep.passed:
         return rep
-    dual_s, rep_s = dual_dk(s)
-    dual_t, rep_t = dual_dk(t)
+    dual_s, rep_s = dual_dk(s, dk_entwining(s))
+    dual_t, rep_t = dual_dk(t, dk_entwining(t))
     for r in (rep_s, rep_t):
         if not r.passed:
             return r

@@ -32,7 +32,6 @@ from .structures import (
     make_structure,
     module_from_coaction,
     rational_submodule,
-    require_alpha,
     verify_measuring_pairing,
     verify_structure,
 )
@@ -186,13 +185,13 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
     M* carries the left A-action (a.h)(m) = h(m a) and the right action of
     the dual algebra through the coaction of M; the rational part over the
     (A, C~) pairing picks up the dual-coalgebra coaction, and the result
-    is verified over (A~, C~, phi).
+    is verified over (A~, C~, phi).  rational_submodule checks the rank
+    criterion on that pairing and raises AlphaConditionError.
     """
     e = d.source
     if m.entwining != e:
         raise PresentationError("module does not live over the source entwining")
     pairing = d.pairing_a_ctil()
-    require_alpha(pairing, "(A, C~) pairing")
     na, nc = e.algebra.dim, e.coalgebra.dim
     lact = dual_action_on_dual(m.action, m.dim, na, "right")
     cstar_on_m = coaction_to_dual_action(m.coaction, m.dim, nc, "right")
@@ -207,12 +206,11 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
 
 
 def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModule:
-    """The mirror functor, from modules over the dual data back to (A, C, psi)."""
+    """The mirror functor, from modules over the dual data back to (A, C, psi), along the (A~, C) pairing."""
     e = d.source
     if k.entwining != d.dual:
         raise PresentationError("module does not live over the dual entwining")
     pairing = d.pairing_atil_c()
-    require_alpha(pairing, "(A~, C) pairing")
     na = e.algebra.dim
     katil = d.atil.dim
     lact = dual_action_on_dual(k.action, k.dim, katil, "right")
@@ -236,7 +234,8 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
 
     M is verified over d.source and K over d.dual first, and a failure is
     reported as module[...] or dual-module[...]; K defaults to M_r, built
-    from M, and then K^r is also the double dual of M_r.  Hom(M, K^r) and
+    from M, and then K^r is also the double dual of M_r, as M_r is the
+    double dual of K whenever K^r is M.  Hom(M, K^r) and
     Hom(K, M_r) are computed as joint kernels; the maps f -> f* . lambda_K
     and g -> g* . lambda_M are applied to every basis element, checked to
     land in the opposite Hom space, and composed both ways back to the
@@ -257,9 +256,9 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
                            dim_hom_m_kr=len(hom_mkr), dim_hom_k_mr=len(hom_kmr))
     lam_m = mr.basis   # lambda_M : M -> (M_r)*, evaluation
     lam_k = kr.basis
-    # evaluation lands in the double duals, and (M_r)^r is K^r when K is M_r
+    # evaluation lands in the double duals; (M_r)^r is K^r when K is M_r, and (K^r)_r is M_r when K^r is M
     mrr = kr if k is mr.module else dual_module_upper_r(d, mr.module)
-    krr = dual_module_r(d, kr.module)
+    krr = mr if kr.module == m else dual_module_r(d, kr.module)
     for name, rr, lam in (("lambda_M", mrr, lam_m), ("lambda_K", krr, lam_k)):
         _, bad = express(rr.basis, lam)
         if bad is not None:

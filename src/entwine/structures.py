@@ -702,15 +702,14 @@ def check_adjoint_pair(p: PairingPresentation, q: PairingPresentation,
     bad = report.compare("check_adjoint_pair", "adjointness", (q.matrix, xi.transpose()), (theta, p.matrix), None)
     if bad is not None:
         return bad
-    xi_alg = algebra_morphism_report(a, b, xi).passed
-    theta_coalg = coalgebra_morphism_report(d, c, theta).passed
-    details = {"xi_algebra_morphism": xi_alg, "theta_coalgebra_morphism": theta_coalg}
-    if xi_alg and rank(p.matrix) == c.dim and not theta_coalg:
-        inner = coalgebra_morphism_report(d, c, theta)
-        return report.fail("check_adjoint_pair", f"theta-not-coalgebra-morphism[{inner.axiom}]",
-                           witness=inner.witness, lhs=inner.lhs, rhs=inner.rhs, **details)
-    if theta_coalg and rank(q.matrix.transpose()) == b.dim and not xi_alg:
-        inner = algebra_morphism_report(a, b, xi)
-        return report.fail("check_adjoint_pair", f"xi-not-algebra-morphism[{inner.axiom}]",
-                           witness=inner.witness, lhs=inner.lhs, rhs=inner.rhs, **details)
-    return report.ok("check_adjoint_pair", **details)
+    xi_alg = algebra_morphism_report(a, b, xi)
+    theta_coalg = coalgebra_morphism_report(d, c, theta)
+    details = {"xi_algebra_morphism": xi_alg.passed, "theta_coalgebra_morphism": theta_coalg.passed}
+    if xi_alg.passed and rank(p.matrix) == c.dim and not theta_coalg.passed:
+        name, inner = "theta-not-coalgebra-morphism", theta_coalg
+    elif theta_coalg.passed and rank(q.matrix.transpose()) == b.dim and not xi_alg.passed:
+        name, inner = "xi-not-algebra-morphism", xi_alg
+    else:
+        return report.ok("check_adjoint_pair", **details)
+    return report.fail("check_adjoint_pair", f"{name}[{inner.axiom}]",
+                       witness=inner.witness, lhs=inner.lhs, rhs=inner.rhs, **details)

@@ -140,7 +140,7 @@ def test_criterion_06_adjunction():
 def test_criterion_07_koppinen_coherence():
     ok = True
     for name, s in _dk_triples():
-        smash = koppinen_smash(s)  # asserts table equality internally
+        smash = koppinen_smash(s, dk_entwining(s))  # asserts table equality internally
         ok = ok and smash.dim == s.alg.dim * s.coalg.dim
     _report("7 Koppinen ring equals the entwining smash ring", ok)
 
@@ -148,7 +148,7 @@ def test_criterion_07_koppinen_coherence():
 def test_criterion_08_dual_dk_coherence():
     ok = True
     for name, s in _dk_triples():
-        dual, rep = dual_dk(s)
+        dual, rep = dual_dk(s, dk_entwining(s))
         ok = ok and rep.passed and rep.detail("entwining_coherence") == "True"
         lhs = dk_entwining(dual).psi
         rhs = dual_entwining(dk_entwining(s)).dual.psi
@@ -248,7 +248,7 @@ def test_criterion_12_cleft_cocleft_duality():
         rep = check_cointegral(coext, h.identity_matrix())
         ok = ok and rep.linear.passed and rep.total and rep.cocleft
         ok = ok and rep.twist is not None and rep.twist.passed
-        ext, dual_rep = dualize_coextension(coext)
+        ext, dual_rep = dualize_coextension(coext, check_cointegral(coext, coext.cointegral))
         ok = ok and dual_rep.passed
         ok = ok and dual_rep.detail("coinvariants_equal_quotient_dual") == "True"
         ok = ok and dual_rep.detail("cleft") == "True"

@@ -282,6 +282,21 @@ class TestAltDK:
             with pytest.raises(CheckError):
                 alt_dk_entwining(bad)
 
+    def test_a_and_c_are_verified_once(self, monkeypatch):
+        """alt_dk_entwining checks A and C inside s.verify(), then reads only the psi laws."""
+        import entwine.doikoppinen as dk
+        import entwine.entwining as entwining
+
+        alt = catalog_get("alt_qc2")
+        checked = []
+        for module in (dk, entwining):
+            def counting(kind, pres, real=module.verify_structure):
+                checked.append(kind)
+                return real(kind, pres)
+            monkeypatch.setattr(module, "verify_structure", counting)
+        alt_dk_entwining(alt)
+        assert checked.count("algebra") == checked.count("coalgebra") == 1
+
     def test_compatibility_failure_names_it(self, qc2):
         # qc2 acting on itself by right multiplication is a module but not a module algebra
         bad = replace(catalog_get("alt_qc2"), alg=qc2, alg_action=qc2.mul)
@@ -306,7 +321,7 @@ class TestAltDK:
 class TestKoppinen:
     def test_trivial_h_is_opposite_convolution(self, qc2):
         s = long_dk(qc2, qc2)
-        smash = koppinen_smash(s)
+        smash = koppinen_smash(s, dk_entwining(s))
         flip_smash = build_smash(flip_entwining(qc2, qc2))
         assert smash.mul == flip_smash.mul
 
@@ -314,30 +329,30 @@ class TestKoppinen:
                                       "dk_f5c5", "dk_long_f5c5"])
     def test_tables_agree(self, name):
         s = catalog_get(name)
-        smash = koppinen_smash(s)  # raises if the tables differ
+        smash = koppinen_smash(s, dk_entwining(s))  # raises if the tables differ
         assert smash.dim == s.alg.dim * s.coalg.dim
 
 
 class TestDualizeIngredient:
     def test_regular_coaction_to_module_algebra(self, qc2, h4):
         for h in (qc2, h4):
-            out, rep = dualize_dk_ingredient("comodule-algebra", h, h, h.comul, "module-algebra")
-            assert rep.passed
+            out = dualize_dk_ingredient("comodule-algebra", h, h, h.comul, "module-algebra")
+            assert out.verify().passed
             assert out.side == "left" and out.kind == "module-algebra"
 
     def test_module_coalgebra_to_comodule_algebra(self, qc2, h4):
         # C = H with the regular action; C0 = H* with everything rational
         for h in (qc2, h4):
-            out, rep = dualize_dk_ingredient("module-coalgebra", h, h, h.mul, "comodule-algebra")
-            assert rep.passed
+            out = dualize_dk_ingredient("module-coalgebra", h, h, h.mul, "comodule-algebra")
+            assert out.verify().passed
             assert out.subspace is not None and out.subspace.dim == h.dim
 
     def test_trivial_h_dualizations_identity(self):
         triv = trivial_bialgebra()
         a = catalog_get("qc2")
         coact = Matrix.identity(QQ, 2)
-        out, rep = dualize_dk_ingredient("comodule-algebra", triv, a, coact, "module-algebra")
-        assert rep.passed
+        out = dualize_dk_ingredient("comodule-algebra", triv, a, coact, "module-algebra")
+        assert out.verify().passed
         # the induced action of the one-dimensional dual is trivial
         assert out.matrix == Matrix.identity(QQ, 2)
 
@@ -346,23 +361,21 @@ class TestDualizeIngredient:
 
         for h in (qc2, h4):
             dual, action = translation_module_algebra(h)
-            out, rep = dualize_dk_ingredient("module-algebra", h, dual, action, "dual-module")
-            assert rep.passed
+            out = dualize_dk_ingredient("module-algebra", h, dual, action, "dual-module")
+            assert out.verify().passed
 
     def test_comodule_coalgebra_cases(self):
         alt = catalog_get("alt_qc2")
-        out, rep = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg,
-                                         alt.coalg_coaction, "module-coalgebra")
-        assert rep.passed
-        out, rep = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg,
-                                         alt.coalg_coaction, "dual-module-algebra")
-        assert rep.passed
+        out = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg, alt.coalg_coaction, "module-coalgebra")
+        assert out.verify().passed
+        out = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg, alt.coalg_coaction, "dual-module-algebra")
+        assert out.verify().passed
 
-    def test_every_arrow_returns_its_output_report(self, qc2):
+    def test_every_arrow_returns_a_verified_output(self, qc2):
         from entwine.catalog import translation_module_algebra
         from entwine.doikoppinen import _DUAL_ARROWS
 
-        left = dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")[0]
+        left = dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")
         alt = catalog_get("alt_qc2")
         inputs = {
             ("comodule-algebra", "right"): (qc2, qc2, qc2.comul),
@@ -372,8 +385,8 @@ class TestDualizeIngredient:
             ("comodule-coalgebra", "right"): (alt.h, alt.coalg, alt.coalg_coaction),
         }
         for (kind, direction), (_, side, _) in _DUAL_ARROWS.items():
-            out, rep = dualize_dk_ingredient(kind, *inputs[kind, side], direction)
-            assert rep.passed and rep == out.verify(), (kind, direction)
+            out = dualize_dk_ingredient(kind, *inputs[kind, side], direction)
+            assert out.verify().passed, (kind, direction)
 
     def test_a_bad_output_is_refused(self, qc2, monkeypatch):
         import entwine.doikoppinen as dk
@@ -401,7 +414,7 @@ class TestDualizeIngredient:
             "verify_dk_compat[module-algebra]: FAIL structure[action-associativity] "
             "at basis (1, 1, 0) lhs={0: 2} rhs={0: 1}")
 
-    def test_the_report_returned_is_the_one_computed(self, qc2, monkeypatch):
+    def test_the_inner_ingredient_and_the_output_are_verified_once_each(self, qc2, monkeypatch):
         import entwine.doikoppinen as dk
 
         computed = []
@@ -412,9 +425,9 @@ class TestDualizeIngredient:
             return computed[-1]
 
         monkeypatch.setattr(dk.DKIngredient, "verify", verify)
-        out, rep = dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
+        out = dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
         # the inner C* check, then the one check of the output
-        assert len(computed) == 2 and rep is computed[-1] and rep == out.verify()
+        assert len(computed) == 2 and all(rep.passed for rep in computed) and computed[-1] == real(out)
 
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
@@ -434,7 +447,7 @@ class TestDualizeIngredient:
 class TestDualDK:
     def test_long_dimodule_dual(self, qc2):
         s = long_dk(qc2, qc2)
-        dual, rep = dual_dk(s)
+        dual, rep = dual_dk(s, dk_entwining(s))
         assert rep.passed
         assert dual.h.dim == 1
         cstar = dualize_structure("coalgebra", qc2)
@@ -448,13 +461,13 @@ class TestDualDK:
     @pytest.mark.parametrize("name", ["dk_qc2", "dk_qc3", "dk_sweedler4", "dk_f5c5"])
     def test_hopf_module_duals(self, name):
         s = catalog_get(name)
-        dual, rep = dual_dk(s)
+        dual, rep = dual_dk(s, dk_entwining(s))
         assert rep.passed
         assert verify_dk(dual).passed
         assert rep.detail("entwining_coherence") == "True"
 
     def test_coherence_with_paragraph_two(self, dk_qc2):
-        dual, _ = dual_dk(dk_qc2)
+        dual, _ = dual_dk(dk_qc2, dk_entwining(dk_qc2))
         lhs = dk_entwining(dual).psi
         rhs = dual_entwining(dk_entwining(dk_qc2)).dual.psi
         assert lhs == rhs
@@ -469,7 +482,8 @@ class TestDualDK:
                             else build(s))
         line = ("dual_dk: FAIL entwining-coherence at basis (0, 2) "
                 "lhs={1: 1, 7: 1, 8: 1} rhs={7: 1, 8: 1}")
-        _, rep = dual_dk(catalog_get("dk_sweedler4"))
+        s = catalog_get("dk_sweedler4")
+        _, rep = dual_dk(s, dk_entwining(s))
         assert rep.summary() == line
         path = tmp_path / "dk4.ent"
         path.write_text(run_command(["catalog", "dk_sweedler4"])[1])
@@ -480,23 +494,23 @@ class TestDualDK:
 class TestDKDualModules:
     def test_hopf_module_to_dual(self, dk_qc2):
         m = catalog_get("hopfmod_qc2")
-        out, rep = dk_dual_module(dk_qc2, m, "to_dual")
-        assert rep.passed
+        out = dk_dual_module(dk_qc2, m, "to_dual")
+        assert verify_entwined_module(out.module.entwining, out.module).passed
         assert out.dim == 2
 
     def test_zero_module(self, dk_qc2):
         e = dk_entwining(dk_qc2)
         z = EntwinedModulePresentation(e, 0, Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 0, []))
-        out, rep = dk_dual_module(dk_qc2, z, "to_dual")
-        assert rep.passed and out.dim == 0
+        out = dk_dual_module(dk_qc2, z, "to_dual")
+        assert verify_entwined_module(out.module.entwining, out.module).passed and out.dim == 0
 
     def test_long_dimodule_roundtrip(self, qc2):
         s = long_dk(qc2, qc2)
         m = catalog_get("longmod_qc2")
-        out, rep = dk_dual_module(s, m, "to_dual")
-        assert rep.passed
-        back, rep2 = dk_dual_module(s, out.module, "from_dual")
-        assert rep2.passed and back.dim == m.dim
+        out = dk_dual_module(s, m, "to_dual")
+        assert verify_entwined_module(out.module.entwining, out.module).passed
+        back = dk_dual_module(s, out.module, "from_dual")
+        assert verify_entwined_module(back.module.entwining, back.module).passed and back.dim == m.dim
 
     def test_adjunction_through_dk(self, dk_qc2):
         from entwine.doikoppinen import dk_adjunction_datum
@@ -607,7 +621,7 @@ class TestDualizeCoextension:
     @pytest.mark.parametrize("name", ["coext_qc2", "coext_sweedler4"])
     def test_full_pipeline(self, name):
         coext = catalog_get(name)
-        ext, rep = dualize_coextension(coext)
+        ext, rep = dualize_coextension(coext, check_cointegral(coext, coext.cointegral))
         assert rep.passed
         assert rep.detail("coinvariants_equal_quotient_dual") == "True"
         assert rep.detail("cleft") == "True"
@@ -616,8 +630,8 @@ class TestDualizeCoextension:
 
     def test_inverse_transposes(self):
         coext = catalog_get("coext_qc2")
-        ext, rep = dualize_coextension(coext)
         inner = check_cointegral(coext, coext.cointegral)
+        ext, rep = dualize_coextension(coext, inner)
         outer = check_integral(ext, ext.integral)
         assert outer.inverse == inner.inverse.transpose()
 
@@ -627,7 +641,7 @@ class TestDualizeCoextension:
                               antipode=Matrix.identity(QQ, 1))
         coext = coextension_quotient(triv, qc2, Matrix.identity(QQ, 2),
                                      cointegral=qc2.counit)
-        ext, rep = dualize_coextension(coext)
+        ext, rep = dualize_coextension(coext, check_cointegral(coext, coext.cointegral))
         assert rep.passed
         assert ext.coinv.dim == 2  # trivial coaction: everything coinvariant
 
@@ -635,14 +649,14 @@ class TestDualizeCoextension:
         m2 = catalog_get("monoid2")
         coext = coextension_quotient(m2, m2, m2.mul)
         with pytest.raises(PresentationError):
-            dualize_coextension(coext)
+            dualize_coextension(coext, None)
 
     def test_cocleft_implies_cleft_over_catalog(self):
         for name in ("coext_qc2", "coext_sweedler4"):
             coext = catalog_get(name)
             inner = check_cointegral(coext, coext.cointegral)
             if inner.cocleft:
-                ext, rep = dualize_coextension(coext)
+                ext, rep = dualize_coextension(coext, inner)
                 outer = check_integral(ext, ext.integral)
                 assert outer.cleft
 

@@ -25,7 +25,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
@@ -34,6 +34,9 @@ from conftest import compare_reference as reference, layout, packed_stages  # no
 
 FIELDS = (QQ, Field(5), Field(7))
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+# derandomize seeds a test's draws from a digest of its source, so the collecting functions of the two reach
+# tests get fixed seeds: an edit to such a function must not change which cases it sees
+STRATEGY_SEED, DENSE_SEED = 4, 5
 
 
 @st.composite
@@ -112,6 +115,7 @@ def test_the_strategy_reaches_every_case():
     """Wide, tall and square sides fail and pass over Q and F_p, and some fail on a column zero on one side."""
     seen = set()
 
+    @seed(STRATEGY_SEED)
     @SETTINGS
     @given(laws())
     def collect(law):
@@ -237,6 +241,7 @@ def test_the_dense_strategy_packs():
     """Enough drawn cases pack, and they pack every way the kernel can: the test cannot go vacuous."""
     seen, packing, drawn = set(), 0, 0
 
+    @seed(DENSE_SEED)
     @SETTINGS
     @given(dense_laws())
     def collect(law):

@@ -39,7 +39,7 @@ from conftest import corrupt
 class TestNoLayout:
     """With Matrix.__matmul__ and Matrix.kron raising, every law verifier still passes on every catalog object.
 
-    verify_dk_morphism is left out: it builds each psi with dk_entwining, a
+    verify_dk_morphism is left out: it builds each psi with _dk_psi, a
     construction and not a law.
     """
 
