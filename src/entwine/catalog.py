@@ -1,12 +1,11 @@
 """Deterministic constructors for the worked examples used everywhere.
 
 Every entry is verified when first built and cached; catalog_get(name)
-always returns the same object for the same name.
+always returns the same object for the same name.  _BUILDERS holds each
+entry's description beside its builder, so a listing builds nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .exactlin import Field, Matrix, PresentationError, QQ, permute
 from .report import require
@@ -41,13 +40,6 @@ from .doikoppinen import (
     verify_dk,
 )
 from .document import Morphism
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    value: object
 
 
 def trivial_bialgebra(field: Field = QQ) -> StructurePresentation:
@@ -239,7 +231,7 @@ _BUILDERS = {
                         lambda: identity_cointegral_coextension(catalog_get("sweedler4"))),
 }
 
-_CACHE: dict[str, CatalogEntry] = {}
+_CACHE: dict[str, object] = {}
 
 
 def catalog_names() -> tuple[str, ...]:
@@ -249,19 +241,13 @@ def catalog_names() -> tuple[str, ...]:
 def catalog_get(name: str):
     """Build (or fetch) a verified catalog object by name."""
     if name in _CACHE:
-        return _CACHE[name].value
+        return _CACHE[name]
     if name not in _BUILDERS:
         raise PresentationError(f"unknown catalog entry {name!r}")
-    description, builder = _BUILDERS[name]
-    value = builder()
+    value = _BUILDERS[name][1]()
     _verify_entry(name, value)
-    _CACHE[name] = CatalogEntry(name, description, value)
+    _CACHE[name] = value
     return value
-
-
-def catalog_entry(name: str) -> CatalogEntry:
-    catalog_get(name)
-    return _CACHE[name]
 
 
 # each object class and its verifier, read by catalog entries and by the check command; an entry

@@ -263,8 +263,7 @@ def cmd_cocleft(args, out: _Out) -> None:
 def cmd_catalog(args, out: _Out) -> None:
     if not args.name:
         for name in catalog.catalog_names():
-            entry = catalog.catalog_entry(name)
-            out.note(f"{name}: {entry.description}")
+            out.note(f"{name}: {catalog._BUILDERS[name][0]}")
         return
     value = catalog.catalog_get(args.name)
     field = _field_of(value)

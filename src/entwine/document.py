@@ -285,9 +285,11 @@ def _check_parts(ref: Ref, obj, path: str):
 
 
 def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, path: str):
-    """All references, then their parts, then the other fields in document order; then row.make."""
+    """Unknown keys, all references, then their parts, then the other fields in document order; then row.make."""
     if not row.fields:
         return _parse_structure(field, body, path)
+    for key in body:
+        _expect(key == "type" or any(f.key == key for f in row.fields), f"{path}.{key}", "unknown field")
     refs = [f for f in row.fields if isinstance(f, Ref)]
     got = SimpleNamespace(**{f.attr: _resolve(f, resolved, body.get(f.key), f"{path}.{f.key}") for f in refs})
     for f in refs:
@@ -303,6 +305,8 @@ def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, pat
         elif isinstance(f, Block) and f.key in body:
             block, ref = body[f.key], Ref("structure", f.needs, f.needs)
             _expect(isinstance(block, dict), at, "expected an object")
+            for key in block:
+                _expect(key in ("structure", "side", "triples"), f"{at}.{key}", "unknown field")
             over = _resolve(ref, resolved, block.get("structure"), f"{at}.structure")
             side = block.get("side", "right")
             _expect(side in ("left", "right"), f"{at}.side", f"bad side {side!r}")

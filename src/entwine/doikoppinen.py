@@ -47,13 +47,12 @@ from .structures import (
     verify_structure,
 )
 from .entwining import (
-    EntwinedModulePresentation,
     EntwiningPresentation,
     SmashRing,
     build_smash,
     entwining_laws,
 )
-from .duality import DualDatum, DualModule, dual_entwining, dual_module_r, dual_module_upper_r
+from .duality import dual_entwining
 
 
 class UnsupportedDualization(PresentationError):
@@ -285,8 +284,8 @@ def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: Struc
 
 
 def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePresentation,
-                                       action: Matrix, side: str = "left") -> DKIngredient:
-    """The rational part of a module algebra is a comodule algebra over the dual.
+                                       action: Matrix) -> DKIngredient:
+    """The rational part of a left module algebra is a right comodule algebra over the dual.
 
     With the full dual the rational part is everything in finite
     dimension; the result carries the transported multiplication on the
@@ -294,7 +293,7 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
     """
     u = dualize_structure(None, h)
     pairing = _pairing_h_u(h, u)
-    rat = rational_submodule(pairing, ModulePresentation(a.dim, h, action, side))
+    rat = rational_submodule(pairing, ModulePresentation(a.dim, h, action, "left"))
     w = rat.subspace
     # the rational part must be a unital subalgebra of A
     unit_coords = w.coordinates(a.unit)
@@ -307,24 +306,22 @@ def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePre
         raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-not-subalgebra",
                                             witness=divmod(bad, k)))
     sub = make_structure("algebra", h.field, k, tuple(f"r{i}" for i in range(k)), mul=mul, unit=unit_coords)
-    coact_side = "right" if side == "left" else "left"
-    return DKIngredient("comodule-algebra", coact_side, u, sub, rat.coaction, subspace=w)
+    return DKIngredient("comodule-algebra", "right", u, sub, rat.coaction, subspace=w)
 
 
 def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
-                                            action: Matrix, side: str = "right") -> DKIngredient:
-    """C* is a module algebra on the other side via (h . f)(c) = f(c . h)."""
+                                            action: Matrix) -> DKIngredient:
+    """C* of a right module coalgebra is a left module algebra via (h . f)(c) = f(c . h)."""
     cstar = dualize_structure("coalgebra", c)
-    dual_side = "left" if side == "right" else "right"
-    return DKIngredient("module-algebra", dual_side, h, cstar, dual_action_on_dual(action, c.dim, h.dim, side))
+    return DKIngredient("module-algebra", "left", h, cstar, dual_action_on_dual(action, c.dim, h.dim, "right"))
 
 
 def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructurePresentation,
                                          action: Matrix) -> DKIngredient:
     """The rational dual of a right H-module coalgebra (C*, verified first): a right U-comodule algebra."""
-    inner = module_coalgebra_to_dual_module_algebra(h, c, action, "right")
+    inner = module_coalgebra_to_dual_module_algebra(h, c, action)
     report.require(inner.verify())
-    return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix, "left")
+    return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix)
 
 
 def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: StructurePresentation,
@@ -344,41 +341,40 @@ def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Struc
 
 
 def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresentation,
-                                  action: Matrix, side: str = "right") -> DKIngredient:
-    """A* as an H-module coalgebra on the other side; the dual of a module algebra."""
-    dual_side = "left" if side == "right" else "right"
+                                  action: Matrix) -> DKIngredient:
+    """A* of a right module algebra as a left H-module coalgebra; the dual of a module algebra."""
     astar = dualize_structure("algebra", a)
-    return DKIngredient("module-coalgebra", dual_side, h, astar, dual_action_on_dual(action, a.dim, h.dim, side))
+    return DKIngredient("module-coalgebra", "left", h, astar, dual_action_on_dual(action, a.dim, h.dim, "right"))
 
 
-# (input kind, target) -> (constructor, input side it consumes, whether it takes that side)
+# (input kind, target) -> (constructor, the input side it consumes)
 _DUAL_ARROWS = {
-    ("comodule-algebra", "module-algebra"): (comodule_algebra_to_module_algebra, "right", False),
-    ("comodule-algebra", "dual-module-coalgebra"): (comodule_algebra_to_dual_module_coalgebra, "right", False),
-    ("module-algebra", "comodule-algebra"): (module_algebra_to_comodule_algebra, "left", True),
-    ("module-coalgebra", "dual-module-algebra"): (module_coalgebra_to_dual_module_algebra, "right", True),
-    ("module-coalgebra", "comodule-algebra"): (module_coalgebra_to_comodule_algebra, "right", False),
-    ("comodule-coalgebra", "module-coalgebra"): (comodule_coalgebra_to_module_coalgebra, "right", False),
-    ("comodule-coalgebra", "dual-module-algebra"): (comodule_coalgebra_to_dual_module_algebra, "right", False),
-    ("module-algebra", "dual-module"): (module_algebra_to_dual_module, "right", True),
+    ("comodule-algebra", "module-algebra"): (comodule_algebra_to_module_algebra, "right"),
+    ("comodule-algebra", "dual-module-coalgebra"): (comodule_algebra_to_dual_module_coalgebra, "right"),
+    ("module-algebra", "comodule-algebra"): (module_algebra_to_comodule_algebra, "left"),
+    ("module-coalgebra", "dual-module-algebra"): (module_coalgebra_to_dual_module_algebra, "right"),
+    ("module-coalgebra", "comodule-algebra"): (module_coalgebra_to_comodule_algebra, "right"),
+    ("comodule-coalgebra", "module-coalgebra"): (comodule_coalgebra_to_module_coalgebra, "right"),
+    ("comodule-coalgebra", "dual-module-algebra"): (comodule_coalgebra_to_dual_module_algebra, "right"),
+    ("module-algebra", "dual-module"): (module_algebra_to_dual_module, "right"),
 }
 
 
 def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePresentation,
-                          m: Matrix, direction: str) -> DKIngredient:
+                          m: Matrix, target: str) -> DKIngredient:
     """Dualize one (co)module (co)algebra.
 
-    direction names the target structure; the supported arrows are the
+    target names the structure to build; the supported arrows are the
     keys of the dualization table, each consuming its canonical side.
     The input is verified, the arrow builds, and the output is verified
     once, here: a failure raises CheckError.
     """
-    entry = _DUAL_ARROWS.get((kind, direction))
+    entry = _DUAL_ARROWS.get((kind, target))
     if entry is None:
-        raise UnsupportedDualization(f"no dualization {kind!r} -> {direction!r}")
-    arrow, side, takes_side = entry
+        raise UnsupportedDualization(f"no dualization {kind!r} -> {target!r}")
+    arrow, side = entry
     report.require(verify_dk_compat(kind, h, x, m, side))
-    out = arrow(h, x, m, side) if takes_side else arrow(h, x, m)
+    out = arrow(h, x, m)
     report.require(out.verify())
     return out
 
@@ -419,21 +415,6 @@ def dual_alt_dk(s: AltDKStructure):
     raise UnsupportedDualization(
         "not supported: the dual of an alternative structure need not be an "
         "alternative structure, so no dualization is attempted")
-
-
-def dk_dual_module(s: DKStructure, m: EntwinedModulePresentation, direction: str = "to_dual") -> DualModule:
-    """M -> Rat(M*) over the dual structure of a verified triple, or back; the dual layer verifies the result."""
-    datum = dual_entwining(dk_entwining(s))
-    if direction == "to_dual":
-        return dual_module_r(datum, m)
-    if direction == "from_dual":
-        return dual_module_upper_r(datum, m)
-    raise PresentationError(f"unknown direction {direction!r}")
-
-
-def dk_adjunction_datum(s: DKStructure) -> DualDatum:
-    """The dual entwining of a verified triple."""
-    return dual_entwining(dk_entwining(s))
 
 
 # ---------------------------------------------------------------------------

@@ -417,15 +417,13 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
     return report.first_failure("verify_entwined_module", rows())
 
 
-def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation,
-                             smash: SmashRing | None = None) -> ModulePresentation:
-    """m . f = sum m_0 f(m_1), the smash-ring action carried by an entwined module: one matmul."""
-    smash = smash or build_smash(e)
+def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation) -> ModulePresentation:
+    """m . f = sum m_0 f(m_1), the action of build_smash(e) carried by an entwined module: one matmul."""
     nm, na, nc = m.dim, e.algebra.dim, e.coalgebra.dim
     # action[k', (i, (x, u))] = sum_k m.action[k', (k, x)] coaction[(k, u), i]: rows (k', x), columns (u, i)
     out = permute(m.action, (nm, nm, na), (0, 2, 1), 2) @ permute(m.coaction, (nm, nc, nm), (0, 1, 2), 1)
     action = permute(out, (nm, na, nc, nm), (0, 3, 1, 2), 1)
-    return ModulePresentation(nm, smash.as_algebra(), action, "right")
+    return ModulePresentation(nm, build_smash(e).as_algebra(), action, "right")
 
 
 def smash_unit_embedding(e: EntwiningPresentation, smash: SmashRing) -> Matrix:
@@ -433,15 +431,14 @@ def smash_unit_embedding(e: EntwiningPresentation, smash: SmashRing) -> Matrix:
     return smash.left_action @ kron(Matrix.identity(e.field, e.algebra.dim), smash.unit)
 
 
-def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation,
-                             smash: SmashRing | None = None) -> EntwinedModulePresentation:
-    """Recover the entwined structure of a smash-ring module.
+def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) -> EntwinedModulePresentation:
+    """Recover the entwined structure of a module over build_smash(e).
 
     The A-action restricts along a -> a . 1_S; the coaction is the unique
     solution of alpha(rho(m)) through the canonical injection
     M (x) C -> Hom(S, M), m (x) c -> (f -> m f(c)).
     """
-    smash = smash or build_smash(e)
+    smash = build_smash(e)
     if m.algebra is None or m.action_side != "right" or m.algebra.dim != smash.dim:
         raise PresentationError("expected a right module over the smash ring")
     f = e.field
@@ -461,15 +458,6 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation,
     out = EntwinedModulePresentation(e, n, action, sol.particular)
     report.require(verify_entwined_module(e, out))
     return out
-
-
-def entwined_smash_roundtrip(e: EntwiningPresentation, m, direction: str):
-    """Cross the category equivalence once: 'to_smash' or 'to_entwined'."""
-    if direction == "to_smash":
-        return entwined_to_smash_module(e, m)
-    if direction == "to_entwined":
-        return smash_module_to_entwined(e, m)
-    raise PresentationError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -550,13 +550,6 @@ class AlphaConditionError(PresentationError):
     pass
 
 
-def require_alpha(p: PairingPresentation, what: str = "pairing"):
-    rep = check_alpha_condition(p)
-    if not rep.passed:
-        raise AlphaConditionError(
-            f"{what} fails the rank criterion: rank {rep.detail('rank')} < dim C {rep.detail('dim_c')}")
-
-
 # ---------------------------------------------------------------------------
 # rational submodules
 
@@ -591,20 +584,21 @@ def _alpha_matrix(p: PairingPresentation, mdim: int, side: str) -> Matrix:
     return permute(alpha, (mdim, na, mdim, nc), (0, 1, 2, 3) if side == "left" else (0, 1, 3, 2), 2)
 
 
-def rational_submodule(p: PairingPresentation, m: ModulePresentation, side: str | None = None) -> RationalSubmodule:
+def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> RationalSubmodule:
     """The largest submodule whose action comes from a C-coaction through p.
 
     For a left module the result carries a right C-coaction (and mirrored
     for right modules); both the restricted action and the coaction are
     returned in the canonical basis of the subspace.  Requires the rank
-    criterion on p.
+    criterion on p, and raises AlphaConditionError without it.
     """
-    require_alpha(p, "rational_submodule pairing")
-    side = side or ("left" if m.action_side == "left" else "right")
+    criterion = check_alpha_condition(p)
+    if not criterion.passed:
+        raise AlphaConditionError(f"rational_submodule pairing fails the rank criterion: "
+                                  f"rank {criterion.detail('rank')} < dim C {criterion.detail('dim_c')}")
+    side = m.action_side
     if m.action is None:
         raise PresentationError("rational_submodule needs an action")
-    if side != m.action_side:
-        raise PresentationError("side flag must match the module's action side")
     if m.algebra.dim != p.algebra.dim or m.algebra.field != p.algebra.field:
         raise DimensionMismatch(
             f"the module's algebra (dim {m.algebra.dim} over {m.algebra.field}) does not match "
@@ -644,10 +638,11 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation, side: str 
 
 def birational_subspace(p: PairingPresentation, m: ModulePresentation,
                         right_action: Matrix) -> Subspace:
-    """Intersection of the left and right rational parts of a bimodule."""
-    left = rational_submodule(p, m, "left").subspace
-    mr = ModulePresentation(m.dim, m.algebra, right_action, "right")
-    right = rational_submodule(p, mr, "right").subspace
+    """Intersection of the left and right rational parts of a bimodule, given as the left module m."""
+    if m.action_side != "left":
+        raise PresentationError("birational_subspace needs m to be the left module")
+    left = rational_submodule(p, m).subspace
+    right = rational_submodule(p, ModulePresentation(m.dim, m.algebra, right_action, "right")).subspace
     return left.intersect(right)
 
 

@@ -1,14 +1,17 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from entwine.exactlin import Matrix, PresentationError, QQ, Subspace
-from entwine.catalog import catalog_entry, catalog_get, catalog_names
+from entwine import catalog
+from entwine.catalog import catalog_get, catalog_names
 from entwine.structures import StructurePresentation, compute_antipode, verify_structure
 from entwine.entwining import EntwinedModulePresentation, EntwiningPresentation, verify_entwining
 from entwine.doikoppinen import DKStructure, verify_dk
 from entwine.document import document_from_objects, emit_document
-from entwine.cli import _field_of
+from entwine.cli import _field_of, run_command
 
 
 def test_every_entry_verifies():
@@ -79,7 +82,16 @@ def test_trivial_entry():
 
 def test_descriptions_exist():
     for name in catalog_names():
-        assert catalog_entry(name).description
+        assert catalog._BUILDERS[name][0]
+
+
+def test_the_listing_builds_nothing(monkeypatch):
+    """entwine catalog prints the descriptions without building or verifying an entry."""
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    code, text = run_command(["catalog"])
+    assert catalog._CACHE == {}
+    golden = json.loads((Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
+    assert {"code": code, "text": text} == golden["catalog"]
 
 
 def test_emission_byte_stable():

@@ -187,10 +187,14 @@ class TestSmashModule:
         assert entwined_to_smash_module(m.entwining, m).action == smash_action_reference(m.entwining, m)
 
     @pytest.mark.parametrize("f, na, nc, seed", RANDOM_CASES, ids=RANDOM_IDS)
-    def test_random_maps(self, f, na, nc, seed):
+    def test_random_maps(self, f, na, nc, seed, monkeypatch):
+        # no law holds on random maps, so the ring that the functor builds is the unverified reference
+        import entwine.entwining as entwining
+
         rng = random.Random(seed)
         e = random_entwining(f, rng, na, nc)
         m = random_module(f, rng, e, 2)
         action = smash_action_reference(e, m)
         assert not action.is_zero()
-        assert entwined_to_smash_module(e, m, smash_of_tables(e)).action == action
+        monkeypatch.setattr(entwining, "build_smash", smash_of_tables)
+        assert entwined_to_smash_module(e, m).action == action

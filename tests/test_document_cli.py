@@ -313,6 +313,9 @@ REFERENCE_ERRORS = [
                                ("ext.integral", 3, 2), ("coext.cointegral", 2, 3))
       for what, mutate, where, count in (("rows", _drop_row, "", f"{rows} rows"),
                                          ("entries", _drop_entry, "[0]", f"{cols} entries"))],
+    # a key that no field of the type reads: one object of each type, and each block of a module
+    *[(f"{path}-unknown", _set(f"{path}.bogus", 1), f"objects.{path}.bogus: unknown field")
+      for path in ("h", "pair", "mod", "ent", "emod", "dk", "ext", "coext", "aut", "mod.action", "mod.coaction")],
 ]
 
 

@@ -18,7 +18,7 @@ from entwine.entwining import (
     verify_entwined_module,
     verify_entwining,
 )
-from entwine.duality import dual_entwining
+from entwine.duality import dual_entwining, dual_module_r, dual_module_upper_r
 from entwine.doikoppinen import (
     AltDKStructure,
     DKStructure,
@@ -28,7 +28,6 @@ from entwine.doikoppinen import (
     check_integral,
     coextension_quotient,
     coinvariants,
-    dk_dual_module,
     dk_entwining,
     dual_alt_dk,
     dual_dk,
@@ -384,17 +383,17 @@ class TestDualizeIngredient:
             ("module-coalgebra", "right"): (qc2, qc2, qc2.mul),
             ("comodule-coalgebra", "right"): (alt.h, alt.coalg, alt.coalg_coaction),
         }
-        for (kind, direction), (_, side, _) in _DUAL_ARROWS.items():
-            out = dualize_dk_ingredient(kind, *inputs[kind, side], direction)
-            assert out.verify().passed, (kind, direction)
+        for (kind, target), (_, side) in _DUAL_ARROWS.items():
+            out = dualize_dk_ingredient(kind, *inputs[kind, side], target)
+            assert out.verify().passed, (kind, target)
 
     def test_a_bad_output_is_refused(self, qc2, monkeypatch):
         import entwine.doikoppinen as dk
 
         key = ("comodule-algebra", "module-algebra")
-        arrow, side, takes_side = dk._DUAL_ARROWS[key]
+        arrow, side = dk._DUAL_ARROWS[key]
         monkeypatch.setitem(dk._DUAL_ARROWS, key, (
-            lambda *args: replace(out := arrow(*args), matrix=corrupt(out.matrix, 1, 2)), side, takes_side))
+            lambda *args: replace(out := arrow(*args), matrix=corrupt(out.matrix, 1, 2)), side))
         with pytest.raises(CheckError) as exc:
             dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")
         assert exc.value.report.summary() == (
@@ -432,16 +431,6 @@ class TestDualizeIngredient:
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
             dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "nonsense")
-
-    def test_right_module_algebra_to_left_comodule_algebra(self, qc2):
-        # mirrored rational-part arrow, called directly with the right-sided input
-        from entwine.catalog import translation_module_algebra
-        from entwine.doikoppinen import module_algebra_to_comodule_algebra
-
-        dual, action = translation_module_algebra(qc2)
-        out = module_algebra_to_comodule_algebra(qc2, dual, action, "right")
-        assert out.side == "left" and out.verify().passed
-        assert out.subspace is not None and out.subspace.dim == dual.dim
 
 
 class TestDualDK:
@@ -492,31 +481,33 @@ class TestDualDK:
 
 
 class TestDKDualModules:
+    """M -> Rat(M*) over the dual entwining of a verified triple, and back."""
+
     def test_hopf_module_to_dual(self, dk_qc2):
         m = catalog_get("hopfmod_qc2")
-        out = dk_dual_module(dk_qc2, m, "to_dual")
+        out = dual_module_r(dual_entwining(dk_entwining(dk_qc2)), m)
         assert verify_entwined_module(out.module.entwining, out.module).passed
         assert out.dim == 2
 
     def test_zero_module(self, dk_qc2):
         e = dk_entwining(dk_qc2)
         z = EntwinedModulePresentation(e, 0, Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 0, []))
-        out = dk_dual_module(dk_qc2, z, "to_dual")
+        out = dual_module_r(dual_entwining(e), z)
         assert verify_entwined_module(out.module.entwining, out.module).passed and out.dim == 0
 
     def test_long_dimodule_roundtrip(self, qc2):
         s = long_dk(qc2, qc2)
         m = catalog_get("longmod_qc2")
-        out = dk_dual_module(s, m, "to_dual")
+        d = dual_entwining(dk_entwining(s))
+        out = dual_module_r(d, m)
         assert verify_entwined_module(out.module.entwining, out.module).passed
-        back = dk_dual_module(s, out.module, "from_dual")
+        back = dual_module_upper_r(d, out.module)
         assert verify_entwined_module(back.module.entwining, back.module).passed and back.dim == m.dim
 
     def test_adjunction_through_dk(self, dk_qc2):
-        from entwine.doikoppinen import dk_adjunction_datum
-        from entwine.duality import adjunction_check, dual_module_r
+        from entwine.duality import adjunction_check
 
-        d = dk_adjunction_datum(dk_qc2)
+        d = dual_entwining(dk_entwining(dk_qc2))
         m = catalog_get("hopfmod_qc2")
         k = dual_module_r(d, m).module
         assert adjunction_check(d, m, k).passed

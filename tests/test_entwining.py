@@ -20,11 +20,12 @@ from entwine.entwining import (
     EntwiningPresentation,
     build_coring,
     build_smash,
-    entwined_smash_roundtrip,
+    entwined_to_smash_module,
     flip_entwining,
     hom_entwined,
     hom_entwined_basis,
     nu_iso,
+    smash_module_to_entwined,
     twisted_product,
     verify_coring,
     verify_entwined_module,
@@ -695,9 +696,9 @@ class TestRoundtrip:
         c = grouplike_dim1()
         e = flip_entwining(qc2, c)
         m = EntwinedModulePresentation(e, 2, qc2.mul, Matrix.identity(QQ, 2))
-        sm = entwined_smash_roundtrip(e, m, "to_smash")
+        sm = entwined_to_smash_module(e, m)
         assert sm.action == qc2.mul  # smash = A for dim-1 grouplike C
-        back = entwined_smash_roundtrip(e, sm, "to_entwined")
+        back = smash_module_to_entwined(e, sm)
         assert back.action == m.action and back.coaction == m.coaction
 
     @pytest.mark.parametrize("name", ["hopfmod_qc2", "hopfmod_qc3", "hopfmod_f5c5",
@@ -705,17 +706,17 @@ class TestRoundtrip:
     def test_catalog_modules_roundtrip(self, name):
         m = catalog_get(name)
         e = m.entwining
-        sm = entwined_smash_roundtrip(e, m, "to_smash")
+        sm = entwined_to_smash_module(e, m)
         assert verify_structure("module", sm).passed
-        back = entwined_smash_roundtrip(e, sm, "to_entwined")
+        back = smash_module_to_entwined(e, sm)
         assert back.action == m.action
         assert back.coaction == m.coaction
 
     def test_zero_module(self, ent_qc2):
         z = EntwinedModulePresentation(ent_qc2, 0, Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 0, []))
-        sm = entwined_smash_roundtrip(ent_qc2, z, "to_smash")
+        sm = entwined_to_smash_module(ent_qc2, z)
         assert sm.dim == 0
-        back = entwined_smash_roundtrip(ent_qc2, sm, "to_entwined")
+        back = smash_module_to_entwined(ent_qc2, sm)
         assert back.dim == 0
 
     def test_randomized_twists_roundtrip(self, ent_qc2, ent_h4, rng):
@@ -732,14 +733,26 @@ class TestRoundtrip:
                     t @ base.action @ kron(tinv, Matrix.identity(QQ, e.algebra.dim)),
                     kron(t, Matrix.identity(QQ, e.coalgebra.dim)) @ base.coaction @ tinv)
                 assert verify_entwined_module(e, m).passed
-                sm = entwined_smash_roundtrip(e, m, "to_smash")
-                back = entwined_smash_roundtrip(e, sm, "to_entwined")
+                sm = entwined_to_smash_module(e, m)
+                back = smash_module_to_entwined(e, sm)
                 assert back.action == m.action and back.coaction == m.coaction
 
-    def test_unknown_direction(self, ent_qc2):
+    @pytest.mark.parametrize("functor", ("to_smash", "to_entwined"))
+    def test_each_functor_reads_the_ring_laws(self, functor, monkeypatch):
+        # each functor builds its ring with build_smash: a table with +1 at mul[0, 0] fails associativity
+        import entwine.entwining as entwining
+
         m = catalog_get("hopfmod_qc2")
-        with pytest.raises(Exception):
-            entwined_smash_roundtrip(ent_qc2, m, "sideways")
+        sm = entwined_to_smash_module(m.entwining, m)
+        table = entwining.twisted_product
+        monkeypatch.setattr(entwining, "twisted_product", lambda e: corrupt(table(e), 0, 0))
+        with pytest.raises(CheckError) as exc:
+            if functor == "to_smash":
+                entwined_to_smash_module(m.entwining, m)
+            else:
+                smash_module_to_entwined(m.entwining, sm)
+        assert exc.value.report.summary() == (
+            "verify_smash: FAIL associativity at basis (0, 0, 2) lhs={2: 2} rhs={2: 1}")
 
     def test_unit_embedding_is_algebra_map(self, ent_qc2, ent_h4):
         from entwine.entwining import smash_unit_embedding
@@ -754,7 +767,7 @@ class TestRoundtrip:
         # a module given directly over the smash ring comes back entwined
         smash = build_smash(ent_qc2)
         m = catalog_get("hopfmod_qc2")
-        sm = entwined_smash_roundtrip(ent_qc2, m, "to_smash")
+        sm = entwined_to_smash_module(ent_qc2, m)
         # twist the smash module by a basis change and recover a verified module
         from conftest import random_invertible
         import random
@@ -766,7 +779,7 @@ class TestRoundtrip:
         twisted = t @ sm.action @ kron(invert(t), Matrix.identity(QQ, smash.dim))
         tm = ModulePresentation(sm.dim, sm.algebra, twisted, "right")
         assert verify_structure("module", tm).passed
-        back = entwined_smash_roundtrip(ent_qc2, tm, "to_entwined")
+        back = smash_module_to_entwined(ent_qc2, tm)
         assert verify_entwined_module(ent_qc2, back).passed
 
 

@@ -4,7 +4,9 @@ Two kinds of test: the verifiers pass on every catalog object with Matrix
 products and Kronecker products disabled, so no law side is laid out; and
 the rows that no first failure of a catalog object reaches each fail, at
 row level, under a +1 on one structure constant, with the witness and both
-sides pinned.
+sides pinned.  psi = 0 and an idempotent algebra map make psi-unitality
+and psi-counitality first failures of verify_entwining; antipode-right
+cannot be a first failure, and a test pins that too.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ from dataclasses import replace
 
 import pytest
 
-from entwine.catalog import VERIFIERS, catalog_get, catalog_names
+from entwine.catalog import VERIFIERS, catalog_get, catalog_names, trivial_bialgebra
 from entwine.doikoppinen import check_cointegral, check_integral, _projection_laws
 from entwine.entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
+    entwining_laws,
+    flip_entwining,
     hom_entwined,
+    verify_entwining,
     verify_entwining_morphism,
 )
-from entwine.exactlin import Matrix
+from entwine.exactlin import Matrix, QQ
 from entwine.report import compare
 from entwine.structures import (
     StructurePresentation,
@@ -31,7 +36,9 @@ from entwine.structures import (
     check_adjoint_pair,
     coalgebra_morphism_report,
     verify_measuring_pairing,
+    verify_structure,
     _bialgebra_checks,
+    _hopf_checks,
 )
 from conftest import corrupt
 
@@ -99,6 +106,13 @@ BIALGEBRA_ROW_BITES = [
     ("qc2", "counit", (0, 0), "counit-unit", "at basis (0,) lhs={0: 2} rhs={0: 1}"),
 ]
 
+# (catalog entwining or Hopf algebra, map given +1 at entry, the row, its failure)
+FIRST_UNREACHED_ROW_BITES = [
+    ("hopfmod_qc2_entwining", "psi", (2, 2), "psi-unitality", "at basis (1,) lhs={1: 1, 2: 1} rhs={1: 1}"),
+    ("hopfmod_sweedler4_entwining", "psi", (1, 1), "psi-counitality", "at basis (0, 1) lhs={0: 1, 1: 1} rhs={1: 1}"),
+    ("sweedler4", "antipode", (3, 2), "antipode-right", "at basis (2,) lhs={2: 1} rhs={}"),
+]
+
 # (catalog coextension, row of the projection D -> C given +1 at (0, 0), its failure)
 PROJECTION_ROW_BITES = [
     ("coext_sweedler4", "projection-comultiplicative", "at basis (0,) lhs={0: 2} rhs={0: 4}"),
@@ -127,6 +141,43 @@ class TestEveryUnreachedRowBites:
         bad = replace(h, **{attr: corrupt(getattr(h, attr), *entry)})
         rep = compare("verify_structure[bialgebra]", *row(bad))
         assert rep.summary() == f"verify_structure[bialgebra]: FAIL {axiom} {failure}"
+
+    @pytest.mark.parametrize("name, attr, entry, axiom, failure", FIRST_UNREACHED_ROW_BITES,
+                             ids=[axiom for _, _, _, axiom, _ in FIRST_UNREACHED_ROW_BITES])
+    def test_row_that_no_bump_fails_first(self, name, attr, entry, axiom, failure):
+        """A +1 on psi or on the antipode fails an earlier law first, so each of these rows is read alone."""
+        obj = catalog_get(name)
+        op, laws = (("verify_entwining", entwining_laws) if isinstance(obj, EntwiningPresentation)
+                    else ("verify_structure[hopf]", _hopf_checks))
+
+        def row(x):
+            return next(r for r in laws(x) if r[0] == axiom)
+
+        assert compare(op, *row(obj)) is None
+        bad = replace(obj, **{attr: corrupt(getattr(obj, attr), *entry)})
+        assert compare(op, *row(bad)).summary() == f"{op}: FAIL {axiom} {failure}"
+
+    def test_psi_zero_fails_unitality_first(self):
+        e = catalog_get("hopfmod_qc2_entwining")
+        assert verify_entwining(replace(e, psi=Matrix.zeros(QQ, 4, 4))).summary() == \
+            "verify_entwining: FAIL psi-unitality at basis (0,) lhs={} rhs={0: 1}"
+
+    def test_an_idempotent_algebra_map_fails_counitality_first(self):
+        """Over the dim-1 coalgebra, psi is a map f : A -> A, and the first three psi laws say that f is an
+        idempotent algebra map; counitality says f = id, so g -> 1 on qc2 fails it first."""
+        e = flip_entwining(catalog_get("qc2"), trivial_bialgebra())
+        assert verify_entwining(e).passed
+        bad = replace(e, psi=Matrix.from_rows(QQ, [[1, 1], [0, 0]]))
+        assert verify_entwining(bad).summary() == \
+            "verify_entwining: FAIL psi-counitality at basis (0, 1) lhs={0: 1} rhs={1: 1}"
+
+    def test_antipode_right_is_never_the_first_failure(self):
+        """Once the bialgebra laws hold, antipode-left makes S the convolution inverse of id, which is two-sided,
+        so antipode-right holds too: no perturbation of a Hopf algebra fails it first."""
+        h = catalog_get("sweedler4")
+        for entry in ((i, j) for i in range(h.dim) for j in range(h.dim)):
+            rep = verify_structure(None, replace(h, antipode=corrupt(h.antipode, *entry)))
+            assert rep.axiom == "antipode-left", (entry, rep.summary())
 
     @pytest.mark.parametrize("attr, failure", [
         ("action", "a-linearity at basis (0, 0) lhs={0: 1} rhs={0: 2}"),

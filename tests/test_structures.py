@@ -402,6 +402,8 @@ class TestRationalSubmodule:
         m = ModulePresentation(2, a, lact, "left")
         both = birational_subspace(p, m, ract)
         assert both.dim == 1 and both.basis == qq_mat([[1, 0]])
+        with pytest.raises(PresentationError, match="needs m to be the left module"):
+            birational_subspace(p, ModulePresentation(2, a, ract, "right"), ract)
 
 
 def random_module_over(a, pairing, rng, copies=1):
