@@ -155,11 +155,16 @@ def verify_dk(s: DKStructure) -> Report:
 
 def _dk_rows(h: StructurePresentation, alg: tuple, coalg: tuple):
     """H, A and C, then the compatibility with H of each of A and C, given as (structure, kind, map)."""
-    yield "bialgebra", verify_structure("bialgebra", h)
-    yield "algebra", verify_structure("algebra", alg[0])
-    yield "coalgebra", verify_structure("coalgebra", coalg[0])
+    yield from _part_rows(h, ("algebra", alg[0]), ("coalgebra", coalg[0]))
     for x, kind, m in (alg, coalg):
         yield kind, verify_dk_compat(kind, h, x, m, "right")
+
+
+def _part_rows(h: StructurePresentation, *parts: tuple):
+    """H as a bialgebra, then each part (kind, structure) as an algebra or a coalgebra, as component rows."""
+    yield "bialgebra", verify_structure("bialgebra", h)
+    for kind, x in parts:
+        yield kind, verify_structure(kind, x)
 
 
 @dataclass(frozen=True)
@@ -318,9 +323,11 @@ def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Structu
 
 def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructurePresentation,
                                          action: Matrix) -> DKIngredient:
-    """The rational dual of a right H-module coalgebra (C*, verified first): a right U-comodule algebra."""
+    """The rational dual of a verified right H-module coalgebra, through C*: a right U-comodule algebra.
+
+    C* is not checked: row by row, its laws are the transposes of C's.
+    """
     inner = module_coalgebra_to_dual_module_algebra(h, c, action)
-    report.require(inner.verify())
     return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix)
 
 
@@ -333,9 +340,11 @@ def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: Structur
 
 def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
-    """C* is a right U-module algebra via (f . u)(c) = f(u -> c), dualizing the verified U-action on C."""
+    """C* is a right U-module algebra via (f . u)(c) = f(u -> c), dualizing the U-action on C.
+
+    C is a verified comodule coalgebra, so the U-action is not checked: row by row, its laws are C's.
+    """
     inner = comodule_coalgebra_to_module_coalgebra(h, c, coaction)
-    report.require(inner.verify())
     return DKIngredient("module-algebra", "right", inner.h, dualize_structure("coalgebra", c),
                         dual_action_on_dual(inner.matrix, c.dim, inner.h.dim, "left"))
 
@@ -422,17 +431,12 @@ def dual_alt_dk(s: AltDKStructure):
 
 
 def coinvariants(h: StructurePresentation, b: StructurePresentation, coaction: Matrix) -> Subspace:
-    """{x : coaction(x) = x (x) 1_H}, verified to be a unital subalgebra."""
-    f = h.field
-    diff = coaction - kron(Matrix.identity(f, b.dim), h.unit)
-    w = kernel(diff)
-    if not w.contains(b.unit):
-        raise report.CheckError(report.fail("coinvariants", "missing-unit"))
-    wt = w.basis.transpose()
-    _, bad = express(w.basis, b.mul @ kron(wt, wt))
-    if bad is not None:
-        raise report.CheckError(report.fail("coinvariants", "not-a-subalgebra", witness=divmod(bad, w.dim)))
-    return w
+    """{x : coaction(x) = x (x) 1_H}, a unital subalgebra of B once the coaction passed the comodule-algebra rows.
+
+    Both callers read those rows first: coaction-on-unit puts 1 in it, and
+    coaction-multiplicative gives coaction(x y) = (x (x) 1)(y (x) 1) = x y (x) 1.
+    """
+    return kernel(coaction - kron(Matrix.identity(h.field, b.dim), h.unit))
 
 
 @dataclass(frozen=True)
@@ -448,7 +452,8 @@ class HExtension:
 
 def h_extension(h: StructurePresentation, b: StructurePresentation, coaction: Matrix,
                 integral: Matrix | None = None) -> HExtension:
-    """Verify the comodule algebra and compute its coinvariant subalgebra."""
+    """Verify H as a bialgebra, B as an algebra, then the comodule algebra, and compute the coinvariants."""
+    report.require(report.first_failure("h_extension", _part_rows(h, ("algebra", b))))
     report.require(verify_dk_compat("comodule-algebra", h, b, coaction, "right"))
     return HExtension(h, b, coaction, coinvariants(h, b, coaction), integral)
 
@@ -503,9 +508,13 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
 
     H+ is the kernel of the counit; the quotient basis is the set of
     non-pivot coordinates of the RREF of D.H+, so the presentation is
-    deterministic.  The coideal and stability properties, the quotient
-    laws, and the projection's equivariance are all verified.
+    deterministic.  H (a bialgebra), D (a coalgebra, then a module
+    coalgebra) and W = D.H+ (counit-vanishing, a coideal, H-stable) are
+    verified, and imply the rest: proj kills W, proj sect = 1 and
+    sect proj = 1 - P_W, so the quotient is a module coalgebra and proj
+    a map of module coalgebras.
     """
+    report.require(report.first_failure("coextension_quotient", _part_rows(h, ("coalgebra", d))))
     report.require(verify_dk_compat("module-coalgebra", h, d, action, "right"))
     f = h.field
     nd, nh = d.dim, h.dim
@@ -536,26 +545,7 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     quotient = make_structure("coalgebra", f, nq, tuple(d.labels[fc] + "~" for fc in free),
                               comul=comul_q, counit=counit_q)
     action_q = proj @ action @ kron(sect, idh)
-    coext = HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
-    for rep in (verify_structure("coalgebra", quotient),
-                verify_dk_compat("module-coalgebra", h, quotient, action_q, "right"),
-                report.first_failure("coextension_quotient", _projection_laws(coext))):
-        report.require(rep)
-    return coext
-
-
-def _projection_laws(coext: HCoextension) -> list:
-    """The projection D -> C as a map of H-module coalgebras, as (axiom, lhs, rhs, basis dims) rows.
-
-    The coideal, counit and H-stability checks of coextension_quotient imply all three.
-    """
-    d, nh, proj = coext.d, coext.h.dim, coext.projection
-    return [
-        ("projection-comultiplicative", (proj, coext.quotient.comul),
-         (d.comul, (d.dim, proj), (proj, proj.rows)), (d.dim,)),
-        ("projection-counital", (proj, coext.quotient.counit), d.counit, (d.dim,)),
-        ("projection-equivariant", (coext.action, proj), ((proj, nh), coext.quotient_action), (d.dim, nh)),
-    ]
+    return HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
 
 
 @dataclass(frozen=True)
@@ -604,10 +594,12 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
 
     inner is check_cointegral(coext, coext.cointegral), None exactly when
     coext carries no cointegral.  Needs a Hopf algebra with bijective
-    antipode.  The coinvariants of the dual comodule algebra must equal the
-    image of the projection's transpose; when a cocleft cointegral is
-    present its transpose is checked to be a total integral whose
-    convolution inverse transposes the inverse cointegral.
+    antipode.  The dual comodule algebra D* over H* reads only its
+    comodule-algebra rows: the laws of H* and D* are those of the verified
+    H and D, transposed.  Its coinvariants must equal the image of the
+    projection's transpose; when a cocleft cointegral is present its
+    transpose is checked to be a total integral whose convolution inverse
+    transposes the inverse cointegral.
     """
     h = coext.h
     if h.kind != "hopf" or h.antipode is None:
@@ -617,7 +609,9 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
     hdual = dualize_structure(None, h)
     ddual = dualize_structure("coalgebra", coext.d)
     # coaction on D*: coefficient of g_s (x) delta_u in rho(g_r) is action[r, s*nh + u]
-    ext = h_extension(hdual, ddual, coext.action.transpose())
+    coaction = coext.action.transpose()
+    report.require(verify_dk_compat("comodule-algebra", hdual, ddual, coaction, "right"))
+    ext = HExtension(hdual, ddual, coaction, coinvariants(hdual, ddual, coaction))
     expected = Subspace.from_matrix_rows(coext.projection)
     if ext.coinv != expected:
         return ext, report.fail("dualize_coextension", "coinvariants-mismatch",

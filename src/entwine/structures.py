@@ -111,27 +111,10 @@ def comul_from_triples(field: Field, dim: int, triples) -> Matrix:
     return matrix_from_quads(field, "comul", (dim, dim, dim), triples)
 
 
-def action_from_triples(field: Field, mdim: int, adim: int, triples, side: str = "right") -> Matrix:
-    """Sparse (m, a, m2, c): m_m . a_a gains c * m_m2 (a_a . m_m when side is left)."""
-    _check_side(side)
-    return matrix_from_quads(field, f"{side}-action", (mdim, adim, mdim), triples)
-
-
-def coaction_from_triples(field: Field, mdim: int, cdim: int, triples, side: str = "right") -> Matrix:
-    """Sparse (m, m2, c_idx, c): rho(m_m) gains c * m_m2 (x) c_{c_idx} (flipped when left)."""
-    _check_side(side)
-    return matrix_from_quads(field, f"{side}-coaction", (mdim, mdim, cdim), triples)
-
-
 def _scalar(field: Field, c):
     if isinstance(c, int):
         return field.of(c)
     return c
-
-
-def _check_side(side: str):
-    if side not in ("left", "right"):
-        raise PresentationError(f"unknown side {side!r}")
 
 
 def make_structure(kind: str, field: Field, dim: int, labels=None, *, mul=None, unit=None,
@@ -245,10 +228,15 @@ def _bialgebra_checks(p: StructurePresentation):
 
 
 def _hopf_checks(p: StructurePresentation):
+    """The bialgebra laws, then antipode-left, S * id = unit; id * S = unit (antipode-right) is implied.
+
+    Hom(H, H) is then a finite-dimensional algebra under convolution, where
+    S * id = unit makes id * - injective, so id * T = unit for some T, and
+    T = (S * id) * T = S * (id * T) = S.
+    """
     n = p.dim
     yield from _bialgebra_checks(p)
     yield ("antipode-left", (p.comul, (p.antipode, n), p.mul), (p.counit, p.unit), (n,))
-    yield ("antipode-right", (p.comul, (n, p.antipode), p.mul), (p.counit, p.unit), (n,))
 
 
 _KIND_LAWS = {"algebra": _algebra_checks, "coalgebra": _coalgebra_checks,
@@ -259,7 +247,8 @@ def verify_structure(kind: str | None, pres) -> Report:
     """Exhaustive check of the defining laws on basis elements.
 
     kind defaults to the presentation's own kind; for ModulePresentation use
-    'module', 'comodule' or None for both of the parts it carries.
+    'module', 'comodule' or None for both of the parts it carries.  A law
+    that the laws before it imply is not read (_hopf_checks).
     """
     if isinstance(pres, ModulePresentation):
         return _verify_module(kind, pres)
@@ -332,8 +321,9 @@ def convolution(c: StructurePresentation, a: StructurePresentation, f: Matrix, g
 def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: Matrix) -> Matrix | None:
     """The convolution inverse of f, or None: g with f * g = unit, by exact linear algebra.
 
-    Hom(C, A) is finite-dimensional, so a right inverse is two-sided once C and A obey their
-    laws; g * f = unit is checked all the same, and CheckError raised when it fails.
+    C must be a verified coalgebra and A a verified algebra, as every caller
+    ensures; Hom(C, A) is then a finite-dimensional algebra under
+    convolution, where a right inverse is two-sided, so g * f = unit holds.
     """
     if (f.rows, f.cols) != (a.dim, c.dim):
         raise DimensionMismatch(f"expected {a.dim}x{c.dim} map from C to A")
@@ -345,10 +335,7 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
     sol = solve_linear(t, target)
     if sol is None:
         return None
-    g = sol.particular.reshape(a.dim, c.dim)
-    if convolution(c, a, g, f) != e:
-        raise report.CheckError(report.fail("convolution_inverse", "left-inverse"))
-    return g
+    return sol.particular.reshape(a.dim, c.dim)
 
 
 def compute_antipode(h: StructurePresentation) -> Matrix | None:

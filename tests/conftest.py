@@ -15,8 +15,13 @@ from math import prod
 import pytest
 
 from entwine import report
-from entwine.exactlin import Field, Matrix, QQ, _packs, _terms, invert, kron, law_shape
-from entwine.structures import make_structure
+from entwine.doikoppinen import (
+    comodule_coalgebra_to_module_coalgebra,
+    module_coalgebra_to_dual_module_algebra,
+    verify_dk_compat,
+)
+from entwine.exactlin import Field, Matrix, QQ, _packs, _terms, express, invert, kron, law_shape, permute
+from entwine.structures import make_structure, verify_structure
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -159,6 +164,91 @@ def nu_inv_map(e, h: Matrix) -> Matrix:
 def left_star_product(coring, f: Matrix, g: Matrix) -> Matrix:
     """(f *_l g)(x) = sum g(x_1 f(x_2)) on the left dual of the coring, read off its right action and comul."""
     return g @ coring.right_action @ kron(Matrix.identity(coring.field, coring.dim), f) @ coring.comul
+
+
+# ---------------------------------------------------------------------------
+# Implied checks: what src does not read, because the laws its inputs have passed imply it.  Each oracle
+# below reads one as src read it; tests/test_implied_rows.py reads it on every catalog object of its kind.
+
+# the name of each implied check, and the laws that imply it
+IMPLIED_CHECKS = {
+    "antipode-right": "the bialgebra laws and antipode-left: in the finite-dimensional convolution algebra "
+                      "Hom(H, H), a one-sided inverse of id is two-sided (structures._hopf_checks)",
+    "nu-inv-nu": "A's left unit law, read by verify_coring as left-action-unit (entwining.nu_iso)",
+    "nu-right-linear": "A's associativity, read by verify_coring as left-action-associativity (entwining.nu_iso)",
+    "quotient-coalgebra": "D's coalgebra laws, with W = D.H+ a coideal on which the counit vanishes: "
+                          "proj kills W, proj sect = 1 and sect proj = 1 - P_W (doikoppinen.coextension_quotient)",
+    "quotient-module-coalgebra": "D's module-coalgebra laws, with W a coideal and W.H in W",
+    "projection-comultiplicative": "W is a coideal, and sect proj = 1 - P_W",
+    "projection-counital": "the counit vanishes on W",
+    "projection-equivariant": "W.H lies in W",
+    "missing-unit": "coaction-on-unit, read by h_extension and dualize_coextension (doikoppinen.coinvariants)",
+    "not-a-subalgebra": "coaction-multiplicative over a verified bialgebra (doikoppinen.coinvariants)",
+    "inner-ingredient": "row by row, the intermediate's laws are those of the verified input, transposed "
+                        "(doikoppinen.module_coalgebra_to_comodule_algebra, comodule_coalgebra_to_dual_module_algebra)",
+    "left-inverse": "in the finite-dimensional convolution algebra Hom(C, A) of a verified coalgebra and "
+                    "algebra, a right inverse is two-sided (structures.convolution_inverse)",
+}
+
+
+def antipode_right_rows(h) -> list:
+    """id * S = unit, the row that _hopf_checks leaves out."""
+    n = h.dim
+    return [("antipode-right", (h.comul, (n, h.antipode), h.mul), (h.counit, h.unit), (n,))]
+
+
+def nu_implied_rows(coring, smash, nu, nu_inv) -> list:
+    """nu_inv nu = id and nu(f . a) = nu(f) a, the rows that _nu_laws leaves out."""
+    a = coring.entwining.algebra
+    n, na = coring.dim, a.dim
+    nu_t = permute(nu, (na, n, n), (1, 0, 2), 2)
+    return [("nu-inv-nu", (nu, nu_inv), Matrix.identity(coring.field, n), (n,)),
+            ("nu-right-linear", (smash.right_action, nu_t), ((nu_t, na), (n, a.mul)), (n, na))]
+
+
+def projection_rows(coext) -> list:
+    """The projection D -> C as a map of H-module coalgebras, as (axiom, lhs, rhs, basis dims) rows."""
+    d, nh, proj = coext.d, coext.h.dim, coext.projection
+    return [
+        ("projection-comultiplicative", (proj, coext.quotient.comul),
+         (d.comul, (d.dim, proj), (proj, proj.rows)), (d.dim,)),
+        ("projection-counital", (proj, coext.quotient.counit), d.counit, (d.dim,)),
+        ("projection-equivariant", (coext.action, proj), ((proj, nh), coext.quotient_action), (d.dim, nh)),
+    ]
+
+
+def quotient_rows(coext):
+    """What coextension_quotient leaves unread after its closure checks: the quotient, then the projection."""
+    yield "quotient-coalgebra", verify_structure("coalgebra", coext.quotient)
+    yield "quotient-module-coalgebra", verify_dk_compat("module-coalgebra", coext.h, coext.quotient,
+                                                        coext.quotient_action, "right")
+    yield from projection_rows(coext)
+
+
+def coinvariant_subalgebra(b, w) -> report.Report:
+    """missing-unit, then not-a-subalgebra, as coinvariants checked the subspace w of b."""
+    if not w.contains(b.unit):
+        return report.fail("coinvariants", "missing-unit")
+    wt = w.basis.transpose()
+    _, bad = express(w.basis, b.mul @ kron(wt, wt))
+    if bad is not None:
+        return report.fail("coinvariants", "not-a-subalgebra", witness=divmod(bad, w.dim))
+    return report.ok("coinvariants")
+
+
+# input kind -> the intermediate that the arrow from it builds through
+INNER_ARROWS = {"module-coalgebra": module_coalgebra_to_dual_module_algebra,
+                "comodule-coalgebra": comodule_coalgebra_to_module_coalgebra}
+
+
+def inner_ingredient(kind, h, x, m) -> report.Report:
+    """The intermediate's own verification, which the two arrows through one leave out."""
+    return INNER_ARROWS[kind](h, x, m).verify()
+
+
+def left_inverse_rows(c, a, f, g) -> list:
+    """g * f = unit for g = convolution_inverse(c, a, f), the check that convolution_inverse leaves out."""
+    return [("left-inverse", (c.comul, (c.dim, f), (g, a.dim), a.mul), (c.counit, a.unit), (c.dim,))]
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from entwine.exactlin import Field, Matrix, QQ, kernel, kron
 from entwine.structures import (
     ModulePresentation,
     PairingPresentation,
-    action_from_triples,
     canonical_pairing,
     check_alpha_condition,
     coaction_from_module,

@@ -386,12 +386,12 @@ class TestEmittedNames:
 
     def test_given_algebra_keeps_its_name(self):
         from entwine.entwining import EntwinedModulePresentation, flip_entwining
-        from entwine.structures import action_from_triples, coaction_from_triples
+        from entwine.structures import matrix_from_quads
 
         qc2, trivial = catalog_get("qc2"), catalog_get("trivial")
         m = EntwinedModulePresentation(flip_entwining(qc2, trivial), 1,
-                                       action_from_triples(QQ, 1, 2, [(0, 0, 0, 1), (0, 1, 0, 1)]),
-                                       coaction_from_triples(QQ, 1, 1, [(0, 0, 0, 1)]))
+                                       matrix_from_quads(QQ, "right-action", (1, 2, 1), [(0, 0, 0, 1), (0, 1, 0, 1)]),
+                                       matrix_from_quads(QQ, "right-coaction", (1, 1, 1), [(0, 0, 0, 1)]))
         text = emit_document(document_from_objects(QQ, {"A": qc2, "M": m}))
         assert text == self.pinned({
             "A": self.structure("qc2"),
@@ -598,14 +598,14 @@ class TestCommands:
         # the triple and its dual pass verify_dk once each; dk_entwining reads only the psi laws of the verified
         # triple, so no command checks A and C again through verify_entwining, and the coherence row ties the
         # dual's psi to the verified dual entwining; build_smash reads the ring rows of the table it made
-        (["dk", "dk_qc2", "--name", "dk_qc2"], (25, 84, 2, 0, 0)),
-        (["dualize", "dk_qc2", "--name", "dk_qc2"], (24, 71, 2, 0, 0)),
+        (["dk", "dk_qc2", "--name", "dk_qc2"], (23, 80, 2, 0, 0)),
+        (["dualize", "dk_qc2", "--name", "dk_qc2"], (22, 67, 2, 0, 0)),
         (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (5, 14, 0, 0, 0)),
-        (["dualize", "sweedler4", "--name", "sweedler4"], (1, 12, 0, 0, 0)),
+        (["dualize", "sweedler4", "--name", "sweedler4"], (1, 11, 0, 0, 0)),
         # M_r is built once: it is also the double dual of K = M_r, since K^r is M
         (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (17, 33, 0, 0, 0)),
         # the cointegral is checked once, and its report serves the dual's cleft check
-        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (10, 21, 0, 0, 1)),
+        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (9, 24, 0, 0, 1)),
     ], ids=["dk", "dualize-dk", "dualize-entwining", "dualize-structure", "adjunction", "cocleft"])
     def test_each_object_is_verified_once(self, tmp_path, monkeypatch, argv, counts):
         from entwine import cli, doikoppinen, duality, entwining, report
@@ -641,6 +641,31 @@ class TestCommands:
         code, text = run_command(["cocleft", path, "--name", "coext_qc2"])
         assert code == 0
         assert "cocleft=True" in text
+
+    def test_cleft_reads_the_algebra_laws_of_b(self, tmp_path):
+        """B = span{1, x, y} with x x = y, x y = 1, y x = x is not associative, (x x) x = x but x (x x) = 1;
+        the coaction b -> b (x) 1 over the trivial bialgebra passes the comodule-algebra rows all the same."""
+        unital = [[0, j, j, "1"] for j in range(3)] + [[j, 0, j, "1"] for j in (1, 2)]
+        body = {"version": 1, "field": "Q", "objects": {
+            "h": {"type": "structure", "kind": "bialgebra", "dim": 1, "labels": ["1"], "mul": [[0, 0, 0, "1"]],
+                  "unit": ["1"], "comul": [[0, 0, 0, "1"]], "counit": ["1"]},
+            "b": {"type": "structure", "kind": "algebra", "dim": 3, "labels": ["1", "x", "y"],
+                  "mul": unital + [[1, 1, 2, "1"], [1, 2, 0, "1"], [2, 1, 1, "1"]], "unit": ["1", "0", "0"]},
+            "ext": {"type": "extension", "bialgebra": "h", "algebra": "b",
+                    "coaction": [[j, j, 0, "1"] for j in range(3)], "integral": [["1"], ["0"], ["0"]]}}}
+        path = write(tmp_path, "ext.ent", json.dumps(body))
+        line = "error: h_extension: FAIL algebra[associativity] at basis (1, 1, 1) lhs={1: 1} rhs={0: 1}\n"
+        assert run_command(["cleft", path, "--name", "ext"]) == (1, line)
+        assert run_command(["check", path]) == (1, line)
+
+    def test_cocleft_reads_the_bialgebra_laws_of_h(self, tmp_path):
+        body = json.loads(catalog_doc("coext_qc2"))
+        h = body["objects"][body["objects"]["coext_qc2"]["bialgebra"]]
+        assert h["mul"][0] == [0, 0, 0, "1"]
+        h["mul"][0][3] = "2"
+        path = write(tmp_path, "coext.ent", json.dumps(body))
+        assert run_command(["cocleft", path, "--name", "coext_qc2"]) == (1, (
+            "error: coextension_quotient: FAIL bialgebra[associativity] at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}\n"))
 
     def test_catalog_listing(self):
         code, text = run_command(["catalog"])

@@ -6,7 +6,8 @@ the rows that no first failure of a catalog object reaches each fail, at
 row level, under a +1 on one structure constant, with the witness and both
 sides pinned.  psi = 0 and an idempotent algebra map make psi-unitality
 and psi-counitality first failures of verify_entwining; antipode-right
-cannot be a first failure, and a test pins that too.
+cannot be a first failure, a test pins that too, and its row is read from
+the conftest oracle, since verify_structure does not read it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from entwine.catalog import VERIFIERS, catalog_get, catalog_names, trivial_bialgebra
-from entwine.doikoppinen import check_cointegral, check_integral, _projection_laws
+from entwine.doikoppinen import check_cointegral, check_integral
 from entwine.entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
@@ -38,9 +39,8 @@ from entwine.structures import (
     verify_measuring_pairing,
     verify_structure,
     _bialgebra_checks,
-    _hopf_checks,
 )
-from conftest import corrupt
+from conftest import antipode_right_rows, corrupt, projection_rows
 
 
 class TestNoLayout:
@@ -125,9 +125,9 @@ class TestEveryUnreachedRowBites:
     """Rows that no first failure of a catalog object names, each failed at row level by a +1.
 
     A bump of unit or counit breaks an algebra or coalgebra law before the
-    bialgebra rows are read; the coideal and H-stability checks of
-    coextension_quotient imply the projection rows, so they are read from
-    _projection_laws on a bumped projection.
+    bialgebra rows are read; the closure checks of coextension_quotient
+    imply the projection rows, so they are read from the conftest oracle
+    on a bumped projection.
     """
 
     @pytest.mark.parametrize("name, attr, entry, axiom, failure", BIALGEBRA_ROW_BITES,
@@ -148,7 +148,7 @@ class TestEveryUnreachedRowBites:
         """A +1 on psi or on the antipode fails an earlier law first, so each of these rows is read alone."""
         obj = catalog_get(name)
         op, laws = (("verify_entwining", entwining_laws) if isinstance(obj, EntwiningPresentation)
-                    else ("verify_structure[hopf]", _hopf_checks))
+                    else ("verify_structure[hopf]", antipode_right_rows))
 
         def row(x):
             return next(r for r in laws(x) if r[0] == axiom)
@@ -207,7 +207,7 @@ class TestEveryUnreachedRowBites:
                              ids=[axiom for _, axiom, _ in PROJECTION_ROW_BITES])
     def test_projection_row(self, name, axiom, failure):
         def row(coext):
-            return next(r for r in _projection_laws(coext) if r[0] == axiom)
+            return next(r for r in projection_rows(coext) if r[0] == axiom)
 
         coext = catalog_get(name)
         assert compare("coextension_quotient", *row(coext)) is None
