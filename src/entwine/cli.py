@@ -14,7 +14,7 @@ import json
 import sys
 
 from .exactlin import PresentationError
-from .report import CheckError, Report, ok, require
+from .report import CheckError, Report, first_failure, ok, require
 from .structures import (
     ModulePresentation,
     PairingPresentation,
@@ -23,6 +23,7 @@ from .structures import (
     compute_antipode,
     dualize_structure,
     rational_submodule,
+    verify_measuring_pairing,
     verify_structure,
 )
 from .entwining import (
@@ -196,10 +197,19 @@ def cmd_antipode(args, out: _Out) -> None:
     out.note(f"{args.name}: antipode {s.render()}")
 
 
+def _rat_rows(p: PairingPresentation, m: ModulePresentation):
+    """The pairing's algebra and coalgebra, its measuring rows, then the module's laws, as component rows."""
+    yield "algebra", verify_structure("algebra", p.algebra)
+    yield "coalgebra", verify_structure("coalgebra", p.coalgebra)
+    yield "pairing", verify_measuring_pairing(p)
+    yield "module", verify_structure(None, m)
+
+
 def cmd_rat(args, out: _Out) -> None:
     doc = _load(args.document)
     p = _get(doc, args.pairing, PairingPresentation, "pairing")
     m = _get(doc, args.module, ModulePresentation, "module")
+    require(first_failure("rat", _rat_rows(p, m)))
     rep = check_alpha_condition(p)
     out.report(args.pairing, rep)
     if not rep.passed:

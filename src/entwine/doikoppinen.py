@@ -3,12 +3,14 @@
 A right-right Doi-Koppinen structure is a bialgebra H, a right H-comodule
 algebra A and a right H-module coalgebra C; it induces the entwining
 psi(c (x) a) = sum a_0 (x) c.a_1 and Koppinen's twisted ring on Hom(C, A).
-Dualizing every ingredient against the dual bialgebra yields a dual
+Dualizing every ingredient against the full dual bialgebra yields a dual
 structure whose entwining agrees with the dual of the original entwining;
 module coalgebras also quotient to coextensions, whose duals are cleft
 extensions when a convolution-invertible cointegral exists.  verify_dk
 judges a triple; a construction takes a verified one and reads only the
-laws of what it builds.
+laws of what it builds.  A full dual is a transpose: in finite dimension
+a rational part against H* is the whole module (Montgomery, CBMS 82, 1.6),
+so each dual ingredient re-indexes its input, whose laws imply its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from . import report
 from .report import Report
 from .structures import (
     ModulePresentation,
-    PairingPresentation,
     StructurePresentation,
     algebra_morphism_report,
     bialgebra_morphism_report,
@@ -43,7 +44,6 @@ from .structures import (
     dual_action_on_dual,
     dualize_structure,
     make_structure,
-    rational_submodule,
     verify_structure,
 )
 from .entwining import (
@@ -52,7 +52,6 @@ from .entwining import (
     build_smash,
     entwining_laws,
 )
-from .duality import dual_entwining
 
 
 class UnsupportedDualization(PresentationError):
@@ -256,22 +255,16 @@ def koppinen_smash(s: DKStructure, e: EntwiningPresentation) -> SmashRing:
 
 @dataclass(frozen=True)
 class DKIngredient:
-    """An algebra or coalgebra equipped with an action or coaction of a bialgebra."""
+    """An algebra or coalgebra with an action or coaction of a bialgebra; verify() reads its laws, no arrow does."""
 
     kind: str
     side: str
     h: StructurePresentation
     structure: StructurePresentation
     matrix: Matrix
-    subspace: Subspace | None = None
 
     def verify(self) -> Report:
         return verify_dk_compat(self.kind, self.h, self.structure, self.matrix, self.side)
-
-
-def _pairing_h_u(h: StructurePresentation, u: StructurePresentation) -> PairingPresentation:
-    """<h, u> = u(h) for U the full dual of H."""
-    return PairingPresentation(h, u, Matrix.identity(h.field, h.dim))
 
 
 def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePresentation,
@@ -290,28 +283,17 @@ def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: Struc
 
 def module_algebra_to_comodule_algebra(h: StructurePresentation, a: StructurePresentation,
                                        action: Matrix) -> DKIngredient:
-    """The rational part of a left module algebra is a right comodule algebra over the dual.
+    """The rational part of a left H-module algebra: a right comodule algebra over U = H*.
 
-    With the full dual the rational part is everything in finite
-    dimension; the result carries the transported multiplication on the
-    rational subspace, which is checked to be a unital subalgebra.
+    The evaluation pairing of H with U is square and nondegenerate, so the
+    rational part is all of A and rho(a) = sum a_0 (x) a_1 is read off
+    h . a = sum a_0 a_1(h): the action re-indexed.  The algebra is A's,
+    relabelled r0, r1, ... as the rational part.
     """
-    u = dualize_structure(None, h)
-    pairing = _pairing_h_u(h, u)
-    rat = rational_submodule(pairing, ModulePresentation(a.dim, h, action, "left"))
-    w = rat.subspace
-    # the rational part must be a unital subalgebra of A
-    unit_coords = w.coordinates(a.unit)
-    if unit_coords is None:
-        raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-missing-unit"))
-    k = w.dim
-    wt = w.basis.transpose()
-    mul, bad = express(w.basis, a.mul @ kron(wt, wt))
-    if mul is None:
-        raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-not-subalgebra",
-                                            witness=divmod(bad, k)))
-    sub = make_structure("algebra", h.field, k, tuple(f"r{i}" for i in range(k)), mul=mul, unit=unit_coords)
-    return DKIngredient("comodule-algebra", "right", u, sub, rat.coaction, subspace=w)
+    coaction = permute(action, (a.dim, h.dim, a.dim), (0, 1, 2), 2)
+    rational = make_structure("algebra", h.field, a.dim, tuple(f"r{i}" for i in range(a.dim)),
+                              mul=a.mul, unit=a.unit)
+    return DKIngredient("comodule-algebra", "right", dualize_structure(None, h), rational, coaction)
 
 
 def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
@@ -323,9 +305,11 @@ def module_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: Structu
 
 def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructurePresentation,
                                          action: Matrix) -> DKIngredient:
-    """The rational dual of a verified right H-module coalgebra, through C*: a right U-comodule algebra.
+    """The rational dual of a right H-module coalgebra, through C*: a right U-comodule algebra.
 
-    C* is not checked: row by row, its laws are the transposes of C's.
+    Its coaction is the action transposed, rho(f)(c (x) h) = f(c . h), on C*
+    relabelled r0, r1, ...; each of its laws is a module-coalgebra law of
+    C, transposed.
     """
     inner = module_coalgebra_to_dual_module_algebra(h, c, action)
     return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix)
@@ -375,17 +359,16 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
 
     target names the structure to build; the supported arrows are the
     keys of the dualization table, each consuming its canonical side.
-    The input is verified, the arrow builds, and the output is verified
-    once, here: a failure raises CheckError.
+    The input's rows are read, and a failure raises CheckError; then the
+    arrow builds.  The output is not read: every arrow re-indexes its
+    input's constants, so each of the output's laws is one of the input's.
     """
     entry = _DUAL_ARROWS.get((kind, target))
     if entry is None:
         raise UnsupportedDualization(f"no dualization {kind!r} -> {target!r}")
     arrow, side = entry
     report.require(verify_dk_compat(kind, h, x, m, side))
-    out = arrow(h, x, m)
-    report.require(out.verify())
-    return out
+    return arrow(h, x, m)
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +376,18 @@ def dualize_dk_ingredient(kind: str, h: StructurePresentation, x: StructurePrese
 
 
 def dual_dk(s: DKStructure, e: EntwiningPresentation) -> tuple[DKStructure, Report]:
-    """(H*, C0, A*) with full duals, verified, plus the entwining coherence.
+    """(H*, C*, A*) with full duals, plus the entwining coherence.
 
-    s is a verified triple and e = dk_entwining(s).  C0 (here all of C*)
-    becomes the comodule algebra and A* the module coalgebra of the dual
-    structure, verified once by verify_dk.  The dual's DK psi is not
-    verified itself: it must equal the verified psi of dual_entwining(e),
-    and that entwining-coherence row is part of the returned report.
+    s is a verified triple and e = dk_entwining(s).  No row of the dual is
+    read: its rows are the transposes of those verify_dk(s) read.  Its DK
+    psi must equal psi transposed, the dual entwining's psi for full duals;
+    that entwining-coherence row, which ties the two routes, is the report.
     """
-    hdual = dualize_structure(None, s.h)
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
-    # rewrite the C0 coaction on the nose when the rational part is everything
-    if c0.subspace is not None and c0.subspace.dim != s.coalg.dim:
-        raise report.CheckError(report.fail("dual_dk", "rational-part-proper",
-                                            dim=c0.subspace.dim))
-    dual = DKStructure(hdual, c0.structure, c0.matrix, astar.structure, astar.matrix)
-    report.require(verify_dk(dual))
-    coherence = report.compare(
-        "dual_dk", "entwining-coherence",
-        _dk_psi(dual), dual_entwining(e).dual.psi,
-        (astar.structure.dim, c0.structure.dim))
+    dual = DKStructure(c0.h, c0.structure, c0.matrix, astar.structure, astar.matrix)
+    coherence = report.compare("dual_dk", "entwining-coherence", _dk_psi(dual), e.psi.transpose(),
+                               (astar.structure.dim, c0.structure.dim))
     if coherence is not None:
         return dual, coherence
     return dual, report.ok("dual_dk", entwining_coherence=True)
@@ -594,10 +568,10 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
 
     inner is check_cointegral(coext, coext.cointegral), None exactly when
     coext carries no cointegral.  Needs a Hopf algebra with bijective
-    antipode.  The dual comodule algebra D* over H* reads only its
-    comodule-algebra rows: the laws of H* and D* are those of the verified
-    H and D, transposed.  Its coinvariants must equal the image of the
-    projection's transpose; when a cocleft cointegral is present its
+    antipode.  D* over H* is module_coalgebra_to_comodule_algebra of D, and
+    none of its rows is read: they are the rows of H and D, transposed,
+    which coextension_quotient read.  Its coinvariants must equal the image
+    of the projection's transpose; when a cocleft cointegral is present its
     transpose is checked to be a total integral whose convolution inverse
     transposes the inverse cointegral.
     """
@@ -606,12 +580,8 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
         raise PresentationError("dualize_coextension needs a Hopf algebra")
     if invert(h.antipode) is None:
         raise PresentationError("antipode is not bijective")
-    hdual = dualize_structure(None, h)
-    ddual = dualize_structure("coalgebra", coext.d)
-    # coaction on D*: coefficient of g_s (x) delta_u in rho(g_r) is action[r, s*nh + u]
-    coaction = coext.action.transpose()
-    report.require(verify_dk_compat("comodule-algebra", hdual, ddual, coaction, "right"))
-    ext = HExtension(hdual, ddual, coaction, coinvariants(hdual, ddual, coaction))
+    dstar = module_coalgebra_to_comodule_algebra(h, coext.d, coext.action)
+    ext = HExtension(dstar.h, dstar.structure, dstar.matrix, coinvariants(dstar.h, dstar.structure, dstar.matrix))
     expected = Subspace.from_matrix_rows(coext.projection)
     if ext.coinv != expected:
         return ext, report.fail("dualize_coextension", "coinvariants-mismatch",

@@ -299,15 +299,6 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     return report.ok("adjunction_check", hom_dim=len(hom_mkr))
 
 
-def dual_morphism_r(d: DualDatum, f: Matrix, source: DualModule, target: DualModule) -> Matrix:
-    """The dual of a morphism f : M -> N, as a map N_r -> M_r in basis coordinates."""
-    raw = target.basis @ f  # rows: the functionals h . f on M
-    f_r, _ = express(source.basis, raw.transpose())
-    if f_r is None:
-        raise report.CheckError(report.fail("dual_morphism_r", "image-outside-subspace"))
-    return f_r
-
-
 def dual_entwining_morphism(d_e: DualDatum, d_f: DualDatum,
                             gamma: Matrix, delta: Matrix) -> Report:
     """Transpose a morphism of entwinings to a morphism of the dual entwinings.

@@ -8,7 +8,7 @@ from column index to value.  Every operation reads and writes that form,
 so the work and the memory of a product, a Kronecker product, a transpose,
 a re-indexing or an elimination grow with the nonzeros (and the number of
 rows), not with the dense sizes; elimination returns canonical RREF
-bases.  law_vectors reads a side of a law, a composition of structure
+bases.  _vectors reads a side of a law, a composition of structure
 maps whose tensor factors kron(X, id) are never laid out, one row or one
 column at a time, as a sparse row product (Gustavson): it pushes a basis
 vector through the factors, sums plain products without a Field call per
@@ -18,7 +18,7 @@ A factor over F_p whose lines are wide and nonzero enough is pushed
 packed instead, each of its lines one int with a 2-, 4- or 8-byte slot per
 entry (Kronecker substitution), so a line read costs one big-int
 operation, not one Python step per entry, and a packed vector is reduced
-mod p by byte tables; law_shape gives a side's shape without evaluating
+mod p by byte tables; _shape gives a side's shape without evaluating
 it.  A linear map V -> W with
 dim V = n, dim W = m is an m x n matrix acting on column vectors.
 Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
@@ -185,7 +185,7 @@ class Matrix:
     matrix that made them is built.  `data` is a read-only row-major tuple of
     every entry, for readers outside the package, and columns_of gives the
     column dicts; each is laid out on first read and kept, as is what
-    law_vectors derives from the matrix (_kernel_data): whether it packs,
+    _vectors derives from the matrix (_kernel_data): whether it packs,
     and its packed lines.
     """
 
@@ -685,18 +685,15 @@ def _shape(terms) -> tuple[Field, int, int]:
     return shape
 
 
-def law_shape(side) -> tuple[Field, int, int]:
-    """(field, rows, cols) of a law side, read off its factors without evaluating any."""
-    return _shape(_terms(side))
-
-
-def law_vectors(side, by_rows: bool):
+def _vectors(terms, by_rows: bool):
     """Read a law side one vector at a time: vector(i) is row i when by_rows, else column i.
 
-    A side is a Matrix; a tuple of factors applied left to right, each a
-    Matrix or a pair (X, k) or (k, X), k an int, that stands for
-    kron(X, id_k) or kron(id_k, X) and is never laid out; such a pair on
-    its own; or a list of (sign, side) terms, sign 1 or -1, for their sum.
+    The side comes split by _terms into terms of one shape and field
+    (_shape reads that shape off the factors).  A side is a Matrix; a
+    tuple of factors applied left to right, each a Matrix or a pair (X, k)
+    or (k, X), k an int, that stands for kron(X, id_k) or kron(id_k, X)
+    and is never laid out; such a pair on its own; or a list of (sign,
+    side) terms, sign 1 or -1, for their sum.
     The kernel pushes the basis vector i, times the sign of a term, through
     the factors' rows, last factor first, or through their columns (the
     rows of the transposed composition, columns_of), first factor first,
@@ -726,13 +723,6 @@ def law_vectors(side, by_rows: bool):
     after the reduction.  Every other factor, and every law over Q, is
     pushed sparsely, one dict update per product.
     """
-    terms = _terms(side)
-    _shape(terms)
-    return _vectors(terms, by_rows)
-
-
-def _vectors(terms, by_rows: bool):
-    """law_vectors on a side already split into terms of one shape and field."""
     p, pushes, size = _stages(terms, by_rows)
 
     if size is None:     # no last stage packs: every term lands in one sparse sum
@@ -773,7 +763,7 @@ def _vectors(terms, by_rows: bool):
 
 
 def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None]:
-    """p, the terms of law_vectors and the slot bytes their packed last stages share, None when none packs.
+    """p, the terms of _vectors and the slot bytes their packed last stages share, None when none packs.
 
     Each term is (sign, push of every stage but the last, push of the last).
     """
@@ -836,7 +826,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _kernel_data(x: Matrix) -> dict:
-    """What law_vectors derives from x once and keeps: its packing decisions and packed lines.
+    """What _vectors derives from x once and keeps: its packing decisions and packed lines.
 
     The shifted lines of a sparse pair (X, k) are made again on every read:
     kept, they outlived the laws that read them and cost more in garbage
@@ -848,7 +838,7 @@ def _kernel_data(x: Matrix) -> dict:
 
 
 def _packs(x: Matrix, by_rows: bool) -> bool:
-    """Whether x, read by rows or by columns after a term's first stage, pays for packing (law_vectors).
+    """Whether x, read by rows or by columns after a term's first stage, pays for packing (_vectors).
 
     Its lines have 16 entries or more, the block bound fits 64 bits, and x
     has at least one nonzero in 8 entries and 8 nonzeros a line; the count

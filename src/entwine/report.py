@@ -3,7 +3,7 @@
 A verifier is rows that first_failure reads in order: its components
 (part, report) first, then its laws (axiom, lhs, rhs, basis dims), whose
 sides are compositions of structure maps that compare reads along the
-shorter dimension, by rows or by columns (exactlin.law_vectors).  A
+shorter dimension, by rows or by columns (exactlin._vectors).  A
 failed report names the law, as part[axiom] for a component's, the basis
 indices of the least differing column, and both sides there as canonical
 sparse vectors {index: scalar}, so a failure is always reproducible by
@@ -89,7 +89,7 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     """None when the two sides of a law agree; otherwise a failure at the first differing column.
 
     The difference lhs - rhs is read along its shorter dimension, one
-    vector at a time (exactlin.law_vectors): by rows when it is wide (more
+    vector at a time (exactlin._vectors): by rows when it is wide (more
     columns than rows), by columns otherwise, so a passing law holds one
     vector of the difference at a time.  A wide law that fails is read to
     its last row for the least differing column; then that column of each

@@ -509,17 +509,6 @@ def pairing_action(p: PairingPresentation, side: str, a: Matrix | int, c: Matrix
     raise PresentationError(f"unknown side {side!r}")
 
 
-def harpoon_action_matrix(p: PairingPresentation, side: str = "left-harpoon") -> Matrix:
-    """The action matrix A (x) C -> C (or C (x) A -> C) realizing the harpoons."""
-    na, nc = p.algebra.dim, p.coalgebra.dim
-    f = p.algebra.field
-    if side == "left-harpoon":
-        pairs = [(i, j) for i in range(na) for j in range(nc)]
-    else:
-        pairs = [(i, j) for j in range(nc) for i in range(na)]
-    return Matrix.from_columns(f, nc, [pairing_action(p, side, i, j) for i, j in pairs])
-
-
 def check_alpha_condition(p: PairingPresentation) -> Report:
     """Finite-dimensional criterion: the pairing matrix has rank dim C.
 
@@ -623,16 +612,6 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     return RationalSubmodule(w, action, coaction, side)
 
 
-def birational_subspace(p: PairingPresentation, m: ModulePresentation,
-                        right_action: Matrix) -> Subspace:
-    """Intersection of the left and right rational parts of a bimodule, given as the left module m."""
-    if m.action_side != "left":
-        raise PresentationError("birational_subspace needs m to be the left module")
-    left = rational_submodule(p, m).subspace
-    right = rational_submodule(p, ModulePresentation(m.dim, m.algebra, right_action, "right")).subspace
-    return left.intersect(right)
-
-
 def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,
                          side: str = "right") -> Matrix:
     """Action induced by a coaction through the pairing: a.m = sum m_0 <a, m_1>
@@ -643,24 +622,6 @@ def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,
         return permute(kron(idm, p.matrix) @ coaction, (mdim, na, mdim), (0, 1, 2), 1)
     # [(j, i), k] = sum_c <a_j, c_c> coaction[(c, i), k] -> out[i, (k, j)]
     return permute(kron(p.matrix, idm) @ coaction, (na, mdim, mdim), (1, 2, 0), 1)
-
-
-def coaction_from_module(p: PairingPresentation, m: ModulePresentation) -> Matrix:
-    """Recover the coaction of a fully rational module (Rat = M required)."""
-    rat = rational_submodule(p, m)
-    if rat.dim != m.dim:
-        raise PresentationError("module is not rational: Rat is a proper subspace")
-    f = p.matrix.field
-    nc = p.coalgebra.dim
-    # rewrite the coaction from subspace coordinates back to the module basis
-    b = rat.subspace.basis
-    binv = solve_linear(b.transpose(), Matrix.identity(f, m.dim)).particular
-    side = rat.side
-    if side == "left":
-        lift = kron(b.transpose(), Matrix.identity(f, nc))
-    else:
-        lift = kron(Matrix.identity(f, nc), b.transpose())
-    return lift @ rat.coaction @ binv
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,38 @@ from math import prod
 import pytest
 
 from entwine import report
+from entwine.catalog import grading_comodule_coalgebra, translation_module_algebra
 from entwine.doikoppinen import (
     comodule_coalgebra_to_module_coalgebra,
+    dualize_dk_ingredient,
     module_coalgebra_to_dual_module_algebra,
     verify_dk_compat,
 )
-from entwine.exactlin import Field, Matrix, QQ, _packs, _terms, express, invert, kron, law_shape, permute
-from entwine.structures import make_structure, verify_structure
+from entwine.exactlin import (
+    Field,
+    Matrix,
+    PresentationError,
+    QQ,
+    _packs,
+    _shape,
+    _terms,
+    _vectors,
+    express,
+    invert,
+    kron,
+    permute,
+    solve_linear,
+    swap_matrix,
+)
+from entwine.structures import (
+    ModulePresentation,
+    PairingPresentation,
+    dualize_structure,
+    make_structure,
+    pairing_action,
+    rational_submodule,
+    verify_structure,
+)
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -49,8 +74,20 @@ def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
     return Matrix(f, matrix.rows, matrix.cols, data)
 
 
+def law_shape(side) -> tuple[Field, int, int]:
+    """(field, rows, cols) of a law side, read off its factors without evaluating any."""
+    return _shape(_terms(side))
+
+
+def law_vectors(side, by_rows: bool):
+    """Read a law side one vector at a time, as report.compare does: exactlin._vectors on its terms."""
+    terms = _terms(side)
+    _shape(terms)
+    return _vectors(terms, by_rows)
+
+
 def layout(side) -> Matrix:
-    """A law side laid out with @ and kron: the reference for exactlin.law_vectors and report.compare."""
+    """A law side laid out with @ and kron: the reference for law_vectors and report.compare."""
     if isinstance(side, Matrix):
         return side
     if isinstance(side, list):
@@ -188,6 +225,19 @@ IMPLIED_CHECKS = {
                         "(doikoppinen.module_coalgebra_to_comodule_algebra, comodule_coalgebra_to_dual_module_algebra)",
     "left-inverse": "in the finite-dimensional convolution algebra Hom(C, A) of a verified coalgebra and "
                     "algebra, a right inverse is two-sided (structures.convolution_inverse)",
+    "rational-part-missing-unit": "the evaluation pairing of H with H* is square and nondegenerate, so the "
+                                  "rational part of A is all of A (doikoppinen.module_algebra_to_comodule_algebra)",
+    "rational-part-not-subalgebra": "the rational part is all of A, so its multiplication is A's",
+    "rational-part-proper": "the rational part of C* against the full dual is all of C* (doikoppinen.dual_dk)",
+    "dual-triple": "H*, C* and A* with their (co)actions satisfy exactly the transposes of the rows that "
+                   "verify_dk read on the triple (doikoppinen.dual_dk)",
+    "dual-entwining-psi": "for full duals the psi of dual_entwining(e) is psi transposed, which entwining-coherence "
+                          "compares with the dual's DK psi (doikoppinen.dual_dk)",
+    "output-ingredient": "every arrow re-indexes its input's constants, so each law of the output is a law of the "
+                         "input (doikoppinen.dualize_dk_ingredient); DKIngredient.verify is the oracle, read on "
+                         "every arrow by test_doikoppinen's test_every_arrow_returns_a_verified_output",
+    "dual-coextension-rows": "the comodule-algebra rows of D* over H* are D's module-coalgebra rows, transposed, "
+                             "which coextension_quotient read (doikoppinen.dualize_coextension)",
 }
 
 
@@ -246,9 +296,101 @@ def inner_ingredient(kind, h, x, m) -> report.Report:
     return INNER_ARROWS[kind](h, x, m).verify()
 
 
+def arrow_inputs(h) -> dict:
+    """(kind, side) -> (H, X, map): a verified input of each kind that the dual arrows consume, built on h.
+
+    Comodule coalgebras come from the grading of a group algebra, so h must
+    be cocommutative for that input to be there.
+    """
+    left = dualize_dk_ingredient("comodule-algebra", h, h, h.comul, "module-algebra")
+    out = {("comodule-algebra", "right"): (h, h, h.comul),
+           ("module-algebra", "left"): (left.h, left.structure, left.matrix),
+           ("module-algebra", "right"): (h, *translation_module_algebra(h)),
+           ("module-coalgebra", "right"): (h, h, h.mul)}
+    if h.comul == swap_matrix(h.field, h.dim, h.dim) @ h.comul:
+        out["comodule-coalgebra", "right"] = (h, *grading_comodule_coalgebra(h))
+    return out
+
+
 def left_inverse_rows(c, a, f, g) -> list:
     """g * f = unit for g = convolution_inverse(c, a, f), the check that convolution_inverse leaves out."""
     return [("left-inverse", (c.comul, (c.dim, f), (g, a.dim), a.mul), (c.counit, a.unit), (c.dim,))]
+
+
+def rational_route(h, a, action):
+    """module_algebra_to_comodule_algebra by elimination: (rational part W, its algebra, its coaction).
+
+    The reference for the arrow, which re-indexes the action instead: Rat
+    of the left H-module A against the evaluation pairing of H with H*,
+    with the multiplication carried to W, raising CheckError as the
+    rational-part-* checks did.  rational-part-proper is W smaller than A.
+    """
+    u = dualize_structure(None, h)
+    rat = rational_submodule(PairingPresentation(h, u, Matrix.identity(h.field, h.dim)),
+                             ModulePresentation(a.dim, h, action, "left"))
+    w = rat.subspace
+    unit = w.coordinates(a.unit)
+    if unit is None:
+        raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-missing-unit"))
+    wt = w.basis.transpose()
+    mul, bad = express(w.basis, a.mul @ kron(wt, wt))
+    if mul is None:
+        raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-not-subalgebra",
+                                            witness=divmod(bad, w.dim)))
+    if w.dim != a.dim:
+        raise report.CheckError(report.fail("dual_dk", "rational-part-proper", dim=w.dim))
+    labels = tuple(f"r{i}" for i in range(w.dim))
+    return w, make_structure("algebra", h.field, w.dim, labels, mul=mul, unit=unit), rat.coaction
+
+
+# ---------------------------------------------------------------------------
+# Pairings and dual modules: constructions that only tests call.
+
+
+def harpoon_action_matrix(p, side: str = "left-harpoon") -> Matrix:
+    """The action matrix A (x) C -> C (or C (x) A -> C) realizing the harpoons."""
+    na, nc = p.algebra.dim, p.coalgebra.dim
+    f = p.algebra.field
+    if side == "left-harpoon":
+        pairs = [(i, j) for i in range(na) for j in range(nc)]
+    else:
+        pairs = [(i, j) for j in range(nc) for i in range(na)]
+    return Matrix.from_columns(f, nc, [pairing_action(p, side, i, j) for i, j in pairs])
+
+
+def birational_subspace(p, m, right_action: Matrix):
+    """Intersection of the left and right rational parts of a bimodule, given as the left module m."""
+    if m.action_side != "left":
+        raise PresentationError("birational_subspace needs m to be the left module")
+    left = rational_submodule(p, m).subspace
+    right = rational_submodule(p, ModulePresentation(m.dim, m.algebra, right_action, "right")).subspace
+    return left.intersect(right)
+
+
+def coaction_from_module(p, m) -> Matrix:
+    """Recover the coaction of a fully rational module (Rat = M required)."""
+    rat = rational_submodule(p, m)
+    if rat.dim != m.dim:
+        raise PresentationError("module is not rational: Rat is a proper subspace")
+    f = p.matrix.field
+    nc = p.coalgebra.dim
+    # rewrite the coaction from subspace coordinates back to the module basis
+    b = rat.subspace.basis
+    binv = solve_linear(b.transpose(), Matrix.identity(f, m.dim)).particular
+    if rat.side == "left":
+        lift = kron(b.transpose(), Matrix.identity(f, nc))
+    else:
+        lift = kron(Matrix.identity(f, nc), b.transpose())
+    return lift @ rat.coaction @ binv
+
+
+def dual_morphism_r(f: Matrix, source, target) -> Matrix:
+    """The dual of a morphism f : M -> N, as a map N_r -> M_r in the bases of the dual modules."""
+    raw = target.basis @ f  # rows: the functionals h . f on M
+    f_r, _ = express(source.basis, raw.transpose())
+    if f_r is None:
+        raise report.CheckError(report.fail("dual_morphism_r", "image-outside-subspace"))
+    return f_r
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from entwine.structures import (
     PairingPresentation,
     canonical_pairing,
     check_alpha_condition,
-    coaction_from_module,
     compute_antipode,
     convolution,
     convolution_unit,
@@ -52,7 +51,7 @@ from entwine.catalog import (
 )
 from entwine.cli import run_command
 from entwine.entwining import EntwiningPresentation
-from conftest import BOTH_FIELDS, random_invertible, random_matrix
+from conftest import BOTH_FIELDS, coaction_from_module, random_invertible, random_matrix
 
 import test_structures as ts
 

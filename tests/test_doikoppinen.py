@@ -43,7 +43,7 @@ from entwine.doikoppinen import (
 )
 from entwine.catalog import catalog_get, cyclic_group_algebra, long_dk, trivial_bialgebra
 
-from conftest import coinvariant_subalgebra, corrupt
+from conftest import arrow_inputs, coinvariant_subalgebra, corrupt
 
 
 @pytest.fixture(scope="module")
@@ -340,11 +340,12 @@ class TestDualizeIngredient:
             assert out.side == "left" and out.kind == "module-algebra"
 
     def test_module_coalgebra_to_comodule_algebra(self, qc2, h4):
-        # C = H with the regular action; C0 = H* with everything rational
+        # C = H with the regular action; C0 = H*, all rational, coacting by the action transposed
         for h in (qc2, h4):
             out = dualize_dk_ingredient("module-coalgebra", h, h, h.mul, "comodule-algebra")
             assert out.verify().passed
-            assert out.subspace is not None and out.subspace.dim == h.dim
+            assert out.matrix == h.mul.transpose()
+            assert out.structure.labels == tuple(f"r{i}" for i in range(h.dim))
 
     def test_trivial_h_dualizations_identity(self):
         triv = trivial_bialgebra()
@@ -371,53 +372,58 @@ class TestDualizeIngredient:
         assert out.verify().passed
 
     def test_every_arrow_returns_a_verified_output(self, qc2):
-        from entwine.catalog import translation_module_algebra
+        """The output-ingredient oracle of conftest.IMPLIED_CHECKS, on every arrow."""
         from entwine.doikoppinen import _DUAL_ARROWS
 
-        left = dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")
-        alt = catalog_get("alt_qc2")
-        inputs = {
-            ("comodule-algebra", "right"): (qc2, qc2, qc2.comul),
-            ("module-algebra", "left"): (left.h, left.structure, left.matrix),
-            ("module-algebra", "right"): (qc2, *translation_module_algebra(qc2)),
-            ("module-coalgebra", "right"): (qc2, qc2, qc2.mul),
-            ("comodule-coalgebra", "right"): (alt.h, alt.coalg, alt.coalg_coaction),
-        }
+        inputs = arrow_inputs(qc2)
+        assert len(_DUAL_ARROWS) == 8
         for (kind, target), (_, side) in _DUAL_ARROWS.items():
             out = dualize_dk_ingredient(kind, *inputs[kind, side], target)
             assert out.verify().passed, (kind, target)
 
-    def test_a_bad_output_is_refused(self, qc2, monkeypatch):
+    def test_no_ingredient_is_verified(self, qc2, monkeypatch):
+        """The arrow re-indexes its verified input: neither its output nor the C* it builds through is read."""
         import entwine.doikoppinen as dk
-
-        key = ("comodule-algebra", "module-algebra")
-        arrow, side = dk._DUAL_ARROWS[key]
-        monkeypatch.setitem(dk._DUAL_ARROWS, key, (
-            lambda *args: replace(out := arrow(*args), matrix=corrupt(out.matrix, 1, 2)), side))
-        with pytest.raises(CheckError) as exc:
-            dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "module-algebra")
-        assert exc.value.report.summary() == (
-            "verify_dk_compat[module-algebra]: FAIL structure[action-associativity] "
-            "at basis (1, 0, 0) lhs={1: 1} rhs={}")
-
-    def test_the_output_is_verified_once(self, qc2, monkeypatch):
-        """The C* that module-coalgebra -> comodule-algebra builds through is not checked: its laws are C's."""
-        import entwine.doikoppinen as dk
-
-        computed = []
-        real = dk.DKIngredient.verify
 
         def verify(self):
-            computed.append(real(self))
-            return computed[-1]
+            raise AssertionError("an ingredient was verified")
 
         monkeypatch.setattr(dk.DKIngredient, "verify", verify)
         out = dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
-        assert computed == [real(out)] and computed[0].passed
+        assert verify_dk_compat(out.kind, out.h, out.structure, out.matrix, out.side).passed
 
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
             dualize_dk_ingredient("comodule-algebra", qc2, qc2, qc2.comul, "nonsense")
+
+
+# (catalog triple, map given +1 at entry, the row, its failure): a bumped psi of e = dk_entwining(s) fails
+# dual_dk(s, e), and a bumped action of s fails koppinen_smash(s, e) for the e of the unbumped triple
+DK_ROW_BITES = [
+    ("dk_qc2", "psi", (0, 0), "entwining-coherence", "at basis (0, 0) lhs={0: 1} rhs={0: 2}"),
+    ("dk_sweedler4", "psi", (0, 0), "entwining-coherence", "at basis (0, 0) lhs={0: 1} rhs={0: 2}"),
+    ("dk_qc2", "coalg_action", (0, 0), "table-equality", "at basis (0, 0) lhs={0: 2} rhs={0: 1}"),
+    ("dk_sweedler4", "coalg_action", (0, 0), "table-equality", "at basis (0, 0) lhs={0: 2} rhs={0: 1}"),
+]
+
+
+class TestDKRowsBite:
+    """The two rows that tie a construction from the triple to one from its entwining fail through (s, e)."""
+
+    @pytest.mark.parametrize("name, attr, entry, axiom, failure", DK_ROW_BITES,
+                             ids=[f"{name}-{axiom}" for name, _, _, axiom, _ in DK_ROW_BITES])
+    def test_bump_fails_the_row(self, name, attr, entry, axiom, failure):
+        s = catalog_get(name)
+        e = dk_entwining(s)
+        if attr == "psi":
+            op = "dual_dk"
+            _, rep = dual_dk(s, replace(e, psi=corrupt(e.psi, *entry)))
+        else:
+            op = "koppinen_smash"
+            with pytest.raises(CheckError) as exc:
+                koppinen_smash(replace(s, coalg_action=corrupt(s.coalg_action, *entry)), e)
+            rep = exc.value.report
+        assert rep.summary() == f"{op}: FAIL {axiom} {failure}"
 
 
 class TestDualDK:

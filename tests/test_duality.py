@@ -20,11 +20,11 @@ from entwine.duality import (
     dual_entwining_morphism,
     dual_module_r,
     dual_module_upper_r,
-    dual_morphism_r,
     restrict_dual_algebra,
     restrict_dual_coalgebra,
 )
 from entwine.catalog import catalog_get
+from conftest import dual_morphism_r
 
 
 def bump_first(m: Matrix) -> Matrix:
@@ -229,13 +229,13 @@ class TestFunctoriality:
         mr = dual_module_r(d, m)
         endos = hom_entwined_basis(ent_qc2, m, m)
         # (id)_r = id
-        ident = dual_morphism_r(d, Matrix.identity(QQ, m.dim), mr, mr)
+        ident = dual_morphism_r(Matrix.identity(QQ, m.dim), mr, mr)
         assert ident == Matrix.identity(QQ, mr.dim)
         for f in endos:
             for g in endos:
-                fg_r = dual_morphism_r(d, f @ g, mr, mr)
-                f_r = dual_morphism_r(d, f, mr, mr)
-                g_r = dual_morphism_r(d, g, mr, mr)
+                fg_r = dual_morphism_r(f @ g, mr, mr)
+                f_r = dual_morphism_r(f, mr, mr)
+                g_r = dual_morphism_r(g, mr, mr)
                 assert fg_r == g_r @ f_r
                 rep = hom_entwined(d.dual, mr.module, mr.module, f_r)
                 assert rep.passed

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from entwine import report
-from entwine.exactlin import Field, Matrix, QQ, columns_of, kron, law_shape, law_vectors
+from entwine.exactlin import Field, Matrix, QQ, columns_of, kron
 from entwine.report import CheckError, compare, first_failure
 from entwine.structures import (
     ModulePresentation,
@@ -41,6 +41,8 @@ from conftest import (
     assert_canonical_vector,
     compare_reference,
     corrupt,
+    law_shape,
+    law_vectors,
     layout,
     left_star_product,
     nu_implied_rows,

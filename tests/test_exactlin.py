@@ -17,8 +17,6 @@ from entwine.exactlin import (
     invert,
     kernel,
     kron,
-    law_shape,
-    law_vectors,
     perm_tensor,
     permute,
     preimage,
@@ -27,7 +25,15 @@ from entwine.exactlin import (
     solve_linear,
     swap_matrix,
 )
-from conftest import BOTH_FIELDS, assert_canonical_vector, random_invertible, random_matrix, random_scalar
+from conftest import (
+    BOTH_FIELDS,
+    assert_canonical_vector,
+    law_shape,
+    law_vectors,
+    random_invertible,
+    random_matrix,
+    random_scalar,
+)
 
 
 def M(rows, field=QQ):

@@ -10,6 +10,7 @@ asserts that each law name is pinned by a bite table or is an implied check.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from entwine import report
 from entwine.catalog import catalog_get, catalog_names
 from entwine.doikoppinen import (
+    _DUAL_ARROWS,
     AltDKStructure,
     DKStructure,
     HCoextension,
@@ -31,6 +33,8 @@ from entwine.doikoppinen import (
     h_extension,
     koppinen_smash,
     long_dimodule_check,
+    module_coalgebra_to_comodule_algebra,
+    module_coalgebra_to_dual_module_algebra,
     verify_dk,
     verify_dk_compat,
     verify_dk_morphism,
@@ -69,16 +73,18 @@ from conftest import (
     IMPLIED_CHECKS,
     INNER_ARROWS,
     antipode_right_rows,
+    arrow_inputs,
     coinvariant_subalgebra,
     corrupt,
     inner_ingredient,
     left_inverse_rows,
     nu_implied_rows,
     quotient_rows,
+    rational_route,
 )
-from test_doikoppinen import COMPAT_BITES
+from test_doikoppinen import COMPAT_BITES, DK_ROW_BITES
 from test_entwining import ENTWINING_BITES, NU_ROW_MUTATIONS, ROW_MUTATIONS
-from test_law_rows import BIALGEBRA_ROW_BITES, FIRST_UNREACHED_ROW_BITES
+from test_law_rows import BIALGEBRA_ROW_BITES, FIRST_UNREACHED_ROW_BITES, MORPHISM_ROW_BITES
 from test_structures import HOPF_BITES
 
 
@@ -88,6 +94,18 @@ def catalog_of(cls) -> dict:
 
 def dual_extension(coext: HCoextension) -> HExtension:
     return dualize_coextension(coext, check_cointegral(coext, coext.cointegral))[0]
+
+
+def module_coalgebras() -> dict:
+    """(H, C, action) of every catalog right module coalgebra: the C of each triple and the D of each coextension."""
+    out = {name: (s.h, s.coalg, s.coalg_action) for name, s in catalog_of(DKStructure).items()}
+    out.update({name: (c.h, c.d, c.action) for name, c in catalog_of(HCoextension).items()})
+    return out
+
+
+def bump(m: Matrix, rng: random.Random) -> Matrix:
+    """m with +1 at an entry that rng picks."""
+    return corrupt(m, rng.randrange(m.rows), rng.randrange(m.cols))
 
 
 class TestImpliedChecksHold:
@@ -141,6 +159,35 @@ class TestImpliedChecksHold:
             if g is not None:
                 assert first_failure("convolution_inverse", left_inverse_rows(c, a, f, g)).passed
 
+    def test_rational_part_is_everything(self):
+        """The elimination route of conftest gives the arrow's coaction, algebra and labels, with W all of C*."""
+        coalgebras = module_coalgebras()
+        assert len(coalgebras) == 8
+        for name, (h, c, action) in coalgebras.items():
+            inner = module_coalgebra_to_dual_module_algebra(h, c, action)
+            w, algebra, coaction = rational_route(h, inner.structure, inner.matrix)
+            out = module_coalgebra_to_comodule_algebra(h, c, action)
+            assert w.dim == c.dim, name
+            assert (out.structure, out.matrix) == (algebra, coaction), name
+            assert out.matrix == action.transpose(), name
+
+    def test_dual_triple(self):
+        triples = catalog_of(DKStructure)
+        assert len(triples) == 6
+        for name, s in triples.items():
+            assert verify_dk(dual_dk(s, dk_entwining(s))[0]).passed, name
+
+    def test_dual_entwining_psi(self):
+        entwinings = catalog_of(EntwiningPresentation)
+        assert len(entwinings) == 11
+        for name, e in entwinings.items():
+            assert dual_entwining(e).dual.psi == e.psi.transpose(), name
+
+    def test_dual_coextension_rows(self):
+        for name, coext in catalog_of(HCoextension).items():
+            ext = dual_extension(coext)
+            assert verify_dk_compat("comodule-algebra", ext.h, ext.b, ext.coaction, "right").passed, name
+
 
 class TestImpliedChecksBite:
     """Each oracle fails on an input that src does not let through, so reading it is not vacuous.
@@ -175,6 +222,46 @@ class TestImpliedChecksBite:
         assert first_failure("convolution_inverse", left_inverse_rows(point, a, x, g)).summary() == \
             "convolution_inverse: FAIL left-inverse at basis (0,) lhs={} rhs={0: 1}"
 
+    def test_dual_triple_fails_with_the_triple(self):
+        """Seeded +1 bumps of each triple's maps fail the dual that dual_dk builds exactly when they fail the triple."""
+        rng = random.Random("dual triple")
+        verdicts = []
+        for name, s in catalog_of(DKStructure).items():
+            e = dk_entwining(s)
+            for part, attr in (("h", "mul"), ("h", "comul"), ("alg", "mul"), ("coalg", "comul"),
+                               ("alg_coaction", None), ("coalg_action", None)):
+                for _ in range(8):
+                    if attr is None:
+                        bad = replace(s, **{part: bump(getattr(s, part), rng)})
+                    else:
+                        x = getattr(s, part)
+                        bad = replace(s, **{part: replace(x, **{attr: bump(getattr(x, attr), rng)})})
+                    given = verify_dk(bad).passed
+                    assert verify_dk(dual_dk(bad, e)[0]).passed == given, (name, part, attr)
+                    verdicts.append(given)
+        assert len(verdicts) == 288 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("name", ["qc2", "qc3", "sweedler4"])
+    def test_output_fails_with_the_input(self, name):
+        """Seeded +1 bumps of h, x or m fail each arrow's output exactly when they fail its input."""
+        inputs = arrow_inputs(catalog_get(name))
+        verdicts = []
+        for (kind, target), (arrow, side) in _DUAL_ARROWS.items():
+            if (kind, side) not in inputs:
+                continue
+            h, x, m = inputs[kind, side]
+            rng = random.Random(f"{name}: {kind} -> {target}")
+            maps = [(h, a) for a in ("mul", "comul")] + [(x, a) for a in ("mul", "comul") if getattr(x, a) is not None]
+            for _ in range(16):
+                pres, attr = rng.choice(maps + [(None, None)])
+                args = [h, x, bump(m, rng) if pres is None else m]
+                if pres is not None:
+                    args[0 if pres is h else 1] = replace(pres, **{attr: bump(getattr(pres, attr), rng)})
+                given = verify_dk_compat(kind, *args, side).passed
+                assert arrow(*args).verify().passed == given, (kind, target, attr)
+                verdicts.append(given)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     @pytest.mark.parametrize("kind", sorted(INNER_ARROWS))
     def test_inner_ingredient_fails_with_the_input(self, kind):
         """Each +1 on the input's (co)action fails the intermediate exactly when it fails the input's own laws."""
@@ -196,10 +283,9 @@ class TestImpliedChecksBite:
 
 # law names that src reads on catalog objects but that no bite table pins yet; this set may only shrink
 UNPINNED = {
-    "a-linearity", "action-associativity", "action-unit", "adjointness", "c-colinearity",
-    "coaction-coassociativity", "coaction-counit", "comultiplicative", "counital", "entwining-coherence",
-    "h-colinearity", "h-linearity", "intertwining", "inverse-twisted-linearity", "long-compatibility", "measuring",
-    "mixed-compatibility", "multiplicative", "psi-compatibility", "table-equality", "unit-counit", "unital",
+    "action-associativity", "action-unit", "adjointness", "coaction-coassociativity", "coaction-counit",
+    "comultiplicative", "counital", "intertwining", "inverse-twisted-linearity", "long-compatibility", "measuring",
+    "mixed-compatibility", "multiplicative", "psi-compatibility", "unit-counit", "unital",
 }
 
 
@@ -210,7 +296,9 @@ def bite_table_axioms() -> set:
             | {axiom for axiom, *_ in NU_ROW_MUTATIONS}
             | {failure.split()[0] for *_, failure in HOPF_BITES}
             | {axiom for _, _, _, axiom, _ in BIALGEBRA_ROW_BITES}
-            | {axiom for _, _, _, axiom, _ in FIRST_UNREACHED_ROW_BITES})
+            | {axiom for _, _, _, axiom, _ in FIRST_UNREACHED_ROW_BITES}
+            | {axiom for _, _, _, axiom, _ in MORPHISM_ROW_BITES}
+            | {axiom for _, _, _, axiom, _ in DK_ROW_BITES})
 
 
 def read_every_law(obj) -> None:

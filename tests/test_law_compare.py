@@ -3,7 +3,7 @@
 The reference (conftest.compare_reference) lays both sides of a law out
 with @ and kron and scans their columns in index order; compare reads the
 difference of the sides along its shorter dimension through
-exactlin.law_vectors.  Both must give the same verdict, witness and
+exactlin._vectors.  Both must give the same verdict, witness and
 lhs=/rhs= text on sides drawn by derandomized Hypothesis strategies: wide,
 tall and square, over Q and F_p, with pairs (X, k) and (k, X), signed terms
 that cancel, columns that are zero on one side only, and laws on no basis
@@ -29,8 +29,8 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
-from entwine.exactlin import Field, Matrix, QQ, _packs, _push_packed, _stages, _terms, law_shape  # noqa: E402
-from conftest import compare_reference as reference, layout, packed_stages  # noqa: E402
+from entwine.exactlin import Field, Matrix, QQ, _packs, _push_packed, _stages, _terms  # noqa: E402
+from conftest import compare_reference as reference, law_shape, layout, packed_stages  # noqa: E402
 
 FIELDS = (QQ, Field(5), Field(7))
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)

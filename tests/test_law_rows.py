@@ -1,4 +1,4 @@
-"""Every law is a composition of structure maps that only exactlin.law_vectors evaluates.
+"""Every law is a composition of structure maps that only exactlin._vectors evaluates.
 
 Two kinds of test: the verifiers pass on every catalog object with Matrix
 products and Kronecker products disabled, so no law side is laid out; and
@@ -121,6 +121,26 @@ PROJECTION_ROW_BITES = [
 ]
 
 
+# (catalog object, map given +1 at entry, the row, its failure): the identity M -> N with N's action or coaction
+# bumped, and an integral or cointegral bumped in check_integral or check_cointegral
+MORPHISM_ROW_BITES = [
+    ("hopfmod_sweedler4", "action", (0, 0), "a-linearity", "at basis (0, 0) lhs={0: 1} rhs={0: 2}"),
+    ("hopfmod_sweedler4", "coaction", (0, 0), "c-colinearity", "at basis (0,) lhs={0: 2} rhs={0: 1}"),
+    ("ext_sweedler4", "integral", (0, 0), "h-colinearity", "at basis (3,) lhs={3: 1, 13: 1} rhs={3: 2, 13: 1}"),
+    ("coext_sweedler4", "cointegral", (0, 0), "h-linearity", "at basis (0, 1) lhs={1: 1} rhs={1: 2}"),
+]
+
+
+def morphism_row(obj, attr: str, bumped=None):
+    """The report of the map that MORPHISM_ROW_BITES bumps, at obj's own map or at bumped."""
+    if attr == "integral":
+        return check_integral(obj, obj.integral if bumped is None else bumped).colinear
+    if attr == "cointegral":
+        return check_cointegral(obj, obj.cointegral if bumped is None else bumped).linear
+    target = obj if bumped is None else replace(obj, **{attr: bumped})
+    return hom_entwined(obj.entwining, obj, target, Matrix.identity(obj.entwining.field, obj.dim))
+
+
 class TestEveryUnreachedRowBites:
     """Rows that no first failure of a catalog object names, each failed at row level by a +1.
 
@@ -179,29 +199,26 @@ class TestEveryUnreachedRowBites:
             rep = verify_structure(None, replace(h, antipode=corrupt(h.antipode, *entry)))
             assert rep.axiom == "antipode-left", (entry, rep.summary())
 
-    @pytest.mark.parametrize("attr, failure", [
-        ("action", "a-linearity at basis (0, 0) lhs={0: 1} rhs={0: 2}"),
-        ("coaction", "c-colinearity at basis (0,) lhs={0: 2} rhs={0: 1}"),
-    ], ids=["a-linearity", "c-colinearity"])
-    def test_hom_entwined_row(self, attr, failure):
+    @staticmethod
+    def bite(axiom: str):
+        """The MORPHISM_ROW_BITES entry of axiom: the row passes on the catalog object, and fails when bumped."""
+        name, attr, entry, _, failure = next(b for b in MORPHISM_ROW_BITES if b[3] == axiom)
+        obj = catalog_get(name)
+        rep = morphism_row(obj, attr)
+        assert rep.passed
+        assert morphism_row(obj, attr, corrupt(getattr(obj, attr), *entry)).summary() == \
+            f"{rep.op}: FAIL {axiom} {failure}"
+
+    @pytest.mark.parametrize("axiom", ["a-linearity", "c-colinearity"])
+    def test_hom_entwined_row(self, axiom):
         """The identity M -> N fails exactly the law whose structure map of N is bumped."""
-        m = catalog_get("hopfmod_sweedler4")
-        ident = Matrix.identity(m.entwining.field, m.dim)
-        assert hom_entwined(m.entwining, m, m, ident).passed
-        bad = replace(m, **{attr: corrupt(getattr(m, attr), 0, 0)})
-        assert hom_entwined(m.entwining, m, bad, ident).summary() == f"hom_entwined: FAIL {failure}"
+        self.bite(axiom)
 
     def test_h_colinearity(self):
-        ext = catalog_get("ext_sweedler4")
-        assert check_integral(ext, ext.integral).colinear.passed
-        assert check_integral(ext, corrupt(ext.integral, 0, 0)).colinear.summary() == \
-            "check_integral: FAIL h-colinearity at basis (3,) lhs={3: 1, 13: 1} rhs={3: 2, 13: 1}"
+        self.bite("h-colinearity")
 
     def test_h_linearity(self):
-        coext = catalog_get("coext_sweedler4")
-        assert check_cointegral(coext, coext.cointegral).linear.passed
-        assert check_cointegral(coext, corrupt(coext.cointegral, 0, 0)).linear.summary() == \
-            "check_cointegral: FAIL h-linearity at basis (0, 1) lhs={1: 1} rhs={1: 2}"
+        self.bite("h-linearity")
 
     @pytest.mark.parametrize("name, axiom, failure", PROJECTION_ROW_BITES,
                              ids=[axiom for _, axiom, _ in PROJECTION_ROW_BITES])

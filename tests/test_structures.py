@@ -17,13 +17,11 @@ from entwine.structures import (
     canonical_pairing,
     check_adjoint_pair,
     check_alpha_condition,
-    coaction_from_module,
     compute_antipode,
     convolution,
     convolution_inverse,
     convolution_unit,
     dualize_structure,
-    harpoon_action_matrix,
     make_structure,
     matrix_from_quads,
     module_from_coaction,
@@ -36,7 +34,14 @@ from entwine.structures import (
 from entwine.catalog import catalog_get, cyclic_group_algebra, sweedler4, trivial_bialgebra
 from entwine.document import document_from_objects, emit_document, parse_document
 from entwine.exactlin import PresentationError
-from conftest import BOTH_FIELDS, random_invertible, random_matrix
+from conftest import (
+    BOTH_FIELDS,
+    birational_subspace,
+    coaction_from_module,
+    harpoon_action_matrix,
+    random_invertible,
+    random_matrix,
+)
 
 
 # the regular action of the group algebra of C2 on itself, as quadruples
@@ -384,8 +389,6 @@ class TestRationalSubmodule:
             rational_submodule(p, ModulePresentation(2, qc2, act, "left"))
 
     def test_birational_intersection(self):
-        from entwine.structures import birational_subspace
-
         a = make_structure("algebra", QQ, 2, ("p", "q"),
                            mul=[(0, 0, 0, 1), (1, 1, 1, 1)], unit=[1, 1])
         ctil = make_structure("coalgebra", QQ, 1, ("d1",), comul=[(0, 0, 0, 1)], counit=[1])
