@@ -14,7 +14,7 @@ import json
 import sys
 
 from .exactlin import PresentationError
-from .report import CheckError, Report, first_failure, ok, require
+from .report import CheckError, Report, first_failure, require
 from .structures import (
     ModulePresentation,
     PairingPresentation,
@@ -133,8 +133,10 @@ def cmd_dualize(args, out: _Out) -> None:
         out.report(name, verify_structure(None, dual))
         emitted = document_from_objects(doc.field, {f"{name}_dual": dual})
     elif isinstance(obj, EntwiningPresentation):
-        datum = dual_entwining(obj)   # raises CheckError unless the dual passes verify_entwining
-        out.report(name, ok("verify_entwining"))
+        rep = verify_entwining(obj)
+        require(rep)
+        datum = dual_entwining(obj)
+        out.report(name, rep)
         emitted = document_from_objects(doc.field, {
             f"{name}_dual_algebra": datum.atil,
             f"{name}_dual_coalgebra": datum.ctil,
@@ -223,6 +225,7 @@ def cmd_adjunction(args, out: _Out) -> None:
     doc = _load(args.document)
     e = _get(doc, args.entwining, EntwiningPresentation, "entwining")
     m = _get(doc, args.module, EntwinedModulePresentation, "entwined module")
+    require(verify_entwining(e))
     datum = dual_entwining(e)
     k = (_get(doc, args.dual_module, EntwinedModulePresentation, "entwined module")
          if args.dual_module else None)

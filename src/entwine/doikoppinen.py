@@ -7,10 +7,12 @@ Dualizing every ingredient against the full dual bialgebra yields a dual
 structure whose entwining agrees with the dual of the original entwining;
 module coalgebras also quotient to coextensions, whose duals are cleft
 extensions when a convolution-invertible cointegral exists.  verify_dk
-judges a triple; a construction takes a verified one and reads only the
-laws of what it builds.  A full dual is a transpose: in finite dimension
-a rational part against H* is the whole module (Montgomery, CBMS 82, 1.6),
-so each dual ingredient re-indexes its input, whose laws imply its own.
+judges a triple; a construction takes a verified one and reads no law
+that the triple implies.  Its entwining is built and not read, since a
+Doi-Koppinen datum always induces one (Brzezinski and Majid, CMP 191,
+1998).  A full dual is a transpose: in finite dimension a rational part
+against H* is the whole module (Montgomery, CBMS 82, 1.6), so each dual
+ingredient re-indexes its input, whose laws imply its own.
 """
 
 from __future__ import annotations
@@ -46,12 +48,7 @@ from .structures import (
     make_structure,
     verify_structure,
 )
-from .entwining import (
-    EntwiningPresentation,
-    SmashRing,
-    build_smash,
-    entwining_laws,
-)
+from .entwining import EntwiningPresentation, SmashRing, build_smash
 
 
 class UnsupportedDualization(PresentationError):
@@ -184,36 +181,32 @@ class AltDKStructure:
 
 
 def dk_entwining(s: DKStructure) -> EntwiningPresentation:
-    """psi(c (x) a) = sum a_0 (x) c.a_1 of a triple that has passed verify_dk.
+    """psi(c (x) a) = sum a_0 (x) c.a_1 of a triple that has passed verify_dk, built and not read.
 
-    A and C are not checked again: only the four psi laws (entwining_laws)
-    are read, reported under the op verify_entwining.
+    A Doi-Koppinen datum always induces an entwining (Brzezinski and Majid,
+    CMP 191, 1998): the psi laws follow from A being a comodule algebra
+    and C a module coalgebra, which verify_dk read.
     """
-    e = EntwiningPresentation(s.alg, s.coalg, _dk_psi(s))
-    report.require(report.first_failure("verify_entwining", entwining_laws(e)))
-    return e
-
-
-def _dk_psi(s: DKStructure) -> Matrix:
-    """The map psi of dk_entwining, built and not verified."""
     f = s.field
     na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
-    return kron(Matrix.identity(f, na), s.coalg_action) \
-        @ kron(swap_matrix(f, nc, na), Matrix.identity(f, nh)) \
-        @ kron(Matrix.identity(f, nc), s.alg_coaction)
+    return EntwiningPresentation(s.alg, s.coalg, kron(Matrix.identity(f, na), s.coalg_action)
+                                 @ kron(swap_matrix(f, nc, na), Matrix.identity(f, nh))
+                                 @ kron(Matrix.identity(f, nc), s.alg_coaction))
 
 
 def alt_dk_entwining(s: AltDKStructure) -> EntwiningPresentation:
-    """psi(c (x) a) = sum a.c_1 (x) c_0 for the alternative structures: s.verify(), then the psi laws alone."""
+    """psi(c (x) a) = sum a.c_1 (x) c_0 for the alternative structures, once s.verify() has passed.
+
+    The psi laws are not read: they follow from A being a module algebra
+    and C a comodule coalgebra, as for dk_entwining (Brzezinski and Majid,
+    CMP 191, 1998).
+    """
     report.require(s.verify())
     f = s.h.field
     na, nc, nh = s.alg.dim, s.coalg.dim, s.h.dim
-    psi = kron(s.alg_action, Matrix.identity(f, nc)) \
-        @ perm_tensor(f, (nc, nh, na), (2, 1, 0)) \
-        @ kron(s.coalg_coaction, Matrix.identity(f, na))
-    e = EntwiningPresentation(s.alg, s.coalg, psi)
-    report.require(report.first_failure("verify_entwining", entwining_laws(e)))
-    return e
+    return EntwiningPresentation(s.alg, s.coalg, kron(s.alg_action, Matrix.identity(f, nc))
+                                 @ perm_tensor(f, (nc, nh, na), (2, 1, 0))
+                                 @ kron(s.coalg_coaction, Matrix.identity(f, na)))
 
 
 def koppinen_table(s: DKStructure) -> Matrix:
@@ -255,16 +248,13 @@ def koppinen_smash(s: DKStructure, e: EntwiningPresentation) -> SmashRing:
 
 @dataclass(frozen=True)
 class DKIngredient:
-    """An algebra or coalgebra with an action or coaction of a bialgebra; verify() reads its laws, no arrow does."""
+    """An algebra or coalgebra with an action or coaction of a bialgebra; no arrow reads its laws."""
 
     kind: str
     side: str
     h: StructurePresentation
     structure: StructurePresentation
     matrix: Matrix
-
-    def verify(self) -> Report:
-        return verify_dk_compat(self.kind, self.h, self.structure, self.matrix, self.side)
 
 
 def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePresentation,
@@ -386,18 +376,11 @@ def dual_dk(s: DKStructure, e: EntwiningPresentation) -> tuple[DKStructure, Repo
     c0 = module_coalgebra_to_comodule_algebra(s.h, s.coalg, s.coalg_action)
     astar = comodule_algebra_to_dual_module_coalgebra(s.h, s.alg, s.alg_coaction)
     dual = DKStructure(c0.h, c0.structure, c0.matrix, astar.structure, astar.matrix)
-    coherence = report.compare("dual_dk", "entwining-coherence", _dk_psi(dual), e.psi.transpose(),
+    coherence = report.compare("dual_dk", "entwining-coherence", dk_entwining(dual).psi, e.psi.transpose(),
                                (astar.structure.dim, c0.structure.dim))
     if coherence is not None:
         return dual, coherence
     return dual, report.ok("dual_dk", entwining_coherence=True)
-
-
-def dual_alt_dk(s: AltDKStructure):
-    """Alternative structures do not dualize componentwise in general."""
-    raise UnsupportedDualization(
-        "not supported: the dual of an alternative structure need not be an "
-        "alternative structure, so no dualization is attempted")
 
 
 # ---------------------------------------------------------------------------
@@ -644,24 +627,6 @@ def verify_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
         yield "beta", bialgebra_morphism_report(s.h, t.h, beta)
         yield "gamma", algebra_morphism_report(s.alg, t.alg, gamma)
         yield "delta", coalgebra_morphism_report(s.coalg, t.coalg, delta)
-        yield ("mixed-compatibility", (_dk_psi(s), (s.alg.dim, delta), (gamma, t.coalg.dim)),
-               ((s.coalg.dim, gamma), (delta, t.alg.dim), _dk_psi(t)), (s.coalg.dim, s.alg.dim))
+        yield ("mixed-compatibility", (dk_entwining(s).psi, (s.alg.dim, delta), (gamma, t.coalg.dim)),
+               ((s.coalg.dim, gamma), (delta, t.alg.dim), dk_entwining(t).psi), (s.coalg.dim, s.alg.dim))
     return report.first_failure("verify_dk_morphism", rows())
-
-
-def dual_dk_morphism(s: DKStructure, t: DKStructure, beta: Matrix,
-                     gamma: Matrix, delta: Matrix) -> Report:
-    """The transposed triple as a morphism between the dual structures; s and t are verified here."""
-    for x in (s, t):
-        report.require(verify_dk(x))
-    rep = verify_dk_morphism(s, t, beta, gamma, delta)
-    if not rep.passed:
-        return rep
-    dual_s, rep_s = dual_dk(s, dk_entwining(s))
-    dual_t, rep_t = dual_dk(t, dk_entwining(t))
-    for r in (rep_s, rep_t):
-        if not r.passed:
-            return r
-    # full duals: delta* automatically lands in C0 = C*
-    return verify_dk_morphism(dual_t, dual_s, beta.transpose(), delta.transpose(),
-                              gamma.transpose())

@@ -11,6 +11,9 @@ matrix and writes them in the target basis with exactlin.express, which
 names the first image outside the span; the witness pair is decoded from
 that column index.
 
+Each construction builds from verified input and reads no law that the
+input implies; its docstring names the theorem.
+
 The module-level functors send an entwined module M to the rational part
 of M* over the dual data and back; the two directions are mutually
 adjoint, which adjunction_check verifies literally on computed Hom bases.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, Subspace, express, kron
+from .exactlin import Matrix, PresentationError, Subspace, express, kron, rank
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
@@ -32,13 +35,10 @@ from .structures import (
     make_structure,
     module_from_coaction,
     rational_submodule,
-    verify_measuring_pairing,
-    verify_structure,
 )
 from .entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
-    entwining_laws,
     hom_entwined,
     hom_entwined_basis,
     verify_entwined_module,
@@ -83,15 +83,13 @@ def restrict_dual_coalgebra(a: StructurePresentation, basis: Matrix) -> Structur
 
 @dataclass(frozen=True)
 class DualDatum:
-    """A dual entwining: the chosen subobjects, the induced map, and the
-    verified entwining they form."""
+    """A dual entwining: the chosen subobjects and the entwining they form, with psi* as its psi."""
 
     source: EntwiningPresentation
     atil_basis: Matrix   # rows: functionals on C spanning the dual algebra
     ctil_basis: Matrix   # rows: functionals on A spanning the dual coalgebra
     atil: StructurePresentation
     ctil: StructurePresentation
-    phi: Matrix
     dual: EntwiningPresentation
 
     def pairing_a_ctil(self) -> PairingPresentation:
@@ -105,14 +103,18 @@ class DualDatum:
 
 def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
                    ctil_basis: Matrix | None = None) -> DualDatum:
-    """Construct and verify the dual entwining on (A~, C~).
+    """The dual entwining on (A~, C~) of an entwining that has passed verify_entwining.
 
     Defaults to the full duals A~ = C*, C~ = A*, which always close in
-    finite dimension.  For proper subobjects the closure of psi* is
-    tested on every basis pair and a violation raises ClosureViolation
-    with the witness pair.  A~ and C~ are verified once, then the two
-    measuring pairings, then the psi laws of the dual alone
-    (entwining_laws), reported under the op verify_entwining.
+    finite dimension.  The basis rows must be linearly independent, or
+    PresentationError is raised; for proper subobjects the closure of
+    psi* is tested on every basis pair and a violation raises
+    ClosureViolation with the witness pair.  Nothing built is read again
+    (the paper): A~ is a subalgebra of the convolution algebra C* of a
+    verified coalgebra and C~ a subcoalgebra of the dual coalgebra A*,
+    the two pairings measure because A~ and C~ carry the structure they
+    inherit from C* and A*, and each psi law of the dual is a psi law of
+    e, transposed and restricted to A~ and C~.
     """
     a, c, psi = e.algebra, e.coalgebra, e.psi
     f = e.field
@@ -120,6 +122,9 @@ def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
         atil_basis = Matrix.identity(f, c.dim)
     if ctil_basis is None:
         ctil_basis = Matrix.identity(f, a.dim)
+    for name, basis in (("atil_basis", atil_basis), ("ctil_basis", ctil_basis)):
+        if rank(basis) < basis.rows:
+            raise PresentationError(f"the rows of {name} are linearly dependent")
     atil = restrict_dual_algebra(c, atil_basis)
     ctil = restrict_dual_coalgebra(a, ctil_basis)
     # row (i, j) of the images is psi* of the i-th C~ and j-th A~ basis functionals
@@ -129,13 +134,7 @@ def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
         raise ClosureViolation(report.fail(
             "dual_entwining", "closure-violated", witness=divmod(bad, atil.dim),
             lhs=images.row_matrix(bad).render(), rhs="span(A~ (x) C~)"))
-    dual = EntwiningPresentation(atil, ctil, phi)
-    for rep in (verify_structure(None, atil), verify_structure(None, ctil),
-                verify_measuring_pairing(PairingPresentation(a, ctil, ctil_basis.transpose())),
-                verify_measuring_pairing(PairingPresentation(atil, c, atil_basis)),
-                report.first_failure("verify_entwining", entwining_laws(dual))):
-        report.require(rep)
-    return DualDatum(e, atil_basis, ctil_basis, atil, ctil, phi, dual)
+    return DualDatum(e, atil_basis, ctil_basis, atil, ctil, EntwiningPresentation(atil, ctil, phi))
 
 
 def double_dual_comparison(e: EntwiningPresentation) -> Report:
@@ -180,13 +179,15 @@ def _restrict_right_action(action: Matrix, w: Subspace, adim: int, op: str) -> M
 
 
 def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
-    """The rational part of M* as an entwined module over the dual data.
+    """The rational part M_r of M* as an entwined module over the dual data.
 
     M* carries the left A-action (a.h)(m) = h(m a) and the right action of
     the dual algebra through the coaction of M; the rational part over the
-    (A, C~) pairing picks up the dual-coalgebra coaction, and the result
-    is verified over (A~, C~, phi).  rational_submodule checks the rank
-    criterion on that pairing and raises AlphaConditionError.
+    (A, C~) pairing picks up the dual-coalgebra coaction.  rational_submodule
+    checks the rank criterion on that pairing and raises
+    AlphaConditionError.  m is a verified module over d.source, and the
+    result is not read: M_r of an entwined module is a dual entwined
+    module (the paper), each of its laws one of M's, transposed.
     """
     e = d.source
     if m.entwining != e:
@@ -200,13 +201,15 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
     ract_mstar = dual_action_on_dual(atil_on_m, m.dim, d.atil.dim, "left")
     rat = rational_submodule(pairing, ModulePresentation(m.dim, e.algebra, lact, "left"))
     ract = _restrict_right_action(ract_mstar, rat.subspace, d.atil.dim, "dual_module_r")
-    out = EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction)
-    report.require(verify_entwined_module(d.dual, out))
-    return DualModule(rat.subspace.basis, out)
+    return DualModule(rat.subspace.basis, EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction))
 
 
 def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModule:
-    """The mirror functor, from modules over the dual data back to (A, C, psi), along the (A~, C) pairing."""
+    """The mirror functor, from modules over the dual data back to (A, C, psi), along the (A~, C) pairing.
+
+    k is a verified module over d.dual, and the result is not read: K^r of
+    a dual entwined module is an entwined module (the paper), as for M_r.
+    """
     e = d.source
     if k.entwining != d.dual:
         raise PresentationError("module does not live over the dual entwining")
@@ -219,9 +222,7 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
     ract_kstar = dual_action_on_dual(a_on_k, k.dim, na, "left")
     rat = rational_submodule(pairing, ModulePresentation(k.dim, d.atil, lact, "left"))
     ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
-    out = EntwinedModulePresentation(e, rat.dim, ract, rat.coaction)
-    report.require(verify_entwined_module(e, out))
-    return DualModule(rat.subspace.basis, out)
+    return DualModule(rat.subspace.basis, EntwinedModulePresentation(e, rat.dim, ract, rat.coaction))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     if not parts.passed:
         return parts
     mr = dual_module_r(d, m)
-    k = mr.module if k is None else k   # dual_module_r verifies the module it builds
+    k = mr.module if k is None else k   # M_r of a verified M needs no check
     kr = dual_module_upper_r(d, k)
     hom_mkr = hom_entwined_basis(d.source, m, kr.module)
     hom_kmr = hom_entwined_basis(d.dual, k, mr.module)
@@ -304,17 +305,19 @@ def dual_entwining_morphism(d_e: DualDatum, d_f: DualDatum,
     """Transpose a morphism of entwinings to a morphism of the dual entwinings.
 
     (gamma, delta) : source(d_e) -> source(d_f) must be a verified
-    morphism whose transposes respect the chosen subobjects; the induced
-    pair is then checked as a morphism dual(d_f) -> dual(d_e).
+    morphism whose transposes respect the chosen subobjects.  The induced
+    pair (delta*, gamma*) : dual(d_f) -> dual(d_e) is not checked again:
+    each of its morphism laws is one of (gamma, delta), transposed and
+    restricted to the chosen subobjects.
     """
     rep = verify_entwining_morphism(d_e.source, d_f.source, gamma, delta)
     if not rep.passed:
         return rep
     # delta* : B~ -> A~ and gamma* : D~ -> C~ on the chosen bases
-    delta_star, bad = express(d_e.atil_basis, (d_f.atil_basis @ delta).transpose())
-    if delta_star is None:
+    _, bad = express(d_e.atil_basis, (d_f.atil_basis @ delta).transpose())
+    if bad is not None:
         return report.fail("dual_entwining_morphism", "delta-transpose-inclusion", witness=(bad,))
-    gamma_star, bad = express(d_e.ctil_basis, (d_f.ctil_basis @ gamma).transpose())
-    if gamma_star is None:
+    _, bad = express(d_e.ctil_basis, (d_f.ctil_basis @ gamma).transpose())
+    if bad is not None:
         return report.fail("dual_entwining_morphism", "gamma-transpose-inclusion", witness=(bad,))
-    return verify_entwining_morphism(d_f.dual, d_e.dual, delta_star, gamma_star)
+    return report.ok("dual_entwining_morphism")

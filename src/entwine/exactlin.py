@@ -210,10 +210,6 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._of_rows(field, rows, cols, ({} for _ in range(rows)))
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         m = cls._of_rows(field, n, n, ({i: 1} for i in range(n)))
         m._cols = m._rows   # its own transpose: a law side that reads it by columns transposes nothing
@@ -325,14 +321,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
-
-    def scale(self, c) -> "Matrix":
-        if self.field.is_zero(c):
-            return Matrix.zeros(self.field, self.rows, self.cols)
-        mul = self.field.mul
-        # a product of two nonzeros in a field is nonzero
-        return Matrix._of_rows(self.field, self.rows, self.cols,
-                               ({j: mul(c, v) for j, v in r.items()} for r in self._rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:

@@ -11,7 +11,7 @@ dim_M x (dim_M * dim_A), a right coaction M -> M (x) C is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from .exactlin import (
@@ -60,9 +60,6 @@ class StructurePresentation:
 
     def identity_matrix(self) -> Matrix:
         return Matrix.identity(self.field, self.dim)
-
-    def with_antipode(self, s: Matrix) -> "StructurePresentation":
-        return replace(self, kind="hopf", antipode=s)
 
 
 def default_labels(dim: int) -> tuple[str, ...]:
@@ -566,7 +563,9 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     For a left module the result carries a right C-coaction (and mirrored
     for right modules); both the restricted action and the coaction are
     returned in the canonical basis of the subspace.  Requires the rank
-    criterion on p, and raises AlphaConditionError without it.
+    criterion on p, and raises AlphaConditionError without it.  m must be
+    a module over p's own algebra: another dimension, field,
+    multiplication or unit raises PresentationError.
     """
     criterion = check_alpha_condition(p)
     if not criterion.passed:
@@ -579,6 +578,8 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
         raise DimensionMismatch(
             f"the module's algebra (dim {m.algebra.dim} over {m.algebra.field}) does not match "
             f"the pairing's (dim {p.algebra.dim} over {p.algebra.field})")
+    if (m.algebra.mul, m.algebra.unit) != (p.algebra.mul, p.algebra.unit):
+        raise PresentationError("the module's algebra does not match the pairing's in its multiplication or unit")
     f = p.matrix.field
     mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
     rho = _rho_matrix(m.action, mdim, na, side)

@@ -9,6 +9,7 @@ elimination.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 
@@ -17,10 +18,20 @@ import pytest
 from entwine import report
 from entwine.catalog import grading_comodule_coalgebra, translation_module_algebra
 from entwine.doikoppinen import (
+    UnsupportedDualization,
     comodule_coalgebra_to_module_coalgebra,
+    dk_entwining,
+    dual_dk,
     dualize_dk_ingredient,
     module_coalgebra_to_dual_module_algebra,
+    verify_dk,
     verify_dk_compat,
+    verify_dk_morphism,
+)
+from entwine.entwining import (
+    entwining_laws,
+    verify_entwined_module,
+    verify_entwining_morphism,
 )
 from entwine.exactlin import (
     Field,
@@ -45,8 +56,28 @@ from entwine.structures import (
     make_structure,
     pairing_action,
     rational_submodule,
+    verify_measuring_pairing,
     verify_structure,
 )
+
+
+def zeros(field: Field, rows: int, cols: int) -> Matrix:
+    return Matrix(field, rows, cols, [field.zero()] * (rows * cols))
+
+
+def scale(m: Matrix, c) -> Matrix:
+    """c m, entry by entry."""
+    return Matrix(m.field, m.rows, m.cols, [m.field.mul(c, x) for x in m.data])
+
+
+def with_antipode(h, s: Matrix):
+    """h as a Hopf algebra with antipode s."""
+    return replace(h, kind="hopf", antipode=s)
+
+
+def as_map(smash, v: Matrix) -> Matrix:
+    """An element of the smash ring, a column in its coordinates, as the matrix C -> A it is."""
+    return v.reshape(smash.entwining.algebra.dim, smash.entwining.coalgebra.dim)
 
 
 def random_scalar(field: Field, rng: random.Random):
@@ -92,7 +123,7 @@ def layout(side) -> Matrix:
         return side
     if isinstance(side, list):
         terms = [layout(term) for _, term in side]
-        terms = [t.scale(t.field.of(sign)) for (sign, _), t in zip(side, terms)]
+        terms = [scale(t, t.field.of(sign)) for (sign, _), t in zip(side, terms)]
         return sum(terms[1:], terms[0])
     out = None
     for factor in side:
@@ -234,10 +265,28 @@ IMPLIED_CHECKS = {
     "dual-entwining-psi": "for full duals the psi of dual_entwining(e) is psi transposed, which entwining-coherence "
                           "compares with the dual's DK psi (doikoppinen.dual_dk)",
     "output-ingredient": "every arrow re-indexes its input's constants, so each law of the output is a law of the "
-                         "input (doikoppinen.dualize_dk_ingredient); DKIngredient.verify is the oracle, read on "
+                         "input (doikoppinen.dualize_dk_ingredient); verify_ingredient is the oracle, read on "
                          "every arrow by test_doikoppinen's test_every_arrow_returns_a_verified_output",
     "dual-coextension-rows": "the comodule-algebra rows of D* over H* are D's module-coalgebra rows, transposed, "
                              "which coextension_quotient read (doikoppinen.dualize_coextension)",
+    "dual-algebra": "A~ is a subalgebra of the convolution algebra C* of a verified coalgebra: closed under "
+                    "convolution, holding the counit, and written in independent rows (duality.dual_entwining)",
+    "dual-coalgebra": "C~ is a subcoalgebra of the dual coalgebra A* of a verified algebra (duality.dual_entwining)",
+    "dual-pairings": "A~ and C~ carry the structure they inherit from C* and A*, on which the evaluation pairings "
+                     "measure by the definition of convolution and of the dual coalgebra (duality.dual_entwining)",
+    "dual-psi-laws": "each psi law of the dual is a psi law of the verified entwining, transposed and restricted to "
+                     "A~ and C~ (the paper; duality.dual_entwining)",
+    "dual-module-output": "M_r of a verified entwined module is a dual entwined module, and K^r of a verified dual "
+                          "entwined module an entwined module (the paper; duality.dual_module_r, dual_module_upper_r)",
+    "dual-morphism-transpose": "each morphism law of the transposed pair is one of the verified morphism, transposed "
+                               "and restricted to the chosen subobjects (duality.dual_entwining_morphism)",
+    "smash-module-output": "for finite C a right module over the smash ring is an entwined module (Brzezinski, "
+                           "J. Algebra 215, 1999; entwining.smash_module_to_entwined)",
+    "dk-psi-laws": "a Doi-Koppinen datum induces an entwining: the psi laws follow from the comodule-algebra and "
+                   "module-coalgebra rows that verify_dk read (Brzezinski and Majid, CMP 191, 1998; "
+                   "doikoppinen.dk_entwining)",
+    "alt-dk-psi-laws": "the alternative datum induces an entwining: the psi laws follow from the module-algebra and "
+                       "comodule-coalgebra rows that s.verify() read (doikoppinen.alt_dk_entwining)",
 }
 
 
@@ -293,7 +342,7 @@ INNER_ARROWS = {"module-coalgebra": module_coalgebra_to_dual_module_algebra,
 
 def inner_ingredient(kind, h, x, m) -> report.Report:
     """The intermediate's own verification, which the two arrows through one leave out."""
-    return INNER_ARROWS[kind](h, x, m).verify()
+    return verify_ingredient(INNER_ARROWS[kind](h, x, m))
 
 
 def arrow_inputs(h) -> dict:
@@ -315,6 +364,38 @@ def arrow_inputs(h) -> dict:
 def left_inverse_rows(c, a, f, g) -> list:
     """g * f = unit for g = convolution_inverse(c, a, f), the check that convolution_inverse leaves out."""
     return [("left-inverse", (c.comul, (c.dim, f), (g, a.dim), a.mul), (c.counit, a.unit), (c.dim,))]
+
+
+def dual_entwining_rows(d):
+    """What dual_entwining leaves unread: A~, C~, the two measuring pairings, then the dual's psi laws."""
+    yield "dual-algebra", verify_structure("algebra", d.atil)
+    yield "dual-coalgebra", verify_structure("coalgebra", d.ctil)
+    yield "dual-pairings", verify_measuring_pairing(d.pairing_a_ctil())
+    yield "dual-pairings", verify_measuring_pairing(d.pairing_atil_c())
+    yield "dual-psi-laws", psi_laws(d.dual)
+
+
+def psi_laws(e) -> report.Report:
+    """The four psi laws of e alone, which dk_entwining, alt_dk_entwining and dual_entwining leave unread."""
+    return report.first_failure("verify_entwining", entwining_laws(e))
+
+
+def module_output(out) -> report.Report:
+    """An entwined module built by dual_module_r, dual_module_upper_r or smash_module_to_entwined, read over
+    the entwining it lives on: the check those functors leave out."""
+    return verify_entwined_module(out.entwining, out)
+
+
+def dual_morphism_transpose(d_e, d_f, gamma, delta) -> report.Report:
+    """(delta*, gamma*) as a morphism dual(d_f) -> dual(d_e), the check dual_entwining_morphism leaves out."""
+    delta_star, _ = express(d_e.atil_basis, (d_f.atil_basis @ delta).transpose())
+    gamma_star, _ = express(d_e.ctil_basis, (d_f.ctil_basis @ gamma).transpose())
+    return verify_entwining_morphism(d_f.dual, d_e.dual, delta_star, gamma_star)
+
+
+def verify_ingredient(x) -> report.Report:
+    """The laws of a DKIngredient, which no arrow reads: the output-ingredient oracle."""
+    return verify_dk_compat(x.kind, x.h, x.structure, x.matrix, x.side)
 
 
 def rational_route(h, a, action):
@@ -391,6 +472,33 @@ def dual_morphism_r(f: Matrix, source, target) -> Matrix:
     if f_r is None:
         raise report.CheckError(report.fail("dual_morphism_r", "image-outside-subspace"))
     return f_r
+
+
+# ---------------------------------------------------------------------------
+# Doi-Koppinen duality that no command reaches.
+
+
+def dual_alt_dk(s):
+    """Alternative structures do not dualize componentwise in general."""
+    raise UnsupportedDualization(
+        "not supported: the dual of an alternative structure need not be an "
+        "alternative structure, so no dualization is attempted")
+
+
+def dual_dk_morphism(s, t, beta: Matrix, gamma: Matrix, delta: Matrix) -> report.Report:
+    """The transposed triple as a morphism between the dual structures; s and t are verified here."""
+    for x in (s, t):
+        report.require(verify_dk(x))
+    rep = verify_dk_morphism(s, t, beta, gamma, delta)
+    if not rep.passed:
+        return rep
+    dual_s, rep_s = dual_dk(s, dk_entwining(s))
+    dual_t, rep_t = dual_dk(t, dk_entwining(t))
+    for r in (rep_s, rep_t):
+        if not r.passed:
+            return r
+    # full duals: delta* automatically lands in C0 = C*
+    return verify_dk_morphism(dual_t, dual_s, beta.transpose(), delta.transpose(), gamma.transpose())
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from entwine.entwining import (
 )
 from entwine.doikoppinen import DKStructure, koppinen_table
 from entwine.catalog import catalog_get, catalog_names, free_flip_module
-from conftest import smash_product_map
+from conftest import smash_product_map, zeros
 
 F5 = Field(5)
 
@@ -118,7 +118,7 @@ def smash_of_tables(e: EntwiningPresentation) -> SmashRing:
     mul, lact = smash_reference(e)
     f, n = e.field, e.algebra.dim * e.coalgebra.dim
     unit = Matrix.from_columns(f, n, [e.algebra.unit @ e.coalgebra.counit])
-    return SmashRing(e, n, mul, unit, lact, Matrix.zeros(f, n, n * e.algebra.dim))
+    return SmashRing(e, n, mul, unit, lact, zeros(f, n, n * e.algebra.dim))
 
 
 RANDOM_CASES = [(f, na, nc, seed) for f in (QQ, F5) for na, nc in ((2, 3), (3, 2)) for seed in range(3)]

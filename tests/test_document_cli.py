@@ -560,6 +560,20 @@ class TestCommands:
         assert run_command(["rat", path, "--pairing", "p", "--module", "m"]) == (1, (
             "error: rat: FAIL pairing[measuring] at basis (0, 1) lhs={} rhs={0: 1}\n"))
 
+    def test_rat_refuses_a_module_over_another_algebra(self, tmp_path):
+        # B has A's multiplication but unit e0, so it fails left-unit; the character e0.m = m, e1.m = 0 is a module
+        # over B all the same, and its rational part along A's pairing is an input error, not a certificate
+        with open(self._rat_doc(tmp_path, [["1"], ["0"]], 1, [[0, 0, 0, "1"]])) as fh:
+            body = json.load(fh)
+        body["objects"]["b"] = dict(body["objects"]["a"], unit=["1", "0"])
+        body["objects"]["m"]["action"]["structure"] = "b"
+        path = write(tmp_path, "rat-b.ent", json.dumps(body))
+        assert run_command(["rat", path, "--pairing", "p", "--module", "m"]) == (2, (
+            "p: check_alpha_condition: PASS rank=1 dim_c=1\n"
+            "input error: the module's algebra does not match the pairing's in its multiplication or unit\n"))
+        code, text = run_command(["check", path])
+        assert code == 1 and "b: verify_structure[algebra]: FAIL left-unit at basis (1,)" in text
+
     def test_adjunction(self, tmp_path):
         path = write(tmp_path, "m.ent", catalog_doc("hopfmod_qc2"))
         code, text = run_command(["adjunction", path, "--entwining", "entwining_1",
@@ -618,15 +632,16 @@ class TestCommands:
         assert "agrees" in text
 
     @pytest.mark.parametrize("argv, counts", [
-        # the triple passes verify_dk once, and its dual, a transpose, is not read; dk_entwining reads only the psi
-        # laws of the verified triple, so no command checks A and C again through verify_entwining, and the
+        # the triple passes verify_dk once, and neither its entwining nor its dual, a transpose, is read: the
         # coherence row ties the dual's psi to psi transposed; build_smash reads the ring rows of the table it made
-        (["dk", "dk_qc2", "--name", "dk_qc2"], (10, 42, 1, 0, 0)),
-        (["dualize", "dk_qc2", "--name", "dk_qc2"], (9, 29, 1, 0, 0)),
-        (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (5, 14, 0, 0, 0)),
+        (["dk", "dk_qc2", "--name", "dk_qc2"], (9, 38, 1, 0, 0)),
+        (["dualize", "dk_qc2", "--name", "dk_qc2"], (8, 25, 1, 0, 0)),
+        # the entwining passes verify_entwining once, and nothing that dual_entwining builds is read
+        (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
         (["dualize", "sweedler4", "--name", "sweedler4"], (1, 11, 0, 0, 0)),
-        # M_r is built once: it is also the double dual of K = M_r, since K^r is M
-        (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (17, 33, 0, 0, 0)),
+        # the entwining and the module are read once each, and no dual module is read; M_r is built once: it is
+        # also the double dual of K = M_r, since K^r is M
+        (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (9, 19, 0, 1, 0)),
         # the cointegral is checked once, and its report serves the dual's cleft check; D* over H* is not read
         (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (7, 20, 0, 0, 1)),
     ], ids=["dk", "dualize-dk", "dualize-entwining", "dualize-structure", "adjunction", "cocleft"])

@@ -29,9 +29,7 @@ from entwine.doikoppinen import (
     coextension_quotient,
     coinvariants,
     dk_entwining,
-    dual_alt_dk,
     dual_dk,
-    dual_dk_morphism,
     dualize_coextension,
     dualize_dk_ingredient,
     h_extension,
@@ -43,7 +41,15 @@ from entwine.doikoppinen import (
 )
 from entwine.catalog import catalog_get, cyclic_group_algebra, long_dk, trivial_bialgebra
 
-from conftest import arrow_inputs, coinvariant_subalgebra, corrupt
+from conftest import (
+    arrow_inputs,
+    coinvariant_subalgebra,
+    corrupt,
+    dual_alt_dk,
+    dual_dk_morphism,
+    verify_ingredient,
+    zeros,
+)
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +288,7 @@ class TestAltDK:
                 alt_dk_entwining(bad)
 
     def test_a_and_c_are_verified_once(self, monkeypatch):
-        """alt_dk_entwining checks A and C inside s.verify(), then reads only the psi laws."""
+        """alt_dk_entwining checks A and C inside s.verify() and reads nothing after it."""
         import entwine.doikoppinen as dk
         import entwine.entwining as entwining
 
@@ -336,14 +342,14 @@ class TestDualizeIngredient:
     def test_regular_coaction_to_module_algebra(self, qc2, h4):
         for h in (qc2, h4):
             out = dualize_dk_ingredient("comodule-algebra", h, h, h.comul, "module-algebra")
-            assert out.verify().passed
+            assert verify_ingredient(out).passed
             assert out.side == "left" and out.kind == "module-algebra"
 
     def test_module_coalgebra_to_comodule_algebra(self, qc2, h4):
         # C = H with the regular action; C0 = H*, all rational, coacting by the action transposed
         for h in (qc2, h4):
             out = dualize_dk_ingredient("module-coalgebra", h, h, h.mul, "comodule-algebra")
-            assert out.verify().passed
+            assert verify_ingredient(out).passed
             assert out.matrix == h.mul.transpose()
             assert out.structure.labels == tuple(f"r{i}" for i in range(h.dim))
 
@@ -352,7 +358,7 @@ class TestDualizeIngredient:
         a = catalog_get("qc2")
         coact = Matrix.identity(QQ, 2)
         out = dualize_dk_ingredient("comodule-algebra", triv, a, coact, "module-algebra")
-        assert out.verify().passed
+        assert verify_ingredient(out).passed
         # the induced action of the one-dimensional dual is trivial
         assert out.matrix == Matrix.identity(QQ, 2)
 
@@ -362,14 +368,14 @@ class TestDualizeIngredient:
         for h in (qc2, h4):
             dual, action = translation_module_algebra(h)
             out = dualize_dk_ingredient("module-algebra", h, dual, action, "dual-module")
-            assert out.verify().passed
+            assert verify_ingredient(out).passed
 
     def test_comodule_coalgebra_cases(self):
         alt = catalog_get("alt_qc2")
         out = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg, alt.coalg_coaction, "module-coalgebra")
-        assert out.verify().passed
+        assert verify_ingredient(out).passed
         out = dualize_dk_ingredient("comodule-coalgebra", alt.h, alt.coalg, alt.coalg_coaction, "dual-module-algebra")
-        assert out.verify().passed
+        assert verify_ingredient(out).passed
 
     def test_every_arrow_returns_a_verified_output(self, qc2):
         """The output-ingredient oracle of conftest.IMPLIED_CHECKS, on every arrow."""
@@ -379,18 +385,22 @@ class TestDualizeIngredient:
         assert len(_DUAL_ARROWS) == 8
         for (kind, target), (_, side) in _DUAL_ARROWS.items():
             out = dualize_dk_ingredient(kind, *inputs[kind, side], target)
-            assert out.verify().passed, (kind, target)
+            assert verify_ingredient(out).passed, (kind, target)
 
     def test_no_ingredient_is_verified(self, qc2, monkeypatch):
         """The arrow re-indexes its verified input: neither its output nor the C* it builds through is read."""
         import entwine.doikoppinen as dk
 
-        def verify(self):
-            raise AssertionError("an ingredient was verified")
+        read = []
 
-        monkeypatch.setattr(dk.DKIngredient, "verify", verify)
+        def counting(kind, h, x, m, side="right"):
+            read.append(x)
+            return verify_dk_compat(kind, h, x, m, side)
+
+        monkeypatch.setattr(dk, "verify_dk_compat", counting)
         out = dualize_dk_ingredient("module-coalgebra", qc2, qc2, qc2.mul, "comodule-algebra")
-        assert verify_dk_compat(out.kind, out.h, out.structure, out.matrix, out.side).passed
+        assert read == [qc2]
+        assert verify_ingredient(out).passed
 
     def test_unknown_arrow(self, qc2):
         with pytest.raises(UnsupportedDualization):
@@ -459,9 +469,9 @@ class TestDualDK:
         import entwine.doikoppinen as dk
         from entwine.cli import run_command
 
-        build = dk._dk_psi
-        monkeypatch.setattr(dk, "_dk_psi", lambda s: corrupt(build(s), 1, 2) if s.h.labels[0].endswith("*")
-                            else build(s))
+        build = dk.dk_entwining
+        monkeypatch.setattr(dk, "dk_entwining", lambda s: replace(build(s), psi=corrupt(build(s).psi, 1, 2))
+                            if s.h.labels[0].endswith("*") else build(s))
         line = ("dual_dk: FAIL entwining-coherence at basis (0, 2) "
                 "lhs={1: 1, 7: 1, 8: 1} rhs={7: 1, 8: 1}")
         s = catalog_get("dk_sweedler4")
@@ -556,7 +566,7 @@ class TestIntegrals:
 
     def test_zero_map(self, qc2):
         ext = catalog_get("ext_qc2")
-        rep = check_integral(ext, Matrix.zeros(QQ, 2, 2))
+        rep = check_integral(ext, zeros(QQ, 2, 2))
         assert rep.colinear.passed
         assert not rep.total and not rep.cleft
 

@@ -51,7 +51,7 @@ class TestDualEntwining:
         d = dual_entwining(e)
         from entwine.exactlin import swap_matrix
 
-        assert d.phi == swap_matrix(QQ, 2, 2)
+        assert d.dual.psi == swap_matrix(QQ, 2, 2)
 
     @pytest.mark.parametrize("name", ["flip_qc2", "flip_qc3", "flip_f5c5", "flip_sweedler4",
                                       "flip_qc2_dual", "flip_trivial",
@@ -285,6 +285,14 @@ class TestFailurePaths:
     def test_dual_algebra_missing_counit(self, ent_qc2):
         with pytest.raises(PresentationError, match=r"^subalgebra of C\* must contain the counit$"):
             dual_entwining(ent_qc2, atil_basis=_rows(QQ, [[0, 1]]))
+
+    def test_dependent_rows_are_an_input_error(self):
+        # flip_qc3: A~ = span{eps, 2 eps} would close, and C~ = A* spanned by four rows would too
+        e = catalog_get("flip_qc3")
+        with pytest.raises(PresentationError, match=r"^the rows of atil_basis are linearly dependent$"):
+            dual_entwining(e, atil_basis=_rows(QQ, [[1, 1, 1], [2, 2, 2]]))
+        with pytest.raises(PresentationError, match=r"^the rows of ctil_basis are linearly dependent$"):
+            dual_entwining(e, ctil_basis=_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]))
 
     def test_dual_coalgebra_not_closed(self):
         with pytest.raises(PresentationError,

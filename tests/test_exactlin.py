@@ -33,6 +33,8 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_scalar,
+    scale,
+    zeros,
 )
 
 
@@ -217,7 +219,7 @@ class TestSolve:
         assert sol.kernel.dim == 0
 
     def test_zero_system(self):
-        z = Matrix.zeros(QQ, 2, 2)
+        z = zeros(QQ, 2, 2)
         sol = solve_linear(z, z)
         assert sol.particular == z
         assert sol.kernel.dim == 2
@@ -270,7 +272,7 @@ class TestExpress:
         rows = [random_matrix(field, rng, 1, n) for _ in range(rng.randint(0, 3))]
         for _ in range(rng.randint(0, 2) if rows else 0):
             a, b = rng.choice(rows), rng.choice(rows)
-            rows.append(a.scale(random_scalar(field, rng)) + b)
+            rows.append(scale(a, random_scalar(field, rng)) + b)
         rng.shuffle(rows)
         return Matrix(field, len(rows), n, [x for r in rows for x in r.data])
 
@@ -289,7 +291,7 @@ class TestExpress:
             basis = self._basis(field, rng)
             m = rng.randint(0, 5)
             coeffs = random_matrix(field, rng, basis.rows, m)
-            vectors = basis.transpose() @ coeffs if basis.rows else Matrix.zeros(field, basis.cols, m)
+            vectors = basis.transpose() @ coeffs if basis.rows else zeros(field, basis.cols, m)
             cols = [vectors.col(j) for j in range(m)]
             for j in range(m):
                 if rng.random() < 0.2:
@@ -305,16 +307,16 @@ class TestExpress:
             # one to three columns outside the span, at random positions: the first comes back
             at = sorted(rng.sample(range(m), rng.randint(1, min(3, m))))
             for j in at:
-                cols[j] = (outside.scale(random_scalar(field, rng) or field.one()) + vectors.col_matrix(j)).col(0)
+                cols[j] = (scale(outside, random_scalar(field, rng) or field.one()) + vectors.col_matrix(j)).col(0)
             vectors = Matrix(field, basis.cols, m, [c[i] for i in range(basis.cols) for c in cols])
             assert express(basis, vectors) == (None, at[0]) == _per_column_express(basis, vectors)
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
     def test_basis_with_no_rows(self, field):
         empty = Matrix(field, 0, 3, [])
-        x, bad = express(empty, Matrix.zeros(field, 3, 2))
+        x, bad = express(empty, zeros(field, 3, 2))
         assert bad is None and x == Matrix(field, 0, 2, [])
-        v = Matrix.zeros(field, 3, 1).hstack(Matrix.basis_column(field, 3, 1))
+        v = zeros(field, 3, 1).hstack(Matrix.basis_column(field, 3, 1))
         assert express(empty, v) == (None, 1)
 
     def test_no_vectors(self):
@@ -414,8 +416,6 @@ class TestSparseKernels:
         assert_matches(a + a2, f, ref_entrywise(f.add, a_ref, a2_ref), k)
         assert_matches(a - a2, f, ref_entrywise(f.sub, a_ref, a2_ref), k)
         assert_matches(-a, f, ref_entrywise(f.neg, a_ref), k)
-        s = random_scalar(f, rng)
-        assert_matches(a.scale(s), f, ref_entrywise(lambda x: f.mul(s, x), a_ref), k)
         assert_matches(a.hstack(build(f, h_ref, c)), f, [x + y for x, y in zip(a_ref, h_ref)], k + c)
         assert_matches(a.vstack(build(f, v_ref, k)), f, a_ref + v_ref, k)
         for i in range(r):
@@ -441,7 +441,7 @@ class TestSparseKernels:
                         self._check_all(field, rng, r, k, c, 0.7)
                         if k == 0:
                             assert sparse_matrix(field, rng, r, k) @ sparse_matrix(field, rng, k, c) \
-                                == Matrix.zeros(field, r, c)
+                                == zeros(field, r, c)
         assert Matrix(QQ, 0, 3, []).render() == "[]"
         assert Matrix(QQ, 2, 0, []).render() == "[; ]"
 
@@ -467,7 +467,7 @@ class TestSparseKernels:
             assert_matches(got, field, [[field.zero(), field.of(3)], [field.zero(), field.of(2)]], 2)
             m = sparse_matrix(field, rng, 3, 4, 0.8)
             zero_rows = [[field.zero()] * 4 for _ in range(3)]
-            for cancelled in (m - m, m + -m, -m + m, m.scale(field.zero())):
+            for cancelled in (m - m, m + -m, -m + m):
                 assert_matches(cancelled, field, zero_rows, 4)
                 assert cancelled.is_zero()
             assert_matches(Matrix(field, 1, 3, [field.zero(), one, field.zero()]), field,
@@ -509,8 +509,7 @@ class TestSparseKernels:
                     Matrix.from_columns(field, r, [m.col_matrix(j) for j in range(c)]),
                     (m + other) - other,
                     -(-m),
-                    m.scale(field.one()),
-                    m + Matrix.zeros(field, r, c),
+                    m + zeros(field, r, c),
                 ]
                 if r:
                     ways.append(Matrix.from_rows(field, [m.row(i) for i in range(r)]))
@@ -557,12 +556,12 @@ class TestSparseCombine:
     def test_empty_vector(self):
         for field in KERNEL_FIELDS:
             one = Matrix.identity(field, 1)
-            empty = Matrix.zeros(field, 1, 1)
+            empty = zeros(field, 1, 1)
             for by_rows in (False, True):
                 assert read((empty, one), by_rows)[0] == {}     # nothing to apply the second factor to
                 assert read((one, empty), by_rows)[0] == {}     # a vector with no entries
                 assert read(((2, empty), (one, 2)), by_rows)[1] == {}
-            no_rows, no_cols = (Matrix.zeros(field, 0, 2), (0, one)), (Matrix.zeros(field, 1, 0), one.vstack(one))
+            no_rows, no_cols = (zeros(field, 0, 2), (0, one)), (zeros(field, 1, 0), one.vstack(one))
             assert law_shape(no_rows) == (field, 0, 2) and read(no_rows) == [{}, {}] and read(no_rows, True) == []
             assert law_shape(no_cols) == (field, 2, 0) and read(no_cols) == [] and read(no_cols, True) == [{}, {}]
 
@@ -679,7 +678,7 @@ class TestSubspaces:
         z = Matrix(QQ, 0, 3, [])
         s = Subspace.from_matrix_rows(z)
         assert s.dim == 0
-        assert s.contains(Matrix.zeros(QQ, 3, 1))
+        assert s.contains(zeros(QQ, 3, 1))
         m = Matrix(QQ, 2, 0, [])
         assert (m @ Matrix(QQ, 0, 5, [])).is_zero()
 

@@ -39,20 +39,22 @@ from entwine.doikoppinen import (
     verify_dk_compat,
     verify_dk_morphism,
 )
-from entwine.duality import adjunction_check, dual_entwining, dual_module_r
+from entwine.duality import adjunction_check, dual_entwining, dual_module_r, dual_module_upper_r
 from entwine.entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
     build_coring,
     build_smash,
+    entwined_to_smash_module,
     hom_entwined,
     nu_iso,
+    smash_module_to_entwined,
     verify_entwined_module,
     verify_entwining,
     verify_entwining_morphism,
     verify_smash,
 )
-from entwine.exactlin import Matrix, QQ
+from entwine.exactlin import Matrix, PresentationError, QQ
 from entwine.report import first_failure
 from entwine.structures import (
     StructurePresentation,
@@ -76,11 +78,16 @@ from conftest import (
     arrow_inputs,
     coinvariant_subalgebra,
     corrupt,
+    dual_entwining_rows,
+    dual_morphism_transpose,
     inner_ingredient,
     left_inverse_rows,
+    module_output,
     nu_implied_rows,
+    psi_laws,
     quotient_rows,
     rational_route,
+    verify_ingredient,
 )
 from test_doikoppinen import COMPAT_BITES, DK_ROW_BITES
 from test_entwining import ENTWINING_BITES, NU_ROW_MUTATIONS, ROW_MUTATIONS
@@ -106,6 +113,19 @@ def module_coalgebras() -> dict:
 def bump(m: Matrix, rng: random.Random) -> Matrix:
     """m with +1 at an entry that rng picks."""
     return corrupt(m, rng.randrange(m.rows), rng.randrange(m.cols))
+
+
+def bump_part(obj, part: str, attr: str | None, rng: random.Random):
+    """obj with +1 at an entry of its map obj.part, or of obj.part.attr, that rng picks."""
+    if attr is None:
+        return replace(obj, **{part: bump(getattr(obj, part), rng)})
+    x = getattr(obj, part)
+    return replace(obj, **{part: replace(x, **{attr: bump(getattr(x, attr), rng)})})
+
+
+# the structure maps of an entwining, as (part, attr) for bump_part
+ENTWINING_MAPS = (("algebra", "mul"), ("algebra", "unit"), ("coalgebra", "comul"), ("coalgebra", "counit"),
+                  ("psi", None))
 
 
 class TestImpliedChecksHold:
@@ -188,6 +208,43 @@ class TestImpliedChecksHold:
             ext = dual_extension(coext)
             assert verify_dk_compat("comodule-algebra", ext.h, ext.b, ext.coaction, "right").passed, name
 
+    def test_dual_entwining(self):
+        entwinings = catalog_of(EntwiningPresentation)
+        assert len(entwinings) == 11
+        for name, e in entwinings.items():
+            assert first_failure("dual_entwining", dual_entwining_rows(dual_entwining(e))).passed, name
+
+    def test_dk_psi_laws(self):
+        entwinings = [dk_entwining(s) for s in catalog_of(DKStructure).values()]
+        entwinings += [alt_dk_entwining(s) for s in catalog_of(AltDKStructure).values()]
+        assert len(entwinings) == 7
+        for e in entwinings:
+            assert psi_laws(e).passed
+
+    def test_dual_modules(self):
+        modules = catalog_of(EntwinedModulePresentation)
+        assert len(modules) == 5
+        for name, m in modules.items():
+            d = dual_entwining(m.entwining)
+            k = dual_module_r(d, m).module
+            assert module_output(k).passed, name
+            assert module_output(dual_module_upper_r(d, k).module).passed, name
+
+    def test_smash_modules(self):
+        for name, m in catalog_of(EntwinedModulePresentation).items():
+            e = m.entwining
+            assert module_output(smash_module_to_entwined(e, entwined_to_smash_module(e, m))).passed, name
+
+    def test_dual_morphism_transpose(self):
+        """The identity of every catalog entwining, and the inclusion of a proper dual pair of flip_qc3 in the full."""
+        for name, e in catalog_of(EntwiningPresentation).items():
+            d = dual_entwining(e)
+            assert dual_morphism_transpose(d, d, e.algebra.identity_matrix(), e.coalgebra.identity_matrix()).passed
+        e = catalog_get("flip_qc3")
+        small = dual_entwining(e, atil_basis=Matrix.from_rows(QQ, [[1, 1, 1], [1, 0, 0]]))
+        i3 = Matrix.identity(QQ, 3)
+        assert dual_morphism_transpose(dual_entwining(e), small, i3, i3).passed
+
 
 class TestImpliedChecksBite:
     """Each oracle fails on an input that src does not let through, so reading it is not vacuous.
@@ -231,11 +288,7 @@ class TestImpliedChecksBite:
             for part, attr in (("h", "mul"), ("h", "comul"), ("alg", "mul"), ("coalg", "comul"),
                                ("alg_coaction", None), ("coalg_action", None)):
                 for _ in range(8):
-                    if attr is None:
-                        bad = replace(s, **{part: bump(getattr(s, part), rng)})
-                    else:
-                        x = getattr(s, part)
-                        bad = replace(s, **{part: replace(x, **{attr: bump(getattr(x, attr), rng)})})
+                    bad = bump_part(s, part, attr, rng)
                     given = verify_dk(bad).passed
                     assert verify_dk(dual_dk(bad, e)[0]).passed == given, (name, part, attr)
                     verdicts.append(given)
@@ -258,9 +311,105 @@ class TestImpliedChecksBite:
                 if pres is not None:
                     args[0 if pres is h else 1] = replace(pres, **{attr: bump(getattr(pres, attr), rng)})
                 given = verify_dk_compat(kind, *args, side).passed
-                assert arrow(*args).verify().passed == given, (kind, target, attr)
+                assert verify_ingredient(arrow(*args)).passed == given, (kind, target, attr)
                 verdicts.append(given)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_dual_entwining_fails_with_the_entwining(self):
+        """Seeded +1 bumps of A, C or psi fail what dual_entwining builds exactly when they fail the entwining."""
+        rng = random.Random("dual entwining")
+        verdicts = []
+        for name, e in catalog_of(EntwiningPresentation).items():
+            for part, attr in ENTWINING_MAPS:
+                for _ in range(4):
+                    bad = bump_part(e, part, attr, rng)
+                    given = verify_entwining(bad).passed
+                    got = first_failure("dual_entwining", dual_entwining_rows(dual_entwining(bad))).passed
+                    assert got == given, (name, part, attr)
+                    verdicts.append(given)
+        assert len(verdicts) == 220 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("kind", ["dk", "alt"])
+    def test_psi_laws_hold_with_the_datum(self, kind, monkeypatch):
+        """Seeded +1 bumps of a datum: its psi laws pass whenever the datum passes its verifier, and fail exactly
+        when it fails on a bump of the two maps psi is made of.  psi does not read H, so a bump of H keeps them."""
+        rng = random.Random(f"{kind} psi laws")
+        if kind == "dk":
+            data, verify, build = catalog_of(DKStructure).values(), verify_dk, dk_entwining
+            maps = ("alg_coaction", "coalg_action")
+        else:
+            data, verify, build = catalog_of(AltDKStructure).values(), AltDKStructure.verify, alt_dk_entwining
+            maps = ("alg_action", "coalg_coaction")
+            # build psi from a datum that fails too, as dk_entwining does
+            monkeypatch.setattr(AltDKStructure, "verify", lambda s: report.ok("verify_alt_dk"))
+        verdicts = []
+        for s in data:
+            for part, attr in (("h", "mul"), ("h", "comul"), ("alg", "mul"), ("alg", "unit"), ("coalg", "comul"),
+                               ("coalg", "counit"), *((x, None) for x in maps)):
+                for _ in range(16 if kind == "alt" else 4):
+                    bad = bump_part(s, part, attr, rng)
+                    given, got = verify(bad).passed, psi_laws(build(bad)).passed
+                    if part == "h":
+                        assert got, (part, attr)
+                    elif attr is None:
+                        assert got == given, part
+                    else:
+                        assert got or not given, (part, attr)
+                    verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_dual_modules_fail_with_the_module(self):
+        """Seeded +1 bumps of M's action or coaction fail M_r exactly when they fail M, and bumps of K = M_r fail K^r
+        exactly when they fail K."""
+        rng = random.Random("dual modules")
+        verdicts = []
+        for name, m in catalog_of(EntwinedModulePresentation).items():
+            d = dual_entwining(m.entwining)
+            for functor, x in ((dual_module_r, m), (dual_module_upper_r, dual_module_r(d, m).module)):
+                for attr in ("action", "coaction"):
+                    for _ in range(6):
+                        bad = bump_part(x, attr, None, rng)
+                        given = module_output(bad).passed
+                        assert module_output(functor(d, bad).module).passed == given, (name, functor.__name__, attr)
+                        verdicts.append(given)
+        assert len(verdicts) == 120 and not any(verdicts)
+
+    def test_smash_module_fails_with_the_module(self):
+        """Seeded +1 bumps of a smash module's action: smash_module_to_entwined refuses it or builds an entwined module
+        that fails, exactly when the bump fails the module laws."""
+        rng = random.Random("smash modules")
+        verdicts = []
+        for name, m in catalog_of(EntwinedModulePresentation).items():
+            e = m.entwining
+            sm = entwined_to_smash_module(e, m)
+            for _ in range(12):
+                bad = bump_part(sm, "action", None, rng)
+                given = verify_structure("module", bad).passed
+                try:
+                    got = module_output(smash_module_to_entwined(e, bad)).passed
+                except PresentationError:
+                    got = False
+                assert got == given, name
+                verdicts.append(given)
+        assert len(verdicts) == 60 and not any(verdicts)
+
+    def test_dual_morphism_fails_with_the_morphism(self):
+        """Seeded +1 bumps of the identity morphism of each entwining fail the transposed pair exactly when they
+        fail the morphism."""
+        rng = random.Random("dual morphisms")
+        verdicts = []
+        for name, e in catalog_of(EntwiningPresentation).items():
+            d = dual_entwining(e)
+            for _ in range(8):
+                gamma, delta = e.algebra.identity_matrix(), e.coalgebra.identity_matrix()
+                if rng.random() < 0.5:
+                    gamma = bump(gamma, rng)
+                else:
+                    delta = bump(delta, rng)
+                given = verify_entwining_morphism(e, e, gamma, delta).passed
+                assert dual_morphism_transpose(d, d, gamma, delta).passed == given, name
+                verdicts.append(given)
+        assert len(verdicts) == 88 and not all(verdicts)
 
     @pytest.mark.parametrize("kind", sorted(INNER_ARROWS))
     def test_inner_ingredient_fails_with_the_input(self, kind):

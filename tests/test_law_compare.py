@@ -30,7 +30,7 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
 from entwine.exactlin import Field, Matrix, QQ, _packs, _push_packed, _stages, _terms  # noqa: E402
-from conftest import compare_reference as reference, law_shape, layout, packed_stages  # noqa: E402
+from conftest import compare_reference as reference, law_shape, layout, packed_stages, zeros  # noqa: E402
 
 FIELDS = (QQ, Field(5), Field(7))
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -90,7 +90,7 @@ def laws(draw):
         mask = Matrix.from_entries(field, cols, cols, [(j, j, field.one()) for j in range(cols) if keep[j]])
         rhs = (mask, *lhs)
     else:                        # one entry off by a nonzero scalar
-        bump = Matrix.zeros(field, rows, cols)
+        bump = zeros(field, rows, cols)
         if rows and cols:
             c = draw(matrices(field, 1, 1))[0, 0] or field.one()
             bump = Matrix.from_entries(field, rows, cols,

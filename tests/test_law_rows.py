@@ -40,13 +40,13 @@ from entwine.structures import (
     verify_structure,
     _bialgebra_checks,
 )
-from conftest import antipode_right_rows, corrupt, projection_rows
+from conftest import antipode_right_rows, corrupt, projection_rows, zeros
 
 
 class TestNoLayout:
     """With Matrix.__matmul__ and Matrix.kron raising, every law verifier still passes on every catalog object.
 
-    verify_dk_morphism is left out: it builds each psi with _dk_psi, a
+    verify_dk_morphism is left out: it builds each psi with dk_entwining, a
     construction and not a law.
     """
 
@@ -179,7 +179,7 @@ class TestEveryUnreachedRowBites:
 
     def test_psi_zero_fails_unitality_first(self):
         e = catalog_get("hopfmod_qc2_entwining")
-        assert verify_entwining(replace(e, psi=Matrix.zeros(QQ, 4, 4))).summary() == \
+        assert verify_entwining(replace(e, psi=zeros(QQ, 4, 4))).summary() == \
             "verify_entwining: FAIL psi-unitality at basis (0,) lhs={} rhs={0: 1}"
 
     def test_an_idempotent_algebra_map_fails_counitality_first(self):

@@ -1,11 +1,14 @@
-"""Every top-level function and class in the package has a caller outside the tests.
+"""Every top-level function and class in the package, and every method of its classes, has a caller outside the tests.
 
 A definition counts as used when its name appears in src/ or benchmarks/
 outside its own body: as a name, an attribute, an imported name (an export
 of entwine/__init__.py counts), or a string naming it (the benchmark's
 tracer rebinds functions by name).  A reference from tests/ does not
 count, nor one inside the definition itself, such as its own op string: a
-definition that only tests call belongs in tests/conftest.py.
+definition that only tests call belongs in tests/conftest.py.  Methods are
+counted by name as functions are, so a method shares its uses with every
+definition of that name; dunder methods, which Python calls itself, are
+left out.
 """
 
 from __future__ import annotations
@@ -40,9 +43,12 @@ def test_every_top_level_definition_is_referenced():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not refs[node.name] - _references(node)[node.name]:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")] \
+                if isinstance(node, ast.ClassDef) else []
+            for definition in [node, *methods]:
+                if isinstance(definition, (ast.FunctionDef, ast.ClassDef)) and \
+                        not refs[definition.name] - _references(definition)[definition.name]:
+                    unused.append(f"{path.name}:{definition.lineno} {definition.name}")
     assert not unused, f"defined but never referenced: {unused}"
 
 

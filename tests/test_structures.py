@@ -41,6 +41,9 @@ from conftest import (
     harpoon_action_matrix,
     random_invertible,
     random_matrix,
+    scale,
+    with_antipode,
+    zeros,
 )
 
 
@@ -180,7 +183,7 @@ class TestConvolution:
         assert got == Matrix.identity(QQ, 2)  # g^{-1} = g in C2
 
     def test_zero_map_not_invertible(self, qc2):
-        assert convolution_inverse(qc2, qc2, Matrix.zeros(QQ, 2, 2)) is None
+        assert convolution_inverse(qc2, qc2, zeros(QQ, 2, 2)) is None
 
 
 class TestAntipode:
@@ -198,7 +201,7 @@ class TestAntipode:
         # S(g) = g and S(x) = -gx, re-verified against both antipode laws
         assert s.col(1) == (QQ.zero(), QQ.one(), QQ.zero(), QQ.zero())
         assert s.col(2) == (QQ.zero(), QQ.zero(), QQ.zero(), QQ.of(-1))
-        withs = h4.with_antipode(s)
+        withs = with_antipode(h4, s)
         assert verify_structure("hopf", withs).passed
 
     def test_trivial(self):
@@ -268,7 +271,7 @@ class TestMeasuringPairings:
         assert verify_measuring_pairing(p).passed
 
     def test_zero_pairing_fails_unit_axiom(self, qc2):
-        p = PairingPresentation(qc2, qc2, Matrix.zeros(QQ, 2, 2))
+        p = PairingPresentation(qc2, qc2, zeros(QQ, 2, 2))
         rep = verify_measuring_pairing(p)
         assert not rep.passed and rep.axiom == "unit-counit"
 
@@ -311,7 +314,7 @@ class TestAlphaCondition:
         assert rep.passed and rep.detail("rank") == "1"
 
     def test_zero_pairing_fails(self, qc2):
-        p = PairingPresentation(qc2, qc2, Matrix.zeros(QQ, 2, 2))
+        p = PairingPresentation(qc2, qc2, zeros(QQ, 2, 2))
         assert not check_alpha_condition(p).passed
 
     def test_agrees_with_direct_injectivity(self, rng):
@@ -383,7 +386,7 @@ class TestRationalSubmodule:
         assert rational_submodule(p, m).dim == 0
 
     def test_alpha_failure_raises(self, qc2):
-        p = PairingPresentation(qc2, qc2, Matrix.zeros(QQ, 2, 2))
+        p = PairingPresentation(qc2, qc2, zeros(QQ, 2, 2))
         act = matrix_from_quads(QQ, "left-action", (2, 2, 2), C2_REGULAR)
         with pytest.raises(AlphaConditionError):
             rational_submodule(p, ModulePresentation(2, qc2, act, "left"))
@@ -515,11 +518,11 @@ def _random_module_map(a, m, l, rng):
     system = Matrix.from_rows(field, cols).transpose()
     sols = kernel(system)
     if sols.dim == 0:
-        return Matrix.zeros(field, l.dim, m.dim)
+        return zeros(field, l.dim, m.dim)
     combo = [random_matrix(field, rng, 1, 1)[0, 0] for _ in range(sols.dim)]
-    out = Matrix.zeros(field, l.dim, m.dim)
+    out = zeros(field, l.dim, m.dim)
     for c, i in zip(combo, range(sols.dim)):
-        out = out + Matrix(field, l.dim, m.dim, sols.basis.row(i)).scale(c)
+        out = out + scale(Matrix(field, l.dim, m.dim, sols.basis.row(i)), c)
     return out
 
 
