@@ -16,10 +16,10 @@ import sys
 from .exactlin import PresentationError
 from .report import CheckError, Report, first_failure, require
 from .structures import (
+    AlphaConditionError,
     ModulePresentation,
     PairingPresentation,
     StructurePresentation,
-    check_alpha_condition,
     compute_antipode,
     dualize_structure,
     rational_submodule,
@@ -212,11 +212,12 @@ def cmd_rat(args, out: _Out) -> None:
     p = _get(doc, args.pairing, PairingPresentation, "pairing")
     m = _get(doc, args.module, ModulePresentation, "module")
     require(first_failure("rat", _rat_rows(p, m)))
-    rep = check_alpha_condition(p)
-    out.report(args.pairing, rep)
-    if not rep.passed:
+    try:   # refuses a module over another algebra before it computes the rank criterion
+        rat = rational_submodule(p, m)
+    except AlphaConditionError as exc:
+        out.report(args.pairing, exc.criterion)
         return
-    rat = rational_submodule(p, m)
+    out.report(args.pairing, rat.criterion)
     out.note(f"{args.module}: rational part has dimension {rat.dim}; "
              f"basis {rat.subspace.basis.render()}")
 

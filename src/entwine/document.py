@@ -7,6 +7,12 @@ Sparse structure constants are integer-index quadruples with a trailing
 scalar; dense matrices are row lists.  Emission sorts every key, so
 parse and emit are mutually inverse and byte-stable.
 
+Parsing goes straight to stored rows: quadruples are placed by
+structures.matrix_from_quads, which lays out no tensor, and each scalar
+and index passes one fast check (_Scalars).  Paths and messages are made
+only when a value fails it: the input is then read again with the full
+checks, which name the JSON path of the first bad value.
+
 TYPES has one row per object type: its name, class, constructor, parse
 stage and fields in document order.  The parser and the emitter both read
 it, so a new object type is one row.
@@ -20,7 +26,7 @@ from itertools import count
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .exactlin import Field, Matrix, PresentationError
+from .exactlin import QQ, Field, Matrix, PresentationError
 from .structures import (
     STRUCTURE_KINDS,
     ModulePresentation,
@@ -75,22 +81,72 @@ def _emit_scalar(field: Field, value):
     return value if field.p is not None else field.fmt(value)
 
 
-def _parse_matrix(field: Field, rows, r: int, c: int, path: str) -> Matrix:
+class _Literals(dict):
+    """Canonical Q literals by their string, each parsed once per document; a bad one raises PresentationError."""
+
+    def __missing__(self, literal):
+        value = self[literal] = QQ.parse(literal)
+        return value
+
+
+class _Scalars:
+    """The scalars of one document, read by one fast check each.
+
+    Over Q a literal is parsed once per document and looked up after; over
+    F_p a scalar passes when type(x) is int and 0 <= x < p.  values gives
+    None when a scalar fails that check, and the caller reads the same
+    input again with _parse_scalar, which names the path and the problem.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self._literals = _Literals()
+
+    def values(self, xs: list) -> list | None:
+        p = self.field.p
+        if p is not None:
+            return xs if all(type(x) is int and 0 <= x < p for x in xs) else None
+        literals = self._literals
+        try:
+            return [literals[x] for x in xs]
+        except (PresentationError, TypeError):   # not a canonical literal, or unhashable
+            return None
+
+
+def _parse_matrix(sc: _Scalars, rows, r: int, c: int, path: str) -> Matrix:
+    if type(rows) is list and len(rows) == r and all(type(row) is list and len(row) == c for row in rows):
+        data = sc.values([x for row in rows for x in row])
+        if data is not None:
+            return Matrix(sc.field, r, c, data)
     _expect(isinstance(rows, list) and len(rows) == r, path, f"expected {r} rows")
     data = []
     for i, row in enumerate(rows):
         _expect(isinstance(row, list) and len(row) == c, f"{path}[{i}]", f"expected {c} entries")
         for j, x in enumerate(row):
-            data.append(_parse_scalar(field, x, f"{path}[{i}][{j}]"))
-    return Matrix(field, r, c, data)
+            data.append(_parse_scalar(sc.field, x, f"{path}[{i}][{j}]"))
+    return Matrix(sc.field, r, c, data)
 
 
 def _emit_matrix(field: Field, m: Matrix):
     return [[_emit_scalar(field, x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def _parse_quads(field: Field, quads, layout: str, dims: tuple[int, int, int], path: str) -> Matrix:
-    """[i, j, k, scalar] rows, each index below its bound in dims, summed into QUAD_LAYOUTS[layout]."""
+def _parse_quads(sc: _Scalars, quads, layout: str, dims: tuple[int, int, int], path: str) -> Matrix:
+    """[i, j, k, scalar] rows, each index below its bound in dims, summed into QUAD_LAYOUTS[layout].
+
+    Each quadruple is checked once, and placed by matrix_from_quads, which
+    also checks the bounds; any failure reads the quadruples again, one
+    check at a time, to name the first bad one.
+    """
+    if type(quads) is list and all(type(q) is list and len(q) == 4 and type(q[0]) is type(q[1]) is type(q[2]) is int
+                                   for q in quads):
+        values = sc.values([q[3] for q in quads])
+        if values is not None:
+            try:
+                return matrix_from_quads(sc.field, layout, dims,
+                                         [(q[0], q[1], q[2], c) for q, c in zip(quads, values)])
+            except PresentationError:
+                pass
     _expect(isinstance(quads, list), path, "expected a list of quadruples")
     out = []
     for t, quad in enumerate(quads):
@@ -100,8 +156,8 @@ def _parse_quads(field: Field, quads, layout: str, dims: tuple[int, int, int], p
         for value, bound, name in ((i, dims[0], "first"), (j, dims[1], "second"), (k, dims[2], "third")):
             _expect(_is_int(value) and 0 <= value < bound, qpath,
                     f"{name} index {value!r} out of range [0, {bound})")
-        out.append((i, j, k, _parse_scalar(field, c, qpath)))
-    return matrix_from_quads(field, layout, dims, out)
+        out.append((i, j, k, _parse_scalar(sc.field, c, qpath)))
+    return matrix_from_quads(sc.field, layout, dims, out)
 
 
 def _emit_quads(field: Field, m: Matrix, layout: str, dims):
@@ -123,7 +179,7 @@ def _emit_field(field: Field):
     return "Q" if field.p is None else {"p": field.p}
 
 
-def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentation:
+def _parse_structure(sc: _Scalars, body: dict, path: str) -> StructurePresentation:
     kind, dim = _KIND.read(body, path), _DIM.read(body, path)
     labels = body.get("labels")
     if labels is not None:
@@ -136,16 +192,18 @@ def _parse_structure(field: Field, body: dict, path: str) -> StructurePresentati
     kwargs = {}
     for key in ("mul", "comul"):
         if key in body:
-            kwargs[key] = _parse_quads(field, body[key], key, (dim, dim, dim), f"{path}.{key}")
+            kwargs[key] = _parse_quads(sc, body[key], key, (dim, dim, dim), f"{path}.{key}")
     for key in ("unit", "counit"):
         if key in body:
-            _expect(isinstance(body[key], list) and len(body[key]) == dim, f"{path}.{key}",
-                    f"{key} must have {dim} coefficients")
-            kwargs[key] = [_parse_scalar(field, x, f"{path}.{key}[{i}]") for i, x in enumerate(body[key])]
+            xs = body[key]
+            _expect(isinstance(xs, list) and len(xs) == dim, f"{path}.{key}", f"{key} must have {dim} coefficients")
+            values = sc.values(xs)
+            kwargs[key] = values if values is not None else \
+                [_parse_scalar(sc.field, x, f"{path}.{key}[{i}]") for i, x in enumerate(xs)]
     if "antipode" in body:
-        kwargs["antipode"] = _parse_matrix(field, body["antipode"], dim, dim, f"{path}.antipode")
+        kwargs["antipode"] = _parse_matrix(sc, body["antipode"], dim, dim, f"{path}.antipode")
     try:
-        return make_structure(kind, field, dim, labels, **kwargs)
+        return make_structure(kind, sc.field, dim, labels, **kwargs)
     except PresentationError as exc:
         raise ParseError(path, str(exc)) from None
 
@@ -284,10 +342,10 @@ def _check_parts(ref: Ref, obj, path: str):
         _expect(obj.has_coalgebra, path, "referenced object has no coalgebra structure")
 
 
-def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, path: str):
+def _parse_object(row: ObjectType, sc: _Scalars, body: dict, resolved: dict, path: str):
     """Unknown keys, all references, then their parts, then the other fields in document order; then row.make."""
     if not row.fields:
-        return _parse_structure(field, body, path)
+        return _parse_structure(sc, body, path)
     for key in body:
         _expect(key == "type" or any(f.key == key for f in row.fields), f"{path}.{key}", "unknown field")
     refs = [f for f in row.fields if isinstance(f, Ref)]
@@ -299,9 +357,9 @@ def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, pat
         if isinstance(f, Plain):
             setattr(got, f.key, f.read(body, path))
         elif isinstance(f, Dense) and (f.key in body or not f.optional):
-            setattr(got, f.key, _parse_matrix(field, body.get(f.key), *f.shape(got), at))
+            setattr(got, f.key, _parse_matrix(sc, body.get(f.key), *f.shape(got), at))
         elif isinstance(f, Quads):
-            setattr(got, f.attr, _parse_quads(field, body.get(f.key), f.layout, f.shape(got), at))
+            setattr(got, f.attr, _parse_quads(sc, body.get(f.key), f.layout, f.shape(got), at))
         elif isinstance(f, Block) and f.key in body:
             block, ref = body[f.key], Ref("structure", f.needs, f.needs)
             _expect(isinstance(block, dict), at, "expected an object")
@@ -310,7 +368,7 @@ def _parse_object(row: ObjectType, field: Field, body: dict, resolved: dict, pat
             over = _resolve(ref, resolved, block.get("structure"), f"{at}.structure")
             side = block.get("side", "right")
             _expect(side in ("left", "right"), f"{at}.side", f"bad side {side!r}")
-            m = _parse_quads(field, block.get("triples"), f"{side}-{f.key}", f.shape(got, over), f"{at}.triples")
+            m = _parse_quads(sc, block.get("triples"), f"{side}-{f.key}", f.shape(got, over), f"{at}.triples")
             _check_parts(ref, over, f"{at}.structure")
             vars(got).update({f.needs: over, f.key: m, f"{f.key}_side": side})
     return row.make(**vars(got))
@@ -332,7 +390,7 @@ def _emit_field_value(f, field: Field, obj, name_of):
             "triples": _emit_quads(field, m, f"{side}-{f.key}", f.shape(obj, over))}
 
 
-def _parse_objects(field: Field, raw_objects: dict) -> dict:
+def _parse_objects(sc: _Scalars, raw_objects: dict) -> dict:
     _expect(all(isinstance(n, str) for n in raw_objects), "objects", "object names must be strings")
     rows = {name: TYPES.get(body.get("type")) if isinstance(body, dict) and isinstance(body.get("type"), str)
             else None for name, body in raw_objects.items()}
@@ -341,7 +399,7 @@ def _parse_objects(field: Field, raw_objects: dict) -> dict:
         body, path = raw_objects[name], f"objects.{name}"
         _expect(isinstance(body, dict), path, "expected an object")
         _expect(rows[name] is not None, f"{path}.type", f"unknown object type {body.get('type')!r}")
-        resolved[name] = _parse_object(rows[name], field, body, resolved, path)
+        resolved[name] = _parse_object(rows[name], sc, body, resolved, path)
     return resolved
 
 
@@ -361,7 +419,7 @@ def parse_document(text: str | bytes) -> Document:
     field = _parse_field(raw.get("field"), "field")
     objects = raw.get("objects")
     _expect(isinstance(objects, dict), "objects", "objects must be a name -> object map")
-    return Document(FORMAT_VERSION, field, raw, _parse_objects(field, objects))
+    return Document(FORMAT_VERSION, field, raw, _parse_objects(_Scalars(field), objects))
 
 
 def emit_document(doc: Document) -> str:

@@ -3,10 +3,11 @@
 Given a verified entwining (A, C, psi), a subalgebra of C* containing the
 counit and a subcoalgebra of A* that psi* maps into each other induce a
 dual entwining on the chosen subobjects.  In finite dimension the full
-duals always work; proper subobjects are accepted but must pass the
-closure check, and a failure is reported with the witness pair rather
-than silently patched.  Each construction decides closure with one
-solve: it builds the images of all its basis elements (or pairs) as one
+duals always work, and are built by transposition, with nothing solved;
+proper subobjects are accepted but must pass the closure check, and a
+failure is reported with the witness pair rather than silently patched.
+Each construction on proper subobjects decides closure with one solve: it
+builds the images of all its basis elements (or pairs) as one
 matrix and writes them in the target basis with exactlin.express, which
 names the first image outside the span; the witness pair is decoded from
 that column index.
@@ -106,18 +107,26 @@ def dual_entwining(e: EntwiningPresentation, atil_basis: Matrix | None = None,
     """The dual entwining on (A~, C~) of an entwining that has passed verify_entwining.
 
     Defaults to the full duals A~ = C*, C~ = A*, which always close in
-    finite dimension.  The basis rows must be linearly independent, or
-    PresentationError is raised; for proper subobjects the closure of
-    psi* is tested on every basis pair and a violation raises
-    ClosureViolation with the witness pair.  Nothing built is read again
-    (the paper): A~ is a subalgebra of the convolution algebra C* of a
-    verified coalgebra and C~ a subcoalgebra of the dual coalgebra A*,
-    the two pairings measure because A~ and C~ carry the structure they
-    inherit from C* and A*, and each psi law of the dual is a psi law of
-    e, transposed and restricted to A~ and C~.
+    finite dimension: their structure maps are C's and A's transposed, and
+    psi* is psi transposed, so nothing is solved.  Given bases must have
+    linearly independent rows, or PresentationError is raised; for proper
+    subobjects the closure of psi* is tested on every basis pair with one
+    solve and a violation raises ClosureViolation with the witness pair.
+    Nothing built is read again (the paper): A~ is a subalgebra of the
+    convolution algebra C* of a verified coalgebra and C~ a subcoalgebra
+    of the dual coalgebra A*, the two pairings measure because A~ and C~
+    carry the structure they inherit from C* and A*, and each psi law of
+    the dual is a psi law of e, transposed and restricted to A~ and C~.
     """
     a, c, psi = e.algebra, e.coalgebra, e.psi
     f = e.field
+    if atil_basis is None and ctil_basis is None:
+        atil = make_structure("algebra", f, c.dim, tuple(f"u{i}" for i in range(c.dim)),
+                              mul=c.comul.transpose(), unit=c.counit.transpose())
+        ctil = make_structure("coalgebra", f, a.dim, tuple(f"v{i}" for i in range(a.dim)),
+                              comul=a.mul.transpose(), counit=a.unit.transpose())
+        return DualDatum(e, Matrix.identity(f, c.dim), Matrix.identity(f, a.dim), atil, ctil,
+                         EntwiningPresentation(atil, ctil, psi.transpose()))
     if atil_basis is None:
         atil_basis = Matrix.identity(f, c.dim)
     if ctil_basis is None:

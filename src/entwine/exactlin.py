@@ -14,6 +14,9 @@ column at a time, as a sparse row product (Gustavson): it pushes a basis
 vector through the factors, sums plain products without a Field call per
 term and returns each vector canonical (an index -> value dict, reduced,
 no zero values), so two vectors are equal exactly when their dicts are.
+A factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
+moves each index where it lands as it pushes: no shifted copy of a line
+is made.
 A factor over F_p whose lines are wide and nonzero enough is pushed
 packed instead, each of its lines one int with a 2-, 4- or 8-byte slot per
 entry (Kronecker substitution), so a line read costs one big-int
@@ -196,10 +199,11 @@ class Matrix:
         data = tuple(data)
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
-        is_zero = field.is_zero
+        p = field.p
         self.field, self.rows, self.cols, self._data, self._cols, self._kernel = field, rows, cols, None, None, None
-        self._rows = tuple({j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if not is_zero(x)}
-                           for i in range(rows))
+        # an entry is kept where it is nonzero: truthy over Q, x % p truthy over F_p
+        self._rows = tuple(dict(compress(enumerate(line), line if p is None else map(p.__rmod__, line)))
+                           for line in (data[i * cols:(i + 1) * cols] for i in range(rows)))
 
     @classmethod
     def _of_rows(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
@@ -226,11 +230,18 @@ class Matrix:
 
     @classmethod
     def from_entries(cls, field: Field, rows: int, cols: int, entries) -> "Matrix":
-        """The sum of the (i, j, value) entries, each position in range: repeats add, zero sums drop."""
+        """The sum of the (i, j, value) entries, each position in range: repeats add, zero sums drop.
+
+        Sums are plain, reduced once at the end over F_p.
+        """
+        p = field.p
         out = [{} for _ in range(rows)]
         for i, j, v in entries:
-            out[i][j] = field.add(out[i].get(j, field.zero()), v)
-        return cls._of_rows(field, rows, cols, ({j: x for j, x in r.items() if not field.is_zero(x)} for r in out))
+            r = out[i]
+            r[j] = r.get(j, 0) + v
+        if p is None:
+            return cls._of_rows(field, rows, cols, (dict(compress(r.items(), r.values())) for r in out))
+        return cls._of_rows(field, rows, cols, ({j: x for j, v in r.items() if (x := v % p)} for r in out))
 
     @classmethod
     def from_columns(cls, field: Field, rows: int, columns) -> "Matrix":
@@ -786,9 +797,9 @@ def _sparse_stage(x: Matrix, k: int, x_first: bool, by_rows: bool):
     if k == 1:      # key q: line q of X
         return partial(_push_plain, lines)
     if x_first:     # key q * k + r: line q of X, its indices t moved to t * k + r
-        return partial(_push, [{t * k: w for t, w in line.items()} for line in lines], k, True, 0)
+        return partial(_push_strided, lines, k)
     d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-    return partial(_push, lines, d_in, False, d_out)   # key q * d_in + r: line r of X, in block q of the output
+    return partial(_push, lines, d_in, d_out)   # key q * d_in + r: line r of X, in block q of the output
 
 
 def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | None):
@@ -816,9 +827,8 @@ _BIG_ENDIAN = sys.byteorder == "big"
 def _kernel_data(x: Matrix) -> dict:
     """What _vectors derives from x once and keeps: its packing decisions and packed lines.
 
-    The shifted lines of a sparse pair (X, k) are made again on every read:
-    kept, they outlived the laws that read them and cost more in garbage
-    collection than they saved.
+    A sparse stage keeps nothing: a pair (X, k) reads X's own lines and
+    moves each index as it pushes, so no shifted copy of a line is made.
     """
     if x._kernel is None:
         x._kernel = {}
@@ -903,13 +913,27 @@ def _push_plain(lines, v: dict, acc: dict) -> dict:
     return acc
 
 
-def _push(lines, div: int, x_first: bool, d_out: int, v: dict, acc: dict) -> dict:
-    """Add the sparse vector v, through one factor given by its lines, to acc; products unreduced."""
+def _push_strided(lines, k: int, v: dict, acc: dict) -> dict:
+    """_push through kron(X, id_k): key q * k + r reads line q of X, in place, its index t moved to t * k + r."""
     get = acc.get
     for key, c in v.items():
-        q, r = divmod(key, div)
-        line, shift = (lines[q], r) if x_first else (lines[r], q * d_out)
-        for t, w in line.items():
+        q, r = divmod(key, k)
+        for t, w in lines[q].items():
+            t = t * k + r
+            acc[t] = get(t, 0) + c * w
+    return acc
+
+
+def _push(lines, d_in: int, d_out: int, v: dict, acc: dict) -> dict:
+    """Add the sparse vector v, through kron(id_k, X) given by X's lines, to acc; products unreduced.
+
+    Key q * d_in + r reads line r of X, its index t moved to q * d_out + t.
+    """
+    get = acc.get
+    for key, c in v.items():
+        q, r = divmod(key, d_in)
+        shift = q * d_out
+        for t, w in lines[r].items():
             t += shift
             acc[t] = get(t, 0) + c * w
     return acc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import prod
 
 from .exactlin import (
     DimensionMismatch,
@@ -20,6 +21,7 @@ from .exactlin import (
     Matrix,
     PresentationError,
     Subspace,
+    _offsets,
     columns_of,
     express,
     image,
@@ -80,15 +82,24 @@ QUAD_LAYOUTS = {
 
 
 def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
-    """Sum the quadruples into Q (axes dims) and permute Q into the layout's matrix."""
-    d0, d1, d2 = dims
-    entries = []
-    for i, j, k, c in quads:
-        if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
-            raise PresentationError(f"{layout} index out of range: {(i, j, k)}")
-        entries.append((i * d1 + j, k, _scalar(field, c)))
+    """The layout's matrix: each quadruple's scalar summed, once, at the entry permute() carries Q[i, j, k] to.
+
+    The entry is read off one offset per index (exactlin._offsets, one
+    axis at a time), so no Q is laid out; an index outside dims raises
+    PresentationError.
+    """
     perm, nrows = QUAD_LAYOUTS[layout]
-    return permute(Matrix.from_entries(field, d0 * d1, d2, entries), dims, perm, nrows)
+    d0, d1, d2 = dims
+    at0, at1, at2 = (_offsets(dims, perm, (a,)) for a in range(3))
+    cols = prod(dims[a] for a in perm[nrows:])
+
+    def entries():
+        for i, j, k, c in quads:
+            if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
+                raise PresentationError(f"{layout} index out of range: {(i, j, k)}")
+            yield (*divmod(at0[i] + at1[j] + at2[k], cols), c)
+
+    return Matrix.from_entries(field, prod(dims[a] for a in perm[:nrows]), cols, entries())
 
 
 def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
@@ -520,7 +531,12 @@ def check_alpha_condition(p: PairingPresentation) -> Report:
 
 
 class AlphaConditionError(PresentationError):
-    pass
+    """A pairing that fails the rank criterion; criterion is check_alpha_condition's report."""
+
+    def __init__(self, criterion: Report):
+        super().__init__(f"rational_submodule pairing fails the rank criterion: "
+                         f"rank {criterion.detail('rank')} < dim C {criterion.detail('dim_c')}")
+        self.criterion = criterion
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +546,14 @@ class AlphaConditionError(PresentationError):
 @dataclass(frozen=True)
 class RationalSubmodule:
     """Rat of a module: the subspace together with its induced (co)structures,
-    both written in the subspace basis coordinates."""
+    both written in the subspace basis coordinates, and the rank criterion
+    the pairing passed."""
 
     subspace: Subspace
     action: Matrix
     coaction: Matrix
     side: str
+    criterion: Report
 
     @property
     def dim(self) -> int:
@@ -562,15 +580,11 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
 
     For a left module the result carries a right C-coaction (and mirrored
     for right modules); both the restricted action and the coaction are
-    returned in the canonical basis of the subspace.  Requires the rank
-    criterion on p, and raises AlphaConditionError without it.  m must be
-    a module over p's own algebra: another dimension, field,
-    multiplication or unit raises PresentationError.
+    returned in the canonical basis of the subspace.  m must be a module
+    over p's own algebra: another dimension, field, multiplication or unit
+    raises PresentationError, before the rank criterion on p is computed;
+    without the criterion AlphaConditionError is raised.
     """
-    criterion = check_alpha_condition(p)
-    if not criterion.passed:
-        raise AlphaConditionError(f"rational_submodule pairing fails the rank criterion: "
-                                  f"rank {criterion.detail('rank')} < dim C {criterion.detail('dim_c')}")
     side = m.action_side
     if m.action is None:
         raise PresentationError("rational_submodule needs an action")
@@ -580,6 +594,9 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
             f"the pairing's (dim {p.algebra.dim} over {p.algebra.field})")
     if (m.algebra.mul, m.algebra.unit) != (p.algebra.mul, p.algebra.unit):
         raise PresentationError("the module's algebra does not match the pairing's in its multiplication or unit")
+    criterion = check_alpha_condition(p)
+    if not criterion.passed:
+        raise AlphaConditionError(criterion)
     f = p.matrix.field
     mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
     rho = _rho_matrix(m.action, mdim, na, side)
@@ -610,7 +627,7 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     else:  # coaction[(c, s), t], action[s, (t, j)]
         coaction = permute(coact, (k, k, nc), (2, 0, 1), 2)
         action = act
-    return RationalSubmodule(w, action, coaction, side)
+    return RationalSubmodule(w, action, coaction, side, criterion)
 
 
 def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,

@@ -50,6 +50,7 @@ from entwine.exactlin import (
     swap_matrix,
 )
 from entwine.structures import (
+    QUAD_LAYOUTS,
     ModulePresentation,
     PairingPresentation,
     dualize_structure,
@@ -59,6 +60,18 @@ from entwine.structures import (
     verify_measuring_pairing,
     verify_structure,
 )
+
+
+def quads_by_permute(field: Field, layout: str, dims, quads) -> Matrix:
+    """matrix_from_quads the long way: the quadruples summed into Q (rows (i, j), column k), then Q permuted."""
+    d0, d1, d2 = dims
+    q = [field.zero()] * (d0 * d1 * d2)
+    for i, j, k, c in quads:
+        assert 0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2
+        t = (i * d1 + j) * d2 + k
+        q[t] = field.add(q[t], c)
+    perm, nrows = QUAD_LAYOUTS[layout]
+    return permute(Matrix(field, d0 * d1, d2, q), dims, perm, nrows)
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:

@@ -568,11 +568,24 @@ class TestCommands:
         body["objects"]["b"] = dict(body["objects"]["a"], unit=["1", "0"])
         body["objects"]["m"]["action"]["structure"] = "b"
         path = write(tmp_path, "rat-b.ent", json.dumps(body))
-        assert run_command(["rat", path, "--pairing", "p", "--module", "m"]) == (2, (
-            "p: check_alpha_condition: PASS rank=1 dim_c=1\n"
-            "input error: the module's algebra does not match the pairing's in its multiplication or unit\n"))
+        assert run_command(["rat", path, "--pairing", "p", "--module", "m"]) == (
+            2, "input error: the module's algebra does not match the pairing's in its multiplication or unit\n")
         code, text = run_command(["check", path])
         assert code == 1 and "b: verify_structure[algebra]: FAIL left-unit at basis (1,)" in text
+
+    def test_rat_computes_the_rank_criterion_once(self, tmp_path, monkeypatch):
+        from entwine import cli, structures
+
+        calls = []
+        criterion = structures.check_alpha_condition
+        for module in (cli, structures):   # wherever the command could call it from
+            monkeypatch.setattr(module, "check_alpha_condition", lambda p: calls.append(p) or criterion(p),
+                                raising=False)
+        path = self._rat_doc(tmp_path, [["1"], ["0"]], 1, [[0, 0, 0, "1"]])
+        assert run_command(["rat", path, "--pairing", "p", "--module", "m"]) == (0, (
+            "p: check_alpha_condition: PASS rank=1 dim_c=1\n"
+            "m: rational part has dimension 1; basis [1]\n"))
+        assert len(calls) == 1
 
     def test_adjunction(self, tmp_path):
         path = write(tmp_path, "m.ent", catalog_doc("hopfmod_qc2"))
@@ -744,7 +757,7 @@ class TestCommands:
         path = write(tmp_path, "rat.ent", emit_document(doc))
         code, text = run_command(["rat", path, "--pairing", "p", "--module", "m"])
         assert code == 2
-        assert "input error" in text and "does not match the pairing" in text
+        assert text.startswith("input error") and text.count("\n") == 1 and "does not match the pairing" in text
 
     def test_unhashable_object_type_is_input_error(self, tmp_path):
         body = json.loads(catalog_doc("qc2"))

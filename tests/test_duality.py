@@ -63,6 +63,25 @@ class TestDualEntwining:
         d = dual_entwining(e)
         assert verify_entwining(d.dual).passed
 
+    def test_full_duals_are_the_identity_bases_dual(self, monkeypatch):
+        # by transposition, with no rank and no solve: the same datum as the solve on identity bases
+        from entwine import duality
+        from entwine.catalog import catalog_names
+        from entwine.entwining import EntwiningPresentation
+
+        entwinings = [e for name in catalog_names() if isinstance(e := catalog_get(name), EntwiningPresentation)]
+        assert len(entwinings) == 11
+        solved = [dual_entwining(e, Matrix.identity(e.field, e.coalgebra.dim),
+                                 Matrix.identity(e.field, e.algebra.dim)) for e in entwinings]
+
+        def refuse(*args):
+            raise AssertionError("a full dual eliminates nothing")
+
+        monkeypatch.setattr(duality, "rank", refuse)
+        monkeypatch.setattr(duality, "express", refuse)
+        for e, d in zip(entwinings, solved):
+            assert dual_entwining(e) == d
+
     def test_dual_components_match_structure_duals(self, ent_qc2):
         d = dual_entwining(ent_qc2)
         cstar = dualize_structure("coalgebra", ent_qc2.coalgebra)
