@@ -10,7 +10,6 @@ input could not be used at all.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .exactlin import PresentationError
@@ -47,7 +46,7 @@ from .doikoppinen import (
     koppinen_smash,
     verify_dk,
 )
-from .document import Document, document_from_objects, emit_document, parse_document
+from .document import Document, canonical_json, document_from_objects, emit_document, parse_document
 from . import catalog
 
 
@@ -76,8 +75,7 @@ class _Out:
 
     def render(self, as_json: bool) -> str:
         if as_json:
-            return json.dumps({"passed": not self.failed, "records": self.records},
-                              sort_keys=True, indent=2) + "\n"
+            return canonical_json({"passed": not self.failed, "records": self.records}) + "\n"
         return "\n".join(self.lines) + "\n"
 
 

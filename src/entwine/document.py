@@ -5,7 +5,10 @@ objects.  Scalars over Q are canonical strings "a" or "a/b" (positive
 denominator, reduced); scalars over F_p are plain integers in [0, p).
 Sparse structure constants are integer-index quadruples with a trailing
 scalar; dense matrices are row lists.  Emission sorts every key, so
-parse and emit are mutually inverse and byte-stable.
+parse and emit are mutually inverse and byte-stable; canonical_json
+writes the text, as json.dumps(..., sort_keys=True, indent=2) would, in
+one straight-line pass, and quadruples are read back from stored rows by
+structures.quads_from_matrix.
 
 Parsing goes straight to stored rows: quadruples are placed by
 structures.matrix_from_quads, which lays out no tensor, and each scalar
@@ -21,6 +24,7 @@ it, so a new object type is one row.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 from dataclasses import dataclass
 from itertools import count
 from types import SimpleNamespace
@@ -422,10 +426,55 @@ def parse_document(text: str | bytes) -> Document:
     return Document(FORMAT_VERSION, field, raw, _parse_objects(_Scalars(field), objects))
 
 
+def canonical_json(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, from one straight-line writer.
+
+    Dicts (with string keys) and lists or tuples are laid out one item to a
+    line; a string is written by json.encoder.encode_basestring_ascii, an
+    int by int.__repr__, and any other scalar (bool, None, float) by
+    json.dumps itself.
+    """
+    parts: list[str] = []
+    _write_json(value, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, pad: str, put) -> None:
+    """Write value at the indentation pad (a newline and the spaces of its line) through put."""
+    if isinstance(value, str):
+        put(_quoted(value))
+    elif type(value) is int:
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep + _quoted(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    else:
+        put(json.dumps(value))
+
+
 def emit_document(doc: Document) -> str:
-    """Canonical byte-stable emission: sorted keys, two-space indent."""
+    """Canonical byte-stable emission: sorted keys, two-space indent (canonical_json)."""
     body = {"version": doc.version, "field": _emit_field(doc.field), "objects": doc.raw["objects"]}
-    return json.dumps(body, sort_keys=True, indent=2) + "\n"
+    return canonical_json(body) + "\n"
 
 
 def document_from_objects(field: Field, objects: dict) -> Document:

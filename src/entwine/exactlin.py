@@ -186,8 +186,9 @@ class Matrix:
     is never stored, so two matrices are equal exactly when their row dicts
     are.  Row dicts are shared between matrices and never written after the
     matrix that made them is built.  `data` is a read-only row-major tuple of
-    every entry, for readers outside the package, and columns_of gives the
-    column dicts; each is laid out on first read and kept, as is what
+    every entry, for readers outside the package, nonzeros gives the stored
+    entries, and columns_of gives the column dicts; data and the columns
+    are laid out on first read and kept, as is what
     _vectors derives from the matrix (_kernel_data): whether it packs,
     and its packed lines.
     """
@@ -195,14 +196,14 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_kernel")
 
     def __init__(self, field: Field, rows: int, cols: int, data):
-        """The matrix with the given row-major entries, zeros included."""
-        data = tuple(data)
+        """The matrix with the given row-major entries, zeros included; over F_p an entry x is stored as x % p."""
+        p = field.p
+        data = tuple(data) if p is None else tuple(map(p.__rmod__, data))
         if len(data) != rows * cols:
             raise DimensionMismatch(f"expected {rows}x{cols}={rows * cols} entries, got {len(data)}")
-        p = field.p
         self.field, self.rows, self.cols, self._data, self._cols, self._kernel = field, rows, cols, None, None, None
-        # an entry is kept where it is nonzero: truthy over Q, x % p truthy over F_p
-        self._rows = tuple(dict(compress(enumerate(line), line if p is None else map(p.__rmod__, line)))
+        # an entry is kept where it is nonzero, that is truthy
+        self._rows = tuple(dict(compress(enumerate(line), line))
                            for line in (data[i * cols:(i + 1) * cols] for i in range(rows)))
 
     @classmethod
@@ -655,6 +656,11 @@ def columns_of(m: Matrix) -> tuple[dict, ...]:
     if m._cols is None:
         m._cols = m.transpose()._rows
     return m._cols
+
+
+def nonzeros(m: Matrix):
+    """The stored entries (i, j, value) of m, row by row, each row in the order its dict keeps."""
+    return ((i, j, v) for i, r in enumerate(m._rows) for j, v in r.items())
 
 
 def _terms(side, sign: int = 1) -> list:

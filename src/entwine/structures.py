@@ -22,10 +22,10 @@ from .exactlin import (
     PresentationError,
     Subspace,
     _offsets,
-    columns_of,
     express,
     image,
     kron,
+    nonzeros,
     perm_tensor,
     permute,
     preimage,
@@ -103,10 +103,23 @@ def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
 
 
 def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
-    """The nonzero entries of m as quadruples (i, j, k, c), in lexicographic order."""
-    perm, _ = QUAD_LAYOUTS[layout]
-    q = columns_of(permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 2))
-    return sorted((*divmod(t, dims[1]), k, v) for k, column in enumerate(q) for t, v in column.items())
+    """The nonzero entries of m as quadruples (i, j, k, c), in lexicographic order.
+
+    The inverse of matrix_from_quads: each stored entry (exactlin.nonzeros)
+    at (r, s) is at offset (i * d1 + j) * d2 + k of Q, the row's offset plus
+    the column's along the layout's strides (exactlin._offsets), so no Q is
+    laid out; sorting the offsets sorts the quadruples, and divmod decodes
+    them.
+    """
+    perm, nrows = QUAD_LAYOUTS[layout]
+    axes, back = [dims[a] for a in perm], [perm.index(a) for a in range(3)]
+    row_at, col_at = _offsets(axes, back, range(nrows)), _offsets(axes, back, range(nrows, 3))
+    d12, d2 = dims[1] * dims[2], dims[2]
+    out = []
+    for t, v in sorted((row_at[r] + col_at[s], v) for r, s, v in nonzeros(m)):
+        i, jk = divmod(t, d12)
+        out.append((i, *divmod(jk, d2), v))
+    return out
 
 
 def mul_from_triples(field: Field, dim: int, triples) -> Matrix:
@@ -329,21 +342,23 @@ def convolution(c: StructurePresentation, a: StructurePresentation, f: Matrix, g
 def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: Matrix) -> Matrix | None:
     """The convolution inverse of f, or None: g with f * g = unit, by exact linear algebra.
 
-    C must be a verified coalgebra and A a verified algebra, as every caller
-    ensures; Hom(C, A) is then a finite-dimensional algebra under
-    convolution, where a right inverse is two-sided, so g * f = unit holds.
+    g -> f * g is the matrix T[(z, w), (y, x)] = sum_u P[z, (u, y)] comul[(u, x), w]
+    with P = mul (f (x) id_A), built as one contraction over u, and
+    f * g = unit is solved once for g[y, x].  C must be a verified
+    coalgebra and A a verified algebra, as every caller ensures; Hom(C, A)
+    is then a finite-dimensional algebra under convolution, where a right
+    inverse is two-sided, so g * f = unit holds.
     """
     if (f.rows, f.cols) != (a.dim, c.dim):
         raise DimensionMismatch(f"expected {a.dim}x{c.dim} map from C to A")
-    e = convolution_unit(c, a)
-    n = a.dim * c.dim
-    target = Matrix.from_columns(a.field, n, [e])
-    units = [Matrix.basis_column(a.field, n, s).reshape(a.dim, c.dim) for s in range(n)]
-    t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
-    sol = solve_linear(t, target)
+    na, nc = a.dim, c.dim
+    mf = permute(a.mul @ kron(f, a.identity_matrix()), (na, nc, na), (0, 2, 1), 2)    # P as [(z, y), u]
+    t = mf @ permute(c.comul, (nc, nc, nc), (0, 1, 2), 1)                            # [(z, y), (x, w)]
+    t = permute(t, (na, na, nc, nc), (0, 3, 1, 2), 2)                                # [(z, w), (y, x)]
+    sol = solve_linear(t, Matrix.from_columns(a.field, na * nc, [convolution_unit(c, a)]))
     if sol is None:
         return None
-    return sol.particular.reshape(a.dim, c.dim)
+    return sol.particular.reshape(na, nc)
 
 
 def compute_antipode(h: StructurePresentation) -> Matrix | None:

@@ -19,9 +19,11 @@ from entwine import report
 from entwine.catalog import grading_comodule_coalgebra, translation_module_algebra
 from entwine.doikoppinen import (
     UnsupportedDualization,
+    check_integral,
     comodule_coalgebra_to_module_coalgebra,
     dk_entwining,
     dual_dk,
+    dualize_coextension,
     dualize_dk_ingredient,
     module_coalgebra_to_dual_module_algebra,
     verify_dk,
@@ -42,6 +44,7 @@ from entwine.exactlin import (
     _shape,
     _terms,
     _vectors,
+    columns_of,
     express,
     invert,
     kron,
@@ -53,6 +56,8 @@ from entwine.structures import (
     QUAD_LAYOUTS,
     ModulePresentation,
     PairingPresentation,
+    convolution,
+    convolution_unit,
     dualize_structure,
     make_structure,
     pairing_action,
@@ -72,6 +77,27 @@ def quads_by_permute(field: Field, layout: str, dims, quads) -> Matrix:
         q[t] = field.add(q[t], c)
     perm, nrows = QUAD_LAYOUTS[layout]
     return permute(Matrix(field, d0 * d1, d2, q), dims, perm, nrows)
+
+
+def quads_by_transpose(m: Matrix, layout: str, dims) -> list[tuple]:
+    """quads_from_matrix the long way: m permuted back to Q (rows (i, j), column k), its columns read, then sorted."""
+    perm, _ = QUAD_LAYOUTS[layout]
+    q = columns_of(permute(m, [dims[a] for a in perm], [perm.index(a) for a in range(3)], 2))
+    return sorted((*divmod(t, dims[1]), k, v) for k, column in enumerate(q) for t, v in column.items())
+
+
+def convolution_inverse_by_units(c, a, f: Matrix) -> Matrix | None:
+    """structures.convolution_inverse the long way: g -> f * g laid out one basis map E_s at a time, then solved.
+
+    Column s of the system is f * E_s flattened, for E_s the s-th basis
+    vector of A (x) C read as a dim A x dim C map; the reference for the
+    one contraction that convolution_inverse builds the system with.
+    """
+    n = a.dim * c.dim
+    units = [Matrix.basis_column(a.field, n, s).reshape(a.dim, c.dim) for s in range(n)]
+    t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
+    sol = solve_linear(t, Matrix.from_columns(a.field, n, [convolution_unit(c, a)]))
+    return None if sol is None else sol.particular.reshape(a.dim, c.dim)
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
@@ -298,6 +324,15 @@ IMPLIED_CHECKS = {
     "dk-psi-laws": "a Doi-Koppinen datum induces an entwining: the psi laws follow from the comodule-algebra and "
                    "module-coalgebra rows that verify_dk read (Brzezinski and Majid, CMP 191, 1998; "
                    "doikoppinen.dk_entwining)",
+    "dual-integral-colinear": "omega -> omega^T is an algebra isomorphism Hom(D, H) -> Hom(H*, D*) under "
+                              "convolution: D*'s mul is D's comul transposed, H*'s comul is H's mul transposed, and "
+                              "the units are transposed.  The h-colinearity row of omega^T is the h-linearity row of "
+                              "omega, transposed, which check_cointegral read (doikoppinen.dualize_coextension)",
+    "dual-integral-not-total": "omega^T is total exactly when omega is: the one equation, transposed",
+    "dual-integral-not-cleft": "omega^T is convolution invertible exactly when omega is, by the transposition "
+                               "isomorphism",
+    "inverse-transpose-mismatch": "the transposition isomorphism carries the convolution inverse of omega to that of "
+                                  "omega^T, so the inverse of omega^T is inner.inverse transposed",
     "alt-dk-psi-laws": "the alternative datum induces an entwining: the psi laws follow from the module-algebra and "
                        "comodule-coalgebra rows that s.verify() read (doikoppinen.alt_dk_entwining)",
 }
@@ -377,6 +412,17 @@ def arrow_inputs(h) -> dict:
 def left_inverse_rows(c, a, f, g) -> list:
     """g * f = unit for g = convolution_inverse(c, a, f), the check that convolution_inverse leaves out."""
     return [("left-inverse", (c.comul, (c.dim, f), (g, a.dim), a.mul), (c.counit, a.unit), (c.dim,))]
+
+
+def dual_integral(coext, inner):
+    """check_integral of omega^T on D* over H*, as dualize_coextension built them: the reading it leaves out.
+
+    inner is check_cointegral(coext, coext.cointegral); the IntegralReport
+    carries the dual-integral-* verdicts and the inverse that
+    inverse-transpose-mismatch compared with inner.inverse transposed.
+    """
+    ext, _ = dualize_coextension(coext, inner)
+    return check_integral(ext, coext.cointegral.transpose())
 
 
 def dual_entwining_rows(d):

@@ -655,8 +655,9 @@ class TestCommands:
         # the entwining and the module are read once each, and no dual module is read; M_r is built once: it is
         # also the double dual of K = M_r, since K^r is M
         (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (9, 19, 0, 1, 0)),
-        # the cointegral is checked once, and its report serves the dual's cleft check; D* over H* is not read
-        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (7, 20, 0, 0, 1)),
+        # the cointegral is checked once, and its report is the dual integral's, transposed: neither D* over H*
+        # nor the integral omega^T is read
+        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (6, 19, 0, 0, 1)),
     ], ids=["dk", "dualize-dk", "dualize-entwining", "dualize-structure", "adjunction", "cocleft"])
     def test_each_object_is_verified_once(self, tmp_path, monkeypatch, argv, counts):
         from entwine import cli, doikoppinen, duality, entwining, report

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,7 @@ from conftest import (
     corrupt,
     dual_alt_dk,
     dual_dk_morphism,
+    scale,
     verify_ingredient,
     zeros,
 )
@@ -650,6 +652,22 @@ class TestDualizeCoextension:
         coext = coextension_quotient(m2, m2, m2.mul)
         with pytest.raises(PresentationError):
             dualize_coextension(coext, None)
+
+    @pytest.mark.parametrize("name", ["coext_qc2", "coext_sweedler4"])
+    def test_a_failing_cointegral_is_read_off_inner(self, name):
+        """omega^T is not read: an omega that is not H-linear or not total fails the dual through inner's report,
+        and one that is not invertible gives a total integral and no cleft detail."""
+        coext = catalog_get(name)
+        h, omega = coext.h, coext.cointegral
+        x = Matrix.column(QQ, [Fraction(1, 2), Fraction(1, 2)] + [0] * (h.dim - 2))   # idempotent, counit 1
+        for bad, summary in (
+                (corrupt(omega, 0, 1), "FAIL cointegral[h-linearity] at basis (0, 1) lhs={0: 1, 1: 1} rhs={1: 1}"),
+                (scale(omega, 2), "FAIL cointegral-not-total"),
+                (h.mul @ kron(x, omega), "PASS coinvariants_equal_quotient_dual=True")):
+            c = replace(coext, cointegral=bad)
+            ext, rep = dualize_coextension(c, check_cointegral(c, bad))
+            assert rep.summary() == f"dualize_coextension: {summary}"
+            assert (ext.integral is not None) == rep.passed
 
     def test_cocleft_implies_cleft_over_catalog(self):
         for name in ("coext_qc2", "coext_sweedler4"):

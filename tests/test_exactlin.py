@@ -530,6 +530,15 @@ class TestSparseKernels:
             dense = build(field, ref_kron(field, a_ref, b_ref), 8)
             assert kron(a, b) == dense and hash(kron(a, b)) == hash(dense)
 
+    def test_entries_over_fp_are_stored_reduced(self):
+        """Matrix(F_7, 1, 2, [8, 0]) is the matrix [1, 0]: equal, with one hash, and reading 1 at (0, 0)."""
+        f = Field(7)
+        m, reduced = Matrix(f, 1, 2, [8, 0]), Matrix(f, 1, 2, [1, 0])
+        assert m[0, 0] == 1 and m.data == (1, 0)
+        assert m == reduced and hash(m) == hash(reduced)
+        assert (m - reduced).is_zero()
+        assert Matrix(f, 2, 2, [-1, 14, 7, 15]) == Matrix(f, 2, 2, [6, 0, 0, 1])
+
     def test_data_view_is_kept(self, rng):
         m = sparse_matrix(QQ, rng, 3, 4, 0.5)
         assert m.data is m.data

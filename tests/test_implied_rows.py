@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -54,7 +55,7 @@ from entwine.entwining import (
     verify_entwining_morphism,
     verify_smash,
 )
-from entwine.exactlin import Matrix, PresentationError, QQ
+from entwine.exactlin import Matrix, PresentationError, QQ, kron
 from entwine.report import first_failure
 from entwine.structures import (
     StructurePresentation,
@@ -79,6 +80,7 @@ from conftest import (
     coinvariant_subalgebra,
     corrupt,
     dual_entwining_rows,
+    dual_integral,
     dual_morphism_transpose,
     inner_ingredient,
     left_inverse_rows,
@@ -87,7 +89,9 @@ from conftest import (
     psi_laws,
     quotient_rows,
     rational_route,
+    scale,
     verify_ingredient,
+    zeros,
 )
 from test_doikoppinen import COMPAT_BITES, DK_ROW_BITES
 from test_entwining import ENTWINING_BITES, NU_ROW_MUTATIONS, ROW_MUTATIONS
@@ -208,6 +212,16 @@ class TestImpliedChecksHold:
             ext = dual_extension(coext)
             assert verify_dk_compat("comodule-algebra", ext.h, ext.b, ext.coaction, "right").passed, name
 
+    def test_dual_integral(self):
+        """omega^T is a colinear, total, cleft integral on every catalog coextension, with inverse inner's, transposed."""
+        coextensions = catalog_of(HCoextension)
+        assert len(coextensions) == 2
+        for name, coext in coextensions.items():
+            inner = check_cointegral(coext, coext.cointegral)
+            outer = dual_integral(coext, inner)
+            assert inner.passed and outer.passed, name
+            assert outer.inverse == inner.inverse.transpose(), name
+
     def test_dual_entwining(self):
         entwinings = catalog_of(EntwiningPresentation)
         assert len(entwinings) == 11
@@ -314,6 +328,29 @@ class TestImpliedChecksBite:
                 assert verify_ingredient(arrow(*args)).passed == given, (kind, target, attr)
                 verdicts.append(given)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_dual_integral_fails_with_the_cointegral(self):
+        """Seeded +1 bumps of omega or of the action, and omega scaled by 2, zero or x omega for the idempotent
+        x = (1 + g)/2 (H-linear and total, not invertible): omega^T passes check_integral exactly when omega passes
+        check_cointegral, each verdict is the transposed one, and the inverse of omega^T is inner's, transposed."""
+        rng = random.Random("dual integral")
+        verdicts = []
+        for name, coext in catalog_of(HCoextension).items():
+            h, omega = coext.h, coext.cointegral
+            x = Matrix.column(QQ, [Fraction(1, 2), Fraction(1, 2)] + [0] * (h.dim - 2))
+            bumped = [bump_part(coext, part, None, rng) for part in ("cointegral", "action") for _ in range(24)]
+            bumped += [replace(coext, cointegral=m) for m in (scale(omega, 2), zeros(QQ, h.dim, coext.d.dim),
+                                                              h.mul @ kron(x, omega))]
+            for bad in bumped:
+                inner = check_cointegral(bad, bad.cointegral)
+                outer = dual_integral(bad, inner)
+                assert outer.passed == inner.passed, name
+                assert (outer.colinear.passed, outer.total, outer.cleft) == \
+                    (inner.linear.passed, inner.total, inner.cocleft), name
+                assert outer.inverse == (None if inner.inverse is None else inner.inverse.transpose()), name
+                verdicts.append((inner.linear.passed, inner.total, inner.cocleft))
+        assert len(verdicts) == 102
+        assert {(False, True, True), (True, False, True), (True, False, False), (True, True, False)} <= set(verdicts)
 
     def test_dual_entwining_fails_with_the_entwining(self):
         """Seeded +1 bumps of A, C or psi fail what dual_entwining builds exactly when they fail the entwining."""

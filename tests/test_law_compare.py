@@ -9,7 +9,8 @@ tall and square, over Q and F_p, with pairs (X, k) and (k, X), signed terms
 that cancel, columns that are zero on one side only, and laws on no basis
 inputs (col_dims ()); and dense sides over F_p whose lines reach the
 packing floor, or stop one nonzero short of it, so that the kernel reads
-them as packed stages, mixed with sparse stages, with unreduced entries.
+them as packed stages, mixed with sparse stages, from entries drawn
+unreduced, which Matrix stores reduced.
 The primes put the packed slots on both sides of their edges: p = 127
 packs 4 lines in 16-bit slots that byte tables reduce and 5 lines in
 32-bit slots reduced one slot at a time; p = 131 is past the byte tables
@@ -304,8 +305,7 @@ def test_the_dense_strategy_packs():
         bad = reference("op", "law", lhs, rhs, col_dims)
         for x, k, x_first in packed:
             seen.add(("packed", "(X, k)" if x_first else "(k, X)"))
-            if any(not isinstance(v, int) or not 0 <= v < p for v in x.data):
-                seen.add("unreduced entries packed")
+            assert all(isinstance(v, int) and 0 <= v < p for v in x.data), "Matrix stores an entry unreduced"
         if packed:
             seen.add(("packed", "passes" if bad is None else "fails"))
             if bad is None and any(isinstance(s, list) and len(s) == 3 for s in (lhs, rhs)):
@@ -344,7 +344,7 @@ def test_the_dense_strategy_packs():
     collect()
     assert 5 * packing >= 2 * drawn, (packing, drawn)
     want = {("packed", "(X, k)"), ("packed", "(k, X)"), ("packed", "passes"), ("packed", "fails"),
-            "unreduced entries packed", "cancelling terms packed", "packed and sparse stages in one term",
+            "cancelling terms packed", "packed and sparse stages in one term",
             "at the floor", "below the floor", "the block bound keeps a paying factor sparse",
             (127, 2), (127, 4), (131, 2), (BIG.p, 8), "a full shared slot keeps a last stage sparse",
             ("packed and sparse last stages in one law", "passes"),

@@ -3,7 +3,9 @@
 matrix_from_quads places each quadruple once, at the entry that
 permute() would carry Q[i, j, k] to; a Hypothesis oracle compares it, for
 all six QUAD_LAYOUTS, with the long way (conftest.quads_by_permute): Q
-laid out, then permuted.  The parser checks each value with one fast test
+laid out, then permuted.  quads_from_matrix, its inverse, is compared the
+same way with the matrix permuted back to Q (conftest.quads_by_transpose).
+The parser checks each value with one fast test
 (a memoised canonical literal over Q, an int in [0, p) over F_p) and, when
 one fails, reads the input again with the full checks; the last tests pin
 the path and message of every kind of value that leaves a fast check.
@@ -21,12 +23,12 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from conftest import quads_by_permute  # noqa: E402
+from conftest import quads_by_permute, quads_by_transpose  # noqa: E402
 from entwine.catalog import catalog_names  # noqa: E402
 from entwine.cli import run_command  # noqa: E402
 from entwine.document import ParseError, emit_document, parse_document  # noqa: E402
 from entwine.exactlin import QQ, Field  # noqa: E402
-from entwine.structures import QUAD_LAYOUTS, matrix_from_quads  # noqa: E402
+from entwine.structures import QUAD_LAYOUTS, matrix_from_quads, quads_from_matrix  # noqa: E402
 
 FIELDS = (QQ, Field(2), Field(7))
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -60,6 +62,20 @@ def placements(draw):
 def test_placement_matches_the_permuted_tensor(layout, case):
     field, dims, quads = case
     assert matrix_from_quads(field, layout, dims, quads) == quads_by_permute(field, layout, dims, quads)
+
+
+@pytest.mark.parametrize("layout", sorted(QUAD_LAYOUTS))
+@SETTINGS
+@given(placements())
+@example((Field(7), (2, 1, 3), [(1, 0, 2, 3), (0, 0, 1, 9), (1, 0, 0, 1)]))
+def test_quadruples_are_read_back_in_order(layout, case):
+    """quads_from_matrix decodes each stored entry from the layout's strides: the sorted quadruples of the
+    matrix permuted back to Q, which matrix_from_quads places again at the same entries."""
+    field, dims, quads = case
+    m = matrix_from_quads(field, layout, dims, quads)
+    got = quads_from_matrix(m, layout, dims)
+    assert got == quads_by_transpose(m, layout, dims)
+    assert matrix_from_quads(field, layout, dims, got) == m
 
 
 def test_catalog_documents_parse_and_emit_byte_identical():

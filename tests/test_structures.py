@@ -13,6 +13,7 @@ from entwine.structures import (
     AlphaConditionError,
     ModulePresentation,
     PairingPresentation,
+    StructurePresentation,
     algebra_morphism_report,
     canonical_pairing,
     check_adjoint_pair,
@@ -31,13 +32,21 @@ from entwine.structures import (
     verify_measuring_pairing,
     verify_structure,
 )
-from entwine.catalog import catalog_get, cyclic_group_algebra, sweedler4, trivial_bialgebra
+from entwine.catalog import (
+    catalog_get,
+    catalog_names,
+    cyclic_group_algebra,
+    nonhopf_bialgebra,
+    sweedler4,
+    trivial_bialgebra,
+)
 from entwine.document import document_from_objects, emit_document, parse_document
 from entwine.exactlin import PresentationError
 from conftest import (
     BOTH_FIELDS,
     birational_subspace,
     coaction_from_module,
+    convolution_inverse_by_units,
     harpoon_action_matrix,
     random_invertible,
     random_matrix,
@@ -45,6 +54,7 @@ from conftest import (
     with_antipode,
     zeros,
 )
+from test_exactlin import sparse_matrix
 
 
 # the regular action of the group algebra of C2 on itself, as quadruples
@@ -184,6 +194,46 @@ class TestConvolution:
 
     def test_zero_map_not_invertible(self, qc2):
         assert convolution_inverse(qc2, qc2, zeros(QQ, 2, 2)) is None
+
+    def test_inverse_is_the_per_unit_solve_on_catalog_pairs(self):
+        """On every (coalgebra, algebra) pair of the catalog over Q: the unit map, the identity where the dims
+        agree, and seeded maps, dense and sparse."""
+        rng = random.Random("convolution inverse on catalog pairs")
+        structures = [x for name in catalog_names() if isinstance(x := catalog_get(name), StructurePresentation)
+                      and x.field == QQ]
+        algebras = [x for x in structures if x.has_algebra]
+        coalgebras = [x for x in structures if x.has_coalgebra]
+        assert (len(algebras), len(coalgebras)) == (7, 7)
+        inverses = []
+        for a in algebras:
+            for c in coalgebras:
+                maps = [convolution_unit(c, a), random_matrix(QQ, rng, a.dim, c.dim),
+                        sparse_matrix(QQ, rng, a.dim, c.dim, 0.3)]
+                if a.dim == c.dim:
+                    maps.append(a.identity_matrix())
+                for f in maps:
+                    got = convolution_inverse(c, a, f)
+                    assert got == convolution_inverse_by_units(c, a, f), (a.labels, c.labels, f)
+                    inverses.append(got)
+        assert len(inverses) == 162 and 0 < inverses.count(None) < len(inverses)
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=str)
+    def test_inverse_is_the_per_unit_solve_on_random_maps(self, field):
+        """Seeded maps C -> A between group algebras, Sweedler's algebra and a bialgebra with no antipode, of
+        dims 1 to 4 on either side, some with an inverse and some without."""
+        rng = random.Random(f"convolution inverse over {field}")
+        structures = [trivial_bialgebra(field), cyclic_group_algebra(field, 2), cyclic_group_algebra(field, 3),
+                      sweedler4(field), nonhopf_bialgebra(field)]
+        inverses = []
+        for a in structures:
+            for c in structures:
+                for density in (0.2, 0.5, 1.0):
+                    f = sparse_matrix(field, rng, a.dim, c.dim, density)
+                    got = convolution_inverse(c, a, f)
+                    assert got == convolution_inverse_by_units(c, a, f), (a.labels, c.labels, f)
+                    inverses.append((a.dim != c.dim, got is None))
+        assert len(inverses) == 75
+        assert {(True, True), (True, False), (False, True), (False, False)} <= set(inverses)
 
 
 class TestAntipode:
