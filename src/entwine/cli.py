@@ -127,9 +127,11 @@ def cmd_dualize(args, out: _Out) -> None:
     if obj is None:
         raise PresentationError(f"no object named {name!r} in the document")
     if isinstance(obj, StructurePresentation):
-        dual = dualize_structure(None, obj)
-        out.report(name, verify_structure(None, dual))
-        emitted = document_from_objects(doc.field, {f"{name}_dual": dual})
+        # the dual's laws are the input's, transposed, so the input's verdict is the dual's
+        rep = verify_structure(None, obj)
+        require(rep)
+        out.report(name, rep)
+        emitted = document_from_objects(doc.field, {f"{name}_dual": dualize_structure(None, obj)})
     elif isinstance(obj, EntwiningPresentation):
         rep = verify_entwining(obj)
         require(rep)

@@ -156,9 +156,9 @@ def _dk_rows(h: StructurePresentation, alg: tuple, coalg: tuple):
         yield kind, verify_dk_compat(kind, h, x, m, "right")
 
 
-def _part_rows(h: StructurePresentation, *parts: tuple):
-    """H as a bialgebra, then each part (kind, structure) as an algebra or a coalgebra, as component rows."""
-    yield "bialgebra", verify_structure("bialgebra", h)
+def _part_rows(h: StructurePresentation, *parts: tuple, hkind: str = "bialgebra"):
+    """H at hkind, then each part (kind, structure) as an algebra or a coalgebra, as component rows."""
+    yield "bialgebra", verify_structure(hkind, h)
     for kind, x in parts:
         yield kind, verify_structure(kind, x)
 
@@ -228,7 +228,8 @@ def koppinen_table(s: DKStructure) -> Matrix:
 def koppinen_smash(s: DKStructure, e: EntwiningPresentation) -> SmashRing:
     """Koppinen's ring built directly, checked against the entwining smash.
 
-    s is a verified triple and e = dk_entwining(s).  The full
+    s is a verified triple and e = dk_entwining(s), an entwining, so
+    build_smash(e) reads no ring law (see build_smash).  The full
     multiplication table (koppinen_table) and the unit must agree entry by
     entry with the smash ring of e.
     """
@@ -465,13 +466,15 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
 
     H+ is the kernel of the counit; the quotient basis is the set of
     non-pivot coordinates of the RREF of D.H+, so the presentation is
-    deterministic.  H (a bialgebra), D (a coalgebra, then a module
-    coalgebra) and W = D.H+ (counit-vanishing, a coideal, H-stable) are
-    verified, and imply the rest: proj kills W, proj sect = 1 and
-    sect proj = 1 - P_W, so the quotient is a module coalgebra and proj
-    a map of module coalgebras.
+    deterministic.  H (a bialgebra, and a Hopf algebra when it carries
+    the antipode that check_cointegral and dualize_coextension read), D (a
+    coalgebra, then a module coalgebra) and W = D.H+ (counit-vanishing, a
+    coideal, H-stable) are verified, and imply the rest: proj kills W,
+    proj sect = 1 and sect proj = 1 - P_W, so the quotient is a module
+    coalgebra and proj a map of module coalgebras.
     """
-    report.require(report.first_failure("coextension_quotient", _part_rows(h, ("coalgebra", d))))
+    hkind = "bialgebra" if h.antipode is None else "hopf"
+    report.require(report.first_failure("coextension_quotient", _part_rows(h, ("coalgebra", d), hkind=hkind)))
     report.require(verify_dk_compat("module-coalgebra", h, d, action, "right"))
     f = h.field
     nd, nh = d.dim, h.dim

@@ -1,13 +1,16 @@
 """Entwining structures and what they generate.
 
 A right-right entwining (A, C, psi) is an algebra, a coalgebra, and a map
-psi : C (x) A -> A (x) C satisfying four compatibility laws.  From a
-verified entwining we build the coring A (x) C, the smash ring on
-Hom(C, A) with the twisted multiplication, the isomorphism between the
-smash ring and the left dual of the coring, and the category equivalence
-between entwined modules and smash-ring modules, all checked exhaustively
-on basis elements as rows of report.first_failure, each side of a law a
-composition of structure maps.
+psi : C (x) A -> A (x) C satisfying four compatibility laws, checked
+exhaustively on basis elements as rows of report.first_failure, each side
+of a law a composition of structure maps.  From a verified entwining we
+build the coring A (x) C, the smash ring on Hom(C, A) with the twisted
+multiplication, the isomorphism between the smash ring and the left dual
+of the coring, and the category equivalence between entwined modules and
+smash-ring modules.  These constructions read no law: A (x) C is an
+A-coring exactly when psi is an entwining (Brzezinski, Algebr. Represent.
+Theory 5, 2002, Prop. 2.2), and the smash ring is then an associative
+unital A-ring, the coring's left dual (Brzezinski, J. Algebra 215, 1999).
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ class CoringPresentation:
     """The comonoid A (x) C in A-bimodules, written on the plain tensor space.
 
     The comultiplication is stored as a map into (A (x) C) (x) (A (x) C);
-    equalities that only hold over A are checked modulo the balancing
-    subspace spanned by (x.a) (x) y - x (x) (a.y).
+    equalities that only hold over A hold modulo the balancing subspace
+    spanned by (x.a) (x) y - x (x) (a.y).
     """
 
     entwining: EntwiningPresentation
@@ -127,7 +130,15 @@ class CoringPresentation:
 
 
 def build_coring(e: EntwiningPresentation) -> CoringPresentation:
-    """Assemble and verify the coring carried by an entwining."""
+    """The coring carried by an entwining that has passed verify_entwining, built and not read.
+
+    A (x) C with these maps is an A-coring exactly when psi is an entwining
+    (Brzezinski, Algebr. Represent. Theory 5, 2002, Prop. 2.2): the left
+    action is A's multiplication, so its laws are A's; the right action,
+    the counit's right linearity and the comultiplication's right
+    linearity modulo balancing are the four psi laws; coassociativity and
+    the counit laws are C's.  So no coring law is read here.
+    """
     a, c, psi = e.algebra, e.coalgebra, e.psi
     na, nc = a.dim, c.dim
     f = e.field
@@ -139,53 +150,7 @@ def build_coring(e: EntwiningPresentation) -> CoringPresentation:
     right = kron(a.mul, idc) @ kron(ida, psi)    # (a~ (x) c) a through psi
     comul = kron(idv, kron(a.unit, idc)) @ kron(ida, c.comul)
     counit = kron(ida, c.counit)
-    coring = CoringPresentation(e, n, left, right, comul, counit)
-    report.require(verify_coring(coring))
-    return coring
-
-
-def verify_coring(coring: CoringPresentation) -> Report:
-    """Bimodule laws, coassociativity, counit laws and balanced bilinearity.
-
-    Each law is a row of report.first_failure whose sides are compositions
-    of the structure maps, checked one row or column at a time; tensor maps
-    such as comul (x) id are pairs that are never laid out.  Right
-    linearity of the comultiplication only holds modulo the balancing
-    relations (x.a) (x) y - x (x) (a.y); it is certified by exhibiting the
-    explicit combination of relations that closes the gap.
-    """
-    return report.first_failure("verify_coring", _coring_laws(coring))
-
-
-def _coring_laws(coring: CoringPresentation) -> list:
-    """The laws of verify_coring as (axiom, lhs, rhs, basis dims) rows."""
-    e = coring.entwining
-    a, c = e.algebra, e.coalgebra
-    f = coring.field
-    n, na = coring.dim, a.dim
-    la, ra, comul, counit = coring.left_action, coring.right_action, coring.comul, coring.counit
-    idv = Matrix.identity(f, n)
-    # comul(x.b) - comul(x).b, x = a (x) c, is the sum of the balancing relations (y.b') (x) z - y (x) (b'.z)
-    # at y = a (x) c_1, z = 1 (x) c' over comul(c) = c_1 (x) c_2, psi(c_2 (x) b) = b' (x) c'; lift is
-    # c (x) b -> b' (x) (1 (x) c'), and coefficients send x (x) b to those y (x) b' (x) z
-    lift = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, c.dim))) @ e.psi
-    coefficients = ((na, kron(c.comul, Matrix.identity(f, na))), (n, lift))
-    return [
-        ("left-action-associativity", ((na, la), la), ((a.mul, n), la), (na, na, n)),
-        ("right-action-associativity", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
-        ("left-action-unit", ((a.unit, n), la), idv, (n,)),
-        ("right-action-unit", ((n, a.unit), ra), idv, (n,)),
-        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
-        ("coassociativity", (comul, (comul, n)), (comul, (n, comul)), (n,)),
-        ("left-counit", (comul, (counit, n), la), idv, (n,)),
-        ("right-counit", (comul, (n, counit), ra), idv, (n,)),
-        ("comul-left-linear", (la, comul), ((na, comul), (la, n)), (na, n)),
-        ("counit-left-linear", (la, counit), ((na, counit), a.mul), (na, n)),
-        ("counit-right-linear", (ra, counit), ((counit, na), a.mul), (n, na)),
-        ("comul-right-linear-mod-balancing",
-         [(1, (ra, comul)), (-1, ((comul, na), (n, ra)))],
-         [(1, (*coefficients, (ra, n))), (-1, (*coefficients, (n, la)))], (n, na)),
-    ]
+    return CoringPresentation(e, n, left, right, comul, counit)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +207,13 @@ def twisted_left_action(e: EntwiningPresentation) -> Matrix:
 
 
 def build_smash(e: EntwiningPresentation) -> SmashRing:
-    """Assemble the twisted ring on Hom(C, A) from contractions of the structure constants and verify it.
+    """The twisted ring on Hom(C, A) of an entwining that has passed verify_entwining, built and not read.
 
-    The table is twisted_product(e), so only the ring rows are read:
-    verify_smash's twisted-product row holds for it by construction.
+    Its table is twisted_product(e) and its left action
+    twisted_left_action(e), contractions of the structure constants.  For
+    an entwining, Hom(C, A) with the psi-twisted product is an associative
+    unital A-ring (Brzezinski, J. Algebra 215, 1999), so no ring law is
+    read here.
     """
     a, c = e.algebra, e.coalgebra
     na, nc = a.dim, c.dim
@@ -254,37 +222,7 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
     # column (x, j) of mul, placed at c_u
     ract = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
-    smash = SmashRing(e, na * nc, twisted_product(e), unit, twisted_left_action(e), ract)
-    report.require(report.first_failure("verify_smash", _smash_laws(smash)))
-    return smash
-
-
-def verify_smash(s: SmashRing) -> Report:
-    """Associativity, unit laws, the A-ring axioms, then the table against twisted_product, on all basis tuples."""
-    return report.first_failure("verify_smash", [
-        *_smash_laws(s), ("twisted-product", s.mul, twisted_product(s.entwining), (s.dim, s.dim))])
-
-
-def _smash_laws(s: SmashRing) -> list:
-    """The ring laws of verify_smash as (axiom, lhs, rhs, basis dims) rows, without twisted-product."""
-    a = s.entwining.algebra
-    n, na = s.dim, a.dim
-    mul, unit, la, ra = s.mul, s.unit, s.left_action, s.right_action
-    ids = Matrix.identity(s.field, n)
-    return [
-        ("associativity", ((mul, n), mul), ((n, mul), mul), (n, n, n)),
-        ("left-unit", ((unit, n), mul), ids, (n,)),
-        ("right-unit", ((n, unit), mul), ids, (n,)),
-        ("left-action-unit", ((a.unit, n), la), ids, (n,)),
-        ("right-action-unit", ((n, a.unit), ra), ids, (n,)),
-        ("left-action-module", ((na, la), la), ((a.mul, n), la), (na, na, n)),
-        ("right-action-module", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
-        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
-        ("mul-left-linear", ((la, n), mul), ((na, mul), la), (na, n, n)),
-        ("mul-right-linear", ((mul, na), ra), ((n, ra), mul), (n, n, na)),
-        ("mul-balanced", ((ra, n), mul), ((n, la), mul), (n, na, n)),
-        ("unit-central", ((na, unit), la), ((unit, na), ra), (na,)),
-    ]
+    return SmashRing(e, na * nc, twisted_product(e), unit, twisted_left_action(e), ract)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +246,15 @@ class NuIso:
 
 
 def nu_iso(coring: CoringPresentation) -> NuIso:
-    """Build nu and its inverse for a built coring and verify every claimed identity.
+    """nu and its inverse for the coring of an entwining that has passed verify_entwining, built and not read.
 
-    The smash ring of the coring's entwining is built (and verified) here.
-    The claims are the rows of _nu_laws, checked by report.first_failure
-    on all their basis tuples at once: the image of nu consists of left
-    A-linear maps (nu-image-left-linear), nu takes the smash multiplication
-    to the *_l product (nu-multiplicative), preserves units (nu-unit), and
-    is left A-linear (nu-left-linear).  Raises CheckError if anything
-    fails, with the first differing column of both sides.
-
-    The other claims need no row: the coring passed verify_coring, whose
-    left-action rows are A's laws on left_action = mul (x) id_C.
-    nu_inv nu = id, as nu_inv(nu(f))(c) = nu(f)(1 (x) c) = f(c) by A's
-    left unit law; nu is right A-linear, as
-    nu(f . a)(b (x) c) = b (f(c) a) = (b f(c)) a by A's associativity.
-    Then nu nu_inv = id on the left dual: nu(nu_inv(nu(E_s))) = nu(E_s),
-    and any left A-linear h is nu(nu_inv(h)), as h(a (x) c) = a.h(1 (x) c).
+    nu sends f to a (x) c -> a f(c), and nu_inv sends h to c -> h(1 (x) c).
+    The smash ring of the coring's entwining is built here.  For an
+    entwining, nu is an isomorphism of A-rings from the smash ring onto the
+    left dual Hom_{A-}(A (x) C, A) with its *_l product (Brzezinski,
+    J. Algebra 215, 1999; Algebr. Represent. Theory 5, 2002): its image is
+    left A-linear, it is multiplicative, unital and A-linear on both sides,
+    and nu_inv nu = id by A's unit law.  So no claim is read here.
     """
     e = coring.entwining
     smash = build_smash(e)
@@ -336,44 +266,10 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     nu = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 2, 1, 3, 4), 3)
     # column (x, w) of nu_inv is nu^{-1}(E_{x,w}): row x holds row w of kron(unit, id_C)
     nu_inv = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, nc)).transpose())
-    report.require(report.first_failure("nu_iso", _nu_laws(coring, smash, nu)))
     # nu(E_s) is column s of nu, its entry (y, v) at row y * n + v
     return NuIso(smash, coring, nu, nu_inv,
                  tuple(Matrix.from_entries(f, na, n, ((*divmod(t, n), w) for t, w in col.items()))
                        for col in columns_of(nu)))
-
-
-def _nu_laws(coring: CoringPresentation, smash: SmashRing, nu: Matrix) -> list:
-    """The claims of nu_iso as (axiom, lhs, rhs, basis dims) rows, but the two that A's laws imply (see nu_iso).
-
-    Column s of nu is nu(E_s) : V -> A flattened with rows (y, v), and nu_t
-    holds the same maps transposed, rows (v, y).  Two claims precompose
-    nu(E_s) with an endomorphism of V: nu-multiplicative with the factor
-    x -> x_1 f(x_2) of f = nu(E_s1), since f *_l g = g . ra . (id_V (x) f)
-    . comul, and nu-left-linear with x -> x a_j, since (a.h)(x) = h(x a).
-    With endomorphism T_k stored as column k of a matrix, at row (w, v) for
-    T_k[v, w], the pairs (that matrix, n) then (n, nu_cols) send k (x) s to
-    (nu(E_s) . T_k)^T, where nu_cols is nu with rows y and columns (v, s).
-    The factors of every s1 (stars) take two products, and they read the
-    coring's own right action and comultiplication.
-    """
-    a = coring.entwining.algebra
-    n, na = coring.dim, a.dim
-    ra = coring.right_action
-    nu_t = permute(nu, (na, n, n), (1, 0, 2), 2)
-    nu_cols = permute(nu, (na, n, n), (0, 1, 2), 1)
-    # star_s[v, w] = sum ra[v, (v', b)] nu(E_s)[b, v''] comul[(v', v''), w], at row (w, v) and column s
-    images = permute(nu, (na, n, n), (2, 0, 1), 2)                      # rows (s, b), columns v''
-    spread = images @ permute(coring.comul, (n, n, n), (1, 0, 2), 1)    # rows (s, b), columns (v', w)
-    stars = permute(ra @ permute(spread, (n, na, n, n), (2, 1, 0, 3), 2), (n, n, n), (2, 0, 1), 2)
-    right_by = permute(ra, (n, n, na), (1, 0, 2), 2)                     # column j: ra(- (x) a_j), rows (w, v)
-    return [
-        ("nu-image-left-linear", (nu, (na, coring.left_action.transpose())),
-         (nu, (permute(a.mul, (na, na, na), (0, 1, 2), 2), n)), (n,)),
-        ("nu-multiplicative", (smash.mul, nu_t), ((stars, n), (n, nu_cols)), (n, n)),
-        ("nu-unit", (smash.unit, nu), Matrix.from_columns(coring.field, na * n, [coring.counit]), ()),
-        ("nu-left-linear", (smash.left_action, nu_t), ((right_by, n), (n, nu_cols)), (na, n)),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +309,10 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
 
 
 def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation) -> ModulePresentation:
-    """m . f = sum m_0 f(m_1), the action of build_smash(e) carried by an entwined module: one matmul."""
+    """m . f = sum m_0 f(m_1), the action of build_smash(e) carried by an entwined module: one matmul.
+
+    e has passed verify_entwining, so build_smash(e) reads nothing.
+    """
     nm, na, nc = m.dim, e.algebra.dim, e.coalgebra.dim
     # action[k', (i, (x, u))] = sum_k m.action[k', (k, x)] coaction[(k, u), i]: rows (k', x), columns (u, i)
     out = permute(m.action, (nm, nm, na), (0, 2, 1), 2) @ permute(m.coaction, (nm, nc, nm), (0, 1, 2), 1)
@@ -431,9 +330,10 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) ->
 
     The A-action restricts along a -> a . 1_S; the coaction is the unique
     solution of alpha(rho(m)) through the canonical injection
-    M (x) C -> Hom(S, M), m (x) c -> (f -> m f(c)).  m is a verified
-    module, and the result is not read: for finite C a right module over
-    the smash ring is an entwined module (Brzezinski, J. Algebra 215, 1999).
+    M (x) C -> Hom(S, M), m (x) c -> (f -> m f(c)).  e has passed
+    verify_entwining and m is a verified module, and neither the ring nor
+    the result is read: for finite C a right module over the smash ring is
+    an entwined module (Brzezinski, J. Algebra 215, 1999).
     """
     smash = build_smash(e)
     if m.algebra is None or m.action_side != "right" or m.algebra.dim != smash.dim:

@@ -362,10 +362,11 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
 
 
 def compute_antipode(h: StructurePresentation) -> Matrix | None:
-    """Antipode as the two-sided convolution inverse of the identity map."""
-    rep = verify_structure("bialgebra", h)
-    if not rep.passed:
-        raise PresentationError(f"not a bialgebra: {rep.summary()}")
+    """Antipode as the two-sided convolution inverse of the identity map.
+
+    h is read as a bialgebra first; a failed law raises CheckError with its witness.
+    """
+    report.require(verify_structure("bialgebra", h))
     return convolution_inverse(h, h, h.identity_matrix())
 
 

@@ -32,6 +32,7 @@ from entwine.doikoppinen import (
 )
 from entwine.entwining import (
     entwining_laws,
+    twisted_product,
     verify_entwined_module,
     verify_entwining_morphism,
 )
@@ -281,8 +282,8 @@ def left_star_product(coring, f: Matrix, g: Matrix) -> Matrix:
 IMPLIED_CHECKS = {
     "antipode-right": "the bialgebra laws and antipode-left: in the finite-dimensional convolution algebra "
                       "Hom(H, H), a one-sided inverse of id is two-sided (structures._hopf_checks)",
-    "nu-inv-nu": "A's left unit law, read by verify_coring as left-action-unit (entwining.nu_iso)",
-    "nu-right-linear": "A's associativity, read by verify_coring as left-action-associativity (entwining.nu_iso)",
+    "nu-inv-nu": "A's left unit law, read by verify_entwining as algebra[left-unit] (entwining.nu_iso)",
+    "nu-right-linear": "A's associativity, read by verify_entwining as algebra[associativity] (entwining.nu_iso)",
     "quotient-coalgebra": "D's coalgebra laws, with W = D.H+ a coideal on which the counit vanishes: "
                           "proj kills W, proj sect = 1 and sect proj = 1 - P_W (doikoppinen.coextension_quotient)",
     "quotient-module-coalgebra": "D's module-coalgebra laws, with W a coideal and W.H in W",
@@ -337,6 +338,37 @@ IMPLIED_CHECKS = {
                        "comodule-coalgebra rows that s.verify() read (doikoppinen.alt_dk_entwining)",
 }
 
+# the rows of the smash ring, the coring and nu, which build_smash, build_coring and nu_iso do not read of a verified
+# entwining; keyed op[axiom], as the oracles below read them, since verifiers that src runs share these axiom names
+SMASH_RING = ("Hom(C, A) with the psi-twisted product of an entwining is an associative unital A-ring (Brzezinski, "
+              "J. Algebra 215, 1999; entwining.build_smash)")
+CORING = ("A (x) C is an A-coring exactly when psi is an entwining (Brzezinski, Algebr. Represent. Theory 5, 2002, "
+          "Prop. 2.2; entwining.build_coring); this row is ")
+LEFT_DUAL = ("the smash ring of an entwining is the left dual of its coring through nu (Brzezinski, J. Algebra 215, "
+             "1999; Algebr. Represent. Theory 5, 2002; entwining.nu_iso); this row is ")
+IMPLIED_CHECKS.update({f"verify_smash[{axiom}]": SMASH_RING for axiom in (
+    "associativity", "left-unit", "right-unit", "left-action-unit", "right-action-unit", "left-action-module",
+    "right-action-module", "bimodule-compatibility", "mul-left-linear", "mul-right-linear", "mul-balanced",
+    "unit-central")})
+IMPLIED_CHECKS.update({f"verify_coring[{axiom}]": CORING + law for axiom, law in (
+    ("left-action-associativity", "A's associativity"),
+    ("right-action-associativity", "psi-multiplicativity with A's associativity"),
+    ("left-action-unit", "A's unit law"),
+    ("right-action-unit", "psi-unitality"),
+    ("bimodule-compatibility", "A's associativity"),
+    ("coassociativity", "C's coassociativity"),
+    ("left-counit", "C's counit law with A's unit law"),
+    ("right-counit", "C's counit law with psi-unitality"),
+    ("comul-left-linear", "A's associativity"),
+    ("counit-left-linear", "A's associativity"),
+    ("counit-right-linear", "psi-counitality"),
+    ("comul-right-linear-mod-balancing", "psi-comultiplicativity"))})
+IMPLIED_CHECKS.update({f"nu_iso[{axiom}]": LEFT_DUAL + law for axiom, law in (
+    ("nu-image-left-linear", "A's associativity"),
+    ("nu-multiplicative", "A's associativity, the table being the psi-twisted product"),
+    ("nu-unit", "A's right unit law"),
+    ("nu-left-linear", "A's associativity, the left action being the psi-twisted one"))})
+
 
 def antipode_right_rows(h) -> list:
     """id * S = unit, the row that _hopf_checks leaves out."""
@@ -344,8 +376,116 @@ def antipode_right_rows(h) -> list:
     return [("antipode-right", (h.comul, (n, h.antipode), h.mul), (h.counit, h.unit), (n,))]
 
 
+def verify_smash(s) -> report.Report:
+    """The smash ring's ring laws, then its table against twisted_product, on all basis tuples."""
+    return report.first_failure("verify_smash", smash_rows(s))
+
+
+def smash_rows(s) -> list:
+    """The rows of verify_smash: smash_laws, then twisted-product."""
+    return [*smash_laws(s), ("twisted-product", s.mul, twisted_product(s.entwining), (s.dim, s.dim))]
+
+
+def smash_laws(s) -> list:
+    """The A-ring laws of a smash ring as (axiom, lhs, rhs, basis dims) rows, which build_smash does not read."""
+    a = s.entwining.algebra
+    n, na = s.dim, a.dim
+    mul, unit, la, ra = s.mul, s.unit, s.left_action, s.right_action
+    ids = Matrix.identity(s.field, n)
+    return [
+        ("associativity", ((mul, n), mul), ((n, mul), mul), (n, n, n)),
+        ("left-unit", ((unit, n), mul), ids, (n,)),
+        ("right-unit", ((n, unit), mul), ids, (n,)),
+        ("left-action-unit", ((a.unit, n), la), ids, (n,)),
+        ("right-action-unit", ((n, a.unit), ra), ids, (n,)),
+        ("left-action-module", ((na, la), la), ((a.mul, n), la), (na, na, n)),
+        ("right-action-module", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
+        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
+        ("mul-left-linear", ((la, n), mul), ((na, mul), la), (na, n, n)),
+        ("mul-right-linear", ((mul, na), ra), ((n, ra), mul), (n, n, na)),
+        ("mul-balanced", ((ra, n), mul), ((n, la), mul), (n, na, n)),
+        ("unit-central", ((na, unit), la), ((unit, na), ra), (na,)),
+    ]
+
+
+def verify_coring(coring) -> report.Report:
+    """Bimodule laws, coassociativity, counit laws and balanced bilinearity of a coring, which build_coring does not
+    read.
+
+    Right linearity of the comultiplication only holds modulo the balancing
+    relations (x.a) (x) y - x (x) (a.y); it is certified by exhibiting the
+    explicit combination of relations that closes the gap.
+    """
+    return report.first_failure("verify_coring", coring_laws(coring))
+
+
+def coring_laws(coring) -> list:
+    """The laws of verify_coring as (axiom, lhs, rhs, basis dims) rows."""
+    e = coring.entwining
+    a, c = e.algebra, e.coalgebra
+    f = coring.field
+    n, na = coring.dim, a.dim
+    la, ra, comul, counit = coring.left_action, coring.right_action, coring.comul, coring.counit
+    idv = Matrix.identity(f, n)
+    # comul(x.b) - comul(x).b, x = a (x) c, is the sum of the balancing relations (y.b') (x) z - y (x) (b'.z)
+    # at y = a (x) c_1, z = 1 (x) c' over comul(c) = c_1 (x) c_2, psi(c_2 (x) b) = b' (x) c'; lift is
+    # c (x) b -> b' (x) (1 (x) c'), and coefficients send x (x) b to those y (x) b' (x) z
+    lift = kron(Matrix.identity(f, na), kron(a.unit, Matrix.identity(f, c.dim))) @ e.psi
+    coefficients = ((na, kron(c.comul, Matrix.identity(f, na))), (n, lift))
+    return [
+        ("left-action-associativity", ((na, la), la), ((a.mul, n), la), (na, na, n)),
+        ("right-action-associativity", ((ra, na), ra), ((n, a.mul), ra), (n, na, na)),
+        ("left-action-unit", ((a.unit, n), la), idv, (n,)),
+        ("right-action-unit", ((n, a.unit), ra), idv, (n,)),
+        ("bimodule-compatibility", ((la, na), ra), ((na, ra), la), (na, n, na)),
+        ("coassociativity", (comul, (comul, n)), (comul, (n, comul)), (n,)),
+        ("left-counit", (comul, (counit, n), la), idv, (n,)),
+        ("right-counit", (comul, (n, counit), ra), idv, (n,)),
+        ("comul-left-linear", (la, comul), ((na, comul), (la, n)), (na, n)),
+        ("counit-left-linear", (la, counit), ((na, counit), a.mul), (na, n)),
+        ("counit-right-linear", (ra, counit), ((counit, na), a.mul), (n, na)),
+        ("comul-right-linear-mod-balancing",
+         [(1, (ra, comul)), (-1, ((comul, na), (n, ra)))],
+         [(1, (*coefficients, (ra, n))), (-1, (*coefficients, (n, la)))], (n, na)),
+    ]
+
+
+def nu_laws(coring, smash, nu: Matrix) -> list:
+    """Four claims of the nu isomorphism as (axiom, lhs, rhs, basis dims) rows, which nu_iso does not read.
+
+    Column s of nu is nu(E_s) : V -> A flattened with rows (y, v), and nu_t
+    holds the same maps transposed, rows (v, y).  Two claims precompose
+    nu(E_s) with an endomorphism of V: nu-multiplicative with the factor
+    x -> x_1 f(x_2) of f = nu(E_s1), since f *_l g = g . ra . (id_V (x) f)
+    . comul, and nu-left-linear with x -> x a_j, since (a.h)(x) = h(x a).
+    With endomorphism T_k stored as column k of a matrix, at row (w, v) for
+    T_k[v, w], the pairs (that matrix, n) then (n, nu_cols) send k (x) s to
+    (nu(E_s) . T_k)^T, where nu_cols is nu with rows y and columns (v, s).
+    The factors of every s1 (stars) take two products, and they read the
+    coring's own right action and comultiplication.  nu_implied_rows holds
+    the other two claims.
+    """
+    a = coring.entwining.algebra
+    n, na = coring.dim, a.dim
+    ra = coring.right_action
+    nu_t = permute(nu, (na, n, n), (1, 0, 2), 2)
+    nu_cols = permute(nu, (na, n, n), (0, 1, 2), 1)
+    # star_s[v, w] = sum ra[v, (v', b)] nu(E_s)[b, v''] comul[(v', v''), w], at row (w, v) and column s
+    images = permute(nu, (na, n, n), (2, 0, 1), 2)                      # rows (s, b), columns v''
+    spread = images @ permute(coring.comul, (n, n, n), (1, 0, 2), 1)    # rows (s, b), columns (v', w)
+    stars = permute(ra @ permute(spread, (n, na, n, n), (2, 1, 0, 3), 2), (n, n, n), (2, 0, 1), 2)
+    right_by = permute(ra, (n, n, na), (1, 0, 2), 2)                     # column j: ra(- (x) a_j), rows (w, v)
+    return [
+        ("nu-image-left-linear", (nu, (na, coring.left_action.transpose())),
+         (nu, (permute(a.mul, (na, na, na), (0, 1, 2), 2), n)), (n,)),
+        ("nu-multiplicative", (smash.mul, nu_t), ((stars, n), (n, nu_cols)), (n, n)),
+        ("nu-unit", (smash.unit, nu), Matrix.from_columns(coring.field, na * n, [coring.counit]), ()),
+        ("nu-left-linear", (smash.left_action, nu_t), ((right_by, n), (n, nu_cols)), (na, n)),
+    ]
+
+
 def nu_implied_rows(coring, smash, nu, nu_inv) -> list:
-    """nu_inv nu = id and nu(f . a) = nu(f) a, the rows that _nu_laws leaves out."""
+    """nu_inv nu = id and nu(f . a) = nu(f) a, the rows that nu_laws leaves out."""
     a = coring.entwining.algebra
     n, na = coring.dim, a.dim
     nu_t = permute(nu, (na, n, n), (1, 0, 2), 2)

@@ -646,19 +646,26 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv, counts", [
         # the triple passes verify_dk once, and neither its entwining nor its dual, a transpose, is read: the
-        # coherence row ties the dual's psi to psi transposed; build_smash reads the ring rows of the table it made
-        (["dk", "dk_qc2", "--name", "dk_qc2"], (9, 38, 1, 0, 0)),
+        # coherence row ties the dual's psi to psi transposed; build_smash reads no ring law of the table it made,
+        # and koppinen_smash compares that table and unit with Koppinen's
+        (["dk", "dk_qc2", "--name", "dk_qc2"], (8, 26, 1, 0, 0)),
         (["dualize", "dk_qc2", "--name", "dk_qc2"], (8, 25, 1, 0, 0)),
         # the entwining passes verify_entwining once, and nothing that dual_entwining builds is read
         (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
+        # the entwining passes verify_entwining once, and nothing that build_smash, build_coring or nu_iso builds
+        # from it is read
+        (["smash", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
+        (["coring", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
+        # the structure is read, and its dual, a transpose, is not
         (["dualize", "sweedler4", "--name", "sweedler4"], (1, 11, 0, 0, 0)),
         # the entwining and the module are read once each, and no dual module is read; M_r is built once: it is
         # also the double dual of K = M_r, since K^r is M
         (["adjunction", "hopfmod_qc2", "--entwining", "entwining_1", "--module", "hopfmod_qc2"], (9, 19, 0, 1, 0)),
-        # the cointegral is checked once, and its report is the dual integral's, transposed: neither D* over H*
-        # nor the integral omega^T is read
-        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (6, 19, 0, 0, 1)),
-    ], ids=["dk", "dualize-dk", "dualize-entwining", "dualize-structure", "adjunction", "cocleft"])
+        # H is read as a Hopf algebra, since its antipode is read; the cointegral is checked once, and its report
+        # is the dual integral's, transposed: neither D* over H* nor the integral omega^T is read
+        (["cocleft", "coext_sweedler4", "--name", "coext_sweedler4"], (6, 20, 0, 0, 1)),
+    ], ids=["dk", "dualize-dk", "dualize-entwining", "smash", "coring", "dualize-structure", "adjunction",
+            "cocleft"])
     def test_each_object_is_verified_once(self, tmp_path, monkeypatch, argv, counts):
         from entwine import cli, doikoppinen, duality, entwining, report
 
@@ -718,6 +725,44 @@ class TestCommands:
         path = write(tmp_path, "coext.ent", json.dumps(body))
         assert run_command(["cocleft", path, "--name", "coext_qc2"]) == (1, (
             "error: coextension_quotient: FAIL bialgebra[associativity] at basis (0, 0, 1) lhs={1: 2} rhs={1: 1}\n"))
+
+    def test_cocleft_reads_the_antipode_of_h(self, tmp_path):
+        """check_cointegral reads H's antipode, so H is read as a Hopf algebra: a wrong antipode is blamed on H,
+        not on the cointegral, by cocleft and check alike."""
+        body = json.loads(catalog_doc("coext_sweedler4"))
+        h = body["objects"][body["objects"]["coext_sweedler4"]["bialgebra"]]
+        assert h["antipode"][3][2] == "-1"
+        h["antipode"][3][2] = "1"
+        path = write(tmp_path, "coext.ent", json.dumps(body))
+        line = "error: coextension_quotient: FAIL bialgebra[antipode-left] at basis (2,) lhs={3: 2} rhs={}\n"
+        assert run_command(["cocleft", path, "--name", "coext_sweedler4"]) == (1, line)
+        assert run_command(["check", path]) == (1, line)
+
+    @staticmethod
+    def _sweedler4_bumped_comul(tmp_path) -> str:
+        """sweedler4 with coefficient 2 on its first comul quadruple, which fails coassociativity."""
+        body = json.loads(catalog_doc("sweedler4"))
+        comul = body["objects"]["sweedler4"]["comul"]
+        assert comul[0] == [0, 0, 0, "1"]
+        comul[0][3] = "2"
+        return write(tmp_path, "sw4.ent", json.dumps(body))
+
+    def test_dualize_verifies_the_structure(self, tmp_path):
+        """dualize reads the input at its own kind, gives check's witness, and writes no document after a FAIL."""
+        path = self._sweedler4_bumped_comul(tmp_path)
+        failure = ("verify_structure[hopf]: FAIL coassociativity at basis (2,) "
+                   "lhs={22: 1, 24: 1, 32: 1} rhs={22: 1, 24: 1, 32: 2}\n")
+        assert run_command(["check", path]) == (1, f"sweedler4: {failure}")
+        assert run_command(["dualize", path, "--name", "sweedler4"]) == (1, f"error: {failure}")
+
+    def test_antipode_reports_a_failed_bialgebra_law(self, tmp_path):
+        """A bialgebra law that fails is a law failure, exit 1 with check's witness, not an input error."""
+        path = self._sweedler4_bumped_comul(tmp_path)
+        assert run_command(["antipode", path, "--name", "sweedler4"]) == (1, (
+            "error: verify_structure[bialgebra]: FAIL coassociativity at basis (2,) "
+            "lhs={22: 1, 24: 1, 32: 1} rhs={22: 1, 24: 1, 32: 2}\n"))
+        code, text = run_command(["--json", "antipode", path, "--name", "sweedler4"])
+        assert code == 1 and json.loads(text)["records"][0]["axiom"] == "coassociativity"
 
     def test_catalog_listing(self):
         code, text = run_command(["catalog"])

@@ -5,9 +5,8 @@ from math import prod
 
 import pytest
 
-from entwine import report
 from entwine.exactlin import Field, Matrix, QQ, columns_of, kron
-from entwine.report import CheckError, compare, first_failure
+from entwine.report import compare, first_failure
 from entwine.structures import (
     ModulePresentation,
     convolution,
@@ -27,20 +26,16 @@ from entwine.entwining import (
     nu_iso,
     smash_module_to_entwined,
     twisted_product,
-    verify_coring,
     verify_entwined_module,
     verify_entwining,
     verify_entwining_morphism,
-    verify_smash,
-    _coring_laws,
-    _nu_laws,
-    _smash_laws,
 )
 from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, free_flip_module
 from conftest import (
     as_map,
     assert_canonical_vector,
     compare_reference,
+    coring_laws,
     corrupt,
     law_shape,
     law_vectors,
@@ -48,12 +43,17 @@ from conftest import (
     left_star_product,
     nu_implied_rows,
     nu_inv_map,
+    nu_laws,
     nu_map,
     packed_stages,
     rebase,
     scale,
+    smash_laws,
     smash_product_map,
+    smash_rows,
     unimodular,
+    verify_coring,
+    verify_smash,
     zeros,
 )
 
@@ -71,15 +71,6 @@ def ent_qc2():
 @pytest.fixture(scope="module")
 def ent_h4():
     return catalog_get("hopfmod_sweedler4_entwining")
-
-
-def smash_rows(smash) -> list:
-    """The rows verify_smash reads, as it hands them to report.first_failure: _smash_laws, then twisted-product."""
-    handed = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(report, "first_failure", lambda op, rows: handed.append(list(rows)))
-        verify_smash(smash)
-    return handed[0]
 
 
 def grouplike_dim1():
@@ -293,11 +284,11 @@ class TestLawVectors:
         entwinings = [e for e in map(catalog_get, catalog_names()) if isinstance(e, EntwiningPresentation)]
         laws = []
         for e in entwinings:
-            laws += [(e.field, smash_rows(build_smash(e)), 13), (e.field, _coring_laws(build_coring(e)), 12)]
+            laws += [(e.field, smash_rows(build_smash(e)), 13), (e.field, coring_laws(build_coring(e)), 12)]
         e = catalog_get("hopfmod_sweedler4_entwining")
         smash, coring = build_smash(e), build_coring(e)
         laws += [(e.field, smash_rows(replace(smash, mul=corrupt(smash.mul, 9, 130, Fraction(3)))), 13),
-                 (e.field, _coring_laws(replace(coring, comul=corrupt(coring.comul, 250, 11, Fraction(2, 3)))), 12)]
+                 (e.field, coring_laws(replace(coring, comul=corrupt(coring.comul, 250, 11, Fraction(2, 3)))), 12)]
         for field, rows, count in laws:
             assert len(rows) == count
             for _, lhs, rhs, dims in rows:
@@ -370,7 +361,7 @@ class TestEveryRowBites:
 
     @staticmethod
     def rows(part, obj):
-        return smash_rows(obj) if part == "smash" else _coring_laws(obj)
+        return smash_rows(obj) if part == "smash" else coring_laws(obj)
 
     def test_every_row_is_listed(self, ent_qc2):
         for part, build in (("smash", build_smash), ("coring", build_coring)):
@@ -440,8 +431,8 @@ def nu_reference(coring, smash):
 
     nu(f)(a (x) c) = a f(c), and (f *_l g)(x) = g(x_1 f(x_2)) with
     x_1 (x) x_2 read off coring.comul.  Returns (axiom, witness) of the
-    first failure in nu_iso's order, or None.  nu-inv-nu and
-    nu-right-linear, which A's laws imply, are read by the conftest oracle.
+    first failure in the order of conftest.nu_laws, or None.  nu-inv-nu
+    and nu-right-linear are read by conftest.nu_implied_rows.
     """
     e = coring.entwining
     a, c = e.algebra, e.coalgebra
@@ -482,19 +473,32 @@ def nu_reference(coring, smash):
     return None
 
 
-def nu_verdict(coring):
-    try:
-        nu_iso(coring)
-    except CheckError as exc:
-        return exc.report.axiom, exc.report.witness
-    return None
+def nu_verdict(coring, smash, nu):
+    """(axiom, witness) of the first failing row of the nu oracle, or None."""
+    rep = first_failure("nu_iso", nu_laws(coring, smash, nu))
+    return None if rep.passed else (rep.axiom, rep.witness)
 
 
 CATALOG_ENTWININGS = [name for name in catalog_names() if isinstance(catalog_get(name), EntwiningPresentation)]
 
 
+def test_constructions_read_no_law(monkeypatch):
+    """build_smash, build_coring and nu_iso contract and permute the structure maps of a verified entwining, and read
+    no law row of what they build."""
+    from entwine import report
+
+    entwinings = [catalog_get(name) for name in CATALOG_ENTWININGS]
+    calls = []
+    for name in ("compare", "first_failure"):
+        monkeypatch.setattr(report, name, lambda *args, name=name: calls.append(name))
+    for e in entwinings:
+        build_smash(e)
+        nu_iso(build_coring(e))
+    assert calls == []
+
+
 class TestNuReference:
-    """The batched nu_iso agrees with the per-basis reference on verdict, axiom and witness."""
+    """The rows of the nu oracle agree with the per-basis reference on verdict, axiom and witness."""
 
     def test_catalog_entwinings_pass(self):
         assert len(CATALOG_ENTWININGS) == 11
@@ -510,7 +514,7 @@ class TestNuReference:
 
     @pytest.mark.parametrize("name", CATALOG_ENTWININGS)
     def test_perturbations_agree(self, name):
-        """Seeded +1 bumps of the coring through nu_iso, and of the smash table through _nu_laws."""
+        """Seeded +1 bumps of the coring and of the smash ring, read by the nu oracle."""
         coring = build_coring(catalog_get(name))
         iso = nu_iso(coring)
         rng = random.Random(f"nu-reference:{name}")
@@ -521,20 +525,16 @@ class TestNuReference:
             obj = coring if which == "coring" else iso.smash
             m = getattr(obj, part)
             bad = replace(obj, **{part: corrupt(m, rng.randrange(m.rows), rng.randrange(m.cols))})
-            if which == "coring":
-                verdict, want = nu_verdict(bad), nu_reference(bad, iso.smash)
-            else:
-                rep = first_failure("nu_iso", _nu_laws(coring, bad, iso.nu))
-                verdict = None if rep.passed else (rep.axiom, rep.witness)
-                want = nu_reference(coring, bad)
-            assert verdict == want, (which, part, verdict)
+            bad_coring, bad_smash = (bad, iso.smash) if which == "coring" else (coring, bad)
+            verdict = nu_verdict(bad_coring, bad_smash, iso.nu)
+            assert verdict == nu_reference(bad_coring, bad_smash), (which, part, verdict)
             verdicts.append(verdict)
         assert any(v is not None for v in verdicts)
 
 
 def nu_rows(coring, smash, iso) -> list:
-    """The rows of nu_iso, then the two that A's laws imply, read from the conftest oracle."""
-    return [*_nu_laws(coring, smash, iso.nu), *nu_implied_rows(coring, smash, iso.nu, iso.nu_inv)]
+    """The rows of the nu oracle, then the two that A's laws imply."""
+    return [*nu_laws(coring, smash, iso.nu), *nu_implied_rows(coring, smash, iso.nu, iso.nu_inv)]
 
 
 NU_ROW_MUTATIONS = [
@@ -549,7 +549,7 @@ NU_ROW_MUTATIONS = [
 
 
 class TestEveryNuRowBites:
-    """Each claim of nu_iso, and each the oracle reads for it, fails on its own under a single-constant bump."""
+    """Each claim of the nu isomorphism that the oracle reads fails on its own under a single-constant bump."""
 
     def test_every_row_is_listed(self, ent_qc2):
         iso = nu_iso(build_coring(ent_qc2))
@@ -571,15 +571,16 @@ class TestEveryNuRowBites:
 
     @pytest.mark.parametrize("name", ["hopfmod_qc2_entwining", "flip_qc2"])
     def test_multiplicativity_reads_the_coring_comul(self, name):
-        """Here every +1 on the coring's comul changes the *_l product, so nu_iso fails."""
+        """Here every +1 on the coring's comul changes the *_l product, so the nu oracle fails."""
         coring = build_coring(catalog_get(name))
+        iso = nu_iso(coring)
         m = coring.comul
         for i in range(m.rows):
             for j in range(m.cols):
-                assert nu_verdict(replace(coring, comul=corrupt(m, i, j)))[0] == "nu-multiplicative"
+                assert nu_verdict(replace(coring, comul=corrupt(m, i, j)), iso.smash, iso.nu)[0] == "nu-multiplicative"
 
     def test_build_smash_contracts_the_table_once(self, ent_qc2, monkeypatch):
-        """build_smash hands its table to the twisted-product row; verify_smash on its own contracts it again."""
+        """build_smash contracts its table once, and the oracle's twisted-product row passes on it."""
         from entwine import entwining
 
         calls = []
@@ -591,18 +592,17 @@ class TestEveryNuRowBites:
         monkeypatch.setattr(entwining, "twisted_product", counted)
         smash = build_smash(ent_qc2)
         assert len(calls) == 1
-        assert verify_smash(smash).passed and len(calls) == 2
+        assert verify_smash(smash).passed
 
     def test_twisted_product_ties_the_smash_table_to_psi(self):
         """A smash table off the psi-twisted product can still be an A-ring: twisted-product catches it, as does nu."""
         iso = nu_iso(build_coring(catalog_get("flip_qc2_dual")))
         bad = replace(iso.smash, mul=corrupt(iso.smash.mul, 3, 15))
         assert iso.smash.mul[3, 15] == 0
-        assert first_failure("verify_smash", _smash_laws(bad)).passed
+        assert first_failure("verify_smash", smash_laws(bad)).passed
         assert verify_smash(bad).summary() == \
             "verify_smash: FAIL twisted-product at basis (3, 3) lhs={2: 1, 3: 1} rhs={2: 1}"
-        rep = first_failure("nu_iso", _nu_laws(iso.coring, bad, iso.nu))
-        assert (rep.axiom, rep.witness) == ("nu-multiplicative", (3, 3))
+        assert nu_verdict(iso.coring, bad, iso.nu) == ("nu-multiplicative", (3, 3))
 
 
 def dense_hopf_module_entwining():
@@ -657,6 +657,31 @@ class TestDenseRowsBite:
         rep = compare("op", *row)
         assert rep is not None and rep == compare_reference("op", *row)
         assert bool(packed_stages(row[1], row[2])) == (axiom not in NEVER_PACKED)
+
+
+@pytest.mark.parametrize("argv, packed", [
+    (["check"], 20),
+    (["smash", "--name", "dense_f7c4"], 12),
+    (["coring", "--name", "dense_f7c4"], 12),
+], ids=["check", "smash", "coring"])
+def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, packed):
+    """On the dense F_7 document of the CI's dense smoke run, check reads the Hopf algebra's and the entwining's laws
+    through packed stages; smash and coring read only verify_entwining's, and none of what they build."""
+    from entwine import exactlin
+    from entwine.catalog import hopf_module_dk
+    from entwine.cli import run_command
+    from entwine.doikoppinen import dk_entwining
+    from entwine.document import document_from_objects, emit_document
+
+    h = cyclic_group_algebra(Field(7), 4)
+    e = dk_entwining(hopf_module_dk(rebase(h, unimodular(h.field, h.dim, random.Random("dense smoke")))))
+    path = tmp_path / "dense.json"
+    path.write_text(emit_document(document_from_objects(h.field, {"dense_f7c4": e})))
+    calls = []
+    stage = exactlin._packed_stage
+    monkeypatch.setattr(exactlin, "_packed_stage", lambda *args: calls.append(args) or stage(*args))
+    code, _ = run_command([argv[0], str(path), *argv[1:]])
+    assert code == 0 and len(calls) == packed
 
 
 class TestEntwinedModules:
@@ -740,20 +765,31 @@ class TestRoundtrip:
                 assert back.action == m.action and back.coaction == m.coaction
 
     @pytest.mark.parametrize("functor", ("to_smash", "to_entwined"))
-    def test_each_functor_reads_the_ring_laws(self, functor, monkeypatch):
-        # each functor builds its ring with build_smash: a table with +1 at mul[0, 0] fails associativity
+    def test_each_functor_builds_a_ring_the_oracle_passes(self, functor, monkeypatch):
+        """Each functor builds its ring with build_smash, which reads no law: the oracle passes on the ring built for
+        every catalog module, and fails a table with +1 at mul[0, 0] at associativity."""
         import entwine.entwining as entwining
 
-        m = catalog_get("hopfmod_qc2")
-        sm = entwined_to_smash_module(m.entwining, m)
-        table = entwining.twisted_product
-        monkeypatch.setattr(entwining, "twisted_product", lambda e: corrupt(table(e), 0, 0))
-        with pytest.raises(CheckError) as exc:
+        modules = [catalog_get(name) for name in catalog_names()
+                   if isinstance(catalog_get(name), EntwinedModulePresentation)]
+        pairs = [(m, entwined_to_smash_module(m.entwining, m)) for m in modules]
+        build, table = entwining.build_smash, entwining.twisted_product
+        built = []
+        monkeypatch.setattr(entwining, "build_smash", lambda e: built.append(build(e)) or built[-1])
+
+        def run(m, sm):
             if functor == "to_smash":
                 entwined_to_smash_module(m.entwining, m)
             else:
                 smash_module_to_entwined(m.entwining, sm)
-        assert exc.value.report.summary() == (
+
+        for m, sm in pairs:
+            run(m, sm)
+        assert len(built) == 5 and all(verify_smash(smash).passed for smash in built)
+        built.clear()
+        monkeypatch.setattr(entwining, "twisted_product", lambda e: corrupt(table(e), 0, 0))
+        run(*next((m, sm) for m, sm in pairs if m == catalog_get("hopfmod_qc2")))
+        assert verify_smash(built[0]).summary() == (
             "verify_smash: FAIL associativity at basis (0, 0, 2) lhs={2: 2} rhs={2: 1}")
 
     def test_unit_embedding_is_algebra_map(self, ent_qc2, ent_h4):
