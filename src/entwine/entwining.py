@@ -137,7 +137,8 @@ def build_coring(e: EntwiningPresentation) -> CoringPresentation:
     action is A's multiplication, so its laws are A's; the right action,
     the counit's right linearity and the comultiplication's right
     linearity modulo balancing are the four psi laws; coassociativity and
-    the counit laws are C's.  So no coring law is read here.
+    the counit laws are C's.  So no coring law is read here, and the
+    coring command prints its dimension, dim A * dim C, without it.
     """
     a, c, psi = e.algebra, e.coalgebra, e.psi
     na, nc = a.dim, c.dim
@@ -213,7 +214,8 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     twisted_left_action(e), contractions of the structure constants.  For
     an entwining, Hom(C, A) with the psi-twisted product is an associative
     unital A-ring (Brzezinski, J. Algebra 215, 1999), so no ring law is
-    read here.
+    read here; the smash command prints its dimension, dim A * dim C, and
+    builds it only for --table.
     """
     a, c = e.algebra, e.coalgebra
     na, nc = a.dim, c.dim
@@ -254,7 +256,8 @@ def nu_iso(coring: CoringPresentation) -> NuIso:
     left dual Hom_{A-}(A (x) C, A) with its *_l product (Brzezinski,
     J. Algebra 215, 1999; Algebr. Represent. Theory 5, 2002): its image is
     left A-linear, it is multiplicative, unital and A-linear on both sides,
-    and nu_inv nu = id by A's unit law.  So no claim is read here.
+    and nu_inv nu = id by A's unit law.  So no claim is read here, and the
+    coring command prints the left dual's dimension, dim A * dim C, without nu.
     """
     e = coring.entwining
     smash = build_smash(e)
@@ -320,9 +323,9 @@ def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresenta
     return ModulePresentation(nm, build_smash(e).as_algebra(), action, "right")
 
 
-def smash_unit_embedding(e: EntwiningPresentation, smash: SmashRing) -> Matrix:
-    """The ring map A -> S, a -> a . 1_S (equal to 1_S . a)."""
-    return smash.left_action @ kron(Matrix.identity(e.field, e.algebra.dim), smash.unit)
+def smash_unit_embedding(e: EntwiningPresentation) -> Matrix:
+    """The ring map A -> S, a -> a . 1_S = 1_S . a, which is c -> epsilon(c) a by psi-counitality: no contraction."""
+    return kron(Matrix.identity(e.field, e.algebra.dim), e.coalgebra.counit.transpose())
 
 
 def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) -> EntwinedModulePresentation:
@@ -331,18 +334,17 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) ->
     The A-action restricts along a -> a . 1_S; the coaction is the unique
     solution of alpha(rho(m)) through the canonical injection
     M (x) C -> Hom(S, M), m (x) c -> (f -> m f(c)).  e has passed
-    verify_entwining and m is a verified module, and neither the ring nor
-    the result is read: for finite C a right module over the smash ring is
-    an entwined module (Brzezinski, J. Algebra 215, 1999).
+    verify_entwining and m is a verified module, so the ring is not built
+    and the result is not read: for finite C a right module over the smash
+    ring is an entwined module (Brzezinski, J. Algebra 215, 1999).
     """
-    smash = build_smash(e)
-    if m.algebra is None or m.action_side != "right" or m.algebra.dim != smash.dim:
-        raise PresentationError("expected a right module over the smash ring")
     f = e.field
     na, nc = e.algebra.dim, e.coalgebra.dim
-    n, ns = m.dim, smash.dim
+    n, ns = m.dim, na * nc
+    if m.algebra is None or m.action_side != "right" or m.algebra.dim != ns:
+        raise PresentationError("expected a right module over the smash ring")
     # restricted A-action m . a = m . (a . 1_S)
-    action = m.action @ kron(Matrix.identity(f, n), smash_unit_embedding(e, smash))
+    action = m.action @ kron(Matrix.identity(f, n), smash_unit_embedding(e))
     # alpha : M (x) C -> Hom(S, M), m_k (x) c_u -> (E_{x,u'} -> delta(u, u') m_k . a_x),
     # coordinates (r, (x, u')) of Hom(S, M)
     alpha_m = permute(kron(action, Matrix.identity(f, nc)), (n, nc, n, na, nc), (0, 3, 1, 2, 4), 3)

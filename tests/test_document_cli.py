@@ -652,8 +652,8 @@ class TestCommands:
         (["dualize", "dk_qc2", "--name", "dk_qc2"], (8, 25, 1, 0, 0)),
         # the entwining passes verify_entwining once, and nothing that dual_entwining builds is read
         (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
-        # the entwining passes verify_entwining once, and nothing that build_smash, build_coring or nu_iso builds
-        # from it is read
+        # the entwining passes verify_entwining once, and neither command builds the smash ring, the coring or nu:
+        # each prints dim A * dim C
         (["smash", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
         (["coring", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
         # the structure is read, and its dual, a transpose, is not

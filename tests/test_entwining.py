@@ -497,6 +497,37 @@ def test_constructions_read_no_law(monkeypatch):
     assert calls == []
 
 
+def verified_entwinings() -> list:
+    """The 11 catalog entwinings, then the entwinings of the catalog DK and alternative DK data."""
+    from entwine.doikoppinen import AltDKStructure, DKStructure, alt_dk_entwining, dk_entwining
+
+    objects = [catalog_get(name) for name in catalog_names()]
+    return ([obj for obj in objects if isinstance(obj, EntwiningPresentation)]
+            + [dk_entwining(obj) for obj in objects if isinstance(obj, DKStructure)]
+            + [alt_dk_entwining(obj) for obj in objects if isinstance(obj, AltDKStructure)])
+
+
+class TestWhatIsNotBuilt:
+    """The smash and coring commands print dim A * dim C without building, and the way back from smash modules
+    embeds A by a -> a epsilon without contracting: each is tied here to what the constructions build."""
+
+    def test_printed_dimension_is_each_constructions(self):
+        entwinings = verified_entwinings()
+        assert len(entwinings) == 18
+        for e in entwinings:
+            coring = build_coring(e)
+            dims = (build_smash(e).dim, coring.dim, len(nu_iso(coring).left_dual_basis))
+            assert dims == (e.algebra.dim * e.coalgebra.dim,) * 3, dims
+
+    def test_unit_embedding_is_the_left_action_on_the_unit(self):
+        from entwine.entwining import smash_unit_embedding
+
+        for e in verified_entwinings():
+            smash = build_smash(e)
+            assert smash_unit_embedding(e) == \
+                smash.left_action @ kron(Matrix.identity(e.field, e.algebra.dim), smash.unit)
+
+
 class TestNuReference:
     """The rows of the nu oracle agree with the per-basis reference on verdict, axiom and witness."""
 
@@ -684,6 +715,32 @@ def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, packed):
     assert code == 0 and len(calls) == packed
 
 
+# (catalog entwined module, map bumped, entry given +1, the whole first failure)
+ENTWINED_MODULE_BITES = [
+    ("hopfmod_sweedler4", "action", (1, 6),
+     "verify_entwined_module: FAIL action[action-associativity] at basis (0, 1, 2) lhs={1: 1, 3: 1} rhs={3: 1}"),
+    ("hopfmod_sweedler4", "coaction", (9, 2),
+     "verify_entwined_module: FAIL coaction[coaction-coassociativity] at basis (2,) "
+     "lhs={22: 1, 24: 1, 25: 1, 32: 1, 33: 1, 36: 1, 37: 1} rhs={22: 1, 24: 1, 32: 1, 37: 1}"),
+    ("hopfmod_sweedler4", "coaction", (3, 3),
+     "verify_entwined_module: FAIL psi-compatibility at basis (0, 3) lhs={3: 2, 13: 1} rhs={3: 1, 13: 1}"),
+]
+
+
+class TestEveryEntwinedModuleLawBites:
+    """A +1 on a module's action or coaction makes each of these rows the first failure of verify_entwined_module.
+
+    No single bump reaches action-unit or coaction-counit first; test_law_rows pins those at row level.
+    """
+
+    @pytest.mark.parametrize("name, attr, entry, summary", ENTWINED_MODULE_BITES,
+                             ids=[f"{n}-{a}-{s.split()[2]}" for n, a, _, s in ENTWINED_MODULE_BITES])
+    def test_bump_fails_the_law(self, name, attr, entry, summary):
+        m = catalog_get(name)
+        bad = replace(m, **{attr: corrupt(getattr(m, attr), *entry)})
+        assert verify_entwined_module(m.entwining, bad).summary() == summary
+
+
 class TestEntwinedModules:
     def test_flip_trivial_coaction(self, qc2):
         c = grouplike_dim1()
@@ -764,33 +821,53 @@ class TestRoundtrip:
                 back = smash_module_to_entwined(e, sm)
                 assert back.action == m.action and back.coaction == m.coaction
 
-    @pytest.mark.parametrize("functor", ("to_smash", "to_entwined"))
+    @pytest.mark.parametrize("functor", ("to_smash",))
     def test_each_functor_builds_a_ring_the_oracle_passes(self, functor, monkeypatch):
-        """Each functor builds its ring with build_smash, which reads no law: the oracle passes on the ring built for
-        every catalog module, and fails a table with +1 at mul[0, 0] at associativity."""
+        """The functor to smash modules builds its ring with build_smash, which reads no law: the oracle passes on
+        the ring built for every catalog module, and fails a table with +1 at mul[0, 0] at associativity.  The way
+        back builds no ring (test_round_trip_contracts_the_table_once)."""
         import entwine.entwining as entwining
 
         modules = [catalog_get(name) for name in catalog_names()
                    if isinstance(catalog_get(name), EntwinedModulePresentation)]
-        pairs = [(m, entwined_to_smash_module(m.entwining, m)) for m in modules]
         build, table = entwining.build_smash, entwining.twisted_product
         built = []
         monkeypatch.setattr(entwining, "build_smash", lambda e: built.append(build(e)) or built[-1])
-
-        def run(m, sm):
-            if functor == "to_smash":
-                entwined_to_smash_module(m.entwining, m)
-            else:
-                smash_module_to_entwined(m.entwining, sm)
-
-        for m, sm in pairs:
-            run(m, sm)
+        for m in modules:
+            entwined_to_smash_module(m.entwining, m)
         assert len(built) == 5 and all(verify_smash(smash).passed for smash in built)
         built.clear()
         monkeypatch.setattr(entwining, "twisted_product", lambda e: corrupt(table(e), 0, 0))
-        run(*next((m, sm) for m, sm in pairs if m == catalog_get("hopfmod_qc2")))
+        m = catalog_get("hopfmod_qc2")
+        entwined_to_smash_module(m.entwining, m)
         assert verify_smash(built[0]).summary() == (
             "verify_smash: FAIL associativity at basis (0, 0, 2) lhs={2: 2} rhs={2: 1}")
+
+    def test_round_trip_contracts_the_table_once(self, monkeypatch):
+        """A round trip through the two functors contracts twisted_product once, in entwined_to_smash_module: the
+        way back reads only na * nc and the unit embedding, and builds no ring and no left action."""
+        import entwine.entwining as entwining
+
+        calls = {"twisted_product": 0, "twisted_left_action": 0, "build_smash": 0}
+
+        def counting(name, fn):
+            def wrapper(e):
+                calls[name] += 1
+                return fn(e)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(entwining, name, counting(name, getattr(entwining, name)))
+        names = [name for name in catalog_names() if isinstance(catalog_get(name), EntwinedModulePresentation)]
+        assert len(names) == 5
+        for name in names:
+            m = catalog_get(name)
+            sm = entwined_to_smash_module(m.entwining, m)
+            assert calls == {"twisted_product": 1, "twisted_left_action": 1, "build_smash": 1}, name
+            back = smash_module_to_entwined(m.entwining, sm)
+            assert calls == {"twisted_product": 1, "twisted_left_action": 1, "build_smash": 1}, name
+            assert (back.action, back.coaction) == (m.action, m.coaction), name
+            calls.update(dict.fromkeys(calls, 0))
 
     def test_unit_embedding_is_algebra_map(self, ent_qc2, ent_h4):
         from entwine.entwining import smash_unit_embedding
@@ -798,7 +875,7 @@ class TestRoundtrip:
 
         for e in (ent_qc2, ent_h4):
             smash = build_smash(e)
-            emb = smash_unit_embedding(e, smash)
+            emb = smash_unit_embedding(e)
             assert algebra_morphism_report(e.algebra, smash.as_algebra(), emb).passed
 
     def test_smash_to_entwined_from_scratch(self, ent_qc2):

@@ -119,6 +119,50 @@ def test_cli_outputs_match_golden(tmp_path):
     assert not changed, f"CLI output changed for: {changed}"
 
 
+def test_smash_and_coring_build_nothing_they_do_not_print(tmp_path, monkeypatch):
+    """With build_smash, build_coring and nu_iso raising, smash and coring print their golden lines on every catalog
+    entwining; smash --table builds the ring once, with the real build_smash, and prints its golden table."""
+    import entwine.cli as cli
+    import entwine.entwining as entwining
+
+    expected = json.loads(GOLDEN.read_text())
+    build = entwining.build_smash
+
+    def refuse(*_):
+        raise AssertionError("built what the command does not print")
+
+    for module in (cli, entwining):
+        for name in ("build_smash", "build_coring", "nu_iso"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    names = [name for name in catalog_names() if isinstance(catalog_get(name), EntwiningPresentation)]
+    assert len(names) == 11
+    for name in names:
+        path = tmp_path / f"{name}.ent"
+        path.write_text(run_command(["catalog", name])[1])
+        for prefix in ([], ["--json"]):
+            key = " ".join([*prefix, "smash", name])
+            if key not in expected:
+                continue
+            table = expected[key]
+            smash = run_command([*prefix, "smash", str(path), "--name", name])
+            if prefix:
+                report = json.loads(table["text"])
+                report["records"] = [r for r in report["records"] if not r.get("note", "").startswith("row ")]
+                assert smash[0] == table["code"] and json.loads(smash[1]) == report, key
+            else:
+                text = "".join(line for line in table["text"].splitlines(True) if not line.startswith("row "))
+                assert smash == (table["code"], text), key
+            coring = " ".join([*prefix, "coring", name])
+            assert run_command([*prefix, "coring", str(path), "--name", name]) == \
+                (expected[coring]["code"], expected[coring]["text"]), coring
+            built = []
+            monkeypatch.setattr(cli, "build_smash", lambda e: built.append(e) or build(e))
+            assert run_command([*prefix, "smash", str(path), "--name", name, "--table"]) == \
+                (table["code"], table["text"]), key
+            assert len(built) == 1, key
+            monkeypatch.setattr(cli, "build_smash", refuse)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.write_text(json.dumps(run_all(Path(tmp)), indent=1, sort_keys=True) + "\n")

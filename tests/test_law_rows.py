@@ -24,6 +24,7 @@ from entwine.entwining import (
     entwining_laws,
     flip_entwining,
     hom_entwined,
+    verify_entwined_module,
     verify_entwining,
     verify_entwining_morphism,
 )
@@ -39,6 +40,8 @@ from entwine.structures import (
     verify_measuring_pairing,
     verify_structure,
     _bialgebra_checks,
+    _comodule_checks,
+    _module_checks,
 )
 from conftest import antipode_right_rows, corrupt, projection_rows, zeros
 
@@ -106,12 +109,19 @@ BIALGEBRA_ROW_BITES = [
     ("qc2", "counit", (0, 0), "counit-unit", "at basis (0,) lhs={0: 2} rhs={0: 1}"),
 ]
 
-# (catalog entwining or Hopf algebra, map given +1 at entry, the row, its failure)
+# (catalog entwining, Hopf algebra or entwined module, map given +1 at entry, the row, its failure)
 FIRST_UNREACHED_ROW_BITES = [
     ("hopfmod_qc2_entwining", "psi", (2, 2), "psi-unitality", "at basis (1,) lhs={1: 1, 2: 1} rhs={1: 1}"),
     ("hopfmod_sweedler4_entwining", "psi", (1, 1), "psi-counitality", "at basis (0, 1) lhs={0: 1, 1: 1} rhs={1: 1}"),
     ("sweedler4", "antipode", (3, 2), "antipode-right", "at basis (2,) lhs={2: 1} rhs={}"),
+    ("hopfmod_qc2", "action", (1, 0), "action-unit", "at basis (0,) lhs={0: 1, 1: 1} rhs={0: 1}"),
+    ("hopfmod_qc2", "coaction", (0, 1), "coaction-counit", "at basis (1,) lhs={0: 1, 1: 1} rhs={1: 1}"),
 ]
+
+
+def module_rows(m: EntwinedModulePresentation) -> list:
+    """The module and comodule rows that verify_entwined_module reads of m, before psi-compatibility."""
+    return [*_module_checks(m.as_module()), *_comodule_checks(m.as_module())]
 
 # (catalog coextension, row of the projection D -> C given +1 at (0, 0), its failure)
 PROJECTION_ROW_BITES = [
@@ -165,10 +175,12 @@ class TestEveryUnreachedRowBites:
     @pytest.mark.parametrize("name, attr, entry, axiom, failure", FIRST_UNREACHED_ROW_BITES,
                              ids=[axiom for _, _, _, axiom, _ in FIRST_UNREACHED_ROW_BITES])
     def test_row_that_no_bump_fails_first(self, name, attr, entry, axiom, failure):
-        """A +1 on psi or on the antipode fails an earlier law first, so each of these rows is read alone."""
+        """A +1 on psi, on the antipode or on a module's (co)action fails an earlier law first, so each of these rows
+        is read alone."""
         obj = catalog_get(name)
-        op, laws = (("verify_entwining", entwining_laws) if isinstance(obj, EntwiningPresentation)
-                    else ("verify_structure[hopf]", antipode_right_rows))
+        op, laws = {EntwiningPresentation: ("verify_entwining", entwining_laws),
+                    EntwinedModulePresentation: ("verify_structure[module+comodule]", module_rows),
+                    StructurePresentation: ("verify_structure[hopf]", antipode_right_rows)}[type(obj)]
 
         def row(x):
             return next(r for r in laws(x) if r[0] == axiom)
@@ -190,6 +202,18 @@ class TestEveryUnreachedRowBites:
         bad = replace(e, psi=Matrix.from_rows(QQ, [[1, 1], [0, 0]]))
         assert verify_entwining(bad).summary() == \
             "verify_entwining: FAIL psi-counitality at basis (0, 1) lhs={0: 1} rhs={1: 1}"
+
+    @pytest.mark.parametrize("name", ["hopfmod_qc2", "hopfmod_sweedler4"])
+    def test_unit_rows_are_never_the_first_failure(self, name):
+        """A +1 on one entry of the action fails action-associativity first, and on the coaction
+        coaction-coassociativity or psi-compatibility, so action-unit and coaction-counit are pinned at row level."""
+        m = catalog_get(name)
+        firsts = set()
+        for attr in ("action", "coaction"):
+            x = getattr(m, attr)
+            for entry in ((i, j) for i in range(x.rows) for j in range(x.cols)):
+                firsts.add(verify_entwined_module(m.entwining, replace(m, **{attr: corrupt(x, *entry)})).axiom)
+        assert firsts <= {"action[action-associativity]", "coaction[coaction-coassociativity]", "psi-compatibility"}
 
     def test_antipode_right_is_never_the_first_failure(self):
         """Once the bialgebra laws hold, antipode-left makes S the convolution inverse of id, which is two-sided,
