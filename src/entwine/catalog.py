@@ -122,10 +122,8 @@ def free_flip_module(a: StructurePresentation, c: StructurePresentation) -> Entw
     f = a.field
     idc = Matrix.identity(f, c.dim)
     ida = Matrix.identity(f, a.dim)
-    from .exactlin import perm_tensor
-
-    # action: (a~ (x) c) (x) b -> a~ b (x) c
-    action = a.mul.kron(idc) @ perm_tensor(f, (a.dim, c.dim, a.dim), (0, 2, 1))
+    # action: (a~ (x) c) (x) b -> a~ b (x) c, the columns (a~, b, c) of mul (x) id_C re-indexed as (a~, c, b)
+    action = permute(a.mul.kron(idc), (a.dim, c.dim, a.dim, a.dim, c.dim), (0, 1, 2, 4, 3), 2)
     coaction = ida.kron(c.comul)
     return EntwinedModulePresentation(e, a.dim * c.dim, action, coaction)
 

@@ -178,11 +178,13 @@ class SmashRing:
     def field(self):
         return self.entwining.field
 
-    def as_algebra(self) -> StructurePresentation:
-        labels = tuple(f"E{x}_{u}" for x in range(self.entwining.algebra.dim)
-                       for u in range(self.entwining.coalgebra.dim))
-        return make_structure("algebra", self.field, self.dim, labels,
-                              mul=self.mul, unit=self.unit)
+
+def smash_algebra(e: EntwiningPresentation, mul: Matrix) -> StructurePresentation:
+    """The smash ring of e with table mul, an algebra on the basis maps E{x}_{u}; its unit is c -> epsilon(c) 1_A."""
+    a, c = e.algebra, e.coalgebra
+    labels = tuple(f"E{x}_{u}" for x in range(a.dim) for u in range(c.dim))
+    return make_structure("algebra", e.field, a.dim * c.dim, labels, mul=mul,
+                          unit=Matrix.from_columns(e.field, a.dim * c.dim, [a.unit @ c.counit]))
 
 
 def twisted_product(e: EntwiningPresentation) -> Matrix:
@@ -219,12 +221,11 @@ def build_smash(e: EntwiningPresentation) -> SmashRing:
     """
     a, c = e.algebra, e.coalgebra
     na, nc = a.dim, c.dim
-    f = e.field
-    unit = Matrix.from_columns(f, na * nc, [a.unit @ c.counit])
     # (E_{x,u} . a_j)(c_u) = a_x a_j: column (x, u, j) of the right action is
     # column (x, j) of mul, placed at c_u
-    ract = permute(kron(a.mul, Matrix.identity(f, nc)), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
-    return SmashRing(e, na * nc, twisted_product(e), unit, twisted_left_action(e), ract)
+    ract = permute(kron(a.mul, Matrix.identity(e.field, nc)), (na, nc, na, na, nc), (0, 1, 2, 4, 3), 2)
+    ring = smash_algebra(e, twisted_product(e))
+    return SmashRing(e, ring.dim, ring.mul, ring.unit, twisted_left_action(e), ract)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +313,16 @@ def verify_entwined_module(e: EntwiningPresentation, m: EntwinedModulePresentati
 
 
 def entwined_to_smash_module(e: EntwiningPresentation, m: EntwinedModulePresentation) -> ModulePresentation:
-    """m . f = sum m_0 f(m_1), the action of build_smash(e) carried by an entwined module: one matmul.
+    """m . f = sum m_0 f(m_1), the action of the smash ring of e carried by an entwined module: one matmul.
 
-    e has passed verify_entwining, so build_smash(e) reads nothing.
+    e has passed verify_entwining, so the ring reads nothing, and only its
+    table and unit are built (smash_algebra), not build_smash's A-actions.
     """
     nm, na, nc = m.dim, e.algebra.dim, e.coalgebra.dim
     # action[k', (i, (x, u))] = sum_k m.action[k', (k, x)] coaction[(k, u), i]: rows (k', x), columns (u, i)
     out = permute(m.action, (nm, nm, na), (0, 2, 1), 2) @ permute(m.coaction, (nm, nc, nm), (0, 1, 2), 1)
     action = permute(out, (nm, na, nc, nm), (0, 3, 1, 2), 1)
-    return ModulePresentation(nm, build_smash(e).as_algebra(), action, "right")
+    return ModulePresentation(nm, smash_algebra(e, twisted_product(e)), action, "right")
 
 
 def smash_unit_embedding(e: EntwiningPresentation) -> Matrix:

@@ -16,7 +16,8 @@ term and returns each vector canonical (an index -> value dict, reduced,
 no zero values), so two vectors are equal exactly when their dicts are.
 A factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
 moves each index where it lands as it pushes: no shifted copy of a line
-is made.
+is made; a Permutation of tensor factors moves each index and reads no
+line at all.
 A factor over F_p whose lines are wide and nonzero enough is pushed
 packed instead, each of its lines one int with a 2-, 4- or 8-byte slot per
 entry (Kronecker substitution), so a line read costs one big-int
@@ -447,18 +448,32 @@ def _offsets(dims, perm, axes) -> list[int]:
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Matrix of V (x) W -> W (x) V, e_i (x) e_j -> e_j (x) e_i, dim V = m, dim W = n."""
-    return perm_tensor(field, (m, n), (1, 0))
+    # row (j, i) holds its 1 at column (i, j)
+    return Matrix._of_rows(field, m * n, m * n, ({r % m * n + r // m: 1} for r in range(m * n)))
 
 
-def perm_tensor(field: Field, dims, perm) -> Matrix:
-    """Matrix permuting tensor factors: output factor k is input factor perm[k]; its columns are laid out too."""
-    dims, perm = tuple(dims), tuple(perm)
-    if sorted(perm) != list(range(len(dims))):
-        raise DimensionMismatch(f"cannot permute axes {dims} by {perm}")
-    at = _offsets(dims, perm, range(len(dims)))   # input index j is output index at[j]
-    m = Matrix._of_rows(field, len(at), len(at), ({j: 1} for j in sorted(range(len(at)), key=at.__getitem__)))
-    m._cols = tuple({i: 1} for i in at)
-    return m
+class Permutation:
+    """A law factor that permutes tensor factors, output factor k input factor perm[k] of dims, never laid out.
+
+    _vectors pushes each key to its image (images) with its coefficient
+    unchanged; it has the field, rows and cols that _shape reads.
+    """
+
+    __slots__ = ("field", "rows", "cols", "dims", "perm")
+
+    def __init__(self, field: Field, dims, perm):
+        dims, perm = tuple(dims), tuple(perm)
+        if sorted(perm) != list(range(len(dims))):
+            raise DimensionMismatch(f"cannot permute axes {dims} by {perm}")
+        self.field, self.dims, self.perm = field, dims, perm
+        self.rows = self.cols = prod(dims)
+
+    def images(self, by_rows: bool) -> list[int]:
+        """Where each input index goes (by columns), or, by rows, where each output index comes from."""
+        dims, perm = self.dims, self.perm
+        if by_rows:     # the inverse permutation, of the permuted axes
+            dims, perm = tuple(dims[a] for a in perm), tuple(map(perm.index, range(len(perm))))
+        return _offsets(dims, perm, range(len(dims)))
 
 
 def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
@@ -471,15 +486,21 @@ def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
     in pivot order.  Entries are plain products, reduced mod p over F_p,
     and an entry that cancels is dropped, so every row stays canonical;
     over Q a pivot row scaled by a fraction keeps its whole entries as int.
+    The rows left hold nothing at or before the last pivot column, so the
+    search tries the next column first, and reads the leftmost entry of
+    every row left only when no row left holds that one.
     """
     p = field.p
     pivots: list[int] = []
-    for r in range(len(rows)):
-        # the leftmost column holding a nonzero in the rows left; at or past width, only right-hand sides are
-        live = [(min(row), i) for i, row in enumerate(rows[r:], r) if row]
-        c, i = min(live, default=(width, r))
-        if c >= width:
-            break
+    n, c = len(rows), 0
+    for r in range(n):
+        i = next((i for i in range(r, n) if c in rows[i]), None) if c < width else None
+        if i is None:
+            # the leftmost column holding a nonzero in the rows left; at or past width, only right-hand sides are
+            c = min((min(row) for row in rows[r:] if row), default=width)
+            if c >= width:
+                break
+            i = next(i for i in range(r, n) if c in rows[i])
         row = rows[i]
         rows[i] = rows[r]
         if row[c] != 1:
@@ -499,6 +520,7 @@ def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
                 else:   # a product of two nonzeros is nonzero, so k was in other
                     del other[k]
         pivots.append(c)
+        c += 1
     return pivots
 
 
@@ -667,9 +689,9 @@ def _terms(side, sign: int = 1) -> list:
     """sign times a law side as (sign, factors) terms, each factor (X, k, x_first): kron(X, id_k) or kron(id_k, X)."""
     if isinstance(side, list):
         return [term for s, t in side for term in _terms(t, sign * s)]
-    if isinstance(side, Matrix) or isinstance(side[0], int) or isinstance(side[-1], int):
+    if isinstance(side, (Matrix, Permutation)) or isinstance(side[0], int) or isinstance(side[-1], int):
         side = (side,)
-    return [(sign, [(f, 1, True) if isinstance(f, Matrix) else
+    return [(sign, [(f, 1, True) if isinstance(f, (Matrix, Permutation)) else
                     (f[0], f[1], True) if isinstance(f[0], Matrix) else (f[1], f[0], False)
                     for f in side])]
 
@@ -695,10 +717,11 @@ def _vectors(terms, by_rows: bool):
 
     The side comes split by _terms into terms of one shape and field
     (_shape reads that shape off the factors).  A side is a Matrix; a
-    tuple of factors applied left to right, each a Matrix or a pair (X, k)
-    or (k, X), k an int, that stands for kron(X, id_k) or kron(id_k, X)
-    and is never laid out; such a pair on its own; or a list of (sign,
-    side) terms, sign 1 or -1, for their sum.
+    tuple of factors applied left to right, each a Matrix, a Permutation
+    of tensor factors, or a pair (X, k) or (k, X), k an int, that stands
+    for kron(X, id_k) or kron(id_k, X); neither a Permutation nor a pair is
+    laid out.  A side may also be such a pair on its own, or a list of
+    (sign, side) terms, sign 1 or -1, for their sum.
     The kernel pushes the basis vector i, times the sign of a term, through
     the factors' rows, last factor first, or through their columns (the
     rows of the transposed composition, columns_of), first factor first,
@@ -706,7 +729,9 @@ def _vectors(terms, by_rows: bool):
     so each vector comes back canonical (an index -> value dict, no zero
     values): two vectors are equal exactly when their dicts are.
 
-    A factor over F_p is read as a packed stage (Kronecker substitution),
+    A Permutation moves each key to its image (Permutation.images) and
+    multiplies nothing.  A factor over F_p is read as a packed stage
+    (Kronecker substitution),
     unless a term reads it first, when its lines (the rows or columns read)
     pay for it: they have at least 16 entries, at least one in 8 of them
     nonzero and at least 8 nonzeros each on average, and the block bound
@@ -798,7 +823,9 @@ def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None]:
 
 
 def _sparse_stage(x: Matrix, k: int, x_first: bool, by_rows: bool):
-    """The push of one factor, one dict update per product."""
+    """The push of one factor, one dict update per product; a Permutation's, one per key."""
+    if type(x) is Permutation:
+        return partial(_push_permuted, x.images(by_rows))
     lines = x._rows if by_rows else columns_of(x)
     if k == 1:      # key q: line q of X
         return partial(_push_plain, lines)
@@ -850,7 +877,7 @@ def _packs(x: Matrix, by_rows: bool) -> bool:
     """
     p = x.field.p
     width, count = x.cols if by_rows else x.rows, x.rows if by_rows else x.cols
-    if p is None or width < 16 or count * (p - 1) ** 2 >= 2**64:
+    if p is None or type(x) is Permutation or width < 16 or count * (p - 1) ** 2 >= 2**64:
         return False
     kept = _kernel_data(x)
     key = ("packs", by_rows)
@@ -908,6 +935,18 @@ def _residues(total: int, n: int, size: int, p: int):
     # the images of one slot's bytes sum below 256, so the ints add bytewise, with no carry
     folded = sum(int.from_bytes(data[j::size].translate(table), "little") for j, table in enumerate(spread))
     return bytearray(folded.to_bytes(n, "little")).translate(fold)
+
+
+def _push_permuted(images, v: dict, acc: dict) -> dict:
+    """_push through a Permutation: key q moves to images[q], its coefficient unchanged."""
+    if not acc:     # distinct keys have distinct images
+        acc.update(zip(map(images.__getitem__, v), v.values()))
+        return acc
+    get = acc.get
+    for key, c in v.items():
+        t = images[key]
+        acc[t] = get(t, 0) + c
+    return acc
 
 
 def _push_plain(lines, v: dict, acc: dict) -> dict:

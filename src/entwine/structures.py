@@ -11,7 +11,7 @@ dim_M x (dim_M * dim_A), a right coaction M -> M (x) C is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain
 from math import prod
 
@@ -19,6 +19,7 @@ from .exactlin import (
     DimensionMismatch,
     Field,
     Matrix,
+    Permutation,
     PresentationError,
     Subspace,
     _offsets,
@@ -26,7 +27,6 @@ from .exactlin import (
     image,
     kron,
     nonzeros,
-    perm_tensor,
     permute,
     preimage,
     rank,
@@ -40,7 +40,7 @@ STRUCTURE_KINDS = ("algebra", "coalgebra", "bialgebra", "hopf")
 
 @dataclass(frozen=True)
 class StructurePresentation:
-    """An algebra, coalgebra, bialgebra or Hopf algebra on a chosen basis."""
+    """An algebra, coalgebra, bialgebra or Hopf algebra on a chosen basis; _passed is kept by verify_structure."""
 
     kind: str
     field: Field
@@ -51,6 +51,7 @@ class StructurePresentation:
     comul: Matrix | None = None
     counit: Matrix | None = None
     antipode: Matrix | None = None
+    _passed: set = dataclass_field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def has_algebra(self) -> bool:
@@ -236,12 +237,11 @@ def _coalgebra_checks(p: StructurePresentation):
 
 
 def _bialgebra_checks(p: StructurePresentation):
+    """The laws that tie the multiplication to the comultiplication, read after the algebra and coalgebra laws."""
     n, mul, unit, comul, counit = p.dim, p.mul, p.unit, p.comul, p.counit
-    yield from _algebra_checks(p)
-    yield from _coalgebra_checks(p)
     # Delta(a b) = Delta(a) Delta(b): (mul (x) mul) . (id (x) swap (x) id) . (comul (x) comul)
     yield ("comul-multiplicative", (mul, comul),
-           ((n, comul), (comul, n * n), perm_tensor(p.field, (n, n, n, n), (0, 2, 1, 3)), (n * n, mul), (mul, n)),
+           ((n, comul), (comul, n * n), Permutation(p.field, (n, n, n, n), (0, 2, 1, 3)), (n * n, mul), (mul, n)),
            (n, n))
     yield ("comul-unit", (unit, comul), (unit, (unit, n)), (1,))
     yield ("counit-multiplicative", (mul, counit), ((n, counit), counit), (n, n))
@@ -249,19 +249,20 @@ def _bialgebra_checks(p: StructurePresentation):
 
 
 def _hopf_checks(p: StructurePresentation):
-    """The bialgebra laws, then antipode-left, S * id = unit; id * S = unit (antipode-right) is implied.
+    """antipode-left, S * id = unit, read after the bialgebra laws; id * S = unit (antipode-right) is implied.
 
     Hom(H, H) is then a finite-dimensional algebra under convolution, where
     S * id = unit makes id * - injective, so id * T = unit for some T, and
     T = (S * id) * T = S * (id * T) = S.
     """
-    n = p.dim
-    yield from _bialgebra_checks(p)
-    yield ("antipode-left", (p.comul, (p.antipode, n), p.mul), (p.counit, p.unit), (n,))
+    yield ("antipode-left", (p.comul, (p.antipode, p.dim), p.mul), (p.counit, p.unit), (p.dim,))
 
 
-_KIND_LAWS = {"algebra": _algebra_checks, "coalgebra": _coalgebra_checks,
-              "bialgebra": _bialgebra_checks, "hopf": _hopf_checks}
+_LAW_GROUPS = {"algebra": _algebra_checks, "coalgebra": _coalgebra_checks,
+               "bialgebra": _bialgebra_checks, "hopf": _hopf_checks}
+# the law groups each kind reads, in order
+_KIND_LAWS = {"algebra": ("algebra",), "coalgebra": ("coalgebra",), "bialgebra": STRUCTURE_KINDS[:3],
+              "hopf": STRUCTURE_KINDS}
 
 
 def verify_structure(kind: str | None, pres) -> Report:
@@ -269,7 +270,12 @@ def verify_structure(kind: str | None, pres) -> Report:
 
     kind defaults to the presentation's own kind; for ModulePresentation use
     'module', 'comodule' or None for both of the parts it carries.  A law
-    that the laws before it imply is not read (_hopf_checks).
+    that the laws before it imply is not read (_hopf_checks).  The law
+    groups of a passed verification are kept in pres._passed, as Matrix
+    keeps _kernel, and not read again: as an algebra after hopf passed,
+    nothing is read, and as hopf after bialgebra passed, antipode-left
+    alone.  A skipped row would pass again on the same immutable maps, so
+    no report changes; dataclasses.replace starts the record empty.
     """
     if isinstance(pres, ModulePresentation):
         return _verify_module(kind, pres)
@@ -283,7 +289,11 @@ def verify_structure(kind: str | None, pres) -> Report:
         raise PresentationError(f"{kind} verification needs comul and counit")
     if kind == "hopf" and pres.antipode is None:
         raise PresentationError("hopf verification needs an antipode")
-    return report.first_failure(f"verify_structure[{kind}]", _KIND_LAWS[kind](pres))
+    groups = [group for group in _KIND_LAWS[kind] if group not in pres._passed]
+    rep = report.first_failure(f"verify_structure[{kind}]", chain.from_iterable(_LAW_GROUPS[g](pres) for g in groups))
+    if rep.passed:
+        pres._passed.update(groups)
+    return rep
 
 
 def _module_checks(m: ModulePresentation):

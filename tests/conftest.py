@@ -39,15 +39,21 @@ from entwine.entwining import (
 from entwine.exactlin import (
     Field,
     Matrix,
+    Permutation,
     PresentationError,
     QQ,
+    Subspace,
+    _offsets,
     _packs,
     _shape,
     _terms,
     _vectors,
+    _whole,
     columns_of,
     express,
+    image,
     invert,
+    kernel,
     kron,
     permute,
     solve_linear,
@@ -99,6 +105,53 @@ def convolution_inverse_by_units(c, a, f: Matrix) -> Matrix | None:
     t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
     sol = solve_linear(t, Matrix.from_columns(a.field, n, [convolution_unit(c, a)]))
     return None if sol is None else sol.particular.reshape(a.dim, c.dim)
+
+
+def perm_tensor(field: Field, dims, perm) -> Matrix:
+    """The matrix permuting tensor factors, output factor k input factor perm[k]: a Permutation laid out.
+
+    Input index j has its 1 at row at[j], at = exactlin._offsets over every axis; its columns are laid out too.
+    """
+    dims, perm = tuple(dims), tuple(perm)
+    at = _offsets(dims, perm, range(len(dims)))
+    m = Matrix._of_rows(field, len(at), len(at), ({j: 1} for j in sorted(range(len(at)), key=at.__getitem__)))
+    m._cols = tuple({i: 1} for i in at)
+    return m
+
+
+def eliminate_by_min(rows: list[dict], field: Field, width: int) -> list[int]:
+    """exactlin._eliminate with the plain pivot search: min(row) of every row left, at every pivot.
+
+    The reference for the search that follows its rows: each pivot is the least (min(row), i) over the nonempty
+    rows left, a column below width; the elimination itself is the same.
+    """
+    p = field.p
+    pivots: list[int] = []
+    for r in range(len(rows)):
+        live = [(min(row), i) for i, row in enumerate(rows[r:], r) if row]
+        c, i = min(live, default=(width, r))
+        if c >= width:
+            break
+        row = rows[i]
+        rows[i] = rows[r]
+        if row[c] != 1:
+            inv = field.inv(row[c])
+            row = {k: v * inv % p for k, v in row.items()} if p else {k: _whole(v * inv) for k, v in row.items()}
+        rows[r] = row
+        for other in rows:
+            if other is row or c not in other:
+                continue
+            factor = other[c]
+            for k, v in row.items():
+                x = other.get(k, 0) - factor * v
+                if p is not None:
+                    x %= p
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+        pivots.append(c)
+    return pivots
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
@@ -158,7 +211,12 @@ def law_vectors(side, by_rows: bool):
 
 
 def layout(side) -> Matrix:
-    """A law side laid out with @ and kron: the reference for law_vectors and report.compare."""
+    """A law side laid out with @ and kron: the reference for law_vectors and report.compare.
+
+    A Permutation is laid out by perm_tensor.
+    """
+    if isinstance(side, Permutation):
+        return perm_tensor(side.field, side.dims, side.perm)
     if isinstance(side, Matrix):
         return side
     if isinstance(side, list):
@@ -167,7 +225,9 @@ def layout(side) -> Matrix:
         return sum(terms[1:], terms[0])
     out = None
     for factor in side:
-        if not isinstance(factor, Matrix):
+        if isinstance(factor, Permutation):
+            factor = layout(factor)
+        elif not isinstance(factor, Matrix):
             f = next(x.field for x in factor if isinstance(x, Matrix))
             factor = kron(*(Matrix.identity(f, x) if isinstance(x, int) else x for x in factor))
         out = factor if out is None else factor @ out
@@ -336,6 +396,16 @@ IMPLIED_CHECKS = {
                                   "omega^T, so the inverse of omega^T is inner.inverse transposed",
     "alt-dk-psi-laws": "the alternative datum induces an entwining: the psi laws follow from the module-algebra and "
                        "comodule-coalgebra rows that s.verify() read (doikoppinen.alt_dk_entwining)",
+    "counit-not-vanishing": "eps(d.h) = eps(d) eps(h), the action-counital row of the module coalgebra D, is zero "
+                            "for h in H+, so the counit vanishes on W = D.H+ (doikoppinen.coextension_quotient)",
+    "not-a-coideal": "Delta(d.h) = sum d_1.h_1 (x) d_2.h_2, the action-comultiplicative row, with H+ a coideal as the "
+                     "kernel of the coalgebra map eps (H's counit rows), puts Delta(W) in W (x) D + D (x) W "
+                     "(Brzezinski and Majid, CMP 191, 1998; doikoppinen.coextension_quotient)",
+    "not-h-stable": "(d.h).k = d.(h k), the action-associativity row, with H+ an ideal since eps is multiplicative "
+                    "(counit-multiplicative), puts W.H in W (doikoppinen.coextension_quotient)",
+    "antipode-not-bijective": "the antipode of a finite-dimensional Hopf algebra is bijective (Larson and Sweedler, "
+                              "Amer. J. Math. 91, 1969), and coextension_quotient read H as hopf "
+                              "(doikoppinen.dualize_coextension)",
 }
 
 # the rows of the smash ring, the coring and nu, which build_smash, build_coring and nu_iso do not read of a verified
@@ -504,8 +574,39 @@ def projection_rows(coext) -> list:
     ]
 
 
+def dplus_closure(h, d, action) -> report.Report:
+    """counit-not-vanishing, not-a-coideal, then not-h-stable: the closure of W = D.H+ of a right H-module
+    coalgebra D, which coextension_quotient leaves out.
+
+    W is made from H, D and the action, as coextension_quotient makes it, so a bumped action moves it too.
+    """
+    f, nd, nh = h.field, d.dim, h.dim
+    idd = Matrix.identity(f, nd)
+    w = image(action @ kron(idd, kernel(h.counit).basis.transpose()))
+    wt = w.basis.transpose()
+    _, bad = express(kernel(d.counit).basis, wt)
+    if bad is not None:
+        return report.fail("coextension_quotient", "counit-not-vanishing", (bad,))
+    mixed = Subspace.from_matrix_rows(kron(w.basis, idd)).add(Subspace.from_matrix_rows(kron(idd, w.basis)))
+    _, bad = express(mixed.basis, d.comul @ wt)
+    if bad is not None:
+        return report.fail("coextension_quotient", "not-a-coideal", (bad,))
+    _, bad = express(w.basis, action @ kron(wt, Matrix.identity(f, nh)))
+    if bad is not None:
+        return report.fail("coextension_quotient", "not-h-stable", divmod(bad, nh))
+    return report.ok("coextension_quotient")
+
+
+def antipode_bijective(h) -> report.Report:
+    """The check dualize_coextension leaves out: the antipode of H inverts."""
+    if invert(h.antipode) is None:
+        return report.fail("dualize_coextension", "antipode-not-bijective")
+    return report.ok("dualize_coextension")
+
+
 def quotient_rows(coext):
-    """What coextension_quotient leaves unread after its closure checks: the quotient, then the projection."""
+    """What coextension_quotient leaves unread besides the closure of W (dplus_closure): the quotient, then the
+    projection."""
     yield "quotient-coalgebra", verify_structure("coalgebra", coext.quotient)
     yield "quotient-module-coalgebra", verify_dk_compat("module-coalgebra", coext.h, coext.quotient,
                                                         coext.quotient_action, "right")

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from entwine.exactlin import Field, Matrix, QQ, kron, perm_tensor
+from entwine.exactlin import Field, Matrix, QQ, kron
 from entwine.structures import make_structure
 from entwine.entwining import (
     EntwinedModulePresentation,
@@ -27,7 +27,7 @@ from entwine.entwining import (
 )
 from entwine.doikoppinen import DKStructure, koppinen_table
 from entwine.catalog import catalog_get, catalog_names, free_flip_module
-from conftest import smash_product_map
+from conftest import perm_tensor, smash_product_map
 
 F5 = Field(5)
 

@@ -691,13 +691,14 @@ class TestDenseRowsBite:
 
 
 @pytest.mark.parametrize("argv, packed", [
-    (["check"], 20),
+    (["check"], 16),
     (["smash", "--name", "dense_f7c4"], 12),
     (["coring", "--name", "dense_f7c4"], 12),
 ], ids=["check", "smash", "coring"])
 def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, packed):
     """On the dense F_7 document of the CI's dense smoke run, check reads the Hopf algebra's and the entwining's laws
-    through packed stages; smash and coring read only verify_entwining's, and none of what they build."""
+    through packed stages, and the entwining's algebra and coalgebra, the Hopf algebra itself, are not read again;
+    smash and coring read only verify_entwining's, and none of what they build."""
     from entwine import exactlin
     from entwine.catalog import hopf_module_dk
     from entwine.cli import run_command
@@ -823,29 +824,34 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("functor", ("to_smash",))
     def test_each_functor_builds_a_ring_the_oracle_passes(self, functor, monkeypatch):
-        """The functor to smash modules builds its ring with build_smash, which reads no law: the oracle passes on
-        the ring built for every catalog module, and fails a table with +1 at mul[0, 0] at associativity.  The way
-        back builds no ring (test_round_trip_contracts_the_table_once)."""
+        """The functor to smash modules builds only the ring's table and unit, which read no law, and not build_smash:
+        its algebra is the table and unit of build_smash, the oracle passes on that ring for every catalog module, and
+        a table with +1 at mul[0, 0] fails the algebra the functor builds at associativity.  The way back builds no
+        ring (test_round_trip_contracts_the_table_once)."""
         import entwine.entwining as entwining
 
         modules = [catalog_get(name) for name in catalog_names()
                    if isinstance(catalog_get(name), EntwinedModulePresentation)]
         build, table = entwining.build_smash, entwining.twisted_product
-        built = []
-        monkeypatch.setattr(entwining, "build_smash", lambda e: built.append(build(e)) or built[-1])
+
+        def refuse(e):
+            raise AssertionError("the functor built the whole smash ring")
+
+        monkeypatch.setattr(entwining, "build_smash", refuse)
         for m in modules:
-            entwined_to_smash_module(m.entwining, m)
-        assert len(built) == 5 and all(verify_smash(smash).passed for smash in built)
-        built.clear()
+            ring = entwined_to_smash_module(m.entwining, m).algebra
+            smash = build(m.entwining)
+            assert (ring.mul, ring.unit) == (smash.mul, smash.unit) and verify_smash(smash).passed
+        assert len(modules) == 5
         monkeypatch.setattr(entwining, "twisted_product", lambda e: corrupt(table(e), 0, 0))
         m = catalog_get("hopfmod_qc2")
-        entwined_to_smash_module(m.entwining, m)
-        assert verify_smash(built[0]).summary() == (
-            "verify_smash: FAIL associativity at basis (0, 0, 2) lhs={2: 2} rhs={2: 1}")
+        assert verify_structure("algebra", entwined_to_smash_module(m.entwining, m).algebra).summary() == (
+            "verify_structure[algebra]: FAIL associativity at basis (0, 0, 2) lhs={2: 2} rhs={2: 1}")
 
     def test_round_trip_contracts_the_table_once(self, monkeypatch):
-        """A round trip through the two functors contracts twisted_product once, in entwined_to_smash_module: the
-        way back reads only na * nc and the unit embedding, and builds no ring and no left action."""
+        """A round trip through the two functors contracts twisted_product once, in entwined_to_smash_module, which
+        builds the table and unit and no left action: the way back reads only na * nc and the unit embedding, and
+        builds no ring and no left action."""
         import entwine.entwining as entwining
 
         calls = {"twisted_product": 0, "twisted_left_action": 0, "build_smash": 0}
@@ -863,20 +869,20 @@ class TestRoundtrip:
         for name in names:
             m = catalog_get(name)
             sm = entwined_to_smash_module(m.entwining, m)
-            assert calls == {"twisted_product": 1, "twisted_left_action": 1, "build_smash": 1}, name
+            assert calls == {"twisted_product": 1, "twisted_left_action": 0, "build_smash": 0}, name
             back = smash_module_to_entwined(m.entwining, sm)
-            assert calls == {"twisted_product": 1, "twisted_left_action": 1, "build_smash": 1}, name
+            assert calls == {"twisted_product": 1, "twisted_left_action": 0, "build_smash": 0}, name
             assert (back.action, back.coaction) == (m.action, m.coaction), name
             calls.update(dict.fromkeys(calls, 0))
 
     def test_unit_embedding_is_algebra_map(self, ent_qc2, ent_h4):
-        from entwine.entwining import smash_unit_embedding
+        from entwine.entwining import smash_algebra, smash_unit_embedding
         from entwine.structures import algebra_morphism_report
 
         for e in (ent_qc2, ent_h4):
             smash = build_smash(e)
             emb = smash_unit_embedding(e)
-            assert algebra_morphism_report(e.algebra, smash.as_algebra(), emb).passed
+            assert algebra_morphism_report(e.algebra, smash_algebra(e, smash.mul), emb).passed
 
     def test_smash_to_entwined_from_scratch(self, ent_qc2):
         # a module given directly over the smash ring comes back entwined

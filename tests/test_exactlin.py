@@ -17,7 +17,6 @@ from entwine.exactlin import (
     invert,
     kernel,
     kron,
-    perm_tensor,
     permute,
     preimage,
     rank,
@@ -27,6 +26,7 @@ from entwine.exactlin import (
 )
 from conftest import (
     BOTH_FIELDS,
+    perm_tensor,
     assert_canonical_vector,
     law_shape,
     law_vectors,

@@ -74,6 +74,7 @@ from entwine.structures import (
 from conftest import (
     IMPLIED_CHECKS,
     INNER_ARROWS,
+    antipode_bijective,
     antipode_right_rows,
     arrow_inputs,
     coinvariant_subalgebra,
@@ -82,6 +83,7 @@ from conftest import (
     dual_entwining_rows,
     dual_integral,
     dual_morphism_transpose,
+    dplus_closure,
     inner_ingredient,
     left_inverse_rows,
     module_output,
@@ -180,6 +182,21 @@ class TestImpliedChecksHold:
         assert len(coextensions) == 2
         for name, coext in coextensions.items():
             assert first_failure("coextension_quotient", quotient_rows(coext)).passed, name
+
+    def test_dplus_is_an_h_stable_coideal(self):
+        """W = D.H+ of every catalog right module coalgebra: the C of each triple and the D of each coextension."""
+        coalgebras = module_coalgebras()
+        assert len(coalgebras) == 8
+        for name, (h, d, action) in coalgebras.items():
+            assert dplus_closure(h, d, action).passed, name
+
+    def test_antipode_is_bijective(self):
+        """Every catalog Hopf algebra, which includes the H of each catalog coextension."""
+        hopf = {name: h for name, h in catalog_of(StructurePresentation).items() if h.kind == "hopf"}
+        assert len(hopf) == 7
+        assert {c.h.kind for c in catalog_of(HCoextension).values()} == {"hopf"}
+        for name, h in hopf.items():
+            assert antipode_bijective(h).passed, name
 
     def test_coinvariants_are_a_unital_subalgebra(self):
         # both callers of coinvariants: h_extension, and dualize_coextension
@@ -307,6 +324,30 @@ class TestImpliedChecksBite:
                  "at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}")):
             assert first_failure("coextension_quotient", quotient_rows(bad)).summary() == \
                 f"coextension_quotient: FAIL {failure}"
+
+    def test_dplus_closure(self):
+        """+1 bumps of coext_qc2 fail each closure check of W = D.H+; coextension_quotient refuses each of them at D's
+        coalgebra rows or at its module-coalgebra rows, which it reads first."""
+        coext = catalog_get("coext_qc2")
+        h, d, action = coext.h, coext.d, coext.action
+        for d_bad, action_bad, failure in (
+                (d, corrupt(action, 0, 0), "counit-not-vanishing at basis (0,)"),
+                (replace(d, comul=corrupt(d.comul, 0, 0)), action, "not-a-coideal at basis (0,)"),
+                (d, corrupt(corrupt(action, 0, 0), 0, 1), "not-h-stable at basis (0, 0)")):
+            assert dplus_closure(h, d_bad, action_bad).summary() == f"coextension_quotient: FAIL {failure}"
+            with pytest.raises(report.CheckError) as refused:
+                coextension_quotient(h, d_bad, action_bad)
+            rep = refused.value.report
+            assert rep.op == "verify_dk_compat[module-coalgebra]" or rep.axiom.startswith("coalgebra["), rep.summary()
+
+    def test_antipode_bijective(self):
+        """The zero map as the antipode of qc2 does not invert; coextension_quotient refuses it at antipode-left."""
+        h = catalog_get("qc2")
+        bad = replace(h, antipode=zeros(QQ, 2, 2))
+        assert antipode_bijective(bad).summary() == "dualize_coextension: FAIL antipode-not-bijective"
+        with pytest.raises(report.CheckError) as refused:
+            coextension_quotient(bad, bad, bad.mul)
+        assert refused.value.report.axiom == "bialgebra[antipode-left]"
 
     def test_left_inverse(self):
         """A non-associative A on 1, x, y with x y = 1 and y x = 0: x has a right inverse that is not a left one."""
@@ -516,8 +557,8 @@ class TestImpliedChecksBite:
 
 # law names that src reads on catalog objects but that no bite table pins yet; this set may only shrink
 UNPINNED = {
-    "adjointness", "comultiplicative", "counital", "intertwining", "inverse-twisted-linearity", "long-compatibility",
-    "measuring", "mixed-compatibility", "multiplicative", "unit-counit", "unital",
+    "adjointness", "comultiplicative", "counital", "intertwining", "long-compatibility", "measuring",
+    "mixed-compatibility", "multiplicative", "unit-counit", "unital",
 }
 
 
@@ -578,9 +619,16 @@ def read_every_law(obj) -> None:
 
 
 def test_every_law_name_is_pinned_or_implied(monkeypatch):
-    """Each law name read on the catalog is in a bite table or is an implied check; UNPINNED lists the rest."""
+    """Each law name read on the catalog is in a bite table or is an implied check; UNPINNED lists the rest.
+
+    The catalog is built afresh inside the recording: a structure reads each law group once (verify_structure), so
+    the cached objects, verified before, would read no structure law.
+    """
+    from entwine import catalog
+
     read, qualified = set(), set()
     compare = report.compare
+    monkeypatch.setattr(catalog, "_CACHE", {})
 
     def recording(op, axiom, *rest):
         read.add(axiom)
@@ -596,4 +644,5 @@ def test_every_law_name_is_pinned_or_implied(monkeypatch):
     assert not (read | qualified) & set(IMPLIED_CHECKS), "src reads a check that its inputs imply"
     assert not pinned & UNPINNED, "a pinned law name is still listed as unpinned"
     assert UNPINNED <= read, "an unpinned law name is no longer read"
+    assert {"associativity", "coassociativity", "comul-multiplicative", "antipode-left"} <= read
     assert read <= pinned | UNPINNED, f"law names in no bite table: {sorted(read - pinned - UNPINNED)}"

@@ -5,9 +5,10 @@ with @ and kron and scans their columns in index order; compare reads the
 difference of the sides along its shorter dimension through
 exactlin._vectors.  Both must give the same verdict, witness and
 lhs=/rhs= text on sides drawn by derandomized Hypothesis strategies: wide,
-tall and square, over Q and F_p, with pairs (X, k) and (k, X), signed terms
-that cancel, columns that are zero on one side only, and laws on no basis
-inputs (col_dims ()); and dense sides over F_p whose lines reach the
+tall and square, over Q and F_p, with pairs (X, k) and (k, X), Permutations
+of tensor factors beside them (laid out by conftest.perm_tensor) and read
+by rows and by columns, signed terms that cancel, columns that are zero on
+one side only, and laws on no basis inputs (col_dims ()); and dense sides over F_p whose lines reach the
 packing floor, or stop one nonzero short of it, so that the kernel reads
 them as packed stages, mixed with sparse stages, from entries drawn
 unreduced, which Matrix stores reduced.
@@ -30,8 +31,16 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
-from entwine.exactlin import Field, Matrix, QQ, _packs, _push_packed, _stages, _terms  # noqa: E402
-from conftest import compare_reference as reference, law_shape, layout, packed_stages, zeros  # noqa: E402
+from entwine.exactlin import Field, Matrix, Permutation, QQ, _packs, _push_packed, _stages, _terms  # noqa: E402
+from conftest import (  # noqa: E402
+    compare_reference as reference,
+    law_shape,
+    law_vectors,
+    layout,
+    packed_stages,
+    perm_tensor,
+    zeros,
+)
 
 FIELDS = (QQ, Field(5), Field(7))
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -52,15 +61,33 @@ def matrices(draw, field: Field, rows: int, cols: int) -> Matrix:
 
 
 @st.composite
+def permutations(draw, field: Field, width: int) -> Permutation:
+    """A Permutation of F^width: width split into one to three tensor factors, mostly of 2 or more, in a drawn
+    order."""
+    dims = []
+    for _ in range(draw(st.integers(0, 2))):
+        split = [d for d in range(2, width) if width % d == 0] or [1]
+        dims.append(draw(st.sampled_from(split)))
+        width //= dims[-1]
+    dims.append(width)
+    return Permutation(field, dims, draw(st.permutations(range(len(dims)))))
+
+
+@st.composite
 def sides(draw, field: Field, rows: int, cols: int):
-    """Factors from F^cols to F^rows: up to two pairs with an identity, then a Matrix."""
+    """Factors from F^cols to F^rows: up to two pairs with an identity, each maybe after a Permutation, then a
+    Matrix, maybe followed by a Permutation."""
     factors, width = [], cols
     for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            factors.append(draw(permutations(field, width)))
         k = draw(st.sampled_from([k for k in (1, 2, 3) if width % k == 0]))
         x = draw(matrices(field, draw(st.integers(1, 3)), width // k))
         factors.append(draw(st.sampled_from(((x, k), (k, x)))))
         width = x.rows * k
     factors.append(draw(matrices(field, rows, width)))
+    if draw(st.booleans()):
+        factors.append(draw(permutations(field, rows)))
     return tuple(factors)
 
 
@@ -123,6 +150,21 @@ def pinned_laws() -> list:
     out.append(((x,), (Matrix.from_entries(QQ, 3, 3, [(0, 0, 1), (2, 2, 1)]), x), None))
     column = Matrix(QQ, 3, 1, [1, 0, 2])
     out.append(((column,), [(1, (column,)), (1, (Matrix(QQ, 3, 1, [0, 1, 0]),))], ()))
+    return out + pinned_permutation_laws()
+
+
+def pinned_permutation_laws() -> list:
+    """The swap of C^2 (x) C^3, which is not its own inverse, beside a pair: read by rows in a wide law F^6 -> F^2
+    and by columns in a square one, passing through cancelling terms or failing by one entry, over Q and F_5."""
+    out = []
+    for field in (QQ, Field(5)):
+        swap = Permutation(field, (2, 3), (1, 0))
+        x = Matrix(field, 1, 3, [1, field.of(-1), 2])
+        y = Matrix(field, 3, 3, [field.of(t % 4 - 1) for t in range(9)])
+        other = Matrix(field, 6, 6, [field.of(t % 3) for t in range(36)])
+        for lhs, rows, cols, rest in (((swap, (x, 2)), 2, 6, ((x, 2),)), ((swap, (2, y)), 6, 6, (other,))):
+            bump = Matrix.from_entries(field, rows, cols, [(rows - 1, 1, field.one())])
+            out += [(lhs, [(1, rest), (1, lhs), (-1, rest)], None), (lhs, [(1, lhs), (1, bump)], (2, 3))]
     return out
 
 
@@ -163,11 +205,42 @@ def test_the_strategy_reaches_every_case():
             seen.add("no inputs")
         if any(isinstance(side, list) and len(side) == 3 for side in (lhs, rhs)) and bad is None:
             seen.add("cancelling terms")
+        for _, factors in _terms([(1, lhs), (-1, rhs)]):
+            for n, (x, _, _) in enumerate(factors):
+                if isinstance(x, Permutation) and x.images(True) != x.images(False):   # not its own inverse
+                    seen.add(("permutation", "read by rows" if left.cols > left.rows else "read by columns",
+                              "passes" if bad is None else "fails"))
+                    if any(k > 1 for _, k, _ in factors[max(n - 1, 0):n + 2]):
+                        seen.add("permutation beside a pair")
 
     collect()
     want = {(shape, over_q, passes) for shape in ("wide", "tall", "square") for over_q in (True, False)
             for passes in (True, False)} | {"zero on one side", "no inputs", "cancelling terms"}
+    want |= {("permutation", read, passes) for read in ("read by rows", "read by columns")
+             for passes in ("passes", "fails")} | {"permutation beside a pair"}
     assert want <= seen, want - seen
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+@pytest.mark.parametrize("dims, perm", [((2, 3), (1, 0)), ((2, 3, 2), (2, 0, 1)), ((3, 2, 2), (1, 2, 0)),
+                                        ((2, 2, 3, 2), (0, 2, 1, 3))])
+def test_a_permutation_reads_as_its_matrix(field, dims, perm):
+    """A Permutation alone, and between pairs (X, k) and (k, Y), read by rows and by columns, gives the rows and
+    the columns of its laid-out perm_tensor; none of these permutations is its own inverse."""
+    rng = random.Random(repr((dims, perm)))
+    p = Permutation(field, dims, perm)
+    n = p.rows
+    assert p.images(True) != p.images(False)
+    x = Matrix(field, 3, n // 2, [rng.randrange(-2, 3) for _ in range(3 * n // 2)])
+    y = Matrix(field, n // 2, 2, [rng.randrange(-2, 3) for _ in range(n)])
+    for side in ((p,), ((2, y), p, (x, 2))):
+        laid = layout(side)
+        for by_rows in (True, False):
+            vector = law_vectors(side, by_rows)
+            for i in range(laid.rows if by_rows else laid.cols):
+                line = laid.row(i) if by_rows else laid.col(i)
+                assert vector(i) == {t: v for t, v in enumerate(line) if v}, (side, by_rows, i)
+    assert layout((p,)) == perm_tensor(field, dims, perm)
 
 
 BIG = Field(2**31 - 1)

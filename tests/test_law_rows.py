@@ -12,12 +12,12 @@ the conftest oracle, since verify_structure does not read it.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
 from entwine.catalog import VERIFIERS, catalog_get, catalog_names, trivial_bialgebra
-from entwine.doikoppinen import check_cointegral, check_integral
+from entwine.doikoppinen import HCoextension, _inverse_twist_row, check_cointegral, check_integral
 from entwine.entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
@@ -116,7 +116,21 @@ FIRST_UNREACHED_ROW_BITES = [
     ("sweedler4", "antipode", (3, 2), "antipode-right", "at basis (2,) lhs={2: 1} rhs={}"),
     ("hopfmod_qc2", "action", (1, 0), "action-unit", "at basis (0,) lhs={0: 1, 1: 1} rhs={0: 1}"),
     ("hopfmod_qc2", "coaction", (0, 1), "coaction-counit", "at basis (1,) lhs={0: 1, 1: 1} rhs={1: 1}"),
+    ("coext_sweedler4", "inverse", (0, 0), "inverse-twisted-linearity", "at basis (0, 1) lhs={1: 1} rhs={1: 2}"),
 ]
+
+
+@dataclass(frozen=True)
+class CointegralInverse:
+    """A coextension with the convolution inverse of its cointegral, which check_cointegral solves for and
+    inverse-twisted-linearity reads: its right-hand side swaps d (x) h by a Permutation."""
+
+    coext: HCoextension
+    inverse: Matrix
+
+
+def inverse_twist_rows(x: CointegralInverse) -> list:
+    return [_inverse_twist_row(x.coext, x.inverse)]
 
 
 def module_rows(m: EntwinedModulePresentation) -> list:
@@ -176,11 +190,14 @@ class TestEveryUnreachedRowBites:
                              ids=[axiom for _, _, _, axiom, _ in FIRST_UNREACHED_ROW_BITES])
     def test_row_that_no_bump_fails_first(self, name, attr, entry, axiom, failure):
         """A +1 on psi, on the antipode or on a module's (co)action fails an earlier law first, so each of these rows
-        is read alone."""
+        is read alone; so is the row that reads the convolution inverse check_cointegral solves for, bumped."""
         obj = catalog_get(name)
+        if isinstance(obj, HCoextension):
+            obj = CointegralInverse(obj, check_cointegral(obj, obj.cointegral).inverse)
         op, laws = {EntwiningPresentation: ("verify_entwining", entwining_laws),
                     EntwinedModulePresentation: ("verify_structure[module+comodule]", module_rows),
-                    StructurePresentation: ("verify_structure[hopf]", antipode_right_rows)}[type(obj)]
+                    StructurePresentation: ("verify_structure[hopf]", antipode_right_rows),
+                    CointegralInverse: ("check_cointegral", inverse_twist_rows)}[type(obj)]
 
         def row(x):
             return next(r for r in laws(x) if r[0] == axiom)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,7 @@ from conftest import (
     birational_subspace,
     coaction_from_module,
     convolution_inverse_by_units,
+    corrupt,
     harpoon_action_matrix,
     random_invertible,
     random_matrix,
@@ -117,6 +119,65 @@ class TestVerifyStructure:
         coact = matrix_from_quads(QQ, "right-coaction", (2, 2, 2), [(0, 0, 0, 1), (1, 1, 1, 1)])
         m = ModulePresentation(2, None, None, "right", qc2, coact, "right")
         assert verify_structure("comodule", m).passed
+
+
+class TestPassedGroups:
+    """verify_structure keeps on a presentation the law groups it passed and skips them after: no report changes."""
+
+    @staticmethod
+    def kinds(h) -> list:
+        both = h.has_algebra and h.has_coalgebra
+        return [kind for kind, carried in (("algebra", h.has_algebra), ("coalgebra", h.has_coalgebra),
+                                           ("bialgebra", both), ("hopf", h.antipode is not None)) if carried]
+
+    def test_no_order_changes_a_report(self):
+        """Every catalog structure and seeded +1 bumps of its maps, verified at each kind it carries in every order:
+        each report equals the one a fresh copy gives at that kind."""
+        rng = random.Random("passed groups")
+        structures = [x for x in map(catalog_get, catalog_names()) if isinstance(x, StructurePresentation)]
+        assert len(structures) == 9
+        verdicts = set()
+        for h in structures:
+            maps = [a for a in ("mul", "unit", "comul", "counit", "antipode") if getattr(h, a) is not None]
+            variants = [h]
+            for _ in range(4):
+                m = getattr(h, attr := rng.choice(maps))
+                variants.append(replace(h, **{attr: corrupt(m, rng.randrange(m.rows), rng.randrange(m.cols))}))
+            for x in variants:
+                kinds = self.kinds(x)
+                fresh = {kind: verify_structure(kind, replace(x)) for kind in kinds}
+                verdicts |= {(kind, rep.passed) for kind, rep in fresh.items()}
+                for order in permutations(kinds):
+                    y = replace(x)
+                    for kind in order:
+                        assert verify_structure(kind, y) == fresh[kind], (h.labels, order, kind)
+                    assert y._passed == {kind for kind, rep in fresh.items() if rep.passed}, order
+        assert {(kind, passed) for kind in ("algebra", "coalgebra", "bialgebra", "hopf")
+                for passed in (True, False)} <= verdicts
+
+    def test_a_passed_group_is_not_read_again(self, monkeypatch):
+        """After hopf passes, no kind reads a row; after bialgebra passes, hopf reads antipode-left alone; a failed
+        verification keeps nothing."""
+        from entwine import report
+
+        axioms = []
+        compare = report.compare
+
+        def recording(op, axiom, *rest):
+            axioms.append(axiom)
+            return compare(op, axiom, *rest)
+
+        monkeypatch.setattr(report, "compare", recording)
+        h = replace(catalog_get("sweedler4"))
+        assert verify_structure("bialgebra", h).passed and len(axioms) == 10
+        axioms.clear()
+        assert verify_structure("hopf", h).passed and axioms == ["antipode-left"]
+        axioms.clear()
+        for kind in ("algebra", "coalgebra", "bialgebra", "hopf"):
+            assert verify_structure(kind, h).passed
+        assert axioms == [] and h._passed == {"algebra", "coalgebra", "bialgebra", "hopf"}
+        bad = replace(h, antipode=corrupt(h.antipode, 0, 2))
+        assert not verify_structure("hopf", bad).passed and bad._passed == set()
 
 
 # (catalog Hopf algebra, map given +1 at entry, the whole first failure)
