@@ -68,17 +68,17 @@ def verify_dk_compat(kind: str, h: StructurePresentation, x: StructurePresentati
 
     kind picks the pair of structures, side the handedness; the plain
     module/comodule laws are checked first, then the interaction laws on
-    all basis pairs.
+    all basis pairs.  Each law is stated once, right-handed; a left (co)action
+    reads the right rows through report.mirror, and ModulePresentation
+    refuses another side.
     """
     if kind not in COMPAT_KINDS:
         raise PresentationError(f"unknown compatibility kind {kind!r}")
-    if side not in ("left", "right"):
-        raise PresentationError(f"unknown side {side!r}")
     return report.first_failure(f"verify_dk_compat[{kind}]", _compat_laws(kind, side, h, x, m))
 
 
 def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePresentation, m: Matrix):
-    """The (co)module laws as the structure component, then the interaction laws for (kind, side)."""
+    """The (co)module laws as the structure component, then the interaction laws of kind, mirrored for side left."""
     yield "structure", verify_structure("module" if kind.startswith("module") else "comodule",
                                         _as_module(h, x, m, kind, side))
     nh, nx = h.dim, x.dim
@@ -89,40 +89,25 @@ def _compat_laws(kind: str, side: str, h: StructurePresentation, x: StructurePre
         return Permutation(h.field, dims, (0, 2, 1, 3))
 
     laws = {
-        ("module-algebra", "right"): lambda: [
+        "module-algebra": lambda: [
             ("action-multiplicative", ((x.mul, nh), m),
              ((nx * nx, h.comul), swap(nx, nx, nh, nh), *mm, x.mul), (nx, nx, nh)),
             ("action-on-unit", ((x.unit, nh), m), (h.counit, x.unit), (nh,))],
-        ("module-algebra", "left"): lambda: [
-            ("action-multiplicative", ((nh, x.mul), m),
-             ((h.comul, nx * nx), swap(nh, nh, nx, nx), *mm, x.mul), (nh, nx, nx)),
-            ("action-on-unit", ((nh, x.unit), m), (h.counit, x.unit), (nh,))],
-        ("module-coalgebra", "right"): lambda: [
+        "module-coalgebra": lambda: [
             ("action-comultiplicative", (m, x.comul),
              ((nx, h.comul), (x.comul, nh * nh), swap(nx, nx, nh, nh), *mm), (nx, nh)),
             ("action-counital", (m, x.counit), ((nx, h.counit), x.counit), (nx, nh))],
-        ("module-coalgebra", "left"): lambda: [
-            ("action-comultiplicative", (m, x.comul),
-             ((nh, x.comul), (h.comul, nx * nx), swap(nh, nh, nx, nx), *mm), (nh, nx)),
-            ("action-counital", (m, x.counit), ((nh, x.counit), h.counit), (nh, nx))],
-        ("comodule-algebra", "right"): lambda: [
+        "comodule-algebra": lambda: [
             ("coaction-multiplicative", (x.mul, m),
              (*mm, swap(nx, nh, nx, nh), (nx * nx, h.mul), (x.mul, nh)), (nx, nx)),
             ("coaction-on-unit", (x.unit, m), (h.unit, (x.unit, nh)), (1,))],
-        ("comodule-algebra", "left"): lambda: [
-            ("coaction-multiplicative", (x.mul, m),
-             (*mm, swap(nh, nx, nh, nx), (nh * nh, x.mul), (h.mul, nx)), (nx, nx)),
-            ("coaction-on-unit", (x.unit, m), (x.unit, (h.unit, nx)), (1,))],
-        ("comodule-coalgebra", "right"): lambda: [
+        "comodule-coalgebra": lambda: [
             ("coaction-comultiplicative", (m, (x.comul, nh)),
              (x.comul, *mm, swap(nx, nh, nx, nh), (nx * nx, h.mul)), (nx,)),
             ("coaction-counital", (m, (x.counit, nh)), (x.counit, h.unit), (nx,))],
-        ("comodule-coalgebra", "left"): lambda: [
-            ("coaction-comultiplicative", (m, (nh, x.comul)),
-             (x.comul, *mm, swap(nh, nx, nh, nx), (h.mul, nx * nx)), (nx,)),
-            ("coaction-counital", (m, (nh, x.counit)), (x.counit, h.unit), (nx,))],
     }
-    yield from laws[(kind, side)]()
+    rows = laws[kind]()
+    yield from rows if side == "right" else map(report.mirror, rows)
 
 
 @dataclass(frozen=True)

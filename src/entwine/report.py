@@ -7,14 +7,14 @@ shorter dimension, by rows or by columns (exactlin._vectors).  A
 failed report names the law, as part[axiom] for a component's, the basis
 indices of the least differing column, and both sides there as canonical
 sparse vectors {index: scalar}, so a failure is always reproducible by
-hand.
+hand.  A handed law is stated once, right-handed; mirror gives its left row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import DimensionMismatch, Matrix, _shape, _terms, _vectors, sparse_render, unflat
+from .exactlin import DimensionMismatch, Matrix, Permutation, _shape, _terms, _vectors, sparse_render, unflat
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,26 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     witness = (j,) if col_dims is None else unflat(j, col_dims) or None
     return fail(op, axiom, witness=witness, lhs=sparse_render(_vectors(left, False)(j), field),
                 rhs=sparse_render(_vectors(right, False)(j), field))
+
+
+def mirror(row: tuple) -> tuple:
+    """The left law of a right-handed law row: the row read with every tensor product reversed.
+
+    A pair (X, k) becomes (k, X), a Permutation the same permutation of
+    the reversed factors, and col_dims is reversed; a Matrix is kept, as
+    left data is stored in its own index order.  The result is the left
+    law up to the order of stages on independent tensor factors, so the
+    same matrix.  A side is a Matrix or a tuple of factors, as in every
+    handed row.
+    """
+    def flip(f):
+        if isinstance(f, Permutation):
+            n = len(f.perm)
+            return Permutation(f.field, f.dims[::-1], [n - 1 - a for a in reversed(f.perm)])
+        return f if isinstance(f, Matrix) else f[::-1]
+
+    axiom, lhs, rhs, col_dims = row
+    return axiom, *(s if isinstance(s, Matrix) else tuple(map(flip, s)) for s in (lhs, rhs)), col_dims[::-1]
 
 
 def first_failure(op: str, rows) -> Report:

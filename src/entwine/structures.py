@@ -6,7 +6,9 @@ All structure maps are exactlin matrices, which hold only their nonzeros,
 in the tensor index convention of exactlin: multiplication is dim x dim^2,
 comultiplication is dim^2 x dim, a right action M (x) A -> M is
 dim_M x (dim_M * dim_A), a right coaction M -> M (x) C is
-(dim_M * dim_C) x dim_M.
+(dim_M * dim_C) x dim_M, and the left ones A (x) M -> M and M -> C (x) M
+are dim_M x (dim_A * dim_M) and (dim_C * dim_M) x dim_M.  A left law is
+its right row read through report.mirror.
 """
 
 from __future__ import annotations
@@ -203,13 +205,15 @@ class ModulePresentation:
     coaction_side: str = "right"
 
     def __post_init__(self):
+        for side in (self.action_side, self.coaction_side):
+            if side not in ("left", "right"):
+                raise PresentationError(f"unknown side {side!r}")
         if self.action is not None:
             if self.algebra is None:
                 raise PresentationError("action without algebra")
             n, a = self.dim, self.algebra.dim
-            want = (n, n * a) if self.action_side == "right" else (n, a * n)
-            if (self.action.rows, self.action.cols) != want:
-                raise DimensionMismatch(f"action must be {want[0]}x{want[1]}")
+            if (self.action.rows, self.action.cols) != (n, n * a):
+                raise DimensionMismatch(f"action must be {n}x{n * a}")
         if self.coaction is not None:
             if self.coalgebra is None:
                 raise PresentationError("coaction without coalgebra")
@@ -298,24 +302,16 @@ def verify_structure(kind: str | None, pres) -> Report:
 
 def _module_checks(m: ModulePresentation):
     a, n, act = m.algebra, m.dim, m.action
-    idm = Matrix.identity(a.field, n)
-    if m.action_side == "right":
-        yield ("action-associativity", ((act, a.dim), act), ((n, a.mul), act), (n, a.dim, a.dim))
-        yield ("action-unit", ((n, a.unit), act), idm, (n,))
-    else:
-        yield ("action-associativity", ((a.dim, act), act), ((a.mul, n), act), (a.dim, a.dim, n))
-        yield ("action-unit", ((a.unit, n), act), idm, (n,))
+    rows = [("action-associativity", ((act, a.dim), act), ((n, a.mul), act), (n, a.dim, a.dim)),
+            ("action-unit", ((n, a.unit), act), Matrix.identity(a.field, n), (n,))]
+    return rows if m.action_side == "right" else map(report.mirror, rows)
 
 
 def _comodule_checks(m: ModulePresentation):
     c, n, coact = m.coalgebra, m.dim, m.coaction
-    idm = Matrix.identity(c.field, n)
-    if m.coaction_side == "right":
-        yield ("coaction-coassociativity", (coact, (coact, c.dim)), (coact, (n, c.comul)), (n,))
-        yield ("coaction-counit", (coact, (n, c.counit)), idm, (n,))
-    else:
-        yield ("coaction-coassociativity", (coact, (c.dim, coact)), (coact, (c.comul, n)), (n,))
-        yield ("coaction-counit", (coact, (c.counit, n)), idm, (n,))
+    rows = [("coaction-coassociativity", (coact, (coact, c.dim)), (coact, (n, c.comul)), (n,)),
+            ("coaction-counit", (coact, (n, c.counit)), Matrix.identity(c.field, n), (n,))]
+    return rows if m.coaction_side == "right" else map(report.mirror, rows)
 
 
 def _verify_module(kind: str | None, m: ModulePresentation) -> Report:
@@ -520,11 +516,14 @@ def canonical_pairing(c: StructurePresentation) -> PairingPresentation:
 
 def verify_measuring_pairing(p: PairingPresentation) -> Report:
     """<ab, c> = sum <a, c1><b, c2> and <1, c> = eps(c), on all basis pairs."""
+    return report.first_failure("verify_measuring_pairing", _measuring_laws(p))
+
+
+def _measuring_laws(p: PairingPresentation):
     cstar = dualize_structure("coalgebra", p.coalgebra)
     a, kappa = p.algebra, p.kappa()
-    return report.first_failure("verify_measuring_pairing", [
-        ("measuring", (a.mul, kappa), ((a.dim, kappa), (kappa, p.coalgebra.dim), cstar.mul), (a.dim, a.dim)),
-        ("unit-counit", (a.unit, kappa), p.coalgebra.counit.transpose(), (1,))])
+    yield "measuring", (a.mul, kappa), ((a.dim, kappa), (kappa, p.coalgebra.dim), cstar.mul), (a.dim, a.dim)
+    yield "unit-counit", (a.unit, kappa), p.coalgebra.counit.transpose(), (1,)
 
 
 def pairing_action(p: PairingPresentation, side: str, a: Matrix | int, c: Matrix | int) -> Matrix:
@@ -586,21 +585,6 @@ class RationalSubmodule:
         return self.subspace.dim
 
 
-def _rho_matrix(action: Matrix, mdim: int, adim: int, side: str) -> Matrix:
-    """rho : M -> Hom(A, M), m -> (a -> a.m) (or m.a); coordinates (i, j) mean
-    the m_i-coefficient at argument a_j."""
-    if side == "left":  # action[i, (j, k)] -> rho[(i, j), k]
-        return permute(action, (mdim, adim, mdim), (0, 1, 2), 2)
-    return permute(action, (mdim, mdim, adim), (0, 2, 1), 2)  # action[i, (k, j)] -> rho[(i, j), k]
-
-
-def _alpha_matrix(p: PairingPresentation, mdim: int, side: str) -> Matrix:
-    """alpha : M (x) C -> Hom(A, M) (or C (x) M for right modules)."""
-    na, nc = p.algebra.dim, p.coalgebra.dim
-    alpha = kron(Matrix.identity(p.matrix.field, mdim), p.matrix)  # [(i, j), (i, k)] = <a_j, c_k>
-    return permute(alpha, (mdim, na, mdim, nc), (0, 1, 2, 3) if side == "left" else (0, 1, 3, 2), 2)
-
-
 def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> RationalSubmodule:
     """The largest submodule whose action comes from a C-coaction through p.
 
@@ -609,9 +593,11 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     returned in the canonical basis of the subspace.  m must be a module
     over p's own algebra: another dimension, field, multiplication or unit
     raises PresentationError, before the rank criterion on p is computed;
-    without the criterion AlphaConditionError is raised.
+    without the criterion AlphaConditionError is raised.  The core is
+    left-handed: a right action is read as the left action a.m = m.a (of
+    the opposite algebra; the core reads no product of A), and its results
+    are permuted back.
     """
-    side = m.action_side
     if m.action is None:
         raise PresentationError("rational_submodule needs an action")
     if m.algebra.dim != p.algebra.dim or m.algebra.field != p.algebra.field:
@@ -625,35 +611,33 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
         raise AlphaConditionError(criterion)
     f = p.matrix.field
     mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
-    rho = _rho_matrix(m.action, mdim, na, side)
-    alpha = _alpha_matrix(p, mdim, side)
+    # the left action [i, (j, k)]: a_j . m_k gains its coefficient at m_i
+    lact = m.action if m.action_side == "left" else permute(m.action, (mdim, mdim, na), (0, 2, 1), 1)
+    # rho : M -> Hom(A, M), m -> (a -> a.m), at [(i, j), k]: the m_i-coefficient at argument a_j of rho(m_k)
+    rho = permute(lact, (mdim, na, mdim), (0, 1, 2), 2)
+    # alpha : M (x) C -> Hom(A, M), [(i, j), (i, c)] = <a_j, c_c>
+    alpha = kron(Matrix.identity(f, mdim), p.matrix)
     w = preimage(rho, image(alpha))
     k = w.dim
     wt = w.basis.transpose()
-    # column t of x is an element of M (x) C (or C (x) M) that alpha sends to rho(w_t)
+    # column t of x is an element of M (x) C that alpha sends to rho(w_t)
     x, bad = express(alpha.transpose(), rho @ wt)
     if x is None:
         raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (bad,)))
     # column (t, c) of legs is the c_c leg of rho(w_t); column (t, j) of images is a_j acting on w_t
-    if side == "left":
-        legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
-        images = permute(m.action @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
-    else:
-        legs = permute(x, (nc, mdim, k), (1, 2, 0), 1)
-        images = m.action @ kron(wt, Matrix.identity(f, na))
+    legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
+    images = permute(lact @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
     coact, bad = express(w.basis, legs)  # [s, (t, c)]
     if coact is None:
         raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", divmod(bad, nc)))
     act, bad = express(w.basis, images)  # [s, (t, j)]
     if act is None:
         raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", divmod(bad, na)))
-    if side == "left":  # coaction[(s, c), t], action[s, (j, t)]
-        coaction = permute(coact, (k, k, nc), (0, 2, 1), 2)
-        action = permute(act, (k, k, na), (0, 2, 1), 1)
-    else:  # coaction[(c, s), t], action[s, (t, j)]
-        coaction = permute(coact, (k, k, nc), (2, 0, 1), 2)
-        action = act
-    return RationalSubmodule(w, action, coaction, side, criterion)
+    if m.action_side == "left":  # coaction[(s, c), t], action[s, (j, t)]
+        return RationalSubmodule(w, permute(act, (k, k, na), (0, 2, 1), 1), permute(coact, (k, k, nc), (0, 2, 1), 2),
+                                 "left", criterion)
+    # coaction[(c, s), t], action[s, (t, j)]
+    return RationalSubmodule(w, act, permute(coact, (k, k, nc), (2, 0, 1), 2), "right", criterion)
 
 
 def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,

@@ -56,13 +56,17 @@ from entwine.exactlin import (
     kernel,
     kron,
     permute,
+    preimage,
     solve_linear,
     swap_matrix,
 )
 from entwine.structures import (
     QUAD_LAYOUTS,
+    AlphaConditionError,
     ModulePresentation,
     PairingPresentation,
+    RationalSubmodule,
+    check_alpha_condition,
     convolution,
     convolution_unit,
     dualize_structure,
@@ -799,6 +803,102 @@ def dual_dk_morphism(s, t, beta: Matrix, gamma: Matrix, delta: Matrix) -> report
             return r
     # full duals: delta* automatically lands in C0 = C*
     return verify_dk_morphism(dual_t, dual_s, beta.transpose(), delta.transpose(), gamma.transpose())
+
+
+# ---------------------------------------------------------------------------
+# Handed laws: the left rows as they were written by hand, before src read each one as its right row through
+# report.mirror, and rational_submodule with one branch per side.  The oracles the mirrored rows and the
+# one-core rational_submodule are held to.
+
+
+def left_module_rows(m) -> list:
+    """The hand-written left rows of _module_checks: associativity and unit of A (x) M -> M."""
+    a, n, act = m.algebra, m.dim, m.action
+    return [("action-associativity", ((a.dim, act), act), ((a.mul, n), act), (a.dim, a.dim, n)),
+            ("action-unit", ((a.unit, n), act), Matrix.identity(a.field, n), (n,))]
+
+
+def left_comodule_rows(m) -> list:
+    """The hand-written left rows of _comodule_checks: coassociativity and counit of M -> C (x) M."""
+    c, n, coact = m.coalgebra, m.dim, m.coaction
+    return [("coaction-coassociativity", (coact, (c.dim, coact)), (coact, (c.comul, n)), (n,)),
+            ("coaction-counit", (coact, (c.counit, n)), Matrix.identity(c.field, n), (n,))]
+
+
+def left_compat_rows(kind: str, h, x, m) -> list:
+    """The hand-written left interaction rows of doikoppinen._compat_laws for kind."""
+    nh, nx = h.dim, x.dim
+    mm = ((m.cols, m), (m, m.rows))
+
+    def swap(*dims):
+        return Permutation(h.field, dims, (0, 2, 1, 3))
+
+    laws = {
+        "module-algebra": lambda: [
+            ("action-multiplicative", ((nh, x.mul), m),
+             ((h.comul, nx * nx), swap(nh, nh, nx, nx), *mm, x.mul), (nh, nx, nx)),
+            ("action-on-unit", ((nh, x.unit), m), (h.counit, x.unit), (nh,))],
+        "module-coalgebra": lambda: [
+            ("action-comultiplicative", (m, x.comul),
+             ((nh, x.comul), (h.comul, nx * nx), swap(nh, nh, nx, nx), *mm), (nh, nx)),
+            ("action-counital", (m, x.counit), ((nh, x.counit), h.counit), (nh, nx))],
+        "comodule-algebra": lambda: [
+            ("coaction-multiplicative", (x.mul, m),
+             (*mm, swap(nh, nx, nh, nx), (nh * nh, x.mul), (h.mul, nx)), (nx, nx)),
+            ("coaction-on-unit", (x.unit, m), (x.unit, (h.unit, nx)), (1,))],
+        "comodule-coalgebra": lambda: [
+            ("coaction-comultiplicative", (m, (nh, x.comul)),
+             (x.comul, *mm, swap(nh, nx, nh, nx), (h.mul, nx * nx)), (nx,)),
+            ("coaction-counital", (m, (nh, x.counit)), (x.counit, h.unit), (nx,))],
+    }
+    return laws[kind]()
+
+
+def rational_submodule_two_branch(p, m):
+    """structures.rational_submodule with one branch per side, rho and alpha laid out for each.
+
+    The reference for the one left-handed core, which reads a right action
+    as a left one.  Only the rank criterion is checked: the algebra checks
+    of rational_submodule come before its core.
+    """
+    side = m.action_side
+    criterion = check_alpha_condition(p)
+    if not criterion.passed:
+        raise AlphaConditionError(criterion)
+    f = p.matrix.field
+    mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
+    if side == "left":  # action[i, (j, k)] -> rho[(i, j), k]
+        rho = permute(m.action, (mdim, na, mdim), (0, 1, 2), 2)
+    else:  # action[i, (k, j)] -> rho[(i, j), k]
+        rho = permute(m.action, (mdim, mdim, na), (0, 2, 1), 2)
+    # alpha : M (x) C -> Hom(A, M) (or C (x) M for right modules)
+    alpha = permute(kron(Matrix.identity(f, mdim), p.matrix), (mdim, na, mdim, nc),
+                    (0, 1, 2, 3) if side == "left" else (0, 1, 3, 2), 2)
+    w = preimage(rho, image(alpha))
+    k = w.dim
+    wt = w.basis.transpose()
+    x, bad = express(alpha.transpose(), rho @ wt)
+    if x is None:
+        raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (bad,)))
+    if side == "left":
+        legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
+        images = permute(m.action @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
+    else:
+        legs = permute(x, (nc, mdim, k), (1, 2, 0), 1)
+        images = m.action @ kron(wt, Matrix.identity(f, na))
+    coact, bad = express(w.basis, legs)
+    if coact is None:
+        raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", divmod(bad, nc)))
+    act, bad = express(w.basis, images)
+    if act is None:
+        raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", divmod(bad, na)))
+    if side == "left":
+        coaction = permute(coact, (k, k, nc), (0, 2, 1), 2)
+        action = permute(act, (k, k, na), (0, 2, 1), 1)
+    else:
+        coaction = permute(coact, (k, k, nc), (2, 0, 1), 2)
+        action = act
+    return RationalSubmodule(w, action, coaction, side, criterion)
 
 
 @pytest.fixture

@@ -13,11 +13,19 @@ the conftest oracle, since verify_structure does not read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import permutations
 
 import pytest
 
 from entwine.catalog import VERIFIERS, catalog_get, catalog_names, trivial_bialgebra
-from entwine.doikoppinen import HCoextension, _inverse_twist_row, check_cointegral, check_integral
+from entwine.doikoppinen import (
+    COMPAT_KINDS,
+    HCoextension,
+    _compat_laws,
+    _inverse_twist_row,
+    check_cointegral,
+    check_integral,
+)
 from entwine.entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
@@ -28,9 +36,10 @@ from entwine.entwining import (
     verify_entwining,
     verify_entwining_morphism,
 )
-from entwine.exactlin import Matrix, QQ
-from entwine.report import compare
+from entwine.exactlin import Matrix, Permutation, QQ
+from entwine.report import compare, mirror
 from entwine.structures import (
+    ModulePresentation,
     StructurePresentation,
     algebra_morphism_report,
     bialgebra_morphism_report,
@@ -41,9 +50,22 @@ from entwine.structures import (
     verify_structure,
     _bialgebra_checks,
     _comodule_checks,
+    _measuring_laws,
     _module_checks,
 )
-from conftest import antipode_right_rows, corrupt, projection_rows, zeros
+from conftest import (
+    BOTH_FIELDS,
+    antipode_right_rows,
+    corrupt,
+    layout,
+    left_comodule_rows,
+    left_compat_rows,
+    left_module_rows,
+    perm_tensor,
+    projection_rows,
+    random_matrix,
+    zeros,
+)
 
 
 class TestNoLayout:
@@ -155,6 +177,14 @@ MORPHISM_ROW_BITES = [
 ]
 
 
+# (catalog coalgebra, map of its canonical pairing given +1 at entry, the row, its failure): the pairing matrix, and
+# the coalgebra's counit
+PAIRING_ROW_BITES = [
+    ("sweedler4", "matrix", (0, 0), "measuring", "at basis (0, 0) lhs={0: 2} rhs={0: 4}"),
+    ("sweedler4", "counit", (0, 0), "unit-counit", "at basis (0,) lhs={0: 1, 1: 1} rhs={0: 2, 1: 1}"),
+]
+
+
 def morphism_row(obj, attr: str, bumped=None):
     """The report of the map that MORPHISM_ROW_BITES bumps, at obj's own map or at bumped."""
     if attr == "integral":
@@ -261,6 +291,22 @@ class TestEveryUnreachedRowBites:
     def test_h_linearity(self):
         self.bite("h-linearity")
 
+    @pytest.mark.parametrize("name, attr, entry, axiom, failure", PAIRING_ROW_BITES,
+                             ids=[axiom for _, _, _, axiom, _ in PAIRING_ROW_BITES])
+    def test_measuring_pairing_row(self, name, attr, entry, axiom, failure):
+        """The rows that rat reads of a pairing: +1 on the pairing fails measuring, +1 on the counit unit-counit."""
+        def row(p):
+            return next(r for r in _measuring_laws(p) if r[0] == axiom)
+
+        p = canonical_pairing(catalog_get(name))
+        assert compare("verify_measuring_pairing", *row(p)) is None
+        if attr == "matrix":
+            bad = replace(p, matrix=corrupt(p.matrix, *entry))
+        else:
+            bad = replace(p, coalgebra=replace(p.coalgebra, counit=corrupt(p.coalgebra.counit, *entry)))
+        assert compare("verify_measuring_pairing", *row(bad)).summary() == \
+            f"verify_measuring_pairing: FAIL {axiom} {failure}"
+
     @pytest.mark.parametrize("name, axiom, failure", PROJECTION_ROW_BITES,
                              ids=[axiom for _, axiom, _ in PROJECTION_ROW_BITES])
     def test_projection_row(self, name, axiom, failure):
@@ -272,3 +318,69 @@ class TestEveryUnreachedRowBites:
         bad = replace(coext, projection=corrupt(coext.projection, 0, 0))
         assert compare("coextension_quotient", *row(bad)).summary() == \
             f"coextension_quotient: FAIL {axiom} {failure}"
+
+
+def random_structure(field, rng, n: int) -> StructurePresentation:
+    """Random mul, unit, comul and counit on dimension n: the shapes of a bialgebra, its laws broken."""
+    return StructurePresentation("bialgebra", field, n, tuple(f"e{i}" for i in range(n)),
+                                 random_matrix(field, rng, n, n * n), random_matrix(field, rng, n, 1),
+                                 random_matrix(field, rng, n * n, n), random_matrix(field, rng, 1, n))
+
+
+class TestMirror:
+    """Each left row is its right row through report.mirror: laid out, it is the hand-written left row of the
+    conftest oracle, with the same col_dims and the same first failure, on random maps that break the laws."""
+
+    @staticmethod
+    def failing_rows(mirrored, old) -> int:
+        """Assert each mirrored row is its old row; return how many of them fail."""
+        assert [row[0] for row in mirrored] == [row[0] for row in old]
+        failing = 0
+        for new_row, old_row in zip(mirrored, old):
+            assert new_row[3] == old_row[3], new_row[0]
+            assert layout(new_row[1]) == layout(old_row[1]), new_row[0]
+            assert layout(new_row[2]) == layout(old_row[2]), new_row[0]
+            rep = compare("mirror", *new_row)
+            assert rep == compare("mirror", *old_row), new_row[0]
+            failing += rep is not None
+        return failing
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 1, 3, 2)], ids=str)
+    def test_permutation_is_conjugated_by_the_reversal(self, dims):
+        """A mirrored Permutation is the reversal of its output factors after it, and of its input before it, on
+        every permutation: the handed rows use only the middle swap, which is its own mirror."""
+        n = len(dims)
+
+        def reversal(ds):
+            return perm_tensor(QQ, ds, range(n - 1, -1, -1))
+
+        for perm in permutations(range(n)):
+            p = Permutation(QQ, dims, perm)
+            _, lhs, _, col_dims = mirror(("perm", (p,), (p,), dims))
+            assert col_dims == dims[::-1]
+            assert layout(lhs) == reversal([dims[a] for a in perm]) @ layout(p) @ reversal(dims[::-1])
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=str)
+    def test_compat_rows(self, field, rng):
+        checked = failing = 0
+        for kind in COMPAT_KINDS:
+            for nh, nx in ((1, 2), (2, 3), (3, 2)):
+                h, x = random_structure(field, rng, nh), random_structure(field, rng, nx)
+                # a left action H (x) X -> X, or a left coaction X -> H (x) X
+                m = random_matrix(field, rng, *((nx, nh * nx) if kind.startswith("module") else (nh * nx, nx)))
+                rows = [row for row in _compat_laws(kind, "left", h, x, m) if len(row) == 4]
+                failing += self.failing_rows(rows, left_compat_rows(kind, h, x, m))
+                checked += len(rows)
+        assert checked == 2 * 3 * len(COMPAT_KINDS)
+        assert failing > checked // 2
+
+    @pytest.mark.parametrize("field", BOTH_FIELDS, ids=str)
+    def test_module_and_comodule_rows(self, field, rng):
+        failing = 0
+        for na, n in ((1, 2), (2, 3), (3, 2)):
+            a = random_structure(field, rng, na)
+            m = ModulePresentation(n, a, random_matrix(field, rng, n, na * n), "left",
+                                   a, random_matrix(field, rng, na * n, n), "left")
+            failing += self.failing_rows(list(_module_checks(m)), left_module_rows(m))
+            failing += self.failing_rows(list(_comodule_checks(m)), left_comodule_rows(m))
+        assert failing > 6

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from entwine.exactlin import Field, Matrix, QQ, kernel, kron, rank
+from entwine.exactlin import Field, Matrix, QQ, invert, kernel, kron, permute, rank
+from entwine.report import CheckError
 from entwine.structures import (
     AlphaConditionError,
     ModulePresentation,
@@ -52,6 +53,7 @@ from conftest import (
     harpoon_action_matrix,
     random_invertible,
     random_matrix,
+    rational_submodule_two_branch,
     scale,
     with_antipode,
     zeros,
@@ -114,6 +116,14 @@ class TestVerifyStructure:
         assert verify_structure("module", m).passed
         bad = matrix_from_quads(QQ, "right-action", (2, 2, 2), C2_REGULAR[:3] + [(1, 1, 1, 1)])
         assert not verify_structure("module", ModulePresentation(2, qc2, bad, "right")).passed
+
+    def test_unknown_side_is_refused(self, h4):
+        """A side other than left or right is refused, not read as left by the laws and as right by Rat."""
+        p = canonical_pairing(h4)
+        act = module_from_coaction(p, h4.comul, h4.dim)
+        for sides in ({"action_side": "sideways"}, {"coaction_side": "sideways"}):
+            with pytest.raises(PresentationError, match="unknown side 'sideways'"):
+                ModulePresentation(h4.dim, p.algebra, act, **sides)
 
     def test_comodule_axioms(self, qc2):
         coact = matrix_from_quads(QQ, "right-coaction", (2, 2, 2), [(0, 0, 0, 1), (1, 1, 1, 1)])
@@ -565,6 +575,51 @@ def ambient_subspace(sub_in_coords, big):
 
     rows = [(sub_in_coords.basis @ big.basis).row(i) for i in range(sub_in_coords.dim)]
     return Subspace.from_spanning(big.field, big.ambient, rows)
+
+
+def right_reading(m) -> ModulePresentation:
+    """A left module over a commutative algebra as the right module m.a = a.m."""
+    n, na = m.dim, m.algebra.dim
+    return ModulePresentation(n, m.algebra, permute(m.action, (n, na, n), (0, 2, 1), 1), "right")
+
+
+class TestRationalSubmoduleCore:
+    """The one left-handed core agrees with the two-branch reference on left and right modules over Q and F_5."""
+
+    @staticmethod
+    def outcome(rat, p, m):
+        try:
+            r = rat(p, m)
+        except CheckError as e:
+            return e.report.summary()
+        return r.subspace, r.action, r.coaction, r.side, r.criterion
+
+    def test_agrees_with_two_branch_reference(self, rng):
+        dims = []
+        for field in BOTH_FIELDS:
+            a, _, p = projection_pairing(field)
+            h = sweedler4(field)
+            q = canonical_pairing(h)
+            for _ in range(6):
+                left = random_module_over(a, p, rng, copies=rng.randint(1, 2))
+                noise = random_matrix(field, rng, 2, 2 * a.dim)
+                cases = [(p, left), (p, right_reading(left)),
+                         # an action that is no module: both read it to the same result or the same failure
+                         (p, ModulePresentation(2, a, noise, "left")), (p, ModulePresentation(2, a, noise, "right"))]
+                # H as a right and as a left H-comodule by its comultiplication, the M leg rebased by t
+                t, ident = random_invertible(field, rng, h.dim), Matrix.identity(field, h.dim)
+                right_coact, left_coact = (kron(t, ident) @ h.comul @ invert(t), kron(ident, t) @ h.comul @ invert(t))
+                cases += [(q, ModulePresentation(h.dim, q.algebra, module_from_coaction(q, coact, h.dim, side),
+                                                 "left" if side == "right" else "right"))
+                          for coact, side in ((right_coact, "right"), (left_coact, "left"))]
+                for pairing, m in cases:
+                    got = self.outcome(rational_submodule, pairing, m)
+                    assert got == self.outcome(rational_submodule_two_branch, pairing, m), (field, m.action_side)
+                    if not isinstance(got, str):
+                        dims.append((m.action_side, pairing is p, got[0].dim, m.dim))
+        # right modules with a proper rational part, and fully rational ones, on both sides
+        assert any(side == "right" and proj and 0 < d < n for side, proj, d, n in dims)
+        assert {(side, d == n) for side, proj, d, n in dims if not proj} == {("left", True), ("right", True)}
 
 
 class TestRationalModuleLaws:
