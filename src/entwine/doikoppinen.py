@@ -245,7 +245,7 @@ def comodule_algebra_to_module_algebra(h: StructurePresentation, a: StructurePre
                                        coaction: Matrix) -> DKIngredient:
     """f -> a = sum a_0 f(a_1): a right H-comodule algebra is a left U-module algebra."""
     return DKIngredient("module-algebra", "left", dualize_structure(None, h), a,
-                        coaction_to_dual_action(coaction, a.dim, h.dim, "right"))
+                        coaction_to_dual_action(coaction, a.dim, h.dim))
 
 
 def comodule_algebra_to_dual_module_coalgebra(h: StructurePresentation, a: StructurePresentation,
@@ -285,26 +285,27 @@ def module_coalgebra_to_comodule_algebra(h: StructurePresentation, c: StructureP
     relabelled r0, r1, ...; each of its laws is a module-coalgebra law of
     C, transposed.
     """
-    inner = module_coalgebra_to_dual_module_algebra(h, c, action)
-    return module_algebra_to_comodule_algebra(h, inner.structure, inner.matrix)
+    rational = make_structure("algebra", h.field, c.dim, tuple(f"r{i}" for i in range(c.dim)),
+                              mul=c.comul.transpose(), unit=c.counit.transpose())
+    return DKIngredient("comodule-algebra", "right", dualize_structure(None, h), rational, action.transpose())
 
 
 def comodule_coalgebra_to_module_coalgebra(h: StructurePresentation, c: StructurePresentation,
                                            coaction: Matrix) -> DKIngredient:
     """f -> c = sum c_0 f(c_1): a right H-comodule coalgebra is a left U-module coalgebra."""
     return DKIngredient("module-coalgebra", "left", dualize_structure(None, h), c,
-                        coaction_to_dual_action(coaction, c.dim, h.dim, "right"))
+                        coaction_to_dual_action(coaction, c.dim, h.dim))
 
 
 def comodule_coalgebra_to_dual_module_algebra(h: StructurePresentation, c: StructurePresentation,
                                               coaction: Matrix) -> DKIngredient:
     """C* is a right U-module algebra via (f . u)(c) = f(u -> c), dualizing the U-action on C.
 
-    C is a verified comodule coalgebra, so the U-action is not checked: row by row, its laws are C's.
+    Its action is the coaction transposed, (f . u)(c) = sum f(c_0) u(c_1).
+    C is a verified comodule coalgebra, so the action is not checked: row by row, its laws are C's.
     """
-    inner = comodule_coalgebra_to_module_coalgebra(h, c, coaction)
-    return DKIngredient("module-algebra", "right", inner.h, dualize_structure("coalgebra", c),
-                        dual_action_on_dual(inner.matrix, c.dim, inner.h.dim, "left"))
+    return DKIngredient("module-algebra", "right", dualize_structure(None, h), dualize_structure("coalgebra", c),
+                        coaction.transpose())
 
 
 def module_algebra_to_dual_module(h: StructurePresentation, a: StructurePresentation,

@@ -24,17 +24,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, Subspace, express, kron, rank
+from .exactlin import Matrix, PresentationError, express, kron, rank
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
     ModulePresentation,
     PairingPresentation,
     StructurePresentation,
-    coaction_to_dual_action,
     dual_action_on_dual,
     make_structure,
-    module_from_coaction,
     rational_submodule,
 )
 from .entwining import (
@@ -177,14 +175,26 @@ class DualModule:
         return self.basis.rows
 
 
-def _restrict_right_action(action: Matrix, w: Subspace, adim: int, op: str) -> Matrix:
-    """Rewrite a right action on the ambient space in subspace coordinates."""
+def _dual_module(m: EntwinedModulePresentation, rat_pairing: PairingPresentation,
+                 act_pairing: PairingPresentation, target: EntwiningPresentation) -> DualModule:
+    """The rational part of M* along rat_pairing, with the right action that act_pairing carries.
+
+    M* is a left module over rat_pairing's algebra by (a.h)(m) = h(m a);
+    its rational part picks up a coaction of rat_pairing's coalgebra.  The
+    right action of act_pairing's algebra, (h.a)(m) = sum h(m_0) <a, m_1>,
+    is M's coaction transposed and paired, and is restricted to the
+    rational part, which it preserves when m is a verified module.
+    """
+    lact = dual_action_on_dual(m.action, m.dim, rat_pairing.algebra.dim, "right")
+    rat = rational_submodule(rat_pairing, ModulePresentation(m.dim, rat_pairing.algebra, lact, "left"))
+    w = rat.subspace.basis
     # column (t, j) of the images is w_t acted on by a_j
-    images = action @ kron(w.basis.transpose(), Matrix.identity(action.field, adim))
-    coords, bad = express(w.basis, images)
-    if coords is None:
-        raise report.CheckError(report.fail(op, "action-leaves-subspace", witness=divmod(bad, adim)))
-    return coords
+    images = m.coaction.transpose() @ kron(w.transpose(), act_pairing.matrix.transpose())
+    ract, bad = express(w, images)
+    if ract is None:
+        raise report.CheckError(report.fail("dual_module", "action-leaves-subspace",
+                                            witness=divmod(bad, act_pairing.algebra.dim)))
+    return DualModule(w, EntwinedModulePresentation(target, rat.dim, ract, rat.coaction))
 
 
 def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
@@ -198,19 +208,9 @@ def dual_module_r(d: DualDatum, m: EntwinedModulePresentation) -> DualModule:
     result is not read: M_r of an entwined module is a dual entwined
     module (the paper), each of its laws one of M's, transposed.
     """
-    e = d.source
-    if m.entwining != e:
+    if m.entwining != d.source:
         raise PresentationError("module does not live over the source entwining")
-    pairing = d.pairing_a_ctil()
-    na, nc = e.algebra.dim, e.coalgebra.dim
-    lact = dual_action_on_dual(m.action, m.dim, na, "right")
-    cstar_on_m = coaction_to_dual_action(m.coaction, m.dim, nc, "right")
-    # the C*-action restricted to A~, the span of the atil_basis functionals
-    atil_on_m = cstar_on_m @ kron(d.atil_basis.transpose(), Matrix.identity(e.field, m.dim))
-    ract_mstar = dual_action_on_dual(atil_on_m, m.dim, d.atil.dim, "left")
-    rat = rational_submodule(pairing, ModulePresentation(m.dim, e.algebra, lact, "left"))
-    ract = _restrict_right_action(ract_mstar, rat.subspace, d.atil.dim, "dual_module_r")
-    return DualModule(rat.subspace.basis, EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction))
+    return _dual_module(m, d.pairing_a_ctil(), d.pairing_atil_c(), d.dual)
 
 
 def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModule:
@@ -219,19 +219,9 @@ def dual_module_upper_r(d: DualDatum, k: EntwinedModulePresentation) -> DualModu
     k is a verified module over d.dual, and the result is not read: K^r of
     a dual entwined module is an entwined module (the paper), as for M_r.
     """
-    e = d.source
     if k.entwining != d.dual:
         raise PresentationError("module does not live over the dual entwining")
-    pairing = d.pairing_atil_c()
-    na = e.algebra.dim
-    katil = d.atil.dim
-    lact = dual_action_on_dual(k.action, k.dim, katil, "right")
-    # left A-action on K through the dual-coalgebra coaction
-    a_on_k = module_from_coaction(d.pairing_a_ctil(), k.coaction, k.dim)
-    ract_kstar = dual_action_on_dual(a_on_k, k.dim, na, "left")
-    rat = rational_submodule(pairing, ModulePresentation(k.dim, d.atil, lact, "left"))
-    ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
-    return DualModule(rat.subspace.basis, EntwinedModulePresentation(e, rat.dim, ract, rat.coaction))
+    return _dual_module(k, d.pairing_atil_c(), d.pairing_a_ctil(), d.source)
 
 
 # ---------------------------------------------------------------------------

@@ -384,33 +384,28 @@ def dualize_structure(kind: str | None, pres):
     """Transpose the structure constants onto the dual space.
 
     algebra -> coalgebra, coalgebra -> algebra, bialgebra -> bialgebra,
-    hopf -> hopf; modules and comodules dualize to the induced structures
-    on the dual space (right module -> left module, and so on).
+    hopf -> hopf; a module dualizes to a module on the other side, and a
+    C-comodule to a C*-module on its own side, whose action is the
+    coaction transposed.
     """
     if isinstance(pres, ModulePresentation):
         return _dualize_module(pres)
     if kind is None:
         kind = pres.kind
-    field, n = pres.field, pres.dim
-    labels = tuple(f"{name}*" for name in pres.labels)
-    mul = comul = unit = counit = None
-    if pres.has_coalgebra:
-        mul, unit = pres.comul.transpose(), pres.counit.transpose()
-    if pres.has_algebra:
-        comul, counit = pres.mul.transpose(), pres.unit.transpose()
-    if kind == "algebra":
-        return make_structure("coalgebra", field, n, labels, comul=comul, counit=counit)
-    if kind == "coalgebra":
-        return make_structure("algebra", field, n, labels, mul=mul, unit=unit)
-    if kind == "bialgebra":
-        return make_structure("bialgebra", field, n, labels, mul=mul, unit=unit,
-                              comul=comul, counit=counit)
+    if kind not in STRUCTURE_KINDS:
+        raise PresentationError(f"unknown kind {kind!r}")
+    if kind == "hopf" and pres.antipode is None:
+        raise PresentationError("hopf presentation needs an antipode")
+    parts = {}  # the maps the kind reads, each transposed onto the dual: comul^T is the dual's mul
+    if kind != "algebra":
+        parts.update(mul=pres.comul, unit=pres.counit)
+    if kind != "coalgebra":
+        parts.update(comul=pres.mul, counit=pres.unit)
     if kind == "hopf":
-        if pres.antipode is None:
-            raise PresentationError("hopf presentation needs an antipode")
-        return make_structure("hopf", field, n, labels, mul=mul, unit=unit,
-                              comul=comul, counit=counit, antipode=pres.antipode.transpose())
-    raise PresentationError(f"unknown kind {kind!r}")
+        parts.update(antipode=pres.antipode)
+    return make_structure({"algebra": "coalgebra", "coalgebra": "algebra"}.get(kind, kind), pres.field, pres.dim,
+                          tuple(f"{name}*" for name in pres.labels),
+                          **{name: x.transpose() for name, x in parts.items() if x is not None})
 
 
 def dual_action_on_dual(action: Matrix, mdim: int, adim: int, side: str) -> Matrix:
@@ -418,37 +413,29 @@ def dual_action_on_dual(action: Matrix, mdim: int, adim: int, side: str) -> Matr
     a left action gives (h.a)(m) = h(a.m) on the right."""
     if side == "right":  # action[r, (s, j)] -> out[s, (j, r)]
         return permute(action, (mdim, mdim, adim), (1, 2, 0), 1)
-    return permute(action, (mdim, adim, mdim), (2, 0, 1), 1)  # action[r, (j, s)] -> out[s, (r, j)]
+    if side == "left":  # action[r, (j, s)] -> out[s, (r, j)]
+        return permute(action, (mdim, adim, mdim), (2, 0, 1), 1)
+    raise PresentationError(f"unknown side {side!r}")
 
 
-def coaction_to_dual_action(coaction: Matrix, mdim: int, cdim: int, side: str = "right") -> Matrix:
-    """The C*-action carried by a coaction: f . m = sum m_0 f(m_1) for a right
-    coaction (a left C*-action), mirrored for a left coaction."""
-    if side == "right":  # coaction[(k, j), i] -> out[k, (j, i)]
-        return permute(coaction, (mdim, cdim, mdim), (0, 1, 2), 1)
-    return permute(coaction, (cdim, mdim, mdim), (1, 2, 0), 1)  # coaction[(j, k), i] -> out[k, (i, j)]
+def coaction_to_dual_action(coaction: Matrix, mdim: int, cdim: int) -> Matrix:
+    """The left C*-action f . m = sum m_0 f(m_1) carried by a right coaction."""
+    # coaction[(k, j), i] -> out[k, (j, i)]
+    return permute(coaction, (mdim, cdim, mdim), (0, 1, 2), 1)
 
 
 def _dualize_module(m: ModulePresentation) -> ModulePresentation:
-    algebra = action = None
-    action_side = "right"
-    coalgebra = coaction = None
-    coaction_side = "right"
+    """M* of a module (the other side) or of a comodule (a C*-module on the coaction's side)."""
+    if m.action is not None and m.coaction is not None:
+        raise PresentationError("dualize one structure at a time for mixed modules")
     if m.action is not None:
-        algebra = m.algebra
-        action_side = "left" if m.action_side == "right" else "right"
-        action = dual_action_on_dual(m.action, m.dim, m.algebra.dim, m.action_side)
+        return ModulePresentation(m.dim, m.algebra, dual_action_on_dual(m.action, m.dim, m.algebra.dim, m.action_side),
+                                  "left" if m.action_side == "right" else "right")
     if m.coaction is not None:
-        # a comodule dualizes to a module over the convolution algebra C*
-        algebra2 = dualize_structure("coalgebra", m.coalgebra)
-        act2 = coaction_to_dual_action(m.coaction, m.dim, m.coalgebra.dim, m.coaction_side)
-        side2 = "left" if m.coaction_side == "right" else "right"
-        act2 = dual_action_on_dual(act2, m.dim, m.coalgebra.dim, side2)
-        if algebra is None:
-            algebra, action, action_side = algebra2, act2, m.coaction_side
-        else:
-            raise PresentationError("dualize one structure at a time for mixed modules")
-    return ModulePresentation(m.dim, algebra, action, action_side, coalgebra, coaction, coaction_side)
+        # (h . f)(m) = sum h(m_0) f(m_1) on a right comodule, (f . h)(m) = sum f(m_-1) h(m_0) on a left one
+        return ModulePresentation(m.dim, dualize_structure("coalgebra", m.coalgebra), m.coaction.transpose(),
+                                  m.coaction_side)
+    return ModulePresentation(m.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -588,15 +575,18 @@ class RationalSubmodule:
 def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> RationalSubmodule:
     """The largest submodule whose action comes from a C-coaction through p.
 
-    For a left module the result carries a right C-coaction (and mirrored
-    for right modules); both the restricted action and the coaction are
-    returned in the canonical basis of the subspace.  m must be a module
-    over p's own algebra: another dimension, field, multiplication or unit
-    raises PresentationError, before the rank criterion on p is computed;
-    without the criterion AlphaConditionError is raised.  The core is
-    left-handed: a right action is read as the left action a.m = m.a (of
-    the opposite algebra; the core reads no product of A), and its results
-    are permuted back.
+    m is a module that has passed verify_structure, and no module law of
+    it is read: the rat command verifies m first, and the dual-module
+    functors pass modules built from verified ones.  For a left module the
+    result carries a right C-coaction (and mirrored for right modules);
+    both the restricted action and the coaction are returned in the
+    canonical basis of the subspace.  m must be a module over p's own
+    algebra: another dimension, field, multiplication or unit raises
+    PresentationError, before the rank criterion on p is computed; without
+    the criterion AlphaConditionError is raised.  The core is left-handed:
+    a right action is read as the left action a.m = m.a (of the opposite
+    algebra; the core reads no product of A), and its results are permuted
+    back.
     """
     if m.action is None:
         raise PresentationError("rational_submodule needs an action")
@@ -648,8 +638,9 @@ def module_from_coaction(p: PairingPresentation, coaction: Matrix, mdim: int,
     idm = Matrix.identity(p.matrix.field, mdim)
     if side == "right":  # [(i, j), k] = sum_c <a_j, c_c> coaction[(i, c), k] -> out[i, (j, k)]
         return permute(kron(idm, p.matrix) @ coaction, (mdim, na, mdim), (0, 1, 2), 1)
-    # [(j, i), k] = sum_c <a_j, c_c> coaction[(c, i), k] -> out[i, (k, j)]
-    return permute(kron(p.matrix, idm) @ coaction, (na, mdim, mdim), (1, 2, 0), 1)
+    if side == "left":  # [(j, i), k] = sum_c <a_j, c_c> coaction[(c, i), k] -> out[i, (k, j)]
+        return permute(kron(p.matrix, idm) @ coaction, (na, mdim, mdim), (1, 2, 0), 1)
+    raise PresentationError(f"unknown side {side!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from entwine.doikoppinen import (
     verify_dk_compat,
     verify_dk_morphism,
 )
+from entwine.duality import DualModule
 from entwine.entwining import (
+    EntwinedModulePresentation,
     entwining_laws,
     twisted_product,
     verify_entwined_module,
@@ -67,10 +69,13 @@ from entwine.structures import (
     PairingPresentation,
     RationalSubmodule,
     check_alpha_condition,
+    coaction_to_dual_action,
     convolution,
     convolution_unit,
+    dual_action_on_dual,
     dualize_structure,
     make_structure,
+    module_from_coaction,
     pairing_action,
     rational_submodule,
     verify_measuring_pairing,
@@ -899,6 +904,46 @@ def rational_submodule_two_branch(p, m):
         coaction = permute(coact, (k, k, nc), (2, 0, 1), 2)
         action = act
     return RationalSubmodule(w, action, coaction, side, criterion)
+
+
+def _restrict_right_action(action: Matrix, w: Subspace, adim: int, op: str) -> Matrix:
+    """Rewrite a right action on the ambient space in subspace coordinates."""
+    # column (t, j) of the images is w_t acted on by a_j
+    images = action @ kron(w.basis.transpose(), Matrix.identity(action.field, adim))
+    coords, bad = express(w.basis, images)
+    if coords is None:
+        raise report.CheckError(report.fail(op, "action-leaves-subspace", witness=divmod(bad, adim)))
+    return coords
+
+
+def dual_module_r_by_permutes(d, m) -> DualModule:
+    """duality.dual_module_r written on its own: the right A~-action on M* through C* and two permutes.
+
+    With dual_module_upper_r_by_permutes, the reference for the one core that
+    reads both right actions as a transposed coaction along a pairing.
+    """
+    e = d.source
+    na, nc = e.algebra.dim, e.coalgebra.dim
+    lact = dual_action_on_dual(m.action, m.dim, na, "right")
+    cstar_on_m = coaction_to_dual_action(m.coaction, m.dim, nc)
+    # the C*-action restricted to A~, the span of the atil_basis functionals
+    atil_on_m = cstar_on_m @ kron(d.atil_basis.transpose(), Matrix.identity(e.field, m.dim))
+    ract_mstar = dual_action_on_dual(atil_on_m, m.dim, d.atil.dim, "left")
+    rat = rational_submodule(d.pairing_a_ctil(), ModulePresentation(m.dim, e.algebra, lact, "left"))
+    ract = _restrict_right_action(ract_mstar, rat.subspace, d.atil.dim, "dual_module_r")
+    return DualModule(rat.subspace.basis, EntwinedModulePresentation(d.dual, rat.dim, ract, rat.coaction))
+
+
+def dual_module_upper_r_by_permutes(d, k) -> DualModule:
+    """duality.dual_module_upper_r written on its own: the right A-action on K* through module_from_coaction."""
+    na = d.source.algebra.dim
+    lact = dual_action_on_dual(k.action, k.dim, d.atil.dim, "right")
+    # left A-action on K through the dual-coalgebra coaction
+    a_on_k = module_from_coaction(d.pairing_a_ctil(), k.coaction, k.dim)
+    ract_kstar = dual_action_on_dual(a_on_k, k.dim, na, "left")
+    rat = rational_submodule(d.pairing_atil_c(), ModulePresentation(k.dim, d.atil, lact, "left"))
+    ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
+    return DualModule(rat.subspace.basis, EntwinedModulePresentation(d.source, rat.dim, ract, rat.coaction))
 
 
 @pytest.fixture

@@ -88,7 +88,7 @@ class TestCompat:
         u = dualize_structure(None, qc2)
         from entwine.structures import coaction_to_dual_action
 
-        act = coaction_to_dual_action(qc2.comul, 2, 2, "right")
+        act = coaction_to_dual_action(qc2.comul, 2, 2)
         assert verify_dk_compat("module-algebra", u, qc2, act, "left").passed
 
     def test_bad_side_rejected(self, qc2):
@@ -151,7 +151,7 @@ def compat_base(kind: str, side: str):
     if kind == "module-algebra" and side == "right":
         return (h4, *translation_module_algebra(h4))
     if kind == "module-algebra":
-        return dualize_structure(None, h4), h4, coaction_to_dual_action(h4.comul, 4, 4, "right")
+        return dualize_structure(None, h4), h4, coaction_to_dual_action(h4.comul, 4, 4)
     dual, coact = grading_comodule_coalgebra(qc2)
     return qc2, dual, coact if side == "right" else swap_matrix(QQ, 2, 2) @ coact
 

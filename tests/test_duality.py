@@ -23,8 +23,19 @@ from entwine.duality import (
     restrict_dual_algebra,
     restrict_dual_coalgebra,
 )
-from entwine.catalog import catalog_get
-from conftest import dual_morphism_r
+from entwine.catalog import catalog_get, free_flip_module
+from conftest import dual_module_r_by_permutes, dual_module_upper_r_by_permutes, dual_morphism_r
+
+
+def proper_flip_dual(n: int, c):
+    """The flip on A = Q^n against C, dualized with C~ spanned by the first n - 1 coordinate functionals of A*."""
+    a = make_structure("algebra", QQ, n, None, mul=[(i, i, i, 1) for i in range(n)], unit=[1] * n)
+    ctil = Matrix.from_rows(QQ, [[int(i == j) for j in range(n)] for i in range(n - 1)])
+    return dual_entwining(flip_entwining(a, c), ctil_basis=ctil)
+
+
+def one_dim_coalgebra():
+    return make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
 
 
 def bump_first(m: Matrix) -> Matrix:
@@ -96,13 +107,8 @@ class TestDualEntwining:
             dual_entwining(ent_qc2, atil_basis=atil)
 
     def test_proper_subobjects(self):
-        # flip on A = Q x Q against the one-dimensional coalgebra span{d1}
-        a = make_structure("algebra", QQ, 2, ("p", "q"),
-                           mul=[(0, 0, 0, 1), (1, 1, 1, 1)], unit=[1, 1])
-        c = make_structure("coalgebra", QQ, 1, ("c",), comul=[(0, 0, 0, 1)], counit=[1])
-        e = flip_entwining(a, c)
-        ctil = Matrix.from_rows(QQ, [[QQ.one(), QQ.zero()]])
-        d = dual_entwining(e, ctil_basis=ctil)
+        # flip on A = Q x Q against the one-dimensional coalgebra span{c}
+        d = proper_flip_dual(2, one_dim_coalgebra())
         assert d.ctil.dim == 1
         assert verify_entwining(d.dual).passed
 
@@ -139,6 +145,28 @@ class TestDualModules:
         mr = dual_module_r(d, m)
         assert mr.dim == m.dim
         assert verify_entwined_module(d.dual, mr.module).passed
+
+    def test_one_core_agrees_with_the_functors_by_permutes(self):
+        """M_r and K^r come from one core; both equal the functors written apart, basis, action and coaction."""
+        cases = []
+        for name in ("hopfmod_qc2", "hopfmod_qc3", "hopfmod_f5c5", "hopfmod_sweedler4", "longmod_qc2"):
+            m = catalog_get(name)
+            d = dual_entwining(m.entwining)
+            cases += [(d, m), (d, dual_module_r(d, m).module)]
+        # proper dual pairs with a nonzero module: M_r is a proper part of M*; on the second, A~ and M_r are
+        # too big for a right action built with its tensor factors swapped to pass
+        for n, c, dims in ((2, one_dim_coalgebra(), (1, 2)), (3, catalog_get("qc2"), (4, 6))):
+            d = proper_flip_dual(n, c)
+            m = free_flip_module(d.source.algebra, c)
+            mr = dual_module_r(d, m)
+            assert (mr.dim, m.dim) == dims
+            assert verify_entwined_module(d.dual, mr.module).passed
+            cases += [(d, m), (d, mr.module)]
+        for d, x in cases:
+            if x.entwining == d.source:
+                assert dual_module_r(d, x) == dual_module_r_by_permutes(d, x)
+            else:
+                assert dual_module_upper_r(d, x) == dual_module_upper_r_by_permutes(d, x)
 
     def test_zero_module(self, ent_qc2):
         d = dual_entwining(ent_qc2)

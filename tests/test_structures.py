@@ -24,6 +24,7 @@ from entwine.structures import (
     convolution,
     convolution_inverse,
     convolution_unit,
+    dual_action_on_dual,
     dualize_structure,
     make_structure,
     matrix_from_quads,
@@ -124,6 +125,10 @@ class TestVerifyStructure:
         for sides in ({"action_side": "sideways"}, {"coaction_side": "sideways"}):
             with pytest.raises(PresentationError, match="unknown side 'sideways'"):
                 ModulePresentation(h4.dim, p.algebra, act, **sides)
+        for helper in (lambda: dual_action_on_dual(act, h4.dim, h4.dim, "sideways"),
+                       lambda: module_from_coaction(p, h4.comul, h4.dim, "sideways")):
+            with pytest.raises(PresentationError, match="^unknown side 'sideways'$"):
+                helper()
 
     def test_comodule_axioms(self, qc2):
         coact = matrix_from_quads(QQ, "right-coaction", (2, 2, 2), [(0, 0, 0, 1), (1, 1, 1, 1)])
@@ -378,6 +383,37 @@ class TestDualize:
         act = dual.action
         # column (r = d_e, j = d_e): the result is d_e scaled by d_e(e) = 1
         assert act.col_matrix(0) == Matrix.from_rows(QQ, [[QQ.one()], [QQ.zero()]])
+
+    def test_sweedler4_duals_take_their_documented_side(self, h4):
+        """On sweedler4, neither commutative nor cocommutative, each dual is a module only at its documented side."""
+        span_g_x = matrix_from_quads(QQ, "right-coaction", (2, 2, 4), [(0, 0, 1, 1), (1, 1, 0, 1), (1, 0, 2, 1)])
+        span_1_x = matrix_from_quads(QQ, "left-coaction", (2, 2, 4), [(0, 0, 0, 1), (1, 0, 2, 1), (1, 1, 1, 1)])
+        cases = [  # a module dualizes to the other side, a comodule to a C*-module on its own side
+            (ModulePresentation(4, h4, h4.mul, "right"), "left"),
+            (ModulePresentation(4, h4, h4.mul, "left"), "right"),
+            (ModulePresentation(2, None, None, "right", h4, span_g_x, "right"), "right"),
+            (ModulePresentation(2, None, None, "right", h4, span_1_x, "left"), "left"),
+        ]
+        for m, side in cases:
+            assert verify_structure(None, m).passed
+            dual = dualize_structure(None, m)
+            assert dual.action_side == side and verify_structure("module", dual).passed
+            swapped = replace(dual, action_side="left" if side == "right" else "right")
+            assert not verify_structure("module", swapped).passed, side
+
+    def test_refusals_keep_their_messages(self):
+        a = make_structure("algebra", QQ, 1, ("e",), mul=[(0, 0, 0, 1)], unit=[1])
+        for kind, pres, message in (("module", a, "unknown kind 'module'"),
+                                    ("hopf", catalog_get("monoid2"), "hopf presentation needs an antipode"),
+                                    ("hopf", a, "hopf presentation needs an antipode"),
+                                    ("coalgebra", a, "algebra needs mul and unit"),
+                                    ("bialgebra", a, "bialgebra needs mul and unit")):
+            with pytest.raises(PresentationError, match=f"^{message}$"):
+                dualize_structure(kind, pres)
+
+    def test_mixed_module_is_refused(self):
+        with pytest.raises(PresentationError, match="^dualize one structure at a time for mixed modules$"):
+            dualize_structure(None, catalog_get("hopfmod_sweedler4").as_module())
 
 
 class TestMeasuringPairings:
