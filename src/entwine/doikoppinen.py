@@ -17,7 +17,8 @@ ingredient re-indexes its input, whose laws imply its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 
 from .exactlin import (
     Matrix,
@@ -27,6 +28,7 @@ from .exactlin import (
     image,
     kernel,
     kron,
+    nonzeros,
     permute,
 )
 from . import report
@@ -381,23 +383,53 @@ def coinvariants(h: StructurePresentation, b: StructurePresentation, coaction: M
     return kernel(coaction - kron(Matrix.identity(h.field, b.dim), h.unit))
 
 
+class _BuiltOnRead:
+    """The default of a field of a frozen dataclass that is built from the other fields on first read and kept.
+
+    A descriptor-typed field: the class default reads as None, so __init__
+    and dataclasses.replace take the field as optional; a value given to
+    either is kept as it is, and None leaves it to be built.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        if self.name not in obj.__dict__:
+            obj.__dict__[self.name] = self.build(obj)
+        return obj.__dict__[self.name]
+
+    def __set__(self, obj, value):
+        if value is not None:
+            obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class HExtension:
-    """A comodule algebra over its coinvariants, with an optional integral."""
+    """A comodule algebra over its coinvariants, with an optional integral.
+
+    The coinvariants are built on first read: check prints their dimension,
+    and cleft never reads them.
+    """
 
     h: StructurePresentation
     b: StructurePresentation
     coaction: Matrix
-    coinv: Subspace
     integral: Matrix | None = None
+    coinv: Subspace = _BuiltOnRead(lambda ext: coinvariants(ext.h, ext.b, ext.coaction))
 
 
 def h_extension(h: StructurePresentation, b: StructurePresentation, coaction: Matrix,
                 integral: Matrix | None = None) -> HExtension:
-    """Verify H as a bialgebra, B as an algebra, then the comodule algebra, and compute the coinvariants."""
+    """Verify H as a bialgebra, B as an algebra, then the comodule algebra; the coinvariants are built on read."""
     report.require(report.first_failure("h_extension", _part_rows(h, ("algebra", b))))
     report.require(verify_dk_compat("comodule-algebra", h, b, coaction, "right"))
-    return HExtension(h, b, coaction, coinvariants(h, b, coaction), integral)
+    return HExtension(h, b, coaction, integral)
 
 
 @dataclass(frozen=True)
@@ -429,19 +461,44 @@ def check_integral(ext: HExtension, gamma: Matrix) -> IntegralReport:
 # coextensions
 
 
+def _free_columns(w: Subspace) -> list[int]:
+    """The columns where W's RREF has no pivot: the quotient D / W keeps the basis vectors there."""
+    return [c for c in range(w.ambient) if c not in w.pivots]
+
+
+def _section(coext: "HCoextension") -> Matrix:
+    f, nd = coext.d.field, coext.d.dim
+    return Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in _free_columns(coext.dplus)])
+
+
+def _quotient(coext: "HCoextension") -> StructurePresentation:
+    d, proj, sect = coext.d, coext.projection, coext.section
+    return make_structure("coalgebra", d.field, sect.cols, tuple(d.labels[c] + "~" for c in _free_columns(coext.dplus)),
+                          comul=kron(proj, proj) @ d.comul @ sect, counit=d.counit @ sect)
+
+
+def _quotient_action(coext: "HCoextension") -> Matrix:
+    return coext.projection @ coext.action @ kron(coext.section, coext.h.identity_matrix())
+
+
 @dataclass(frozen=True)
 class HCoextension:
-    """A module coalgebra D with its quotient C = D / D.ker(counit_H)."""
+    """A module coalgebra D with its quotient C = D / D.ker(counit_H).
+
+    The section, the quotient and its action are built on first read:
+    check prints the quotient's dimension, and cocleft reads only the
+    projection.
+    """
 
     h: StructurePresentation
     d: StructurePresentation
     action: Matrix
     dplus: Subspace            # the coideal D . H+
-    quotient: StructurePresentation
-    quotient_action: Matrix
     projection: Matrix         # D -> C
-    section: Matrix            # C -> D, the complement-basis section
     cointegral: Matrix | None = None
+    section: Matrix = _BuiltOnRead(_section)   # C -> D, the standard vectors at the free columns of W
+    quotient: StructurePresentation = _BuiltOnRead(_quotient)
+    quotient_action: Matrix = _BuiltOnRead(_quotient_action)
 
 
 def coextension_quotient(h: StructurePresentation, d: StructurePresentation, action: Matrix,
@@ -460,30 +517,22 @@ def coextension_quotient(h: StructurePresentation, d: StructurePresentation, act
     lies in W (x) D + D (x) W; and H+ is an ideal, since eps is
     multiplicative, so (d.h).k = d.(h k) lies in W.  Then proj kills W,
     proj sect = 1 and sect proj = 1 - P_W, so the quotient is a module
-    coalgebra and proj a map of module coalgebras.
+    coalgebra and proj a map of module coalgebras.  W and the projection
+    are built here; the section, the quotient and its action on first read.
     """
     hkind = "bialgebra" if h.antipode is None else "hopf"
     report.require(report.first_failure("coextension_quotient", _part_rows(h, ("coalgebra", d), hkind=hkind)))
     report.require(verify_dk_compat("module-coalgebra", h, d, action, "right"))
-    f = h.field
-    nd, nh = d.dim, h.dim
-    idd, idh = Matrix.identity(f, nd), Matrix.identity(f, nh)
+    f, nd = h.field, d.dim
     # D.H+ is spanned by the columns (i, t): d_i acted on by the t-th basis vector of H+
-    w = image(action @ kron(idd, kernel(h.counit).basis.transpose()))
-    wt = w.basis.transpose()
-    # deterministic complement: standard vectors at the non-pivot columns;
-    # 1 - W^T pick^T kills W and fixes those vectors, since W is in RREF
-    free = [c for c in range(nd) if c not in w.pivots]
-    nq = len(free)
-    sect = Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in free])
-    pick = Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in w.pivots])
-    proj = sect.transpose() @ (idd - wt @ pick.transpose())
-    comul_q = kron(proj, proj) @ d.comul @ sect
-    counit_q = d.counit @ sect
-    quotient = make_structure("coalgebra", f, nq, tuple(d.labels[fc] + "~" for fc in free),
-                              comul=comul_q, counit=counit_q)
-    action_q = proj @ action @ kron(sect, idh)
-    return HCoextension(h, d, action, w, quotient, action_q, proj, sect, cointegral)
+    w = image(action @ kron(Matrix.identity(f, nd), kernel(h.counit).basis.transpose()))
+    # proj kills W and fixes the standard vectors at the free columns: as W is in RREF, its row r is e_c minus
+    # W's column c placed at the pivots, for the r-th free column c
+    row_of = {c: r for r, c in enumerate(_free_columns(w))}
+    proj = Matrix.from_entries(f, len(row_of), nd, chain(
+        ((r, c, 1) for c, r in row_of.items()),
+        ((row_of[c], w.pivots[t], -v) for t, c, v in nonzeros(w.basis) if c in row_of)))
+    return HCoextension(h, d, action, w, proj, cointegral)
 
 
 @dataclass(frozen=True)
@@ -560,7 +609,7 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
     if h.kind != "hopf" or h.antipode is None:
         raise PresentationError("dualize_coextension needs a Hopf algebra")
     dstar = module_coalgebra_to_comodule_algebra(h, coext.d, coext.action)
-    ext = HExtension(dstar.h, dstar.structure, dstar.matrix, coinvariants(dstar.h, dstar.structure, dstar.matrix))
+    ext = HExtension(dstar.h, dstar.structure, dstar.matrix)
     expected = Subspace.from_matrix_rows(coext.projection)
     if ext.coinv != expected:
         return ext, report.fail("dualize_coextension", "coinvariants-mismatch",
@@ -573,7 +622,7 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
             return ext, report.fail("dualize_coextension", "cointegral-not-total")
         if inner.cocleft:
             details["cleft"] = True
-        ext = HExtension(ext.h, ext.b, ext.coaction, ext.coinv, coext.cointegral.transpose())
+        ext = replace(ext, integral=coext.cointegral.transpose())
     return ext, report.ok("dualize_coextension", **details)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, express, kron, rank
+from .exactlin import Matrix, PresentationError, Subspace, express, kron, rank
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
@@ -163,8 +163,9 @@ def double_dual_comparison(e: EntwiningPresentation) -> Report:
 class DualModule:
     """A rational part of a dual space, as an entwined module.
 
-    basis rows live in the coordinates of the dual of the source module;
-    the module structure is written in those basis coordinates.
+    basis rows live in the coordinates of the dual of the source module,
+    and are the RREF basis of the rational part; the module structure is
+    written in those basis coordinates.
     """
 
     basis: Matrix
@@ -173,6 +174,11 @@ class DualModule:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def subspace(self) -> Subspace:
+        """The span of the basis rows, with the basis as it is."""
+        return Subspace(self.basis.field, self.basis.cols, self.basis)
 
 
 def _dual_module(m: EntwinedModulePresentation, rat_pairing: PairingPresentation,
@@ -183,14 +189,15 @@ def _dual_module(m: EntwinedModulePresentation, rat_pairing: PairingPresentation
     its rational part picks up a coaction of rat_pairing's coalgebra.  The
     right action of act_pairing's algebra, (h.a)(m) = sum h(m_0) <a, m_1>,
     is M's coaction transposed and paired, and is restricted to the
-    rational part, which it preserves when m is a verified module.
+    rational part, which it preserves when m is a verified module; its
+    coordinates are read at the pivots of the rational part's RREF basis.
     """
     lact = dual_action_on_dual(m.action, m.dim, rat_pairing.algebra.dim, "right")
     rat = rational_submodule(rat_pairing, ModulePresentation(m.dim, rat_pairing.algebra, lact, "left"))
     w = rat.subspace.basis
     # column (t, j) of the images is w_t acted on by a_j
     images = m.coaction.transpose() @ kron(w.transpose(), act_pairing.matrix.transpose())
-    ract, bad = express(w, images)
+    ract, bad = rat.subspace.coordinates(images)
     if ract is None:
         raise report.CheckError(report.fail("dual_module", "action-leaves-subspace",
                                             witness=divmod(bad, act_pairing.algebra.dim)))
@@ -239,7 +246,9 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     Hom(K, M_r) are computed as joint kernels; the maps f -> f* . lambda_K
     and g -> g* . lambda_M are applied to every basis element, checked to
     land in the opposite Hom space, and composed both ways back to the
-    identity.
+    identity.  Every coordinate in M_r, K^r and the double duals is read
+    at the pivots of their RREF bases (Subspace.coordinates), with no
+    solve.
     """
     parts = report.first_failure("adjunction_check", (
         (part, verify_entwined_module(e, module))
@@ -260,18 +269,19 @@ def adjunction_check(d: DualDatum, m: EntwinedModulePresentation,
     mrr = kr if k is mr.module else dual_module_upper_r(d, mr.module)
     krr = mr if kr.module == m else dual_module_r(d, kr.module)
     for name, rr, lam in (("lambda_M", mrr, lam_m), ("lambda_K", krr, lam_k)):
-        _, bad = express(rr.basis, lam)
+        _, bad = rr.subspace.coordinates(lam)
         if bad is not None:
             return report.fail("adjunction_check", f"{name}-outside-double-dual", witness=(bad,))
+    mr_span, kr_span = mr.subspace, kr.subspace
 
     def fwd(fmat: Matrix) -> Matrix:
-        g, _ = express(mr.basis, fmat.transpose() @ lam_k)
+        g, _ = mr_span.coordinates(fmat.transpose() @ lam_k)
         if g is None:
             raise report.CheckError(report.fail("adjunction_check", "Lambda-image-outside-subspace"))
         return g
 
     def bwd(gmat: Matrix) -> Matrix:
-        f, _ = express(kr.basis, gmat.transpose() @ lam_m)
+        f, _ = kr_span.coordinates(gmat.transpose() @ lam_m)
         if f is None:
             raise report.CheckError(report.fail("adjunction_check", "Gamma-image-outside-subspace"))
         return f

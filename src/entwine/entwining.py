@@ -24,6 +24,7 @@ from .exactlin import (
     columns_of,
     kernel,
     kron,
+    nonzeros,
     permute,
     solve_linear,
 )
@@ -385,14 +386,28 @@ def hom_entwined_system(e: EntwiningPresentation, m: EntwinedModulePresentation,
                         n: EntwinedModulePresentation) -> Matrix:
     """f m.action - n.action (f (x) id_A) over n.coaction f - (f (x) id_C) m.coaction, linear in f at (i, k).
 
-    Each of the four parts is a kron with an identity, permuted: f m.action at ((i', k', j), (i, k)) is
-    delta(i', i) m.action[k, (k', j)], and (f (x) id_C) m.coaction at ((i', c, k'), (i, k)) is
-    delta(i', i) m.coaction[(k, c), k'].
+    Each part is a Kronecker product with an identity, written entry by
+    entry from the nonzeros of one action or coaction, so none is laid out:
+    f m.action at ((i', k', j), (i, k)) is delta(i', i) m.action[k, (k', j)],
+    n.action (f (x) id_A) there is n.action[i', (i, j)] delta(k', k),
+    n.coaction f at ((i', c, k'), (i, k)) is n.coaction[(i', c), i] delta(k', k)
+    and (f (x) id_C) m.coaction there is delta(i', i) m.coaction[(k, c), k'].
+    Terms at one entry add.
     """
     na, nc = e.algebra.dim, e.coalgebra.dim
-    nm, nn, f = m.dim, n.dim, e.field
-    idm, idn = Matrix.identity(f, nm), Matrix.identity(f, nn)
-    lin = kron(idn, m.action.transpose()) \
-        - permute(kron(n.action, idm), (nn, nm, nn, na, nm), (0, 1, 3, 2, 4), 3)
-    colin = kron(n.coaction, idm) - kron(idn, permute(m.coaction, (nm, nc, nm), (1, 2, 0), 2))
-    return lin.vstack(colin)
+    nm, nn = m.dim, n.dim
+    colin = nn * nm * na   # the first colinearity row
+
+    def entries():
+        for k, kj, v in nonzeros(m.action):
+            yield from ((i * nm * na + kj, i * nm + k, v) for i in range(nn))
+        for i2, ij, v in nonzeros(n.action):
+            i, j = divmod(ij, na)
+            yield from (((i2 * nm + k) * na + j, i * nm + k, -v) for k in range(nm))
+        for ic, i, v in nonzeros(n.coaction):
+            yield from ((colin + ic * nm + k, i * nm + k, v) for k in range(nm))
+        for kc, k2, v in nonzeros(m.coaction):
+            k, c = divmod(kc, nc)
+            yield from ((colin + (i * nc + c) * nm + k2, i * nm + k, -v) for i in range(nn))
+
+    return Matrix.from_entries(e.field, colin + nn * nc * nm, nn * nm, entries())

@@ -31,7 +31,10 @@ that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
 express(basis, vectors) writes every column of `vectors` in the rows of
 `basis` with one solve, or returns the index of the first column outside
 their span; the constructions that must land in a chosen subspace build
-all their images as one matrix and decide closure with one call.
+all their images as one matrix and decide closure with one call.  When
+the rows are a Subspace's RREF basis, Subspace.coordinates gives the same
+answer with no elimination: it reads each column's entries at the pivots
+and checks them all with one product.
 
 Everything here is a pure function of immutable values; results are in
 canonical form (reduced fractions, RREF bases) so they are reproducible
@@ -536,7 +539,11 @@ def rank(m: Matrix) -> int:
 
 
 class Subspace:
-    """A subspace of F^n, held as a canonical RREF basis (rows)."""
+    """A subspace of F^n, held as a canonical RREF basis (rows).
+
+    The constructor takes the basis as given: it must already be in RREF,
+    as from_matrix_rows makes it, since pivots and coordinates read it so.
+    """
 
     __slots__ = ("field", "ambient", "basis", "pivots")
 
@@ -569,13 +576,27 @@ class Subspace:
 
     def contains(self, v: Matrix) -> bool:
         """Exact membership of a column vector."""
-        return self.coordinates(v) is not None
-
-    def coordinates(self, v: Matrix) -> Matrix | None:
-        """Column of coefficients x with basis^T x = v, or None if v is outside."""
-        if v.rows != self.ambient or v.cols != 1:
+        if v.cols != 1:
             raise DimensionMismatch("vector has wrong shape")
-        return express(self.basis, v)[0]
+        return self.coordinates(v)[0] is not None
+
+    def coordinates(self, vectors: Matrix) -> tuple[Matrix, None] | tuple[None, int]:
+        """Write every column of `vectors` in the basis, as express does, with no elimination.
+
+        Returns (X, None) with basis^T X = vectors, or (None, j) with j the
+        first column outside the span.  The basis is in RREF, so a vector
+        of the span has its coordinates at the pivots: X is read off there,
+        and one product basis^T X checks every column at once.
+        """
+        if vectors.rows != self.ambient or vectors.field != self.field:
+            raise DimensionMismatch("vectors have the wrong length or field")
+        rows = vectors._rows
+        x = Matrix._of_rows(self.field, self.dim, vectors.cols, (rows[c] for c in self.pivots))
+        back = Matrix._of_rows(self.field, self.ambient, self.dim, columns_of(self.basis)) @ x
+        if back._rows == rows:
+            return x, None
+        return None, min(j for r, s in zip(back._rows, rows) if r != s
+                         for j in r.keys() | s.keys() if r.get(j) != s.get(j))
 
     def annihilator_matrix(self) -> Matrix:
         """A matrix N with {v : N v = 0} equal to this subspace."""

@@ -26,11 +26,10 @@ from .exactlin import (
     Subspace,
     _offsets,
     express,
-    image,
+    kernel,
     kron,
     nonzeros,
     permute,
-    preimage,
     rank,
     solve_linear,
 )
@@ -587,6 +586,14 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     a right action is read as the left action a.m = m.a (of the opposite
     algebra; the core reads no product of A), and its results are permuted
     back.
+
+    No Kronecker layout is eliminated.  The image of id_M (x) P is
+    M (x) im(P), so the rational part is the kernel of (id_M (x) N) rho,
+    with N the small annihilator of im(P) (no rows when the pairing is a
+    full evaluation).  P has full column rank, so the legs of every
+    rho(w_t) come from one solve on P, with each block as a column, and the
+    coaction and action are read in the RREF basis of W by
+    Subspace.coordinates.
     """
     if m.action is None:
         raise PresentationError("rational_submodule needs an action")
@@ -599,28 +606,29 @@ def rational_submodule(p: PairingPresentation, m: ModulePresentation) -> Rationa
     criterion = check_alpha_condition(p)
     if not criterion.passed:
         raise AlphaConditionError(criterion)
-    f = p.matrix.field
     mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
     # the left action [i, (j, k)]: a_j . m_k gains its coefficient at m_i
     lact = m.action if m.action_side == "left" else permute(m.action, (mdim, mdim, na), (0, 2, 1), 1)
     # rho : M -> Hom(A, M), m -> (a -> a.m), at [(i, j), k]: the m_i-coefficient at argument a_j of rho(m_k)
     rho = permute(lact, (mdim, na, mdim), (0, 1, 2), 2)
-    # alpha : M (x) C -> Hom(A, M), [(i, j), (i, c)] = <a_j, c_c>
-    alpha = kron(Matrix.identity(f, mdim), p.matrix)
-    w = preimage(rho, image(alpha))
+    # alpha = id_M (x) P : M (x) C -> Hom(A, M) has image M (x) im(P), the kernel of id_M (x) N for N with
+    # N P = 0 and rows spanning the annihilator of im(P): W is the kernel of (id_M (x) N) rho, with rows (r, i)
+    n = kernel(p.matrix.transpose()).basis
+    w = kernel(permute(n @ permute(lact, (mdim, na, mdim), (1, 0, 2), 1), (n.rows, mdim, mdim), (0, 1, 2), 2))
     k = w.dim
-    wt = w.basis.transpose()
-    # column t of x is an element of M (x) C that alpha sends to rho(w_t)
-    x, bad = express(alpha.transpose(), rho @ wt)
+    y = rho @ w.basis.transpose()   # column t is rho(w_t)
+    # alpha is injective, so the legs of rho(w_t) solve P x = (the a-block of rho(w_t) at m_i), one column (t, i) each
+    x, bad = express(p.matrix.transpose(), permute(y, (mdim, na, k), (1, 2, 0), 1))
     if x is None:
-        raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (bad,)))
+        raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image",
+                                            (bad // mdim,)))
     # column (t, c) of legs is the c_c leg of rho(w_t); column (t, j) of images is a_j acting on w_t
-    legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
-    images = permute(lact @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
-    coact, bad = express(w.basis, legs)  # [s, (t, c)]
+    legs = permute(x, (nc, k, mdim), (2, 1, 0), 1)
+    images = permute(y, (mdim, na, k), (0, 2, 1), 1)
+    coact, bad = w.coordinates(legs)  # [s, (t, c)]
     if coact is None:
         raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", divmod(bad, nc)))
-    act, bad = express(w.basis, images)  # [s, (t, j)]
+    act, bad = w.coordinates(images)  # [s, (t, j)]
     if act is None:
         raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", divmod(bad, na)))
     if m.action_side == "left":  # coaction[(s, c), t], action[s, (j, t)]

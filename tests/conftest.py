@@ -39,6 +39,7 @@ from entwine.entwining import (
     verify_entwining_morphism,
 )
 from entwine.exactlin import (
+    DimensionMismatch,
     Field,
     Matrix,
     Permutation,
@@ -719,7 +720,7 @@ def rational_route(h, a, action):
     rat = rational_submodule(PairingPresentation(h, u, Matrix.identity(h.field, h.dim)),
                              ModulePresentation(a.dim, h, action, "left"))
     w = rat.subspace
-    unit = w.coordinates(a.unit)
+    unit, _ = w.coordinates(a.unit)
     if unit is None:
         raise report.CheckError(report.fail("dualize_dk_ingredient", "rational-part-missing-unit"))
     wt = w.basis.transpose()
@@ -944,6 +945,64 @@ def dual_module_upper_r_by_permutes(d, k) -> DualModule:
     rat = rational_submodule(d.pairing_atil_c(), ModulePresentation(k.dim, d.atil, lact, "left"))
     ract = _restrict_right_action(ract_kstar, rat.subspace, na, "dual_module_upper_r")
     return DualModule(rat.subspace.basis, EntwinedModulePresentation(d.source, rat.dim, ract, rat.coaction))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker layouts: rational_submodule and hom_entwined_system as they were written before each was solved on
+# its factors.  The oracles the factor-wise versions are held to.
+
+
+def rational_submodule_by_layout(p, m):
+    """structures.rational_submodule on the layouts: W = preimage(rho, image(id_M (x) P)), and every solve by express.
+
+    The reference for the core that takes W as the kernel of (id_M (x) N) rho, reads the legs off one solve on P
+    and the coordinates at W's pivots.
+    """
+    if m.action is None:
+        raise PresentationError("rational_submodule needs an action")
+    if m.algebra.dim != p.algebra.dim or m.algebra.field != p.algebra.field:
+        raise DimensionMismatch(
+            f"the module's algebra (dim {m.algebra.dim} over {m.algebra.field}) does not match "
+            f"the pairing's (dim {p.algebra.dim} over {p.algebra.field})")
+    if (m.algebra.mul, m.algebra.unit) != (p.algebra.mul, p.algebra.unit):
+        raise PresentationError("the module's algebra does not match the pairing's in its multiplication or unit")
+    criterion = check_alpha_condition(p)
+    if not criterion.passed:
+        raise AlphaConditionError(criterion)
+    f = p.matrix.field
+    mdim, na, nc = m.dim, p.algebra.dim, p.coalgebra.dim
+    lact = m.action if m.action_side == "left" else permute(m.action, (mdim, mdim, na), (0, 2, 1), 1)
+    rho = permute(lact, (mdim, na, mdim), (0, 1, 2), 2)
+    alpha = kron(Matrix.identity(f, mdim), p.matrix)
+    w = preimage(rho, image(alpha))
+    k = w.dim
+    wt = w.basis.transpose()
+    x, bad = express(alpha.transpose(), rho @ wt)
+    if x is None:
+        raise report.CheckError(report.fail("rational_submodule", "internal-rho-outside-alpha-image", (bad,)))
+    legs = permute(x, (mdim, nc, k), (0, 2, 1), 1)
+    images = permute(lact @ kron(Matrix.identity(f, na), wt), (mdim, na, k), (0, 2, 1), 1)
+    coact, bad = express(w.basis, legs)
+    if coact is None:
+        raise report.CheckError(report.fail("rational_submodule", "coaction-leaves-subspace", divmod(bad, nc)))
+    act, bad = express(w.basis, images)
+    if act is None:
+        raise report.CheckError(report.fail("rational_submodule", "action-leaves-subspace", divmod(bad, na)))
+    if m.action_side == "left":
+        return RationalSubmodule(w, permute(act, (k, k, na), (0, 2, 1), 1), permute(coact, (k, k, nc), (0, 2, 1), 2),
+                                 "left", criterion)
+    return RationalSubmodule(w, act, permute(coact, (k, k, nc), (2, 0, 1), 2), "right", criterion)
+
+
+def hom_entwined_system_by_kron(e, m, n) -> Matrix:
+    """entwining.hom_entwined_system with each of its four parts laid out as a kron with an identity, permuted."""
+    na, nc = e.algebra.dim, e.coalgebra.dim
+    nm, nn, f = m.dim, n.dim, e.field
+    idm, idn = Matrix.identity(f, nm), Matrix.identity(f, nn)
+    lin = kron(idn, m.action.transpose()) \
+        - permute(kron(n.action, idm), (nn, nm, nn, na, nm), (0, 1, 3, 2, 4), 3)
+    colin = kron(n.coaction, idm) - kron(idn, permute(m.coaction, (nm, nc, nm), (1, 2, 0), 2))
+    return lin.vstack(colin)
 
 
 @pytest.fixture

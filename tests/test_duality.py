@@ -10,6 +10,7 @@ from entwine.entwining import (
     flip_entwining,
     hom_entwined,
     hom_entwined_basis,
+    hom_entwined_system,
     verify_entwined_module,
     verify_entwining,
 )
@@ -24,7 +25,13 @@ from entwine.duality import (
     restrict_dual_coalgebra,
 )
 from entwine.catalog import catalog_get, free_flip_module
-from conftest import dual_module_r_by_permutes, dual_module_upper_r_by_permutes, dual_morphism_r
+from conftest import (
+    corrupt,
+    dual_module_r_by_permutes,
+    dual_module_upper_r_by_permutes,
+    dual_morphism_r,
+    hom_entwined_system_by_kron,
+)
 
 
 def proper_flip_dual(n: int, c):
@@ -267,6 +274,32 @@ class TestAdjunction:
         d = dual_entwining(m.entwining)
         k = dual_module_r(d, m).module
         assert adjunction_check(d, m, k).passed
+
+
+class TestHomSystemByFactors:
+    def test_agrees_with_the_kron_layout(self, rng):
+        """hom_entwined_system written from the nonzeros equals the kron/permute layout: on the catalog entwined
+        modules, their M_r and K^r, a proper dual pair, and seeded +1 bumps of an action or a coaction."""
+        triples = []
+        for name in ("hopfmod_qc2", "hopfmod_qc3", "hopfmod_f5c5", "hopfmod_sweedler4", "longmod_qc2"):
+            m = catalog_get(name)
+            d = dual_entwining(m.entwining)
+            mr = dual_module_r(d, m).module
+            kr = dual_module_upper_r(d, mr).module
+            triples += [(d.source, m, m), (d.dual, mr, mr), (d.source, m, kr), (d.source, kr, m)]
+            for _ in range(4):
+                part = rng.choice(("action", "coaction"))
+                x = getattr(m, part)
+                bumped = replace(m, **{part: corrupt(x, rng.randrange(x.rows), rng.randrange(x.cols))})
+                triples += [(d.source, m, bumped), (d.source, bumped, m)]
+        d = proper_flip_dual(3, catalog_get("qc2"))
+        m = free_flip_module(d.source.algebra, d.source.coalgebra)
+        mr = dual_module_r(d, m).module
+        kr = dual_module_upper_r(d, mr).module
+        triples += [(d.source, m, kr), (d.source, kr, m), (d.dual, mr, mr)]
+        assert {(x.dim, y.dim) for _, x, y in triples if x.dim != y.dim} == {(6, 4), (4, 6)}
+        for e, x, y in triples:
+            assert hom_entwined_system(e, x, y) == hom_entwined_system_by_kron(e, x, y)
 
 
 class TestFunctoriality:

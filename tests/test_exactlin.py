@@ -680,7 +680,7 @@ class TestSubspaces:
                 continue
             coeffs = random_matrix(QQ, rng, s.dim, 1)
             v = s.basis.transpose() @ coeffs
-            got = s.coordinates(v)
+            got, _ = s.coordinates(v)
             assert got == coeffs
 
     def test_zero_dimensional_spaces(self):

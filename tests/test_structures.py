@@ -44,6 +44,7 @@ from entwine.catalog import (
     trivial_bialgebra,
 )
 from entwine.document import document_from_objects, emit_document, parse_document
+from entwine.duality import dual_entwining, dual_module_r
 from entwine.exactlin import PresentationError
 from conftest import (
     BOTH_FIELDS,
@@ -54,6 +55,7 @@ from conftest import (
     harpoon_action_matrix,
     random_invertible,
     random_matrix,
+    rational_submodule_by_layout,
     rational_submodule_two_branch,
     scale,
     with_antipode,
@@ -599,7 +601,7 @@ def submodule_presentation(m, subspace):
         for t in range(k):
             v = m.action @ kron(Matrix.basis_column(field, na, j),
                                 subspace.basis.row_matrix(t).transpose())
-            coords = subspace.coordinates(v)
+            coords, _ = subspace.coordinates(v)
             assert coords is not None, "not an invariant subspace"
             for s in range(k):
                 data[s * (na * k) + (j * k + t)] = coords[s, 0]
@@ -656,6 +658,52 @@ class TestRationalSubmoduleCore:
         # right modules with a proper rational part, and fully rational ones, on both sides
         assert any(side == "right" and proj and 0 < d < n for side, proj, d, n in dims)
         assert {(side, d == n) for side, proj, d, n in dims if not proj} == {("left", True), ("right", True)}
+
+
+class TestRationalSubmoduleByFactors:
+    """The core solved on the factors equals the one eliminated on kron(id_M, P): subspace, action, coaction, side
+    and criterion, or the same failure."""
+
+    @staticmethod
+    def agree(p, m) -> tuple:
+        got = TestRationalSubmoduleCore.outcome(rational_submodule, p, m)
+        assert got == TestRationalSubmoduleCore.outcome(rational_submodule_by_layout, p, m), (p.algebra.field, m)
+        return got
+
+    def test_dual_module_pairings(self):
+        """The two pairings the dual-module functors read, with the modules they pass, on the catalog entwined
+        modules: (A, C~) for M* and (A~, C) for M_r*."""
+        for name in ("hopfmod_qc2", "hopfmod_qc3", "hopfmod_f5c5", "hopfmod_sweedler4", "longmod_qc2"):
+            m = catalog_get(name)
+            d = dual_entwining(m.entwining)
+            mr = dual_module_r(d, m).module
+            for pairing, x in ((d.pairing_a_ctil(), m), (d.pairing_atil_c(), mr)):
+                na = pairing.algebra.dim
+                lact = dual_action_on_dual(x.action, x.dim, na, "right")
+                got = self.agree(pairing, ModulePresentation(x.dim, pairing.algebra, lact, "left"))
+                assert got[0].dim == x.dim, name   # a full dual: all of M* is rational
+
+    def test_projection_pairing(self, rng):
+        """im(P) is a proper part of F^dim A, so N has a row: seeded left and right modules, and actions that are
+        no module, over Q and F_5."""
+        dims = []
+        for field in BOTH_FIELDS:
+            a, _, p = projection_pairing(field)
+            assert kernel(p.matrix.transpose()).dim == 1
+            for _ in range(8):
+                left = random_module_over(a, p, rng, copies=rng.randint(1, 2))
+                noise = random_matrix(field, rng, 2, 2 * a.dim)
+                for m in (left, right_reading(left), ModulePresentation(2, a, noise, "left"),
+                          ModulePresentation(2, a, noise, "right")):
+                    got = self.agree(p, m)
+                    dims.append(got if isinstance(got, str) else (m.action_side, got[0].dim, m.dim))
+        assert {side for side, d, n in (x for x in dims if not isinstance(x, str)) if 0 < d < n} == {"left", "right"}
+
+    def test_zero_module(self, qc2):
+        for p in (canonical_pairing(qc2), projection_pairing(QQ)[2]):
+            for side in ("left", "right"):
+                got = self.agree(p, ModulePresentation(0, p.algebra, Matrix(QQ, 0, 0, []), side))
+                assert got[0].dim == 0
 
 
 class TestRationalModuleLaws:
