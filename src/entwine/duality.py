@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, PresentationError, Subspace, express, kron, rank
+from .exactlin import Matrix, PresentationError, Subspace, express, kron, permute, rank
 from . import report
 from .report import ClosureViolation, Report
 from .structures import (
@@ -188,15 +188,20 @@ def _dual_module(m: EntwinedModulePresentation, rat_pairing: PairingPresentation
     M* is a left module over rat_pairing's algebra by (a.h)(m) = h(m a);
     its rational part picks up a coaction of rat_pairing's coalgebra.  The
     right action of act_pairing's algebra, (h.a)(m) = sum h(m_0) <a, m_1>,
-    is M's coaction transposed and paired, and is restricted to the
-    rational part, which it preserves when m is a verified module; its
-    coordinates are read at the pivots of the rational part's RREF basis.
+    is M's coaction paired with act_pairing over the coalgebra, then
+    contracted with the rational part's basis W, so no kron(W^T, P^T) is
+    laid out.  It is restricted to the rational part, which it preserves
+    when m is a verified module; its coordinates are read at the pivots of
+    the rational part's RREF basis.
     """
     lact = dual_action_on_dual(m.action, m.dim, rat_pairing.algebra.dim, "right")
     rat = rational_submodule(rat_pairing, ModulePresentation(m.dim, rat_pairing.algebra, lact, "left"))
     w = rat.subspace.basis
-    # column (t, j) of the images is w_t acted on by a_j
-    images = m.coaction.transpose() @ kron(w.transpose(), act_pairing.matrix.transpose())
+    mdim, na, nc = m.dim, act_pairing.algebra.dim, act_pairing.coalgebra.dim
+    # pair the coaction's coalgebra leg: [j, (i, m)] = sum_c <a_j, c_c> coaction[(i, c), m]
+    paired = act_pairing.matrix @ permute(m.coaction, (mdim, nc, mdim), (1, 0, 2), 1)
+    # then contract i with W: column (t, j) of the images is w_t acted on by a_j
+    images = permute(w @ permute(paired, (na, mdim, mdim), (1, 2, 0), 1), (w.rows, mdim, na), (1, 0, 2), 1)
     ract, bad = rat.subspace.coordinates(images)
     if ract is None:
         raise report.CheckError(report.fail("dual_module", "action-leaves-subspace",

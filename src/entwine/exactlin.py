@@ -8,22 +8,27 @@ from column index to value.  Every operation reads and writes that form,
 so the work and the memory of a product, a Kronecker product, a transpose,
 a re-indexing or an elimination grow with the nonzeros (and the number of
 rows), not with the dense sizes; elimination returns canonical RREF
-bases.  _vectors reads a side of a law, a composition of structure
-maps whose tensor factors kron(X, id) are never laid out, one row or one
-column at a time, as a sparse row product (Gustavson): it pushes a basis
-vector through the factors, sums plain products without a Field call per
-term and returns each vector canonical (an index -> value dict, reduced,
-no zero values), so two vectors are equal exactly when their dicts are.
-A factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
-moves each index where it lands as it pushes: no shifted copy of a line
-is made; a Permutation of tensor factors moves each index and reads no
-line at all.
-A factor over F_p whose lines are wide and nonzero enough is pushed
-packed instead, each of its lines one int with a 2-, 4- or 8-byte slot per
-entry (Kronecker substitution), so a line read costs one big-int
-operation, not one Python step per entry, and a packed vector is reduced
-mod p by byte tables; _shape gives a side's shape without evaluating
-it.  A linear map V -> W with
+bases.  _block reads a side of a law, a composition of structure maps
+whose tensor factors kron(X, id) are never laid out, a block of rows or
+of columns at a time, as a sparse row product (Gustavson) on the block:
+the block is one dict keyed vector * width + index, a term's first stage
+places the lines its vectors read, each later stage is one pass over the
+block, and at most _BLOCK_ENTRIES entries are held a stage, unless one
+vector is wider.  It sums plain products without a Field call per term
+and returns the block canonical (an index -> value dict, reduced, no zero
+values), so two vectors are equal exactly when their dicts are;
+_least_column reads the blocks of a law's difference for the least
+column that differs, and _vectors reads one vector, a block of one.  A
+factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
+moves each index where it lands: no shifted copy of a line is made; a
+Permutation of tensor factors moves each index, from one index table
+per shape and direction made once (_offsets), and reads no line at all.
+A factor over F_p whose lines are wide and nonzero enough is read
+packed instead, one vector at a time, each of its lines one int with a
+2-, 4- or 8-byte slot per entry (Kronecker substitution), so a line read
+costs one big-int operation, not one Python step per entry, and a packed
+vector is reduced mod p by byte tables; _shape gives a side's shape
+without evaluating it.  A linear map V -> W with
 dim V = n, dim W = m is an m x n matrix acting on column vectors.
 Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
 that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
@@ -48,7 +53,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, compress
 from math import isqrt, prod
 
@@ -193,7 +198,7 @@ class Matrix:
     every entry, for readers outside the package, nonzeros gives the stored
     entries, and columns_of gives the column dicts; data and the columns
     are laid out on first read and kept, as is what
-    _vectors derives from the matrix (_kernel_data): whether it packs,
+    _stages derives from the matrix (_kernel_data): whether it packs,
     and its packed lines.
     """
 
@@ -438,15 +443,21 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     return Matrix._of_rows(m.field, len(out), cols, out)
 
 
-def _offsets(dims, perm, axes) -> list[int]:
-    """The output offset, row-major, of every index over these input axes of a tensor permuted as in permute."""
+@lru_cache(maxsize=1024)
+def _offsets(dims: tuple, perm: tuple, axes) -> tuple[int, ...]:
+    """The output offset, row-major, of every index over these input axes of a tensor permuted as in permute.
+
+    The table depends only on the shapes, so it is made once per (dims,
+    perm, axes), all hashable (tuples, or a range for axes), and kept as a
+    tuple that no caller can write into.
+    """
     strides, step = [0] * len(dims), 1   # stride of each input axis in the row-major entries of the output
     for a in reversed(perm):
         strides[a], step = step, step * dims[a]
     out = [0]
     for a in axes:
         out = [o + i * strides[a] for o in out for i in range(dims[a])]
-    return out
+    return tuple(out)
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
@@ -458,7 +469,7 @@ def swap_matrix(field: Field, m: int, n: int) -> Matrix:
 class Permutation:
     """A law factor that permutes tensor factors, output factor k input factor perm[k] of dims, never laid out.
 
-    _vectors pushes each key to its image (images) with its coefficient
+    _block moves each key to its image (images) with its coefficient
     unchanged; it has the field, rows and cols that _shape reads.
     """
 
@@ -471,7 +482,7 @@ class Permutation:
         self.field, self.dims, self.perm = field, dims, perm
         self.rows = self.cols = prod(dims)
 
-    def images(self, by_rows: bool) -> list[int]:
+    def images(self, by_rows: bool) -> tuple[int, ...]:
         """Where each input index goes (by columns), or, by rows, where each output index comes from."""
         dims, perm = self.dims, self.perm
         if by_rows:     # the inverse permutation, of the permuted axes
@@ -708,13 +719,12 @@ def nonzeros(m: Matrix):
 
 def _terms(side, sign: int = 1) -> list:
     """sign times a law side as (sign, factors) terms, each factor (X, k, x_first): kron(X, id_k) or kron(id_k, X)."""
-    if isinstance(side, list):
+    if type(side) is list:
         return [term for s, t in side for term in _terms(t, sign * s)]
-    if isinstance(side, (Matrix, Permutation)) or isinstance(side[0], int) or isinstance(side[-1], int):
+    if type(side) is not tuple or type(side[0]) is int or type(side[-1]) is int:   # one factor
         side = (side,)
-    return [(sign, [(f, 1, True) if isinstance(f, (Matrix, Permutation)) else
-                    (f[0], f[1], True) if isinstance(f[0], Matrix) else (f[1], f[0], False)
-                    for f in side])]
+    return [(sign, [(f, 1, True) if type(f) is not tuple else (f[1], f[0], False) if type(f[0]) is int else
+                    (f[0], f[1], True) for f in side])]
 
 
 def _shape(terms) -> tuple[Field, int, int]:
@@ -724,7 +734,7 @@ def _shape(terms) -> tuple[Field, int, int]:
         x, k, _ = factors[0]
         field, rows, cols = x.field, x.rows * k, x.cols * k
         for x, k, _ in factors[1:]:
-            if x.cols * k != rows or x.field != field:
+            if x.cols * k != rows or x.field is not field and x.field != field:
                 raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
             rows = x.rows * k
         if shape not in (None, (field, rows, cols)):
@@ -733,8 +743,49 @@ def _shape(terms) -> tuple[Field, int, int]:
     return shape
 
 
+# The most entries a block of law vectors may hold (_block): a law is read
+# max(1, _BLOCK_ENTRIES // w) vectors at a time, w the widest of its stages,
+# so no stage of a block holds more than _BLOCK_ENTRIES keys unless one
+# vector alone is wider; a law with a packed stage is read one vector at a
+# time.
+_BLOCK_ENTRIES = 4096
+
+
 def _vectors(terms, by_rows: bool):
     """Read a law side one vector at a time: vector(i) is row i when by_rows, else column i.
+
+    Each vector is a block of one (_block), canonical: an index -> value
+    dict, reduced, no zero values, so two vectors are equal exactly when
+    their dicts are.
+    """
+    _, rows, cols = _shape(terms)
+    p, plan, size, _ = _stages(terms, by_rows)
+    return lambda i: _block(p, plan, size, cols if by_rows else rows, i, i + 1)
+
+
+def _least_column(terms, by_rows: bool, rows: int, cols: int) -> int | None:
+    """The least column at which a rows x cols law side is nonzero, None when it is zero; a block at a time.
+
+    The blocks are read along the shorter dimension (_block): by columns,
+    the first block with a nonzero key names it; by rows, it is the least
+    index over the nonzero keys of every block.
+    """
+    p, plan, size, step = _stages(terms, by_rows)
+    count, width = (rows, cols) if by_rows else (cols, rows)
+    least = None
+    for start in range(0, count, step):
+        block = _block(p, plan, size, width, start, min(start + step, count))
+        if not block:
+            continue
+        if not by_rows:
+            return start + min(block) // width
+        j = min(key % width for key in block)
+        least = j if least is None else min(least, j)
+    return least
+
+
+def _block(p: int | None, plan: list, size: int | None, width: int, start: int, stop: int) -> dict:
+    """Vectors start..stop-1 of a law side, planned by _stages, as one dict keyed (i - start) * width + index.
 
     The side comes split by _terms into terms of one shape and field
     (_shape reads that shape off the factors).  A side is a Matrix; a
@@ -742,21 +793,32 @@ def _vectors(terms, by_rows: bool):
     of tensor factors, or a pair (X, k) or (k, X), k an int, that stands
     for kron(X, id_k) or kron(id_k, X); neither a Permutation nor a pair is
     laid out.  A side may also be such a pair on its own, or a list of
-    (sign, side) terms, sign 1 or -1, for their sum.
-    The kernel pushes the basis vector i, times the sign of a term, through
-    the factors' rows, last factor first, or through their columns (the
-    rows of the transposed composition, columns_of), first factor first,
-    summing plain products.  It reduces once, at the end (mod p over F_p),
-    so each vector comes back canonical (an index -> value dict, no zero
-    values): two vectors are equal exactly when their dicts are.
+    (sign, side) terms, sign 1 or -1, for their sum.  Its vectors are its
+    rows when by_rows, else its columns, each of width entries;
+    _least_column reads them in blocks of at most _BLOCK_ENTRIES entries
+    a stage.
 
-    A Permutation moves each key to its image (Permutation.images) and
-    multiplies nothing.  A factor over F_p is read as a packed stage
-    (Kronecker substitution),
+    A block is one dict keyed v * w + t, for index t of vector start + v in
+    a stage of width w, read as a sparse row product (Gustavson): through
+    the factors' rows, last factor first, or through their columns (the
+    rows of the transposed composition, columns_of), first factor first.
+    A term's first stage places the lines its vectors read, times the
+    term's sign, at each vector's offset (_first); no basis vector is
+    pushed.  Each later stage is one pass over the block (_push), merging
+    repeated keys as it goes, and the last stages of every term add into
+    one dict.  It sums plain products and reduces once, at the end (mod p
+    over F_p), so the block comes back canonical: an index -> value dict,
+    no zero values.  A pair (X, k) or (k, X) reads the lines of X itself
+    and moves each key where it lands, so no shifted copy of a line is
+    made; a Permutation moves each key to its image (Permutation.images)
+    and reads no line at all.
+
+    A factor over F_p is read as a packed stage (Kronecker substitution),
     unless a term reads it first, when its lines (the rows or columns read)
     pay for it: they have at least 16 entries, at least one in 8 of them
     nonzero and at least 8 nonzeros each on average, and the block bound
-    len(lines) * (p - 1)**2 is below 2**64.  Each line is then one int with
+    len(lines) * (p - 1)**2 is below 2**64.  A law with a packed stage is
+    read one vector at a time (step 1).  Each line is then one int with
     one slot per entry, the narrowest of 2, 4 or 8 bytes that holds the
     block bound, entries reduced mod p (-1 is stored as p - 1); pushing a
     key adds c * line into one int per output block, c the key's
@@ -772,88 +834,136 @@ def _vectors(terms, by_rows: bool):
     reduced one slot at a time instead.  An intermediate packed stage hands
     its nonzero residues to the next stage; the sparse terms are added
     after the reduction.  Every other factor, and every law over Q, is
-    pushed sparsely, one dict update per product.
+    read sparsely, one dict update per product.
     """
-    p, pushes, size = _stages(terms, by_rows)
-
-    if size is None:     # no last stage packs: every term lands in one sparse sum
-        def vector(i: int) -> dict:
-            acc: dict = {}
-            for sign, stages, last in pushes:
-                v = {i: sign}
-                for push in stages:
-                    v = push(v, {})
-                last(v, acc)
-            if p is None:
-                return {t: s for t, s in acc.items() if s}
-            return {t: r for t, s in acc.items() if (r := s % p)}
-
-        return vector
-
-    x, k, _ = terms[0][1][0] if by_rows else terms[0][1][-1]
-    n = (x.cols if by_rows else x.rows) * k    # the length of a vector
-
-    def packed_vector(i: int) -> dict:
-        acc: dict = {}
-        total = 0          # the sum of the terms whose last stage packs, in slots of `size` bytes
-        for sign, stages, last in pushes:
-            v = {i: sign}
-            for push in stages:
-                v = push(v, {})
-            out = last(v, acc)
-            if out is not acc:
-                total += out
-        res = _residues(total, n, size, p)
-        for t, s in acc.items():
-            res[t] = (res[t] + s) % p
-        if res.count(0) == len(res):
-            return {}
-        return dict(compress(enumerate(res), res))
-
-    return packed_vector
+    acc: dict = {}
+    total = 0          # the sum of the terms whose last stage packs, in slots of `size` bytes
+    for sign, first, middle, last in plan:
+        block = _first(*first, sign, start, stop)
+        for stage in middle:
+            block = _push(*stage, block, {}) if type(stage) is tuple else stage(block, None)
+        if type(last) is tuple:
+            acc = _push(*last, block, acc)
+        elif last is not None:
+            total += last(block, None)
+        elif acc:
+            get = acc.get
+            for key, c in block.items():
+                acc[key] = get(key, 0) + c
+        else:
+            acc = block
+    if size is None:
+        if p is None:
+            return {t: s for t, s in acc.items() if s}
+        return {t: r for t, s in acc.items() if (r := s % p)}
+    res = _residues(total, width, size, p)
+    for t, s in acc.items():
+        res[t] = (res[t] + s) % p
+    if res.count(0) == len(res):
+        return {}
+    return dict(compress(enumerate(res), res))
 
 
-def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None]:
-    """p, the terms of _vectors and the slot bytes their packed last stages share, None when none packs.
+def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None, int]:
+    """p, the terms of _block, the slot bytes their packed last stages share (None when none packs), and the step.
 
-    Each term is (sign, push of every stage but the last, push of the last).
+    Each term is (sign, first, middle, last): its first stage, the stages
+    between, and its last stage, None when the first is the last.  A stage
+    read sparsely is (lines, d_in, d_out, k, strided): the lines of X read
+    (its rows by rows, else its columns), d_in of them, each d_out wide,
+    for kron(X, id_k) when strided, else kron(id_k, X) (k 1 for X itself),
+    or for a Permutation the images of its n keys, (images, n, n, 1,
+    None).  A packed stage is its push.
+    The step is the most vectors a block holds: 1 when a stage packs, else
+    _BLOCK_ENTRIES over the widest stage.
     """
     p = terms[0][1][0][0].field.p
-    out, lasts, bound = [], [], 0
+    plan, lasts, bound, widest, packs = [], [], 0, 1, False
     for sign, factors in terms:
-        stages, last = [], len(factors) - 1
-        for n, (x, k, x_first) in enumerate(reversed(factors) if by_rows else factors):
-            # the first stage reads one line per vector: nothing to pack
-            if not n or p is None or not _packs(x, by_rows):
-                stages.append(_sparse_stage(x, k, x_first, by_rows))
-            elif n < last:
-                stages.append(_packed_stage(x, k, x_first, by_rows, None))
-            elif bound + _block_bound(x, by_rows) < 2**64:   # the packed last stages add up in shared slots
-                bound += _block_bound(x, by_rows)
-                lasts.append((len(out), x, k, x_first))
-                stages.append(None)   # made below, once the shared slots are known
+        stages = []
+        for x, k, x_first in reversed(factors) if by_rows else factors:
+            if type(x) is Permutation:
+                stage = (x.images(by_rows), x.rows, x.rows, 1, None)
+            elif by_rows:
+                stage = (x._rows, x.rows, x.cols, k, x_first and k > 1)
             else:
-                stages.append(_sparse_stage(x, k, x_first, by_rows))
-        out.append([sign, stages[:-1], stages[-1]])
+                stage = (columns_of(x), x.cols, x.rows, k, x_first and k > 1)
+            if stage[2] * k > widest:
+                widest = stage[2] * k
+            # the first stage reads one line per vector: nothing to pack; no line shorter than 16 entries packs
+            if stages and p is not None and stage[2] >= 16 and _packs(x, by_rows):
+                packs = True
+                if len(stages) < len(factors) - 1:
+                    stage = _packed_stage(x, k, x_first, by_rows, None)
+                elif bound + _block_bound(x, by_rows) < 2**64:   # the packed last stages add up in shared slots
+                    bound += _block_bound(x, by_rows)
+                    lasts.append((len(plan), x, k, x_first))   # made below, once the shared slots are known
+            stages.append(stage)
+        plan.append([sign, stages[0], stages[1:-1], stages[-1] if len(stages) > 1 else None])
+    step = 1 if packs else max(1, _BLOCK_ENTRIES // widest)
     if not lasts:
-        return p, out, None
+        return p, plan, None, step
     size = _slot_bytes(bound)
-    for t, x, k, x_first in lasts:
-        out[t][2] = _packed_stage(x, k, x_first, by_rows, size)
-    return p, out, size
+    for n, x, k, x_first in lasts:
+        plan[n][3] = _packed_stage(x, k, x_first, by_rows, size)
+    return p, plan, size, step
 
 
-def _sparse_stage(x: Matrix, k: int, x_first: bool, by_rows: bool):
-    """The push of one factor, one dict update per product; a Permutation's, one per key."""
-    if type(x) is Permutation:
-        return partial(_push_permuted, x.images(by_rows))
-    lines = x._rows if by_rows else columns_of(x)
-    if k == 1:      # key q: line q of X
-        return partial(_push_plain, lines)
-    if x_first:     # key q * k + r: line q of X, its indices t moved to t * k + r
-        return partial(_push_strided, lines, k)
-    d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-    return partial(_push, lines, d_in, d_out)   # key q * d_in + r: line r of X, in block q of the output
+def _first(lines, d_in: int, d_out: int, k: int, strided: bool | None, sign: int, start: int, stop: int) -> dict:
+    """Vectors start..stop-1 through a term's first stage (_stages): the lines they read, times sign, at their offsets.
+
+    Vector i is e_i: index i of a Permutation moves to its image, index
+    q * d_in + r of kron(id_k, X) reads line r, its index t moved to
+    q * d_out + t, and index r * k + s of kron(X, id_k) reads line r, t
+    moved to t * k + s.
+    """
+    if strided is None:
+        return {v * d_in + lines[i]: sign for v, i in enumerate(range(start, stop))}
+    width = d_out * k
+    if strided:
+        return {base + t * k: sign * w for v, i in enumerate(range(start, stop))
+                for base in (v * width + i % k,) for t, w in lines[i // k].items()}
+    if k == 1:   # (a factor with no entries out has empty lines)
+        at = zip(range(0, (stop - start) * width, width or 1), lines[start:stop])
+        return {base + t: sign * w for base, line in at for t, w in line.items()}
+    return {base + t: sign * w for v, i in enumerate(range(start, stop))
+            for base in ((v * k + i // d_in) * d_out,) for t, w in lines[i % d_in].items()}
+
+
+def _push(lines, d_in: int, d_out: int, k: int, strided: bool | None, block: dict, acc: dict) -> dict:
+    """Add a block through one stage (_stages) to acc, or to a new dict when acc is empty; products unreduced.
+
+    Key v * w + i is index i of the block's vector v, w the stage's width,
+    and it lands at v * w' + t, w' the width out.  A key of kron(id_k, X)
+    (or X) is q * d_in + r, q the vector and the copy of X, and moves to
+    q * d_out + t; a key of kron(X, id_k) is (q * d_in + r) * k + s, q the
+    vector, and moves to (q * d_out + t) * k + s; a Permutation moves index
+    i to lines[i] and multiplies nothing.
+    """
+    if strided is None:
+        if not acc:     # distinct keys have distinct images
+            return {key - (i := key % d_in) + lines[i]: c for key, c in block.items()}
+        get = acc.get
+        for key, c in block.items():
+            t = key - (i := key % d_in) + lines[i]
+            acc[t] = get(t, 0) + c
+        return acc
+    get = acc.get
+    if strided:
+        width = d_out * k
+        for key, c in block.items():
+            q = key // k
+            base = q // d_in * width + key % k
+            for t, w in lines[q % d_in].items():
+                t = base + t * k
+                acc[t] = get(t, 0) + c * w
+        return acc
+    for key, c in block.items():
+        base = key // d_in * d_out
+        for t, w in lines[key % d_in].items():
+            t += base
+            acc[t] = get(t, 0) + c * w
+    return acc
 
 
 def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | None):
@@ -879,10 +989,10 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _kernel_data(x: Matrix) -> dict:
-    """What _vectors derives from x once and keeps: its packing decisions and packed lines.
+    """What _stages derives from x once and keeps: its packing decisions and packed lines.
 
     A sparse stage keeps nothing: a pair (X, k) reads X's own lines and
-    moves each index as it pushes, so no shifted copy of a line is made.
+    moves each index as it reads, so no shifted copy of a line is made.
     """
     if x._kernel is None:
         x._kernel = {}
@@ -890,7 +1000,7 @@ def _kernel_data(x: Matrix) -> dict:
 
 
 def _packs(x: Matrix, by_rows: bool) -> bool:
-    """Whether x, read by rows or by columns after a term's first stage, pays for packing (_vectors).
+    """Whether x, read by rows or by columns after a term's first stage, pays for packing (_block).
 
     Its lines have 16 entries or more, the block bound fits 64 bits, and x
     has at least one nonzero in 8 entries and 8 nonzeros a line; the count
@@ -956,53 +1066,6 @@ def _residues(total: int, n: int, size: int, p: int):
     # the images of one slot's bytes sum below 256, so the ints add bytewise, with no carry
     folded = sum(int.from_bytes(data[j::size].translate(table), "little") for j, table in enumerate(spread))
     return bytearray(folded.to_bytes(n, "little")).translate(fold)
-
-
-def _push_permuted(images, v: dict, acc: dict) -> dict:
-    """_push through a Permutation: key q moves to images[q], its coefficient unchanged."""
-    if not acc:     # distinct keys have distinct images
-        acc.update(zip(map(images.__getitem__, v), v.values()))
-        return acc
-    get = acc.get
-    for key, c in v.items():
-        t = images[key]
-        acc[t] = get(t, 0) + c
-    return acc
-
-
-def _push_plain(lines, v: dict, acc: dict) -> dict:
-    """_push through a factor with no identity tensor factor: key q reads line q."""
-    get = acc.get
-    for key, c in v.items():
-        for t, w in lines[key].items():
-            acc[t] = get(t, 0) + c * w
-    return acc
-
-
-def _push_strided(lines, k: int, v: dict, acc: dict) -> dict:
-    """_push through kron(X, id_k): key q * k + r reads line q of X, in place, its index t moved to t * k + r."""
-    get = acc.get
-    for key, c in v.items():
-        q, r = divmod(key, k)
-        for t, w in lines[q].items():
-            t = t * k + r
-            acc[t] = get(t, 0) + c * w
-    return acc
-
-
-def _push(lines, d_in: int, d_out: int, v: dict, acc: dict) -> dict:
-    """Add the sparse vector v, through kron(id_k, X) given by X's lines, to acc; products unreduced.
-
-    Key q * d_in + r reads line r of X, its index t moved to q * d_out + t.
-    """
-    get = acc.get
-    for key, c in v.items():
-        q, r = divmod(key, d_in)
-        shift = q * d_out
-        for t, w in lines[r].items():
-            t += shift
-            acc[t] = get(t, 0) + c * w
-    return acc
 
 
 def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: int, size: int, p: int,

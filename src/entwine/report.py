@@ -3,18 +3,21 @@
 A verifier is rows that first_failure reads in order: its components
 (part, report) first, then its laws (axiom, lhs, rhs, basis dims), whose
 sides are compositions of structure maps that compare reads along the
-shorter dimension, by rows or by columns (exactlin._vectors).  A
-failed report names the law, as part[axiom] for a component's, the basis
-indices of the least differing column, and both sides there as canonical
-sparse vectors {index: scalar}, so a failure is always reproducible by
-hand.  A handed law is stated once, right-handed; mirror gives its left row.
+shorter dimension, by rows or by columns, a block of vectors at a time
+(exactlin._least_column, at most exactlin._BLOCK_ENTRIES entries a
+block).  A failed report names the law, as part[axiom] for a
+component's, the basis indices of the least differing column, and both
+sides there as canonical sparse vectors {index: scalar}, so a failure is
+always reproducible by hand.  A handed law is stated once, right-handed;
+mirror gives its left row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import DimensionMismatch, Matrix, Permutation, _shape, _terms, _vectors, sparse_render, unflat
+from .exactlin import (DimensionMismatch, Matrix, Permutation, _least_column, _shape, _terms, _vectors, sparse_render,
+                       unflat)
 
 
 @dataclass(frozen=True)
@@ -88,35 +91,34 @@ class ClosureViolation(CheckError):
 def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     """None when the two sides of a law agree; otherwise a failure at the first differing column.
 
-    The difference lhs - rhs is read along its shorter dimension, one
-    vector at a time (exactlin._vectors): by rows when it is wide (more
-    columns than rows), by columns otherwise, so a passing law holds one
-    vector of the difference at a time.  A wide law that fails is read to
-    its last row for the least differing column; then that column of each
-    side is read for the report.  The witness is the input basis
-    multi-index, decoded from the column via the tensor index convention
-    using col_dims; a law on no basis inputs, col_dims (), has one column
-    and no witness.
+    The difference lhs - rhs is read along its shorter dimension, a block
+    of vectors at a time (exactlin._least_column): by rows when it is wide
+    (more columns than rows), by columns otherwise.  A block holds at most
+    exactlin._BLOCK_ENTRIES entries at any stage, unless a single vector is
+    wider, and a law with a packed stage is read one vector at a time.  A
+    wide law that fails is read to its last row for the least differing
+    column; a tall one stops at the first block that differs.  Then that
+    column of each side is read for the report, one vector
+    (exactlin._vectors).  The witness is the input basis multi-index,
+    decoded from the column via the tensor index convention using
+    col_dims; a law on no basis inputs, col_dims (), has one column and no
+    witness.
     """
     if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no vector needs reading
         return None
-    left, right = _terms(lhs), _terms(rhs)
+    left, right = _terms(lhs), _terms(rhs, -1)
     field, rows, cols = _shape(left)
     rfield, rrows, rcols = _shape(right)
     if (rrows, rcols) != (rows, cols):
         raise AssertionError(f"{op}/{axiom}: comparing {rows}x{cols} with {rrows}x{rcols}")
-    if rfield != field:
+    if rfield is not field and rfield != field:
         raise DimensionMismatch("the terms of a law side differ in shape or field")
-    diff = _vectors(left + [(-sign, factors) for sign, factors in right], cols > rows)
-    if cols > rows:
-        j = min((min(d) for d in map(diff, range(rows)) if d), default=None)
-    else:
-        j = next((j for j in range(cols) if diff(j)), None)
+    j = _least_column(left + right, cols > rows, rows, cols)
     if j is None:
         return None
     witness = (j,) if col_dims is None else unflat(j, col_dims) or None
     return fail(op, axiom, witness=witness, lhs=sparse_render(_vectors(left, False)(j), field),
-                rhs=sparse_render(_vectors(right, False)(j), field))
+                rhs=sparse_render(_vectors(_terms(rhs), False)(j), field))
 
 
 def mirror(row: tuple) -> tuple:

@@ -91,6 +91,7 @@ def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
     PresentationError.
     """
     perm, nrows = QUAD_LAYOUTS[layout]
+    dims = tuple(dims)
     d0, d1, d2 = dims
     at0, at1, at2 = (_offsets(dims, perm, (a,)) for a in range(3))
     cols = prod(dims[a] for a in perm[nrows:])
@@ -114,7 +115,7 @@ def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:
     them.
     """
     perm, nrows = QUAD_LAYOUTS[layout]
-    axes, back = [dims[a] for a in perm], [perm.index(a) for a in range(3)]
+    axes, back = tuple(dims[a] for a in perm), tuple(map(perm.index, range(3)))
     row_at, col_at = _offsets(axes, back, range(nrows)), _offsets(axes, back, range(nrows, 3))
     d12, d2 = dims[1] * dims[2], dims[2]
     out = []

@@ -214,7 +214,7 @@ def law_shape(side) -> tuple[Field, int, int]:
 
 
 def law_vectors(side, by_rows: bool):
-    """Read a law side one vector at a time, as report.compare does: exactlin._vectors on its terms."""
+    """Read a law side one vector at a time, as report.compare reads a witness column: exactlin._vectors."""
     terms = _terms(side)
     _shape(terms)
     return _vectors(terms, by_rows)

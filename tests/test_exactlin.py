@@ -704,3 +704,54 @@ class TestInvert:
         inv = invert(Matrix(QQ, 2, 2, [2, 1, 0, 3]))
         assert inv.render() == "[1/2, -1/6; 0, 1/3]"
         assert all(isinstance(x, Fraction) for x in inv.data if x)
+
+
+def offsets_by_strides(dims, perm, axes) -> list[int]:
+    """exactlin._offsets from its definition: index (i_a for a in axes) sits at sum i_a * (stride of a in the
+    output), the output axes being dims permuted by perm, row-major."""
+    out_dims = [dims[a] for a in perm]
+    stride = {a: prod(out_dims[k + 1:]) for k, a in enumerate(perm)}
+    return [sum(i * stride[a] for i, a in zip(index, axes)) for index in product(*(range(dims[a]) for a in axes))]
+
+
+class TestOffsetTables:
+    """_offsets keeps one table per (dims, perm, axes): a tuple equal to a fresh computation, the same object on
+    every call."""
+
+    @staticmethod
+    def check(dims, perm, axes):
+        from entwine.exactlin import _offsets
+
+        table = _offsets(dims, perm, axes)
+        assert type(table) is tuple and list(table) == offsets_by_strides(dims, perm, axes)
+        assert _offsets(dims, perm, axes) is table
+
+    def test_every_permutation_of_up_to_four_axes(self):
+        from itertools import permutations
+
+        for n in range(1, 5):
+            for dims in product(range(1, 4), repeat=n):
+                for perm in permutations(range(n)):
+                    for split in range(n + 1):
+                        self.check(dims, perm, tuple(range(split)))
+                        self.check(dims, perm, tuple(range(split, n)))
+
+    def test_the_tables_of_every_quad_layout(self):
+        from entwine.structures import QUAD_LAYOUTS
+
+        for perm, nrows in QUAD_LAYOUTS.values():
+            back = tuple(map(perm.index, range(3)))
+            for dims in product(range(1, 4), repeat=3):
+                for a in range(3):                      # matrix_from_quads: one axis at a time
+                    self.check(dims, perm, (a,))
+                axes = tuple(dims[a] for a in perm)     # quads_from_matrix: the row and column axes, permuted back
+                self.check(axes, back, range(nrows))
+                self.check(axes, back, range(nrows, 3))
+
+    def test_a_permutation_reads_its_cached_table(self):
+        from entwine.exactlin import Permutation
+
+        p = Permutation(QQ, (2, 3, 2), (2, 0, 1))
+        for by_rows in (True, False):
+            assert p.images(by_rows) is Permutation(QQ, (2, 3, 2), (2, 0, 1)).images(by_rows)
+        assert type(p.images(True)) is tuple

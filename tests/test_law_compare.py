@@ -2,8 +2,8 @@
 
 The reference (conftest.compare_reference) lays both sides of a law out
 with @ and kron and scans their columns in index order; compare reads the
-difference of the sides along its shorter dimension through
-exactlin._vectors.  Both must give the same verdict, witness and
+difference of the sides along its shorter dimension a block of vectors at
+a time (exactlin._least_column).  Both must give the same verdict, witness and
 lhs=/rhs= text on sides drawn by derandomized Hypothesis strategies: wide,
 tall and square, over Q and F_p, with pairs (X, k) and (k, X), Permutations
 of tensor factors beside them (laid out by conftest.perm_tensor) and read
@@ -17,12 +17,21 @@ packs 4 lines in 16-bit slots that byte tables reduce and 5 lines in
 32-bit slots reduced one slot at a time; p = 131 is past the byte tables
 in any slot; p = 2**31 - 1 packs at most 4 lines, in 64-bit slots, and
 the last stages of two such terms overflow a shared slot.
+The block reader is held to the same reference with the cap
+(exactlin._BLOCK_ENTRIES) patched small, so that a law spans blocks: on
+monomial sides whose keys fan in, on the drawn laws of every shape, at the
+cap and one entry past it, on a tall law that differs in its last block or
+stops early, on a wide law whose least differing column is in a later block
+than its first difference, and on terms that cancel in every block.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from unittest import mock
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -338,11 +347,17 @@ def pinned_dense_laws() -> list:
     return out
 
 
+def packed_pushes(plan) -> list:
+    """The packed stages of the terms _stages plans, each the partial of _push_packed that reads it."""
+    return [stage for _, _, middle, last in plan for stage in (*middle, last)
+            if isinstance(stage, partial) and stage.func is _push_packed]
+
+
 def packed_count(lhs, rhs) -> int:
     """How many stages the kernel itself packs when compare reads lhs - rhs."""
     _, rows, cols = law_shape(lhs)
-    _, pushes, _ = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
-    return sum(push.func is _push_packed for _, stages, last in pushes for push in (*stages, last))
+    _, plan, _, _ = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
+    return len(packed_pushes(plan))
 
 
 @SETTINGS
@@ -459,7 +474,7 @@ def test_the_byte_tables_stop_at_their_bound():
 def test_a_second_compare_packs_nothing_again(monkeypatch):
     """The packing decisions and the packed lines of a matrix are made once, not once per compare.
 
-    The shifted lines of a sparse pair (X, k) are made on every compare (_kernel_data).
+    A sparse pair (X, k) reads the lines of X itself, so nothing is made for it (_kernel_data).
     """
     f = Field(7)
     rng = random.Random(3)
@@ -471,10 +486,9 @@ def test_a_second_compare_packs_nothing_again(monkeypatch):
     real = exactlin._stages
 
     def stages(terms, by_rows):
-        p, pushes, size = real(terms, by_rows)
-        lines.append([push.args[0] for _, stages, last in pushes for push in (*stages, last)
-                      if push.func is _push_packed])
-        return p, pushes, size
+        planned = real(terms, by_rows)
+        lines.append([push.args[0] for push in packed_pushes(planned[1])])
+        return planned
 
     monkeypatch.setattr(exactlin, "_stages", stages)
     first = report.compare("op", "law", lhs, rhs)
@@ -490,3 +504,274 @@ def test_a_second_compare_packs_nothing_again(monkeypatch):
     assert all(a is b for a, b in zip(lines[0], lines[3]))   # the same packed lines are read
     for x in (dense, other):   # nothing was decided or made again
         assert x._kernel.keys() == kept[id(x)].keys() and all(x._kernel[k] is v for k, v in kept[id(x)].items())
+
+
+# ---------------------------------------------------------------------------
+# the block reader: _least_column reads max(1, _BLOCK_ENTRIES // w) vectors at a time, w the widest stage
+
+
+def read_blocks(lhs, rhs) -> tuple[list, int]:
+    """The (start, stop) of each block _least_column reads on lhs - rhs, in order, and the most keys a stage of a
+    block held."""
+    _, rows, cols = law_shape(lhs)
+    first, push = exactlin._first, exactlin._push
+    spans, most = [], 0
+
+    def spy_first(*args):
+        nonlocal most
+        out = first(*args)
+        if not spans or spans[-1] != args[-2:]:
+            spans.append(args[-2:])
+        most = max(most, len(out))
+        return out
+
+    def spy_push(*args):
+        nonlocal most
+        out = push(*args)
+        most = max(most, len(out))
+        return out
+
+    with mock.patch.object(exactlin, "_first", spy_first), mock.patch.object(exactlin, "_push", spy_push):
+        exactlin._least_column(_terms([(1, lhs), (-1, rhs)]), cols > rows, rows, cols)
+    return spans, most
+
+
+@st.composite
+def monomials(draw, field: Field, rows: int, cols: int, by_rows: bool) -> Matrix:
+    """A matrix whose lines read by_rows (its rows, else its columns) hold at most one entry each, most of them at
+    the first two indices, so that several lines land on one index (fan-in)."""
+    count, width = (rows, cols) if by_rows else (cols, rows)
+    entries = []
+    for line in range(count):
+        if width and draw(st.integers(0, 3)):
+            at = draw(st.one_of(st.integers(0, min(width, 2) - 1), st.integers(0, width - 1)))
+            c = draw(st.sampled_from((1, -1, 2))) if field.p is None else draw(st.integers(1, field.p - 1))
+            entries.append((line, at, c) if by_rows else (at, line, c))
+    return Matrix.from_entries(field, rows, cols, entries)
+
+
+@st.composite
+def monomial_laws(draw):
+    """(lhs, rhs, col_dims) whose every factor is monomial in the direction compare reads: wide or tall, passing
+    through cancelling terms or apart by a bumped entry."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.sampled_from(((2, 6), (3, 12), (8, 2), (12, 4), (6, 6))))
+    by_rows = cols > rows
+
+    def side():
+        factors, width = [], cols
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.sampled_from([k for k in (1, 2, 3) if width % k == 0]))
+            x = draw(monomials(field, draw(st.integers(1, 4)), width // k, by_rows))
+            factors.append(draw(st.sampled_from(((x, k), (k, x)))))
+            width = x.rows * k
+        factors.append(draw(monomials(field, rows, width, by_rows)))
+        return tuple(factors)
+
+    lhs, other = side(), side()
+    kind = draw(st.sampled_from(("cancelling", "another", "bumped")))
+    if kind == "cancelling":
+        rhs = [(1, other), (1, lhs), (-1, other)]
+    elif kind == "another":
+        rhs = other
+    else:
+        bump = Matrix.from_entries(field, rows, cols,
+                                   [(draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), 1)])
+        rhs = [(1, lhs), (1, bump)]
+    return lhs, rhs, draw(st.sampled_from((None, (cols,))))
+
+
+def pinned_fan_in() -> list:
+    """Four rows of a wide monomial side land on one column, two by two on another after a pair; over Q and F_5."""
+    out = []
+    for field in (QQ, Field(5)):
+        x = Matrix.from_entries(field, 2, 6, [(0, 0, 1), (0, 1, -1), (1, 0, 2), (1, 3, 1)])   # read by rows
+        y = Matrix.from_entries(field, 6, 6, [(t, t % 2, 1) for t in range(6)])
+        lhs = (y, x)
+        out += [(lhs, [(1, lhs), (1, Matrix.from_entries(field, 2, 6, [(1, 5, 1)]))], (2, 3)),
+                (lhs, [(1, (y, y, x)), (1, lhs), (-1, (y, y, x))], None)]
+    return out
+
+
+@SETTINGS
+@with_examples([(law, cap) for law in pinned_fan_in() for cap in (1, 4096)])
+@given(st.tuples(monomial_laws(), st.sampled_from((1, 2, 5, 12, 4096))))
+def test_compare_agrees_on_monomial_sides_in_blocks(case):
+    """Monomial sides, whose keys fan in to shared indices, give compare's verdict and witness in blocks of any
+    size (the cap drawn beside the law): one vector, a few, the whole law."""
+    (lhs, rhs, col_dims), cap = case
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", cap):
+        assert report.compare("op", "law", lhs, rhs, col_dims) == reference("op", "law", lhs, rhs, col_dims)
+
+
+MONOMIAL_SEED = 6
+
+
+def test_the_monomial_strategy_reaches_fan_in():
+    """Drawn monomial laws pass and fail, wide and tall, over Q and F_p, and some factor lands two of the lines
+    compare reads on one index."""
+    seen = set()
+
+    @seed(MONOMIAL_SEED)
+    @SETTINGS
+    @given(monomial_laws())
+    def collect(law):
+        lhs, rhs, col_dims = law
+        field, rows, cols = law_shape(lhs)
+        by_rows = cols > rows
+        seen.add(("wide" if by_rows else "tall", field.p is None,
+                  "passes" if reference("op", "law", lhs, rhs, col_dims) is None else "fails"))
+        for _, factors in _terms([(1, lhs), (-1, rhs)]):
+            for x, _, _ in factors:
+                lines = x._rows if by_rows else exactlin.columns_of(x)
+                assert all(len(line) <= 1 for line in lines)
+                landed = [t for line in lines for t in line]
+                if len(landed) > len(set(landed)):
+                    seen.add("fan-in")
+
+    collect()
+    want = {(shape, over_q, verdict) for shape in ("wide", "tall") for over_q in (True, False)
+            for verdict in ("passes", "fails")} | {"fan-in"}
+    assert want <= seen, want - seen
+
+
+@SETTINGS
+@with_examples([(law, 3) for law in pinned_laws()])
+@given(st.tuples(laws(), st.sampled_from((1, 3, 8, 20))))
+def test_compare_agrees_when_a_law_spans_blocks(case):
+    """The drawn laws of every shape, read with a cap (drawn beside the law) that splits them into two or more
+    blocks: the same verdict, witness and text, cancelling terms and laws on no basis inputs (col_dims ())
+    included."""
+    (lhs, rhs, col_dims), cap = case
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", cap):
+        assert report.compare("op", "law", lhs, rhs, col_dims) == reference("op", "law", lhs, rhs, col_dims)
+
+
+def dense_wide(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
+    return Matrix(field, rows, cols, [rng.randrange(1, 5) for _ in range(rows * cols)])
+
+
+@pytest.mark.parametrize("field", (QQ, Field(7)), ids=("Q", "F7"))
+@pytest.mark.parametrize("past", (0, 1), ids=("at the cap", "one past it"))
+def test_a_block_holds_at_most_the_cap(field, past):
+    """A dense tall side F^10 -> F^12 through F^6 holds 12 entries a vector at its widest stage: with the cap at
+    3 * 12 a block reads 3 vectors and holds exactly the cap; one entry past it, a block reads 2.  Either way it
+    agrees with the reference, passing and failing."""
+    rng = random.Random(repr(field))
+    lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
+    bump = Matrix.from_entries(field, 12, 10, [(11, 9, 1)])
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 36 - past):
+        spans, most = read_blocks(lhs, [(1, lhs), (1, zeros(field, 12, 10))])
+        step = 3 - past
+        assert spans == [(start, min(start + step, 10)) for start in range(0, 10, step)]
+        assert most == 12 * step <= exactlin._BLOCK_ENTRIES
+        assert report.compare("op", "law", lhs, lhs) is None
+        assert report.compare("op", "law", lhs, [(1, lhs), (1, bump)], (2, 5)) == \
+            reference("op", "law", lhs, [(1, lhs), (1, bump)], (2, 5))
+
+
+def test_the_cap_at_its_edge():
+    """With the cap as it is, a side whose widest stage is w reads _BLOCK_ENTRIES // w vectors at a time: 2 at a
+    width of half the cap, 1 at one more, and 1 past the cap; no pair is laid out to find it.  Dense columns of
+    half the cap fill a block of two to the cap; one entry longer, a block holds one."""
+    cap = exactlin._BLOCK_ENTRIES
+    half = cap // 2
+    for width, step in ((half, 2), (half + 1, 1), (cap, 1), (cap + 1, 1), (half // 2, 4)):
+        x = Matrix.from_entries(QQ, 1, 1, [(0, 0, 1)])
+        assert exactlin._stages(_terms(((x, width),)), False)[3] == step   # kron(x, id_width), read by columns
+    for rows, step in ((half, 2), (half + 1, 1)):
+        x = Matrix(QQ, rows, 4, [1 + t % 3 for t in range(4 * rows)])    # tall: four dense columns
+        bump = Matrix.from_entries(QQ, rows, 4, [(rows - 1, 3, 1)])
+        spans, most = read_blocks((x,), [(1, (x,))])
+        assert spans == [(start, start + step) for start in range(0, 4, step)] and most == rows * step <= cap
+        assert report.compare("op", "law", (x,), [(1, (x,)), (1, bump)], (2, 2)) == \
+            reference("op", "law", (x,), [(1, (x,)), (1, bump)], (2, 2))
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+@pytest.mark.parametrize("column", (9, 4))
+def test_a_tall_law_stops_at_the_first_block_that_differs(field, column):
+    """Blocks of 3 columns of a tall law F^10 -> F^12: a difference in column 9, the last block, is found there;
+    one in column 4 stops the reading after the second block."""
+    rng = random.Random(column)
+    lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
+    rhs = [(1, lhs), (1, Matrix.from_entries(field, 12, 10, [(0, column, 1), (5, 9, 1)]))]
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 36):
+        spans, _ = read_blocks(lhs, rhs)
+        assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)][:column // 3 + 1]
+        got = report.compare("op", "law", lhs, rhs, (10,))
+    assert got == reference("op", "law", lhs, rhs, (10,)) and got.witness == (column,)
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+def test_a_wide_law_finds_its_least_column_in_a_later_block(field):
+    """Rows 0-1 of a wide law F^12 -> F^6 differ first, at column 7; row 5, in the last block of two rows, differs
+    at column 2, which is the least differing column and the witness."""
+    rng = random.Random(6)
+    lhs = (dense_wide(field, 4, 12, rng), dense_wide(field, 6, 4, rng))
+    rhs = [(1, lhs), (1, Matrix.from_entries(field, 6, 12, [(0, 7, 1), (5, 2, 1), (3, 9, 1)]))]
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 24):     # the widest stage is 12 wide: two rows a block
+        spans, _ = read_blocks(lhs, rhs)
+        assert spans == [(0, 2), (2, 4), (4, 6)]
+        got = report.compare("op", "law", lhs, rhs, (3, 4))
+    assert got == reference("op", "law", lhs, rhs, (3, 4)) and got.witness == (0, 2)
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+def test_terms_cancel_in_every_block(field):
+    """A tall law whose rhs adds two terms that cancel, each term read through a pair and a Permutation, passes in
+    blocks of one, two and five columns, and fails at the bumped column."""
+    rng = random.Random(7)
+    x, y = dense_wide(field, 4, 4, rng), dense_wide(field, 2, 2, rng)
+    swap = Permutation(field, (2, 4), (1, 0))
+    lhs = ((x, 2), swap, (4, y))                       # F^8 -> F^8 -> F^8 -> F^8
+    other = ((2, x.transpose()), (y, 4))
+    rhs = [(1, other), (1, lhs), (-1, other)]
+    bump = Matrix.from_entries(field, 8, 8, [(3, 6, field.of(-1))])
+    for cap in (8, 16, 40):
+        with mock.patch.object(exactlin, "_BLOCK_ENTRIES", cap):
+            assert len(read_blocks(lhs, rhs)[0]) == -(-8 // (cap // 8))
+            assert report.compare("op", "law", lhs, rhs, (2, 4)) is None
+            assert reference("op", "law", lhs, rhs, (2, 4)) is None
+            bad = [(1, other), (1, lhs), (-1, other), (1, bump)]
+            assert report.compare("op", "law", lhs, bad, (2, 4)) == reference("op", "law", lhs, bad, (2, 4))
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+def test_a_law_on_no_basis_inputs_reads_one_block(field):
+    """col_dims (): one column, one block, no witness; the failure text is that column of each side."""
+    x = Matrix(field, 3, 1, [1, 0, 2])
+    one = [(1, (x,)), (1, Matrix(field, 3, 1, [0, 1, 0]))]
+    assert read_blocks((x,), one)[0] == [(0, 1)]
+    got = report.compare("op", "law", (x,), one, ())
+    assert got == reference("op", "law", (x,), one, ()) and got.witness is None
+    assert report.compare("op", "law", (x,), [(1, (x,)), (1, (x,)), (-1, (x,))], ()) is None
+
+
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+@pytest.mark.parametrize("cap", (6, 40, 4096))
+def test_each_factor_form_reads_as_its_layout_in_blocks(field, cap):
+    """A pair (k, X) or (X, k), a Permutation and a Matrix, each a term's first stage and a later one, read by
+    columns (tall) and by rows (wide) in blocks of several vectors, agree with the laid-out side on every column,
+    and a bump in the last column is found there."""
+    rng = random.Random(repr((field, cap)))
+
+    def dense(rows, cols):
+        return Matrix(field, rows, cols, [rng.randrange(-2, 3) for _ in range(rows * cols)])
+
+    x = dense(3, 2)
+    sides = []
+    for f in ((2, x), (x, 2), Permutation(field, (2, 3), (1, 0)), dense(6, 4)):
+        r, c = law_shape((f,))[1:]
+        sides += [(f,),                     # tall, alone
+                  (f, dense(r + 2, r)),     # tall, read first by columns
+                  (dense(c, r + 2), f),     # wide, read first by rows
+                  (dense(c, 2), f),         # tall, read second by columns
+                  (f, dense(2, r))]         # wide, read second by rows
+    for side in sides:
+        laid = layout(side)
+        bump = Matrix.from_entries(field, laid.rows, laid.cols, [(laid.rows - 1, laid.cols - 1, 1)])
+        with mock.patch.object(exactlin, "_BLOCK_ENTRIES", cap):
+            assert report.compare("op", "law", side, laid) is None, side
+            assert report.compare("op", "law", side, [(1, laid), (1, bump)]) == \
+                reference("op", "law", side, [(1, laid), (1, bump)], None)

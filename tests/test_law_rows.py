@@ -1,4 +1,4 @@
-"""Every law is a composition of structure maps that only exactlin._vectors evaluates.
+"""Every law is a composition of structure maps that only exactlin._block evaluates.
 
 Two kinds of test: the verifiers pass on every catalog object with Matrix
 products and Kronecker products disabled, so no law side is laid out; and
