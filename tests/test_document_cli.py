@@ -10,7 +10,8 @@ from entwine.document import (
     parse_document,
 )
 from entwine.cli import run_command
-from entwine.catalog import catalog_get
+from entwine.catalog import catalog_get, catalog_names
+from entwine.doikoppinen import DKStructure, HCoextension, verify_dk
 from entwine.exactlin import Matrix, QQ
 from entwine.structures import StructurePresentation
 
@@ -295,6 +296,19 @@ REFERENCE_ERRORS = [
      "objects.coext.bialgebra: referenced object has no algebra structure"),
     ("coext.coalgebra-part", _set("coext.coalgebra", "alg"),
      "objects.coext.coalgebra: referenced object has no coalgebra structure"),
+    # a morphism whose role names a part that its source or target lacks
+    ("hom.role-algebra", _set("hom", {"type": "morphism", "role": "algebra", "source": "coalg", "target": "coalg",
+                                      "matrix": [["1"]]}),
+     "objects.hom.source: referenced object has no algebra structure"),
+    ("hom.role-hopf", _set("hom", {"type": "morphism", "role": "hopf", "source": "alg", "target": "alg",
+                                   "matrix": [["1"]]}),
+     "objects.hom.source: referenced object has no coalgebra structure"),
+    ("hom.role-coalgebra", _set("hom", {"type": "morphism", "role": "coalgebra", "source": "alg", "target": "alg",
+                                        "matrix": [["1"]]}),
+     "objects.hom.source: referenced object has no coalgebra structure"),
+    ("hom.role-target", _set("hom", {"type": "morphism", "role": "bialgebra", "source": "h", "target": "alg",
+                                     "matrix": [["1", "0"]]}),
+     "objects.hom.target: referenced object has no coalgebra structure"),
     # every index of every quadruple block, set to its bound
     *[(f"{path}[{pos}]", _quad(path, pos, bound), f"objects.{shown}[0]: {name} index {bound} out of range [0, {bound})")
       for path, shown, bounds in (
@@ -645,12 +659,11 @@ class TestCommands:
         assert "agrees" in text
 
     @pytest.mark.parametrize("argv, counts", [
-        # the triple passes verify_dk once, and neither its entwining nor its dual, a transpose, is read: the
-        # coherence row ties the dual's psi to psi transposed; build_smash reads no ring law of the table it made,
-        # and koppinen_smash compares that table and unit with Koppinen's.  H = A = C is read once as a bialgebra:
-        # its algebra and coalgebra rows are not read again
-        (["dk", "dk_qc2", "--name", "dk_qc2"], (8, 20, 1, 0, 0)),
-        (["dualize", "dk_qc2", "--name", "dk_qc2"], (8, 19, 1, 0, 0)),
+        # the triple passes verify_dk once, and nothing more is read: neither its entwining nor its dual, a
+        # transpose, nor Koppinen's table, since both identities that dk prints hold for any maps.  H = A = C is
+        # read once as a bialgebra: its algebra and coalgebra rows are not read again
+        (["dk", "dk_qc2", "--name", "dk_qc2"], (8, 18, 1, 0, 0)),
+        (["dualize", "dk_qc2", "--name", "dk_qc2"], (8, 18, 1, 0, 0)),
         # the entwining passes verify_entwining once, and nothing that dual_entwining builds is read
         (["dualize", "hopfmod_sweedler4_entwining", "--name", "hopfmod_sweedler4_entwining"], (3, 10, 0, 1, 0)),
         # the entwining passes verify_entwining once, and neither command builds the smash ring, the coring or nu:
@@ -692,6 +705,62 @@ class TestCommands:
         code, text = run_command([cmd, path, *options])
         assert code == 0, text
         assert calls == dict(zip(calls, counts))
+
+    def test_dk_reads_only_the_triple(self, tmp_path, monkeypatch):
+        """On every catalog triple, dk reads through report.compare exactly the rows that verify_dk reads, and builds
+        neither the entwining, Koppinen's table, the smash ring nor the dual."""
+        from entwine import cli, doikoppinen, entwining, report
+
+        compare, read = report.compare, []
+
+        def recording(op, axiom, *rest):
+            read.append((op, axiom))
+            return compare(op, axiom, *rest)
+
+        def refuse(*_):
+            raise AssertionError("dk built what it does not print")
+
+        names = [name for name in catalog_names() if isinstance(catalog_get(name), DKStructure)]
+        assert len(names) == 6
+        for name in names:
+            path = write(tmp_path, f"{name}.ent", catalog_doc(name))
+            doc = parse_document(catalog_doc(name))
+            monkeypatch.setattr(report, "compare", recording)
+            verify_dk(doc.resolved[name])
+            rows, read[:] = list(read), []
+            with monkeypatch.context() as refusing:
+                for module in (cli, doikoppinen, entwining):
+                    for fn in ("dk_entwining", "koppinen_table", "build_smash", "dual_dk"):
+                        refusing.setattr(module, fn, refuse, raising=False)
+                code, text = run_command(["dk", path, "--name", name])
+            monkeypatch.setattr(report, "compare", compare)
+            assert code == 0 and text.splitlines()[1:] == [
+                f"{name}: twisted ring agrees with the entwining smash ring, table and unit",
+                f"{name}_dual: dual_dk: PASS entwining_coherence=True"], name
+            assert read == rows and rows, name
+            read.clear()
+
+    def test_coextensions_eliminate_nothing_until_read(self, tmp_path, monkeypatch):
+        """Parsing a catalog coextension runs no elimination, and cocleft builds neither W, the projection nor the
+        coinvariants of the dual; check builds W alone for the quotient's dimension."""
+        from entwine import doikoppinen, exactlin
+
+        eliminate, calls = exactlin._eliminate, []
+        monkeypatch.setattr(exactlin, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        names = [name for name in catalog_names() if isinstance(catalog_get(name), HCoextension)]
+        assert len(names) == 2
+        for name in names:
+            text = catalog_doc(name)
+            calls.clear()
+            coext = parse_document(text).resolved[name]
+            assert not calls, name
+            assert coext.d.dim - coext.dplus.dim == coext.quotient.dim == 1
+        for module, fn in ((doikoppinen, "coinvariants"), (doikoppinen, "image"), (doikoppinen, "_free_columns")):
+            monkeypatch.setattr(module, fn, lambda *_: pytest.fail("cocleft built what it does not print"))
+        for name in names:
+            code, text = run_command(["cocleft", write(tmp_path, f"{name}.ent", catalog_doc(name)), "--name", name])
+            assert code == 0 and text.endswith(
+                f"{name}_dual: dualize_coextension: PASS coinvariants_equal_quotient_dual=True cleft=True\n"), text
 
     def test_cleft_cocleft(self, tmp_path):
         path = write(tmp_path, "ext.ent", catalog_doc("ext_qc2"))
@@ -784,6 +853,22 @@ class TestCommands:
         path = write(tmp_path, "bad.ent", json.dumps(body))
         code, text = run_command(["check", path])
         assert code == 1
+
+    @pytest.mark.parametrize("role, matrix, line", [
+        ("algebra", [["1", "0"], ["0", "1"]], "f: algebra_morphism: PASS"),
+        ("algebra", [["2", "0"], ["0", "1"]],
+         "f: algebra_morphism: FAIL multiplicative at basis (0, 0) lhs={0: 2} rhs={0: 4}"),
+        ("coalgebra", [["1", "0"], ["0", "1"]], "f: coalgebra_morphism: PASS"),
+        ("coalgebra", [["2", "0"], ["0", "1"]],
+         "f: coalgebra_morphism: FAIL comultiplicative at basis (0,) lhs={0: 2} rhs={0: 4}"),
+    ], ids=["algebra-identity", "algebra-bumped", "coalgebra-identity", "coalgebra-bumped"])
+    def test_morphism_roles(self, tmp_path, role, matrix, line):
+        """A morphism of role algebra or coalgebra is read by its own report: the identity of qc2 passes, and the
+        identity with +1 at (0, 0) fails with its witness."""
+        body = json.loads(catalog_doc("qc2"))
+        body["objects"]["f"] = {"type": "morphism", "role": role, "source": "qc2", "target": "qc2", "matrix": matrix}
+        code, text = run_command(["check", write(tmp_path, "m.ent", json.dumps(body))])
+        assert (code, text) == (int("FAIL" in line), f"{line}\nqc2: verify_structure[hopf]: PASS\n")
 
     def test_dualize_entwining_output_parses(self, tmp_path):
         path = write(tmp_path, "e.ent", catalog_doc("hopfmod_qc2_entwining"))

@@ -120,19 +120,20 @@ def test_cli_outputs_match_golden(tmp_path):
 
 
 def test_smash_and_coring_build_nothing_they_do_not_print(tmp_path, monkeypatch):
-    """With build_smash, build_coring and nu_iso raising, smash and coring print their golden lines on every catalog
-    entwining; smash --table builds the ring once, with the real build_smash, and prints its golden table."""
+    """With build_smash, build_coring, nu_iso and the smash ring's left A-action raising, smash and coring print their
+    golden lines on every catalog entwining; smash --table builds the table once, and the unit, and prints its golden
+    table."""
     import entwine.cli as cli
     import entwine.entwining as entwining
 
     expected = json.loads(GOLDEN.read_text())
-    build = entwining.build_smash
+    table_of = entwining.twisted_product
 
     def refuse(*_):
         raise AssertionError("built what the command does not print")
 
     for module in (cli, entwining):
-        for name in ("build_smash", "build_coring", "nu_iso"):
+        for name in ("build_smash", "build_coring", "nu_iso", "twisted_left_action", "twisted_product"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     names = [name for name in catalog_names() if isinstance(catalog_get(name), EntwiningPresentation)]
     assert len(names) == 11
@@ -156,11 +157,11 @@ def test_smash_and_coring_build_nothing_they_do_not_print(tmp_path, monkeypatch)
             assert run_command([*prefix, "coring", str(path), "--name", name]) == \
                 (expected[coring]["code"], expected[coring]["text"]), coring
             built = []
-            monkeypatch.setattr(cli, "build_smash", lambda e: built.append(e) or build(e))
+            monkeypatch.setattr(cli, "twisted_product", lambda e: built.append(e) or table_of(e))
             assert run_command([*prefix, "smash", str(path), "--name", name, "--table"]) == \
                 (table["code"], table["text"]), key
             assert len(built) == 1, key
-            monkeypatch.setattr(cli, "build_smash", refuse)
+            monkeypatch.setattr(cli, "twisted_product", refuse)
 
 
 if __name__ == "__main__":

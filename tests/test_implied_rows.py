@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from entwine import report
-from entwine.catalog import catalog_get, catalog_names
+from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, sweedler4
 from entwine.doikoppinen import (
     _DUAL_ARROWS,
     AltDKStructure,
@@ -33,7 +33,6 @@ from entwine.doikoppinen import (
     dualize_coextension,
     h_extension,
     koppinen_smash,
-    long_dimodule_check,
     module_coalgebra_to_comodule_algebra,
     module_coalgebra_to_dual_module_algebra,
     verify_dk,
@@ -54,7 +53,7 @@ from entwine.entwining import (
     verify_entwining,
     verify_entwining_morphism,
 )
-from entwine.exactlin import Matrix, PresentationError, QQ, kron
+from entwine.exactlin import Field, Matrix, PresentationError, QQ, kron
 from entwine.report import first_failure
 from entwine.structures import (
     StructurePresentation,
@@ -78,12 +77,14 @@ from conftest import (
     antipode_right_rows,
     arrow_inputs,
     coinvariant_subalgebra,
+    coinvariants_match,
     coring_laws,
     corrupt,
     dual_entwining_rows,
     dual_integral,
     dual_morphism_transpose,
     dplus_closure,
+    entwining_coherence,
     inner_ingredient,
     left_inverse_rows,
     module_output,
@@ -91,6 +92,7 @@ from conftest import (
     nu_laws,
     psi_laws,
     quotient_rows,
+    random_matrix,
     rational_route,
     scale,
     smash_laws,
@@ -243,7 +245,20 @@ class TestImpliedChecksHold:
         triples = catalog_of(DKStructure)
         assert len(triples) == 6
         for name, s in triples.items():
-            assert verify_dk(dual_dk(s, dk_entwining(s))[0]).passed, name
+            assert verify_dk(dual_dk(s)).passed, name
+
+    def test_entwining_coherence(self):
+        """The DK psi of the dual of every catalog triple is psi transposed, as dk and dualize print."""
+        triples = catalog_of(DKStructure)
+        assert len(triples) == 6
+        for name, s in triples.items():
+            assert entwining_coherence(s).summary() == "dual_dk: PASS entwining_coherence=True", name
+
+    def test_coinvariants_are_the_quotient_dual(self):
+        coextensions = catalog_of(HCoextension)
+        assert len(coextensions) == 2
+        for name, coext in coextensions.items():
+            assert coinvariants_match(coext).passed, name
 
     def test_dual_entwining_psi(self):
         entwinings = catalog_of(EntwiningPresentation)
@@ -366,15 +381,92 @@ class TestImpliedChecksBite:
         rng = random.Random("dual triple")
         verdicts = []
         for name, s in catalog_of(DKStructure).items():
-            e = dk_entwining(s)
             for part, attr in (("h", "mul"), ("h", "comul"), ("alg", "mul"), ("coalg", "comul"),
                                ("alg_coaction", None), ("coalg_action", None)):
                 for _ in range(8):
                     bad = bump_part(s, part, attr, rng)
                     given = verify_dk(bad).passed
-                    assert verify_dk(dual_dk(bad, e)[0]).passed == given, (name, part, attr)
+                    assert verify_dk(dual_dk(bad)).passed == given, (name, part, attr)
                     verdicts.append(given)
         assert len(verdicts) == 288 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("name", ["dk_qc2", "dk_sweedler4"])
+    def test_entwining_coherence_bites(self, name):
+        """A +1 on psi of the entwining the dual is compared with fails the coherence oracle."""
+        s = catalog_get(name)
+        e = dk_entwining(s)
+        assert entwining_coherence(s, replace(e, psi=corrupt(e.psi, 0, 0))).summary() == \
+            "dual_dk: FAIL entwining-coherence at basis (0, 0) lhs={0: 1} rhs={0: 2}"
+
+    def test_dk_identities_hold_with_any_maps(self):
+        """Both identities that dk prints hold on seeded +1 bumps of every catalog triple, and on random triples whose
+        algebra, coalgebra, coaction and action are random matrices (F_5, F_7 and Q; H = C_2, C_3 or sweedler4; dim A
+        and dim C from 1 to 3): entwining coherence, and Koppinen's table and unit against the smash ring's."""
+        rng = random.Random("dk identities")
+        triples = [bump_part(s, part, attr, rng) for s in catalog_of(DKStructure).values()
+                   for part, attr in (("alg", "mul"), ("coalg", "comul"), ("alg_coaction", None),
+                                      ("coalg_action", None)) for _ in range(4)]
+        for f in (Field(5), Field(7), QQ):
+            for h in (cyclic_group_algebra(f, 2), cyclic_group_algebra(f, 3), sweedler4(f)):
+                for na in (1, 2, 3):
+                    for nc in (1, 2, 3):
+                        a = make_structure("algebra", f, na, mul=random_matrix(f, rng, na, na * na),
+                                           unit=random_matrix(f, rng, na, 1))
+                        c = make_structure("coalgebra", f, nc, comul=random_matrix(f, rng, nc * nc, nc),
+                                           counit=random_matrix(f, rng, 1, nc))
+                        triples.append(DKStructure(h, a, random_matrix(f, rng, na * h.dim, na), c,
+                                                   random_matrix(f, rng, nc, nc * h.dim)))
+        verdicts = []
+        for s in triples:
+            assert entwining_coherence(s).passed
+            koppinen_smash(s, dk_entwining(s))   # raises CheckError if the table or the unit differs
+            verdicts.append(verify_dk(s).passed)
+        assert len(verdicts) == 96 + 81 and sum(verdicts) < len(verdicts) // 2
+
+    def test_coinvariants_bite(self):
+        """The zero action on D = qc2: d.1 = 0, so no functional but 0 is coinvariant, while W = 0."""
+        coext = catalog_get("coext_qc2")
+        bad = HCoextension(coext.h, coext.d, zeros(QQ, coext.action.rows, coext.action.cols))
+        assert coinvariants_match(bad).summary() == \
+            "dualize_coextension: FAIL coinvariants-mismatch lhs=[] rhs=[1, 0; 0, 1]"
+
+    def test_coinvariants_hold_with_the_action_unit_law(self):
+        """Seeded pairs of +1 bumps of the action of each catalog coextension: the coinvariants of D* over H* are the
+        quotient dual whenever d.1 = d still holds, and some bumps that break that law break them too."""
+        rng = random.Random("coinvariants bumps")
+        verdicts = []
+        for name, coext in catalog_of(HCoextension).items():
+            h, d = coext.h, coext.d
+            for _ in range(24):
+                bad = HCoextension(h, d, bump(bump(coext.action, rng), rng), coext.cointegral)
+                unit_law = bad.action @ kron(d.identity_matrix(), h.unit) == d.identity_matrix()
+                got = coinvariants_match(bad).passed
+                assert got or not unit_law, name
+                verdicts.append((unit_law, got))
+        assert len(verdicts) == 48 and {(True, True), (False, False)} <= set(verdicts)
+
+    def test_coinvariants_need_only_the_action_unit_law(self):
+        """Random actions of H on random coalgebras D (F_5 and Q; H = C_2, C_3 or sweedler4; dim D from 1 to 3):
+        with d.1 = d imposed, the coinvariants of D* are the quotient dual every time; left free, some are not."""
+        rng = random.Random("coinvariants random")
+        mismatches = {True: 0, False: 0}   # d.1 = d imposed -> actions whose coinvariants differ
+        for f in (Field(5), QQ):
+            for h in (cyclic_group_algebra(f, 2), cyclic_group_algebra(f, 3), sweedler4(f)):
+                one = h.unit.col(0).index(f.one())   # 1_H is a basis vector
+                assert h.unit == Matrix.basis_column(f, h.dim, one)
+                for nd in (1, 2, 3):
+                    d = make_structure("coalgebra", f, nd, comul=random_matrix(f, rng, nd * nd, nd),
+                                       counit=random_matrix(f, rng, 1, nd))
+                    for imposed in (True, False):
+                        for _ in range(6):
+                            rows = [list(random_matrix(f, rng, 1, nd * h.dim).row(0)) for _ in range(nd)]
+                            if imposed:
+                                for i in range(nd):
+                                    for r in range(nd):
+                                        rows[r][i * h.dim + one] = f.one() if r == i else f.zero()
+                            coext = HCoextension(h, d, Matrix.from_rows(f, rows))
+                            mismatches[imposed] += not coinvariants_match(coext).passed
+        assert mismatches[True] == 0 and mismatches[False] > 0
 
     @pytest.mark.parametrize("name", ["qc2", "qc3", "sweedler4"])
     def test_output_fails_with_the_input(self, name):
@@ -556,10 +648,7 @@ class TestImpliedChecksBite:
 
 
 # law names that src reads on catalog objects but that no bite table pins yet; this set may only shrink
-UNPINNED = {
-    "adjointness", "comultiplicative", "counital", "intertwining", "long-compatibility", "mixed-compatibility",
-    "multiplicative", "unital",
-}
+UNPINNED = {"adjointness", "comultiplicative", "counital", "intertwining", "multiplicative", "unital"}
 
 
 def bite_table_axioms() -> set:
@@ -605,9 +694,8 @@ def read_every_law(obj) -> None:
         adjunction_check(d, obj, dual_module_r(d, obj).module)
     elif isinstance(obj, DKStructure):
         verify_dk(obj)
-        e = dk_entwining(obj)
-        koppinen_smash(obj, e)
-        dual_dk(obj, e)
+        koppinen_smash(obj, dk_entwining(obj))
+        dual_dk(obj)
         verify_dk_morphism(obj, obj, obj.h.identity_matrix(), obj.alg.identity_matrix(), obj.coalg.identity_matrix())
     elif isinstance(obj, AltDKStructure):
         obj.verify()
@@ -639,8 +727,6 @@ def test_every_law_name_is_pinned_or_implied(monkeypatch):
     monkeypatch.setattr(report, "compare", recording)
     for name in catalog_names():
         read_every_law(catalog_get(name))
-    m = catalog_get("longmod_qc2")
-    long_dimodule_check(m.entwining.algebra, m.entwining.coalgebra, m.as_module())
     pinned = bite_table_axioms()
     assert not (read | qualified) & set(IMPLIED_CHECKS), "src reads a check that its inputs imply"
     assert not pinned & UNPINNED, "a pinned law name is still listed as unpinned"
