@@ -34,6 +34,7 @@ from .entwining import (
 )
 from .duality import adjunction_check, dual_entwining
 from .doikoppinen import (
+    DUAL_COEXTENSION_CLEFT,
     DUAL_DK_COHERENT,
     KOPPINEN_NOTE,
     DKStructure,
@@ -42,7 +43,7 @@ from .doikoppinen import (
     check_cointegral,
     check_integral,
     dual_dk,
-    dualize_coextension,
+    require_hopf,
     verify_dk,
 )
 from .document import Document, canonical_json, document_from_objects, emit_document, parse_document
@@ -263,8 +264,8 @@ def cmd_cocleft(args, out: _Out) -> None:
     if not rep.passed:
         out.failed = True
         return
-    _, drep = dualize_coextension(coext, rep)
-    out.report(f"{args.name}_dual", drep)
+    require_hopf(coext.h)
+    out.report(f"{args.name}_dual", DUAL_COEXTENSION_CLEFT)
 
 
 def cmd_catalog(args, out: _Out) -> None:

@@ -17,8 +17,8 @@ ingredient re-indexes its input, whose laws imply its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .exactlin import (
     Matrix,
@@ -28,7 +28,6 @@ from .exactlin import (
     image,
     kernel,
     kron,
-    nonzeros,
     permute,
 )
 from . import report
@@ -379,51 +378,31 @@ def dual_dk(s: DKStructure) -> DKStructure:
 def coinvariants(h: StructurePresentation, b: StructurePresentation, coaction: Matrix) -> Subspace:
     """{x : coaction(x) = x (x) 1_H}, a unital subalgebra of B once the coaction passed the comodule-algebra rows.
 
-    Both callers read those rows first: coaction-on-unit puts 1 in it, and
-    coaction-multiplicative gives coaction(x y) = (x (x) 1)(y (x) 1) = x y (x) 1.
+    HExtension.coinv reads it on a coaction that passed them (h_extension)
+    or whose rows are D's, transposed (dualize_coextension): coaction-on-unit
+    puts 1 in it, and coaction-multiplicative gives
+    coaction(x y) = (x (x) 1)(y (x) 1) = x y (x) 1.
     """
     return kernel(coaction - kron(Matrix.identity(h.field, b.dim), h.unit))
-
-
-class _BuiltOnRead:
-    """The default of a field of a frozen dataclass that is built from the other fields on first read and kept.
-
-    A descriptor-typed field: the class default reads as None, so __init__
-    and dataclasses.replace take the field as optional; a value given to
-    either is kept as it is, and None leaves it to be built.
-    """
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None
-        if self.name not in obj.__dict__:
-            obj.__dict__[self.name] = self.build(obj)
-        return obj.__dict__[self.name]
-
-    def __set__(self, obj, value):
-        if value is not None:
-            obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
 class HExtension:
     """A comodule algebra over its coinvariants, with an optional integral.
 
-    The coinvariants are built on first read: check prints their dimension,
-    and neither cleft nor cocleft reads them.
+    The coinvariants are a cached property, built on first read and not a
+    field, so ==, hash, repr and dataclasses.replace never build them:
+    check prints their dimension, and neither cleft nor cocleft reads them.
     """
 
     h: StructurePresentation
     b: StructurePresentation
     coaction: Matrix
     integral: Matrix | None = None
-    coinv: Subspace = _BuiltOnRead(lambda ext: coinvariants(ext.h, ext.b, ext.coaction))
+
+    @cached_property
+    def coinv(self) -> Subspace:
+        return coinvariants(self.h, self.b, self.coaction)
 
 
 def h_extension(h: StructurePresentation, b: StructurePresentation, coaction: Matrix,
@@ -463,84 +442,46 @@ def check_integral(ext: HExtension, gamma: Matrix) -> IntegralReport:
 # coextensions
 
 
-def _free_columns(w: Subspace) -> list[int]:
-    """The columns where W's RREF has no pivot: the quotient D / W keeps the basis vectors there."""
-    return [c for c in range(w.ambient) if c not in w.pivots]
-
-
-def _dplus(coext: "HCoextension") -> Subspace:
-    """W = D.H+, spanned by the columns (i, t): d_i acted on by the t-th basis vector of H+ = ker(counit)."""
-    f, nd = coext.h.field, coext.d.dim
-    return image(coext.action @ kron(Matrix.identity(f, nd), kernel(coext.h.counit).basis.transpose()))
-
-
-def _projection(coext: "HCoextension") -> Matrix:
-    """D -> C: it kills W and fixes the standard vectors at the free columns.
-
-    As W is in RREF, row r of the projection is e_c minus W's column c placed
-    at the pivots, for the r-th free column c.
-    """
-    w = coext.dplus
-    row_of = {c: r for r, c in enumerate(_free_columns(w))}
-    return Matrix.from_entries(coext.h.field, len(row_of), w.ambient, chain(
-        ((r, c, 1) for c, r in row_of.items()),
-        ((row_of[c], w.pivots[t], -v) for t, c, v in nonzeros(w.basis) if c in row_of)))
-
-
-def _section(coext: "HCoextension") -> Matrix:
-    f, nd = coext.d.field, coext.d.dim
-    return Matrix.from_columns(f, nd, [Matrix.basis_column(f, nd, c) for c in _free_columns(coext.dplus)])
-
-
-def _quotient(coext: "HCoextension") -> StructurePresentation:
-    d, proj, sect = coext.d, coext.projection, coext.section
-    return make_structure("coalgebra", d.field, sect.cols, tuple(d.labels[c] + "~" for c in _free_columns(coext.dplus)),
-                          comul=kron(proj, proj) @ d.comul @ sect, counit=d.counit @ sect)
-
-
-def _quotient_action(coext: "HCoextension") -> Matrix:
-    return coext.projection @ coext.action @ kron(coext.section, coext.h.identity_matrix())
-
-
 @dataclass(frozen=True)
 class HCoextension:
-    """A module coalgebra D with its quotient C = D / D.H+.
+    """A module coalgebra D over H, with its quotient C = D / D.H+.
 
-    W = D.H+, the projection, the section, the quotient and its action are
-    built on first read: check prints the quotient's dimension from W alone,
-    and cocleft reads none of them.
+    W = D.H+ is a cached property, built on first read and not a field, so
+    ==, hash, repr and dataclasses.replace never build it.  check prints
+    the quotient's dimension, dim D - dim W, from W alone; no command
+    builds the quotient coalgebra, and cocleft reads nothing derived.
     """
 
     h: StructurePresentation
     d: StructurePresentation
     action: Matrix
     cointegral: Matrix | None = None
-    dplus: Subspace = _BuiltOnRead(_dplus)              # the coideal D . H+
-    projection: Matrix = _BuiltOnRead(_projection)      # D -> C
-    section: Matrix = _BuiltOnRead(_section)   # C -> D, the standard vectors at the free columns of W
-    quotient: StructurePresentation = _BuiltOnRead(_quotient)
-    quotient_action: Matrix = _BuiltOnRead(_quotient_action)
+
+    @cached_property
+    def dplus(self) -> Subspace:
+        """The coideal W = D.H+, spanned by the columns (i, t): d_i acted on by the t-th basis vector of H+."""
+        f, nd = self.h.field, self.d.dim
+        return image(self.action @ kron(Matrix.identity(f, nd), kernel(self.h.counit).basis.transpose()))
 
 
 def coextension_quotient(h: StructurePresentation, d: StructurePresentation, action: Matrix,
                          cointegral: Matrix | None = None) -> HCoextension:
-    """Verify H and D as a module coalgebra; D / D.H+ with its induced module-coalgebra structure is built on read.
+    """Verify H, and D as a module coalgebra over H; the quotient C = D / D.H+ is named, not built.
 
-    H+ is the kernel of the counit; the quotient basis is the set of
-    non-pivot coordinates of the RREF of D.H+, so the presentation is
-    deterministic.  H (a bialgebra, and a Hopf algebra when it carries
-    the antipode that check_cointegral and dualize_coextension read) and D
-    (a coalgebra, then a module coalgebra) are verified, and imply the
-    rest.  W = D.H+ is an H-stable coideal on which the counit vanishes
+    H+ is the kernel of the counit.  H (a bialgebra, and a Hopf algebra
+    when it carries the antipode that check_cointegral and cocleft read)
+    and D (a coalgebra, then a module coalgebra) are verified, and imply
+    the rest.  W = D.H+ is an H-stable coideal on which the counit vanishes
     (Brzezinski and Majid, CMP 191, 1998), so none of that is read:
     eps(d.h) = eps(d) eps(h) is zero for h in H+; H+ is a coideal, the
     kernel of the coalgebra map eps, so Delta(d.h) = sum d_1.h_1 (x) d_2.h_2
     lies in W (x) D + D (x) W; and H+ is an ideal, since eps is
-    multiplicative, so (d.h).k = d.(h k) lies in W.  Then proj kills W,
-    proj sect = 1 and sect proj = 1 - P_W, so the quotient is a module
-    coalgebra and proj a map of module coalgebras.  Nothing is eliminated
-    here: W, the projection, the section, the quotient and its action are
-    built on first read.
+    multiplicative, so (d.h).k = d.(h k) lies in W.  So D / W, presented
+    on the basis vectors at the non-pivot columns of W's RREF, with a
+    projection proj that kills W and a section sect, proj sect = 1 and
+    sect proj = 1 - P_W, is a module coalgebra and proj a map of module
+    coalgebras.  Nothing is eliminated here: W is built on first read, and
+    a command reads only its dimension.
     """
     hkind = "bialgebra" if h.antipode is None else "hopf"
     report.require(report.first_failure("coextension_quotient", _part_rows(h, ("coalgebra", d), hkind=hkind)))
@@ -602,10 +543,10 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
     """The dual of a coextension: D* over H*, whose coinvariants are the quotient dual.
 
     inner is check_cointegral(coext, coext.cointegral), None exactly when
-    coext carries no cointegral.  Needs a Hopf algebra, which
-    coextension_quotient read as hopf; its antipode is bijective, as that
-    of every finite-dimensional Hopf algebra is (Larson and Sweedler, Amer.
-    J. Math. 91, 1969), so it is not inverted here.  D* over H* is
+    coext carries no cointegral.  Needs a Hopf algebra (require_hopf),
+    which coextension_quotient read as hopf; its antipode is bijective, as
+    that of every finite-dimensional Hopf algebra is (Larson and Sweedler,
+    Amer. J. Math. 91, 1969), so it is not inverted here.  D* over H* is
     module_coalgebra_to_comodule_algebra of D, and none of its rows is
     read: they are the rows of H and D, transposed, which
     coextension_quotient read.  Its coinvariants are not built: f in D* is
@@ -619,11 +560,12 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
     and the units are transposed too.  So omega^T is colinear, total and
     cleft exactly when inner finds omega H-linear, total and cocleft, and
     its convolution inverse is inner.inverse transposed.  A cointegral that
-    is not H-linear, or not total, fails the report.
+    is not H-linear, or not total, fails the report; once inner has passed,
+    the report is DUAL_COEXTENSION_CLEFT, which cocleft prints without
+    calling this.
     """
     h = coext.h
-    if h.kind != "hopf" or h.antipode is None:
-        raise PresentationError("dualize_coextension needs a Hopf algebra")
+    require_hopf(h)
     dstar = module_coalgebra_to_comodule_algebra(h, coext.d, coext.action)
     ext = HExtension(dstar.h, dstar.structure, dstar.matrix)
     details: dict = {"coinvariants_equal_quotient_dual": True}
@@ -634,9 +576,20 @@ def dualize_coextension(coext: HCoextension, inner: CointegralReport | None) -> 
             return ext, report.fail("dualize_coextension", "cointegral-not-total")
         if inner.cocleft:
             details["cleft"] = True
-        # built anew, not by dataclasses.replace, which would read the coinvariants to copy them
-        ext = HExtension(dstar.h, dstar.structure, dstar.matrix, coext.cointegral.transpose())
+        ext = replace(ext, integral=coext.cointegral.transpose())
     return ext, report.ok("dualize_coextension", **details)
+
+
+def require_hopf(h: StructurePresentation) -> None:
+    """The dual of a coextension reads H's antipode: refuse a bialgebra as input."""
+    if h.kind != "hopf" or h.antipode is None:
+        raise PresentationError("dualize_coextension needs a Hopf algebra")
+
+
+# Once check_cointegral has passed on a coextension over a Hopf algebra, its dual reports this, whatever the data
+# (see dualize_coextension): the coinvariants of D* are the quotient dual, and omega^T is cleft.  cocleft prints it
+# and builds no D*.
+DUAL_COEXTENSION_CLEFT = report.ok("dualize_coextension", coinvariants_equal_quotient_dual=True, cleft=True)
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,10 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) ->
     if kernel(alpha_m).dim != 0:
         raise PresentationError("alpha map is not injective; cannot recover a coaction")
     rho = permute(m.action, (n, n, ns), (0, 2, 1), 2)  # rho(m_k)[(r, s)] = m.action[r, (k, s)]
-    sol = solve_linear(alpha_m, rho)
-    if sol is None:
+    coaction = solve_linear(alpha_m, rho)
+    if coaction is None:
         raise PresentationError("module is not rational over the smash ring")
-    return EntwinedModulePresentation(e, n, action, sol.particular)
+    return EntwinedModulePresentation(e, n, action, coaction)
 
 
 # ---------------------------------------------------------------------------

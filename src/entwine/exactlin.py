@@ -34,9 +34,12 @@ Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
 that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
 
 express(basis, vectors) writes every column of `vectors` in the rows of
-`basis` with one solve, or returns the index of the first column outside
-their span; the constructions that must land in a chosen subspace build
-all their images as one matrix and decide closure with one call.  When
+`basis`, or returns the index of the first column outside their span,
+from one elimination of the stacked system: the rows left once basis^T
+is reduced hold only right-hand sides, and the least column among them
+is the first one outside the span.  The constructions that must land in
+a chosen subspace build all their images as one matrix and decide
+closure with one call.  When
 the rows are a Subspace's RREF basis, Subspace.coordinates gives the same
 answer with no elimination: it reads each column's entries at the pivots
 and checks them all with one product.
@@ -51,7 +54,6 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain, compress
@@ -306,9 +308,6 @@ class Matrix:
     def row_matrix(self, i: int) -> "Matrix":
         return Matrix._of_rows(self.field, 1, self.cols, (self._rows[i],))
 
-    def col_matrix(self, j: int) -> "Matrix":
-        return Matrix._of_rows(self.field, self.rows, 1, ({0: r[j]} if j in r else {} for r in self._rows))
-
     def is_zero(self) -> bool:
         return not any(self._rows)
 
@@ -496,7 +495,8 @@ def _eliminate(rows: list[dict], field: Field, width: int) -> list[int]:
     The dicts must belong to the caller: they are written.  Each pivot is
     the leftmost column below `width` holding a nonzero in the rows not yet
     used, taken from the first such row; trailing columns (the right-hand
-    sides of solve_linear) are carried along.  The pivot rows end up first,
+    sides that _solve stacks beside A) are carried along, and the loop ends
+    once the rows left hold only them.  The pivot rows end up first,
     in pivot order.  Entries are plain products, reduced mod p over F_p,
     and an entry that cancels is dropped, so every row stays canonical;
     over Q a pivot row scaled by a fraction keeps its whole entries as int.
@@ -635,17 +635,12 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient}, basis {self.basis.render()})"
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    particular: Matrix
-    kernel: Subspace
+def _solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, int | None]:
+    """One elimination of [A | B]: (X, None) with A X = B, free variables zero, or (None, j), j the first bad column.
 
-
-def solve_linear(a: Matrix, b: Matrix) -> LinearSolution | None:
-    """Solve A X = B exactly; None when inconsistent.
-
-    The particular solution sets all free variables to zero; the kernel
-    comes back as a canonical RREF subspace of the column space of A.
+    The rows left once A's part is in RREF hold only B's columns, and they
+    span every y^T B with y^T A = 0, so column j of B is consistent exactly
+    when no row left holds it.
     """
     if a.field != b.field:
         raise DimensionMismatch("field mismatch")
@@ -654,43 +649,41 @@ def solve_linear(a: Matrix, b: Matrix) -> LinearSolution | None:
     n = a.cols
     rows = list(a.hstack(b)._rows)   # fresh dicts, B's columns shifted by n
     pivots = _eliminate(rows, a.field, n)
-    if any(rows[len(pivots):]):
-        return None
+    left = [row for row in rows[len(pivots):] if row]
+    if left:
+        return None, min(min(row) for row in left) - n
     part = [{} for _ in range(n)]
     for row, c in zip(rows, pivots):
         part[c] = {k - n: v for k, v in row.items() if k >= n}
-    return LinearSolution(Matrix._of_rows(a.field, n, b.cols, part), _kernel_from_rref(a.field, n, rows, pivots))
+    return Matrix._of_rows(a.field, n, b.cols, part), None
+
+
+def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve A X = B exactly, with one elimination: the solution whose free variables are zero, or None."""
+    return _solve(a, b)[0]
 
 
 def express(basis: Matrix, vectors: Matrix) -> tuple[Matrix, None] | tuple[None, int]:
-    """Write every column of `vectors` in the rows of `basis`, with one solve.
+    """Write every column of `vectors` in the rows of `basis`, with one elimination.
 
     Returns (X, None) with basis^T X = vectors, free coefficients zero, or
     (None, j) with j the first column outside the row span of basis.
     """
-    a = basis.transpose()
-    sol = solve_linear(a, vectors)
-    if sol is not None:
-        return sol.particular, None
-    return None, next(j for j in range(vectors.cols) if solve_linear(a, vectors.col_matrix(j)) is None)
-
-
-def _kernel_from_rref(field: Field, ncols: int, rows: list[dict], pivots: list[int]) -> Subspace:
-    """{v : R v = 0} for R in RREF, given by its pivot rows; entries at columns >= ncols are ignored."""
-    taken = set(pivots)
-    # one vector per free column fc: e_fc minus R's column fc placed at the pivot columns
-    free = {fc: {fc: field.one()} for fc in range(ncols) if fc not in taken}
-    for row, pc in zip(rows, pivots):
-        for k, v in row.items():
-            if k in free:
-                free[k][pc] = field.neg(v)
-    return Subspace.from_matrix_rows(Matrix._of_rows(field, len(free), ncols, free.values()))
+    return _solve(basis.transpose(), vectors)
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : M v = 0} as a canonical subspace of F^cols."""
-    rows = [dict(r) for r in m._rows]
-    return _kernel_from_rref(m.field, m.cols, rows, _eliminate(rows, m.field, m.cols))
+    f, rows = m.field, [dict(r) for r in m._rows]
+    pivots = _eliminate(rows, f, m.cols)
+    taken = set(pivots)
+    # one vector per free column fc: e_fc minus the RREF's column fc placed at the pivot columns
+    free = {fc: {fc: f.one()} for fc in range(m.cols) if fc not in taken}
+    for row, pc in zip(rows, pivots):
+        for k, v in row.items():
+            if k in free:
+                free[k][pc] = f.neg(v)
+    return Subspace.from_matrix_rows(Matrix._of_rows(f, len(free), m.cols, free.values()))
 
 
 def image(m: Matrix) -> Subspace:
@@ -1106,10 +1099,7 @@ def sparse_render(vec: dict, field: Field) -> str:
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular: A X = I is solvable exactly when A is invertible."""
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices invert")
-    sol = solve_linear(m, Matrix.identity(m.field, m.rows))
-    if sol is None or sol.kernel.dim != 0:
-        return None
-    return sol.particular
+    return solve_linear(m, Matrix.identity(m.field, m.rows))

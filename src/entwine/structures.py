@@ -361,10 +361,8 @@ def convolution_inverse(c: StructurePresentation, a: StructurePresentation, f: M
     mf = permute(a.mul @ kron(f, a.identity_matrix()), (na, nc, na), (0, 2, 1), 2)    # P as [(z, y), u]
     t = mf @ permute(c.comul, (nc, nc, nc), (0, 1, 2), 1)                            # [(z, y), (x, w)]
     t = permute(t, (na, na, nc, nc), (0, 3, 1, 2), 2)                                # [(z, w), (y, x)]
-    sol = solve_linear(t, Matrix.from_columns(a.field, na * nc, [convolution_unit(c, a)]))
-    if sol is None:
-        return None
-    return sol.particular.reshape(na, nc)
+    g = solve_linear(t, Matrix.from_columns(a.field, na * nc, [convolution_unit(c, a)]))
+    return None if g is None else g.reshape(na, nc)
 
 
 def compute_antipode(h: StructurePresentation) -> Matrix | None:
@@ -507,10 +505,10 @@ def verify_measuring_pairing(p: PairingPresentation) -> Report:
 
 
 def _measuring_laws(p: PairingPresentation):
-    cstar = dualize_structure("coalgebra", p.coalgebra)
-    a, kappa = p.algebra, p.kappa()
-    yield "measuring", (a.mul, kappa), ((a.dim, kappa), (kappa, p.coalgebra.dim), cstar.mul), (a.dim, a.dim)
-    yield "unit-counit", (a.unit, kappa), p.coalgebra.counit.transpose(), (1,)
+    a, c, kappa = p.algebra, p.coalgebra, p.kappa()
+    # the product of C* is C's comultiplication transposed
+    yield "measuring", (a.mul, kappa), ((a.dim, kappa), (kappa, c.dim), c.comul.transpose()), (a.dim, a.dim)
+    yield "unit-counit", (a.unit, kappa), c.counit.transpose(), (1,)
 
 
 def pairing_action(p: PairingPresentation, side: str, a: Matrix | int, c: Matrix | int) -> Matrix:

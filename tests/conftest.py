@@ -9,7 +9,7 @@ elimination.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
@@ -60,6 +60,7 @@ from entwine.exactlin import (
     invert,
     kernel,
     kron,
+    nonzeros,
     permute,
     preimage,
     solve_linear,
@@ -71,6 +72,7 @@ from entwine.structures import (
     ModulePresentation,
     PairingPresentation,
     RationalSubmodule,
+    StructurePresentation,
     check_alpha_condition,
     coaction_to_dual_action,
     convolution,
@@ -115,8 +117,8 @@ def convolution_inverse_by_units(c, a, f: Matrix) -> Matrix | None:
     n = a.dim * c.dim
     units = [Matrix.basis_column(a.field, n, s).reshape(a.dim, c.dim) for s in range(n)]
     t = Matrix.from_columns(a.field, n, [convolution(c, a, f, u) for u in units])
-    sol = solve_linear(t, Matrix.from_columns(a.field, n, [convolution_unit(c, a)]))
-    return None if sol is None else sol.particular.reshape(a.dim, c.dim)
+    g = solve_linear(t, Matrix.from_columns(a.field, n, [convolution_unit(c, a)]))
+    return None if g is None else g.reshape(a.dim, c.dim)
 
 
 def perm_tensor(field: Field, dims, perm) -> Matrix:
@@ -168,6 +170,11 @@ def eliminate_by_min(rows: list[dict], field: Field, width: int) -> list[int]:
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
     return Matrix(field, rows, cols, [field.zero()] * (rows * cols))
+
+
+def col_matrix(m: Matrix, j: int) -> Matrix:
+    """Column j of m as a column vector."""
+    return Matrix._of_rows(m.field, m.rows, 1, ({0: r[j]} if j in r else {} for r in m._rows))
 
 
 def scale(m: Matrix, c) -> Matrix:
@@ -582,14 +589,46 @@ def nu_implied_rows(coring, smash, nu, nu_inv) -> list:
             ("nu-right-linear", (smash.right_action, nu_t), ((nu_t, na), (n, a.mul)), (n, na))]
 
 
-def projection_rows(coext) -> list:
-    """The projection D -> C as a map of H-module coalgebras, as (axiom, lhs, rhs, basis dims) rows."""
-    d, nh, proj = coext.d, coext.h.dim, coext.projection
+@dataclass(frozen=True)
+class Quotient:
+    """C = D / W of a coextension, W = D.H+: the projection D -> C, C's coalgebra and C's action."""
+
+    projection: Matrix
+    coalgebra: StructurePresentation
+    action: Matrix
+
+
+def quotient_of(coext) -> Quotient:
+    """The quotient that doikoppinen.coextension_quotient names and no command builds.
+
+    C keeps the basis vectors at the columns where W's RREF has no pivot.
+    Row r of the projection is e_c minus W's column c placed at the pivots,
+    for the r-th free column c; the section C -> D is the standard vectors
+    there.
+    """
+    w, d, h = coext.dplus, coext.d, coext.h
+    free = [c for c in range(w.ambient) if c not in w.pivots]
+    row_of = {c: r for r, c in enumerate(free)}
+    proj = Matrix.from_entries(h.field, len(free), w.ambient, [(r, c, 1) for c, r in row_of.items()] + [
+        (row_of[c], w.pivots[t], -v) for t, c, v in nonzeros(w.basis) if c in row_of])
+    sect = Matrix.from_columns(d.field, d.dim, [Matrix.basis_column(d.field, d.dim, c) for c in free])
+    coalgebra = make_structure("coalgebra", d.field, len(free), tuple(d.labels[c] + "~" for c in free),
+                               comul=kron(proj, proj) @ d.comul @ sect, counit=d.counit @ sect)
+    return Quotient(proj, coalgebra, proj @ coext.action @ kron(sect, h.identity_matrix()))
+
+
+def projection_rows(coext, q: Quotient | None = None) -> list:
+    """The projection D -> C as a map of H-module coalgebras, as (axiom, lhs, rhs, basis dims) rows.
+
+    q is quotient_of(coext) unless given, as a test gives a corrupted one.
+    """
+    q = quotient_of(coext) if q is None else q
+    d, nh, proj = coext.d, coext.h.dim, q.projection
     return [
-        ("projection-comultiplicative", (proj, coext.quotient.comul),
+        ("projection-comultiplicative", (proj, q.coalgebra.comul),
          (d.comul, (d.dim, proj), (proj, proj.rows)), (d.dim,)),
-        ("projection-counital", (proj, coext.quotient.counit), d.counit, (d.dim,)),
-        ("projection-equivariant", (coext.action, proj), ((proj, nh), coext.quotient_action), (d.dim, nh)),
+        ("projection-counital", (proj, q.coalgebra.counit), d.counit, (d.dim,)),
+        ("projection-equivariant", (coext.action, proj), ((proj, nh), q.action), (d.dim, nh)),
     ]
 
 
@@ -623,13 +662,13 @@ def antipode_bijective(h) -> report.Report:
     return report.ok("dualize_coextension")
 
 
-def quotient_rows(coext):
+def quotient_rows(coext, q: Quotient | None = None):
     """What coextension_quotient leaves unread besides the closure of W (dplus_closure): the quotient, then the
-    projection."""
-    yield "quotient-coalgebra", verify_structure("coalgebra", coext.quotient)
-    yield "quotient-module-coalgebra", verify_dk_compat("module-coalgebra", coext.h, coext.quotient,
-                                                        coext.quotient_action, "right")
-    yield from projection_rows(coext)
+    projection; q is quotient_of(coext) unless given."""
+    q = quotient_of(coext) if q is None else q
+    yield "quotient-coalgebra", verify_structure("coalgebra", q.coalgebra)
+    yield "quotient-module-coalgebra", verify_dk_compat("module-coalgebra", coext.h, q.coalgebra, q.action, "right")
+    yield from projection_rows(coext, q)
 
 
 def coinvariant_subalgebra(b, w) -> report.Report:
@@ -699,7 +738,8 @@ def coinvariants_match(coext) -> report.Report:
     """The coinvariants of D* over H*, as dualize_coextension builds D*, against the image of the projection's
     transpose: the check that cocleft leaves out."""
     dstar = module_coalgebra_to_comodule_algebra(coext.h, coext.d, coext.action)
-    got, expected = coinvariants(dstar.h, dstar.structure, dstar.matrix), Subspace.from_matrix_rows(coext.projection)
+    got = coinvariants(dstar.h, dstar.structure, dstar.matrix)
+    expected = Subspace.from_matrix_rows(quotient_of(coext).projection)
     if got != expected:
         return report.fail("dualize_coextension", "coinvariants-mismatch", lhs=got.basis.render(),
                            rhs=expected.basis.render())
@@ -797,7 +837,7 @@ def coaction_from_module(p, m) -> Matrix:
     nc = p.coalgebra.dim
     # rewrite the coaction from subspace coordinates back to the module basis
     b = rat.subspace.basis
-    binv = solve_linear(b.transpose(), Matrix.identity(f, m.dim)).particular
+    binv = solve_linear(b.transpose(), Matrix.identity(f, m.dim))
     if rat.side == "left":
         lift = kron(b.transpose(), Matrix.identity(f, nc))
     else:

@@ -27,7 +27,7 @@ from entwine.entwining import (
 )
 from entwine.doikoppinen import DKStructure, koppinen_table
 from entwine.catalog import catalog_get, catalog_names, free_flip_module
-from conftest import perm_tensor, smash_product_map
+from conftest import col_matrix, perm_tensor, smash_product_map
 
 F5 = Field(5)
 
@@ -84,7 +84,7 @@ def smash_action_reference(e: EntwiningPresentation, m: EntwinedModulePresentati
     f = e.field
     idm = Matrix.identity(f, m.dim)
     spreads = [kron(idm, u) for u in units(f, e.algebra.dim, e.coalgebra.dim)]
-    rhos = [m.coaction.col_matrix(i) for i in range(m.dim)]
+    rhos = [col_matrix(m.coaction, i) for i in range(m.dim)]
     return Matrix.from_columns(f, m.dim, [m.action @ (spread @ rho) for rho in rhos for spread in spreads])
 
 

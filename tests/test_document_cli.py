@@ -14,6 +14,7 @@ from entwine.catalog import catalog_get, catalog_names
 from entwine.doikoppinen import DKStructure, HCoextension, verify_dk
 from entwine.exactlin import Matrix, QQ
 from entwine.structures import StructurePresentation
+from conftest import quotient_of
 
 
 def catalog_doc(name: str) -> str:
@@ -754,8 +755,8 @@ class TestCommands:
             calls.clear()
             coext = parse_document(text).resolved[name]
             assert not calls, name
-            assert coext.d.dim - coext.dplus.dim == coext.quotient.dim == 1
-        for module, fn in ((doikoppinen, "coinvariants"), (doikoppinen, "image"), (doikoppinen, "_free_columns")):
+            assert coext.d.dim - coext.dplus.dim == quotient_of(coext).coalgebra.dim == 1
+        for module, fn in ((doikoppinen, "coinvariants"), (doikoppinen, "image")):
             monkeypatch.setattr(module, fn, lambda *_: pytest.fail("cocleft built what it does not print"))
         for name in names:
             code, text = run_command(["cocleft", write(tmp_path, f"{name}.ent", catalog_doc(name)), "--name", name])
@@ -771,6 +772,38 @@ class TestCommands:
         code, text = run_command(["cocleft", path, "--name", "coext_qc2"])
         assert code == 0
         assert "cocleft=True" in text
+
+    def test_cocleft_over_a_bialgebra(self, tmp_path):
+        """coext_qc2 with its H written as a bialgebra, without the antipode: the cointegral passes, and cocleft
+        refuses the dual, which reads the antipode; check reads no dual and passes."""
+        doc = json.loads(catalog_doc("coext_qc2"))
+        h = doc["objects"][doc["objects"]["coext_qc2"]["bialgebra"]]
+        h["kind"] = "bialgebra"
+        del h["antipode"]
+        path = write(tmp_path, "coext-bialgebra.ent", json.dumps(doc))
+        inner = "coext_qc2: linear=True total=True cocleft=True inverse_twist=None"
+        refused = "input error: dualize_coextension needs a Hopf algebra"
+        assert run_command(["cocleft", path, "--name", "coext_qc2"]) == (2, f"{inner}\n{refused}\n")
+        code, text = run_command(["--json", "cocleft", path, "--name", "coext_qc2"])
+        assert code == 2
+        assert json.loads(text) == {"passed": False, "records": [{"note": inner}, {"note": refused}]}
+        assert run_command(["check", path]) == (0, "bialgebra_1: verify_structure[bialgebra]: PASS\n"
+                                                   "coext_qc2: coextension verified at parse time; quotient dim 1\n"
+                                                   "coext_qc2: cointegral linear=True total=True cocleft=True "
+                                                   "inverse_twist=None\n")
+
+    def test_cocleft_builds_no_dual(self, tmp_path, monkeypatch):
+        """cocleft prints the dual's verdict without building D* over H*, nor any dual structure."""
+        from entwine import cli, doikoppinen, structures
+
+        paths = {name: write(tmp_path, f"{name}.ent", catalog_doc(name)) for name in ("coext_qc2", "coext_sweedler4")}
+        for module, fn in ((doikoppinen, "module_coalgebra_to_comodule_algebra"), (doikoppinen, "dualize_structure"),
+                           (structures, "dualize_structure"), (cli, "dualize_structure")):
+            monkeypatch.setattr(module, fn, lambda *_, fn=fn: pytest.fail(f"cocleft called {fn}"))
+        for name, path in paths.items():
+            code, text = run_command(["cocleft", path, "--name", name])
+            assert code == 0 and text.endswith(
+                f"{name}_dual: dualize_coextension: PASS coinvariants_equal_quotient_dual=True cleft=True\n"), text
 
     def test_cleft_reads_the_algebra_laws_of_b(self, tmp_path):
         """B = span{1, x, y} with x x = y, x y = 1, y x = x is not associative, (x x) x = x but x (x x) = 1;

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,9 @@ from entwine.duality import dual_entwining, dual_module_r, dual_module_upper_r
 from entwine.doikoppinen import (
     AltDKStructure,
     DKStructure,
+    DUAL_COEXTENSION_CLEFT,
+    HCoextension,
+    HExtension,
     UnsupportedDualization,
     alt_dk_entwining,
     check_cointegral,
@@ -38,7 +42,7 @@ from entwine.doikoppinen import (
     verify_dk_compat,
     verify_dk_morphism,
 )
-from entwine.catalog import catalog_get, cyclic_group_algebra, long_dk, trivial_bialgebra
+from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, long_dk, trivial_bialgebra
 
 import conftest
 from conftest import (
@@ -48,6 +52,7 @@ from conftest import (
     entwining_coherence,
     dual_alt_dk,
     dual_dk_morphism,
+    quotient_of,
     scale,
     verify_ingredient,
     zeros,
@@ -575,14 +580,14 @@ class TestCoextensions:
         for h, name in ((qc2, "coext_qc2"), (h4, "coext_sweedler4")):
             coext = catalog_get(name)
             assert coext.dplus.dim == h.dim - 1
-            assert coext.quotient.dim == 1
-            assert verify_structure("coalgebra", coext.quotient).passed
+            assert quotient_of(coext).coalgebra.dim == 1
+            assert verify_structure("coalgebra", quotient_of(coext).coalgebra).passed
 
     def test_trivial_h_quotient_is_everything(self, qc2):
         triv = trivial_bialgebra()
         coext = coextension_quotient(triv, qc2, Matrix.identity(QQ, 2))
         assert coext.dplus.dim == 0
-        assert coext.quotient.dim == 2
+        assert quotient_of(coext).coalgebra.dim == 2
 
     def test_identity_cointegral(self, qc2, h4):
         for h, name in ((qc2, "coext_qc2"), (h4, "coext_sweedler4")):
@@ -607,6 +612,51 @@ class TestCoextensions:
         assert rep.linear.witness is not None
 
 
+class TestDerivedDataOnRead:
+    """An extension's coinvariants and a coextension's W = D.H+ are built on first read, and by nothing else."""
+
+    BUILDS = {"coinv": "coinvariants", "dplus": "image"}
+
+    @staticmethod
+    def fresh(obj):
+        """obj built anew from its fields alone, so nothing derived is cached yet."""
+        return type(obj)(*(getattr(obj, f.name) for f in fields(obj)))
+
+    @pytest.fixture
+    def extensions(self):
+        objs = [obj for name in catalog_names() if isinstance(obj := catalog_get(name), (HExtension, HCoextension))]
+        assert len(objs) == 4
+        return objs
+
+    def test_equality_hash_repr_and_replace_build_nothing(self, extensions, monkeypatch):
+        from entwine import doikoppinen
+
+        for fn in self.BUILDS.values():
+            monkeypatch.setattr(doikoppinen, fn, lambda *_, fn=fn: pytest.fail(f"{fn} called"))
+        for obj in extensions:
+            a, b = self.fresh(obj), self.fresh(obj)
+            copy = replace(a)
+            assert a == b == copy == obj
+            assert hash(a) == hash(b) == hash(copy) == hash(obj)
+            assert repr(a) == repr(copy) == repr(obj)
+
+    def test_first_read_builds_and_second_reads_the_cache(self, extensions, monkeypatch):
+        from entwine import doikoppinen
+
+        calls = Counter()
+        for fn in self.BUILDS.values():
+            build = getattr(doikoppinen, fn)
+            monkeypatch.setattr(doikoppinen, fn, lambda *args, fn=fn, build=build: calls.update([fn]) or build(*args))
+        for obj in extensions:
+            attr = "coinv" if isinstance(obj, HExtension) else "dplus"
+            obj = self.fresh(obj)
+            calls.clear()
+            first = getattr(obj, attr)
+            assert calls == {self.BUILDS[attr]: 1}
+            assert getattr(obj, attr) is first
+            assert calls == {self.BUILDS[attr]: 1}
+
+
 class TestDualizeCoextension:
     @pytest.mark.parametrize("name", ["coext_qc2", "coext_sweedler4"])
     def test_full_pipeline(self, name):
@@ -615,8 +665,10 @@ class TestDualizeCoextension:
         assert rep.passed
         assert rep.detail("coinvariants_equal_quotient_dual") == "True"
         assert rep.detail("cleft") == "True"
+        # the report that cocleft prints without building D*
+        assert rep == DUAL_COEXTENSION_CLEFT
         # coinvariants equal the quotient dual embedded along the projection
-        assert ext.coinv == Subspace.from_matrix_rows(coext.projection)
+        assert ext.coinv == Subspace.from_matrix_rows(quotient_of(coext).projection)
 
     def test_inverse_transposes(self):
         coext = catalog_get("coext_qc2")

@@ -34,6 +34,7 @@ from entwine.catalog import catalog_get, catalog_names, cyclic_group_algebra, fr
 from conftest import (
     as_map,
     assert_canonical_vector,
+    col_matrix,
     compare_reference,
     coring_laws,
     corrupt,
@@ -418,7 +419,7 @@ class TestNuIso:
         for name in CATALOG_ENTWININGS:
             iso = nu_iso(build_coring(catalog_get(name)))
             na, n = iso.smash.entwining.algebra.dim, iso.smash.dim
-            assert iso.left_dual_basis == tuple(iso.nu.col_matrix(s).reshape(na, n) for s in range(n)), name
+            assert iso.left_dual_basis == tuple(col_matrix(iso.nu, s).reshape(na, n) for s in range(n)), name
 
     def test_inverse_matrices(self, ent_h4):
         iso = nu_iso(build_coring(ent_h4))

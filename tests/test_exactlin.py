@@ -28,6 +28,7 @@ from conftest import (
     BOTH_FIELDS,
     perm_tensor,
     assert_canonical_vector,
+    col_matrix,
     law_shape,
     law_vectors,
     random_invertible,
@@ -214,24 +215,21 @@ class TestField:
 class TestSolve:
     def test_identity_system(self):
         i2 = Matrix.identity(QQ, 2)
-        sol = solve_linear(i2, i2)
-        assert sol.particular == i2
-        assert sol.kernel.dim == 0
+        assert solve_linear(i2, i2) == i2
+        assert kernel(i2).dim == 0
 
     def test_zero_system(self):
         z = zeros(QQ, 2, 2)
-        sol = solve_linear(z, z)
-        assert sol.particular == z
-        assert sol.kernel.dim == 2
+        assert solve_linear(z, z) == z
+        assert kernel(z).dim == 2
 
     def test_rank_one_system(self):
         # worked by hand: x + y = 3 twice over; particular (3, 0), kernel (1, -1)
         a = M([[1, 1], [2, 2]])
         b = M([[3], [6]])
-        sol = solve_linear(a, b)
-        assert sol.particular == M([[3], [0]])
-        assert sol.kernel.dim == 1
-        assert sol.kernel.basis == M([[1, -1]])
+        assert solve_linear(a, b) == M([[3], [0]])
+        assert kernel(a).dim == 1
+        assert kernel(a).basis == M([[1, -1]])
 
     def test_inconsistent(self):
         a = M([[1, 1], [2, 2]])
@@ -245,10 +243,44 @@ class TestSolve:
                 x = random_matrix(field, rng, a.cols, 2)
                 sol = solve_linear(a, a @ x)
                 assert sol is not None
-                assert a @ sol.particular == a @ x
-                for i in range(sol.kernel.dim):
-                    v = sol.kernel.basis.row_matrix(i).transpose()
+                assert a @ sol == a @ x
+                for i in range(kernel(a).dim):
+                    v = kernel(a).basis.row_matrix(i).transpose()
                     assert (a @ v).is_zero()
+
+
+class TestOneEliminationPerQuestion:
+    """solve_linear, express and invert each answer from one elimination, whether the answer is yes or no."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        from entwine import exactlin
+
+        eliminate, calls = exactlin._eliminate, []
+        monkeypatch.setattr(exactlin, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        return calls
+
+    def test_solve_linear(self, eliminations):
+        a = M([[1, 1], [2, 2]])
+        assert solve_linear(a, M([[3], [6]])) == M([[3], [0]])
+        assert len(eliminations) == 1
+        assert solve_linear(a, M([[3], [7]])) is None
+        assert len(eliminations) == 2
+
+    def test_express(self, eliminations):
+        basis = M([[1, 0, 1], [0, 1, 1]])
+        assert express(basis, M([[1, 2], [0, 1], [1, 3]])) == (M([[1, 2], [0, 1]]), None)
+        assert len(eliminations) == 1
+        # the last of three columns is outside the span
+        assert express(basis, M([[1, 2, 1], [0, 1, 0], [1, 3, 0]])) == (None, 2)
+        assert len(eliminations) == 2
+
+    def test_invert(self, eliminations):
+        a = M([[1, 2], [3, 4]])
+        assert a @ invert(a) == Matrix.identity(QQ, 2)
+        assert len(eliminations) == 1
+        assert invert(M([[1, 2], [2, 4]])) is None
+        assert len(eliminations) == 2
 
 
 def _per_column_express(basis, vectors):
@@ -256,10 +288,10 @@ def _per_column_express(basis, vectors):
     a = basis.transpose()
     cols = []
     for j in range(vectors.cols):
-        sol = solve_linear(a, vectors.col_matrix(j))
+        sol = solve_linear(a, col_matrix(vectors, j))
         if sol is None:
             return None, j
-        cols.append(sol.particular.col(0))
+        cols.append(sol.col(0))
     return Matrix(basis.field, basis.rows, vectors.cols,
                   [cols[j][i] for i in range(basis.rows) for j in range(vectors.cols)]), None
 
@@ -307,7 +339,7 @@ class TestExpress:
             # one to three columns outside the span, at random positions: the first comes back
             at = sorted(rng.sample(range(m), rng.randint(1, min(3, m))))
             for j in at:
-                cols[j] = (scale(outside, random_scalar(field, rng) or field.one()) + vectors.col_matrix(j)).col(0)
+                cols[j] = (scale(outside, random_scalar(field, rng) or field.one()) + col_matrix(vectors, j)).col(0)
             vectors = Matrix(field, basis.cols, m, [c[i] for i in range(basis.cols) for c in cols])
             assert express(basis, vectors) == (None, at[0]) == _per_column_express(basis, vectors)
 
@@ -506,7 +538,7 @@ class TestSparseKernels:
                     m.transpose().transpose(),
                     permute(m.transpose(), (c, r), (1, 0), 1),
                     permute(permute(m, (r, c), (0, 1), 2), (r, c, 1), (0, 1, 2), 1),
-                    Matrix.from_columns(field, r, [m.col_matrix(j) for j in range(c)]),
+                    Matrix.from_columns(field, r, [col_matrix(m, j) for j in range(c)]),
                     (m + other) - other,
                     -(-m),
                     m + zeros(field, r, c),

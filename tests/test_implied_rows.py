@@ -91,6 +91,7 @@ from conftest import (
     nu_implied_rows,
     nu_laws,
     psi_laws,
+    quotient_of,
     quotient_rows,
     random_matrix,
     rational_route,
@@ -330,14 +331,14 @@ class TestImpliedChecksBite:
     def test_quotient(self):
         """A +1 on the quotient's comultiplication or action of coext_sweedler4 (a quotient of dim 1)."""
         coext = catalog_get("coext_sweedler4")
-        q = coext.quotient
+        q = quotient_of(coext)
         for bad, failure in (
-                (replace(coext, quotient=replace(q, comul=corrupt(q.comul, 0, 0))),
+                (replace(q, coalgebra=replace(q.coalgebra, comul=corrupt(q.coalgebra.comul, 0, 0))),
                  "quotient-coalgebra[left-counit] at basis (0,) lhs={0: 2} rhs={0: 1}"),
-                (replace(coext, quotient_action=corrupt(coext.quotient_action, 0, 0)),
+                (replace(q, action=corrupt(q.action, 0, 0)),
                  "quotient-module-coalgebra[structure[action-associativity]] "
                  "at basis (0, 0, 0) lhs={0: 4} rhs={0: 2}")):
-            assert first_failure("coextension_quotient", quotient_rows(bad)).summary() == \
+            assert first_failure("coextension_quotient", quotient_rows(coext, bad)).summary() == \
                 f"coextension_quotient: FAIL {failure}"
 
     def test_dplus_closure(self):

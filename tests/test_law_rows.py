@@ -63,6 +63,7 @@ from conftest import (
     left_module_rows,
     perm_tensor,
     projection_rows,
+    quotient_of,
     random_matrix,
     zeros,
 )
@@ -310,13 +311,14 @@ class TestEveryUnreachedRowBites:
     @pytest.mark.parametrize("name, axiom, failure", PROJECTION_ROW_BITES,
                              ids=[axiom for _, axiom, _ in PROJECTION_ROW_BITES])
     def test_projection_row(self, name, axiom, failure):
-        def row(coext):
-            return next(r for r in projection_rows(coext) if r[0] == axiom)
+        def row(coext, q):
+            return next(r for r in projection_rows(coext, q) if r[0] == axiom)
 
         coext = catalog_get(name)
-        assert compare("coextension_quotient", *row(coext)) is None
-        bad = replace(coext, projection=corrupt(coext.projection, 0, 0))
-        assert compare("coextension_quotient", *row(bad)).summary() == \
+        q = quotient_of(coext)
+        assert compare("coextension_quotient", *row(coext, q)) is None
+        bad = replace(q, projection=corrupt(q.projection, 0, 0))
+        assert compare("coextension_quotient", *row(coext, bad)).summary() == \
             f"coextension_quotient: FAIL {axiom} {failure}"
 
 

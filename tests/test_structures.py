@@ -50,6 +50,7 @@ from conftest import (
     BOTH_FIELDS,
     birational_subspace,
     coaction_from_module,
+    col_matrix,
     convolution_inverse_by_units,
     corrupt,
     harpoon_action_matrix,
@@ -384,7 +385,7 @@ class TestDualize:
         # (h . d_u)(m) = h(m d_u(m)); for the group algebra d_u . d_u has value h(u)
         act = dual.action
         # column (r = d_e, j = d_e): the result is d_e scaled by d_e(e) = 1
-        assert act.col_matrix(0) == Matrix.from_rows(QQ, [[QQ.one()], [QQ.zero()]])
+        assert col_matrix(act, 0) == Matrix.from_rows(QQ, [[QQ.one()], [QQ.zero()]])
 
     def test_sweedler4_duals_take_their_documented_side(self, h4):
         """On sweedler4, neither commutative nor cocommutative, each dual is a module only at its documented side."""

@@ -16,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from entwine.exactlin import Field, Matrix, QQ, Subspace, express  # noqa: E402
+from conftest import col_matrix  # noqa: E402
 
 FIELDS = (QQ, Field(5), Field(7))
 
@@ -70,8 +71,8 @@ def test_pivot_read_agrees_with_express(case):
     if x is not None:
         assert s.basis.transpose() @ x == vectors
     else:
-        assert not s.contains(vectors.col_matrix(bad))
-        assert all(s.contains(vectors.col_matrix(j)) for j in range(bad))
+        assert not s.contains(col_matrix(vectors, bad))
+        assert all(s.contains(col_matrix(vectors, j)) for j in range(bad))
 
 
 def test_shape_is_checked():
