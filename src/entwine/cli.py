@@ -289,81 +289,77 @@ def _field_of(value):
     raise PresentationError("cannot determine the field of this object")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The argv parser: --json, then one subparser per command, each also kept in commands by its name."""
     parser = argparse.ArgumentParser(
         prog="entwine",
         description="verify and dualize finite-dimensional entwining and Doi-Koppinen data")
     parser.add_argument("--json", action="store_true", help="emit a structured report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="verify every object in a document")
-    p.add_argument("document")
-    p.set_defaults(fn=cmd_check)
+    def command(name: str, fn, help: str, *options: str) -> argparse.ArgumentParser:
+        """A subparser that reads a document and, each required, the options named; fn runs the command."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("document")
+        for option in options:
+            p.add_argument(option, required=True)
+        p.set_defaults(fn=fn)
+        if commands is not None:
+            commands[name] = p
+        return p
 
-    p = sub.add_parser("dualize", help="dualize a structure, entwining or DK triple")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_dualize)
-
-    p = sub.add_parser("smash", help="verify an entwining and state its smash ring; --table builds and prints it")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
+    command("check", cmd_check, "verify every object in a document")
+    command("dualize", cmd_dualize, "dualize a structure, entwining or DK triple", "--name")
+    p = command("smash", cmd_smash, "verify an entwining and state its smash ring; --table builds and prints it",
+                "--name")
     p.add_argument("--table", action="store_true", help="build the smash ring and print its multiplication table")
-    p.set_defaults(fn=cmd_smash)
-
-    p = sub.add_parser("coring", help="verify an entwining and state its coring and the coring's left dual")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_coring)
-
-    p = sub.add_parser("antipode", help="compute the antipode of a bialgebra")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_antipode)
-
-    p = sub.add_parser("rat", help="rational submodule of a module along a pairing")
-    p.add_argument("document")
-    p.add_argument("--pairing", required=True)
-    p.add_argument("--module", required=True)
-    p.set_defaults(fn=cmd_rat)
-
-    p = sub.add_parser("adjunction", help="check the dual-module adjunction")
-    p.add_argument("document")
-    p.add_argument("--entwining", required=True)
-    p.add_argument("--module", required=True)
+    command("coring", cmd_coring, "verify an entwining and state its coring and the coring's left dual", "--name")
+    command("antipode", cmd_antipode, "compute the antipode of a bialgebra", "--name")
+    command("rat", cmd_rat, "rational submodule of a module along a pairing", "--pairing", "--module")
+    p = command("adjunction", cmd_adjunction, "check the dual-module adjunction", "--entwining", "--module")
     p.add_argument("--dual-module")
-    p.set_defaults(fn=cmd_adjunction)
-
-    p = sub.add_parser("dk", help="verify a Doi-Koppinen structure and its dual")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_dk)
-
-    p = sub.add_parser("cleft", help="check an integral for colinearity, totality, cleftness")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_cleft)
-
-    p = sub.add_parser("cocleft", help="check a cointegral and dualize the coextension")
-    p.add_argument("document")
-    p.add_argument("--name", required=True)
-    p.set_defaults(fn=cmd_cocleft)
+    command("dk", cmd_dk, "verify a Doi-Koppinen structure and its dual", "--name")
+    command("cleft", cmd_cleft, "check an integral for colinearity, totality, cleftness", "--name")
+    command("cocleft", cmd_cocleft, "check a cointegral and dualize the coextension", "--name")
 
     p = sub.add_parser("catalog", help="list catalog entries or emit one as a document")
     p.add_argument("name", nargs="?")
     p.set_defaults(fn=cmd_catalog)
+    if commands is not None:
+        commands["catalog"] = p
 
     return parser
 
 
-# parse_args keeps no state between calls, so one parser serves every command
-_PARSER = build_parser()
+# parse_args keeps no state between calls, so one parser, and its subparsers, serve every command
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+_PARSER = build_parser(_COMMANDS)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace _PARSER.parse_args(argv) gives, read by the command's own subparser where that settles argv.
+
+    An argv of an optional leading --json, a command name and the
+    command's arguments goes to that command's subparser alone: it is the
+    parser the top-level one would hand the same arguments to, so its
+    namespace, help and errors are the same.  Anything it leaves over, an
+    argv that names no command first, and any "--", go through _PARSER.
+    """
+    as_json = argv[:1] == ["--json"]
+    name = argv[as_json] if len(argv) > as_json else None
+    sub = _COMMANDS.get(name)
+    if sub is not None and "--" not in argv:
+        args, extra = sub.parse_known_args(argv[as_json + 1:])
+        if not extra:
+            args.json, args.command = as_json, name
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
     """Execute one command; returns (exit code, report text)."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0, "")
     out = _Out()

@@ -10,11 +10,13 @@ writes the text, as json.dumps(..., sort_keys=True, indent=2) would, in
 one straight-line pass, and quadruples are read back from stored rows by
 structures.quads_from_matrix.
 
-Parsing goes straight to stored rows: quadruples are placed by
-structures.matrix_from_quads, which lays out no tensor, and each scalar
-and index passes one fast check (_Scalars).  Paths and messages are made
-only when a value fails it: the input is then read again with the full
-checks, which name the JSON path of the first bad value.
+Parsing goes straight to stored rows: quadruples are placed in one pass
+by structures.matrix_from_quads, which lays out no tensor, dense rows go
+straight to row dicts (Matrix.from_canonical_rows), and each scalar and
+index passes one fast check (_Scalars), after which an F_p scalar is not
+reduced again.  Paths and messages are made only when a value fails it:
+the input is then read again with the full checks, which name the JSON
+path of the first bad value.
 
 TYPES has one row per object type: its name, class, constructor, parse
 stage and fields in document order.  The parser and the emitter both read
@@ -27,8 +29,9 @@ import json
 from json.encoder import encode_basestring_ascii as _quoted
 from dataclasses import dataclass
 from itertools import count
+from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .exactlin import QQ, Field, Matrix, PresentationError
 from .structures import (
@@ -97,9 +100,10 @@ class _Scalars:
     """The scalars of one document, read by one fast check each.
 
     Over Q a literal is parsed once per document and looked up after; over
-    F_p a scalar passes when type(x) is int and 0 <= x < p.  values gives
-    None when a scalar fails that check, and the caller reads the same
-    input again with _parse_scalar, which names the path and the problem.
+    F_p a scalar passes when type(x) is int and 0 <= x < p, and is kept as
+    it is, with no second reduction.  values, rows and quads give None when
+    a value fails its check, and the caller reads the same input again
+    with _parse_scalar, which names the path and the problem.
     """
 
     def __init__(self, field: Field):
@@ -116,12 +120,42 @@ class _Scalars:
         except (PresentationError, TypeError):   # not a canonical literal, or unhashable
             return None
 
+    def rows(self, rows: list) -> list | None:
+        """The scalars of a list of rows, row by row, each row as a list."""
+        p = self.field.p
+        if p is not None:
+            return rows if all(type(x) is int and 0 <= x < p for row in rows for x in row) else None
+        literals = self._literals
+        try:
+            return [[literals[x] for x in row] for row in rows]
+        except (PresentationError, TypeError):
+            return None
+
+    def quads(self, quads) -> Iterable | None:
+        """The scalars of a list of [i, j, k, scalar] quadruples with int indices, in order."""
+        p = self.field.p
+        if type(quads) is not list:
+            return None
+        if p is not None:   # one pass: each quadruple's shape, indices and scalar
+            for q in quads:
+                if type(q) is not list or len(q) != 4:
+                    return None
+                i, j, k, c = q
+                if not (type(i) is type(j) is type(k) is type(c) is int and 0 <= c < p):
+                    return None
+            return map(itemgetter(3), quads)
+        if not all(type(q) is list and len(q) == 4 and type(q[0]) is type(q[1]) is type(q[2]) is int
+                   for q in quads):
+            return None
+        return self.values([q[3] for q in quads])
+
 
 def _parse_matrix(sc: _Scalars, rows, r: int, c: int, path: str) -> Matrix:
+    """A dense r x c matrix from a list of rows: straight to its row dicts once every value passes its fast check."""
     if type(rows) is list and len(rows) == r and all(type(row) is list and len(row) == c for row in rows):
-        data = sc.values([x for row in rows for x in row])
-        if data is not None:
-            return Matrix(sc.field, r, c, data)
+        lines = sc.rows(rows)
+        if lines is not None:
+            return Matrix.from_canonical_rows(sc.field, r, c, lines)
     _expect(isinstance(rows, list) and len(rows) == r, path, f"expected {r} rows")
     data = []
     for i, row in enumerate(rows):
@@ -138,19 +172,16 @@ def _emit_matrix(field: Field, m: Matrix):
 def _parse_quads(sc: _Scalars, quads, layout: str, dims: tuple[int, int, int], path: str) -> Matrix:
     """[i, j, k, scalar] rows, each index below its bound in dims, summed into QUAD_LAYOUTS[layout].
 
-    Each quadruple is checked once, and placed by matrix_from_quads, which
-    also checks the bounds; any failure reads the quadruples again, one
-    check at a time, to name the first bad one.
+    Each quadruple is checked once (_Scalars.quads), and placed in one pass
+    by matrix_from_quads, which also checks the bounds; any failure reads
+    the quadruples again, one check at a time, to name the first bad one.
     """
-    if type(quads) is list and all(type(q) is list and len(q) == 4 and type(q[0]) is type(q[1]) is type(q[2]) is int
-                                   for q in quads):
-        values = sc.values([q[3] for q in quads])
-        if values is not None:
-            try:
-                return matrix_from_quads(sc.field, layout, dims,
-                                         [(q[0], q[1], q[2], c) for q, c in zip(quads, values)])
-            except PresentationError:
-                pass
+    values = sc.quads(quads)
+    if values is not None:
+        try:
+            return matrix_from_quads(sc.field, layout, dims, quads, values)
+        except PresentationError:
+            pass
     _expect(isinstance(quads, list), path, "expected a list of quadruples")
     out = []
     for t, quad in enumerate(quads):
@@ -202,8 +233,11 @@ def _parse_structure(sc: _Scalars, body: dict, path: str) -> StructurePresentati
             xs = body[key]
             _expect(isinstance(xs, list) and len(xs) == dim, f"{path}.{key}", f"{key} must have {dim} coefficients")
             values = sc.values(xs)
-            kwargs[key] = values if values is not None else \
-                [_parse_scalar(sc.field, x, f"{path}.{key}[{i}]") for i, x in enumerate(xs)]
+            if values is None:
+                values = [_parse_scalar(sc.field, x, f"{path}.{key}[{i}]") for i, x in enumerate(xs)]
+            # the unit is a column, the counit a row
+            kwargs[key] = Matrix.from_canonical_rows(sc.field, dim, 1, ([x] for x in values)) if key == "unit" \
+                else Matrix.from_canonical_rows(sc.field, 1, dim, (values,))
     if "antipode" in body:
         kwargs["antipode"] = _parse_matrix(sc, body["antipode"], dim, dim, f"{path}.antipode")
     try:
@@ -413,13 +447,22 @@ def _parse_objects(sc: _Scalars, raw_objects: dict) -> dict:
 
 
 def parse_document(text: str | bytes) -> Document:
-    """Parse and validate; errors carry a JSON path or line/column position."""
+    """Parse and validate; errors carry a JSON path or a position: a byte offset, a line and column, or $.
+
+    Bytes that are not UTF-8 are refused at the offset of the first bad
+    byte, and JSON nested past the interpreter's recursion limit at $.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}", f"not UTF-8 text ({exc.reason})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except RecursionError:
+        raise ParseError("$", "JSON nested too deeply to read") from None
     _expect(isinstance(raw, dict), "$", "document must be an object")
     for key in raw:
         _expect(key in ("version", "field", "objects"), key, "unknown top-level key")

@@ -21,12 +21,12 @@ from .exactlin import (
     DimensionMismatch,
     Matrix,
     PresentationError,
+    _solve,
     columns_of,
     kernel,
     kron,
     nonzeros,
     permute,
-    solve_linear,
 )
 from . import report
 from .report import Report
@@ -355,10 +355,11 @@ def smash_module_to_entwined(e: EntwiningPresentation, m: ModulePresentation) ->
     # alpha : M (x) C -> Hom(S, M), m_k (x) c_u -> (E_{x,u'} -> delta(u, u') m_k . a_x),
     # coordinates (r, (x, u')) of Hom(S, M)
     alpha_m = permute(kron(action, Matrix.identity(f, nc)), (n, nc, n, na, nc), (0, 3, 1, 2, 4), 3)
-    if kernel(alpha_m).dim != 0:
-        raise PresentationError("alpha map is not injective; cannot recover a coaction")
     rho = permute(m.action, (n, n, ns), (0, 2, 1), 2)  # rho(m_k)[(r, s)] = m.action[r, (k, s)]
-    coaction = solve_linear(alpha_m, rho)
+    # one elimination: alpha_m is injective exactly when its rank is its column count, checked first
+    coaction, _, rank_alpha = _solve(alpha_m, rho)
+    if rank_alpha != alpha_m.cols:
+        raise PresentationError("alpha map is not injective; cannot recover a coaction")
     if coaction is None:
         raise PresentationError("module is not rational over the smash ring")
     return EntwinedModulePresentation(e, n, action, coaction)

@@ -18,7 +18,8 @@ vector is wider.  It sums plain products without a Field call per term
 and returns the block canonical (an index -> value dict, reduced, no zero
 values), so two vectors are equal exactly when their dicts are;
 _least_column reads the blocks of a law's difference for the least
-column that differs, and _vectors reads one vector, a block of one.  A
+column that differs, and _witness_columns reads that column of each
+side, a block of one.  A
 factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
 moves each index where it lands: no shifted copy of a line is made; a
 Permutation of tensor factors moves each index, from one index table
@@ -27,8 +28,9 @@ A factor over F_p whose lines are wide and nonzero enough is read
 packed instead, one vector at a time, each of its lines one int with a
 2-, 4- or 8-byte slot per entry (Kronecker substitution), so a line read
 costs one big-int operation, not one Python step per entry, and a packed
-vector is reduced mod p by byte tables; _shape gives a side's shape
-without evaluating it.  A linear map V -> W with
+vector is reduced mod p by byte tables.  _plan is a law's planning
+pass: it splits each side into its terms and reads its shape off the
+factors without evaluating any, once.  A linear map V -> W with
 dim V = n, dim W = m is an m x n matrix acting on column vectors.
 Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
 that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
@@ -256,6 +258,50 @@ class Matrix:
         return cls._of_rows(field, rows, cols, ({j: x for j, v in r.items() if (x := v % p)} for r in out))
 
     @classmethod
+    def from_canonical_rows(cls, field: Field, rows: int, cols: int, lines) -> "Matrix":
+        """The matrix whose rows are the given rows lists of cols canonical scalars each (over F_p, ints in [0, p)).
+
+        Each list goes straight to its dict of nonzeros: nothing is checked
+        or reduced again, and no flat copy of the entries is made.
+        """
+        return cls._of_rows(field, rows, cols, (dict(compress(enumerate(line), line)) for line in lines))
+
+    @classmethod
+    def from_quads(cls, field: Field, rows: int, cols: int, at, quads, values) -> "Matrix":
+        """The sum of the quadruples (i, j, k, _), each with its scalar from values, placed in one pass.
+
+        at is (row tables, column tables) of the three indices, as
+        _axis_offsets makes them: quadruple (i, j, k) lands in row
+        r0[i] + r1[j] + r2[k] and column c0[i] + c1[j] + c2[k].  The
+        scalars must be canonical (over F_p, ints in [0, p)); one is stored
+        as it is unless a repeat lands on its entry, and only such a sum is
+        reduced mod p, or dropped when it cancels.  An index outside its
+        table raises PresentationError.
+        """
+        p = field.p
+        out = [{} for _ in range(rows)]
+        (r0, r1, r2), (c0, c1, c2) = at
+        try:
+            for (i, j, k, _), c in zip(quads, values):
+                if i < 0 or j < 0 or k < 0:   # a negative index would read its table from the end
+                    raise IndexError
+                row = out[r0[i] + r1[j] + r2[k]]
+                t = c0[i] + c1[j] + c2[k]
+                if t in row:
+                    s = row[t] + c
+                    if p is not None:
+                        s %= p
+                    if s:
+                        row[t] = s
+                    else:
+                        del row[t]
+                elif c:
+                    row[t] = c
+        except IndexError:
+            raise PresentationError(f"index out of range: {(i, j, k)}") from None
+        return cls._of_rows(field, rows, cols, out)
+
+    @classmethod
     def from_columns(cls, field: Field, rows: int, columns) -> "Matrix":
         """The matrix whose j-th column holds the entries of columns[j], read row-major.
 
@@ -459,6 +505,26 @@ def _offsets(dims: tuple, perm: tuple, axes) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)
+def _axis_offsets(dims: tuple, perm: tuple, nrows: int) -> tuple[tuple, tuple]:
+    """(row tables, column tables): per input axis, the row and the column offset of each index along it.
+
+    The matrix is the one permute(m, dims, perm, nrows) lays out: input
+    axis a is output axis perm.index(a), a row axis among the first nrows,
+    where an index moves the row by its stride among the row axes and the
+    column by nothing; a column axis the other way round.  The tables
+    depend only on the shapes, so they are made once per (dims, perm,
+    nrows), as _offsets is.
+    """
+    row_at, col_at = [()] * len(dims), [()] * len(dims)
+    for axes, mine, other in ((perm[:nrows], row_at, col_at), (perm[nrows:], col_at, row_at)):
+        step = 1
+        for a in reversed(axes):
+            mine[a], other[a] = tuple(i * step for i in range(dims[a])), (0,) * dims[a]
+            step *= dims[a]
+    return tuple(row_at), tuple(col_at)
+
+
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Matrix of V (x) W -> W (x) V, e_i (x) e_j -> e_j (x) e_i, dim V = m, dim W = n."""
     # row (j, i) holds its 1 at column (i, j)
@@ -469,7 +535,7 @@ class Permutation:
     """A law factor that permutes tensor factors, output factor k input factor perm[k] of dims, never laid out.
 
     _block moves each key to its image (images) with its coefficient
-    unchanged; it has the field, rows and cols that _shape reads.
+    unchanged; it has the field, rows and cols that _split reads.
     """
 
     __slots__ = ("field", "rows", "cols", "dims", "perm")
@@ -635,12 +701,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} of F^{self.ambient}, basis {self.basis.render()})"
 
 
-def _solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, int | None]:
-    """One elimination of [A | B]: (X, None) with A X = B, free variables zero, or (None, j), j the first bad column.
+def _solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, int | None, int]:
+    """One elimination of [A | B]: (X, None, rank A) with A X = B, free variables zero, or (None, j, rank A).
 
-    The rows left once A's part is in RREF hold only B's columns, and they
-    span every y^T B with y^T A = 0, so column j of B is consistent exactly
-    when no row left holds it.
+    j is the first bad column.  The rows left once A's part is in RREF
+    hold only B's columns, and they span every y^T B with y^T A = 0, so
+    column j of B is consistent exactly when no row left holds it.  The
+    rank is the count of A's pivots, so A is injective exactly when it
+    equals A's column count.
     """
     if a.field != b.field:
         raise DimensionMismatch("field mismatch")
@@ -651,11 +719,11 @@ def _solve(a: Matrix, b: Matrix) -> tuple[Matrix | None, int | None]:
     pivots = _eliminate(rows, a.field, n)
     left = [row for row in rows[len(pivots):] if row]
     if left:
-        return None, min(min(row) for row in left) - n
+        return None, min(min(row) for row in left) - n, len(pivots)
     part = [{} for _ in range(n)]
     for row, c in zip(rows, pivots):
         part[c] = {k - n: v for k, v in row.items() if k >= n}
-    return Matrix._of_rows(a.field, n, b.cols, part), None
+    return Matrix._of_rows(a.field, n, b.cols, part), None, len(pivots)
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -669,7 +737,7 @@ def express(basis: Matrix, vectors: Matrix) -> tuple[Matrix, None] | tuple[None,
     Returns (X, None) with basis^T X = vectors, free coefficients zero, or
     (None, j) with j the first column outside the row span of basis.
     """
-    return _solve(basis.transpose(), vectors)
+    return _solve(basis.transpose(), vectors)[:2]
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -710,30 +778,48 @@ def nonzeros(m: Matrix):
     return ((i, j, v) for i, r in enumerate(m._rows) for j, v in r.items())
 
 
-def _terms(side, sign: int = 1) -> list:
-    """sign times a law side as (sign, factors) terms, each factor (X, k, x_first): kron(X, id_k) or kron(id_k, X)."""
+def _plan(lhs, rhs) -> tuple[tuple, tuple, list, int]:
+    """The planning pass of a law: (lhs shape, rhs shape, terms, split), each side split and shape-checked once.
+
+    The terms are the lhs's, terms[:split], then the rhs's with their
+    signs negated, so together they are lhs - rhs; a shape is (field,
+    rows, cols).  _stages reads the terms, and a failing law reads its
+    witness columns from them (_witness_columns).
+    """
+    terms: list = []
+    left = _split(lhs, 1, terms)
+    split = len(terms)
+    return left, _split(rhs, -1, terms), terms, split
+
+
+def _split(side, sign: int, terms: list, shape=None) -> tuple[Field, int, int]:
+    """Append sign times a law side to terms; returns its (field, rows, cols), read off the factors, none evaluated.
+
+    A term is (sign, factors), each factor (X, k, x_first): kron(X, id_k)
+    when x_first, else kron(id_k, X).  Each factor is checked against the
+    one before as it is split, and each term against the side's first.
+    """
     if type(side) is list:
-        return [term for s, t in side for term in _terms(t, sign * s)]
+        for s, t in side:
+            shape = _split(t, sign * s, terms, shape)
+        return shape
     if type(side) is not tuple or type(side[0]) is int or type(side[-1]) is int:   # one factor
         side = (side,)
-    return [(sign, [(f, 1, True) if type(f) is not tuple else (f[1], f[0], False) if type(f[0]) is int else
-                    (f[0], f[1], True) for f in side])]
-
-
-def _shape(terms) -> tuple[Field, int, int]:
-    """(field, rows, cols) of a law side split into its terms, read off the factors without evaluating any."""
-    shape = None
-    for _, factors in terms:
-        x, k, _ = factors[0]
-        field, rows, cols = x.field, x.rows * k, x.cols * k
-        for x, k, _ in factors[1:]:
-            if x.cols * k != rows or x.field is not field and x.field != field:
-                raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
+    factors = []
+    for f in side:
+        x, k, x_first = (f, 1, True) if type(f) is not tuple else (f[1], f[0], False) if type(f[0]) is int else \
+            (f[0], f[1], True)
+        if not factors:
+            field, rows, cols = x.field, x.rows * k, x.cols * k
+        elif x.cols * k != rows or x.field is not field and x.field != field:
+            raise DimensionMismatch(f"cannot apply {x.rows * k}x{x.cols * k} after {rows} rows")
+        else:
             rows = x.rows * k
-        if shape not in (None, (field, rows, cols)):
-            raise DimensionMismatch("the terms of a law side differ in shape or field")
-        shape = (field, rows, cols)
-    return shape
+        factors.append((x, k, x_first))
+    terms.append((sign, factors))
+    if shape not in (None, (field, rows, cols)):
+        raise DimensionMismatch("the terms of a law side differ in shape or field")
+    return field, rows, cols
 
 
 # The most entries a block of law vectors may hold (_block): a law is read
@@ -744,26 +830,16 @@ def _shape(terms) -> tuple[Field, int, int]:
 _BLOCK_ENTRIES = 4096
 
 
-def _vectors(terms, by_rows: bool):
-    """Read a law side one vector at a time: vector(i) is row i when by_rows, else column i.
+def _least_column(terms, by_rows: bool, rows: int, cols: int) -> tuple[int | None, tuple]:
+    """The least column at which a rows x cols law side is nonzero, None when it is zero, and the side's stages.
 
-    Each vector is a block of one (_block), canonical: an index -> value
-    dict, reduced, no zero values, so two vectors are equal exactly when
-    their dicts are.
+    The terms are staged once (_stages) and read a block at a time along
+    the shorter dimension (_block): by columns, the first block with a
+    nonzero key names the column; by rows, it is the least index over the
+    nonzero keys of every block.
     """
-    _, rows, cols = _shape(terms)
-    p, plan, size, _ = _stages(terms, by_rows)
-    return lambda i: _block(p, plan, size, cols if by_rows else rows, i, i + 1)
-
-
-def _least_column(terms, by_rows: bool, rows: int, cols: int) -> int | None:
-    """The least column at which a rows x cols law side is nonzero, None when it is zero; a block at a time.
-
-    The blocks are read along the shorter dimension (_block): by columns,
-    the first block with a nonzero key names it; by rows, it is the least
-    index over the nonzero keys of every block.
-    """
-    p, plan, size, step = _stages(terms, by_rows)
+    staged = _stages(terms, by_rows)
+    p, plan, size, step = staged
     count, width = (rows, cols) if by_rows else (cols, rows)
     least = None
     for start in range(0, count, step):
@@ -771,17 +847,29 @@ def _least_column(terms, by_rows: bool, rows: int, cols: int) -> int | None:
         if not block:
             continue
         if not by_rows:
-            return start + min(block) // width
+            return start + min(block) // width, staged
         j = min(key % width for key in block)
         least = j if least is None else min(least, j)
-    return least
+    return least, staged
+
+
+def _witness_columns(terms: list, split: int, staged, rows: int, j: int) -> tuple[dict, dict]:
+    """Column j of a law's lhs and of its rhs, from its planned terms (_plan), each one canonical vector (_block).
+
+    staged is the law's stages by columns, as _least_column read a tall
+    law, and is reused; None when the law was read by rows, and the terms
+    are staged by columns here.  The rhs's terms are read with their signs negated back.
+    """
+    p, plan, size, _ = staged or _stages(terms, False)
+    right = [[-sign, *stages] for sign, *stages in plan[split:]]
+    return _block(p, plan[:split], size, rows, j, j + 1), _block(p, right, size, rows, j, j + 1)
 
 
 def _block(p: int | None, plan: list, size: int | None, width: int, start: int, stop: int) -> dict:
     """Vectors start..stop-1 of a law side, planned by _stages, as one dict keyed (i - start) * width + index.
 
-    The side comes split by _terms into terms of one shape and field
-    (_shape reads that shape off the factors).  A side is a Matrix; a
+    The side comes split by _plan into terms of one shape and field
+    (_split reads that shape off the factors).  A side is a Matrix; a
     tuple of factors applied left to right, each a Matrix, a Permutation
     of tensor factors, or a pair (X, k) or (k, X), k an int, that stands
     for kron(X, id_k) or kron(id_k, X); neither a Permutation nor a pair is

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import (DimensionMismatch, Matrix, Permutation, _least_column, _shape, _terms, _vectors, sparse_render,
-                       unflat)
+from .exactlin import (DimensionMismatch, Matrix, Permutation, _least_column, _plan, _witness_columns,
+                       sparse_render, unflat)
 
 
 @dataclass(frozen=True)
@@ -91,34 +91,35 @@ class ClosureViolation(CheckError):
 def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     """None when the two sides of a law agree; otherwise a failure at the first differing column.
 
-    The difference lhs - rhs is read along its shorter dimension, a block
-    of vectors at a time (exactlin._least_column): by rows when it is wide
-    (more columns than rows), by columns otherwise.  A block holds at most
+    One planning pass (exactlin._plan) splits each side into its terms and
+    checks its shape, once; the difference lhs - rhs is then staged and
+    read along its shorter dimension, a block of vectors at a time
+    (exactlin._least_column): by rows when it is wide (more columns than
+    rows), by columns otherwise.  A block holds at most
     exactlin._BLOCK_ENTRIES entries at any stage, unless a single vector is
     wider, and a law with a packed stage is read one vector at a time.  A
     wide law that fails is read to its last row for the least differing
     column; a tall one stops at the first block that differs.  Then that
-    column of each side is read for the report, one vector
-    (exactlin._vectors).  The witness is the input basis multi-index,
-    decoded from the column via the tensor index convention using
-    col_dims; a law on no basis inputs, col_dims (), has one column and no
-    witness.
+    column of each side is read for the report from the same terms, and a
+    tall law's stages are reused (exactlin._witness_columns).  The witness
+    is the input basis multi-index, decoded from the column via the tensor
+    index convention using col_dims; a law on no basis inputs, col_dims (),
+    has one column and no witness.
     """
     if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no vector needs reading
         return None
-    left, right = _terms(lhs), _terms(rhs, -1)
-    field, rows, cols = _shape(left)
-    rfield, rrows, rcols = _shape(right)
+    (field, rows, cols), (rfield, rrows, rcols), terms, split = _plan(lhs, rhs)
     if (rrows, rcols) != (rows, cols):
         raise AssertionError(f"{op}/{axiom}: comparing {rows}x{cols} with {rrows}x{rcols}")
     if rfield is not field and rfield != field:
         raise DimensionMismatch("the terms of a law side differ in shape or field")
-    j = _least_column(left + right, cols > rows, rows, cols)
+    by_rows = cols > rows
+    j, staged = _least_column(terms, by_rows, rows, cols)
     if j is None:
         return None
+    left, right = _witness_columns(terms, split, None if by_rows else staged, rows, j)
     witness = (j,) if col_dims is None else unflat(j, col_dims) or None
-    return fail(op, axiom, witness=witness, lhs=sparse_render(_vectors(left, False)(j), field),
-                rhs=sparse_render(_vectors(_terms(rhs), False)(j), field))
+    return fail(op, axiom, witness=witness, lhs=sparse_render(left, field), rhs=sparse_render(right, field))
 
 
 def mirror(row: tuple) -> tuple:

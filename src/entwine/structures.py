@@ -24,6 +24,7 @@ from .exactlin import (
     Permutation,
     PresentationError,
     Subspace,
+    _axis_offsets,
     _offsets,
     express,
     kernel,
@@ -83,26 +84,27 @@ QUAD_LAYOUTS = {
 }
 
 
-def matrix_from_quads(field: Field, layout: str, dims, quads) -> Matrix:
+def matrix_from_quads(field: Field, layout: str, dims, quads, values=None) -> Matrix:
     """The layout's matrix: each quadruple's scalar summed, once, at the entry permute() carries Q[i, j, k] to.
 
-    The entry is read off one offset per index (exactlin._offsets, one
-    axis at a time), so no Q is laid out; an index outside dims raises
-    PresentationError.
+    The entry's row and column are read off one table per index and
+    layout, cached by shape (exactlin._axis_offsets), so no Q is laid out
+    and each quadruple is placed in one pass (Matrix.from_quads).  values
+    holds the quadruples' scalars when the caller has read them, canonical
+    (over F_p, already in [0, p)); without them each quadruple's own
+    scalar is taken, reduced mod p first over F_p.  An index
+    outside dims raises PresentationError.
     """
     perm, nrows = QUAD_LAYOUTS[layout]
     dims = tuple(dims)
-    d0, d1, d2 = dims
-    at0, at1, at2 = (_offsets(dims, perm, (a,)) for a in range(3))
-    cols = prod(dims[a] for a in perm[nrows:])
-
-    def entries():
-        for i, j, k, c in quads:
-            if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
-                raise PresentationError(f"{layout} index out of range: {(i, j, k)}")
-            yield (*divmod(at0[i] + at1[j] + at2[k], cols), c)
-
-    return Matrix.from_entries(field, prod(dims[a] for a in perm[:nrows]), cols, entries())
+    if values is None:
+        quads, p = list(quads), field.p
+        values = [c for *_, c in quads] if p is None else [c % p for *_, c in quads]
+    try:
+        return Matrix.from_quads(field, prod(dims[a] for a in perm[:nrows]), prod(dims[a] for a in perm[nrows:]),
+                                 _axis_offsets(dims, perm, nrows), quads, values)
+    except PresentationError as exc:
+        raise PresentationError(f"{layout} {exc}") from None
 
 
 def quads_from_matrix(m: Matrix, layout: str, dims) -> list[tuple]:

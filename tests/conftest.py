@@ -50,9 +50,10 @@ from entwine.exactlin import (
     Subspace,
     _offsets,
     _packs,
-    _shape,
-    _terms,
-    _vectors,
+    _block,
+    _plan,
+    _split,
+    _stages,
     _whole,
     columns_of,
     express,
@@ -218,15 +219,23 @@ def corrupt(matrix: Matrix, i: int, j: int, c=None) -> Matrix:
 
 
 def law_shape(side) -> tuple[Field, int, int]:
-    """(field, rows, cols) of a law side, read off its factors without evaluating any."""
-    return _shape(_terms(side))
+    """(field, rows, cols) of a law side, read off its factors without evaluating any (exactlin._split)."""
+    return _split(side, 1, [])
+
+
+def law_terms(side) -> list:
+    """A law side split into its (sign, factors) terms, as exactlin._plan splits each side."""
+    terms: list = []
+    _split(side, 1, terms)
+    return terms
 
 
 def law_vectors(side, by_rows: bool):
-    """Read a law side one vector at a time, as report.compare reads a witness column: exactlin._vectors."""
-    terms = _terms(side)
-    _shape(terms)
-    return _vectors(terms, by_rows)
+    """Read a law side one vector at a time, each a block of one (exactlin._block), as report.compare reads a witness."""
+    terms: list = []
+    _, rows, cols = _split(side, 1, terms)
+    p, plan, size, _ = _stages(terms, by_rows)
+    return lambda i: _block(p, plan, size, cols if by_rows else rows, i, i + 1)
 
 
 def layout(side) -> Matrix:
@@ -285,7 +294,7 @@ def packed_stages(lhs, rhs) -> list:
     _, rows, cols = law_shape(lhs)
     by_rows = cols > rows
     out, bound = [], 0
-    for _, factors in _terms([(1, lhs), (-1, rhs)]):
+    for _, factors in _plan(lhs, rhs)[2]:
         read = factors[::-1] if by_rows else factors
         out += [f for f in read[1:-1] if _packs(f[0], by_rows)]
         x = read[-1][0]

@@ -44,8 +44,8 @@ def bumped(name: str, part: str | None, attr: str):
     return replace(s, **{part: replace(x, **{attr: corrupt(getattr(x, attr), 0, 0)})})
 
 
-def run_all(workdir: Path) -> dict:
-    out = {}
+def cases(workdir: Path):
+    """(golden key, argv) of every command, each document written to workdir before its commands are yielded."""
     for name in ("dk_qc2", "dk_sweedler4"):
         for label, part, attr in BUMPS:
             s = bumped(name, part, attr)
@@ -53,8 +53,14 @@ def run_all(workdir: Path) -> dict:
             path.write_text(emit_document(document_from_objects(s.field, {"t": s})))
             for cmd in ("dk", "dualize"):
                 for mode in ((), ("--json",)):
-                    code, text = run_command([*mode, cmd, str(path), "--name", "t"])
-                    out[" ".join((*mode, cmd, name, label))] = {"code": code, "text": text}
+                    yield " ".join((*mode, cmd, name, label)), [*mode, cmd, str(path), "--name", "t"]
+
+
+def run_all(workdir: Path) -> dict:
+    out = {}
+    for key, argv in cases(workdir):
+        code, text = run_command(argv)
+        out[key] = {"code": code, "text": text}
     return out
 
 

@@ -152,6 +152,56 @@ class TestJsonBooleans:
         code, text = self.check(tmp_path, body)
         assert code == 2 and f"version: unsupported version {version!r}" in text
 
+def _input_error(argv, line):
+    """run_command on argv, as text and with --json, must exit 2 with the one line `input error: <line>`."""
+    assert run_command(argv) == (2, f"input error: {line}\n")
+    code, text = run_command(["--json", *argv])
+    assert code == 2 and json.loads(text) == {"passed": False, "records": [{"note": f"input error: {line}"}]}
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, or JSON nested past the recursion limit, exit 2 with their position."""
+
+    CASES = {
+        "not-utf8": (b"\xff\xfe{}", "byte 0: not UTF-8 text (invalid start byte)"),
+        "nested": (b"[" * 100000 + b"]" * 100000, "$: JSON nested too deeply to read"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_with_a_position(self, tmp_path, case):
+        data, line = self.CASES[case]
+        path = tmp_path / "doc.ent"
+        path.write_bytes(data)
+        _input_error(["check", str(path)], line)
+
+
+# one_dim_document's places for an F_p scalar: a quadruple, a dense psi row, a unit list and a module's triples
+PRIME_FIELD_PLACES = {
+    "quadruple": (("k", "mul", 0, 3), "objects.k.mul[0]"),
+    "psi": (("e", "psi", 0, 0), "objects.e.psi[0][0]"),
+    "unit": (("k", "unit", 0), "objects.k.unit[0]"),
+    "triples": (("m", "action", "triples", 0, 3), "objects.m.action.triples[0]"),
+}
+# what is not an int in [0, 5), by its JSON text
+PRIME_FIELD_BAD = {"5": 5, "-1": -1, "true": True, "1.0": 1.0, '"1"': "1"}
+
+
+class TestPrimeFieldScalars:
+    """An F_5 scalar equal to p, -1, true, 1.0 or "1" exits 2 with the path of its place and the value's repr."""
+
+    @pytest.mark.parametrize("value", sorted(PRIME_FIELD_BAD))
+    @pytest.mark.parametrize("place", sorted(PRIME_FIELD_PLACES))
+    def test_exit_2_at_its_path(self, tmp_path, place, value):
+        body = json.loads(json.dumps(one_dim_document()))    # no quadruple list shared between objects
+        (*parents, last), path = PRIME_FIELD_PLACES[place]
+        node = body["objects"]
+        for key in parents:
+            node = node[key]
+        node[last] = PRIME_FIELD_BAD[value]
+        _input_error(["check", write(tmp_path, "doc.ent", json.dumps(body))],
+                     f"{path}: prime-field scalar must be an integer in [0, 5), got {PRIME_FIELD_BAD[value]!r}")
+
+
 def reference_document():
     """Every referencing type once, over structures of dims 1, 2 and 3, so each shape reads distinct dims.
 

@@ -798,6 +798,31 @@ class TestRoundtrip:
         assert back.action == m.action
         assert back.coaction == m.coaction
 
+    def test_the_way_back_eliminates_once(self, monkeypatch):
+        """smash_module_to_entwined runs one elimination and reads injectivity off its rank, before consistency.
+
+        A zero action makes alpha zero and the zero coaction a solution; a 1 at action[0, 2] leaves alpha zero
+        and no coaction solving, so only the order of the checks names injectivity; a 1 added at action[0, 0] of
+        the smash module of hopfmod_sweedler4 keeps alpha injective and leaves no coaction solving.
+        """
+        from entwine import exactlin
+        from entwine.exactlin import PresentationError
+
+        m = catalog_get("hopfmod_sweedler4")
+        e = m.entwining
+        sm = entwined_to_smash_module(e, m)
+        eliminate, calls = exactlin._eliminate, []
+        monkeypatch.setattr(exactlin, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+        assert smash_module_to_entwined(e, sm).coaction == m.coaction
+        assert len(calls) == 1
+        zero = Matrix(QQ, sm.action.rows, sm.action.cols, [0] * (sm.action.rows * sm.action.cols))
+        for action in (zero, corrupt(zero, 0, 2)):
+            with pytest.raises(PresentationError, match=r"^alpha map is not injective; cannot recover a coaction$"):
+                smash_module_to_entwined(e, replace(sm, action=action))
+        with pytest.raises(PresentationError, match=r"^module is not rational over the smash ring$"):
+            smash_module_to_entwined(e, replace(sm, action=corrupt(sm.action, 0, 0)))
+        assert len(calls) == 4
+
     def test_zero_module(self, ent_qc2):
         z = EntwinedModulePresentation(ent_qc2, 0, Matrix(QQ, 0, 0, []), Matrix(QQ, 0, 0, []))
         sm = entwined_to_smash_module(ent_qc2, z)

@@ -40,10 +40,11 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
-from entwine.exactlin import Field, Matrix, Permutation, QQ, _packs, _push_packed, _stages, _terms  # noqa: E402
+from entwine.exactlin import Field, Matrix, Permutation, QQ, _packs, _plan, _push_packed, _stages  # noqa: E402
 from conftest import (  # noqa: E402
     compare_reference as reference,
     law_shape,
+    law_terms,
     law_vectors,
     layout,
     packed_stages,
@@ -214,7 +215,7 @@ def test_the_strategy_reaches_every_case():
             seen.add("no inputs")
         if any(isinstance(side, list) and len(side) == 3 for side in (lhs, rhs)) and bad is None:
             seen.add("cancelling terms")
-        for _, factors in _terms([(1, lhs), (-1, rhs)]):
+        for _, factors in _plan(lhs, rhs)[2]:
             for n, (x, _, _) in enumerate(factors):
                 if isinstance(x, Permutation) and x.images(True) != x.images(False):   # not its own inverse
                     seen.add(("permutation", "read by rows" if left.cols > left.rows else "read by columns",
@@ -356,7 +357,7 @@ def packed_pushes(plan) -> list:
 def packed_count(lhs, rhs) -> int:
     """How many stages the kernel itself packs when compare reads lhs - rhs."""
     _, rows, cols = law_shape(lhs)
-    _, plan, _, _ = _stages(_terms([(1, lhs), (-1, rhs)]), cols > rows)
+    _, plan, _, _ = _stages(_plan(lhs, rhs)[2], cols > rows)
     return len(packed_pushes(plan))
 
 
@@ -399,7 +400,7 @@ def test_the_dense_strategy_packs():
             if bad is None and any(isinstance(s, list) and len(s) == 3 for s in (lhs, rhs)):
                 seen.add("cancelling terms packed")
         last_bound, last_kinds = 0, set()
-        for _, factors in _terms([(1, lhs), (-1, rhs)]):
+        for _, factors in _plan(lhs, rhs)[2]:
             read = factors[::-1] if by_rows else factors
             packs = [n > 0 and pays(x, by_rows) for n, (x, _, _) in enumerate(read)]
             for n, (x, _, _) in enumerate(read):
@@ -500,8 +501,9 @@ def test_a_second_compare_packs_nothing_again(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_pack", fails)
     assert report.compare("op", "law", lhs, rhs) == first
-    assert len(lines) == 6 and len(lines[0]) == len(lines[3]) == 4
-    assert all(a is b for a, b in zip(lines[0], lines[3]))   # the same packed lines are read
+    # a tall law is staged once a compare, and its witness columns are read from those stages
+    assert len(lines) == 2 and len(lines[0]) == len(lines[1]) == 4
+    assert all(a is b for a, b in zip(lines[0], lines[1]))   # the same packed lines are read
     for x in (dense, other):   # nothing was decided or made again
         assert x._kernel.keys() == kept[id(x)].keys() and all(x._kernel[k] is v for k, v in kept[id(x)].items())
 
@@ -532,7 +534,7 @@ def read_blocks(lhs, rhs) -> tuple[list, int]:
         return out
 
     with mock.patch.object(exactlin, "_first", spy_first), mock.patch.object(exactlin, "_push", spy_push):
-        exactlin._least_column(_terms([(1, lhs), (-1, rhs)]), cols > rows, rows, cols)
+        exactlin._least_column(_plan(lhs, rhs)[2], cols > rows, rows, cols)
     return spans, most
 
 
@@ -621,7 +623,7 @@ def test_the_monomial_strategy_reaches_fan_in():
         by_rows = cols > rows
         seen.add(("wide" if by_rows else "tall", field.p is None,
                   "passes" if reference("op", "law", lhs, rhs, col_dims) is None else "fails"))
-        for _, factors in _terms([(1, lhs), (-1, rhs)]):
+        for _, factors in _plan(lhs, rhs)[2]:
             for x, _, _ in factors:
                 lines = x._rows if by_rows else exactlin.columns_of(x)
                 assert all(len(line) <= 1 for line in lines)
@@ -678,7 +680,7 @@ def test_the_cap_at_its_edge():
     half = cap // 2
     for width, step in ((half, 2), (half + 1, 1), (cap, 1), (cap + 1, 1), (half // 2, 4)):
         x = Matrix.from_entries(QQ, 1, 1, [(0, 0, 1)])
-        assert exactlin._stages(_terms(((x, width),)), False)[3] == step   # kron(x, id_width), read by columns
+        assert exactlin._stages(law_terms(((x, width),)), False)[3] == step   # kron(x, id_width), read by columns
     for rows, step in ((half, 2), (half + 1, 1)):
         x = Matrix(QQ, rows, 4, [1 + t % 3 for t in range(4 * rows)])    # tall: four dense columns
         bump = Matrix.from_entries(QQ, rows, 4, [(rows - 1, 3, 1)])
@@ -775,3 +777,29 @@ def test_each_factor_form_reads_as_its_layout_in_blocks(field, cap):
             assert report.compare("op", "law", side, laid) is None, side
             assert report.compare("op", "law", side, [(1, laid), (1, bump)]) == \
                 reference("op", "law", side, [(1, laid), (1, bump)], None)
+
+
+def test_compare_plans_each_side_once(monkeypatch):
+    """compare splits and shape-checks each side once (exactlin._split), whether the law passes or fails, and
+    stages it once, by its shorter dimension; a wide law that fails is staged by columns a second time, for its
+    witness column, and a tall one reads its witness from the stages it was read by."""
+    split, stages = exactlin._split, exactlin._stages
+    sides, staged = [], []
+    monkeypatch.setattr(exactlin, "_split", lambda side, *args: sides.append(side) or split(side, *args))
+    monkeypatch.setattr(exactlin, "_stages", lambda terms, by_rows: staged.append(by_rows) or stages(terms, by_rows))
+    rng = random.Random(5)
+
+    def dense(rows, cols):
+        return Matrix(QQ, rows, cols, [rng.randrange(1, 4) for _ in range(rows * cols)])
+
+    for rows, cols, by_rows in ((5, 3, False), (2, 6, True)):
+        a, b = dense(4, cols), dense(rows, 4)
+        bump = Matrix.from_entries(QQ, rows, cols, [(rows - 1, cols - 1, 1)])
+        lhs = (a, b)
+        for rhs, fails in (([(1, (a, b))], False), ([(1, (a, b)), (1, bump)], True)):
+            sides.clear()
+            staged.clear()
+            got = report.compare("op", "law", lhs, rhs, (cols,))
+            assert got == reference("op", "law", lhs, rhs, (cols,)) and (got is not None) == fails
+            assert [s is lhs for s in sides].count(True) == 1 and [s is rhs for s in sides].count(True) == 1
+            assert staged == ([by_rows, False] if fails and by_rows else [by_rows])

@@ -5,7 +5,9 @@ permute() would carry Q[i, j, k] to; a Hypothesis oracle compares it, for
 all six QUAD_LAYOUTS, with the long way (conftest.quads_by_permute): Q
 laid out, then permuted.  quads_from_matrix, its inverse, is compared the
 same way with the matrix permuted back to Q (conftest.quads_by_transpose).
-The parser checks each value with one fast test
+Documents over F_p are drawn as well, with canonical scalars at 0, p - 1
+and between and repeats that sum past p, placed by the parser in every
+layout's place.  The parser checks each value with one fast test
 (a memoised canonical literal over Q, an int in [0, p) over F_p) and, when
 one fails, reads the input again with the full checks; the last tests pin
 the path and message of every kind of value that leaves a fast check.
@@ -76,6 +78,52 @@ def test_quadruples_are_read_back_in_order(layout, case):
     got = quads_from_matrix(m, layout, dims)
     assert got == quads_by_transpose(m, layout, dims)
     assert matrix_from_quads(field, layout, dims, got) == m
+
+
+PRIME_FIELDS = (Field(2), Field(5), Field(7))
+
+
+@st.composite
+def prime_field_documents(draw, layout: str):
+    """(field, dims, quads, body): quadruples in canonical F_p scalars, at 0 and p - 1 and between, with repeats
+    that sum past p, written where a document places them by the layout: a structure's mul or comul, or a
+    module's action or coaction on its side.  The structures are an algebra a and a coalgebra c of dim d, the
+    module m of dim n; their other constants are zero."""
+    field = draw(st.sampled_from(PRIME_FIELDS))
+    p, d, n = field.p, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = {"mul": (d, d, d), "comul": (d, d, d)}.get(layout) or \
+        ((n, d, n) if layout.endswith("-action") else (n, n, d))
+    index = st.tuples(*(st.integers(0, b - 1) for b in dims))
+    scalar = st.sampled_from((0, p - 1)) | st.integers(0, p - 1)
+    quads = [[*ijk, c] for ijk, c in draw(st.lists(st.tuples(index, scalar), max_size=8))]
+    if quads:   # repeats of the largest scalar sum past p
+        quads += [[*q[:3], p - 1] for q in draw(st.lists(st.sampled_from(quads), max_size=4))]
+    quads = draw(st.permutations(quads))
+    objects = {
+        "a": {"type": "structure", "kind": "algebra", "dim": d,
+              "mul": quads if layout == "mul" else [], "unit": [0] * d},
+        "c": {"type": "structure", "kind": "coalgebra", "dim": d,
+              "comul": quads if layout == "comul" else [], "counit": [0] * d},
+    }
+    if layout not in ("mul", "comul"):
+        side, key = layout.split("-")
+        objects["m"] = {"type": "module", "dim": n,
+                        key: {"structure": "a" if key == "action" else "c", "side": side, "triples": quads}}
+    return field, dims, [tuple(q) for q in quads], {"version": 1, "field": {"p": p}, "objects": objects}
+
+
+@pytest.mark.parametrize("layout", sorted(QUAD_LAYOUTS))
+@settings(SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_prime_field_documents_place_their_quadruples(layout, data):
+    """The parser places canonical F_p quadruples at the entries permute() carries them to, repeats summed mod p."""
+    field, dims, quads, body = data.draw(prime_field_documents(layout))
+    doc = parse_document(json.dumps(body))
+    if layout in ("mul", "comul"):
+        got = getattr(doc.resolved["a" if layout == "mul" else "c"], layout)
+    else:
+        got = getattr(doc.resolved["m"], layout.split("-")[1])
+    assert got == quads_by_permute(field, layout, dims, quads)
 
 
 def test_catalog_documents_parse_and_emit_byte_identical():

@@ -1,6 +1,8 @@
 """The reach gate: the golden CLI commands call every function and method defined in src/entwine, but a few.
 
-Every command of golden/cli_outputs.json runs in process under
+Every command of golden/cli_outputs.json and of
+golden/bumped_dk_outputs.json (Doi-Koppinen triples that fail a law, so
+their witnesses are read and rendered) runs in process under
 sys.setprofile, which records the code object of each Python call; the
 documents they read are written before the recording starts.  Each
 top-level function of a package module, and each method of its top-level
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 from entwine.cli import run_command
+import test_bumped_dk_cli
 from test_golden_cli import GOLDEN, TEXT_ONLY, cases
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "entwine"
@@ -44,8 +47,7 @@ UNCALLED = frozenset({
     "exactlin.Subspace.contains", "exactlin.Subspace.from_spanning", "exactlin.Subspace.full",
     "exactlin.Subspace.intersect", "exactlin._block_bound", "exactlin._byte_tables", "exactlin._pack",
     "exactlin._packed_stage", "exactlin._push_packed", "exactlin._residues", "exactlin._slot_bytes",
-    "exactlin._vectors", "exactlin.invert", "exactlin.preimage", "exactlin.sparse_render", "exactlin.unflat",
-    "report.Report.detail", "report.fail", "report.within",
+    "exactlin.invert", "exactlin.preimage", "report.Report.detail",
     "structures._algebra_morphism_laws", "structures._coalgebra_morphism_laws", "structures._dualize_module",
     "structures.algebra_morphism_report", "structures.bialgebra_morphism_report", "structures.check_adjoint_pair",
     "structures.canonical_pairing", "structures.coaction_to_dual_action", "structures.coalgebra_morphism_report",
@@ -78,6 +80,9 @@ def test_golden_commands_reach_every_definition(tmp_path, monkeypatch):
         if not any(tag in key for tag in TEXT_ONLY):
             commands.append(["--json", *argv])
     assert len(commands) == len(json.loads(GOLDEN.read_text()))
+    bumped = [argv for _, argv in test_bumped_dk_cli.cases(tmp_path)]
+    assert len(bumped) == len(json.loads(test_bumped_dk_cli.GOLDEN.read_text()))
+    commands += bumped
     monkeypatch.setattr(catalog, "_CACHE", {})
     for name, module in list(sys.modules.items()):
         if name.startswith("entwine"):
