@@ -289,7 +289,7 @@ def _field_of(value):
     raise PresentationError("cannot determine the field of this object")
 
 
-def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+def build_parser(commands: dict) -> argparse.ArgumentParser:
     """The argv parser: --json, then one subparser per command, each also kept in commands by its name."""
     parser = argparse.ArgumentParser(
         prog="entwine",
@@ -304,8 +304,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
         for option in options:
             p.add_argument(option, required=True)
         p.set_defaults(fn=fn)
-        if commands is not None:
-            commands[name] = p
+        commands[name] = p
         return p
 
     command("check", cmd_check, "verify every object in a document")
@@ -325,8 +324,7 @@ def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list catalog entries or emit one as a document")
     p.add_argument("name", nargs="?")
     p.set_defaults(fn=cmd_catalog)
-    if commands is not None:
-        commands["catalog"] = p
+    commands["catalog"] = p
 
     return parser
 
@@ -342,13 +340,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     An argv of an optional leading --json, a command name and the
     command's arguments goes to that command's subparser alone: it is the
     parser the top-level one would hand the same arguments to, so its
-    namespace, help and errors are the same.  Anything it leaves over, an
-    argv that names no command first, and any "--", go through _PARSER.
+    namespace, help and errors are the same.  An argv that names no
+    command first, and one whose arguments the subparser leaves over, go
+    through _PARSER, which reports them.
     """
     as_json = argv[:1] == ["--json"]
     name = argv[as_json] if len(argv) > as_json else None
     sub = _COMMANDS.get(name)
-    if sub is not None and "--" not in argv:
+    if sub is not None:
         args, extra = sub.parse_known_args(argv[as_json + 1:])
         if not extra:
             args.json, args.command = as_json, name

@@ -92,8 +92,8 @@ def matrix_from_quads(field: Field, layout: str, dims, quads, values=None) -> Ma
     and each quadruple is placed in one pass (Matrix.from_quads).  values
     holds the quadruples' scalars when the caller has read them, canonical
     (over F_p, already in [0, p)); without them each quadruple's own
-    scalar is taken, reduced mod p first over F_p.  An index
-    outside dims raises PresentationError.
+    scalar is taken, reduced mod p first over F_p.  An index outside dims
+    raises PresentationError.
     """
     perm, nrows = QUAD_LAYOUTS[layout]
     dims = tuple(dims)

@@ -5,7 +5,8 @@ command name to that command's subparser, the one the top-level parser
 would hand the same arguments to.  So every golden command runs with the
 top-level parse_args refused, and for help, abbreviated options, --opt=x,
 a missing option, an unknown command, leftover arguments and "--", the
-namespace, exit code, stdout and stderr are those of _PARSER.parse_args.
+namespace, exit code, stdout and stderr are those of _PARSER.parse_args,
+as they were when _PARSER read every argv.
 """
 
 from __future__ import annotations
@@ -56,17 +57,6 @@ def _outcome(parse, argv, capsys):
 @pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(a) or "(empty)" for a in ARGVS])
 def test_dispatch_matches_the_top_level_parser(argv, capsys):
     assert _outcome(cli._parse_args, argv, capsys) == _outcome(cli._PARSER.parse_args, argv, capsys)
-
-
-@pytest.mark.parametrize("argv", [a for a in ARGVS if a[:1] in (["check"], ["--json"], ["rat"], ["nope"])],
-                         ids=lambda a: " ".join(a) or "(empty)")
-def test_run_command_reports_what_the_parser_decided(argv, capsys):
-    """A parse that exits gives run_command's code 2 for an error and 0 for help, with empty report text."""
-    try:
-        cli._PARSER.parse_args(argv)
-    except SystemExit as exc:
-        capsys.readouterr()
-        assert run_command(argv) == (2 if exc.code not in (0, None) else 0, "")
 
 
 def test_golden_commands_never_reach_the_top_level_parser(tmp_path, monkeypatch):

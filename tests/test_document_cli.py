@@ -152,6 +152,7 @@ class TestJsonBooleans:
         code, text = self.check(tmp_path, body)
         assert code == 2 and f"version: unsupported version {version!r}" in text
 
+
 def _input_error(argv, line):
     """run_command on argv, as text and with --json, must exit 2 with the one line `input error: <line>`."""
     assert run_command(argv) == (2, f"input error: {line}\n")
@@ -1008,7 +1009,7 @@ class TestDeterminism:
             assert first == second, argv
 
     def test_one_parser_serves_every_command(self, tmp_path, monkeypatch):
-        """Commands run in a row through the shared parser answer as fresh parsers do."""
+        """Commands run in a row through the shared parser and subparsers answer as fresh ones do."""
         from entwine import cli
 
         qc2 = write(tmp_path, "qc2.ent", catalog_doc("qc2"))
@@ -1028,7 +1029,9 @@ class TestDeterminism:
         shared = [cli.run_command(list(argv)) for argv in commands]
         fresh = []
         for argv in commands:
-            monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+            subparsers: dict = {}
+            monkeypatch.setattr(cli, "_PARSER", cli.build_parser(subparsers))
+            monkeypatch.setattr(cli, "_COMMANDS", subparsers)
             fresh.append(cli.run_command(list(argv)))
         assert shared == fresh
         assert [code for code, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0, 0]
