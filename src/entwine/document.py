@@ -26,6 +26,7 @@ it, so a new object type is one row.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quoted
 from dataclasses import dataclass
 from itertools import count
@@ -47,6 +48,8 @@ from .entwining import EntwinedModulePresentation, EntwiningPresentation
 from .doikoppinen import DKStructure, HCoextension, HExtension, coextension_quotient, h_extension
 
 FORMAT_VERSION = 1
+# json.loads joins an escaped surrogate pair into one code point, so a surrogate left in a str is unpaired
+_SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
 class ParseError(PresentationError):
@@ -450,7 +453,9 @@ def parse_document(text: str | bytes) -> Document:
     """Parse and validate; errors carry a JSON path or a position: a byte offset, a line and column, or $.
 
     Bytes that are not UTF-8 are refused at the offset of the first bad
-    byte, and JSON nested past the interpreter's recursion limit at $.
+    byte, JSON nested past the interpreter's recursion limit and a number
+    with more digits than int() reads at $, and a key or string holding an
+    unpaired surrogate (an escape no UTF-8 text can write) at its path.
     """
     if isinstance(text, bytes):
         try:
@@ -461,8 +466,23 @@ def parse_document(text: str | bytes) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    except ValueError:     # past the int string limit (sys.set_int_max_str_digits)
+        raise ParseError("$", "a JSON number has too many digits to read") from None
     except RecursionError:
         raise ParseError("$", "JSON nested too deeply to read") from None
+    # refuse the first key or string, in document order, that holds an unpaired surrogate, a key named by its repr at
+    # its object's path, so that the message can be written as UTF-8; ASCII text makes one only through an escape
+    stack = [("$", raw)] if "\\u" in text or not text.isascii() else []
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, str):
+            _expect(not _SURROGATE(value), path, "string holds an unpaired surrogate")
+        elif isinstance(value, dict):
+            for key in value:
+                _expect(not _SURROGATE(key), path, f"key {key!r} holds an unpaired surrogate")
+            stack.extend((key if path == "$" else f"{path}.{key}", value[key]) for key in reversed(value))
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", value[i]) for i in reversed(range(len(value))))
     _expect(isinstance(raw, dict), "$", "document must be an object")
     for key in raw:
         _expect(key in ("version", "field", "objects"), key, "unknown top-level key")

@@ -11,29 +11,28 @@ rows), not with the dense sizes; elimination returns canonical RREF
 bases.  _block reads a side of a law, a composition of structure maps
 whose tensor factors kron(X, id) are never laid out, a block of rows or
 of columns at a time, as a sparse row product (Gustavson) on the block:
-the block is one dict keyed vector * width + index, a term's first stage
-places the lines its vectors read, each later stage is one pass over the
-block, and at most _BLOCK_ENTRIES entries are held a stage, unless one
-vector is wider.  It sums plain products without a Field call per term
-and returns the block canonical (an index -> value dict, reduced, no zero
-values), so two vectors are equal exactly when their dicts are;
-_least_column reads the blocks of a law's difference for the least
-column that differs, and _witness_columns reads that column of each
-side, a block of one.  A
+the block is one dict keyed vector * width + index, a term starts from
+its basis vectors, every stage is one pass over the block, and at most
+_BLOCK_ENTRIES entries are held a stage, unless one vector is wider.  It
+sums plain products without a Field call per term and returns the block
+canonical (an index -> value dict, reduced, no zero values), so two
+vectors are equal exactly when their dicts are; _least_column reads the
+blocks of a law's difference for the least column that differs, and
+_witness_columns reads that column of each side, a block of one.  A
 factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
 moves each index where it lands: no shifted copy of a line is made; a
 Permutation of tensor factors moves each index, from one index table
 per shape and direction made once (_offsets), and reads no line at all.
-A factor over F_p whose lines are wide and nonzero enough is read
-packed instead, one vector at a time, each of its lines one int with a
-2-, 4- or 8-byte slot per entry (Kronecker substitution), so a line read
-costs one big-int operation, not one Python step per entry, and a packed
-vector is reduced mod p by byte tables.  _plan is a law's planning
-pass: it splits each side into its terms and reads its shape off the
-factors without evaluating any, once.  A linear map V -> W with
-dim V = n, dim W = m is an m x n matrix acting on column vectors.
-Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
-that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
+A factor over F_p whose lines are wide and nonzero enough is read packed
+instead, on the same block, each of its lines one int with a 2-, 4- or
+8-byte slot per entry (Kronecker substitution), so a line read costs one
+big-int operation, not one Python step per entry, and a packed block is
+reduced mod p by byte tables.  _plan is a law's planning pass: it splits
+each side into its terms and reads its shape off the factors without
+evaluating any, once.  A linear map V -> W with dim V = n, dim W = m is
+an m x n matrix acting on column vectors.  Tensor products follow the
+index convention idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied
+to v (x) w equals M1 v (x) M2 w.
 
 express(basis, vectors) writes every column of `vectors` in the rows of
 `basis`, or returns the index of the first column outside their span,
@@ -201,9 +200,9 @@ class Matrix:
     matrix that made them is built.  `data` is a read-only row-major tuple of
     every entry, for readers outside the package, nonzeros gives the stored
     entries, and columns_of gives the column dicts; data and the columns
-    are laid out on first read and kept, as is what
-    _stages derives from the matrix (_kernel_data): whether it packs,
-    and its packed lines.
+    are laid out on first read and kept, as is what _stages derives from
+    the matrix (_kernel, made by _packs): whether it packs, and its packed
+    lines.
     """
 
     __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_kernel")
@@ -824,9 +823,8 @@ def _split(side, sign: int, terms: list, shape=None) -> tuple[Field, int, int]:
 
 # The most entries a block of law vectors may hold (_block): a law is read
 # max(1, _BLOCK_ENTRIES // w) vectors at a time, w the widest of its stages,
-# so no stage of a block holds more than _BLOCK_ENTRIES keys unless one
-# vector alone is wider; a law with a packed stage is read one vector at a
-# time.
+# sparse or packed, so no stage of a block holds more than _BLOCK_ENTRIES
+# keys or slots unless one vector alone is wider.
 _BLOCK_ENTRIES = 4096
 
 
@@ -861,7 +859,7 @@ def _witness_columns(terms: list, split: int, staged, rows: int, j: int) -> tupl
     are staged by columns here.  The rhs's terms are read with their signs negated back.
     """
     p, plan, size, _ = staged or _stages(terms, False)
-    right = [[-sign, *stages] for sign, *stages in plan[split:]]
+    right = [(-sign, stages, last) for sign, stages, last in plan[split:]]
     return _block(p, plan[:split], size, rows, j, j + 1), _block(p, right, size, rows, j, j + 1)
 
 
@@ -883,61 +881,57 @@ def _block(p: int | None, plan: list, size: int | None, width: int, start: int, 
     a stage of width w, read as a sparse row product (Gustavson): through
     the factors' rows, last factor first, or through their columns (the
     rows of the transposed composition, columns_of), first factor first.
-    A term's first stage places the lines its vectors read, times the
-    term's sign, at each vector's offset (_first); no basis vector is
-    pushed.  Each later stage is one pass over the block (_push), merging
-    repeated keys as it goes, and the last stages of every term add into
-    one dict.  It sums plain products and reduces once, at the end (mod p
-    over F_p), so the block comes back canonical: an index -> value dict,
-    no zero values.  A pair (X, k) or (k, X) reads the lines of X itself
-    and moves each key where it lands, so no shifted copy of a line is
-    made; a Permutation moves each key to its image (Permutation.images)
-    and reads no line at all.
+    Every stage takes the block the stage before it gave, a term's first
+    stage the basis vectors e_start..e_stop-1 times the term's sign.  A
+    sparse stage is one pass over the block (_push), merging repeated keys
+    as it goes, and the last stages of every term add into one dict.  It
+    sums plain products and reduces once, at the end (mod p over F_p), so
+    the block comes back canonical: an index -> value dict, no zero
+    values.  A pair (X, k) or (k, X) reads the lines of X itself and moves
+    each key where it lands, so no shifted copy of a line is made; a
+    Permutation moves each key to its image (Permutation.images) and reads
+    no line at all.
 
     A factor over F_p is read as a packed stage (Kronecker substitution),
     unless a term reads it first, when its lines (the rows or columns read)
     pay for it: they have at least 16 entries, at least one in 8 of them
     nonzero and at least 8 nonzeros each on average, and the block bound
-    len(lines) * (p - 1)**2 is below 2**64.  A law with a packed stage is
-    read one vector at a time (step 1).  Each line is then one int with
+    len(lines) * (p - 1)**2 is below 2**64.  Each line is then one int with
     one slot per entry, the narrowest of 2, 4 or 8 bytes that holds the
     block bound, entries reduced mod p (-1 is stored as p - 1); pushing a
-    key adds c * line into one int per output block, c the key's
+    key adds c * line into one int per vector and output block, c the key's
     coefficient reduced mod p, so a block sums at most len(lines) products
     below (p - 1)**2 and no slot carries into the next.  The blocks are
-    joined into one int with one slot per output index.  The packed last
-    stages of a side's terms are added as ints, in slots that hold the sum
-    of their block bounds; a term's last stage packs only while that sum
-    stays below 2**64.  A packed sum is reduced mod p slot by slot with
-    byte tables: byte j of a B-byte slot maps to its value times 256**j mod
-    p, and the B images of a slot are summed in a single byte, which holds
-    them while B * (p - 1) < 256; a wider slot or a larger prime is
-    reduced one slot at a time instead.  An intermediate packed stage hands
-    its nonzero residues to the next stage; the sparse terms are added
-    after the reduction.  Every other factor, and every law over Q, is
-    read sparsely, one dict update per product.
+    joined into one int with one slot per output index of each vector.  The
+    packed last stages of a side's terms are added as ints, in slots that
+    hold the sum of their block bounds; a term's last stage packs only
+    while that sum stays below 2**64.  A packed sum is reduced mod p slot
+    by slot with byte tables: byte j of a B-byte slot maps to its value
+    times 256**j mod p, and the B images of a slot are summed in a single
+    byte, which holds them while B * (p - 1) < 256; a wider slot or a
+    larger prime is reduced one slot at a time instead.  An intermediate
+    packed stage hands its nonzero residues to the next stage; the sparse
+    terms are added after the reduction.  Every other factor, and every
+    law over Q, is read sparsely, one dict update per product.
     """
     acc: dict = {}
     total = 0          # the sum of the terms whose last stage packs, in slots of `size` bytes
-    for sign, first, middle, last in plan:
-        block = _first(*first, sign, start, stop)
-        for stage in middle:
-            block = _push(*stage, block, {}) if type(stage) is tuple else stage(block, None)
+    nvec = stop - start
+    for sign, stages, last in plan:
+        _, d_in, _, k, _ = stages[0] if stages else last
+        n = d_in * k + 1   # basis vector e_i, i = start + v, is key v * d_in * k + i
+        block = dict.fromkeys(range(start, start + nvec * n, n), sign)
+        for stage in stages:
+            block = _push(*stage, block, {}) if type(stage) is tuple else stage(block, nvec)
         if type(last) is tuple:
             acc = _push(*last, block, acc)
-        elif last is not None:
-            total += last(block, None)
-        elif acc:
-            get = acc.get
-            for key, c in block.items():
-                acc[key] = get(key, 0) + c
         else:
-            acc = block
+            total += last(block, nvec)
     if size is None:
         if p is None:
             return {t: s for t, s in acc.items() if s}
         return {t: r for t, s in acc.items() if (r := s % p)}
-    res = _residues(total, width, size, p)
+    res = _residues(total, width * nvec, size, p)
     for t, s in acc.items():
         res[t] = (res[t] + s) % p
     if res.count(0) == len(res):
@@ -948,18 +942,18 @@ def _block(p: int | None, plan: list, size: int | None, width: int, start: int, 
 def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None, int]:
     """p, the terms of _block, the slot bytes their packed last stages share (None when none packs), and the step.
 
-    Each term is (sign, first, middle, last): its first stage, the stages
-    between, and its last stage, None when the first is the last.  A stage
-    read sparsely is (lines, d_in, d_out, k, strided): the lines of X read
-    (its rows by rows, else its columns), d_in of them, each d_out wide,
-    for kron(X, id_k) when strided, else kron(id_k, X) (k 1 for X itself),
-    or for a Permutation the images of its n keys, (images, n, n, 1,
-    None).  A packed stage is its push.
-    The step is the most vectors a block holds: 1 when a stage packs, else
-    _BLOCK_ENTRIES over the widest stage.
+    Each term is (sign, stages, last): its stages but the last, in the
+    order they are read, and its last stage.  A stage read sparsely is
+    (lines, d_in, d_out, k, strided): the lines of X read (its rows by
+    rows, else its columns), d_in of them, each d_out wide, for
+    kron(X, id_k) when strided, else kron(id_k, X) (k 1 for X itself), or
+    for a Permutation the images of its n keys, (images, n, n, 1, None).  A
+    packed stage is its push; a term's first stage is always sparse.  The
+    step is the most vectors a block holds: _BLOCK_ENTRIES over the widest
+    stage.
     """
     p = terms[0][1][0][0].field.p
-    plan, lasts, bound, widest, packs = [], [], 0, 1, False
+    plan, lasts, bound, widest = [], [], 0, 1
     for sign, factors in terms:
         stages = []
         for x, k, x_first in reversed(factors) if by_rows else factors:
@@ -973,42 +967,20 @@ def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None, int]:
                 widest = stage[2] * k
             # the first stage reads one line per vector: nothing to pack; no line shorter than 16 entries packs
             if stages and p is not None and stage[2] >= 16 and _packs(x, by_rows):
-                packs = True
                 if len(stages) < len(factors) - 1:
                     stage = _packed_stage(x, k, x_first, by_rows, None)
                 elif bound + _block_bound(x, by_rows) < 2**64:   # the packed last stages add up in shared slots
                     bound += _block_bound(x, by_rows)
                     lasts.append((len(plan), x, k, x_first))   # made below, once the shared slots are known
             stages.append(stage)
-        plan.append([sign, stages[0], stages[1:-1], stages[-1] if len(stages) > 1 else None])
-    step = 1 if packs else max(1, _BLOCK_ENTRIES // widest)
+        plan.append([sign, stages[:-1], stages[-1]])
+    step = max(1, _BLOCK_ENTRIES // widest)
     if not lasts:
         return p, plan, None, step
     size = _slot_bytes(bound)
     for n, x, k, x_first in lasts:
-        plan[n][3] = _packed_stage(x, k, x_first, by_rows, size)
+        plan[n][2] = _packed_stage(x, k, x_first, by_rows, size)
     return p, plan, size, step
-
-
-def _first(lines, d_in: int, d_out: int, k: int, strided: bool | None, sign: int, start: int, stop: int) -> dict:
-    """Vectors start..stop-1 through a term's first stage (_stages): the lines they read, times sign, at their offsets.
-
-    Vector i is e_i: index i of a Permutation moves to its image, index
-    q * d_in + r of kron(id_k, X) reads line r, its index t moved to
-    q * d_out + t, and index r * k + s of kron(X, id_k) reads line r, t
-    moved to t * k + s.
-    """
-    if strided is None:
-        return {v * d_in + lines[i]: sign for v, i in enumerate(range(start, stop))}
-    width = d_out * k
-    if strided:
-        return {base + t * k: sign * w for v, i in enumerate(range(start, stop))
-                for base in (v * width + i % k,) for t, w in lines[i // k].items()}
-    if k == 1:   # (a factor with no entries out has empty lines)
-        at = zip(range(0, (stop - start) * width, width or 1), lines[start:stop])
-        return {base + t: sign * w for base, line in at for t, w in line.items()}
-    return {base + t: sign * w for v, i in enumerate(range(start, stop))
-            for base in ((v * k + i // d_in) * d_out,) for t, w in lines[i % d_in].items()}
 
 
 def _push(lines, d_in: int, d_out: int, k: int, strided: bool | None, block: dict, acc: dict) -> dict:
@@ -1050,16 +1022,16 @@ def _push(lines, d_in: int, d_out: int, k: int, strided: bool | None, block: dic
 def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | None):
     """The push of one packed factor: a last stage's, unreduced in slots of size bytes; else (size None) reduced.
 
-    An intermediate stage's slots are the narrowest that hold its own block bound.
+    An intermediate stage's slots are the narrowest that hold its own block
+    bound.  The packed lines are kept on x, beside its packing decisions
+    (_packs, which makes x._kernel first).
     """
-    kept = _kernel_data(x)
     d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
     slot = size or _slot_bytes(_block_bound(x, by_rows))
     key = ("packed", by_rows, slot)
-    if key not in kept:
-        kept[key] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
-    # key q * k + r: line q into block r, strided; key q * d_in + r: line r into block q, contiguous
-    return partial(_push_packed, kept[key], k if x_first else d_in, x_first, d_out, k, slot, x.field.p, size is None)
+    if key not in x._kernel:
+        x._kernel[key] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
+    return partial(_push_packed, x._kernel[key], d_in, d_out, k, x_first and k > 1, slot, x.field.p, size is None)
 
 
 # the array codes of the packed slots by their width in bytes, narrowest first: at least 2, 4 and 8
@@ -1067,17 +1039,6 @@ _SLOT_CODES = {array(code).itemsize: code for code in "QIH"}
 _SLOT_SIZES = sorted(_SLOT_CODES)
 # array slots are read and written in native byte order; packed ints are little-endian
 _BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _kernel_data(x: Matrix) -> dict:
-    """What _stages derives from x once and keeps: its packing decisions and packed lines.
-
-    A sparse stage keeps nothing: a pair (X, k) reads X's own lines and
-    moves each index as it reads, so no shifted copy of a line is made.
-    """
-    if x._kernel is None:
-        x._kernel = {}
-    return x._kernel
 
 
 def _packs(x: Matrix, by_rows: bool) -> bool:
@@ -1091,8 +1052,9 @@ def _packs(x: Matrix, by_rows: bool) -> bool:
     width, count = x.cols if by_rows else x.rows, x.rows if by_rows else x.cols
     if p is None or type(x) is Permutation or width < 16 or count * (p - 1) ** 2 >= 2**64:
         return False
-    kept = _kernel_data(x)
-    key = ("packs", by_rows)
+    if x._kernel is None:
+        x._kernel = {}
+    kept, key = x._kernel, ("packs", by_rows)
     if key not in kept:
         nonzeros = sum(map(len, x._rows))
         kept[key] = 8 * nonzeros >= width * count and nonzeros >= 8 * count
@@ -1149,35 +1111,39 @@ def _residues(total: int, n: int, size: int, p: int):
     return bytearray(folded.to_bytes(n, "little")).translate(fold)
 
 
-def _push_packed(lines: list[int], div: int, x_first: bool, width: int, blocks: int, size: int, p: int,
-                 reduce: bool, v: dict, _acc):
-    """The sparse vector v through one packed factor: one int, a slot of size bytes per output index, unreduced.
+def _push_packed(lines: list[int], d_in: int, d_out: int, k: int, strided: bool, size: int, p: int, reduce: bool,
+                 block: dict, nvec: int):
+    """A block of nvec vectors through one packed factor: one int, a slot of size bytes per output index, unreduced.
 
-    When reduce, its nonzero residues instead, as the sparse vector the next stage reads.
+    Keys and indices are laid out as _push reads them.  Output block
+    v * k + s (copy s of X in vector v) sums c * lines[r] over its keys;
+    strided, it holds the output indices (v * d_out + t) * k + s, else the
+    run v * k * d_out + s * d_out + t.  When reduce, the nonzero residues
+    instead, as the block the next stage reads.
     """
-    sums = [0] * blocks
-    for key, c in v.items():
+    sums = [0] * (nvec * k)
+    for key, c in block.items():
         if c := c % p:
-            q, r = divmod(key, div)
-            if x_first:
-                sums[r] += c * lines[q]
+            if strided:
+                q, s = divmod(key, k)
+                v, r = divmod(q, d_in)
+                sums[v * k + s] += c * lines[r]
             else:
+                q, r = divmod(key, d_in)
                 sums[q] += c * lines[r]
-    if blocks == 1:
-        total = sums[0]
-    elif x_first:   # block r holds the output indices t * blocks + r: interleave its slots
+    run = size * d_out
+    if strided:     # the blocks of copy s fill every k-th slot, vector after vector: interleave them
         code = _SLOT_CODES[size]
-        joined = bytearray(size * width * blocks)
+        joined = bytearray(run * len(sums))
         slots = memoryview(joined).cast(code)
-        for r, s in enumerate(sums):
-            if s:
-                slots[r::blocks] = memoryview(s.to_bytes(size * width, "little")).cast(code)
+        for s in range(k):
+            slots[s::k] = memoryview(b"".join(b.to_bytes(run, "little") for b in sums[s::k])).cast(code)
         total = int.from_bytes(joined, "little")
-    else:           # block q holds the output indices q * width + t
-        total = int.from_bytes(b"".join(s.to_bytes(size * width, "little") for s in sums), "little")
+    else:
+        total = int.from_bytes(b"".join(b.to_bytes(run, "little") for b in sums), "little")
     if not reduce:
         return total
-    res = _residues(total, width * blocks, size, p)
+    res = _residues(total, d_out * len(sums), size, p)
     return dict(compress(enumerate(res), res))
 
 

@@ -96,8 +96,8 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     read along its shorter dimension, a block of vectors at a time
     (exactlin._least_column): by rows when it is wide (more columns than
     rows), by columns otherwise.  A block holds at most
-    exactlin._BLOCK_ENTRIES entries at any stage, unless a single vector is
-    wider, and a law with a packed stage is read one vector at a time.  A
+    exactlin._BLOCK_ENTRIES entries at any stage, sparse or packed, unless
+    a single vector is wider.  A
     wide law that fails is read to its last row for the least differing
     column; a tall one stops at the first block that differs.  Then that
     column of each side is read for the report from the same terms, and a

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from entwine.document import (
     emit_document,
     parse_document,
 )
+from entwine import cli
 from entwine.cli import run_command
 from entwine.catalog import catalog_get, catalog_names
 from entwine.doikoppinen import DKStructure, HCoextension, verify_dk
@@ -161,7 +164,8 @@ def _input_error(argv, line):
 
 
 class TestUnreadableInput:
-    """Bytes that are not UTF-8, or JSON nested past the recursion limit, exit 2 with their position."""
+    """Bytes that are not UTF-8, JSON nested past the recursion limit, a number too long for int() and a name that
+    holds an unpaired surrogate exit 2 with their position."""
 
     CASES = {
         "not-utf8": (b"\xff\xfe{}", "byte 0: not UTF-8 text (invalid start byte)"),
@@ -174,6 +178,33 @@ class TestUnreadableInput:
         path = tmp_path / "doc.ent"
         path.write_bytes(data)
         _input_error(["check", str(path)], line)
+
+    def test_a_number_too_long_for_int_exits_2(self, tmp_path):
+        """A version of 5,001 digits is past Python's int string limit, where it has one; on 3.10.0-3.10.6, which has
+        none, the version check refuses it instead.  Either way the command exits 2 with an input error."""
+        argv = ["check", write(tmp_path, "doc.ent", '{"version": 1' + "0" * 5000 + ', "field": "Q", "objects": {}}')]
+        if hasattr(sys, "get_int_max_str_digits"):
+            _input_error(argv, "$: a JSON number has too many digits to read")
+        for as_json in ([], ["--json"]):
+            code, text = run_command([*as_json, *argv])
+            assert code == 2 and "input error: " in text
+
+    def test_an_unpaired_surrogate_exits_2_through_main(self, tmp_path, monkeypatch):
+        """An object named by the escape \\ud800 has a name that no UTF-8 text can write: the document is refused, and
+        the message names the key by its repr, so that cli.main writes it to a strict UTF-8 stdout."""
+        body = json.dumps(one_dim_document()).replace('"k"', '"\\ud800"')
+        argv = ["check", write(tmp_path, "doc.ent", body)]
+        line = "objects: key '\\ud800' holds an unpaired surrogate"
+        _input_error(argv, line)
+        for as_json in ([], ["--json"]):
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+            monkeypatch.setattr(sys, "argv", ["entwine", *as_json, *argv])
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(SystemExit) as exc:
+                cli.main()
+            stdout.flush()
+            assert exc.value.code == 2
+            assert stdout.buffer.getvalue().decode("utf-8") == run_command([*as_json, *argv])[1]
 
 
 # one_dim_document's places for an F_p scalar: a quadruple, a dense psi row, a unit list and a module's triples

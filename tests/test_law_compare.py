@@ -21,7 +21,8 @@ The block reader is held to the same reference with the cap
 (exactlin._BLOCK_ENTRIES) patched small, so that a law spans blocks: on
 monomial sides whose keys fan in, on the drawn laws of every shape, at the
 cap and one entry past it, on a tall law that differs in its last block or
-stops early, on a wide law whose least differing column is in a later block
+stops early (both also through a packed last stage, which reads the same
+blocks), on a wide law whose least differing column is in a later block
 than its first difference, and on terms that cancel in every block.
 """
 
@@ -350,7 +351,7 @@ def pinned_dense_laws() -> list:
 
 def packed_pushes(plan) -> list:
     """The packed stages of the terms _stages plans, each the partial of _push_packed that reads it."""
-    return [stage for _, _, middle, last in plan for stage in (*middle, last)
+    return [stage for _, stages, last in plan for stage in (*stages, last)
             if isinstance(stage, partial) and stage.func is _push_packed]
 
 
@@ -473,9 +474,9 @@ def test_the_byte_tables_stop_at_their_bound():
 
 
 def test_a_second_compare_packs_nothing_again(monkeypatch):
-    """The packing decisions and the packed lines of a matrix are made once, not once per compare.
+    """The packing decisions and the packed lines of a matrix are made once, not once per compare (Matrix._kernel).
 
-    A sparse pair (X, k) reads the lines of X itself, so nothing is made for it (_kernel_data).
+    A sparse pair (X, k) reads the lines of X itself, so nothing is made for it.
     """
     f = Field(7)
     rng = random.Random(3)
@@ -513,19 +514,15 @@ def test_a_second_compare_packs_nothing_again(monkeypatch):
 
 
 def read_blocks(lhs, rhs) -> tuple[list, int]:
-    """The (start, stop) of each block _least_column reads on lhs - rhs, in order, and the most keys a stage of a
-    block held."""
+    """The (start, stop) of each block _least_column reads on lhs - rhs, in order, and the most keys a sparse stage
+    of a block held or slots a packed one reduced."""
     _, rows, cols = law_shape(lhs)
-    first, push = exactlin._first, exactlin._push
+    block, push, residues = exactlin._block, exactlin._push, exactlin._residues
     spans, most = [], 0
 
-    def spy_first(*args):
-        nonlocal most
-        out = first(*args)
-        if not spans or spans[-1] != args[-2:]:
-            spans.append(args[-2:])
-        most = max(most, len(out))
-        return out
+    def spy_block(*args):
+        spans.append(args[-2:])
+        return block(*args)
 
     def spy_push(*args):
         nonlocal most
@@ -533,7 +530,13 @@ def read_blocks(lhs, rhs) -> tuple[list, int]:
         most = max(most, len(out))
         return out
 
-    with mock.patch.object(exactlin, "_first", spy_first), mock.patch.object(exactlin, "_push", spy_push):
+    def spy_residues(total, n, *args):
+        nonlocal most
+        most = max(most, n)
+        return residues(total, n, *args)
+
+    with mock.patch.object(exactlin, "_block", spy_block), mock.patch.object(exactlin, "_push", spy_push), \
+            mock.patch.object(exactlin, "_residues", spy_residues):
         exactlin._least_column(_plan(lhs, rhs)[2], cols > rows, rows, cols)
     return spans, most
 
@@ -653,23 +656,53 @@ def dense_wide(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix
     return Matrix(field, rows, cols, [rng.randrange(1, 5) for _ in range(rows * cols)])
 
 
-@pytest.mark.parametrize("field", (QQ, Field(7)), ids=("Q", "F7"))
+# tall laws whose last stage packs (packed_tall): the field, the count of X's columns, the form of the pair, and,
+# in a law of the side beside a copy of it, the slot bytes that the packed last stages share and how many pack
+PACKED_TALL = {f"F{p} {form}": (Field(p), count, form, size, packed)
+               for p, count, size, packed in ((127, 2, 2, 2), (131, 5, 4, 2), (BIG.p, 4, 8, 1))
+               for form in ("(X, k)", "(k, X)")}
+
+
+def packed_tall(law: str, rng: random.Random) -> tuple:
+    """A tall side F^10 -> F^32 whose last stage packs: a dense F^10 -> F^(2 * count), then (X, 2) or (2, X) for a
+    dense 16 x count X, so its widest stage is 32 wide.  Beside a copy of itself, its packed last stages share 2-byte
+    slots over F_127, which byte tables reduce, 4-byte ones over F_131, reduced one slot at a time, and 8-byte ones
+    over F_(2**31 - 1), where the copy's last stage overflows the shared slot and is read sparsely."""
+    field, count, form, _, _ = PACKED_TALL[law]
+    p = field.p
+    a = Matrix(field, 2 * count, 10, [rng.randrange(1, p) for _ in range(20 * count)])
+    x = Matrix(field, 16, count, [rng.randrange(1, p) for _ in range(16 * count)])
+    return a, (x, 2) if form == "(X, k)" else (2, x)
+
+
+@pytest.mark.parametrize("law", ("Q", "F7", *PACKED_TALL))
 @pytest.mark.parametrize("past", (0, 1), ids=("at the cap", "one past it"))
-def test_a_block_holds_at_most_the_cap(field, past):
+def test_a_block_holds_at_most_the_cap(law, past):
     """A dense tall side F^10 -> F^12 through F^6 holds 12 entries a vector at its widest stage: with the cap at
-    3 * 12 a block reads 3 vectors and holds exactly the cap; one entry past it, a block reads 2.  Either way it
-    agrees with the reference, passing and failing."""
-    rng = random.Random(repr(field))
-    lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
-    bump = Matrix.from_entries(field, 12, 10, [(11, 9, 1)])
-    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 36 - past):
-        spans, most = read_blocks(lhs, [(1, lhs), (1, zeros(field, 12, 10))])
+    3 * 12 a block reads 3 vectors and holds exactly the cap; one entry past it, a block reads 2.  A side F^10 -> F^32
+    whose last stage packs (packed_tall) reads 3 or 2 vectors a block the same way, at a cap of 3 * 32 or one less,
+    and its packed stage reduces 32 slots a vector.  Either way it agrees with the reference, passing and failing."""
+    if law in PACKED_TALL:
+        field, rng = PACKED_TALL[law][0], random.Random(law)
+        lhs = packed_tall(law, rng)
+    else:
+        field = QQ if law == "Q" else Field(7)
+        rng = random.Random(repr(field))
+        lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
+    rows = law_shape(lhs)[1]   # the widest stage
+    rhs = [(1, lhs), (1, zeros(field, rows, 10))]
+    bump = [(1, lhs), (1, Matrix.from_entries(field, rows, 10, [(rows - 1, 9, 1)]))]
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 3 * rows - past):
+        spans, most = read_blocks(lhs, rhs)
         step = 3 - past
         assert spans == [(start, min(start + step, 10)) for start in range(0, 10, step)]
-        assert most == 12 * step <= exactlin._BLOCK_ENTRIES
+        assert most == rows * step <= exactlin._BLOCK_ENTRIES
+        if law in PACKED_TALL:
+            _, _, _, size, packed = PACKED_TALL[law]
+            assert packed_count(lhs, rhs) == packed and _stages(_plan(lhs, rhs)[2], False)[2] == size
+        assert report.compare("op", "law", lhs, rhs) is None and reference("op", "law", lhs, rhs, None) is None
         assert report.compare("op", "law", lhs, lhs) is None
-        assert report.compare("op", "law", lhs, [(1, lhs), (1, bump)], (2, 5)) == \
-            reference("op", "law", lhs, [(1, lhs), (1, bump)], (2, 5))
+        assert report.compare("op", "law", lhs, bump, (2, 5)) == reference("op", "law", lhs, bump, (2, 5))
 
 
 def test_the_cap_at_its_edge():
@@ -690,17 +723,25 @@ def test_the_cap_at_its_edge():
             reference("op", "law", (x,), [(1, (x,)), (1, bump)], (2, 2))
 
 
-@pytest.mark.parametrize("field", (QQ, Field(5)), ids=("Q", "F5"))
+@pytest.mark.parametrize("law", ("Q", "F5", *PACKED_TALL))
 @pytest.mark.parametrize("column", (9, 4))
-def test_a_tall_law_stops_at_the_first_block_that_differs(field, column):
-    """Blocks of 3 columns of a tall law F^10 -> F^12: a difference in column 9, the last block, is found there;
-    one in column 4 stops the reading after the second block."""
+def test_a_tall_law_stops_at_the_first_block_that_differs(law, column):
+    """Blocks of 3 columns of a tall law F^10 -> F^12, or F^10 -> F^32 through a packed last stage (packed_tall): a
+    difference in column 9, the last block, is found there; one in column 4 stops the reading after the second
+    block."""
     rng = random.Random(column)
-    lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
-    rhs = [(1, lhs), (1, Matrix.from_entries(field, 12, 10, [(0, column, 1), (5, 9, 1)]))]
-    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 36):
+    if law in PACKED_TALL:
+        field = PACKED_TALL[law][0]
+        lhs = packed_tall(law, rng)
+    else:
+        field = QQ if law == "Q" else Field(5)
+        lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
+    rows = law_shape(lhs)[1]   # the widest stage
+    rhs = [(1, lhs), (1, Matrix.from_entries(field, rows, 10, [(0, column, 1), (5, 9, 1)]))]
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 3 * rows):
         spans, _ = read_blocks(lhs, rhs)
         assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)][:column // 3 + 1]
+        assert packed_count(lhs, rhs) == (PACKED_TALL[law][4] if law in PACKED_TALL else 0)
         got = report.compare("op", "law", lhs, rhs, (10,))
     assert got == reference("op", "law", lhs, rhs, (10,)) and got.witness == (column,)
 

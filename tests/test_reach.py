@@ -4,7 +4,10 @@ Every command of golden/cli_outputs.json and of
 golden/bumped_dk_outputs.json (Doi-Koppinen triples that fail a law, so
 their witnesses are read and rendered) runs in process under
 sys.setprofile, which records the code object of each Python call; the
-documents they read are written before the recording starts.  Each
+documents they read are written before the recording starts.  One more
+parser is built (cli.build_parser) and one golden command runs through
+the entry point (cli.main), which must write its golden bytes and exit
+with its golden code.  Each
 top-level function of a package module, and each method of its top-level
 classes, dunder methods aside, must be among them, except the names in
 UNCALLED.  A definition is matched by its file and first line (its first
@@ -16,11 +19,13 @@ built or cached is built again and the result does not depend on test order.
 from __future__ import annotations
 
 import ast
+import io
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
-from entwine.cli import run_command
+from entwine.cli import build_parser, main, run_command
 import test_bumped_dk_cli
 from test_golden_cli import GOLDEN, TEXT_ONLY, cases
 
@@ -28,7 +33,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "entwine"
 
 # definitions that no golden command calls; this set may only shrink
 UNCALLED = frozenset({
-    "cli.build_parser", "cli.main",
     "document._parse_scalar",
     "doikoppinen.comodule_algebra_to_module_algebra", "doikoppinen.comodule_coalgebra_to_dual_module_algebra",
     "doikoppinen.comodule_coalgebra_to_module_coalgebra", "doikoppinen.dualize_coextension",
@@ -75,11 +79,14 @@ def test_golden_commands_reach_every_definition(tmp_path, monkeypatch):
     from entwine import catalog
 
     commands = []   # the golden keys' argv, documents written first, outside the recording
+    golden, entry = json.loads(GOLDEN.read_text()), "check sweedler4"   # entry also runs through cli.main
     for key, argv in cases(tmp_path):
         commands.append(argv)
         if not any(tag in key for tag in TEXT_ONLY):
             commands.append(["--json", *argv])
-    assert len(commands) == len(json.loads(GOLDEN.read_text()))
+        if key == entry:
+            entry_argv = ["entwine", *argv]
+    assert len(commands) == len(golden)
     bumped = [argv for _, argv in test_bumped_dk_cli.cases(tmp_path)]
     assert len(bumped) == len(json.loads(test_bumped_dk_cli.GOLDEN.read_text()))
     commands += bumped
@@ -95,13 +102,21 @@ def test_golden_commands_reach_every_definition(tmp_path, monkeypatch):
         if event == "call":
             called.add(frame.f_code)
 
+    stdout = io.StringIO()
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
         for argv in commands:
             run_command(argv)
+        build_parser({})
+        with mock.patch.object(sys, "argv", entry_argv), mock.patch.object(sys, "stdout", stdout):
+            try:
+                main()
+            except SystemExit as exc:
+                exit_code = exc.code
     finally:
         sys.setprofile(previous)
+    assert (exit_code, stdout.getvalue()) == (golden[entry]["code"], golden[entry]["text"])
     reached = {(code.co_filename, code.co_firstlineno) for code in called}
     defined = definitions()
     uncalled = {name for at, name in defined.items() if at not in reached}
