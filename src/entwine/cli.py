@@ -1,16 +1,21 @@
 """Command-line surface.
 
-Every command reads a document, runs the corresponding verification or
-construction, and writes a human-readable report (or, with --json, a
-structured one).  Exit code 0 means every check passed, 1 means some law
-or theorem check failed (the witness is in the report), 2 means the
-input could not be used at all.
+COMMAND_TABLE has one row per command that reads a document: its
+function, its help, and the objects it reads, each by its option with the
+classes it accepts and the words of its "is not" error.  build_parser
+makes those subparsers from the rows; run_command loads the document and
+fetches each object, in row order, before the function runs on them.  A
+command writes a human-readable report (or, with --json, a structured
+one).  Exit code 0 means every check passed, 1 means some law or theorem
+check failed (the witness is in the report), 2 means the input could not
+be used at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .exactlin import PresentationError
 from .report import CheckError, Report, first_failure, require
@@ -79,54 +84,41 @@ class _Out:
         return "\n".join(self.lines) + "\n"
 
 
-def _load(path: str) -> Document:
-    with open(path, "rb") as fh:
-        return parse_document(fh.read())
-
-
-def _get(doc: Document, name: str, want, what: str):
+def _get(doc: Document, name: str, accepts, noun: str):
     if name not in doc.resolved:
         raise PresentationError(f"no object named {name!r} in the document")
     obj = doc.resolved[name]
-    if not isinstance(obj, want):
-        raise PresentationError(f"{name!r} is not a {what}")
+    if not isinstance(obj, accepts):
+        raise PresentationError(f"{name!r} is not {noun}")
     return obj
 
 
-def _check_object(out: _Out, name: str, obj) -> None:
-    if type(obj) in catalog.VERIFIERS:
-        out.report(name, catalog.VERIFIERS[type(obj)](obj))
-    elif isinstance(obj, HExtension):
-        out.note(f"{name}: extension verified at parse time; coinvariants dim {obj.coinv.dim}")
-        if obj.integral is not None:
-            rep = check_integral(obj, obj.integral)
-            out.note(f"{name}: integral {rep.summary()}")
-            if not rep.passed:
-                out.failed = True
-    elif isinstance(obj, HCoextension):
-        # the quotient keeps the basis vectors at W's free columns, one for each column past W's rank
-        out.note(f"{name}: coextension verified at parse time; quotient dim {obj.d.dim - obj.dplus.dim}")
-        if obj.cointegral is not None:
-            rep = check_cointegral(obj, obj.cointegral)
-            out.note(f"{name}: cointegral {rep.summary()}")
-            if not rep.passed:
-                out.failed = True
-    else:
-        out.note(f"{name}: nothing to check")
-
-
-def cmd_check(args, out: _Out) -> None:
-    doc = _load(args.document)
+def cmd_check(args, out: _Out, doc: Document) -> None:
     for name in sorted(doc.resolved):
-        _check_object(out, name, doc.resolved[name])
+        obj = doc.resolved[name]
+        if type(obj) in catalog.VERIFIERS:
+            out.report(name, catalog.VERIFIERS[type(obj)](obj))
+        elif isinstance(obj, HExtension):
+            out.note(f"{name}: extension verified at parse time; coinvariants dim {obj.coinv.dim}")
+            if obj.integral is not None:
+                rep = check_integral(obj, obj.integral)
+                out.note(f"{name}: integral {rep.summary()}")
+                if not rep.passed:
+                    out.failed = True
+        elif isinstance(obj, HCoextension):
+            # the quotient keeps the basis vectors at W's free columns, one for each column past W's rank
+            out.note(f"{name}: coextension verified at parse time; quotient dim {obj.d.dim - obj.dplus.dim}")
+            if obj.cointegral is not None:
+                rep = check_cointegral(obj, obj.cointegral)
+                out.note(f"{name}: cointegral {rep.summary()}")
+                if not rep.passed:
+                    out.failed = True
+        else:
+            out.note(f"{name}: nothing to check")
 
 
-def cmd_dualize(args, out: _Out) -> None:
-    doc = _load(args.document)
+def cmd_dualize(args, out: _Out, doc: Document, obj) -> None:
     name = args.name
-    obj = doc.resolved.get(name)
-    if obj is None:
-        raise PresentationError(f"no object named {name!r} in the document")
     if isinstance(obj, StructurePresentation):
         # the dual's laws are the input's, transposed, so the input's verdict is the dual's
         rep = verify_structure(None, obj)
@@ -143,18 +135,14 @@ def cmd_dualize(args, out: _Out) -> None:
             f"{name}_dual_coalgebra": datum.ctil,
             f"{name}_dual": datum.dual,
         })
-    elif isinstance(obj, DKStructure):
+    else:   # a Doi-Koppinen structure
         require(verify_dk(obj))
         out.report(name, DUAL_DK_COHERENT)
         emitted = document_from_objects(doc.field, {f"{name}_dual": dual_dk(obj)})
-    else:
-        raise PresentationError(f"{name!r} is not dualizable from the command line")
     out.note(emit_document(emitted).rstrip("\n"))
 
 
-def cmd_smash(args, out: _Out) -> None:
-    doc = _load(args.document)
-    e = _get(doc, args.name, EntwiningPresentation, "entwining")
+def cmd_smash(args, out: _Out, doc: Document, e: EntwiningPresentation) -> None:
     rep = verify_entwining(e)
     out.report(args.name, rep)
     if not rep.passed:
@@ -172,9 +160,7 @@ def cmd_smash(args, out: _Out) -> None:
             out.note(f"row {s1}: " + " ".join(row))
 
 
-def cmd_coring(args, out: _Out) -> None:
-    doc = _load(args.document)
-    e = _get(doc, args.name, EntwiningPresentation, "entwining")
+def cmd_coring(args, out: _Out, doc: Document, e: EntwiningPresentation) -> None:
     rep = verify_entwining(e)
     out.report(args.name, rep)
     if not rep.passed:
@@ -185,9 +171,7 @@ def cmd_coring(args, out: _Out) -> None:
     out.note(f"{args.name}: smash ring is isomorphic to the left dual (dimension {n})")
 
 
-def cmd_antipode(args, out: _Out) -> None:
-    doc = _load(args.document)
-    h = _get(doc, args.name, StructurePresentation, "structure")
+def cmd_antipode(args, out: _Out, doc: Document, h: StructurePresentation) -> None:
     s = compute_antipode(h)
     if s is None:
         out.note(f"{args.name}: no antipode")
@@ -204,10 +188,7 @@ def _rat_rows(p: PairingPresentation, m: ModulePresentation):
     yield "module", verify_structure(None, m)
 
 
-def cmd_rat(args, out: _Out) -> None:
-    doc = _load(args.document)
-    p = _get(doc, args.pairing, PairingPresentation, "pairing")
-    m = _get(doc, args.module, ModulePresentation, "module")
+def cmd_rat(args, out: _Out, doc: Document, p: PairingPresentation, m: ModulePresentation) -> None:
     require(first_failure("rat", _rat_rows(p, m)))
     try:   # refuses a module over another algebra before it computes the rank criterion
         rat = rational_submodule(p, m)
@@ -219,20 +200,16 @@ def cmd_rat(args, out: _Out) -> None:
              f"basis {rat.subspace.basis.render()}")
 
 
-def cmd_adjunction(args, out: _Out) -> None:
-    doc = _load(args.document)
-    e = _get(doc, args.entwining, EntwiningPresentation, "entwining")
-    m = _get(doc, args.module, EntwinedModulePresentation, "entwined module")
+def cmd_adjunction(args, out: _Out, doc: Document, e: EntwiningPresentation,
+                   m: EntwinedModulePresentation) -> None:
     require(verify_entwining(e))
     datum = dual_entwining(e)
-    k = (_get(doc, args.dual_module, EntwinedModulePresentation, "entwined module")
-         if args.dual_module else None)
+    # --dual-module is optional, so it is read here, after the entwining's verdict
+    k = _get(doc, args.dual_module, EntwinedModulePresentation, "a entwined module") if args.dual_module else None
     out.report(args.module, adjunction_check(datum, m, k))
 
 
-def cmd_dk(args, out: _Out) -> None:
-    doc = _load(args.document)
-    s = _get(doc, args.name, DKStructure, "Doi-Koppinen structure")
+def cmd_dk(args, out: _Out, doc: Document, s: DKStructure) -> None:
     rep = verify_dk(s)
     out.report(args.name, rep)
     if not rep.passed:
@@ -241,9 +218,7 @@ def cmd_dk(args, out: _Out) -> None:
     out.report(f"{args.name}_dual", DUAL_DK_COHERENT)
 
 
-def cmd_cleft(args, out: _Out) -> None:
-    doc = _load(args.document)
-    ext = _get(doc, args.name, HExtension, "extension")
+def cmd_cleft(args, out: _Out, doc: Document, ext: HExtension) -> None:
     gamma = ext.integral
     if gamma is None:
         raise PresentationError(f"{args.name!r} carries no integral")
@@ -253,9 +228,7 @@ def cmd_cleft(args, out: _Out) -> None:
         out.failed = True
 
 
-def cmd_cocleft(args, out: _Out) -> None:
-    doc = _load(args.document)
-    coext = _get(doc, args.name, HCoextension, "coextension")
+def cmd_cocleft(args, out: _Out, doc: Document, coext: HCoextension) -> None:
     omega = coext.cointegral
     if omega is None:
         raise PresentationError(f"{args.name!r} carries no cointegral")
@@ -289,6 +262,46 @@ def _field_of(value):
     raise PresentationError("cannot determine the field of this object")
 
 
+class Input(NamedTuple):
+    """An object a command reads by option: the classes it may have, and what the error says it is not."""
+
+    option: str
+    accepts: type | tuple[type, ...]
+    noun: str           # "'x' is not <noun>"
+
+
+class Command(NamedTuple):
+    """A command that reads a document: fn(args, out, document, *inputs), the inputs fetched in row order."""
+
+    fn: Callable
+    help: str
+    inputs: tuple[Input, ...] = ()
+
+
+COMMAND_TABLE = {
+    "check": Command(cmd_check, "verify every object in a document"),
+    "dualize": Command(cmd_dualize, "dualize a structure, entwining or DK triple", (Input(
+        "--name", (StructurePresentation, EntwiningPresentation, DKStructure), "dualizable from the command line"),)),
+    "smash": Command(cmd_smash, "verify an entwining and state its smash ring; --table builds and prints it",
+                     (Input("--name", EntwiningPresentation, "a entwining"),)),
+    "coring": Command(cmd_coring, "verify an entwining and state its coring and the coring's left dual",
+                      (Input("--name", EntwiningPresentation, "a entwining"),)),
+    "antipode": Command(cmd_antipode, "compute the antipode of a bialgebra",
+                        (Input("--name", StructurePresentation, "a structure"),)),
+    "rat": Command(cmd_rat, "rational submodule of a module along a pairing", (
+        Input("--pairing", PairingPresentation, "a pairing"), Input("--module", ModulePresentation, "a module"))),
+    "adjunction": Command(cmd_adjunction, "check the dual-module adjunction", (
+        Input("--entwining", EntwiningPresentation, "a entwining"),
+        Input("--module", EntwinedModulePresentation, "a entwined module"))),
+    "dk": Command(cmd_dk, "verify a Doi-Koppinen structure and its dual",
+                  (Input("--name", DKStructure, "a Doi-Koppinen structure"),)),
+    "cleft": Command(cmd_cleft, "check an integral for colinearity, totality, cleftness",
+                     (Input("--name", HExtension, "a extension"),)),
+    "cocleft": Command(cmd_cocleft, "check a cointegral and dualize the coextension",
+                       (Input("--name", HCoextension, "a coextension"),)),
+}
+
+
 def build_parser(commands: dict) -> argparse.ArgumentParser:
     """The argv parser: --json, then one subparser per command, each also kept in commands by its name."""
     parser = argparse.ArgumentParser(
@@ -296,36 +309,16 @@ def build_parser(commands: dict) -> argparse.ArgumentParser:
         description="verify and dualize finite-dimensional entwining and Doi-Koppinen data")
     parser.add_argument("--json", action="store_true", help="emit a structured report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, fn, help: str, *options: str) -> argparse.ArgumentParser:
-        """A subparser that reads a document and, each required, the options named; fn runs the command."""
-        p = sub.add_parser(name, help=help)
+    for name, row in COMMAND_TABLE.items():
+        p = commands[name] = sub.add_parser(name, help=row.help)
         p.add_argument("document")
-        for option in options:
-            p.add_argument(option, required=True)
-        p.set_defaults(fn=fn)
-        commands[name] = p
-        return p
-
-    command("check", cmd_check, "verify every object in a document")
-    command("dualize", cmd_dualize, "dualize a structure, entwining or DK triple", "--name")
-    p = command("smash", cmd_smash, "verify an entwining and state its smash ring; --table builds and prints it",
-                "--name")
-    p.add_argument("--table", action="store_true", help="build the smash ring and print its multiplication table")
-    command("coring", cmd_coring, "verify an entwining and state its coring and the coring's left dual", "--name")
-    command("antipode", cmd_antipode, "compute the antipode of a bialgebra", "--name")
-    command("rat", cmd_rat, "rational submodule of a module along a pairing", "--pairing", "--module")
-    p = command("adjunction", cmd_adjunction, "check the dual-module adjunction", "--entwining", "--module")
-    p.add_argument("--dual-module")
-    command("dk", cmd_dk, "verify a Doi-Koppinen structure and its dual", "--name")
-    command("cleft", cmd_cleft, "check an integral for colinearity, totality, cleftness", "--name")
-    command("cocleft", cmd_cocleft, "check a cointegral and dualize the coextension", "--name")
-
-    p = sub.add_parser("catalog", help="list catalog entries or emit one as a document")
-    p.add_argument("name", nargs="?")
-    p.set_defaults(fn=cmd_catalog)
-    commands["catalog"] = p
-
+        for option in row.inputs:
+            p.add_argument(option.option, required=True)
+    commands["smash"].add_argument("--table", action="store_true",
+                                   help="build the smash ring and print its multiplication table")
+    commands["adjunction"].add_argument("--dual-module")
+    commands["catalog"] = sub.add_parser("catalog", help="list catalog entries or emit one as a document")
+    commands["catalog"].add_argument("name", nargs="?")
     return parser
 
 
@@ -363,7 +356,13 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return (2 if exc.code not in (0, None) else 0, "")
     out = _Out()
     try:
-        args.fn(args, out)
+        row = COMMAND_TABLE.get(args.command)
+        if row is None:
+            cmd_catalog(args, out)
+        else:
+            with open(args.document, "rb") as fh:
+                doc = parse_document(fh.read())
+            row.fn(args, out, doc, *(_get(doc, getattr(args, i.option[2:]), i.accepts, i.noun) for i in row.inputs))
     except CheckError as exc:
         out.report("error", exc.report)
         return 1, out.render(args.json)

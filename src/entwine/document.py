@@ -30,12 +30,14 @@ import re
 from json.encoder import encode_basestring_ascii as _quoted
 from dataclasses import dataclass
 from itertools import count
+from math import prod
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple
 
 from .exactlin import QQ, Field, Matrix, PresentationError
 from .structures import (
+    QUAD_LAYOUTS,
     STRUCTURE_KINDS,
     ModulePresentation,
     PairingPresentation,
@@ -48,6 +50,13 @@ from .entwining import EntwinedModulePresentation, EntwiningPresentation
 from .doikoppinen import DKStructure, HCoextension, HExtension, coextension_quotient, h_extension
 
 FORMAT_VERSION = 1
+# the most rows, and the most columns, a map of quadruples may lay out.  Its matrix is a list of one dict per row,
+# made before any quadruple is placed, and its transpose, which the law checks read, one dict per column, so the
+# declared dims alone decide its memory: a dim of 3,000,000 with no quadruple at all asks for 9 * 10^12 rows of
+# comultiplication, and an algebra of dim 20,000 for 4 * 10^8 columns of multiplication.  The largest planned input,
+# the Taft algebra T_7 (dim 49), has 2,401 of either; 10^5 empty rows and their index tables take about 22 MB (CPython
+# 3.11, tracemalloc), and an algebra or a coalgebra may still have dim 316
+MAX_QUAD_SIDE = 10 ** 5
 # json.loads joins an escaped surrogate pair into one code point, so a surrogate left in a str is unpaired
 _SURROGATE = re.compile("[\ud800-\udfff]").search
 
@@ -178,7 +187,13 @@ def _parse_quads(sc: _Scalars, quads, layout: str, dims: tuple[int, int, int], p
     Each quadruple is checked once (_Scalars.quads), and placed in one pass
     by matrix_from_quads, which also checks the bounds; any failure reads
     the quadruples again, one check at a time, to name the first bad one.
+    A layout of more than MAX_QUAD_SIDE rows or columns is refused before
+    any row is made.
     """
+    perm, nrows = QUAD_LAYOUTS[layout]
+    rows, cols = prod(dims[a] for a in perm[:nrows]), prod(dims[a] for a in perm[nrows:])
+    if rows > MAX_QUAD_SIDE or cols > MAX_QUAD_SIDE:
+        raise ParseError(path, f"{layout} would lay out {rows} x {cols}, past {MAX_QUAD_SIDE} rows or columns")
     values = sc.quads(quads)
     if values is not None:
         try:
@@ -454,30 +469,49 @@ def parse_document(text: str | bytes) -> Document:
 
     Bytes that are not UTF-8 are refused at the offset of the first bad
     byte, JSON nested past the interpreter's recursion limit and a number
-    with more digits than int() reads at $, and a key or string holding an
-    unpaired surrogate (an escape no UTF-8 text can write) at its path.
+    with more digits than int() reads at $, and a key repeated in one JSON
+    object, or a key or string holding an unpaired surrogate (an escape no
+    UTF-8 text can write), at the path of the object or the string.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"byte {exc.start}", f"not UTF-8 text ({exc.reason})") from None
+    # id of each object whose text repeats a key -> the object, kept alive so that no later object reuses its id, and
+    # the first key it repeats
+    repeated = {}
+
+    def object_of(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeated[id(obj)] = obj, key
+                    break
+                seen.add(key)
+        return obj
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=object_of)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except ValueError:     # past the int string limit (sys.set_int_max_str_digits)
         raise ParseError("$", "a JSON number has too many digits to read") from None
     except RecursionError:
         raise ParseError("$", "JSON nested too deeply to read") from None
-    # refuse the first key or string, in document order, that holds an unpaired surrogate, a key named by its repr at
-    # its object's path, so that the message can be written as UTF-8; ASCII text makes one only through an escape
-    stack = [("$", raw)] if "\\u" in text or not text.isascii() else []
+    # refuse the first object that repeats a key and the first key or string that holds an unpaired surrogate, in
+    # document order, a key named by its repr at its object's path, so that the message can be written as UTF-8; ASCII
+    # text makes a surrogate only through an escape
+    stack = [("$", raw)] if repeated or "\\u" in text or not text.isascii() else []
     while stack:
         path, value = stack.pop()
         if isinstance(value, str):
             _expect(not _SURROGATE(value), path, "string holds an unpaired surrogate")
         elif isinstance(value, dict):
+            if id(value) in repeated:
+                raise ParseError(path, f"key {repeated[id(value)][1]!r} is repeated")
             for key in value:
                 _expect(not _SURROGATE(key), path, f"key {key!r} holds an unpaired surrogate")
             stack.extend((key if path == "$" else f"{path}.{key}", value[key]) for key in reversed(value))

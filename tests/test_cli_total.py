@@ -2,11 +2,12 @@
 
 Each example takes the document that `entwine catalog <name>` writes,
 applies one to three mutations anywhere in it, and runs one subcommand
-on it in-process through cli.run_command, as text or --json.  The
-mutations delete a key or a list entry, replace a value by null, a bool,
-a float, a string or an empty container, write a malformed quadruple,
-shift a number (an index, a dim, a modulus or an integer scalar) by -1,
-+1 or +2, or add a key that no object type reads.
+on it in-process through cli.run_command, as text or --json: check, or a
+command of cli.COMMAND_TABLE whose one input, --name, accepts the entry's
+type.  The mutations delete a key or a list entry, replace a value by
+null, a bool, a float, a string or an empty container, write a malformed
+quadruple, shift a number (an index, a dim, a modulus or an integer
+scalar) by -1, +1 or +2, or add a key that no object type reads.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from entwine.catalog import catalog_names  # noqa: E402
-from entwine.cli import run_command  # noqa: E402
+from entwine.cli import COMMAND_TABLE, run_command  # noqa: E402
+from entwine.document import TYPES  # noqa: E402
 
-# the subcommands that read an object of each type by name, besides check
-COMMANDS = {"structure": ("dualize", "antipode"), "entwining": ("dualize", "smash", "coring"),
-            "entwined_module": (), "dk": ("dualize", "dk"), "extension": ("cleft",), "coextension": ("cocleft",)}
+# per document type, the commands of cli.COMMAND_TABLE whose one input is --name and accepts that type, in table order
+COMMANDS = {kind: tuple(name for name, row in COMMAND_TABLE.items()
+                        if [i.option for i in row.inputs] == ["--name"] and issubclass(t.cls, row.inputs[0].accepts))
+            for kind, t in TYPES.items()}
 # as JSON text, so each replacement is a new value and no two places share a container
 REPLACEMENTS = ("null", "true", "false", "0.5", "-1.0", '"x"', '"1/0"', '""', "[]", "{}")
 BAD_QUADS = ([0, 0, 0], [0, 0, 0, "1", 0], [-1, 0, 0, "1"], [0, 0, 99, "1"], ["0", 0, 0, "1"],

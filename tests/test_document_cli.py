@@ -164,8 +164,9 @@ def _input_error(argv, line):
 
 
 class TestUnreadableInput:
-    """Bytes that are not UTF-8, JSON nested past the recursion limit, a number too long for int() and a name that
-    holds an unpaired surrogate exit 2 with their position."""
+    """Bytes that are not UTF-8, JSON nested past the recursion limit, a number too long for int(), a name that holds
+    an unpaired surrogate, a repeated key and a map whose dims lay out too many rows or columns exit 2 with their
+    position."""
 
     CASES = {
         "not-utf8": (b"\xff\xfe{}", "byte 0: not UTF-8 text (invalid start byte)"),
@@ -205,6 +206,47 @@ class TestUnreadableInput:
             stdout.flush()
             assert exc.value.code == 2
             assert stdout.buffer.getvalue().decode("utf-8") == run_command([*as_json, *argv])[1]
+
+    @pytest.mark.parametrize("twice", ["kind", "version"])
+    def test_a_repeated_key_exits_2_at_its_object(self, tmp_path, twice):
+        """qc2's export with its kind written twice, algebra then hopf, and one with its version written twice: JSON
+        keeps the last value, so either was read without a word; each is refused at the object that repeats it."""
+        text = catalog_doc("qc2")
+        if twice == "kind":
+            text, line = text.replace('"kind": "hopf"', '"kind": "algebra", "kind": "hopf"', 1), "objects.qc2"
+        else:
+            text, line = text.replace('"version": 1', '"version": 1, "version": 1', 1), "$"
+        _input_error(["check", write(tmp_path, "doc.ent", text)], f"{line}: key {twice!r} is repeated")
+
+    # objects added to one_dim_document whose first quadruple map lays out 9 rows or 9 columns: a coalgebra of dim 3,
+    # whose comultiplication has 3 * 3 rows, an algebra of dim 3, whose multiplication has 3 * 3 columns, and a module
+    # and an entwined module of dim 9, one row per basis vector of the action
+    SIZE_LIMIT_CASES = {
+        "comul": ({"c": {"type": "structure", "kind": "coalgebra", "dim": 3, "comul": [], "counit": [1, 0, 0]}},
+                  "objects.c.comul: comul would lay out 9 x 3, past 8 rows or columns"),
+        "mul": ({"a": {"type": "structure", "kind": "algebra", "dim": 3, "mul": [], "unit": [1, 0, 0]}},
+                "objects.a.mul: mul would lay out 3 x 9, past 8 rows or columns"),
+        "triples": ({"m": {"type": "module", "dim": 9, "action": {"structure": "k", "triples": []}}},
+                    "objects.m.action.triples: right-action would lay out 9 x 9, past 8 rows or columns"),
+        "entwined": ({"em": {"type": "entwined_module", "entwining": "e", "dim": 9, "action": [], "coaction": []}},
+                     "objects.em.action: right-action would lay out 9 x 9, past 8 rows or columns"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SIZE_LIMIT_CASES))
+    def test_a_map_past_the_size_limit_exits_2(self, tmp_path, monkeypatch, case):
+        """A quadruple map is refused at its path when its declared dims lay out more rows or columns than
+        MAX_QUAD_SIDE, set low here so that no test lays out a large map; at exactly the limit it is read."""
+        from entwine import document
+
+        body = one_dim_document()
+        objects, line = self.SIZE_LIMIT_CASES[case]
+        body["objects"].update(objects)
+        argv = ["check", write(tmp_path, "doc.ent", json.dumps(body))]
+        monkeypatch.setattr(document, "MAX_QUAD_SIDE", 8)
+        _input_error(argv, line)
+        monkeypatch.setattr(document, "MAX_QUAD_SIDE", 9)
+        code, text = run_command(argv)
+        assert code in (0, 1) and "input error" not in text
 
 
 # one_dim_document's places for an F_p scalar: a quadruple, a dense psi row, a unit list and a module's triples
