@@ -61,6 +61,22 @@ MAX_QUAD_SIDE = 10 ** 5
 _SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
+class _RepeatedKey(Exception):
+    """An object of the text repeats a key: parse_document reads the text again to find which."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; raises _RepeatedKey when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+# the one decoder of every document: json.loads with a hook builds a decoder and its scanner on every call
+_DECODE = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 class ParseError(PresentationError):
     """A document problem, annotated with the path of the offending value."""
 
@@ -468,16 +484,22 @@ def parse_document(text: str | bytes) -> Document:
     """Parse and validate; errors carry a JSON path or a position: a byte offset, a line and column, or $.
 
     Bytes that are not UTF-8 are refused at the offset of the first bad
-    byte, JSON nested past the interpreter's recursion limit and a number
-    with more digits than int() reads at $, and a key repeated in one JSON
-    object, or a key or string holding an unpaired surrogate (an escape no
-    UTF-8 text can write), at the path of the object or the string.
+    byte, a leading BOM at line 1 column 1, JSON nested past the
+    interpreter's recursion limit and a number with more digits than int()
+    reads at $, and a key repeated in one JSON object, or a key or string
+    holding an unpaired surrogate (an escape no UTF-8 text can write), at
+    the path of the object or the string.  The text is read by one decoder
+    made once (_DECODE); a text that repeats a key is read again, by
+    json.loads with a hook that notes where, so every message is the one
+    that read alone gives.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"byte {exc.start}", f"not UTF-8 text ({exc.reason})") from None
+    if text.startswith("\ufeff"):   # as json.loads refuses it; the decoder itself reads no BOM
+        raise ParseError("line 1 column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     # id of each object whose text repeats a key -> the object, kept alive so that no later object reuses its id, and
     # the first key it repeats
     repeated = {}
@@ -494,7 +516,10 @@ def parse_document(text: str | bytes) -> Document:
         return obj
 
     try:
-        raw = json.loads(text, object_pairs_hook=object_of)
+        try:
+            raw = _DECODE(text)
+        except _RepeatedKey:   # read again, noting each object that repeats a key, for the walk below to name it
+            raw = json.loads(text, object_pairs_hook=object_of)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
     except ValueError:     # past the int string limit (sys.set_int_max_str_digits)

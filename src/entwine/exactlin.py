@@ -21,18 +21,20 @@ blocks of a law's difference for the least column that differs, and
 _witness_columns reads that column of each side, a block of one.  A
 factor kron(X, id_k) or kron(id_k, X) reads the lines of X itself and
 moves each index where it lands: no shifted copy of a line is made; a
-Permutation of tensor factors moves each index, from one index table
-per shape and direction made once (_offsets), and reads no line at all.
-A factor over F_p whose lines are wide and nonzero enough is read packed
-instead, on the same block, each of its lines one int with a 2-, 4- or
-8-byte slot per entry (Kronecker substitution), so a line read costs one
-big-int operation, not one Python step per entry, and a packed block is
-reduced mod p by byte tables.  _plan is a law's planning pass: it splits
-each side into its terms and reads its shape off the factors without
-evaluating any, once.  A linear map V -> W with dim V = n, dim W = m is
-an m x n matrix acting on column vectors.  Tensor products follow the
-index convention idx(i, j) = i * dim2 + j, so that kron(M1, M2) applied
-to v (x) w equals M1 v (x) M2 w.
+Permutation of tensor factors moves each index, from one index table per
+shape and direction, kept once made unless it is long (_offsets), and
+reads no line at all.  A law over F_p whose factors are dense is read
+sliced instead (_sliced): the block is one int per index, whose slot v
+holds vector v's coefficient, so a stage costs one big-int multiply-add
+per nonzero of its factor however many vectors the block holds; every
+slot stays non-negative and at or below a bound _stages states, so none
+carries into the next, and the block is reduced mod p once, slot by
+slot, by byte tables where the slots are narrow.  _plan is a law's
+planning pass: it splits each side into its terms and reads its shape
+off the factors without evaluating any, once.  A linear map V -> W with
+dim V = n, dim W = m is an m x n matrix acting on column vectors.
+Tensor products follow the index convention idx(i, j) = i * dim2 + j, so
+that kron(M1, M2) applied to v (x) w equals M1 v (x) M2 w.
 
 express(basis, vectors) writes every column of `vectors` in the rows of
 `basis`, or returns the index of the first column outside their span,
@@ -53,8 +55,6 @@ byte for byte.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain, compress
@@ -200,9 +200,8 @@ class Matrix:
     matrix that made them is built.  `data` is a read-only row-major tuple of
     every entry, for readers outside the package, nonzeros gives the stored
     entries, and columns_of gives the column dicts; data and the columns
-    are laid out on first read and kept, as is what _stages derives from
-    the matrix (_kernel, made by _packs): whether it packs, and its packed
-    lines.
+    are laid out on first read and kept, as are the nonzeros less the zeros
+    that _stages counts to choose a law's reader (_kernel).
     """
 
     __slots__ = ("field", "rows", "cols", "_rows", "_data", "_cols", "_kernel")
@@ -487,13 +486,33 @@ def permute(m: Matrix, dims, perm, nrows: int) -> Matrix:
     return Matrix._of_rows(m.field, len(out), cols, out)
 
 
+# The longest index table that _offsets and _axis_offsets keep once made.  A longer one is made afresh on each call:
+# only large declared dims ask for one, and when every table was kept, reading one document with a module of dim 10^5
+# left 9.6 MB of them in the process (tracemalloc, CPython 3.11).  The golden commands and the benchmark decks read
+# none longer than 1,296 entries.
+_KEPT_TABLE = 4096
+
+
+class _LongTable(Exception):
+    """A table longer than _KEPT_TABLE, raised out of its lru_cache, which keeps no exception, for _kept to return."""
+
+
+def _kept(table, *args) -> tuple:
+    """table(*args), made once per args and kept by its lru_cache, or made afresh when it is longer than _KEPT_TABLE."""
+    try:
+        return table(*args)
+    except _LongTable as long:
+        return long.args[0]
+
+
 @lru_cache(maxsize=1024)
-def _offsets(dims: tuple, perm: tuple, axes) -> tuple[int, ...]:
+def _offset_table(dims: tuple, perm: tuple, axes) -> tuple[int, ...]:
     """The output offset, row-major, of every index over these input axes of a tensor permuted as in permute.
 
     The table depends only on the shapes, so it is made once per (dims,
     perm, axes), all hashable (tuples, or a range for axes), and kept as a
-    tuple that no caller can write into.
+    tuple that no caller can write into (_offsets), unless it is longer
+    than _KEPT_TABLE.
     """
     strides, step = [0] * len(dims), 1   # stride of each input axis in the row-major entries of the output
     for a in reversed(perm):
@@ -501,11 +520,13 @@ def _offsets(dims: tuple, perm: tuple, axes) -> tuple[int, ...]:
     out = [0]
     for a in axes:
         out = [o + i * strides[a] for o in out for i in range(dims[a])]
+    if len(out) > _KEPT_TABLE:
+        raise _LongTable(tuple(out))
     return tuple(out)
 
 
 @lru_cache(maxsize=1024)
-def _axis_offsets(dims: tuple, perm: tuple, nrows: int) -> tuple[tuple, tuple]:
+def _axis_tables(dims: tuple, perm: tuple, nrows: int) -> tuple[tuple, tuple]:
     """(row tables, column tables): per input axis, the row and the column offset of each index along it.
 
     The matrix is the one permute(m, dims, perm, nrows) lays out: input
@@ -513,7 +534,8 @@ def _axis_offsets(dims: tuple, perm: tuple, nrows: int) -> tuple[tuple, tuple]:
     where an index moves the row by its stride among the row axes and the
     column by nothing; a column axis the other way round.  The tables
     depend only on the shapes, so they are made once per (dims, perm,
-    nrows), as _offsets is.
+    nrows) and kept (_axis_offsets), as _offset_table's is, unless a dim is
+    longer than _KEPT_TABLE.
     """
     row_at, col_at = [()] * len(dims), [()] * len(dims)
     for axes, mine, other in ((perm[:nrows], row_at, col_at), (perm[nrows:], col_at, row_at)):
@@ -521,7 +543,12 @@ def _axis_offsets(dims: tuple, perm: tuple, nrows: int) -> tuple[tuple, tuple]:
         for a in reversed(axes):
             mine[a], other[a] = tuple(i * step for i in range(dims[a])), (0,) * dims[a]
             step *= dims[a]
+    if max(dims, default=0) > _KEPT_TABLE:
+        raise _LongTable((tuple(row_at), tuple(col_at)))
     return tuple(row_at), tuple(col_at)
+
+
+_offsets, _axis_offsets = partial(_kept, _offset_table), partial(_kept, _axis_tables)
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
@@ -821,32 +848,47 @@ def _split(side, sign: int, terms: list, shape=None) -> tuple[Field, int, int]:
     return field, rows, cols
 
 
-# The most entries a block of law vectors may hold (_block): a law is read
-# max(1, _BLOCK_ENTRIES // w) vectors at a time, w the widest of its stages,
-# sparse or packed, so no stage of a block holds more than _BLOCK_ENTRIES
-# keys or slots unless one vector alone is wider.
+# The most entries a block of law vectors may hold (_block, _sliced): a law is
+# read max(1, _BLOCK_ENTRIES // w) vectors at a time, w the widest of its
+# stages, so no stage of a block holds more than _BLOCK_ENTRIES keys or slots
+# unless one vector alone is wider.
 _BLOCK_ENTRIES = 4096
+# The fewest vectors a block holds for _stages to read a dense law over F_p sliced.  On the dense_basis benchmark deck
+# (seed 1, Python 3.11, 2 vCPUs), laws on 2 or 3 vectors, the unit, counit and associativity laws of the dim-2 and
+# dim-3 rungs, read x1.1 to x2.5 slower sliced than sparsely, and laws on 4 or more read faster: timed command by
+# command over 30 rounds, a cycle took 81.1 ms with a floor of 2 vectors, 77.6 ms with 4, 78.0 with 5 and 78.2 with 9,
+# and its median command 0.537, 0.505, 0.507 and 0.505 ms.
+_SLICED_VECTORS = 4
 
 
 def _least_column(terms, by_rows: bool, rows: int, cols: int) -> tuple[int | None, tuple]:
     """The least column at which a rows x cols law side is nonzero, None when it is zero, and the side's stages.
 
     The terms are staged once (_stages) and read a block at a time along
-    the shorter dimension (_block): by columns, the first block with a
-    nonzero key names the column; by rows, it is the least index over the
-    nonzero keys of every block.
+    the shorter dimension, sparsely (_block) or sliced (_sliced): by
+    columns, the first block with a nonzero names the column; by rows, it
+    is the least index over the nonzeros of every block.
     """
-    staged = _stages(terms, by_rows)
-    p, plan, size, step = staged
     count, width = (rows, cols) if by_rows else (cols, rows)
+    staged = _stages(terms, by_rows, count)
+    p, plan, size, step = staged
     least = None
     for start in range(0, count, step):
-        block = _block(p, plan, size, width, start, min(start + step, count))
-        if not block:
-            continue
-        if not by_rows:
-            return start + min(block) // width, staged
-        j = min(key % width for key in block)
+        stop = min(start + step, count)
+        if size is None:
+            block = _block(p, plan, start, stop)
+            if not block:
+                continue
+            if not by_rows:
+                return start + min(block) // width, staged
+            j = min(key % width for key in block)
+        else:
+            (indices, res), nvec = _sliced(p, plan, size, start, stop), stop - start
+            if res.count(0) == len(res):
+                continue
+            if not by_rows:
+                return start + next(v for v in range(nvec) if res[v::nvec].count(0) < len(indices)), staged
+            j = min(indices[i // nvec] for i, r in enumerate(res) if r)
         least = j if least is None else min(least, j)
     return least, staged
 
@@ -855,16 +897,18 @@ def _witness_columns(terms: list, split: int, staged, rows: int, j: int) -> tupl
     """Column j of a law's lhs and of its rhs, from its planned terms (_plan), each one canonical vector (_block).
 
     staged is the law's stages by columns, as _least_column read a tall
-    law, and is reused; None when the law was read by rows, and the terms
-    are staged by columns here.  The rhs's terms are read with their signs negated back.
+    law, sparsely or sliced, and is reused: both readers read the same
+    stages.  When the law was read by rows (staged None), the terms are
+    staged by columns here.  The rhs's terms are read with their signs
+    negated back.
     """
-    p, plan, size, _ = staged or _stages(terms, False)
-    right = [(-sign, stages, last) for sign, stages, last in plan[split:]]
-    return _block(p, plan[:split], size, rows, j, j + 1), _block(p, right, size, rows, j, j + 1)
+    p, plan, _, _ = staged or _stages(terms, False, 1)
+    right = [(-sign, stages) for sign, stages in plan[split:]]
+    return _block(p, plan[:split], j, j + 1), _block(p, right, j, j + 1)
 
 
-def _block(p: int | None, plan: list, size: int | None, width: int, start: int, stop: int) -> dict:
-    """Vectors start..stop-1 of a law side, planned by _stages, as one dict keyed (i - start) * width + index.
+def _block(p: int | None, plan: list, start: int, stop: int) -> dict:
+    """Vectors start..stop-1 of a law side, planned sparsely by _stages, as one dict keyed (i - start) * width + index.
 
     The side comes split by _plan into terms of one shape and field
     (_split reads that shape off the factors).  A side is a Matrix; a
@@ -881,79 +925,60 @@ def _block(p: int | None, plan: list, size: int | None, width: int, start: int, 
     a stage of width w, read as a sparse row product (Gustavson): through
     the factors' rows, last factor first, or through their columns (the
     rows of the transposed composition, columns_of), first factor first.
-    Every stage takes the block the stage before it gave, a term's first
-    stage the basis vectors e_start..e_stop-1 times the term's sign.  A
-    sparse stage is one pass over the block (_push), merging repeated keys
-    as it goes, and the last stages of every term add into one dict.  It
-    sums plain products and reduces once, at the end (mod p over F_p), so
-    the block comes back canonical: an index -> value dict, no zero
-    values.  A pair (X, k) or (k, X) reads the lines of X itself and moves
-    each key where it lands, so no shifted copy of a line is made; a
-    Permutation moves each key to its image (Permutation.images) and reads
-    no line at all.
-
-    A factor over F_p is read as a packed stage (Kronecker substitution),
-    unless a term reads it first, when its lines (the rows or columns read)
-    pay for it: they have at least 16 entries, at least one in 8 of them
-    nonzero and at least 8 nonzeros each on average, and the block bound
-    len(lines) * (p - 1)**2 is below 2**64.  Each line is then one int with
-    one slot per entry, the narrowest of 2, 4 or 8 bytes that holds the
-    block bound, entries reduced mod p (-1 is stored as p - 1); pushing a
-    key adds c * line into one int per vector and output block, c the key's
-    coefficient reduced mod p, so a block sums at most len(lines) products
-    below (p - 1)**2 and no slot carries into the next.  The blocks are
-    joined into one int with one slot per output index of each vector.  The
-    packed last stages of a side's terms are added as ints, in slots that
-    hold the sum of their block bounds; a term's last stage packs only
-    while that sum stays below 2**64.  A packed sum is reduced mod p slot
-    by slot with byte tables: byte j of a B-byte slot maps to its value
-    times 256**j mod p, and the B images of a slot are summed in a single
-    byte, which holds them while B * (p - 1) < 256; a wider slot or a
-    larger prime is reduced one slot at a time instead.  An intermediate
-    packed stage hands its nonzero residues to the next stage; the sparse
-    terms are added after the reduction.  Every other factor, and every
-    law over Q, is read sparsely, one dict update per product.
+    A term's first stage reads one line per vector, the basis vector
+    e_start+v times the term's sign, and no two of its products land on one
+    key, so it is one comprehension (_first).  Every later stage takes the
+    block the stage before it gave and is one pass over it (_push), merging
+    repeated keys as it goes, and the last stages of every term add into
+    one dict.  It sums plain products and reduces once, at the end (mod p
+    over F_p), so the block comes back canonical: an index -> value dict,
+    no zero values.  A pair (X, k) or (k, X) reads the lines of X itself
+    and moves each key where it lands, so no shifted copy of a line is
+    made; a Permutation moves each key to its image (Permutation.images)
+    and reads no line at all.
     """
     acc: dict = {}
-    total = 0          # the sum of the terms whose last stage packs, in slots of `size` bytes
-    nvec = stop - start
-    for sign, stages, last in plan:
-        _, d_in, _, k, _ = stages[0] if stages else last
-        n = d_in * k + 1   # basis vector e_i, i = start + v, is key v * d_in * k + i
-        block = dict.fromkeys(range(start, start + nvec * n, n), sign)
-        for stage in stages:
-            block = _push(*stage, block, {}) if type(stage) is tuple else stage(block, nvec)
-        if type(last) is tuple:
-            acc = _push(*last, block, acc)
+    for sign, stages in plan:
+        block = _first(*stages[0], sign, start, stop)
+        for stage in stages[1:-1]:
+            block = _push(*stage, block, {})
+        if len(stages) > 1:
+            acc = _push(*stages[-1], block, acc)
+        elif acc:   # a term of one stage: its products land on the keys of the terms before it
+            for t, c in block.items():
+                acc[t] = acc.get(t, 0) + c
         else:
-            total += last(block, nvec)
-    if size is None:
-        if p is None:
-            return {t: s for t, s in acc.items() if s}
-        return {t: r for t, s in acc.items() if (r := s % p)}
-    res = _residues(total, width * nvec, size, p)
-    for t, s in acc.items():
-        res[t] = (res[t] + s) % p
-    if res.count(0) == len(res):
-        return {}
-    return dict(compress(enumerate(res), res))
+            acc = block
+    if p is None:
+        return {t: s for t, s in acc.items() if s}
+    return {t: r for t, s in acc.items() if (r := s % p)}
 
 
-def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None, int]:
-    """p, the terms of _block, the slot bytes their packed last stages share (None when none packs), and the step.
+def _stages(terms, by_rows: bool, count: int) -> tuple[int | None, list, int | None, int]:
+    """p, the terms (sign, stages) that _block and _sliced read, the slot bytes of _sliced (None: sparse), and the step.
 
-    Each term is (sign, stages, last): its stages but the last, in the
-    order they are read, and its last stage.  A stage read sparsely is
-    (lines, d_in, d_out, k, strided): the lines of X read (its rows by
-    rows, else its columns), d_in of them, each d_out wide, for
-    kron(X, id_k) when strided, else kron(id_k, X) (k 1 for X itself), or
-    for a Permutation the images of its n keys, (images, n, n, 1, None).  A
-    packed stage is its push; a term's first stage is always sparse.  The
-    step is the most vectors a block holds: _BLOCK_ENTRIES over the widest
-    stage.
+    count is the number of vectors the law has.  A term's stages are in
+    the order they are read, each (lines, d_in, d_out, k, strided): the
+    lines of X read (its rows by rows, else its columns), d_in of them,
+    each d_out wide, for kron(X, id_k) when strided, else kron(id_k, X) (k
+    1 for X itself), or for a Permutation the images of its n keys,
+    (images, n, n, 1, None).  The step is the most vectors a block holds:
+    _BLOCK_ENTRIES over the widest stage.
+
+    A law over F_p is read sliced when its blocks hold _SLICED_VECTORS
+    vectors or more (its last block may hold fewer) and its Matrix factors
+    are dense: more than half of their entries, all counted together, are
+    nonzero.  Each Matrix's nonzeros less its zeros are counted once and
+    kept in its _kernel.  Every slot of _sliced
+    stays at or below the sum over the terms of (p - 1), for the sign,
+    times (p - 1) times the fan-in of each Matrix stage: 1 for a term's
+    first stage, which reads one basis vector a slot, else d_in; a
+    Permutation multiplies nothing.  The slot bytes are the fewest that
+    hold that sum.
     """
     p = terms[0][1][0][0].field.p
-    plan, lasts, bound, widest = [], [], 0, 1
+    weigh = p is not None and count >= _SLICED_VECTORS   # whether the law may read sliced
+    plan, widest, excess = [], 1, 0
     for sign, factors in terms:
         stages = []
         for x, k, x_first in reversed(factors) if by_rows else factors:
@@ -963,24 +988,38 @@ def _stages(terms, by_rows: bool) -> tuple[int | None, list, int | None, int]:
                 stage = (x._rows, x.rows, x.cols, k, x_first and k > 1)
             else:
                 stage = (columns_of(x), x.cols, x.rows, k, x_first and k > 1)
+            if weigh and type(x) is not Permutation:
+                if x._kernel is None:
+                    x._kernel = 2 * sum(map(len, x._rows)) - x.rows * x.cols
+                excess += x._kernel
             if stage[2] * k > widest:
                 widest = stage[2] * k
-            # the first stage reads one line per vector: nothing to pack; no line shorter than 16 entries packs
-            if stages and p is not None and stage[2] >= 16 and _packs(x, by_rows):
-                if len(stages) < len(factors) - 1:
-                    stage = _packed_stage(x, k, x_first, by_rows, None)
-                elif bound + _block_bound(x, by_rows) < 2**64:   # the packed last stages add up in shared slots
-                    bound += _block_bound(x, by_rows)
-                    lasts.append((len(plan), x, k, x_first))   # made below, once the shared slots are known
             stages.append(stage)
-        plan.append([sign, stages[:-1], stages[-1]])
+        plan.append((sign, stages))
     step = max(1, _BLOCK_ENTRIES // widest)
-    if not lasts:
+    if not weigh or step < _SLICED_VECTORS or excess <= 0:
         return p, plan, None, step
-    size = _slot_bytes(bound)
-    for n, x, k, x_first in lasts:
-        plan[n][2] = _packed_stage(x, k, x_first, by_rows, size)
-    return p, plan, size, step
+    bound = sum((p - 1) * prod((p - 1) * (stage[1] if n else 1) for n, stage in enumerate(stages)
+                               if stage[4] is not None) for _, stages in plan)
+    return p, plan, -(-bound.bit_length() // 8), step
+
+
+def _first(lines, d_in: int, d_out: int, k: int, strided: bool | None, sign: int, start: int, stop: int) -> dict:
+    """Vectors start..stop-1 through a term's first stage (_stages): the lines they read, times sign, at their keys.
+
+    Vector i is e_i: index i of a Permutation moves to its image, index
+    r * k + s of kron(X, id_k) reads line r, its index t moved to t * k + s,
+    and index q * d_in + r of kron(id_k, X) reads line r, t moved to
+    q * d_out + t.
+    """
+    if strided is None:
+        return {v * d_in + lines[i]: sign for v, i in enumerate(range(start, stop))}
+    width = d_out * k
+    if strided:
+        return {base + t * k: sign * w for v, i in enumerate(range(start, stop))
+                for base in (v * width + i % k,) for t, w in lines[i // k].items()}
+    return {base + t: sign * w for v, i in enumerate(range(start, stop))
+            for base in ((v * k + i // d_in) * d_out,) for t, w in lines[i % d_in].items()}
 
 
 def _push(lines, d_in: int, d_out: int, k: int, strided: bool | None, block: dict, acc: dict) -> dict:
@@ -1019,69 +1058,30 @@ def _push(lines, d_in: int, d_out: int, k: int, strided: bool | None, block: dic
     return acc
 
 
-def _packed_stage(x: Matrix, k: int, x_first: bool, by_rows: bool, size: int | None):
-    """The push of one packed factor: a last stage's, unreduced in slots of size bytes; else (size None) reduced.
+def _sliced(p: int, plan: list, size: int, start: int, stop: int) -> tuple[list, bytearray | list]:
+    """Vectors start..stop-1 of a law side over F_p, read sliced: the indices they reach, and the residues.
 
-    An intermediate stage's slots are the narrowest that hold its own block
-    bound.  The packed lines are kept on x, beside its packing decisions
-    (_packs, which makes x._kernel first).
+    A block is one dict, index -> int, whose slot v, size bytes wide,
+    holds the coefficient of vector start + v there, so _push reads all n
+    = stop - start vectors as one: a stage costs one big-int multiply-add
+    per nonzero of the line a nonzero index reads, however many vectors the
+    block holds, and a Permutation moves each index.  A term starts from
+    its basis vectors, e_start+v in slot v times the term's sign, -1
+    entering as p - 1; every entry is in [0, p), so no slot goes negative,
+    and the slots hold the bound _stages states, so none carries into the
+    next.  The last stages of every term add into one dict, and it is
+    reduced once (_residues): the residues of indices[i] are at i * n ..
+    i * n + n - 1.
     """
-    d_in, d_out = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-    slot = size or _slot_bytes(_block_bound(x, by_rows))
-    key = ("packed", by_rows, slot)
-    if key not in x._kernel:
-        x._kernel[key] = _pack(x._rows if by_rows else columns_of(x), d_out, slot, x.field.p)
-    return partial(_push_packed, x._kernel[key], d_in, d_out, k, x_first and k > 1, slot, x.field.p, size is None)
-
-
-# the array codes of the packed slots by their width in bytes, narrowest first: at least 2, 4 and 8
-_SLOT_CODES = {array(code).itemsize: code for code in "QIH"}
-_SLOT_SIZES = sorted(_SLOT_CODES)
-# array slots are read and written in native byte order; packed ints are little-endian
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _packs(x: Matrix, by_rows: bool) -> bool:
-    """Whether x, read by rows or by columns after a term's first stage, pays for packing (_block).
-
-    Its lines have 16 entries or more, the block bound fits 64 bits, and x
-    has at least one nonzero in 8 entries and 8 nonzeros a line; the count
-    of nonzeros is made once per matrix and side.
-    """
-    p = x.field.p
-    width, count = x.cols if by_rows else x.rows, x.rows if by_rows else x.cols
-    if p is None or type(x) is Permutation or width < 16 or count * (p - 1) ** 2 >= 2**64:
-        return False
-    if x._kernel is None:
-        x._kernel = {}
-    kept, key = x._kernel, ("packs", by_rows)
-    if key not in kept:
-        nonzeros = sum(map(len, x._rows))
-        kept[key] = 8 * nonzeros >= width * count and nonzeros >= 8 * count
-    return kept[key]
-
-
-def _block_bound(x: Matrix, by_rows: bool) -> int:
-    """A bound on every slot of a packed push through x: one product below (p - 1)**2 per line."""
-    return (x.rows if by_rows else x.cols) * (x.field.p - 1) ** 2
-
-
-def _slot_bytes(bound: int) -> int:
-    """The narrowest slot width, in bytes, that holds every value up to bound."""
-    return next(size for size in _SLOT_SIZES if bound < 256**size)
-
-
-def _pack(lines, width: int, size: int, p: int) -> list[int]:
-    """Each line as one int, entry t reduced mod p in bytes [size t, size t + size)."""
-    out = []
-    for line in lines:
-        slots = array(_SLOT_CODES[size], bytes(size * width))
-        for t, w in line.items():
-            slots[t] = w % p
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        out.append(int.from_bytes(slots, "little"))
-    return out
+    nvec, bits = stop - start, 8 * size
+    acc: dict = {}
+    for sign, stages in plan:
+        block = {start + v: (sign % p) << bits * v for v in range(nvec)}
+        for stage in stages[:-1]:
+            block = _push(*stage, block, {})
+        acc = _push(*stages[-1], block, acc)
+    data = b"".join(map(partial(int.to_bytes, length=nvec * size, byteorder="little"), acc.values()))
+    return list(acc), _residues(data, size, p)
 
 
 @cache
@@ -1096,55 +1096,15 @@ def _byte_tables(p: int, size: int) -> tuple[tuple[bytes, ...], bytes] | None:
             bytes(b % p for b in range(256)))
 
 
-def _residues(total: int, n: int, size: int, p: int):
-    """The n slots of size bytes of total, each reduced mod p: a bytearray by byte tables, else a list."""
-    data = total.to_bytes(n * size, "little")
+def _residues(data: bytes, size: int, p: int):
+    """The slots of size bytes of data, little-endian, each reduced mod p: a bytearray by byte tables, else a list."""
     tables = _byte_tables(p, size)
     if tables is None:
-        slots = array(_SLOT_CODES[size], data)
-        if _BIG_ENDIAN:
-            slots.byteswap()
-        return [s % p for s in slots]
+        return [int.from_bytes(data[i:i + size], "little") % p for i in range(0, len(data), size)]
     spread, fold = tables
     # the images of one slot's bytes sum below 256, so the ints add bytewise, with no carry
     folded = sum(int.from_bytes(data[j::size].translate(table), "little") for j, table in enumerate(spread))
-    return bytearray(folded.to_bytes(n, "little")).translate(fold)
-
-
-def _push_packed(lines: list[int], d_in: int, d_out: int, k: int, strided: bool, size: int, p: int, reduce: bool,
-                 block: dict, nvec: int):
-    """A block of nvec vectors through one packed factor: one int, a slot of size bytes per output index, unreduced.
-
-    Keys and indices are laid out as _push reads them.  Output block
-    v * k + s (copy s of X in vector v) sums c * lines[r] over its keys;
-    strided, it holds the output indices (v * d_out + t) * k + s, else the
-    run v * k * d_out + s * d_out + t.  When reduce, the nonzero residues
-    instead, as the block the next stage reads.
-    """
-    sums = [0] * (nvec * k)
-    for key, c in block.items():
-        if c := c % p:
-            if strided:
-                q, s = divmod(key, k)
-                v, r = divmod(q, d_in)
-                sums[v * k + s] += c * lines[r]
-            else:
-                q, r = divmod(key, d_in)
-                sums[q] += c * lines[r]
-    run = size * d_out
-    if strided:     # the blocks of copy s fill every k-th slot, vector after vector: interleave them
-        code = _SLOT_CODES[size]
-        joined = bytearray(run * len(sums))
-        slots = memoryview(joined).cast(code)
-        for s in range(k):
-            slots[s::k] = memoryview(b"".join(b.to_bytes(run, "little") for b in sums[s::k])).cast(code)
-        total = int.from_bytes(joined, "little")
-    else:
-        total = int.from_bytes(b"".join(b.to_bytes(run, "little") for b in sums), "little")
-    if not reduce:
-        return total
-    res = _residues(total, d_out * len(sums), size, p)
-    return dict(compress(enumerate(res), res))
+    return bytearray(folded.to_bytes(len(data) // size, "little")).translate(fold)
 
 
 def sparse_render(vec: dict, field: Field) -> str:

@@ -5,11 +5,11 @@ A verifier is rows that first_failure reads in order: its components
 sides are compositions of structure maps that compare reads along the
 shorter dimension, by rows or by columns, a block of vectors at a time
 (exactlin._least_column, at most exactlin._BLOCK_ENTRIES entries a
-block).  A failed report names the law, as part[axiom] for a
-component's, the basis indices of the least differing column, and both
-sides there as canonical sparse vectors {index: scalar}, so a failure is
-always reproducible by hand.  A handed law is stated once, right-handed;
-mirror gives its left row.
+block), sparsely or, for dense laws over F_p, sliced.  A failed report
+names the law, as part[axiom] for a component's, the basis indices of
+the least differing column, and both sides there as canonical sparse
+vectors {index: scalar}, so a failure is always reproducible by hand.
+A handed law is stated once, right-handed; mirror gives its left row.
 """
 
 from __future__ import annotations
@@ -96,15 +96,19 @@ def compare(op: str, axiom: str, lhs, rhs, col_dims=None) -> Report | None:
     read along its shorter dimension, a block of vectors at a time
     (exactlin._least_column): by rows when it is wide (more columns than
     rows), by columns otherwise.  A block holds at most
-    exactlin._BLOCK_ENTRIES entries at any stage, sparse or packed, unless
-    a single vector is wider.  A
-    wide law that fails is read to its last row for the least differing
-    column; a tall one stops at the first block that differs.  Then that
-    column of each side is read for the report from the same terms, and a
-    tall law's stages are reused (exactlin._witness_columns).  The witness
-    is the input basis multi-index, decoded from the column via the tensor
-    index convention using col_dims; a law on no basis inputs, col_dims (),
-    has one column and no witness.
+    exactlin._BLOCK_ENTRIES entries at any stage unless a single vector is
+    wider.  A dense law over F_p, on blocks of at least
+    exactlin._SLICED_VECTORS vectors, is read sliced (exactlin._sliced),
+    vector v in slot v of one int per index, each slot at or below (p - 1)
+    times (p - 1) times the fan-in of each stage, summed over the terms;
+    any other law sparsely (exactlin._block).  A wide law that fails is
+    read to its last row for the least differing column; a tall one stops
+    at the first block that differs.  Then that column of each side is
+    read sparsely for the report from the same terms, and a tall law's
+    stages are reused (exactlin._witness_columns).  The witness is the
+    input basis multi-index, decoded from the column via the tensor index
+    convention using col_dims; a law on no basis inputs, col_dims (), has
+    one column and no witness.
     """
     if isinstance(lhs, Matrix) and lhs == rhs:   # laid out and equal: no vector needs reading
         return None

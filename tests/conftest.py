@@ -49,7 +49,6 @@ from entwine.exactlin import (
     QQ,
     Subspace,
     _offsets,
-    _packs,
     _block,
     _plan,
     _split,
@@ -234,8 +233,8 @@ def law_vectors(side, by_rows: bool):
     """Read a law side one vector at a time, each a block of one (exactlin._block), as report.compare reads a witness."""
     terms: list = []
     _, rows, cols = _split(side, 1, terms)
-    p, plan, size, _ = _stages(terms, by_rows)
-    return lambda i: _block(p, plan, size, cols if by_rows else rows, i, i + 1)
+    p, plan, _, _ = _stages(terms, by_rows, 1)
+    return lambda i: _block(p, plan, i, i + 1)
 
 
 def layout(side) -> Matrix:
@@ -282,28 +281,15 @@ def compare_reference(op: str, axiom: str, lhs, rhs, col_dims):
     return None
 
 
-def packed_stages(lhs, rhs) -> list:
-    """The factors (X, k, x_first) that report.compare reads as packed stages, by exactlin's own predicate.
+def reads_sliced(lhs, rhs) -> bool:
+    """Whether report.compare reads lhs - rhs sliced (exactlin._sliced), by exactlin's own choice (_stages).
 
-    compare reads lhs - rhs by rows when it has more columns than rows, last
-    factor first, and by columns otherwise, first factor first; a term's
-    first stage never packs, and a term's packed last stage is added to the
-    others in shared slots, so it packs only while the block bounds
-    len(lines) * (p - 1)**2 of the packed last stages so far sum below 2**64.
+    compare reads the law by rows when it has more columns than rows, else
+    by columns, and it has as many vectors as it has rows, or columns.
     """
-    _, rows, cols = law_shape(lhs)
+    (_, rows, cols), _, terms, _ = _plan(lhs, rhs)
     by_rows = cols > rows
-    out, bound = [], 0
-    for _, factors in _plan(lhs, rhs)[2]:
-        read = factors[::-1] if by_rows else factors
-        out += [f for f in read[1:-1] if _packs(f[0], by_rows)]
-        x = read[-1][0]
-        if len(read) > 1 and _packs(x, by_rows):
-            block = (x.rows if by_rows else x.cols) * (x.field.p - 1) ** 2
-            if bound + block < 2**64:
-                bound += block
-                out.append(read[-1])
-    return out
+    return _stages(terms, by_rows, rows if by_rows else cols)[2] is not None
 
 
 def unimodular(field: Field, n: int, rng: random.Random) -> Matrix:

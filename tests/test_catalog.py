@@ -106,3 +106,21 @@ def test_emission_byte_stable():
 
 def test_catalog_objects_cached():
     assert catalog_get("qc2") is catalog_get("qc2")
+
+
+def test_no_natural_basis_law_reads_sliced(tmp_path, monkeypatch):
+    """Every command the goldens run, on every catalog export and on the two documents they add, reads its laws
+    sparsely: the catalog's natural bases give sparse structure maps, and the sliced reader (exactlin._sliced) is for
+    dense ones.  Hundreds of those laws are over F_p on blocks of _SLICED_VECTORS vectors or more, where density
+    decides."""
+    from entwine import exactlin
+    from test_golden_cli import cases
+
+    staged = []
+    stages = exactlin._stages
+    monkeypatch.setattr(exactlin, "_stages", lambda *args: staged.append((args[2], stages(*args))) or staged[-1][1])
+    for _, argv in cases(tmp_path):
+        run_command(argv)
+    assert sum(1 for count, (p, _, _, step) in staged
+               if p is not None and min(count, step) >= exactlin._SLICED_VECTORS) >= 200
+    assert not [size for _, (_, _, size, _) in staged if size is not None]

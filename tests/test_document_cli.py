@@ -11,7 +11,7 @@ from entwine.document import (
     emit_document,
     parse_document,
 )
-from entwine import cli
+from entwine import cli, document
 from entwine.cli import run_command
 from entwine.catalog import catalog_get, catalog_names
 from entwine.doikoppinen import DKStructure, HCoextension, verify_dk
@@ -171,6 +171,7 @@ class TestUnreadableInput:
     CASES = {
         "not-utf8": (b"\xff\xfe{}", "byte 0: not UTF-8 text (invalid start byte)"),
         "nested": (b"[" * 100000 + b"]" * 100000, "$: JSON nested too deeply to read"),
+        "bom": (b"\xef\xbb\xbf{}", "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -206,6 +207,40 @@ class TestUnreadableInput:
             stdout.flush()
             assert exc.value.code == 2
             assert stdout.buffer.getvalue().decode("utf-8") == run_command([*as_json, *argv])[1]
+
+    def test_a_bom_is_refused_as_json_loads_refuses_it(self):
+        """A text that starts with a byte order mark, as str or as UTF-8 bytes, is refused at line 1 column 1 with the
+        message json.loads gives, which the document's own decoder does not check."""
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads("\ufeff{}")
+        for text in ("\ufeff{}", "\ufeff{}".encode("utf-8")):
+            with pytest.raises(ParseError) as got:
+                parse_document(text)
+            assert str(got.value) == f"line {exc.value.lineno} column {exc.value.colno}: {exc.value.msg}"
+
+    def test_one_decoder_reads_a_document(self, monkeypatch):
+        """A document with no repeated key is read by the one decoder made with the module, not by json.loads, which
+        builds a decoder on every call; a text that repeats a key and then breaks JSON, or holds a number too long for
+        int(), is read again and gives the message of that error, as a single read did."""
+        text = catalog_doc("qc2")
+        expected = parse_document(text).raw
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("json.loads read the document"))
+        assert parse_document(text).raw == expected
+        monkeypatch.setattr(json, "loads", loads)
+        twice = text.replace('"kind": "hopf"', '"kind": "algebra", "kind": "hopf"', 1)
+        broken = twice[:-3] + "," + twice[-3:]
+        with pytest.raises(document._RepeatedKey):   # the repeated key closes its object before the text breaks
+            document._DECODE(broken)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            loads(broken)
+        with pytest.raises(ParseError) as got:
+            parse_document(broken)
+        assert str(got.value) == f"line {exc.value.lineno} column {exc.value.colno}: {exc.value.msg}"
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(ParseError) as got:
+                parse_document(twice.replace('"version": 1', '"version": 1' + "0" * 5000, 1))
+            assert str(got.value) == "$: a JSON number has too many digits to read"
 
     @pytest.mark.parametrize("twice", ["kind", "version"])
     def test_a_repeated_key_exits_2_at_its_object(self, tmp_path, twice):

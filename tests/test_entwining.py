@@ -46,7 +46,7 @@ from conftest import (
     nu_inv_map,
     nu_laws,
     nu_map,
-    packed_stages,
+    reads_sliced,
     rebase,
     scale,
     smash_laws,
@@ -646,10 +646,11 @@ def dense_hopf_module_entwining():
     return dk_entwining(hopf_module_dk(rebase(h, unimodular(h.field, h.dim, random.Random("dense rows")))))
 
 
-# rows that this entwining reads through no packed stage: twisted-product compares two laid-out tables, each
-# a term's only stage; after their first stage, right-action-unit reads the columns of right_action (212
-# nonzeros in 64 columns) and nu-inv-nu those of nu_inv (one nonzero each), below 8 nonzeros per line
-NEVER_PACKED = {"right-action-unit", "twisted-product", "nu-inv-nu"}
+# the rows that this entwining reads sliced (conftest.reads_sliced); the others read sparsely: associativity,
+# nu-multiplicative and nu-left-linear have a stage 4096 wide, so a block holds one vector, and the rest read
+# right_action (212 nonzeros in 1024 entries) or the nu maps, so that less than half their entries are nonzero
+SLICED_ROWS = {"left-unit", "right-unit", "left-action-unit", "left-action-module", "bimodule-compatibility",
+               "mul-left-linear", "mul-right-linear", "mul-balanced", "unit-central", "twisted-product"}
 
 
 class TestDenseRowsBite:
@@ -688,18 +689,20 @@ class TestDenseRowsBite:
     def check(axiom, row):
         rep = compare("op", *row)
         assert rep is not None and rep == compare_reference("op", *row)
-        assert bool(packed_stages(row[1], row[2])) == (axiom not in NEVER_PACKED)
+        assert reads_sliced(row[1], row[2]) == (axiom in SLICED_ROWS)
 
 
-@pytest.mark.parametrize("argv, packed", [
-    (["check"], 16),
-    (["smash", "--name", "dense_f7c4"], 12),
-    (["coring", "--name", "dense_f7c4"], 12),
+@pytest.mark.parametrize("argv, sliced", [
+    (["check"], 12),
+    (["smash", "--name", "dense_f7c4"], 10),
+    (["coring", "--name", "dense_f7c4"], 10),
 ], ids=["check", "smash", "coring"])
-def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, packed):
-    """On the dense F_7 document of the CI's dense smoke run, check reads the Hopf algebra's and the entwining's laws
-    through packed stages, and the entwining's algebra and coalgebra, the Hopf algebra itself, are not read again;
-    smash and coring read only verify_entwining's, and none of what they build."""
+def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, sliced):
+    """On the dense F_7 document of the CI's dense smoke run, check reads the Hopf algebra's laws and the entwining's
+    sliced (the vectors of a law packed in the slots of one int per index, one block a law), all but the three laws
+    on one basis vector (comul-unit, counit-unit, counit-multiplicative), and the entwining's algebra and coalgebra,
+    the Hopf algebra itself, are not read again; smash and coring read only verify_entwining's ten laws, and none of
+    what they build."""
     from entwine import exactlin
     from entwine.catalog import hopf_module_dk
     from entwine.cli import run_command
@@ -711,10 +714,10 @@ def test_dense_commands_read_packed_stages(tmp_path, monkeypatch, argv, packed):
     path = tmp_path / "dense.json"
     path.write_text(emit_document(document_from_objects(h.field, {"dense_f7c4": e})))
     calls = []
-    stage = exactlin._packed_stage
-    monkeypatch.setattr(exactlin, "_packed_stage", lambda *args: calls.append(args) or stage(*args))
+    read = exactlin._sliced
+    monkeypatch.setattr(exactlin, "_sliced", lambda *args: calls.append(args) or read(*args))
     code, _ = run_command([argv[0], str(path), *argv[1:]])
-    assert code == 0 and len(calls) == packed
+    assert code == 0 and len(calls) == sliced
 
 
 # (catalog entwined module, map bumped, entry given +1, the whole first failure)

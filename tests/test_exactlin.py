@@ -787,3 +787,31 @@ class TestOffsetTables:
         for by_rows in (True, False):
             assert p.images(by_rows) is Permutation(QQ, (2, 3, 2), (2, 0, 1)).images(by_rows)
         assert type(p.images(True)) is tuple
+
+    def test_a_table_longer_than_the_limit_is_not_kept(self, monkeypatch):
+        """With the limit patched to 6 entries, _offsets keeps a table of 6 and makes one of 8 afresh on each call, and
+        _axis_offsets keeps the tables of dims (6, 2, 3) and makes those of (7, 2, 3) afresh: no cache grows past its
+        one short entry, and what is made afresh equals what would have been kept."""
+        from entwine import exactlin
+        from entwine.structures import QUAD_LAYOUTS
+
+        monkeypatch.setattr(exactlin, "_KEPT_TABLE", 6)
+        for cached in (exactlin._offset_table, exactlin._axis_tables):
+            cached.cache_clear()
+        short, long = exactlin._offsets((2, 3), (1, 0), range(2)), exactlin._offsets((2, 4), (1, 0), range(2))
+        assert exactlin._offset_table.cache_info().currsize == 1
+        assert exactlin._offsets((2, 3), (1, 0), range(2)) is short
+        again = exactlin._offsets((2, 4), (1, 0), range(2))
+        assert again == long and again is not long
+        assert list(long) == offsets_by_strides((2, 4), (1, 0), (0, 1))
+        assert exactlin._offset_table.cache_info().currsize == 1
+        perm, nrows = QUAD_LAYOUTS["mul"]
+        kept = exactlin._axis_offsets((6, 2, 3), perm, nrows)
+        made = exactlin._axis_offsets((7, 2, 3), perm, nrows)
+        assert exactlin._axis_tables.cache_info().currsize == 1
+        assert exactlin._axis_offsets((6, 2, 3), perm, nrows) is kept
+        assert exactlin._axis_offsets((7, 2, 3), perm, nrows) is not made
+        monkeypatch.setattr(exactlin, "_KEPT_TABLE", 7)
+        assert made == exactlin._axis_tables.__wrapped__((7, 2, 3), perm, nrows)
+        monkeypatch.setattr(exactlin, "_KEPT_TABLE", 6)
+        assert exactlin._axis_tables.cache_info().currsize == 1

@@ -8,29 +8,28 @@ lhs=/rhs= text on sides drawn by derandomized Hypothesis strategies: wide,
 tall and square, over Q and F_p, with pairs (X, k) and (k, X), Permutations
 of tensor factors beside them (laid out by conftest.perm_tensor) and read
 by rows and by columns, signed terms that cancel, columns that are zero on
-one side only, and laws on no basis inputs (col_dims ()); and dense sides over F_p whose lines reach the
-packing floor, or stop one nonzero short of it, so that the kernel reads
-them as packed stages, mixed with sparse stages, from entries drawn
+one side only, and laws on no basis inputs (col_dims ()); and dense sides over F_p, at the
+density floor of the sliced reader or one nonzero below it, so that the
+kernel reads them sliced (exactlin._sliced) or sparsely, from entries drawn
 unreduced, which Matrix stores reduced.
-The primes put the packed slots on both sides of their edges: p = 127
-packs 4 lines in 16-bit slots that byte tables reduce and 5 lines in
-32-bit slots reduced one slot at a time; p = 131 is past the byte tables
-in any slot; p = 2**31 - 1 packs at most 4 lines, in 64-bit slots, and
-the last stages of two such terms overflow a shared slot.
+The primes put the slots on both sides of their edges: p = 127 and p = 7
+reduce slots of few bytes by byte tables and wider ones slot by slot, p =
+131 and p = 2**31 - 1 are past the byte tables in any slot, and a chain of
+three factors whose every entry is p - 1, in terms whose every sign is
+-1, fills its slots to their bound over F_(2**31 - 1).
 The block reader is held to the same reference with the cap
 (exactlin._BLOCK_ENTRIES) patched small, so that a law spans blocks: on
 monomial sides whose keys fan in, on the drawn laws of every shape, at the
 cap and one entry past it, on a tall law that differs in its last block or
-stops early (both also through a packed last stage, which reads the same
-blocks), on a wide law whose least differing column is in a later block
-than its first difference, and on terms that cancel in every block.
+stops early (both also sliced, over four primes), on a wide law whose least
+differing column is in a later block than its first difference, and on
+terms that cancel in every block.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from unittest import mock
 
 import pytest
@@ -41,15 +40,16 @@ from hypothesis import example, given, seed, settings, strategies as st  # noqa:
 
 from entwine import report  # noqa: E402
 from entwine import exactlin  # noqa: E402
-from entwine.exactlin import Field, Matrix, Permutation, QQ, _packs, _plan, _push_packed, _stages  # noqa: E402
+from entwine.exactlin import Field, Matrix, Permutation, QQ, _plan, _stages  # noqa: E402
 from conftest import (  # noqa: E402
     compare_reference as reference,
     law_shape,
     law_terms,
+    corrupt,
     law_vectors,
     layout,
-    packed_stages,
     perm_tensor,
+    reads_sliced,
     zeros,
 )
 
@@ -166,7 +166,10 @@ def pinned_laws() -> list:
 
 def pinned_permutation_laws() -> list:
     """The swap of C^2 (x) C^3, which is not its own inverse, beside a pair: read by rows in a wide law F^6 -> F^2
-    and by columns in a square one, passing through cancelling terms or failing by one entry, over Q and F_5."""
+    and by columns in a square one, passing through cancelling terms or failing by one entry, over Q and F_5; and
+    over F_5 failing by one entry of the pair's factor, so that the law is dense and reads sliced: the square one, and
+    a wide one F^6 -> F^4 with two rows in its pair's factor, so that a block holds _SLICED_VECTORS rows, which also
+    passes against itself."""
     out = []
     for field in (QQ, Field(5)):
         swap = Permutation(field, (2, 3), (1, 0))
@@ -176,6 +179,10 @@ def pinned_permutation_laws() -> list:
         for lhs, rows, cols, rest in (((swap, (x, 2)), 2, 6, ((x, 2),)), ((swap, (2, y)), 6, 6, (other,))):
             bump = Matrix.from_entries(field, rows, cols, [(rows - 1, 1, field.one())])
             out += [(lhs, [(1, rest), (1, lhs), (-1, rest)], None), (lhs, [(1, lhs), (1, bump)], (2, 3))]
+        if field.p:
+            x2 = Matrix(field, 2, 3, [1, field.of(-1), 2, 3, 1, 1])
+            out += [((swap, (x2, 2)), (swap, (corrupt(x2, 1, 1), 2)), None), ((swap, (x2, 2)), (swap, (x2, 2)), None),
+                    ((swap, (2, y)), (swap, (2, corrupt(y, 1, 2))), None)]
     return out
 
 
@@ -197,7 +204,8 @@ def test_compare_agrees_with_the_laid_out_reference(law):
 
 
 def test_the_strategy_reaches_every_case():
-    """Wide, tall and square sides fail and pass over Q and F_p, and some fail on a column zero on one side."""
+    """Wide, tall and square sides fail and pass over Q and F_p, and some fail on a column zero on one side; a
+    Permutation is read by rows and by columns, sparsely and sliced, in laws that pass and fail."""
     seen = set()
 
     @seed(STRATEGY_SEED)
@@ -219,16 +227,20 @@ def test_the_strategy_reaches_every_case():
         for _, factors in _plan(lhs, rhs)[2]:
             for n, (x, _, _) in enumerate(factors):
                 if isinstance(x, Permutation) and x.images(True) != x.images(False):   # not its own inverse
-                    seen.add(("permutation", "read by rows" if left.cols > left.rows else "read by columns",
-                              "passes" if bad is None else "fails"))
+                    verdict = "passes" if bad is None else "fails"
+                    seen.add(("permutation", "read by rows" if left.cols > left.rows else "read by columns", verdict))
                     if any(k > 1 for _, k, _ in factors[max(n - 1, 0):n + 2]):
                         seen.add("permutation beside a pair")
+                    if reads_sliced(lhs, rhs):
+                        seen.add(("permutation read sliced", "read by rows" if left.cols > left.rows else
+                                  "read by columns", verdict))
 
     collect()
     want = {(shape, over_q, passes) for shape in ("wide", "tall", "square") for over_q in (True, False)
             for passes in (True, False)} | {"zero on one side", "no inputs", "cancelling terms"}
-    want |= {("permutation", read, passes) for read in ("read by rows", "read by columns")
-             for passes in ("passes", "fails")} | {"permutation beside a pair"}
+    want |= {(permutation, read, passes) for permutation in ("permutation", "permutation read sliced")
+             for read in ("read by rows", "read by columns") for passes in ("passes", "fails")}
+    want |= {"permutation beside a pair"}
     assert want <= seen, want - seen
 
 
@@ -258,51 +270,72 @@ BIG = Field(2**31 - 1)
 DENSE_FIELDS = (Field(2), Field(5), Field(7), Field(127), Field(131), BIG)
 
 
-def floor(count: int, width: int) -> int:
-    """The fewest nonzeros on count lines of width entries that pack: 8 a line and one entry in 8."""
-    return max(8 * count, -(-width * count // 8))
+def law_factors(lhs, rhs) -> list:
+    """The Matrix factors of the terms of lhs - rhs, each as often as a term reads it."""
+    return [x for _, factors in _plan(lhs, rhs)[2] for x, _, _ in factors if isinstance(x, Matrix)]
 
 
-def pays(x: Matrix, by_rows: bool) -> bool:
-    """The packing rule, stated apart from exactlin: wide lines, one in 8 nonzero, 8 a line, a 64-bit block bound."""
-    p = x.field.p
-    count, width = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-    nonzeros = sum(1 for v in x.data if v % p)
-    return width >= 16 and count * (p - 1) ** 2 < 2**64 and nonzeros >= floor(count, width)
+def pays(lhs, rhs) -> bool:
+    """The rule of the sliced reader, stated apart from exactlin but for its floor of vectors: over F_p, at least
+    _SLICED_VECTORS vectors a block, and more than half of the entries of the law's Matrix factors, all counted
+    together, nonzero."""
+    field, rows, cols = law_shape(lhs)
+    if field.p is None:
+        return False
+    by_rows = cols > rows
+    widest = max((x.cols if by_rows else x.rows) * k for _, factors in _plan(lhs, rhs)[2] for x, k, _ in factors)
+    factors = law_factors(lhs, rhs)
+    nonzeros = sum(1 for x in factors for v in x.data if v % field.p)
+    return (min(rows if by_rows else cols, exactlin._BLOCK_ENTRIES // max(1, widest)) >= exactlin._SLICED_VECTORS
+            and 2 * nonzeros > sum(x.rows * x.cols for x in factors))
+
+
+def slot_bound(lhs, rhs) -> int:
+    """The bound on every slot of a sliced law, stated apart from exactlin: for each term, p - 1 for its sign, times
+    p - 1 for the first factor it reads, which meets one basis vector a slot, and p - 1 times the count of lines of X
+    (the most products that meet in a slot) for each later factor X or pair (X, k); summed over the terms."""
+    field, rows, cols = law_shape(lhs)
+    p, by_rows = field.p, cols > rows
+    total = 0
+    for _, factors in _plan(lhs, rhs)[2]:
+        term = p - 1
+        for n, (x, _, _) in enumerate(factors[::-1] if by_rows else factors):
+            if isinstance(x, Matrix):
+                term *= (p - 1) * ((x.rows if by_rows else x.cols) if n else 1)
+        total += term
+    return total
 
 
 @st.composite
-def dense_or_sparse(draw, field: Field, rows: int, cols: int, by_rows: bool) -> Matrix:
-    """Mostly dense, about seven entries in eight nonzero and some unreduced (-1, p + 1); else about one in five;
-    else the packing floor of the lines read by_rows, or one nonzero less."""
+def dense_or_sparse(draw, field: Field, rows: int, cols: int) -> Matrix:
+    """Mostly dense, about seven entries in eight nonzero and some unreduced (-1, p + 1); else about one in five; else
+    every entry p - 1, the largest a slot multiplies."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = field.p
-    kind = draw(st.sampled_from(("dense", "dense", "sparse", "floor", "below the floor")))
+    kind = draw(st.sampled_from(("dense", "dense", "dense", "sparse", "p - 1")))
     if kind == "sparse":
         return Matrix(field, rows, cols, [rng.randrange(1, p) if rng.random() < 0.2 else 0
                                           for _ in range(rows * cols)])
-    if kind != "dense":
-        count, width = (rows, cols) if by_rows else (cols, rows)
-        at = set(rng.sample(range(rows * cols), min(rows * cols, floor(count, width) - (kind != "floor"))))
-        return Matrix(field, rows, cols, [rng.randrange(1, p) if t in at else 0 for t in range(rows * cols)])
+    if kind == "p - 1":
+        return Matrix(field, rows, cols, [-1] * (rows * cols))
     return Matrix(field, rows, cols, [rng.choice((0, -1, p + 1, *(rng.randrange(1, p) for _ in range(5))))
                                       for _ in range(rows * cols)])
 
 
 @st.composite
-def chains(draw, field: Field, dims, by_rows: bool):
+def chains(draw, field: Field, dims):
     """Factors along dims[0] -> ... -> dims[-1]: Matrices, and pairs (X, k) or (k, X) with k dividing both ends."""
     factors = []
     for d_in, d_out in zip(dims, dims[1:]):
         k = draw(st.sampled_from([k for k in (1, 2) if d_in % k == 0 and d_out % k == 0]))
-        x = draw(dense_or_sparse(field, d_out // k, d_in // k, by_rows))
+        x = draw(dense_or_sparse(field, d_out // k, d_in // k))
         factors.append(draw(st.sampled_from((x, (x, k), (k, x)) if k == 1 else ((x, k), (k, x)))))
     return tuple(factors)
 
 
 @st.composite
 def dense_laws(draw):
-    """(lhs, rhs, col_dims) over F_p with lines of 16 entries or more in the direction compare reads."""
+    """(lhs, rhs, col_dims) over F_p: wide, tall and square, mostly dense, passing and failing."""
     field = draw(st.sampled_from(DENSE_FIELDS))
     shape = draw(st.sampled_from(("wide", "tall", "square")))
     small, big = st.integers(1, 5), st.sampled_from((16, 18, 32, 72))
@@ -315,19 +348,28 @@ def dense_laws(draw):
 
     def side():
         inner = draw(st.lists(st.sampled_from((2, 4, 5, 16, 32)), min_size=1, max_size=2))
-        return draw(chains(field, [cols, *inner, rows], cols > rows))
+        return draw(chains(field, [cols, *inner, rows]))
 
     lhs, other = side(), side()
-    kind = draw(st.sampled_from(("cancelling", "another", "bumped")))
+    kind = draw(st.sampled_from(("cancelling", "another", "bumped", "one entry", "negated")))
     if kind == "cancelling":     # the same map, with two more terms that cancel
         rhs = [(1, other), (1, lhs), (-1, other)]
     elif kind == "another":
         rhs = draw(st.sampled_from((other, [(1, lhs), (-1, other)], [(-1, other)])))
-    else:                        # one entry off by a nonzero scalar
+    elif kind == "bumped":       # one entry off by a nonzero scalar, laid out beside the side
         c = draw(st.sampled_from((1, -1, field.p + 1)))
         bump = Matrix.from_entries(field, rows, cols,
                                    [(draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), c)])
         rhs = [(1, lhs), (1, bump)]
+    elif kind == "one entry":    # one entry of one factor off by one: the law differs in one line of that factor
+        n = draw(st.integers(0, len(lhs) - 1))
+        f = lhs[n]
+        x = f if isinstance(f, Matrix) else next(y for y in f if isinstance(y, Matrix))
+        y = corrupt(x, draw(st.integers(0, x.rows - 1)), draw(st.integers(0, x.cols - 1)))
+        f = y if isinstance(f, Matrix) else tuple(y if z is x else z for z in f)
+        rhs = lhs[:n] + (f,) + lhs[n + 1:]
+    else:                        # every term's sign -1: -side - side
+        lhs, rhs = [(-1, lhs)], lhs
     if draw(st.booleans()):
         lhs, rhs = rhs, lhs
     col_dims = draw(st.sampled_from([None, (cols,)] + [(d, cols // d) for d in (2, 4) if cols % d == 0]))
@@ -335,178 +377,191 @@ def dense_laws(draw):
 
 
 def pinned_dense_laws() -> list:
-    """Laws F^32 -> F^2 whose middle stage, count lines of 32 nonzeros, packs in each slot width that
-    test_the_dense_strategy_packs asserts: p = 127 in 2 and 4 bytes, p = 131 in 2, p = 2**31 - 1 in 8."""
+    """One law for each case test_the_dense_strategy_packs asserts that few draws reach.
+
+    A tall chain F^5 -> F^16 -> F^32 -> F^32 whose every entry is p - 1, in two terms of sign -1, fills every slot to
+    its bound, over F_(2**31 - 1) and F_2; the same chain of entries in [1, p) against itself cancels in every slot
+    over F_127; tall and wide laws over F_7 and F_131 differ only in the last vector of their block, by one entry of
+    the factor read first; and laws F^32 -> F^4 over F_127, F_131 and F_(2**31 - 1) pass and fail sliced.
+    """
     out = []
-    for p, count in ((127, 2), (127, 5), (131, 2), (BIG.p, 4)):
+    for p in (BIG.p, 2):
+        f = Field(p)
+        chain = tuple(Matrix(f, rows, cols, [-1] * (rows * cols)) for rows, cols in ((16, 5), (32, 16), (32, 32)))
+        out.append(([(-1, chain)], chain, None))
+    rng = random.Random(127)
+    f = Field(127)
+    chain = tuple(Matrix(f, rows, cols, [rng.randrange(1, 127) for _ in range(rows * cols)])
+                  for rows, cols in ((16, 5), (32, 16)))
+    out.append((chain, [(1, chain)], (5,)))
+    for p in (7, 131):
+        f, rng = Field(p), random.Random(p)
+
+        def dense(rows, cols):
+            return Matrix(f, rows, cols, [rng.randrange(1, p) for _ in range(rows * cols)])
+
+        a, b = dense(16, 5), dense(32, 16)     # tall, read by columns: a first, its column 4 the last vector
+        out.append(((a, b), (corrupt(a, 3, 4), b), (5,)))
+        a, b = dense(16, 32), dense(4, 16)     # wide, read by rows: b first, its row 3 the last vector
+        out.append(((a, b), (a, corrupt(b, 3, 7)), None))
+    for p, count in ((127, 2), (131, 2), (BIG.p, 4)):
         f, rng = Field(p), random.Random(p * count)
 
         def dense(rows, cols):
             return Matrix(f, rows, cols, [rng.randrange(1, p) for _ in range(rows * cols)])
 
-        lhs = (dense(32, 32), dense(count, 32), dense(2, count))   # read by rows: the 2 x count factor first
-        out.append((lhs, [(1, lhs), (1, Matrix.from_entries(f, 2, 32, [(1, 31, 1)]))], None))
+        lhs = (dense(32, 32), dense(count, 32), dense(4, count))   # read by rows: the 4 x count factor first
+        out += [(lhs, [(1, lhs), (1, Matrix.from_entries(f, 4, 32, [(3, 31, 1)]))], None), (lhs, lhs, None)]
     return out
 
 
-def packed_pushes(plan) -> list:
-    """The packed stages of the terms _stages plans, each the partial of _push_packed that reads it."""
-    return [stage for _, stages, last in plan for stage in (*stages, last)
-            if isinstance(stage, partial) and stage.func is _push_packed]
+def sliced_reads(lhs, rhs, col_dims):
+    """compare's report on lhs - rhs, and what it read sliced: the slot bytes, the raw slots and the residues of each
+    block, by its first vector and its vector count."""
+    reads = []
+    sliced, residues = exactlin._sliced, exactlin._residues
 
+    def spy_sliced(p, plan, size, start, stop):
+        reads.append({"size": size, "start": start, "n": stop - start})
+        indices, res = sliced(p, plan, size, start, stop)
+        reads[-1]["res"] = list(res)
+        return indices, res
 
-def packed_count(lhs, rhs) -> int:
-    """How many stages the kernel itself packs when compare reads lhs - rhs."""
-    _, rows, cols = law_shape(lhs)
-    _, plan, _, _ = _stages(_plan(lhs, rhs)[2], cols > rows)
-    return len(packed_pushes(plan))
+    def spy_residues(data, size, p):
+        reads[-1]["slots"] = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+        reads[-1]["tables"] = exactlin._byte_tables(p, size) is not None
+        return residues(data, size, p)
+
+    with mock.patch.object(exactlin, "_sliced", spy_sliced), mock.patch.object(exactlin, "_residues", spy_residues):
+        got = report.compare("op", "law", lhs, rhs, col_dims)
+    return got, reads
 
 
 @SETTINGS
 @with_examples(pinned_dense_laws())
 @given(dense_laws())
 def test_compare_agrees_with_the_laid_out_reference_on_dense_sides(law):
+    """compare agrees with the reference, reads sliced exactly when the rule says so (pays), and no slot passes its
+    bound (slot_bound), which the slot bytes hold."""
     lhs, rhs, col_dims = law
-    assert packed_count(lhs, rhs) == len(packed_stages(lhs, rhs))
-    assert report.compare("op", "law", lhs, rhs, col_dims) == reference("op", "law", lhs, rhs, col_dims)
-
-
-def slot_bytes(bound: int) -> int:
-    return next(size for size in (2, 4, 8) if bound < 256**size)
+    got, reads = sliced_reads(lhs, rhs, col_dims)
+    assert got == reference("op", "law", lhs, rhs, col_dims)
+    assert reads_sliced(lhs, rhs) == pays(lhs, rhs) == bool(reads)
+    if reads:
+        bound = slot_bound(lhs, rhs)
+        assert all(read["size"] == -(-bound.bit_length() // 8) for read in reads)
+        assert max(max(read["slots"], default=0) for read in reads) <= bound < 256 ** reads[0]["size"]
 
 
 def test_the_dense_strategy_packs():
-    """Enough drawn cases pack, and they pack every way the kernel can: the test cannot go vacuous."""
-    seen, packing, drawn = set(), 0, 0
+    """Enough drawn cases read sliced, and they read every way the kernel can: the test cannot go vacuous."""
+    seen, sliced, drawn = set(), 0, 0
 
     @seed(DENSE_SEED)
     @SETTINGS
     @with_examples(pinned_dense_laws())
     @given(dense_laws())
     def collect(law):
-        nonlocal packing, drawn
+        nonlocal sliced, drawn
         lhs, rhs, col_dims = law
-        packed = packed_stages(lhs, rhs)
-        _, rows, cols = law_shape(lhs)
-        by_rows = cols > rows
-        p = law_shape(lhs)[0].p
+        field, rows, cols = law_shape(lhs)
+        got, reads = sliced_reads(lhs, rhs, col_dims)
         drawn += 1
-        packing += bool(packed)
-        bad = reference("op", "law", lhs, rhs, col_dims)
-        for x, k, x_first in packed:
-            seen.add(("packed", "(X, k)" if x_first else "(k, X)"))
-            assert all(isinstance(v, int) and 0 <= v < p for v in x.data), "Matrix stores an entry unreduced"
-        if packed:
-            seen.add(("packed", "passes" if bad is None else "fails"))
-            if bad is None and any(isinstance(s, list) and len(s) == 3 for s in (lhs, rhs)):
-                seen.add("cancelling terms packed")
-        last_bound, last_kinds = 0, set()
-        for _, factors in _plan(lhs, rhs)[2]:
-            read = factors[::-1] if by_rows else factors
-            packs = [n > 0 and pays(x, by_rows) for n, (x, _, _) in enumerate(read)]
-            for n, (x, _, _) in enumerate(read):
-                assert _packs(x, by_rows) == pays(x, by_rows)
-                count, width = (x.rows, x.cols) if by_rows else (x.cols, x.rows)
-                nonzeros = sum(1 for v in x.data if v % p)
-                if n and width >= 16 and count * (p - 1) ** 2 < 2**64 and nonzeros in (floor(count, width) - 1,
-                                                                                      floor(count, width)):
-                    seen.add("at the floor" if packs[n] else "below the floor")
-                if n and width >= 16 and nonzeros >= floor(count, width) and count * (p - 1) ** 2 >= 2**64:
-                    seen.add("the block bound keeps a paying factor sparse")
-                if packs[n] and n < len(read) - 1:   # an intermediate stage, in slots of its own bound
-                    seen.add((p, slot_bytes(count * (p - 1) ** 2)))
-            if packs[-1]:   # packed last stages share slots that hold the sum of their block bounds
-                x = read[-1][0]
-                block = (x.rows if by_rows else x.cols) * (p - 1) ** 2
-                packs[-1] = last_bound + block < 2**64
-                last_bound += packs[-1] * block
-                if not packs[-1]:
-                    seen.add("a full shared slot keeps a last stage sparse")
-            if len(read) > 1:
-                last_kinds.add("packed" if packs[-1] else "sparse")
-            if any(packs[1:]) and not all(packs[1:]):
-                seen.add("packed and sparse stages in one term")
-        if last_bound:
-            seen.add((p, slot_bytes(last_bound)))
-            if last_kinds == {"packed", "sparse"}:
-                seen.add(("packed and sparse last stages in one law", "passes" if bad is None else "fails"))
+        sliced += bool(reads)
+        if not reads:
+            if min(rows, cols) == exactlin._SLICED_VECTORS - 1 and \
+                    2 * sum(1 for x in law_factors(lhs, rhs) for v in x.data if v) > \
+                    sum(x.rows * x.cols for x in law_factors(lhs, rhs)):
+                seen.add("a dense law on one vector too few reads sparsely")
+            return
+        terms = _plan(lhs, rhs)[2]
+        verdict = "passes" if got is None else "fails"
+        seen.add(("sliced", "read by rows" if cols > rows else "read by columns", verdict))
+        for _, factors in terms:
+            for x, k, x_first in factors:
+                if k > 1:
+                    seen.add(("sliced", "(X, k)" if x_first else "(k, X)"))
+        seen.add("reduced by byte tables" if reads[0]["tables"] else "reduced slot by slot")
+        slots = [s for read in reads for s in read["slots"]]
+        if field == BIG and max(slots, default=0) == slot_bound(lhs, rhs) and max(len(f) for _, f in terms) == 3:
+            seen.add("slots at their bound on the longest chain")
+        if got is None and len(terms) > 1 and slots and all(slots):
+            seen.add("lhs and rhs cancel in every slot")
+        bad = [(read, v) for read in reads for v in range(read["n"]) if any(read["res"][v::read["n"]])]
+        if len(bad) == 1 and bad[0][1] == bad[0][0]["n"] - 1 > 0:
+            seen.add(("a failure only in the last vector of a block", "read by rows" if cols > rows else
+                      "read by columns"))
 
     collect()
-    assert 5 * packing >= 2 * drawn, (packing, drawn)
-    want = {("packed", "(X, k)"), ("packed", "(k, X)"), ("packed", "passes"), ("packed", "fails"),
-            "cancelling terms packed", "packed and sparse stages in one term",
-            "at the floor", "below the floor", "the block bound keeps a paying factor sparse",
-            (127, 2), (127, 4), (131, 2), (BIG.p, 8), "a full shared slot keeps a last stage sparse",
-            ("packed and sparse last stages in one law", "passes"),
-            ("packed and sparse last stages in one law", "fails")}
+    assert 5 * sliced >= 2 * drawn, (sliced, drawn)
+    want = {("sliced", read, verdict) for read in ("read by rows", "read by columns")
+            for verdict in ("passes", "fails")}
+    want |= {("sliced", "(X, k)"), ("sliced", "(k, X)"), "reduced by byte tables", "reduced slot by slot",
+             "slots at their bound on the longest chain", "lhs and rhs cancel in every slot",
+             ("a failure only in the last vector of a block", "read by rows"),
+             ("a failure only in the last vector of a block", "read by columns"),
+             "a dense law on one vector too few reads sparsely"}
     assert want <= seen, want - seen
 
 
 @pytest.mark.parametrize("by_rows", (True, False), ids=("rows", "columns"))
-@pytest.mark.parametrize("width", (16, 72))   # 8 nonzeros a line bind at 16, one entry in 8 at 72
+@pytest.mark.parametrize("width", (16, 72))
 @pytest.mark.parametrize("short", (0, 1), ids=("at the floor", "one nonzero below"))
 def test_the_packing_floor(by_rows, width, short):
-    """A factor read after a term's first stage packs at the floor and not one nonzero below it."""
+    """A law on 4 vectors reads sliced, its vectors packed in the slots of one int per index, when more than half of
+    its factors' entries are nonzero, and sparsely at half: x, y, their copy in the rhs and a laid-out bump hold
+    12 * width + 32 entries, and 6 * width + 17 or one less nonzeros."""
     f, rng = Field(7), random.Random(width)
     count = 4
-    rows, cols = (count, width) if by_rows else (width, count)
-    at = set(rng.sample(range(rows * cols), floor(count, width) - short))
-    x = Matrix(f, rows, cols, [rng.randrange(1, 7) if t in at else 0 for t in range(rows * cols)])
-    y = Matrix(f, 2, count, [rng.randrange(7) for _ in range(2 * count)]) if by_rows else \
-        Matrix(f, count, 2, [rng.randrange(7) for _ in range(2 * count)])
+    assert exactlin._SLICED_VECTORS == count
+    x_rows, x_cols = (count, width) if by_rows else (width, count)
+    at = set(rng.sample(range(count * width), 3 * width - 9))
+    x = Matrix(f, x_rows, x_cols, [rng.randrange(1, 7) if t in at else 0 for t in range(count * width)])
+    y = Matrix(f, count, count, [rng.randrange(1, 7) for _ in range(count * count)])
     lhs = (x, y) if by_rows else (y, x)   # compare reads y first, then x
-    bump = Matrix.from_entries(f, *law_shape(lhs)[1:], [(1, 1, 1)])
+    rows, cols = law_shape(lhs)[1:]
+    at = [(1, 1), (0, 2), (3, 3)][:3 - short]
+    bump = Matrix.from_entries(f, rows, cols, [(i, j, 1) if by_rows else (j, i, 1) for i, j in at])
     rhs = [(1, lhs), (1, bump)]
-    assert _packs(x, by_rows) is not bool(short) and pays(x, by_rows) is not bool(short)
-    assert packed_stages(lhs, rhs) == ([] if short else [(x, 1, True)] * 2)   # in lhs and in rhs
+    factors = law_factors(lhs, rhs)
+    assert sum(x.rows * x.cols for x in factors) == 12 * width + 32
+    assert sum(1 for x in factors for v in x.data if v) == 6 * width + 17 - short
+    assert reads_sliced(lhs, rhs) is not bool(short) and pays(lhs, rhs) is not bool(short)
     assert report.compare("op", "law", lhs, rhs) == reference("op", "law", lhs, rhs, None)
 
 
 def test_the_byte_tables_stop_at_their_bound():
-    """p = 127 reduces 16-bit slots by byte tables, 2 * 126 < 256, and 32-bit slots one slot at a time."""
-    assert exactlin._byte_tables(127, 2) is not None
-    assert exactlin._byte_tables(127, 4) is None and exactlin._byte_tables(131, 2) is None
-    for p, size in ((127, 2), (2, 8), (7, 8), (127, 4), (131, 2), (BIG.p, 8)):
-        rng = random.Random(p)
+    """Slots of size bytes are reduced by byte tables while size * (p - 1) < 256: p = 127 in 2 bytes, p = 7 in 42,
+    p = 2 in 255; else one slot at a time, whatever their width."""
+    assert exactlin._byte_tables(127, 2) is not None and exactlin._byte_tables(7, 42) is not None
+    assert exactlin._byte_tables(127, 3) is None and exactlin._byte_tables(131, 2) is None
+    assert exactlin._byte_tables(7, 43) is None and exactlin._byte_tables(2, 256) is None
+    for p, size in ((127, 2), (2, 8), (7, 42), (2, 255), (127, 3), (7, 43), (131, 2), (BIG.p, 13)):
+        rng = random.Random(p * size)
         values = [0, 1, p - 1, p, 256**size - 1, *(rng.randrange(256**size) for _ in range(20))]
-        total = sum(v << (8 * size * t) for t, v in enumerate(values))
-        assert list(exactlin._residues(total, len(values), size, p)) == [v % p for v in values]
+        data = b"".join(v.to_bytes(size, "little") for v in values)
+        assert list(exactlin._residues(data, size, p)) == [v % p for v in values]
 
 
 def test_a_second_compare_packs_nothing_again(monkeypatch):
-    """The packing decisions and the packed lines of a matrix are made once, not once per compare (Matrix._kernel).
-
-    A sparse pair (X, k) reads the lines of X itself, so nothing is made for it.
-    """
+    """The count that chooses a law's reader, a matrix's nonzeros less its zeros, is made once per matrix, not once
+    per compare (Matrix._kernel): a second compare reads the kept counts, so that counts set as if every entry were
+    zero make it read the same law sparsely, to the same report."""
     f = Field(7)
     rng = random.Random(3)
     dense, other = (Matrix(f, 16, 16, [rng.randrange(1, 7) for _ in range(256)]) for _ in range(2))
-    # read by columns: (dense, 4) is a term's first stage, read sparsely; then (4, other) and (dense, 4) pack
     lhs = ((dense, 4), (4, other), (dense, 4))
-    rhs = [(1, lhs), (1, Matrix.from_entries(f, 64, 64, [(0, 0, 1)]))]
-    lines = []
-    real = exactlin._stages
-
-    def stages(terms, by_rows):
-        planned = real(terms, by_rows)
-        lines.append([push.args[0] for push in packed_pushes(planned[1])])
-        return planned
-
-    monkeypatch.setattr(exactlin, "_stages", stages)
+    rhs = ((corrupt(dense, 0, 0), 4), (4, other), (dense, 4))
+    calls = []
+    sliced = exactlin._sliced
+    monkeypatch.setattr(exactlin, "_sliced", lambda *args: calls.append(args) or sliced(*args))
     first = report.compare("op", "law", lhs, rhs)
-    assert first is not None and len(packed_stages(lhs, rhs)) == 4
-    kept = {id(x): dict(x._kernel) for x in (dense, other)}
-
-    def fails(*args):
-        raise AssertionError("packed again")
-
-    monkeypatch.setattr(exactlin, "_pack", fails)
-    assert report.compare("op", "law", lhs, rhs) == first
-    # a tall law is staged once a compare, and its witness columns are read from those stages
-    assert len(lines) == 2 and len(lines[0]) == len(lines[1]) == 4
-    assert all(a is b for a, b in zip(lines[0], lines[1]))   # the same packed lines are read
-    for x in (dense, other):   # nothing was decided or made again
-        assert x._kernel.keys() == kept[id(x)].keys() and all(x._kernel[k] is v for k, v in kept[id(x)].items())
+    assert first is not None and first == reference("op", "law", lhs, rhs, None) and len(calls) == 1
+    factors = law_factors(lhs, rhs)
+    assert all(x._kernel == 2 * sum(1 for v in x.data if v) - x.rows * x.cols for x in factors)
+    for x in factors:   # as if x held no nonzero
+        x._kernel = -x.rows * x.cols
+    assert report.compare("op", "law", lhs, rhs) == first and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -514,29 +569,30 @@ def test_a_second_compare_packs_nothing_again(monkeypatch):
 
 
 def read_blocks(lhs, rhs) -> tuple[list, int]:
-    """The (start, stop) of each block _least_column reads on lhs - rhs, in order, and the most keys a sparse stage
-    of a block held or slots a packed one reduced."""
+    """The (start, stop) of each block _least_column reads on lhs - rhs, in order, sparsely or sliced, and the most
+    keys a stage of a block held, or slots a sliced one did: its keys times the vectors each holds."""
     _, rows, cols = law_shape(lhs)
-    block, push, residues = exactlin._block, exactlin._push, exactlin._residues
-    spans, most = [], 0
+    real = {name: getattr(exactlin, name) for name in ("_block", "_sliced", "_first", "_push")}
+    spans, most, slots = [], 0, 1
 
-    def spy_block(*args):
-        spans.append(args[-2:])
-        return block(*args)
+    def spy_block(name):
+        def spy(*args):
+            nonlocal slots
+            spans.append(args[-2:])
+            slots = args[-1] - args[-2] if name == "_sliced" else 1
+            return real[name](*args)
+        return spy
 
-    def spy_push(*args):
-        nonlocal most
-        out = push(*args)
-        most = max(most, len(out))
-        return out
+    def spy_stage(name):
+        def spy(*args):
+            nonlocal most
+            out = real[name](*args)
+            most = max(most, len(out) * slots)
+            return out
+        return spy
 
-    def spy_residues(total, n, *args):
-        nonlocal most
-        most = max(most, n)
-        return residues(total, n, *args)
-
-    with mock.patch.object(exactlin, "_block", spy_block), mock.patch.object(exactlin, "_push", spy_push), \
-            mock.patch.object(exactlin, "_residues", spy_residues):
+    with mock.patch.multiple(exactlin, _block=spy_block("_block"), _sliced=spy_block("_sliced"),
+                             _first=spy_stage("_first"), _push=spy_stage("_push")):
         exactlin._least_column(_plan(lhs, rhs)[2], cols > rows, rows, cols)
     return spans, most
 
@@ -656,53 +712,55 @@ def dense_wide(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix
     return Matrix(field, rows, cols, [rng.randrange(1, 5) for _ in range(rows * cols)])
 
 
-# tall laws whose last stage packs (packed_tall): the field, the count of X's columns, the form of the pair, and,
-# in a law of the side beside a copy of it, the slot bytes that the packed last stages share and how many pack
-PACKED_TALL = {f"F{p} {form}": (Field(p), count, form, size, packed)
-               for p, count, size, packed in ((127, 2, 2, 2), (131, 5, 4, 2), (BIG.p, 4, 8, 1))
+# tall laws read sliced (sliced_tall): the field, the count of X's columns, the form of the pair, and the slot
+# bytes of the side against itself, which hold 2 * (p - 1)**3 * count (slot_bound)
+SLICED_TALL = {f"F{p} {form}": (Field(p), count, form, size)
+               for p, count, size in ((127, 2, 3), (131, 5, 4), (BIG.p, 4, 12))
                for form in ("(X, k)", "(k, X)")}
 
 
-def packed_tall(law: str, rng: random.Random) -> tuple:
-    """A tall side F^10 -> F^32 whose last stage packs: a dense F^10 -> F^(2 * count), then (X, 2) or (2, X) for a
-    dense 16 x count X, so its widest stage is 32 wide.  Beside a copy of itself, its packed last stages share 2-byte
-    slots over F_127, which byte tables reduce, 4-byte ones over F_131, reduced one slot at a time, and 8-byte ones
-    over F_(2**31 - 1), where the copy's last stage overflows the shared slot and is read sparsely."""
-    field, count, form, _, _ = PACKED_TALL[law]
+def sliced_tall(law: str, rng: random.Random) -> tuple:
+    """A tall side F^10 -> F^32, read sliced: a dense F^10 -> F^(2 * count), then (X, 2) or (2, X) for a dense
+    16 x count X, so its widest stage is 32 wide; no prime here has slots narrow enough for byte tables."""
+    field, count, form, _ = SLICED_TALL[law]
     p = field.p
     a = Matrix(field, 2 * count, 10, [rng.randrange(1, p) for _ in range(20 * count)])
     x = Matrix(field, 16, count, [rng.randrange(1, p) for _ in range(16 * count)])
     return a, (x, 2) if form == "(X, k)" else (2, x)
 
 
-@pytest.mark.parametrize("law", ("Q", "F7", *PACKED_TALL))
+@pytest.mark.parametrize("law", ("Q", "F7", *SLICED_TALL))
 @pytest.mark.parametrize("past", (0, 1), ids=("at the cap", "one past it"))
 def test_a_block_holds_at_most_the_cap(law, past):
     """A dense tall side F^10 -> F^12 through F^6 holds 12 entries a vector at its widest stage: with the cap at
-    3 * 12 a block reads 3 vectors and holds exactly the cap; one entry past it, a block reads 2.  A side F^10 -> F^32
-    whose last stage packs (packed_tall) reads 3 or 2 vectors a block the same way, at a cap of 3 * 32 or one less,
-    and its packed stage reduces 32 slots a vector.  Either way it agrees with the reference, passing and failing."""
-    if law in PACKED_TALL:
-        field, rng = PACKED_TALL[law][0], random.Random(law)
-        lhs = packed_tall(law, rng)
+    5 * 12 a block reads 5 vectors and holds exactly the cap; one entry past it, a block reads 4.  Over Q it is read
+    sparsely, and over F_7 sliced, in 2-byte slots that byte tables reduce.  A side F^10 -> F^32 read sliced
+    (sliced_tall) reads 5 or 4 vectors a block the same way, at a cap of 5 * 32 or one less.  Either way it agrees
+    with the reference, passing, and failing only in column 9, the last vector, by one entry of the factor read
+    first."""
+    if law in SLICED_TALL:
+        field, rng = SLICED_TALL[law][0], random.Random(law)
+        lhs = sliced_tall(law, rng)
     else:
         field = QQ if law == "Q" else Field(7)
         rng = random.Random(repr(field))
         lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
     rows = law_shape(lhs)[1]   # the widest stage
-    rhs = [(1, lhs), (1, zeros(field, rows, 10))]
-    bump = [(1, lhs), (1, Matrix.from_entries(field, rows, 10, [(rows - 1, 9, 1)]))]
-    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 3 * rows - past):
-        spans, most = read_blocks(lhs, rhs)
-        step = 3 - past
+    bump = (corrupt(lhs[0], 0, 9), *lhs[1:])
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 5 * rows - past):
+        spans, most = read_blocks(lhs, lhs)
+        step = 5 - past
+        assert step >= exactlin._SLICED_VECTORS
         assert spans == [(start, min(start + step, 10)) for start in range(0, 10, step)]
         assert most == rows * step <= exactlin._BLOCK_ENTRIES
-        if law in PACKED_TALL:
-            _, _, _, size, packed = PACKED_TALL[law]
-            assert packed_count(lhs, rhs) == packed and _stages(_plan(lhs, rhs)[2], False)[2] == size
-        assert report.compare("op", "law", lhs, rhs) is None and reference("op", "law", lhs, rhs, None) is None
-        assert report.compare("op", "law", lhs, lhs) is None
-        assert report.compare("op", "law", lhs, bump, (2, 5)) == reference("op", "law", lhs, bump, (2, 5))
+        assert reads_sliced(lhs, lhs) == reads_sliced(lhs, bump) == (law != "Q")
+        if law in SLICED_TALL:
+            assert _stages(_plan(lhs, lhs)[2], False, 10)[2] == SLICED_TALL[law][3]
+        elif law == "F7":
+            assert _stages(_plan(lhs, lhs)[2], False, 10)[2] == 2 and exactlin._byte_tables(7, 2) is not None
+        assert report.compare("op", "law", lhs, lhs) is None and reference("op", "law", lhs, lhs, None) is None
+        got = report.compare("op", "law", lhs, bump, (2, 5))
+        assert got == reference("op", "law", lhs, bump, (2, 5)) and got.witness == (1, 4)
 
 
 def test_the_cap_at_its_edge():
@@ -713,7 +771,7 @@ def test_the_cap_at_its_edge():
     half = cap // 2
     for width, step in ((half, 2), (half + 1, 1), (cap, 1), (cap + 1, 1), (half // 2, 4)):
         x = Matrix.from_entries(QQ, 1, 1, [(0, 0, 1)])
-        assert exactlin._stages(law_terms(((x, width),)), False)[3] == step   # kron(x, id_width), read by columns
+        assert exactlin._stages(law_terms(((x, width),)), False, 1)[3] == step   # kron(x, id_width), by columns
     for rows, step in ((half, 2), (half + 1, 1)):
         x = Matrix(QQ, rows, 4, [1 + t % 3 for t in range(4 * rows)])    # tall: four dense columns
         bump = Matrix.from_entries(QQ, rows, 4, [(rows - 1, 3, 1)])
@@ -723,25 +781,26 @@ def test_the_cap_at_its_edge():
             reference("op", "law", (x,), [(1, (x,)), (1, bump)], (2, 2))
 
 
-@pytest.mark.parametrize("law", ("Q", "F5", *PACKED_TALL))
+@pytest.mark.parametrize("law", ("Q", "F5", *SLICED_TALL))
 @pytest.mark.parametrize("column", (9, 4))
 def test_a_tall_law_stops_at_the_first_block_that_differs(law, column):
-    """Blocks of 3 columns of a tall law F^10 -> F^12, or F^10 -> F^32 through a packed last stage (packed_tall): a
-    difference in column 9, the last block, is found there; one in column 4 stops the reading after the second
-    block."""
+    """Blocks of 4 columns of a tall law F^10 -> F^12, or F^10 -> F^32 read sliced (sliced_tall), that differs in
+    column 9 and in a given column, by one entry each of the factor read first: a difference in column 9 alone, the
+    last block, is found there; one in column 4 stops the reading after the second block.  Over F_5 the law reads
+    sliced too."""
     rng = random.Random(column)
-    if law in PACKED_TALL:
-        field = PACKED_TALL[law][0]
-        lhs = packed_tall(law, rng)
+    if law in SLICED_TALL:
+        field = SLICED_TALL[law][0]
+        lhs = sliced_tall(law, rng)
     else:
         field = QQ if law == "Q" else Field(5)
         lhs = (dense_wide(field, 6, 10, rng), dense_wide(field, 12, 6, rng))
     rows = law_shape(lhs)[1]   # the widest stage
-    rhs = [(1, lhs), (1, Matrix.from_entries(field, rows, 10, [(0, column, 1), (5, 9, 1)]))]
-    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 3 * rows):
+    rhs = (corrupt(corrupt(lhs[0], 0, column), 1, 9), *lhs[1:])
+    with mock.patch.object(exactlin, "_BLOCK_ENTRIES", 4 * rows):
         spans, _ = read_blocks(lhs, rhs)
-        assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)][:column // 3 + 1]
-        assert packed_count(lhs, rhs) == (PACKED_TALL[law][4] if law in PACKED_TALL else 0)
+        assert spans == [(0, 4), (4, 8), (8, 10)][:column // 4 + 1]
+        assert reads_sliced(lhs, rhs) == (law != "Q")
         got = report.compare("op", "law", lhs, rhs, (10,))
     assert got == reference("op", "law", lhs, rhs, (10,)) and got.witness == (column,)
 
@@ -827,7 +886,8 @@ def test_compare_plans_each_side_once(monkeypatch):
     split, stages = exactlin._split, exactlin._stages
     sides, staged = [], []
     monkeypatch.setattr(exactlin, "_split", lambda side, *args: sides.append(side) or split(side, *args))
-    monkeypatch.setattr(exactlin, "_stages", lambda terms, by_rows: staged.append(by_rows) or stages(terms, by_rows))
+    monkeypatch.setattr(exactlin, "_stages", lambda terms, by_rows, count: staged.append(by_rows) or
+                        stages(terms, by_rows, count))
     rng = random.Random(5)
 
     def dense(rows, cols):

@@ -49,8 +49,7 @@ UNCALLED = frozenset({
     "exactlin.PrimeField.add", "exactlin.PrimeField.is_zero", "exactlin.PrimeField.mul", "exactlin.PrimeField.parse",
     "exactlin.PrimeField.sub", "exactlin.Subspace.add", "exactlin.Subspace.annihilator_matrix",
     "exactlin.Subspace.contains", "exactlin.Subspace.from_spanning", "exactlin.Subspace.full",
-    "exactlin.Subspace.intersect", "exactlin._block_bound", "exactlin._byte_tables", "exactlin._pack",
-    "exactlin._packed_stage", "exactlin._push_packed", "exactlin._residues", "exactlin._slot_bytes",
+    "exactlin.Subspace.intersect", "exactlin._byte_tables", "exactlin._residues", "exactlin._sliced",
     "exactlin.invert", "exactlin.preimage", "report.Report.detail",
     "structures._algebra_morphism_laws", "structures._coalgebra_morphism_laws", "structures._dualize_module",
     "structures.algebra_morphism_report", "structures.bialgebra_morphism_report", "structures.check_adjoint_pair",
